@@ -4,6 +4,12 @@ Conventions: su(2) elements are anti-hermitian traceless 2x2 complex
 matrices X = i (v . sigma) with v real; the Frobenius inner product
 <X, Y> = Re tr(X Y^dagger) is used everywhere (positive definite,
 equal to -Re tr(XY) on anti-hermitian matrices).
+
+Every 2x2 product, commutator and conjugate transpose in the package goes
+through `mul`, `comm`, `comm_diag` and `dag` here, and nowhere else. They
+are closed-form elementwise expressions in the four entries, broadcasting
+over leading axes; numpy's batched `@` on (..., 2, 2) arrays pays a generic
+per-matrix cost several times larger than the arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +26,50 @@ PAULI = np.array(
 )
 
 EYE2 = np.eye(2, dtype=complex)
+
+
+def _entries(X):
+    X = np.asarray(X)
+    return X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+
+
+def _assemble(a, b, c, d):
+    """The matrices [[a, b], [c, d]] from broadcast-compatible entries."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c),
+                                       np.shape(d)) + (2, 2),
+                   dtype=np.result_type(a, b, c, d))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
+
+
+def mul(X, Y):
+    """X @ Y over the trailing 2x2 axes, broadcasting over leading axes."""
+    a, b, c, d = _entries(X)
+    e, f, g, h = _entries(Y)
+    return _assemble(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def comm(X, Y):
+    """Commutator [X, Y] = XY - YX over the trailing 2x2 axes, broadcasting."""
+    a, b, c, d = _entries(X)
+    e, f, g, h = _entries(Y)
+    t = b * g - c * f
+    return _assemble(t, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d), -t)
+
+
+def comm_diag(g, X):
+    """[diag(g), X] for diagonals g (..., 2): (g_a - g_b) X_ab, one broadcast
+    multiply with no matrix product."""
+    g = np.asarray(g)
+    return (g[..., :, None] - g[..., None, :]) * X
+
+
+def dag(X):
+    """Conjugate transpose over the trailing 2x2 axes."""
+    return np.conj(np.swapaxes(X, -1, -2))
 
 
 def from_vector(v):
@@ -51,13 +101,18 @@ def expm_su2(X):
     """exp(X) for anti-hermitian traceless X, closed form, batched.
 
     X = i t (n.sigma) with |n| = 1 gives exp(X) = cos(t) I + sin(t)/t X.
+    Only the su(2) part i(v.sigma) of X is used: a = i v3 and
+    b = v2 + i v1 are its (0, 0) and (0, 1) entries.
     """
-    v = to_vector(X)
-    t = np.linalg.norm(v, axis=-1)
+    a, b, c, d = _entries(np.asarray(X, dtype=complex))
+    v3 = (a - d).imag / 2.0
+    w = (b - np.conj(c)) / 2.0
+    t = np.sqrt(v3 ** 2 + w.real ** 2 + w.imag ** 2)
     # sin(t)/t via sinc, stable at t = 0
     s = np.sinc(t / np.pi)
-    c = np.cos(t)
-    return c[..., None, None] * EYE2 + s[..., None, None] * from_vector(v)
+    p = np.cos(t) + 1j * s * v3
+    q = s * w
+    return _assemble(p, q, -np.conj(q), np.conj(p))
 
 
 def log_su2(U):
@@ -68,7 +123,7 @@ def log_su2(U):
     """
     U = np.asarray(U, dtype=complex)
     c = np.clip(np.trace(U, axis1=-2, axis2=-1).real / 2.0, -1.0, 1.0)
-    A = (U - np.conj(np.swapaxes(U, -1, -2))) / 2.0
+    A = (U - dag(U)) / 2.0
     sn = to_vector(A)  # sin(t) * n
     s = np.linalg.norm(sn, axis=-1)
     t = np.arctan2(s, c)
@@ -78,20 +133,26 @@ def log_su2(U):
 
 
 def project_su2(M):
-    """Nearest SU(2) element (polar projection, det normalized), batched."""
-    M = np.asarray(M, dtype=complex)
-    u, _, vh = np.linalg.svd(M)
-    U = u @ vh
-    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
-    # det has modulus 1; divide by its principal square root
-    phase = np.exp(0.5j * np.angle(det))
-    return U / phase[..., None, None]
+    """Nearest SU(2) element in the Frobenius norm, closed form, batched.
+
+    SU(2) is the unit sphere |p|^2 + |q|^2 = 1 of the real span of the
+    quaternion matrices [[p, q], [-conj q, conj p]], whose orthogonal
+    complement is [[p, q], [conj q, -conj p]]; the nearest point is
+    therefore the normalized quaternion part of M (nonzero for every M
+    near SU(2)).
+    """
+    a, b, c, d = _entries(np.asarray(M, dtype=complex))
+    p = (a + np.conj(d)) / 2.0
+    q = (b - np.conj(c)) / 2.0
+    n = np.sqrt(p.real ** 2 + p.imag ** 2 + q.real ** 2 + q.imag ** 2)
+    p, q = p / n, q / n
+    return _assemble(p, q, -np.conj(q), np.conj(p))
 
 
 def su2_defect(U):
     """max of unitarity and determinant defects; 0 for exact SU(2)."""
     U = np.asarray(U, dtype=complex)
-    uni = frob(U @ np.conj(np.swapaxes(U, -1, -2)) - EYE2)
+    uni = frob(mul(U, dag(U)) - EYE2)
     det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
     return np.maximum(uni, np.abs(det - 1.0))
 
@@ -99,7 +160,7 @@ def su2_defect(U):
 def algebra_defect(X, traceless=True):
     """Deviation of X from anti-hermitian (and traceless), batched."""
     X = np.asarray(X, dtype=complex)
-    ah = frob(X + np.conj(np.swapaxes(X, -1, -2)))
+    ah = frob(X + dag(X))
     if not traceless:
         return ah
     tr = np.abs(np.trace(X, axis1=-2, axis2=-1))

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ._version import __version__
-from . import models
+from . import _su2, models
 from .asymptotics import E3, FlatLimit, asymptotic_states, decay_exponent, \
     extract_invariants, poincare_constant
 from .gauge import CircleFamily, asd_residual, flat_connection, \
@@ -578,8 +578,8 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
     E_dn = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
     def quotient(u):
-        du_x = fourier_diff(u, 0, Lx) + gx @ u - u @ gx
-        du_y = fourier_diff(u, 1, Ly) + gy @ u - u @ gy
+        du_x = fourier_diff(u, 0, Lx) + _su2.comm(gx, u)
+        du_y = fourier_diff(u, 1, Ly) + _su2.comm(gy, u)
         num = float(np.sum(np.abs(du_x) ** 2 + np.abs(du_y) ** 2))
         den = float(np.sum(np.abs(u) ** 2))
         if num < 1e-13 * den:

@@ -12,6 +12,7 @@ theta-paired slot by r, i.e. uses the orthonormal coframe
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -144,7 +145,7 @@ def curvature(conn: ConnectionSource, points) -> CurvatureSample:
     comps = []
     for i, j in PAIRS:
         f = d[..., i, j, :, :] - d[..., j, i, :, :]
-        f = f + a[..., i, :, :] @ a[..., j, :, :] - a[..., j, :, :] @ a[..., i, :, :]
+        f = f + _su2.comm(a[..., i, :, :], a[..., j, :, :])
         comps.append(f)
     return CurvatureSample(points=points, components=np.stack(comps, axis=-3))
 
@@ -271,23 +272,26 @@ class SU2Element:
 
 
 def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
-                          tans: np.ndarray, renorm_every: int = 64) -> np.ndarray:
+                          tans: np.ndarray) -> np.ndarray:
     """Path-ordered product of exp(-A(gamma') dt) over leading axis 0.
 
     pts, tans: (n, ..., 4). Returns (..., 2, 2). Transport convention
     h' = -A(gamma') h, midpoint sampling assumed done by the caller.
+    The steps are multiplied as a pairwise tree (a parallel prefix,
+    Blelloch 1990): each level halves the count, later steps kept on the
+    left, an odd last step carried up unchanged. Rounding error then grows
+    with log2(n) levels rather than n sequential products, so one SU(2)
+    projection at the end suffices.
     """
     n = pts.shape[0]
     conn.check_domain(pts)
     a = conn.evaluate(pts)  # (n, ..., 4, 2, 2)
     m = np.einsum("k...i,k...iab->k...ab", tans, a) / n
     steps = _su2.expm_su2(-m)
-    out = np.broadcast_to(_su2.EYE2, steps.shape[1:]).copy()
-    for k in range(n):
-        out = steps[k] @ out
-        if (k + 1) % renorm_every == 0:
-            out = _su2.project_su2(out)
-    return _su2.project_su2(out)
+    while len(steps) > 1:
+        paired = _su2.mul(steps[1::2], steps[:-1:2])
+        steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
+    return _su2.project_su2(steps[0])
 
 
 def holonomy(conn: ConnectionSource, loop: Loop, steps: int = 256) -> SU2Element:
@@ -370,10 +374,9 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
     h = np.empty((n_t, 2, 2), dtype=complex)
     h[0] = _su2.EYE2
     for k in range(1, n_t):
-        h[k] = hops[k - 1] @ h[k - 1]
+        h[k] = _su2.mul(hops[k - 1], h[k - 1])
 
-    hinv = np.conj(np.swapaxes(h, -1, -2))
-    M = hinv @ m_t @ h
+    M = _su2.mul(_su2.mul(_su2.dag(h), m_t), h)
 
     # centered derivative of M in t
     dt = ts[1] - ts[0]
@@ -520,85 +523,76 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     ys = np.linspace(0.0, torus.period_y, n_y, endpoint=False)
     w_ang = (TWO_PI / n_th) * (torus.period_x / n_x) * (torus.period_y / n_y)
 
-    shape = (len(rs), n_th, n_x, n_y)
-    # unit-frame components ahat_beta, beta in {2,3,4} and their coordinate
-    # partials; index map: beta 2 <-> a_theta / r, 3 <-> a_x, 4 <-> a_y
-    ahat = np.zeros((3,) + shape + (2, 2), dtype=complex)
-    dpart = np.zeros((4, 3) + shape + (2, 2), dtype=complex)
-    rcol = rs[:, None, None, None]
-    for t in form.terms:
-        T = np.asarray(t.matrix, dtype=complex)
-        val, d_r, d_th, d_x, d_y = _term_fields(t, rs, th, xs, ys, torus)
-        b = t.component - 1  # 0 <-> theta, 1 <-> x, 2 <-> y
-        if t.component == 1:
-            # ahat = f(r)/r * trig; product rule for the r-partial
-            ahat[b] += (val / rcol)[..., None, None] * T
-            dpart[0, b] += ((d_r - val / rcol) / rcol)[..., None, None] * T
-            dpart[1, b] += (d_th / rcol)[..., None, None] * T
-            dpart[2, b] += (d_x / rcol)[..., None, None] * T
-            dpart[3, b] += (d_y / rcol)[..., None, None] * T
-        else:
-            ahat[b] += val[..., None, None] * T
-            dpart[0, b] += d_r[..., None, None] * T
-            dpart[1, b] += d_th[..., None, None] * T
-            dpart[2, b] += d_x[..., None, None] * T
-            dpart[3, b] += d_y[..., None, None] * T
-
-    # flat twist matrices
+    # flat twist: the diagonals of c * diag(i, -i)
     if gamma is not None:
         c1 = TWO_PI * gamma.xi1 / torus.period_x
         c2 = TWO_PI * gamma.xi2 / torus.period_y
     else:
         c1 = c2 = 0.0
-    s3 = np.diag([1j, -1j])
-    gx, gy = c1 * s3, c2 * s3
-
-    def brk(g, X):
-        return g @ X - X @ g
+    gx, gy = c1 * np.array([1j, -1j]), c2 * np.array([1j, -1j])
 
     # covariant frame derivatives nabla_{alpha beta}, alpha,beta in 1..4,
-    # with ahat_1 = 0; rows alpha: e1 = d_r, e2 = (1/r) d_th (+ curvature
-    # corrections), e3 = d_x + [gx, .], e4 = d_y + [gy, .]
-    rc = rcol[..., None, None]
-    nat = {}
-    for b in range(3):  # beta = b + 2
-        nat[(1, b + 2)] = dpart[0, b]
-        nat[(2, b + 2)] = dpart[1, b] / rc
-        nat[(3, b + 2)] = dpart[2, b] + brk(gx, ahat[b])
-        nat[(4, b + 2)] = dpart[3, b] + brk(gy, ahat[b])
-    nat[(2, 1)] = -ahat[0] / rc  # -ahat_theta / r from nabla_{e2} e1
-    for a in (1, 3, 4):
-        nat[(a, 1)] = np.zeros(shape + (2, 2), dtype=complex)
+    # of the unit-frame components ahat_beta (beta 2 <-> a_theta / r,
+    # 3 <-> a_x, 4 <-> a_y, ahat_1 = 0); rows alpha: e1 = d_r,
+    # e2 = (1/r) d_th (+ curvature corrections), e3 = d_x + [gx, .],
+    # e4 = d_y + [gy, .]. Each is a sum of real scalar fields times constant
+    # matrices, kept as a list of (field, matrix) pairs; nabla_{alpha 1} = 0
+    # except for alpha = 2.
+    rcol = rs[:, None, None, None]
+    nat = defaultdict(list)
+    for t in form.terms:
+        T = np.asarray(t.matrix, dtype=complex)
+        val, d_r, d_th, d_x, d_y = _term_fields(t, rs, th, xs, ys, torus)
+        if t.component == 1:
+            # ahat = f(r)/r * trig; product rule for the r-partial
+            val, d_r = val / rcol, (d_r - val / rcol) / rcol
+            d_th, d_x, d_y = d_th / rcol, d_x / rcol, d_y / rcol
+            # -ahat_theta / r from nabla_{e2} e1
+            nat[(2, 1)].append((-val / rcol, T))
+        beta = t.component + 1
+        for alpha, pairs in ((1, [(d_r, T)]), (2, [(d_th / rcol, T)]),
+                             (3, [(d_x, T), (val, _su2.comm_diag(gx, T))]),
+                             (4, [(d_y, T), (val, _su2.comm_diag(gy, T))])):
+            nat[(alpha, beta)].extend(pairs)
 
-    vol = (wr * rs)[:, None, None, None] * w_ang
+    vol = np.broadcast_to((wr * rs)[:, None, None, None] * w_ang,
+                          (len(rs), n_th, n_x, n_y)).ravel()
 
-    def integral(dens):
-        return float(np.sum(dens * vol))
+    def sq_integral(pairs, weight):
+        """sum(weight * |sum_k f_k M_k|_F^2) over (f_k, M_k) = pairs, weight
+        a scalar or flat like the fields: the field Gram matrix against
+        the matrix Gram matrix Re<M_k, M_l>, so no matrix-valued field is
+        ever formed."""
+        if not pairs:
+            return 0.0
+        f = np.stack([np.ravel(fk) for fk, _ in pairs])
+        # row sums along the contiguous axis use numpy's pairwise summation;
+        # a BLAS product (f * weight) @ f.T loses about two digits here
+        gram_f = np.stack([np.sum(fk * f, axis=1) for fk in f * weight])
+        m = np.stack([mk for _, mk in pairs]).astype(complex)
+        m = m.view(float).reshape(len(pairs), 8)
+        return float(np.sum(gram_f * (m @ m.T)))
 
-    def nsq(X):
-        return np.sum(np.abs(X) ** 2, axis=(-2, -1))
-
-    grad_sq = sum(integral(nsq(v)) for v in nat.values())
+    grad_sq = sum(sq_integral(v, vol) for v in nat.values())
 
     d_sq = 0.0
     for a in range(1, 5):
         for b in range(a + 1, 5):
-            d_sq += integral(nsq(nat[(a, b)] - nat[(b, a)]))
+            d_sq += sq_integral(nat[(a, b)]
+                                + [(f, -m) for f, m in nat[(b, a)]], vol)
 
-    dstar = -(nat[(2, 2)] + nat[(3, 3)] + nat[(4, 4)])  # nat[(1,1)] = 0
-    dstar_sq = integral(nsq(dstar))
+    # d* a = -(nabla_22 + nabla_33 + nabla_44); the sign drops out of |.|^2
+    dstar_sq = sq_integral(nat[(2, 2)] + nat[(3, 3)] + nat[(4, 4)], vol)
 
     # boundary integrals of |a_theta / r|^2 with measure dtheta dx dy;
     # only theta-component terms contribute
     def boundary(rho):
-        tot = np.zeros((n_th, n_x, n_y, 2, 2), dtype=complex)
+        pairs = []
         for t in form.terms:
-            if t.component != 1:
-                continue
-            T = np.asarray(t.matrix, dtype=complex)
-            val, *_ = _term_fields(t, np.array([rho]), th, xs, ys, torus)
-            tot += (val[0] / rho)[..., None, None] * T
-        return float(np.sum(nsq(tot)) * w_ang)
+            if t.component == 1:
+                val, *_ = _term_fields(t, np.array([rho]), th, xs, ys, torus)
+                pairs.append((val / rho, np.asarray(t.matrix)))
+        return sq_integral(pairs, w_ang)
 
     inner_term = boundary(r_inner)
     outer_term = boundary(r_outer)

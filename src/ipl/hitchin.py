@@ -153,7 +153,7 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
         p2 = points[..., :2]
         b = pair.evaluate_b(p2)
         psi = pair.evaluate_psi(p2)
-        psid = np.conj(np.swapaxes(psi, -1, -2))
+        psid = _su2.dag(psi)
         out = np.empty(points.shape[:-1] + (4, 2, 2), dtype=complex)
         out[..., 0, :, :] = b[..., 0, :, :]
         out[..., 1, :, :] = b[..., 1, :, :]
@@ -170,7 +170,7 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
             if axis in (0, 1):
                 db = pair.derivative_b(p2, axis)
                 dpsi = pair.derivative_psi(p2, axis)
-                dpsid = np.conj(np.swapaxes(dpsi, -1, -2))
+                dpsid = _su2.dag(dpsi)
                 out[..., 0, :, :] = db[..., 0, :, :]
                 out[..., 1, :, :] = db[..., 1, :, :]
                 out[..., 2, :, :] = 1j * (dpsi + dpsid)
@@ -237,20 +237,20 @@ def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.nda
     th = points[..., 1]
     b = pair.evaluate_b(points)
     psi = pair.evaluate_psi(points)
-    psid = np.conj(np.swapaxes(psi, -1, -2))
+    psid = _su2.dag(psi)
     db_r = pair_derivative_b(pair, points, 0)
     db_th = pair_derivative_b(pair, points, 1)
     dpsi_r = pair_derivative_psi(pair, points, 0)
     dpsi_th = pair_derivative_psi(pair, points, 1)
 
     br, bth = b[..., 0, :, :], b[..., 1, :, :]
-    f12 = (db_r[..., 1, :, :] - db_th[..., 0, :, :] + br @ bth - bth @ br)
+    f12 = (db_r[..., 1, :, :] - db_th[..., 0, :, :] + _su2.comm(br, bth))
     f12 = f12 / r[..., None, None]
-    rho1 = _su2.frob(f12 - 2j * (psi @ psid - psid @ psi))
+    rho1 = _su2.frob(f12 - 2j * _su2.comm(psi, psid))
 
     phase = np.exp(1j * th)[..., None, None]
     dwbar_psi = 0.5 * phase * (dpsi_r + 1j * dpsi_th / r[..., None, None])
     bwbar = 0.5 * phase * (br + 1j * bth / r[..., None, None])
-    g = dwbar_psi + bwbar @ psi - psi @ bwbar
+    g = dwbar_psi + _su2.comm(bwbar, psi)
     rho2 = 2.0 * _su2.frob(g)
     return rho1, rho2

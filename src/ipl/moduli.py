@@ -173,14 +173,14 @@ class AnnulusCalculus:
 
     def _cov(self, i, u):
         plain = (self._dr, self._dtheta, self._dx, self._dy)[i](u)
-        return plain + self.A[i] @ u - u @ self.A[i]
+        return plain + _su2.comm(self.A[i], u)
 
     def _cov_adj(self, i, u):
         if i == 0:
             plain = self._dr_adj(u)
         else:
             plain = -(None, self._dtheta, self._dx, self._dy)[i](u)
-        return plain - (self.A[i] @ u - u @ self.A[i])
+        return plain - _su2.comm(self.A[i], u)
 
     # -- the operators -----------------------------------------------------
 
@@ -356,11 +356,7 @@ def higgs_residual_components(B: np.ndarray, Phi: np.ndarray,
     def d2(u):
         return fourier_diff(u, 1, 1.0)
 
-    def br(Xc, Yc):
-        return Xc @ Yc - Yc @ Xc
-
-    def dag(X):
-        return np.conj(np.swapaxes(X, -1, -2))
+    br, dag = _su2.comm, _su2.dag
 
     # (i) curvature moment: d_B b + [Phi, phi*] + [phi, Phi*] on the area slot
     c1 = d1(b[1]) - d2(b[0]) + br(B[0], b[1]) - br(B[1], b[0]) \
@@ -395,12 +391,9 @@ def higgs_gauge_direction(B: np.ndarray, Phi: np.ndarray,
                           u: np.ndarray) -> TangentVectorHiggs:
     """Infinitesimal gauge transformation by anti-hermitian u:
     b = d_B u, phi = [Phi, u]."""
-    def br(Xc, Yc):
-        return Xc @ Yc - Yc @ Xc
-
-    b = np.stack([fourier_diff(u, 0, 1.0) + br(B[0], u),
-                  fourier_diff(u, 1, 1.0) + br(B[1], u)], axis=0)
-    phi = br(Phi, u)
+    b = np.stack([fourier_diff(u, 0, 1.0) + _su2.comm(B[0], u),
+                  fourier_diff(u, 1, 1.0) + _su2.comm(B[1], u)], axis=0)
+    phi = _su2.comm(Phi, u)
     return TangentVectorHiggs(b=b, phi=phi)
 
 

@@ -1,0 +1,127 @@
+"""Tests for the closed-form 2x2 kernels in `_su2` and the pairwise tree
+product of path-ordered holonomy, against plain numpy references."""
+
+import math
+
+import numpy as np
+import pytest
+
+from ipl import _su2
+from ipl.gauge import _path_ordered_product, circle_holonomies, flat_connection
+from ipl.geometry import TorusSpec, reduce_dual
+from ipl.models import ModelParams, model_connection, perturb
+
+TORUS = TorusSpec()
+
+
+def rand_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def polar_su2(M):
+    """The SVD polar projection divided by the square root of its det."""
+    u, _, vh = np.linalg.svd(M)
+    U = u @ vh
+    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
+    return U / np.exp(0.5j * np.angle(det))[..., None, None]
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ((5, 3, 2, 2), (5, 3, 2, 2)),
+    ((2, 2), (7, 4, 2, 2)),
+    ((7, 4, 2, 2), (2, 2)),
+    ((6, 1, 2, 2), (1, 5, 2, 2)),
+])
+def test_mul_comm_dag_match_matmul(xs, ys):
+    rng = np.random.default_rng(0)
+    X, Y = rand_complex(rng, xs), rand_complex(rng, ys)
+    assert _su2.mul(X, Y).shape == (X @ Y).shape
+    assert np.max(np.abs(_su2.mul(X, Y) - X @ Y)) < 1e-14
+    assert np.max(np.abs(_su2.comm(X, Y) - (X @ Y - Y @ X))) < 1e-14
+    assert np.array_equal(_su2.dag(X), np.conj(np.swapaxes(X, -1, -2)))
+
+
+def test_comm_diag_matches_generic_commutator():
+    rng = np.random.default_rng(1)
+    X = rand_complex(rng, (4, 3, 2, 2))
+    for g in (0.7 * np.array([1j, -1j]), np.array([0.3 + 0.2j, -1.1j]),
+              np.zeros(2)):
+        expected = _su2.comm(np.diag(g), X)
+        assert np.max(np.abs(_su2.comm_diag(g, X) - expected)) < 1e-14
+
+
+def test_project_su2_matches_polar_projection():
+    rng = np.random.default_rng(2)
+    U = _su2.random_su2(rng, (200,))
+    M = U + 1e-8 * rand_complex(rng, (200, 2, 2))
+    P = _su2.project_su2(M)
+    assert np.max(np.abs(P - polar_su2(M))) < 1e-13
+    assert np.max(_su2.su2_defect(P)) <= 1e-14
+    # exact SU(2) input, including -I, is a fixed point
+    V = np.concatenate([U, -_su2.EYE2[None]])
+    assert np.max(np.abs(_su2.project_su2(V) - V)) < 1e-15
+
+
+def sequential_product(conn, pts, tans):
+    """Reference: the same exp(-A dt) steps multiplied one at a time."""
+    n = pts.shape[0]
+    a = conn.evaluate(pts)
+    m = np.einsum("k...i,k...iab->k...ab", tans, a) / n
+    steps = _su2.expm_su2(-m)
+    out = np.broadcast_to(_su2.EYE2, steps.shape[1:]).copy()
+    for k in range(n):
+        out = steps[k] @ out
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 255, 256])
+def test_tree_product_matches_sequential(n):
+    base = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j,
+                                        alpha=0.2), TORUS)
+    conn = perturb(base, amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
+    rng = np.random.default_rng(3)
+    B = 6
+    bases = np.column_stack([rng.uniform(8.0, 40.0, B),
+                             rng.uniform(0.0, 2 * math.pi, B),
+                             rng.uniform(0.0, TORUS.period_x, B),
+                             rng.uniform(0.0, TORUS.period_y, B)])
+    t = (np.arange(n) + 0.5) / n
+    pts = np.broadcast_to(bases, (n, B, 4)).copy()
+    pts[..., 1] += 2 * math.pi * t[:, None]
+    tans = np.zeros((n, B, 4))
+    tans[..., 1] = 2 * math.pi
+    tree = _path_ordered_product(conn, pts, tans)
+    assert np.max(np.abs(tree - sequential_product(conn, pts, tans))) < 1e-13
+
+
+@pytest.mark.parametrize("steps", [3, 255, 256])
+def test_tree_product_matches_flat_closed_form(steps):
+    # transport along the x- and y-circles of the flat connection is
+    # exp(-i c L sigma3) = diag(exp(-2 pi i xi), exp(+2 pi i xi))
+    xi = reduce_dual((0.3, 0.2), TORUS)
+    conn = flat_connection(xi, TORUS)
+    bases = np.array([[10.0, 0.0, 0.0, 0.0], [30.0, 1.0, 2.0, 3.0]])
+    for kind, x in (("x", 0.3), ("y", 0.2)):
+        mats = circle_holonomies(conn, kind, bases, steps=steps)
+        expected = np.diag([np.exp(-2j * math.pi * x),
+                            np.exp(+2j * math.pi * x)])
+        assert np.max(np.abs(mats - expected)) < 1e-13
+
+
+def test_expm_su2_matches_eigendecomposition():
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(300, 3)) * rng.uniform(0.0, 10.0, size=(300, 1))
+    v[0] = 0.0
+    X = _su2.from_vector(v)
+    # X = -i H with H hermitian: exp(X) = V diag(exp(-i lam)) V^dagger
+    lam, V = np.linalg.eigh(1j * X)
+    ref = (V * np.exp(-1j * lam)[..., None, :]) \
+        @ np.conj(np.swapaxes(V, -1, -2))
+    U = _su2.expm_su2(X)
+    assert np.max(np.abs(U - ref)) < 1e-13
+    assert np.max(_su2.su2_defect(U)) < 1e-14
+    # only the su(2) part of the argument counts: trace and hermitian
+    # parts are dropped
+    noise = (0.3 + 0.2j) * _su2.EYE2 + np.array([[0.4, 0.1 + 0.2j],
+                                                 [0.1 - 0.2j, -0.4]])
+    assert np.max(np.abs(_su2.expm_su2(X + noise) - U)) < 1e-14
