@@ -1,6 +1,8 @@
 """Extraction of asymptotic invariants from a connection: flat limit,
-asymptotic states, limiting holonomy, residue, decay exponents, energy,
-and the flat-kernel decomposition toolkit on the torus.
+asymptotic states, limiting holonomy, residue, decay exponents, the
+opt-in curvature energy, and the flat-kernel decomposition toolkit on the
+torus. One extraction samples every circle holonomy it reads once, in a
+single `HolonomyTable`.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -19,10 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, circle_holonomies, curvature_norm
+from .gauge import (ConnectionSource, _path_ordered_product, circle_paths,
+                    curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, reduce_dual
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+# base angles of the x/y circles on each ring, and the stride that picks
+# the coarser grid of the flat limit and of the reference axis from them
+N_THETA = 24
+COARSE = 3
 
 
 class ExtractionError(RuntimeError):
@@ -70,9 +78,81 @@ class AsymptoticInvariants:
     xi0: DualTorusPoint
     alpha: float
     mu: complex
-    k_estimate: float
+    energy: float | None
     kind: str
     diagnostics: dict
+
+
+def principal_alpha(alpha: float) -> float:
+    """alpha reduced to [-1/2, 1/2); values within 1e-12 of +1/2 are the
+    cut itself and map to -1/2."""
+    alpha = alpha - math.floor(alpha + 0.5)
+    return -0.5 if alpha >= 0.5 - 1e-12 else alpha
+
+
+@dataclass
+class HolonomyTable:
+    """Every circle holonomy an extraction reads, sampled on `rings` by one
+    batched path-ordered product of `steps` steps per loop.
+
+    x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
+    base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
+    the same circles at half the transverse period through
+    thetas[::COARSE]. theta: (n_rings, 2, 2), theta-circles based at
+    theta = 0. axis_theta: (N_THETA / COARSE, 2, 2), theta-circles on the
+    outer ring through thetas[::COARSE]."""
+    rings: tuple
+    steps: int
+    thetas: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    x_half: np.ndarray
+    y_half: np.ndarray
+    theta: np.ndarray
+    axis_theta: np.ndarray
+
+
+def holonomy_table(conn: ConnectionSource, rings, steps: int = 192) -> HolonomyTable:
+    """Samples the `HolonomyTable` of conn on rings."""
+    rings = tuple(float(r) for r in rings)
+    Lx, Ly = conn.torus.period_x, conn.torus.period_y
+    thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
+    coarse = thetas[::COARSE]
+
+    def bases(rs, ths, x=0.0, y=0.0):
+        R, T = np.meshgrid(rs, ths, indexing="ij")
+        return np.stack([R.ravel(), T.ravel(), np.full(R.size, x),
+                         np.full(R.size, y)], axis=-1)
+
+    n = len(rings)
+    loops = {  # field: (kind, base points, field shape)
+        "x": ("x", bases(rings, thetas), (n, N_THETA)),
+        "y": ("y", bases(rings, thetas), (n, N_THETA)),
+        "x_half": ("x", bases(rings, coarse, y=Ly / 2.0), (n, coarse.size)),
+        "y_half": ("y", bases(rings, coarse, x=Lx / 2.0), (n, coarse.size)),
+        "theta": ("theta", bases(rings, [0.0]), (n,)),
+        "axis_theta": ("theta", bases(rings[-1:], coarse), (coarse.size,)),
+    }
+    paths = [circle_paths(conn.torus, kind, b, steps)
+             for kind, b, _ in loops.values()]
+    mats = _path_ordered_product(conn,
+                                 np.concatenate([p for p, _ in paths], axis=1),
+                                 np.concatenate([t for _, t in paths], axis=1))
+    fields, start = {}, 0
+    for name, (_, b, shape) in loops.items():
+        fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
+        start += len(b)
+    return HolonomyTable(rings=rings, steps=steps, thetas=thetas, **fields)
+
+
+def _table_for(conn: ConnectionSource, rings: tuple, steps: int,
+               table: HolonomyTable | None) -> HolonomyTable:
+    """The given table, checked against rings and steps, or a new one."""
+    if table is None:
+        return holonomy_table(conn, rings, steps)
+    if table.rings != rings or table.steps != steps:
+        raise ValueError("holonomy table was sampled on other rings or steps")
+    return table
 
 
 def reference_axis(mats: np.ndarray) -> np.ndarray:
@@ -114,16 +194,11 @@ def signed_phases(mats: np.ndarray, axis: np.ndarray,
     return dots
 
 
-def _dominant_axis(conn: ConnectionSource, r: float, steps: int) -> np.ndarray:
-    """Reference axis from the combined theta/x/y monodromy batch on one
-    ring, so all extracted signs share a single frame."""
-    ths = np.linspace(0.0, TWO_PI, 8, endpoint=False)
-    bases = np.zeros((len(ths), 4))
-    bases[:, 0] = r
-    bases[:, 1] = ths
-    batch = [circle_holonomies(conn, kind, bases, steps=steps)
-             for kind in ("theta", "x", "y")]
-    return reference_axis(np.concatenate(batch, axis=0))
+def _dominant_axis(table: HolonomyTable) -> np.ndarray:
+    """Reference axis from the combined theta/x/y monodromy batch on the
+    outer ring, so all extracted signs share a single frame."""
+    return reference_axis(np.concatenate([
+        table.axis_theta, table.x[-1, ::COARSE], table.y[-1, ::COARSE]]))
 
 
 def _richardson_fit(rs: np.ndarray, vals: np.ndarray, powers=(0, 1, 2)) -> float:
@@ -133,39 +208,27 @@ def _richardson_fit(rs: np.ndarray, vals: np.ndarray, powers=(0, 1, 2)) -> float
     return float(coef[0])
 
 
-def flat_limit(conn: ConnectionSource, rings, n_theta: int = 8,
-               n_trans: int = 2, steps: int = 192,
-               drift_threshold: float = 0.2) -> FlatLimit:
+def flat_limit(conn: ConnectionSource, rings, steps: int = 192,
+               drift_threshold: float = 0.2, *,
+               table: HolonomyTable | None = None) -> FlatLimit:
     """Torus monodromy exponents extrapolated over rings.
 
     Per ring, x- and y-circle holonomies are taken on a grid of theta
-    samples times transverse torus offsets; the signed eigenvalue phases
-    (common-axis convention) are averaged (this cancels the 1/r residue
-    term exactly for the models) and extrapolated in 1/r.
+    samples times transverse torus offsets 0 and one half; the signed
+    eigenvalue phases (common-axis convention) are averaged (this cancels
+    the 1/r residue term exactly for the models) and extrapolated in 1/r.
     """
     rings = tuple(float(r) for r in rings)
     if len(rings) < 4 or any(b <= a for a, b in zip(rings, rings[1:])):
         raise ValueError("need at least 4 strictly increasing rings")
-    Lx, Ly = conn.torus.period_x, conn.torus.period_y
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    axis = _dominant_axis(conn, rings[-1], steps)
+    table = _table_for(conn, rings, steps, table)
+    axis = _dominant_axis(table)
     per_ring = np.zeros((len(rings), 2))
-    for j, r in enumerate(rings):
-        for col, kind in enumerate(("x", "y")):
-            period = Lx if kind == "x" else Ly
-            trans = np.linspace(0.0, (Ly if kind == "x" else Lx), n_trans,
-                                endpoint=False)
-            Tg, Hg = np.meshgrid(trans, ths, indexing="ij")
-            bases = np.zeros((n_trans * n_theta, 4))
-            bases[:, 0] = r
-            bases[:, 1] = Hg.ravel()
-            if kind == "x":
-                bases[:, 3] = Tg.ravel()
-            else:
-                bases[:, 2] = Tg.ravel()
-            mats = circle_holonomies(conn, kind, bases, steps=steps)
-            phases = signed_phases(mats, axis)
-            per_ring[j, col] = float(np.mean(-phases / period))
+    for col, (full, half, period) in enumerate((
+            (table.x, table.x_half, conn.torus.period_x),
+            (table.y, table.y_half, conn.torus.period_y))):
+        mats = np.concatenate([full[:, ::COARSE], half], axis=1)
+        per_ring[:, col] = np.mean(-signed_phases(mats, axis) / period, axis=1)
     lam1 = _richardson_fit(np.array(rings), per_ring[:, 0])
     lam2 = _richardson_fit(np.array(rings), per_ring[:, 1])
     drift = float(np.max(np.abs(per_ring - per_ring[-1]), initial=0.0))
@@ -194,14 +257,13 @@ def asymptotic_states(fl: FlatLimit) -> AsymptoticStates:
 
 
 def limiting_holonomy(conn: ConnectionSource, rings, steps: int = 256,
-                      basis: str = "inverse-r", axis=None) -> float:
+                      basis: str = "inverse-r", axis=None, *,
+                      table: HolonomyTable | None = None) -> float:
     """Theta-circle holonomy exponent alpha in [-1/2, 1/2), extrapolated
     over rings; basis 'inverse-r' fits {1, 1/r, 1/r^2} (semisimple decay),
     'inverse-log' fits {1, 1/ln r} (nilpotent decay)."""
     rings = tuple(float(r) for r in rings)
-    bases = np.zeros((len(rings), 4))
-    bases[:, 0] = rings
-    mats = circle_holonomies(conn, "theta", bases, steps=steps)
+    mats = _table_for(conn, rings, steps, table).theta
     if axis is None:
         axis = reference_axis(mats)
     alphas = -signed_phases(mats, axis, strict=True) / TWO_PI
@@ -214,14 +276,12 @@ def limiting_holonomy(conn: ConnectionSource, rings, steps: int = 256,
         alpha = float(coef[0])
     else:
         raise ValueError("basis must be 'inverse-r' or 'inverse-log'")
-    # principal branch
-    alpha = alpha - math.floor(alpha + 0.5)
-    return alpha
+    return principal_alpha(alpha)
 
 
 def residue(conn: ConnectionSource, rings, fl: FlatLimit | None = None,
-            n_theta: int = 24, steps: int = 192,
-            residual_threshold: float = 0.1) -> tuple[complex, dict]:
+            steps: int = 192, residual_threshold: float = 0.1, *,
+            table: HolonomyTable | None = None) -> tuple[complex, dict]:
     """Residue mu of the complex monodromy exponent zeta(w) = lambda + mu/w.
 
     Per ring and theta sample, extracts zeta(w) from the x/y monodromies
@@ -231,25 +291,17 @@ def residue(conn: ConnectionSource, rings, fl: FlatLimit | None = None,
     rings = tuple(float(r) for r in rings)
     if len(rings) < 4:
         raise ValueError("need at least 4 rings")
+    table = _table_for(conn, rings, steps, table)
     if fl is None:
-        fl = flat_limit(conn, rings, steps=steps)
-    Lx, Ly = conn.torus.period_x, conn.torus.period_y
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    ws, zetas = [], []
-    for r in rings:
-        bases = np.zeros((n_theta, 4))
-        bases[:, 0] = r
-        bases[:, 1] = ths
-        cs = []
-        for kind, period, ref in (("x", Lx, fl.lambda1), ("y", Ly, fl.lambda2)):
-            mats = circle_holonomies(conn, kind, bases, steps=steps)
-            c = -signed_phases(mats, fl.axis) / period
-            c = c + np.round((ref - c) * period / TWO_PI) * TWO_PI / period
-            cs.append(c)
-        ws.append(r * np.exp(1j * ths))
-        zetas.append((cs[0] + 1j * cs[1]) / 2.0)
-    w = np.concatenate(ws)
-    z = np.concatenate(zetas)
+        fl = flat_limit(conn, rings, steps=steps, table=table)
+    cs = []
+    for mats, period, ref in ((table.x, conn.torus.period_x, fl.lambda1),
+                              (table.y, conn.torus.period_y, fl.lambda2)):
+        c = -signed_phases(mats, fl.axis) / period
+        c = c + np.round((ref - c) * period / TWO_PI) * TWO_PI / period
+        cs.append(c)
+    w = (np.array(rings)[:, None] * np.exp(1j * table.thetas)).ravel()
+    z = ((cs[0] + 1j * cs[1]) / 2.0).ravel()
     X = np.stack([np.ones_like(w), 1.0 / w], axis=-1)
     coef, *_ = np.linalg.lstsq(X, z, rcond=None)
     lam_hat, mu_hat = complex(coef[0]), complex(coef[1])
@@ -301,8 +353,10 @@ def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
 def instanton_number(conn: ConnectionSource, R: float,
                      r_inner: float | None = None, n_r: int = 64,
                      n_theta: int = 16, n_trans: int = 4) -> dict:
-    """(1/8 pi^2) int_{r_inner <= r <= R} |F|^2 over annulus x torus,
-    Gauss-Legendre in ln r, trapezoid in the angles. Reports dyadic-shell
+    """Curvature energy (1/8 pi^2) int_{r_inner <= r <= R} |F|^2 over
+    annulus x torus, Gauss-Legendre in ln r, trapezoid in the angles. It
+    is not a charge: for the semisimple model on the default 2 pi x 2 pi
+    torus it is 8 pi |mu|^2 (1/r_inner^2 - 1/R^2). Reports dyadic-shell
     energies as the convergence diagnostic; raises ExtractionError when
     the outer shells grow (non-integrable tail)."""
     if r_inner is None:
@@ -337,7 +391,7 @@ def instanton_number(conn: ConnectionSource, R: float,
             and shells_arr[-1] > 1e-12:
         raise ExtractionError("shell energies grow outward; "
                               "non-integrable curvature tail")
-    return {"k_estimate": total, "shells": shells, "edges": edges.tolist()}
+    return {"energy": total, "shells": shells, "edges": edges.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +454,28 @@ def poincare_constant(gamma: FlatLimit | None, N: int = 8,
 # orchestrator
 
 def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = None,
-                       steps: int = 192, k_radius: float | None = None) -> AsymptoticInvariants:
-    """Full invariant extraction with branch bookkeeping: runs flat_limit,
-    limiting_holonomy and residue with a shared axis convention, detects
-    the asymptotic kind when not supplied, and applies the fundamental-
-    domain sign flip jointly to (xi0, alpha, mu)."""
+                       steps: int = 192,
+                       energy_radius: float | None = None) -> AsymptoticInvariants:
+    """Full invariant extraction with branch bookkeeping: fits flat_limit,
+    limiting_holonomy and residue from one holonomy table with a shared
+    axis convention, detects the asymptotic kind when not supplied, and
+    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu).
+    With energy_radius, also integrates the curvature energy over
+    max(r_min, 1) <= r <= energy_radius (see instanton_number)."""
     if rings is None:
         rings = (50.0, 100.0, 200.0, 400.0)
     rings = tuple(float(r) for r in rings)
-    fl = flat_limit(conn, rings, steps=steps)
+    table = holonomy_table(conn, rings, steps)
+    fl = flat_limit(conn, rings, steps=steps, table=table)
     if kind is None:
         alpha_log = limiting_holonomy(conn, rings, steps=steps,
-                                      basis="inverse-log", axis=fl.axis)
-        alpha_r = limiting_holonomy(conn, rings, steps=steps, axis=fl.axis)
+                                      basis="inverse-log", axis=fl.axis,
+                                      table=table)
+        alpha_r = limiting_holonomy(conn, rings, steps=steps, axis=fl.axis,
+                                    table=table)
         # nilpotent regime: theta-holonomy nonzero at finite r but
         # converging to identity at a 1/ln r rate, flat limit trivial
-        probe = np.zeros((len(rings), 4))
-        probe[:, 0] = rings
-        raw = -signed_phases(circle_holonomies(conn, "theta", probe, steps=steps),
-                             fl.axis) / TWO_PI
+        raw = -signed_phases(table.theta, fl.axis) / TWO_PI
         decaying = abs(alpha_log) < 0.02 and np.max(np.abs(raw)) > 5.0 * abs(alpha_log) + 1e-4
         kind = "nilpotent" if (fl.is_trivial(1e-4) and decaying) else "semisimple"
         alpha = alpha_log if kind == "nilpotent" else alpha_r
@@ -426,10 +483,10 @@ def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = No
         alpha = limiting_holonomy(
             conn, rings, steps=steps,
             basis="inverse-log" if kind == "nilpotent" else "inverse-r",
-            axis=fl.axis)
+            axis=fl.axis, table=table)
     diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring.tolist()}
     if kind == "semisimple":
-        mu, res_diag = residue(conn, rings, fl=fl, steps=steps)
+        mu, res_diag = residue(conn, rings, fl=fl, steps=steps, table=table)
         diagnostics["residue_fit"] = {
             "lambda_hat": [res_diag["lambda_hat"].real, res_diag["lambda_hat"].imag],
             "max_residual": res_diag["max_residual"],
@@ -438,21 +495,21 @@ def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = No
         mu = 0.0 + 0.0j
     states = asymptotic_states(fl)
     if states.flipped:
-        alpha, mu = -alpha, -mu
-        alpha = alpha - math.floor(alpha + 0.5)
-    k_hi = k_radius if k_radius is not None else rings[-1]
-    try:
-        k_diag = instanton_number(conn, k_hi, r_inner=max(conn.r_min, 1.0))
-        k_estimate = k_diag["k_estimate"]
-        diagnostics["k_shells"] = k_diag["shells"]
-    except ExtractionError as e:
-        # charge estimate is diagnostic only; a non-monotone energy tail
-        # (noise region not yet exited) must not abort the extraction
-        k_estimate = None
-        diagnostics["k_shells"] = None
-        diagnostics["k_note"] = str(e)
+        alpha, mu = principal_alpha(-alpha), -mu
+    energy = None
+    if energy_radius is not None:
+        try:
+            e_diag = instanton_number(conn, energy_radius,
+                                      r_inner=max(conn.r_min, 1.0))
+            energy = e_diag["energy"]
+            diagnostics["energy_shells"] = e_diag["shells"]
+        except ExtractionError as e:
+            # the energy is diagnostic only; a non-monotone tail (noise
+            # region not yet exited) must not abort the extraction
+            diagnostics["energy_shells"] = None
+            diagnostics["energy_note"] = str(e)
     diagnostics["order_two"] = states.order_two
     diagnostics["branch_flipped"] = states.flipped
     return AsymptoticInvariants(
         xi0=states.xi0, alpha=alpha, mu=mu,
-        k_estimate=k_estimate, kind=kind, diagnostics=diagnostics)
+        energy=energy, kind=kind, diagnostics=diagnostics)

@@ -25,8 +25,8 @@ import numpy as np
 
 from ._version import __version__
 from . import _su2, models
-from .asymptotics import E3, FlatLimit, asymptotic_states, decay_exponent, \
-    extract_invariants, poincare_constant
+from .asymptotics import E3, ExtractionError, FlatLimit, asymptotic_states, \
+    decay_exponent, extract_invariants, poincare_constant, principal_alpha
 from .gauge import CircleFamily, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
@@ -666,7 +666,7 @@ def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
     states = asymptotic_states(_flat_limit_from_lambda(p.lam, torus))
     alpha_t, mu_t = p.alpha, p.mu
     if states.flipped:
-        alpha_t = -alpha_t - math.floor(-alpha_t + 0.5)
+        alpha_t = principal_alpha(-alpha_t)
         mu_t = -mu_t
     e_xi = max(_circle_gap(inv.xi0.xi1, states.xi0.xi1),
                _circle_gap(inv.xi0.xi2, states.xi0.xi2))
@@ -690,6 +690,7 @@ def _run_invariants(params: dict):
     def one_pass(tag, pert, tols):
         errs = {"lambda": 0.0, "alpha": 0.0, "mu": 0.0}
         kinds_ok = True
+        failed = []
         for j, (p, _) in enumerate(params["models"]):
             conn = model_connection(p, torus)
             kind = None
@@ -701,19 +702,24 @@ def _run_invariants(params: dict):
                 # slow power-law tails make blind kind detection ill-posed
                 # at finite radii, so the noisy pass states the kind
                 kind = p.kind
-            inv = extract_invariants(conn, params["rings"], kind=kind)
+            record = {"pass": tag, "model": _model_tag(j, p),
+                      "inputs": p.to_json()}
+            records.append(record)
+            try:
+                inv = extract_invariants(conn, params["rings"], kind=kind)
+            except ExtractionError as e:
+                record["error"] = str(e)
+                failed.append({"model": record["model"], "error": str(e)})
+                continue
             e = _roundtrip_errors(p, inv, torus)
             kinds_ok = kinds_ok and e["kind_ok"]
             for k in errs:
                 errs[k] = max(errs[k], e[k])
-            records.append({
-                "pass": tag, "model": _model_tag(j, p),
-                "inputs": p.to_json(),
+            record.update({
                 "extracted": {
                     "xi0": [inv.xi0.xi1, inv.xi0.xi2],
                     "alpha": inv.alpha,
                     "mu": [inv.mu.real, inv.mu.imag],
-                    "k_estimate": inv.k_estimate,
                     "kind": inv.kind,
                 },
                 "errors": {k: errs_k for k, errs_k in
@@ -721,6 +727,9 @@ def _run_invariants(params: dict):
                             ("mu", e["mu"]))},
                 "diagnostics": _jsonable(inv.diagnostics),
             })
+        if failed:
+            checks.append(_check(f"extraction_failed_{tag}", len(failed), 0,
+                                 False, models=failed))
         for k in ("lambda", "alpha", "mu"):
             checks.append(_leq_check(f"{k}_error_max_{tag}", errs[k],
                                      tols[k]))

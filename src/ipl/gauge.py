@@ -300,22 +300,30 @@ def holonomy(conn: ConnectionSource, loop: Loop, steps: int = 256) -> SU2Element
     return SU2Element(_path_ordered_product(conn, pts, tans))
 
 
-def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
-                      steps: int = 256) -> np.ndarray:
-    """Batched holonomies of coordinate circles through each base point.
-
-    kind: 'x', 'y' or 'theta'. bases: (B, 4). Returns (B, 2, 2).
-    """
+def circle_paths(torus: TorusSpec, kind: str, bases: np.ndarray,
+                 steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint samples and tangents, each (steps, B, 4), of the coordinate
+    circles of one kind ('x', 'y' or 'theta') through each base point."""
     bases = np.asarray(bases, dtype=float)
     n, B = steps, bases.shape[0]
     t = (np.arange(n) + 0.5) / n
     pts = np.broadcast_to(bases, (n, B, 4)).copy()
     tans = np.zeros((n, B, 4))
     axis = {"theta": 1, "x": 2, "y": 3}[kind]
-    period = {"theta": TWO_PI, "x": conn.torus.period_x, "y": conn.torus.period_y}[kind]
+    period = {"theta": TWO_PI, "x": torus.period_x, "y": torus.period_y}[kind]
     pts[..., axis] += period * t[:, None]
     tans[..., axis] = period
-    return _path_ordered_product(conn, pts, tans)
+    return pts, tans
+
+
+def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
+                      steps: int = 256) -> np.ndarray:
+    """Batched holonomies of coordinate circles through each base point.
+
+    kind: 'x', 'y' or 'theta'. bases: (B, 4). Returns (B, 2, 2).
+    """
+    return _path_ordered_product(
+        conn, *circle_paths(conn.torus, kind, bases, steps))
 
 
 def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,

@@ -199,11 +199,64 @@ def _bump_deriv(u):
 @dataclass(frozen=True)
 class _PerturbTerm:
     component: int
-    center: float
-    width: float
     matrix: np.ndarray  # su(2), Frobenius norm 1
     modes: tuple
     phases: tuple
+
+
+@dataclass(frozen=True)
+class _PerturbShell:
+    """The terms sharing one radial bump, one per connection component."""
+    center: float
+    width: float
+    terms: tuple
+
+
+def _perturb_shells(seed: int, n_bumps: int, r_lo: float, r_hi: float,
+                    max_mode: int) -> tuple:
+    """The seeded random terms of `perturb`, grouped by radial bump."""
+    rng = np.random.default_rng(seed)
+    shells = []
+    for rho in np.geomspace(r_lo, r_hi, n_bumps):
+        terms = []
+        for comp in range(4):
+            v = rng.normal(size=3)
+            mat = _su2.from_vector(v / (math.sqrt(2.0) * np.linalg.norm(v)))
+            modes = tuple(int(k) for k in rng.integers(-max_mode, max_mode + 1, size=3))
+            phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=3))
+            terms.append(_PerturbTerm(component=comp, matrix=mat,
+                                      modes=modes, phases=phases))
+        shells.append(_PerturbShell(center=float(rho), width=0.35 * float(rho),
+                                    terms=tuple(terms)))
+    return tuple(shells)
+
+
+def _angular(points, term: _PerturbTerm, torus: TorusSpec, want_derivs=False):
+    """Trig factor of a term and, with want_derivs, its theta/x/y partials."""
+    th, x, y = points[..., 1], points[..., 2], points[..., 3]
+    p, n, m = term.modes
+    kx, ky = TWO_PI * n / torus.period_x, TWO_PI * m / torus.period_y
+    f0 = np.cos(p * th + term.phases[0])
+    f1 = np.cos(kx * x + term.phases[1])
+    f2 = np.cos(ky * y + term.phases[2])
+    if not want_derivs:
+        return f0 * f1 * f2
+    d0 = -p * np.sin(p * th + term.phases[0]) * f1 * f2
+    d1 = -kx * np.sin(kx * x + term.phases[1]) * f0 * f2
+    d2 = -ky * np.sin(ky * y + term.phases[2]) * f0 * f1
+    return f0 * f1 * f2, d0, d1, d2
+
+
+def _radial(r, u, width: float, delta: float, want_deriv=False):
+    """Radial factor bump(u) r^-(1+delta), u = (r - center)/width, and with
+    want_deriv its r-derivative."""
+    env = r ** (-(1.0 + delta))
+    g = _bump(u) * env
+    if not want_deriv:
+        return g
+    dg = (_bump_deriv(u) / width) * env + _bump(u) * (
+        -(1.0 + delta)) * r ** (-(2.0 + delta))
+    return g, dg
 
 
 def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
@@ -213,78 +266,62 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
     decay: compactly supported radial bumps times torus/theta trig waves
     times unit su(2) directions. Exact derivatives, so the result stays in
-    analytic mode when the base is."""
+    analytic mode when the base is.
+
+    A term vanishes exactly outside its bump's support, so each shell's
+    terms are evaluated only on the points inside that support; every sum
+    equals, bit for bit, that of adding every term at every point (up to
+    the sign of a zero, which adding an exact zero term can flip)."""
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
-    rng = np.random.default_rng(seed)
-    centers = np.geomspace(r_lo, r_hi, n_bumps)
-    Lx, Ly = conn.torus.period_x, conn.torus.period_y
-    terms = []
-    for rho in centers:
-        for comp in range(4):
-            v = rng.normal(size=3)
-            mat = _su2.from_vector(v / (math.sqrt(2.0) * np.linalg.norm(v)))
-            modes = tuple(int(k) for k in rng.integers(-max_mode, max_mode + 1, size=3))
-            phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=3))
-            terms.append(_PerturbTerm(component=comp, center=float(rho),
-                                      width=0.35 * float(rho), matrix=mat,
-                                      modes=modes, phases=phases))
-
+    torus = conn.torus
+    shells = _perturb_shells(seed, n_bumps, r_lo, r_hi, max_mode)
     half_amp = amplitude / 2.0
 
-    def _angular(points, term, want_derivs=False):
-        th, x, y = points[..., 1], points[..., 2], points[..., 3]
-        p, n, m = term.modes
-        kx, ky = TWO_PI * n / Lx, TWO_PI * m / Ly
-        f0 = np.cos(p * th + term.phases[0])
-        f1 = np.cos(kx * x + term.phases[1])
-        f2 = np.cos(ky * y + term.phases[2])
-        if not want_derivs:
-            return f0 * f1 * f2
-        d0 = -p * np.sin(p * th + term.phases[0]) * f1 * f2
-        d1 = -kx * np.sin(kx * x + term.phases[1]) * f0 * f2
-        d2 = -ky * np.sin(ky * y + term.phases[2]) * f0 * f1
-        return f0 * f1 * f2, d0, d1, d2
-
-    def _radial(points, term, want_deriv=False):
-        r = points[..., 0]
-        u = (r - term.center) / term.width
-        env = r ** (-(1.0 + delta))
-        g = _bump(u) * env
-        if not want_deriv:
-            return g
-        dg = (_bump_deriv(u) / term.width) * env + _bump(u) * (
-            -(1.0 + delta)) * r ** (-(2.0 + delta))
-        return g, dg
+    def _live_shells(points):
+        """(shell, flat indices, points, u) for every shell whose support
+        holds some of the (n, 4) points; u is computed as _bump sees it."""
+        r = points[:, 0]
+        for shell in shells:
+            u = (r - shell.center) / shell.width
+            idx = np.flatnonzero(np.abs(u) < 1.0)
+            if idx.size:
+                yield shell, idx, points[idx], u[idx]
 
     base_eval, base_deriv = conn.evaluate, conn.derivative
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = np.array(base_eval(points), copy=True)
-        for term in terms:
-            g = _radial(points, term)
-            c = _angular(points, term)
-            out[..., term.component, :, :] += (
-                half_amp * (g * c)[..., None, None] * term.matrix)
+        out = np.array(base_eval(points), copy=True, order="C")
+        flat = out.reshape(-1, 4, 2, 2)
+        for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+            g = _radial(pts[:, 0], u, shell.width, delta)
+            for term in shell.terms:
+                c = _angular(pts, term, torus)
+                flat[idx, term.component] += (
+                    half_amp * (g * c)[:, None, None] * term.matrix)
         return out
 
     derivative = None
     if base_deriv is not None:
         def derivative(points, axis):
             points = np.asarray(points, dtype=float)
-            out = np.array(base_deriv(points, axis), copy=True)
-            for term in terms:
+            out = np.array(base_deriv(points, axis), copy=True, order="C")
+            flat = out.reshape(-1, 4, 2, 2)
+            for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
                 if axis == 0:
-                    _, dg = _radial(points, term, want_deriv=True)
-                    c = _angular(points, term)
-                    coef = dg * c
+                    _, dg = _radial(pts[:, 0], u, shell.width, delta,
+                                    want_deriv=True)
                 else:
-                    g = _radial(points, term)
-                    cd = _angular(points, term, want_derivs=True)
-                    coef = g * cd[axis]
-                out[..., term.component, :, :] += (
-                    half_amp * coef[..., None, None] * term.matrix)
+                    g = _radial(pts[:, 0], u, shell.width, delta)
+                for term in shell.terms:
+                    if axis == 0:
+                        coef = dg * _angular(pts, term, torus)
+                    else:
+                        coef = g * _angular(pts, term, torus,
+                                            want_derivs=True)[axis]
+                    flat[idx, term.component] += (
+                        half_amp * coef[:, None, None] * term.matrix)
             return out
 
     return ConnectionSource(

@@ -1,6 +1,6 @@
 """Tests for asymptotic-invariant extraction: flat limits, limiting
-holonomy, residue fits, decay exponents, charge shells, and the twisted
-Poincare constant."""
+holonomy, residue fits, the shared holonomy table, decay exponents, the
+curvature energy, and the twisted Poincare constant."""
 
 import math
 
@@ -16,12 +16,14 @@ from ipl.asymptotics import (
     decay_exponent,
     extract_invariants,
     flat_limit,
+    holonomy_table,
     instanton_number,
     limiting_holonomy,
     poincare_constant,
+    principal_alpha,
     residue,
 )
-from ipl.gauge import ConnectionSource, flat_connection
+from ipl.gauge import ConnectionSource, circle_holonomies, flat_connection
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, nilpotent_model, perturb
 
@@ -127,6 +129,87 @@ def test_kind_detection_not_fooled_by_flat_model():
     assert inv.kind == "semisimple"
 
 
+def test_principal_alpha_cut():
+    assert principal_alpha(0.5) == -0.5
+    assert principal_alpha(0.5 - 1e-13) == -0.5
+    assert principal_alpha(-0.5) == -0.5
+    assert principal_alpha(-0.5 - 1e-16) == -0.5
+    assert principal_alpha(0.4999) == pytest.approx(0.4999, abs=1e-15)
+    assert principal_alpha(0.75) == pytest.approx(-0.25, abs=1e-15)
+
+
+def test_alpha_at_cut_survives_branch_flip():
+    # lambda12 = (-0.1, 0.14) flips the branch; alpha = -1/2 negates to the
+    # cut +1/2 and must come back as -1/2, not +0.4999999999999999
+    for mu in (0.0, 0.3 - 0.2j):
+        p = ModelParams(lam=-0.05 + 0.07j, mu=mu, alpha=-0.5)
+        inv = extract_invariants(model_connection(p, TORUS), RINGS)
+        assert inv.diagnostics["branch_flipped"]
+        assert inv.alpha == -0.5
+        assert abs(inv.mu + p.mu) < 1e-9
+
+
+def test_holonomy_table_entries_are_circle_holonomies():
+    # a perturbed model, so the loops carry non-commuting, base-dependent
+    # holonomies; each table entry is its own loop's circle holonomy
+    conn = perturb(model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
+                                                alpha=0.2), TORUS),
+                   amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
+    steps = 24
+    table = holonomy_table(conn, RINGS, steps)
+    ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+    half_x, half_y = TORUS.period_x / 2.0, TORUS.period_y / 2.0
+
+    def hol(kind, r, th, x=0.0, y=0.0):
+        return circle_holonomies(conn, kind, np.array([[r, th, x, y]]), steps)[0]
+
+    assert table.rings == RINGS and table.steps == steps
+    assert np.array_equal(table.thetas, ths)
+    assert table.x.shape == table.y.shape == (4, 24, 2, 2)
+    assert table.x_half.shape == table.y_half.shape == (4, 8, 2, 2)
+    assert table.theta.shape == (4, 2, 2)
+    assert table.axis_theta.shape == (8, 2, 2)
+    for j, r in enumerate(RINGS):
+        assert np.array_equal(table.theta[j], hol("theta", r, 0.0))
+        for i, th in enumerate(ths):
+            assert np.array_equal(table.x[j, i], hol("x", r, th))
+            assert np.array_equal(table.y[j, i], hol("y", r, th))
+        for i, th in enumerate(ths[::3]):
+            assert np.array_equal(table.x_half[j, i], hol("x", r, th, y=half_y))
+            assert np.array_equal(table.y_half[j, i], hol("y", r, th, x=half_x))
+    for i, th in enumerate(ths[::3]):
+        assert np.array_equal(table.axis_theta[i], hol("theta", RINGS[-1], th))
+
+
+# the 9 of the 27 clean round-trip models (configs/invariants_roundtrip.json)
+# whose grid indices sum to a multiple of 3
+CLEAN_GRID = [
+    (lam, mu, alpha)
+    for i, lam in enumerate((0.0, 0.1, -0.05 + 0.07j))
+    for j, mu in enumerate((0.0, 1.0, 0.3 - 0.2j))
+    for k, alpha in enumerate((-0.25, 0.0, 0.25)) if (i + j + k) % 3 == 0]
+
+
+@pytest.mark.parametrize("lam,mu,alpha", CLEAN_GRID)
+def test_extraction_matches_public_fits(lam, mu, alpha):
+    # the shared table must give what each public fit gives when it samples
+    # its own holonomies
+    conn = model_connection(ModelParams(lam=lam, mu=mu, alpha=alpha), TORUS)
+    inv = extract_invariants(conn, RINGS)
+    fl = flat_limit(conn, RINGS)
+    states = asymptotic_states(fl)
+    a = limiting_holonomy(conn, RINGS, steps=192, axis=fl.axis)
+    m, diag = residue(conn, RINGS)
+    if states.flipped:
+        a, m = principal_alpha(-a), -m
+    assert inv.kind == "semisimple"
+    assert (inv.xi0.xi1, inv.xi0.xi2) == (states.xi0.xi1, states.xi0.xi2)
+    assert inv.alpha == a
+    assert inv.mu == m
+    assert inv.diagnostics["residue_fit"]["lambda_hat"] == [
+        diag["lambda_hat"].real, diag["lambda_hat"].imag]
+
+
 def test_decay_exponent_semisimple():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
     fit = decay_exponent(conn, np.geomspace(20.0, 500.0, 8), with_log=False)
@@ -172,14 +255,41 @@ def test_instanton_number_monotone_guard():
 
 def test_extraction_survives_unavailable_charge_estimate():
     # bump noise on a flat background makes outer shells non-monotone; the
-    # extraction must degrade the charge diagnostic instead of aborting
+    # extraction must degrade the energy diagnostic instead of aborting
     conn = perturb(model_connection(ModelParams(alpha=-0.25), TORUS),
                    delta=0.5, amplitude=0.05, seed=20260815,
                    r_lo=5.0, r_hi=600.0)
-    inv = extract_invariants(conn, RINGS, kind="semisimple")
-    assert inv.k_estimate is None
-    assert "k_note" in inv.diagnostics
+    inv = extract_invariants(conn, RINGS, kind="semisimple",
+                             energy_radius=400.0)
+    assert inv.energy is None
+    assert "energy_note" in inv.diagnostics
     assert inv.alpha == pytest.approx(-0.25, abs=1e-3)
+
+
+def test_energy_is_opt_in():
+    conn = model_connection(ModelParams(lam=0.1, mu=0.5), TORUS)
+    inv = extract_invariants(conn, RINGS)
+    assert inv.energy is None
+    assert not any(k.startswith("energy") for k in inv.diagnostics)
+    inv = extract_invariants(conn, RINGS, energy_radius=400.0)
+    assert inv.energy == pytest.approx(8.0 * math.pi * 0.25 * (1.0 - 400.0 ** -2.0),
+                                       rel=1e-13)
+    assert len(inv.diagnostics["energy_shells"]) >= 2
+
+
+@pytest.mark.parametrize("lam,mu,alpha,R", [
+    (0.1, 1.0, 0.0, 400.0),
+    (0.1 - 0.07j, 0.3 + 0.2j, 0.2, 100.0),
+    (-0.05 + 0.07j, 0.3 - 0.2j, -0.25, 50.0),
+    (0.0, 2.0j, 0.4, 1000.0),
+])
+def test_energy_matches_closed_form(lam, mu, alpha, R):
+    # |F|^2 integrated over 1 <= r <= R and the 2 pi x 2 pi torus, over
+    # 8 pi^2: 8 pi |mu|^2 (1 - 1/R^2), independent of lambda and alpha
+    conn = model_connection(ModelParams(lam=lam, mu=mu, alpha=alpha), TORUS)
+    got = instanton_number(conn, R, r_inner=1.0)["energy"]
+    expected = 8.0 * math.pi * abs(mu) ** 2 * (1.0 - R ** -2.0)
+    assert abs(got - expected) <= 1e-13 * expected
 
 
 def test_poincare_constant_untwisted():

@@ -128,6 +128,34 @@ def test_numerical_failure_exits_1_with_full_report(tmp_path):
     assert failed
 
 
+def test_extraction_failure_exits_1_with_full_report(tmp_path):
+    # an order-two flat limit with mu != 0 defeats the residue fit; the
+    # failure must become a failed check in a written report, not a raise
+    cfg = {
+        "schema_version": 1,
+        "models": [{"lambda": [0.0, 0.25], "mu": [0.3, -0.2], "alpha": 0.0},
+                   {"lambda": [0.1, 0.0], "mu": [1.0, 0.0], "alpha": 0.25}],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main(["invariants", "--config", str(cfg_path), "--out", str(out),
+               "--quiet"])
+    assert rc == 1
+    report = json.loads((out / "invariants_report.json").read_text())
+    assert not report["passed"]
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["extraction_failed_clean"]
+    assert failed[0]["value"] == 1
+    assert failed[0]["models"][0]["model"] == "model0_semisimple"
+    assert "residual" in failed[0]["models"][0]["error"]
+    records = json.loads((out / "invariants.json").read_text())["models"]
+    assert records[0]["error"] == failed[0]["models"][0]["error"]
+    assert "extracted" not in records[0]
+    assert "k_estimate" not in records[1]["extracted"]
+    assert records[1]["errors"]["mu"] < 1e-4
+
+
 def test_seed_override_via_main(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SPECTRAL_CFG))

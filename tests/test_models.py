@@ -12,6 +12,9 @@ from ipl.gauge import asd_residual, curvature, curvature_norm, self_dual_part
 from ipl.geometry import TorusSpec
 from ipl.models import (
     ModelParams,
+    _angular,
+    _perturb_shells,
+    _radial,
     hitchin_model,
     model_connection,
     nilpotent_model,
@@ -122,6 +125,71 @@ def test_perturbation_pointwise_bound(seed):
     dev = np.abs(conn.evaluate(pts) - base.evaluate(pts))
     bound = amplitude * pts[:, 0] ** (-(1.0 + delta))
     assert np.all(np.max(dev, axis=(-3, -2, -1)) <= bound + 1e-15)
+
+
+def dense_perturbed(base, points, axis, delta, amplitude, seed, r_lo, r_hi):
+    """Reference for `perturb`: all 24 terms added at every point, with no
+    support test (axis None: the connection, else its axis derivative)."""
+    out = np.array(base.evaluate(points) if axis is None
+                   else base.derivative(points, axis), copy=True)
+    r = points[..., 0]
+    for shell in _perturb_shells(seed, 6, r_lo, r_hi, 2):
+        u = (r - shell.center) / shell.width
+        g, dg = _radial(r, u, shell.width, delta, want_deriv=True)
+        for term in shell.terms:
+            if axis is None:
+                coef = g * _angular(points, term, TORUS)
+            elif axis == 0:
+                coef = dg * _angular(points, term, TORUS)
+            else:
+                coef = g * _angular(points, term, TORUS, want_derivs=True)[axis]
+            out[..., term.component, :, :] += (
+                amplitude / 2.0 * coef[..., None, None] * term.matrix)
+    return out
+
+
+def same_bits(a, b):
+    """Bitwise equality of two complex arrays, the sign of a zero aside
+    (adding +0.0 maps -0.0 to +0.0 and leaves every other value alone)."""
+    return a.shape == b.shape and np.array_equal(
+        (a + 0.0).view(np.uint64), (b + 0.0).view(np.uint64))
+
+
+@given(seed=st.integers(0, 10 ** 6),
+       radii=st.lists(st.one_of(st.sampled_from(("edge-", "edge+", "centre")),
+                                st.floats(2.0, 900.0)),
+                      min_size=1, max_size=24),
+       shell=st.integers(0, 5), batch_2d=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
+    # each term is exactly zero off its support, so evaluating a shell only
+    # on the points inside it must reproduce the all-terms sum bit for bit,
+    # including at r = centre +- width where the support test decides
+    delta, amplitude, r_lo, r_hi = 0.5, 0.05, 5.0, 600.0
+    sh = _perturb_shells(seed, 6, r_lo, r_hi, 2)[shell]
+    rs = []
+    for v in radii:
+        if v == "edge-":
+            v = sh.center - sh.width
+        elif v == "edge+":
+            v = sh.center + sh.width
+        elif v == "centre":
+            v = sh.center
+        rs.extend([np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)])
+    rng = np.random.default_rng(seed)
+    pts = np.stack([np.array(rs), rng.uniform(0.0, 2 * math.pi, len(rs)),
+                    rng.uniform(0.0, TORUS.period_x, len(rs)),
+                    rng.uniform(0.0, TORUS.period_y, len(rs))], axis=-1)
+    if batch_2d:
+        pts = pts.reshape(3, -1, 4)
+    base = model_connection(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
+                                        alpha=0.25), TORUS)
+    conn = perturb(base, delta=delta, amplitude=amplitude, seed=seed,
+                   r_lo=r_lo, r_hi=r_hi)
+    for axis in (None, 0, 1, 2, 3):
+        got = conn.evaluate(pts) if axis is None else conn.derivative(pts, axis)
+        ref = dense_perturbed(base, pts, axis, delta, amplitude, seed, r_lo, r_hi)
+        assert same_bits(got, ref), axis
 
 
 def test_perturbation_derivative_is_exact():
