@@ -11,19 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from ipl.cli import run
-
-SUITE = (
-    ("conventions", "conventions.json"),
-    ("model-check", "model_check_exact.json"),
-    ("model-check", "model_check_decay.json"),
-    ("model-check", "inequalities.json"),
-    ("invariants", "invariants_roundtrip.json"),
-    ("spectral", "spectral_counting.json"),
-    ("spectral", "spectral_dichotomy.json"),
-    ("stability", "stability_table.json"),
-    ("moduli", "moduli_suite.json"),
-)
+from ipl.cli import SUITE, run
 
 
 def main():

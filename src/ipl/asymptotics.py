@@ -397,24 +397,6 @@ def instanton_number(conn: ConnectionSource, R: float,
 # ---------------------------------------------------------------------------
 # torus-fiber decomposition toolkit
 
-def perp_decompose(section: np.ndarray, gamma: FlatLimit | None):
-    """Split an End(E)-valued torus field into its flat-kernel part and the
-    orthogonal complement. section: (n_x, n_y, 2, 2) on a uniform periodic
-    grid. Nontrivial gamma: kernel = constant diagonal matrices (average of
-    the diagonal); trivial gamma: kernel = all constant matrices.
-    Returns (u_kernel (2,2), u_perp like section), exactly L2-orthogonal.
-    """
-    section = np.asarray(section, dtype=complex)
-    if section.ndim != 4 or section.shape[-2:] != (2, 2):
-        raise ValueError("section must be (n_x, n_y, 2, 2)")
-    avg = section.mean(axis=(0, 1))
-    if gamma is None or gamma.is_trivial():
-        u_ker = avg
-    else:
-        u_ker = np.diag(np.diag(avg))
-    return u_ker, section - u_ker
-
-
 def poincare_constant(gamma: FlatLimit | None, N: int = 8,
                       torus: TorusSpec | None = None) -> float:
     """Smallest twisted-gradient Rayleigh quotient on the complement of the

@@ -20,6 +20,8 @@ import os
 import platform
 import sys
 import time
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .asymptotics import E3, ExtractionError, FlatLimit, asymptotic_states, \
     decay_exponent, extract_invariants, poincare_constant, principal_alpha
 from .gauge import CircleFamily, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
-from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
+from .geometry import TWO_PI, AnnulusGrid, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, lattice_distance, \
     reduce_dual, xi_from_zeta, zeta_from_xi
 from .hitchin import hitchin_residual
@@ -45,6 +47,18 @@ from .stability import ExtensionBundleSpec, alpha_stable_extension, \
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("conventions", "model-check", "invariants", "spectral",
                "stability", "moduli")
+# the acceptance suite: (subcommand, config file under configs/)
+SUITE = (
+    ("conventions", "conventions.json"),
+    ("model-check", "model_check_exact.json"),
+    ("model-check", "model_check_decay.json"),
+    ("model-check", "inequalities.json"),
+    ("invariants", "invariants_roundtrip.json"),
+    ("spectral", "spectral_counting.json"),
+    ("spectral", "spectral_dichotomy.json"),
+    ("stability", "stability_table.json"),
+    ("moduli", "moduli_suite.json"),
+)
 
 _SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
@@ -63,11 +77,159 @@ def max_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# config schemas
+#
+# A schema is a dict from config key to field spec. `_walk` checks a raw
+# config against it and returns the parsed tree: every declared key holds
+# its parsed value, its parsed default, or None for an absent optional
+# block. Unknown keys are errors, and every error names the dotted path of
+# the field. Rules that read more than one field run after the walk.
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Field:
+    kind: str  # number, integer, pair, domain, choice, list or object
+    default: object = None  # raw JSON; None leaves an absent key None
+    positive: bool = False
+    minimum: float | None = None
+    below: float | None = None  # numbers: exclusive upper bound
+    choices: tuple = ()
+    item: object = None  # list: the item spec; object: the schema
+    min_len: int = 1
+    increasing: bool = False
+
+
+_positive = partial(_Field, "number", positive=True)
+_alpha = partial(_Field, "number", minimum=-0.5, below=0.5)
+_integer = partial(_Field, "integer")
+_pair = partial(_Field, "pair")  # [re, im], parsed to a complex
+_domain = partial(_Field, "domain")  # [r_lo, r_hi], 0 < r_lo < r_hi
+_choice = partial(_Field, "choice")
+_list = partial(_Field, "list")
+_NUMBER, _POSITIVE = _Field("number"), _positive()
+_radii = partial(_list, item=_positive(), increasing=True)
+
+
+def _object(schema, default=None) -> _Field:
+    return _Field("object", default, item=schema)
+
 
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _walk(spec: _Field, v, path: str):
+    """Checks one value against its spec; returns the parsed value."""
+    kind = spec.kind
+    if kind == "number":
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not abs(v) <= sys.float_info.max:  # finite, fits a float
+            raise ConfigError(f"{path} must be a finite number")
+        v = float(v)
+        if spec.positive and v <= 0:
+            raise ConfigError(f"{path} must be positive")
+        if spec.below is not None and not spec.minimum <= v < spec.below:
+            raise ConfigError(f"{path} must lie in [{spec.minimum}, "
+                              f"{spec.below})")
+        return v
+    if kind == "integer":
+        if isinstance(v, bool) or not isinstance(v, int) or v < spec.minimum:
+            raise ConfigError(f"{path} must be an integer >= {spec.minimum}")
+        return v
+    if kind in ("pair", "domain"):
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            what = "[re, im]" if kind == "pair" else "[r_lo, r_hi]"
+            raise ConfigError(f"{path} must be a {what} pair")
+        part = _POSITIVE if kind == "domain" else _NUMBER
+        a, b = _walk(part, v[0], f"{path}[0]"), _walk(part, v[1], f"{path}[1]")
+        if kind == "pair":
+            return complex(a, b)
+        _expect(a < b, f"{path} must be increasing")
+        return (a, b)
+    if kind == "choice":
+        _expect(isinstance(v, str) and v in spec.choices,
+                f"{path} must be one of {spec.choices}")
+        return v
+    if kind == "list":
+        _expect(isinstance(v, (list, tuple)), f"{path} must be a list")
+        _expect(len(v) >= spec.min_len,
+                f"{path} must list at least {spec.min_len} item(s)")
+        out = [_walk(spec.item, x, f"{path}[{j}]") for j, x in enumerate(v)]
+        _expect(not spec.increasing
+                or all(b > a for a, b in zip(out, out[1:])),
+                f"{path} must increase")
+        return out
+    _expect(isinstance(v, dict), f"{path or 'config'} must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = v.keys() - spec.item.keys()
+    if unknown:
+        raise ConfigError(f"{prefix}{min(unknown)} is not a known key; "
+                          f"expected one of {', '.join(spec.item)}")
+    out = {}
+    for key, sub in spec.item.items():
+        if key in v:
+            out[key] = _walk(sub, v[key], prefix + key)
+        elif sub.default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        else:
+            out[key] = None if sub.default is None \
+                else _walk(sub, sub.default, prefix + key)
+    return out
+
+
+_COMMON = {
+    "schema_version": _integer(_REQUIRED, minimum=1),
+    "seed": _integer(0, minimum=0),
+    "torus": _object({"period_x": _positive(TWO_PI),
+                      "period_y": _positive(TWO_PI)}, {}),
+}
+
+_KIND = _choice("semisimple", choices=("semisimple", "nilpotent"))
+_MODEL = {"kind": _KIND, "lambda": _pair([0.0, 0.0]),
+          "mu": _pair([0.0, 0.0]), "alpha": _alpha(0.0)}
+_MODELS = {
+    "models": _list([], item=_object({**_MODEL, "domain": _domain()}),
+                    min_len=0),
+    "model_grid": _object({"kind": _KIND,
+                           "lambda": _list(_REQUIRED, item=_pair()),
+                           "mu": _list(_REQUIRED, item=_pair()),
+                           "alpha": _list(_REQUIRED, item=_alpha()),
+                           "domain": _domain()}),
+}
+
+
+def _validator(schema: dict, rules=None):
+    """validate(cfg) for one subcommand: walks the common keys and the
+    schema, then applies the subcommand's cross-field rules(cfg, params)."""
+    root = _object({**_COMMON, **schema})
+
+    def validate(cfg: dict) -> dict:
+        params = _walk(root, cfg, "")
+        _expect(params["schema_version"] == SCHEMA_VERSION,
+                f"schema_version must be {SCHEMA_VERSION}")
+        params["torus"] = TorusSpec(**params["torus"])
+        if rules is not None:
+            rules(cfg, params)
+        return params
+
+    return validate
+
+
+def _require_seed(cfg: dict) -> None:
+    _expect("seed" in cfg, "seed is mandatory for randomized suites")
+
+
+def _bundle(b: dict, torus: TorusSpec, name: str) -> BundleModel:
+    """The BundleModel of a parsed bundle block; its own checks (the
+    fibers must stay near the asymptotic splitting) become config errors."""
+    try:
+        return BundleModel(lam=b["lambda"], mu=b["mu"], tail=b.get("tail", ()),
+                           r_min=b["r_min"], k=b["k"], torus=torus)
+    except ValueError as e:
+        raise ConfigError(f"{name}: {e}")
 
 
 def _load_config(path) -> dict:
@@ -82,103 +244,23 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _number(v, name, positive=False) -> float:
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{name} must be a number")
-    v = float(v)
-    _expect(math.isfinite(v), f"{name} must be finite")
-    if positive:
-        _expect(v > 0, f"{name} must be positive")
-    return v
+def _model(m: dict) -> ModelParams:
+    return ModelParams(lam=m["lambda"], mu=m["mu"], alpha=m["alpha"],
+                       kind=m["kind"])
 
 
-def _integer(v, name, minimum=None) -> int:
-    _expect(isinstance(v, int) and not isinstance(v, bool),
-            f"{name} must be an integer")
-    if minimum is not None:
-        _expect(v >= minimum, f"{name} must be >= {minimum}")
-    return v
-
-
-def _pair(v, name) -> complex:
-    _expect(isinstance(v, (list, tuple)) and len(v) == 2,
-            f"{name} must be a [re, im] pair")
-    return complex(_number(v[0], f"{name}[0]"), _number(v[1], f"{name}[1]"))
-
-
-def _validate_tolerances(d, name="tolerances") -> dict:
-    _expect(isinstance(d, dict), f"{name} must be an object")
-    out = {}
-    for k, v in d.items():
-        out[k] = _number(v, f"{name}.{k}", positive=True)
-    return out
-
-
-def _validate_common(cfg: dict, needs_seed: bool) -> None:
-    _expect("schema_version" in cfg, 'config must declare "schema_version"')
-    _expect(cfg["schema_version"] == SCHEMA_VERSION,
-            f"schema_version must be {SCHEMA_VERSION}")
-    if needs_seed:
-        _expect("seed" in cfg, "seed is mandatory for randomized suites")
-    if "seed" in cfg:
-        _integer(cfg["seed"], "seed", minimum=0)
-
-
-def _torus_from(cfg: dict) -> TorusSpec:
-    t = cfg.get("torus")
-    if t is None:
-        return TorusSpec()
-    _expect(isinstance(t, dict), "torus must be an object")
-    return TorusSpec(period_x=_number(t.get("period_x", TWO_PI),
-                                      "torus.period_x", positive=True),
-                     period_y=_number(t.get("period_y", TWO_PI),
-                                      "torus.period_y", positive=True))
-
-
-def _model_params(entry: dict, where: str) -> ModelParams:
-    _expect(isinstance(entry, dict), f"{where} must be an object")
-    kind = entry.get("kind", "semisimple")
-    _expect(kind in ("semisimple", "nilpotent"),
-            f"{where}.kind must be semisimple or nilpotent")
-    lam = _pair(entry.get("lambda", [0.0, 0.0]), f"{where}.lambda")
-    mu = _pair(entry.get("mu", [0.0, 0.0]), f"{where}.mu")
-    alpha = _number(entry.get("alpha", 0.0), f"{where}.alpha")
-    _expect(-0.5 <= alpha < 0.5, f"{where}.alpha must lie in [-1/2, 1/2)")
-    return ModelParams(lam=lam, mu=mu, alpha=alpha, kind=kind)
-
-
-def _expand_models(cfg: dict) -> list:
-    """Explicit "models" list plus the (lambda, mu, alpha) product of an
-    optional "model_grid" block, in deterministic order."""
-    out = []
-    for j, entry in enumerate(cfg.get("models", [])):
-        out.append((_model_params(entry, f"models[{j}]"),
-                    entry.get("domain")))
-    grid = cfg.get("model_grid")
+def _expand_models(params: dict) -> list:
+    """(ModelParams, domain) for the explicit "models" list, then for the
+    (lambda, mu, alpha) product of the optional "model_grid" block, in
+    deterministic order; a domain is None where the config gives none."""
+    out = [(_model(m), m["domain"]) for m in params["models"]]
+    grid = params["model_grid"]
     if grid is not None:
-        _expect(isinstance(grid, dict), "model_grid must be an object")
-        kind = grid.get("kind", "semisimple")
-        for key in ("lambda", "mu", "alpha"):
-            _expect(isinstance(grid.get(key), list) and grid[key],
-                    f"model_grid.{key} must be a nonempty list")
-        for lam in grid["lambda"]:
-            for mu in grid["mu"]:
-                for alpha in grid["alpha"]:
-                    out.append((_model_params(
-                        {"kind": kind, "lambda": lam, "mu": mu,
-                         "alpha": alpha}, "model_grid"), grid.get("domain")))
+        out += [(ModelParams(lam=lam, mu=mu, alpha=alpha, kind=grid["kind"]),
+                 grid["domain"])
+                for lam in grid["lambda"] for mu in grid["mu"]
+                for alpha in grid["alpha"]]
     return out
-
-
-def _domain(entry, name, default) -> tuple:
-    if entry is None:
-        return default
-    _expect(isinstance(entry, (list, tuple)) and len(entry) == 2,
-            f"{name} must be [r_lo, r_hi]")
-    lo = _number(entry[0], f"{name}[0]", positive=True)
-    hi = _number(entry[1], f"{name}[1]", positive=True)
-    _expect(lo < hi, f"{name} must be increasing")
-    return (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +301,6 @@ def _flat_limit_from_lambda(lam: complex, torus: TorusSpec) -> FlatLimit:
                      drift=0.0, axis=E3.copy(), torus=torus)
 
 
-def _flat_limit_from_xi(xi1: float, xi2: float, torus: TorusSpec) -> FlatLimit:
-    lam = complex(TWO_PI * xi1 / torus.period_x,
-                  TWO_PI * xi2 / torus.period_y) / 2.0
-    return _flat_limit_from_lambda(lam, torus)
-
-
 def _circle_gap(a: float, b: float) -> float:
     d = abs(a - b) % 1.0
     return min(d, 1.0 - d)
@@ -232,11 +308,6 @@ def _circle_gap(a: float, b: float) -> float:
 
 # ---------------------------------------------------------------------------
 # conventions
-
-def _validate_conventions(cfg: dict) -> dict:
-    _validate_common(cfg, needs_seed=False)
-    return {"torus": _torus_from(cfg)}
-
 
 def _run_conventions(params: dict):
     torus = params["torus"]
@@ -251,11 +322,9 @@ def _run_conventions(params: dict):
     invol = float(np.max(np.abs(star @ star - np.eye(6))))
     trace = abs(float(np.trace(star)))
 
-    g1 = complex(sheet["dual_lattice_basis"][0][0],
-                 sheet["dual_lattice_basis"][0][1])
-    g2 = complex(sheet["dual_lattice_basis"][1][0],
-                 sheet["dual_lattice_basis"][1][1])
-    axis_dev = abs(g1.imag) + abs(g2.real)
+    # the first generator is real and the second imaginary
+    (_, g1_im), (g2_re, _) = sheet["dual_lattice_basis"]
+    axis_dev = abs(g1_im) + abs(g2_re)
 
     lattice_dev = max(
         lattice_distance(zeta_from_xi(float(n), float(m), torus), torus)
@@ -279,73 +348,43 @@ def _run_conventions(params: dict):
 _DEFAULT_DOMAIN = {"semisimple": (5.0, 500.0), "nilpotent": (10.0, 1000.0)}
 
 
-def _validate_model_check(cfg: dict) -> dict:
-    has_models = bool(cfg.get("models") or cfg.get("model_grid"))
-    has_ineq = "inequalities" in cfg
-    _expect(has_models or has_ineq,
+_MODEL_CHECK = {
+    **_MODELS,
+    "n_points": _integer(1000, minimum=1),
+    "tolerances": _object({"asd_residual": _positive(1e-8),
+                           "nilpotent_residual": _positive(1e-6)}, {}),
+    "decay": _object({
+        "exponent_window": _positive(0.05),
+        "log_power_window": _positive(0.3),
+        "components": _choice("kahler", choices=("all", "kahler")),
+        "rings_semisimple": _radii(np.geomspace(20.0, 500.0, 8).tolist(),
+                                   min_len=6),
+        "rings_nilpotent": _radii(
+            np.geomspace(math.e ** 2, math.e ** 6, 10).tolist(), min_len=6),
+    }),
+    "inequalities": _object({
+        "fourier_gap": _object({"n_samples": _integer(10000, minimum=1)}),
+        "monodromy_drift": _object({"tolerance": _positive(1e-3)}),
+        "weitzenbock": _object({"n_fixtures": _integer(20, minimum=1),
+                                "tolerance": _positive(1e-6)}),
+        "poincare": _object({"xi": _pair([0.3, 0.15]),
+                             "rtol": _positive(0.01)}),
+    }),
+}
+
+
+def _model_check_rules(cfg: dict, params: dict) -> None:
+    _expect(params["models"] or params["model_grid"]
+            or params["inequalities"],
             "model-check needs models, model_grid, or inequalities")
-    _validate_common(cfg, needs_seed=True)
-    tol = _validate_tolerances(cfg.get("tolerances", {}))
-    out = {
-        "seed": cfg["seed"],
-        "torus": _torus_from(cfg),
-        "models": _expand_models(cfg),
-        "n_points": _integer(cfg.get("n_points", 1000), "n_points",
-                             minimum=1),
-        "asd_tol": tol.get("asd_residual", 1e-8),
-        "nilpotent_tol": tol.get("nilpotent_residual", 1e-6),
-        "decay": None,
-        "inequalities": None,
-    }
-    for p, dom in out["models"]:
-        _domain(dom, "model domain", _DEFAULT_DOMAIN[p.kind])
-    if "decay" in cfg:
-        d = cfg["decay"]
-        _expect(isinstance(d, dict), "decay must be an object")
-        block = {
-            "exponent_window": _number(d.get("exponent_window", 0.05),
-                                       "decay.exponent_window",
-                                       positive=True),
-            "log_power_window": _number(d.get("log_power_window", 0.3),
-                                        "decay.log_power_window",
-                                        positive=True),
-            "components": d.get("components", "kahler"),
-            "rings_semisimple": d.get("rings_semisimple"),
-            "rings_nilpotent": d.get("rings_nilpotent"),
-        }
-        _expect(block["components"] in ("all", "kahler"),
-                "decay.components must be all or kahler")
-        out["decay"] = block
-    if has_ineq:
-        q = cfg["inequalities"]
-        _expect(isinstance(q, dict), "inequalities must be an object")
-        block = {}
-        if "fourier_gap" in q:
-            block["fourier_gap"] = {
-                "n_samples": _integer(q["fourier_gap"].get("n_samples", 10000),
-                                      "fourier_gap.n_samples", minimum=1)}
-        if "monodromy_drift" in q:
-            block["monodromy_drift"] = {
-                "tolerance": _number(
-                    q["monodromy_drift"].get("tolerance", 1e-3),
-                    "monodromy_drift.tolerance", positive=True)}
-        if "weitzenbock" in q:
-            block["weitzenbock"] = {
-                "n_fixtures": _integer(
-                    q["weitzenbock"].get("n_fixtures", 20),
-                    "weitzenbock.n_fixtures", minimum=1),
-                "tolerance": _number(q["weitzenbock"].get("tolerance", 1e-6),
-                                     "weitzenbock.tolerance", positive=True)}
-        if "poincare" in q:
-            xi = q["poincare"].get("xi", [0.3, 0.15])
-            _pair(xi, "poincare.xi")
-            block["poincare"] = {
-                "xi": (float(xi[0]), float(xi[1])),
-                "rtol": _number(q["poincare"].get("rtol", 0.01),
-                                "poincare.rtol", positive=True)}
-        _expect(block, "inequalities block is empty")
-        out["inequalities"] = block
-    return out
+    _require_seed(cfg)
+    for key in ("rings_semisimple", "rings_nilpotent"):
+        rings = (params["decay"] or {}).get(key)
+        _expect(rings is None or rings[-1] >= 10.0 * rings[0],
+                f"decay.{key} must span at least a decade")
+    ineq = params["inequalities"]
+    _expect(ineq is None or any(ineq.values()),
+            "inequalities block is empty")
 
 
 def _model_tag(j: int, p: ModelParams) -> str:
@@ -360,8 +399,9 @@ def _run_model_check(params: dict):
     sup_nilp_asd = 0.0
     sup_nilp_hit = 0.0
     n_semi = n_nilp = 0
-    for p, dom in params["models"]:
-        lo, hi = _domain(dom, "model domain", _DEFAULT_DOMAIN[p.kind])
+    mods = _expand_models(params)
+    for p, dom in mods:
+        lo, hi = dom or _DEFAULT_DOMAIN[p.kind]
         conn = model_connection(p, torus)
         n = params["n_points"]
         pts = np.stack([
@@ -380,76 +420,66 @@ def _run_model_check(params: dict):
             rho1, rho2 = hitchin_residual(pair, pts[:, :2])
             sup_nilp_hit = max(sup_nilp_hit,
                                float(np.max(rho1)), float(np.max(rho2)))
+    tol = params["tolerances"]
     if n_semi:
         checks.append(_leq_check("asd_residual_sup_semisimple", sup_semi,
-                                 params["asd_tol"], n_models=n_semi))
+                                 tol["asd_residual"], n_models=n_semi))
     if n_nilp:
         checks.append(_leq_check("asd_residual_sup_nilpotent", sup_nilp_asd,
-                                 params["nilpotent_tol"], n_models=n_nilp))
+                                 tol["nilpotent_residual"], n_models=n_nilp))
         checks.append(_leq_check("hitchin_residual_sup_nilpotent",
-                                 sup_nilp_hit, params["nilpotent_tol"]))
+                                 sup_nilp_hit, tol["nilpotent_residual"]))
 
     decay_rows = []
-    if params["decay"] is not None:
-        d = params["decay"]
-        for j, (p, _) in enumerate(params["models"]):
-            conn = model_connection(p, torus)
-            if p.kind == "semisimple":
-                if abs(p.mu) == 0.0:
-                    continue
-                rings = d["rings_semisimple"] or np.geomspace(
-                    20.0, 500.0, 8).tolist()
-                fit = decay_exponent(conn, rings, components="all",
-                                     with_log=False)
-                dev = abs(fit["gamma"] + 2.0)
-                checks.append(_leq_check(
-                    f"decay_exponent_dev_{_model_tag(j, p)}", dev,
-                    d["exponent_window"], gamma=fit["gamma"]))
-            else:
-                rings = d["rings_nilpotent"] or np.geomspace(
-                    math.e ** 2, math.e ** 6, 10).tolist()
-                fit = decay_exponent(conn, rings,
-                                     components=d["components"],
-                                     with_log=True)
-                checks.append(_leq_check(
-                    f"decay_exponent_dev_{_model_tag(j, p)}",
-                    abs(fit["gamma"] + 2.0), d["exponent_window"],
-                    gamma=fit["gamma"]))
-                checks.append(_leq_check(
-                    f"decay_log_power_dev_{_model_tag(j, p)}",
-                    abs(fit["log_power"] + 2.0), d["log_power_window"],
-                    log_power=fit["log_power"]))
-            decay_rows.append({"model": _model_tag(j, p),
-                               "gamma": fit["gamma"],
-                               "log_power": fit["log_power"],
-                               "rings": list(rings)})
+    d = params["decay"]
+    for j, (p, _) in enumerate(mods if d is not None else ()):
+        semi = p.kind == "semisimple"
+        if semi and abs(p.mu) == 0.0:
+            continue
+        tag = _model_tag(j, p)
+        rings = d[f"rings_{p.kind}"]
+        fit = decay_exponent(model_connection(p, torus), rings,
+                             components="all" if semi else d["components"],
+                             with_log=not semi)
+        checks.append(_leq_check(f"decay_exponent_dev_{tag}",
+                                 abs(fit["gamma"] + 2.0),
+                                 d["exponent_window"], gamma=fit["gamma"]))
+        if not semi:
+            checks.append(_leq_check(f"decay_log_power_dev_{tag}",
+                                     abs(fit["log_power"] + 2.0),
+                                     d["log_power_window"],
+                                     log_power=fit["log_power"]))
+        decay_rows.append({"model": tag, "gamma": fit["gamma"],
+                           "log_power": fit["log_power"], "rings": rings})
 
     ineq_summary = {}
     if params["inequalities"] is not None:
         q = params["inequalities"]
-        if "fourier_gap" in q:
+        if q["fourier_gap"] is not None:
             gap_min, n_done = _fourier_gap_scan(
                 rng, torus, q["fourier_gap"]["n_samples"])
             checks.append(_check("fourier_gap_min", gap_min, 1e-15,
                                  gap_min >= -1e-15, n_samples=n_done))
             ineq_summary["fourier_gap_min"] = gap_min
-        if "monodromy_drift" in q:
+        if q["monodromy_drift"] is not None:
             worst, per = _monodromy_families(rng, torus)
             checks.append(_leq_check("monodromy_drift_defect_max", worst,
                                      q["monodromy_drift"]["tolerance"],
                                      per_family=per))
             ineq_summary["monodromy_drift"] = per
-        if "weitzenbock" in q:
+        if q["weitzenbock"] is not None:
             worst, n_fix = _weitzenbock_scan(rng, torus,
                                              q["weitzenbock"]["n_fixtures"])
             checks.append(_leq_check("weitzenbock_defect_max", worst,
                                      q["weitzenbock"]["tolerance"],
                                      n_fixtures=n_fix))
             ineq_summary["weitzenbock_defect_max"] = worst
-        if "poincare" in q:
-            xi1, xi2 = q["poincare"]["xi"]
+        if q["poincare"] is not None:
+            xi = q["poincare"]["xi"]
+            lam = complex(TWO_PI * xi.real / torus.period_x,
+                          TWO_PI * xi.imag / torus.period_y) / 2.0
             rel_max = 0.0
-            for tag, fl in (("twisted", _flat_limit_from_xi(xi1, xi2, torus)),
+            for tag, fl in (("twisted", _flat_limit_from_lambda(lam, torus)),
                             ("untwisted", None)):
                 c = poincare_constant(fl, N=8, torus=torus)
                 oracle = _rayleigh_oracle(fl, torus, rng)
@@ -499,32 +529,22 @@ def _monodromy_families(rng, torus: TorusSpec):
     model, and a random compactly supported perturbation of flat."""
     Lx = torus.period_x
 
+    def affine(c0, ct, cs):
+        """(t, s) -> c0 + t ct + s cs, a (..., 4) point field."""
+        def f(t, s):
+            t, s = np.broadcast_arrays(np.asarray(t, float),
+                                       np.asarray(s, float))
+            return c0 + t[..., None] * ct + s[..., None] * cs
+        return f
+
     def radial_x_family(r0, dr, y0):
-        def phi(t, s):
-            t, s = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(s, float))
-            out = np.zeros(t.shape + (4,))
-            out[..., 0] = r0 + dr * t
-            out[..., 1] = 0.3
-            out[..., 2] = Lx * s
-            out[..., 3] = y0
-            return out
-
-        def dphi_dt(t, s):
-            t, s = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(s, float))
-            out = np.zeros(t.shape + (4,))
-            out[..., 0] = dr
-            return out
-
-        def dphi_ds(t, s):
-            t, s = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(s, float))
-            out = np.zeros(t.shape + (4,))
-            out[..., 2] = Lx
-            return out
-
-        return CircleFamily(phi=phi, dphi_dt=dphi_dt, dphi_ds=dphi_ds)
+        # x-circles at (r0 + dr t, 0.3, ., y0)
+        ct = np.array([dr, 0.0, 0.0, 0.0])
+        cs = np.array([0.0, 0.0, Lx, 0.0])
+        zero = np.zeros(4)
+        return CircleFamily(phi=affine(np.array([r0, 0.3, 0.0, y0]), ct, cs),
+                            dphi_dt=affine(ct, zero, zero),
+                            dphi_ds=affine(cs, zero, zero))
 
     flat = flat_connection(reduce_dual((0.3, 0.2), torus), torus)
     abelian = model_connection(
@@ -573,7 +593,6 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
     xs = np.linspace(0.0, Lx, n_grid, endpoint=False)
     ys = np.linspace(0.0, Ly, n_grid, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    E_diag = _SIGMA3
     E_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     E_dn = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
@@ -590,7 +609,7 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
     for n in range(-3, 4):
         for m in range(-3, 4):
             wave = np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
-            slots = (E_diag, E_up, E_dn) if not trivial else (E_diag,)
+            slots = (_SIGMA3, E_up, E_dn) if not trivial else (_SIGMA3,)
             for E in slots:
                 q = quotient(wave[..., None, None] * E)
                 if q is not None:
@@ -602,11 +621,8 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
             wave = np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
             H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             u += wave[..., None, None] * H
-        if trivial:
-            u -= u.mean(axis=(0, 1))
-        else:
-            avg = u.mean(axis=(0, 1))
-            u -= np.diag(np.diag(avg))
+        avg = u.mean(axis=(0, 1))
+        u -= avg if trivial else np.diag(np.diag(avg))
         q = quotient(u)
         if q is not None:
             best = min(best, q)
@@ -616,48 +632,31 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
 # ---------------------------------------------------------------------------
 # invariants
 
-def _validate_invariants(cfg: dict) -> dict:
-    pert = cfg.get("perturbation")
-    _validate_common(cfg, needs_seed=pert is not None)
-    mods = _expand_models(cfg)
-    _expect(mods, "invariants needs models or model_grid")
-    rings = cfg.get("rings", [50.0, 100.0, 200.0, 400.0])
-    _expect(isinstance(rings, list) and len(rings) >= 4,
-            "rings must list at least 4 radii")
-    rings = [_number(r, "rings[]", positive=True) for r in rings]
-    _expect(all(b > a for a, b in zip(rings, rings[1:])),
-            "rings must increase")
-    out = {
-        "seed": cfg.get("seed", 0),
-        "torus": _torus_from(cfg),
-        "models": mods,
-        "rings": tuple(rings),
-        "tol_clean": None,
-        "perturbation": None,
-        "tol_perturbed": None,
-    }
-    tol = _validate_tolerances(cfg.get("tolerances_clean",
-                                       cfg.get("tolerances", {})))
-    out["tol_clean"] = {"lambda": tol.get("lambda", 1e-4),
-                        "alpha": tol.get("alpha", 1e-6),
-                        "mu": tol.get("mu", 1e-4)}
-    if pert is not None:
-        _expect(isinstance(pert, dict), "perturbation must be an object")
-        out["perturbation"] = {
-            "amplitude": _number(pert.get("amplitude", 0.05),
-                                 "perturbation.amplitude", positive=True),
-            "delta": _number(pert.get("delta", 0.5), "perturbation.delta",
-                             positive=True),
-            "r_lo": _number(pert.get("r_lo", 5.0), "perturbation.r_lo",
-                            positive=True),
-            "r_hi": _number(pert.get("r_hi", 600.0), "perturbation.r_hi",
-                            positive=True),
-        }
-        tp = _validate_tolerances(cfg.get("tolerances_perturbed", {}))
-        out["tol_perturbed"] = {"lambda": tp.get("lambda", 1e-2),
-                                "alpha": tp.get("alpha", 1e-3),
-                                "mu": tp.get("mu", 1e-2)}
-    return out
+_ROUNDTRIP_TOL = {"lambda": _positive(1e-4), "alpha": _positive(1e-6),
+                  "mu": _positive(1e-4)}
+_INVARIANTS = {
+    **_MODELS,
+    "rings": _radii([50.0, 100.0, 200.0, 400.0], min_len=4),
+    "tolerances_clean": _object(_ROUNDTRIP_TOL, {}),
+    # older spelling of tolerances_clean, read when that key is absent
+    "tolerances": _object(_ROUNDTRIP_TOL),
+    "perturbation": _object({"amplitude": _positive(0.05),
+                             "delta": _positive(0.5),
+                             "r_lo": _positive(5.0),
+                             "r_hi": _positive(600.0)}),
+    "tolerances_perturbed": _object({"lambda": _positive(1e-2),
+                                     "alpha": _positive(1e-3),
+                                     "mu": _positive(1e-2)}, {}),
+}
+
+
+def _invariants_rules(cfg: dict, params: dict) -> None:
+    _expect(params["models"] or params["model_grid"],
+            "invariants needs models or model_grid")
+    if params["perturbation"] is not None:
+        _require_seed(cfg)
+    if "tolerances_clean" not in cfg and "tolerances" in cfg:
+        params["tolerances_clean"] = params["tolerances"]
 
 
 def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
@@ -691,7 +690,7 @@ def _run_invariants(params: dict):
         errs = {"lambda": 0.0, "alpha": 0.0, "mu": 0.0}
         kinds_ok = True
         failed = []
-        for j, (p, _) in enumerate(params["models"]):
+        for j, (p, _) in enumerate(_expand_models(params)):
             conn = model_connection(p, torus)
             kind = None
             if pert is not None:
@@ -722,9 +721,7 @@ def _run_invariants(params: dict):
                     "mu": [inv.mu.real, inv.mu.imag],
                     "kind": inv.kind,
                 },
-                "errors": {k: errs_k for k, errs_k in
-                           (("lambda", e["lambda"]), ("alpha", e["alpha"]),
-                            ("mu", e["mu"]))},
+                "errors": {k: e[k] for k in ("lambda", "alpha", "mu")},
                 "diagnostics": _jsonable(inv.diagnostics),
             })
         if failed:
@@ -737,91 +734,62 @@ def _run_invariants(params: dict):
             checks.append(_check(f"kind_detected_{tag}", kinds_ok, None,
                                  kinds_ok))
 
-    one_pass("clean", None, params["tol_clean"])
+    one_pass("clean", None, params["tolerances_clean"])
     if params["perturbation"] is not None:
         one_pass("perturbed", params["perturbation"],
-                 params["tol_perturbed"])
+                 params["tolerances_perturbed"])
     return checks, {"invariants.json": {"models": records}}
 
 
 # ---------------------------------------------------------------------------
 # spectral
 
-def _validate_spectral(cfg: dict) -> dict:
-    needs_seed = any(k in cfg for k in ("counting", "residues", "dichotomy"))
-    _validate_common(cfg, needs_seed=needs_seed)
-    b = cfg.get("bundle")
-    _expect(isinstance(b, dict), "spectral needs a bundle block")
-    torus = _torus_from(cfg)
-    lam = _pair(b.get("lambda", [0.0, 0.0]), "bundle.lambda")
-    mu = _pair(b.get("mu", [1.0, 0.0]), "bundle.mu")
-    tail = tuple(_pair(t, "bundle.tail[]") for t in b.get("tail", []))
-    r_min = _number(b.get("r_min", 5.0), "bundle.r_min", positive=True)
-    k = _integer(b.get("k", 1), "bundle.k", minimum=1)
-    dev = abs(mu) / r_min + sum(
-        abs(c) / r_min ** (j + 2) for j, c in enumerate(tail))
-    _expect(dev < covering_radius(torus),
-            "bundle residue too large for r_min: fibers leave the "
-            "asymptotic splitting")
-    out = {
-        "seed": cfg.get("seed", 0),
-        "torus": torus,
-        "bundle": {"lam": lam, "mu": mu, "tail": tail, "r_min": r_min,
-                   "k": k},
-        "domain": _domain(cfg.get("domain"), "domain", (r_min, 1e4)),
-        "counting": None, "residues": None, "dichotomy": None,
-    }
-    _expect(out["domain"][0] >= r_min,
-            "domain must sit inside the bundle's validity range")
-    if "counting" in cfg:
-        c = cfg["counting"]
-        _expect(isinstance(c, dict), "counting must be an object")
-        rad = c.get("radius", [0.005, 0.02])
-        _expect(isinstance(rad, list) and len(rad) == 2
-                and 0 < rad[0] < rad[1], "counting.radius must be "
-                "[lo, hi] with 0 < lo < hi")
-        _expect(abs(mu) > 0, "counting needs a nonzero bundle residue")
-        out["counting"] = {
-            "n_samples": _integer(c.get("n_samples", 100),
-                                  "counting.n_samples", minimum=1),
-            "radius": (float(rad[0]), float(rad[1])),
-            "expected_total": _integer(c.get("expected_total", k),
-                                       "counting.expected_total", minimum=0),
-        }
-    if "residues" in cfg:
-        r = cfg["residues"]
-        _expect(isinstance(r, dict), "residues must be an object")
-        _expect(lattice_distance(2.0 * lam, torus) > 1e-6,
+_SPECTRAL = {
+    "bundle": _object({"lambda": _pair([0.0, 0.0]), "mu": _pair([1.0, 0.0]),
+                       "tail": _list([], item=_pair(), min_len=0),
+                       "r_min": _positive(5.0), "k": _integer(1, minimum=1)},
+                      _REQUIRED),
+    "domain": _domain(),  # default [bundle.r_min, 1e4]
+    "counting": _object({"n_samples": _integer(100, minimum=1),
+                         "radius": _domain([0.005, 0.02]),
+                         # default bundle.k
+                         "expected_total": _integer(minimum=0)}),
+    "residues": _object({"n_mu": _integer(10, minimum=1),
+                         "tolerance": _positive(1e-8)}),
+    "dichotomy": _object({"n_approach": _integer(6, minimum=3),
+                          "n_mu_zero": _integer(50, minimum=1),
+                          "annulus": _domain([5.0, 1000.0]),
+                          "min_lattice_distance": _positive(0.05)}),
+}
+
+
+def _spectral_rules(cfg: dict, params: dict) -> None:
+    if any(params[k] is not None
+           for k in ("counting", "residues", "dichotomy")):
+        _require_seed(cfg)
+    b = params["bundle"] = _bundle(params["bundle"], params["torus"],
+                                   "bundle")
+    if params["domain"] is None:
+        params["domain"] = (b.r_min, 1e4)
+    _expect(params["domain"][0] >= b.r_min,
+            "domain must start at or beyond bundle.r_min")
+    if params["counting"] is not None:
+        _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
+        if params["counting"]["expected_total"] is None:
+            params["counting"]["expected_total"] = b.k
+    if params["residues"] is not None:
+        _expect(lattice_distance(2.0 * b.lam, params["torus"]) > 1e-6,
                 "residues need distinct +-xi0 (non-order-two lambda)")
-        out["residues"] = {
-            "n_mu": _integer(r.get("n_mu", 10), "residues.n_mu", minimum=1),
-            "tolerance": _number(r.get("tolerance", 1e-8),
-                                 "residues.tolerance", positive=True),
-        }
-    if "dichotomy" in cfg:
-        d = cfg["dichotomy"]
-        _expect(isinstance(d, dict), "dichotomy must be an object")
-        _expect(abs(mu) > 0, "dichotomy blow-up needs a nonzero residue")
-        out["dichotomy"] = {
-            "n_approach": _integer(d.get("n_approach", 6),
-                                   "dichotomy.n_approach", minimum=3),
-            "n_mu_zero": _integer(d.get("n_mu_zero", 50),
-                                  "dichotomy.n_mu_zero", minimum=1),
-            "annulus": _domain(d.get("annulus"), "dichotomy.annulus",
-                               (5.0, 1000.0)),
-            "min_lattice_distance": _number(
-                d.get("min_lattice_distance", 0.05),
-                "dichotomy.min_lattice_distance", positive=True),
-        }
-    return out
+    if params["dichotomy"] is not None:
+        _expect(abs(b.mu) > 0, "dichotomy blow-up needs a nonzero residue")
+        _expect(params["dichotomy"]["annulus"][0] >= b.r_min,
+                "dichotomy.annulus must start at or beyond bundle.r_min")
 
 
 def _run_spectral(params: dict):
     rng = np.random.default_rng(params["seed"])
     torus = params["torus"]
-    b = params["bundle"]
-    bundle = BundleModel(lam=b["lam"], mu=b["mu"], tail=b["tail"],
-                         r_min=b["r_min"], k=b["k"], torus=torus)
+    bundle = params["bundle"]
     domain = params["domain"]
     checks = []
     csv_rows = []
@@ -860,10 +828,10 @@ def _run_spectral(params: dict):
         for _ in range(r["n_mu"]):
             while True:
                 mu = complex(rng.normal(), rng.normal()) * 0.4
-                if 1e-3 < abs(mu) < 0.9 * cov * b["r_min"]:
+                if 1e-3 < abs(mu) < 0.9 * cov * bundle.r_min:
                     break
-            bi = BundleModel(lam=b["lam"], mu=mu, r_min=b["r_min"],
-                             k=b["k"], torus=torus)
+            bi = BundleModel(lam=bundle.lam, mu=mu, r_min=bundle.r_min,
+                             k=bundle.k, torus=torus)
             xi0 = xi_from_zeta(bi.lam, torus)
             row = {"mu": [mu.real, mu.imag]}
             for tag, pt, want in (("plus", xi0, mu),
@@ -901,8 +869,8 @@ def _run_spectral(params: dict):
                 csv_rows.append((xi.xi1, xi.xi2, w.real, w.imag, m))
         checks.append(_check("blowup_ratio_min", ratio_min, None,
                              ratio_min >= 1.0))
-        bundle0 = BundleModel(lam=b["lam"], mu=0.0, r_min=b["r_min"],
-                              k=b["k"], torus=torus)
+        bundle0 = BundleModel(lam=bundle.lam, mu=0.0, r_min=bundle.r_min,
+                              k=bundle.k, torus=torus)
         found = 0
         n_done = 0
         while n_done < d["n_mu_zero"]:
@@ -928,72 +896,36 @@ def _run_spectral(params: dict):
 # ---------------------------------------------------------------------------
 # stability
 
-_OBSTRUCTION_VERDICTS = ("blocked_order2_k1", "blocked_mu0", "ok")
+_STABILITY = {
+    "family": _object({
+        "b_values": _list([1, 2, 3, 4, 5], item=_integer(minimum=1)),
+        "alpha_values": _list([-0.4, -0.2, 0.0, 0.2, 0.4], item=_alpha()),
+        "xi0": _pair([0.3, 0.2]),
+        "k": _integer(1, minimum=1),
+    }),
+    "obstructions": _list(item=_object({
+        "k": _integer(1, minimum=1),
+        "xi0": _pair(_REQUIRED),
+        "mu": _pair([0.0, 0.0]),
+        "expect": _choice(_REQUIRED, choices=("blocked_order2_k1",
+                                              "blocked_mu0", "ok")),
+    })),
+    "h0": _object({"lambda": _pair([0.0, 0.25]), "mu": _pair([0.3, 0.0]),
+                   "xi": _pair([0.5, 0.0]), "k": _integer(1, minimum=1),
+                   "r_min": _positive(5.0),
+                   "domain": _domain([5.0, 1000.0])}),
+}
 
 
-def _validate_stability(cfg: dict) -> dict:
-    _validate_common(cfg, needs_seed=False)
-    torus = _torus_from(cfg)
-    out = {"torus": torus, "family": None, "obstructions": None, "h0": None}
-    if "family" in cfg:
-        f = cfg["family"]
-        _expect(isinstance(f, dict), "family must be an object")
-        bs = f.get("b_values", [1, 2, 3, 4, 5])
-        als = f.get("alpha_values", [-0.4, -0.2, 0.0, 0.2, 0.4])
-        _expect(isinstance(bs, list) and bs, "family.b_values must be a "
-                "nonempty list")
-        _expect(all(isinstance(v, int) and v >= 1 for v in bs),
-                "family.b_values must be integers >= 1")
-        _expect(isinstance(als, list) and als,
-                "family.alpha_values must be a nonempty list")
-        for a in als:
-            a = _number(a, "family.alpha_values[]")
-            _expect(-0.5 <= a < 0.5, "alpha values must lie in [-1/2, 1/2)")
-        xi = f.get("xi0", [0.3, 0.2])
-        _pair(xi, "family.xi0")
-        out["family"] = {"b_values": bs, "alpha_values": [float(a) for a in als],
-                         "xi0": (float(xi[0]), float(xi[1])),
-                         "k": _integer(f.get("k", 1), "family.k", minimum=1)}
-    if "obstructions" in cfg:
-        cases = cfg["obstructions"]
-        _expect(isinstance(cases, list) and cases,
-                "obstructions must be a nonempty list")
-        rows = []
-        for j, case in enumerate(cases):
-            _expect(isinstance(case, dict), f"obstructions[{j}] must be an "
-                    "object")
-            xi = case.get("xi0")
-            _pair(xi, f"obstructions[{j}].xi0")
-            expect = case.get("expect")
-            _expect(expect in _OBSTRUCTION_VERDICTS,
-                    f"obstructions[{j}].expect must be one of "
-                    f"{_OBSTRUCTION_VERDICTS}")
-            rows.append({
-                "k": _integer(case.get("k", 1), f"obstructions[{j}].k",
-                              minimum=1),
-                "xi0": (float(xi[0]), float(xi[1])),
-                "mu": _pair(case.get("mu", [0.0, 0.0]),
-                            f"obstructions[{j}].mu"),
-                "expect": expect,
-            })
-        out["obstructions"] = rows
-    if "h0" in cfg:
-        h = cfg["h0"]
-        _expect(isinstance(h, dict), "h0 must be an object")
-        lam = _pair(h.get("lambda", [0.0, 0.25]), "h0.lambda")
-        mu = _pair(h.get("mu", [0.3, 0.0]), "h0.mu")
-        xi = h.get("xi", [0.5, 0.0])
-        _pair(xi, "h0.xi")
-        out["h0"] = {
-            "lam": lam, "mu": mu,
-            "xi": (float(xi[0]), float(xi[1])),
-            "k": _integer(h.get("k", 1), "h0.k", minimum=1),
-            "r_min": _number(h.get("r_min", 5.0), "h0.r_min", positive=True),
-            "domain": _domain(h.get("domain"), "h0.domain", (5.0, 1000.0)),
-        }
-    _expect(any(out[k] is not None for k in ("family", "obstructions", "h0")),
+def _stability_rules(cfg: dict, params: dict) -> None:
+    _expect(any(params[k] is not None
+                for k in ("family", "obstructions", "h0")),
             "stability needs at least one of family, obstructions, h0")
-    return out
+    h = params["h0"]
+    if h is not None:
+        h["bundle"] = _bundle(h, params["torus"], "h0")
+        _expect(h["domain"][0] >= h["r_min"],
+                "h0.domain must start at or beyond h0.r_min")
 
 
 def _run_stability(params: dict):
@@ -1003,7 +935,7 @@ def _run_stability(params: dict):
 
     if params["family"] is not None:
         f = params["family"]
-        xi0 = reduce_dual(f["xi0"], torus)
+        xi0 = reduce_dual((f["xi0"].real, f["xi0"].imag), torus)
         n_unstable = 0
         n_total = 0
         for bval in f["b_values"]:
@@ -1025,12 +957,13 @@ def _run_stability(params: dict):
     if params["obstructions"] is not None:
         n_match = 0
         for case in params["obstructions"]:
-            xi = reduce_dual(case["xi0"], torus)
+            xi0 = case["xi0"]
+            xi = reduce_dual((xi0.real, xi0.imag), torus)
             got = existence_obstruction(case["k"], xi, case["mu"])
             ok = got == case["expect"]
             n_match += ok
             verdicts["obstructions"].append({
-                "k": case["k"], "xi0": list(case["xi0"]),
+                "k": case["k"], "xi0": [xi0.real, xi0.imag],
                 "mu": [case["mu"].real, case["mu"].imag],
                 "expected": case["expect"], "computed": got, "match": ok})
         checks.append(_check("obstruction_table_matches",
@@ -1039,10 +972,8 @@ def _run_stability(params: dict):
 
     if params["h0"] is not None:
         h = params["h0"]
-        bundle = BundleModel(lam=h["lam"], mu=h["mu"], r_min=h["r_min"],
-                             k=h["k"], torus=torus)
-        xi = reduce_dual(h["xi"], torus)
-        ledger = h0_consistency(bundle, xi, domain=h["domain"],
+        xi = reduce_dual((h["xi"].real, h["xi"].imag), torus)
+        ledger = h0_consistency(h["bundle"], xi, domain=h["domain"],
                                 allow_singular=True)
         contradiction = (not ledger["consistent"]
                          and ledger["h0_total"] > ledger["k"])
@@ -1057,43 +988,29 @@ def _run_stability(params: dict):
 # ---------------------------------------------------------------------------
 # moduli
 
-def _validate_moduli(cfg: dict) -> dict:
-    _validate_common(cfg, needs_seed=True)
-    torus = _torus_from(cfg)
-    model = _model_params(cfg.get("model", {"kind": "semisimple",
-                                            "lambda": [0.1, 0.05],
-                                            "mu": [0.3, -0.2],
-                                            "alpha": 0.15}), "model")
-    _expect(model.kind == "semisimple",
+_MODULI = {
+    "model": _object(_MODEL, {"kind": "semisimple", "lambda": [0.1, 0.05],
+                              "mu": [0.3, -0.2], "alpha": 0.15}),
+    "grid": _object({"r_min": _positive(8.0), "r_max": _positive(40.0),
+                     "n_r": _integer(20, minimum=4),
+                     "n_theta": _integer(12, minimum=4),
+                     "n_x": _integer(6, minimum=4),
+                     "n_y": _integer(6, minimum=4)}, {}),
+    "n_alpha": _integer(100, minimum=1),
+    "n_random_tangents": _integer(3, minimum=0),
+    "chart": _object({"f0": _pair([0.5, 0.2]), "fp0": _pair([1.5, -0.3])},
+                     {}),
+    "tolerances": _object({"residual_rel": _positive(1e-6)}, {}),
+}
+
+
+def _moduli_rules(cfg: dict, params: dict) -> None:
+    _require_seed(cfg)
+    _expect(params["model"]["kind"] == "semisimple",
             "moduli tangent checks need a semisimple model")
-    g = cfg.get("grid", {})
-    _expect(isinstance(g, dict), "grid must be an object")
-    grid = {
-        "r_min": _number(g.get("r_min", 8.0), "grid.r_min", positive=True),
-        "r_max": _number(g.get("r_max", 40.0), "grid.r_max", positive=True),
-        "n_r": _integer(g.get("n_r", 20), "grid.n_r", minimum=4),
-        "n_theta": _integer(g.get("n_theta", 12), "grid.n_theta", minimum=4),
-        "n_x": _integer(g.get("n_x", 6), "grid.n_x", minimum=4),
-        "n_y": _integer(g.get("n_y", 6), "grid.n_y", minimum=4),
-    }
-    _expect(grid["r_min"] < grid["r_max"], "grid radii must increase")
-    chart = cfg.get("chart", {})
-    _expect(isinstance(chart, dict), "chart must be an object")
-    f0 = _pair(chart.get("f0", [0.5, 0.2]), "chart.f0")
-    fp0 = _pair(chart.get("fp0", [1.5, -0.3]), "chart.fp0")
-    _expect(abs(fp0) > 1e-12, "chart.fp0 must be nonzero")
-    tol = _validate_tolerances(cfg.get("tolerances", {}))
-    return {
-        "seed": cfg["seed"],
-        "torus": torus,
-        "model": model,
-        "grid": grid,
-        "n_alpha": _integer(cfg.get("n_alpha", 100), "n_alpha", minimum=1),
-        "n_random_tangents": _integer(cfg.get("n_random_tangents", 3),
-                                      "n_random_tangents", minimum=0),
-        "chart": (f0, fp0),
-        "residual_rtol": tol.get("residual_rel", 1e-6),
-    }
+    _expect(params["grid"]["r_min"] < params["grid"]["r_max"],
+            "grid radii must increase (grid.r_min < grid.r_max)")
+    _expect(abs(params["chart"]["fp0"]) > 1e-12, "chart.fp0 must be nonzero")
 
 
 def _run_moduli(params: dict):
@@ -1122,7 +1039,7 @@ def _run_moduli(params: dict):
                          wdev == 0.0, n_alpha=params["n_alpha"]))
 
     dim1 = moduli_dimension(1)
-    f0, fp0 = params["chart"]
+    f0, fp0 = params["chart"]["f0"], params["chart"]["fp0"]
     chart = k1_chart(f0, fp0)
     rec = chart.record
     dim_ok = dim1 == 4 and rec["total_real_dim"] == dim1 \
@@ -1140,7 +1057,7 @@ def _run_moduli(params: dict):
     grid = AnnulusGrid(g["r_min"], g["r_max"], n_r=g["n_r"],
                        n_theta=g["n_theta"], n_x=g["n_x"], n_y=g["n_y"],
                        spacing="chebyshev")
-    conn = model_connection(params["model"], torus)
+    conn = model_connection(_model(params["model"]), torus)
     calc = AnnulusCalculus(conn, grid)
     tangents = [("translation_x", translation_tangent(conn, grid, (1.0, 0.0))),
                 ("translation_y", translation_tangent(conn, grid, (0.0, 1.0)))]
@@ -1155,7 +1072,8 @@ def _run_moduli(params: dict):
         scale = max(calc.norm(t.comps), 1e-30)
         res_rel_max = max(res_rel_max, r1 / scale, r2 / scale)
     checks.append(_leq_check("translation_tangent_residual_rel",
-                             res_rel_max, params["residual_rtol"]))
+                             res_rel_max,
+                             params["tolerances"]["residual_rel"]))
 
     n = len(tangents)
     gram = np.zeros((n, n))
@@ -1191,12 +1109,14 @@ def _run_moduli(params: dict):
 # runner
 
 _PIPELINES = {
-    "conventions": (_validate_conventions, _run_conventions),
-    "model-check": (_validate_model_check, _run_model_check),
-    "invariants": (_validate_invariants, _run_invariants),
-    "spectral": (_validate_spectral, _run_spectral),
-    "stability": (_validate_stability, _run_stability),
-    "moduli": (_validate_moduli, _run_moduli),
+    "conventions": (_validator({}), _run_conventions),
+    "model-check": (_validator(_MODEL_CHECK, _model_check_rules),
+                    _run_model_check),
+    "invariants": (_validator(_INVARIANTS, _invariants_rules),
+                   _run_invariants),
+    "spectral": (_validator(_SPECTRAL, _spectral_rules), _run_spectral),
+    "stability": (_validator(_STABILITY, _stability_rules), _run_stability),
+    "moduli": (_validator(_MODULI, _moduli_rules), _run_moduli),
 }
 
 _CSV_COLUMNS = ("xi1", "xi2", "re_w", "im_w", "mult")
@@ -1212,8 +1132,7 @@ def run(subcommand: str, config, out_dir: str = "./out",
                           f"of {SUBCOMMANDS}")
     if isinstance(config, (str, os.PathLike)):
         cfg = _load_config(config)
-    else:
-        _expect(isinstance(config, dict), "config must be a JSON object")
+    else:  # the walk rejects anything but an object
         cfg = copy.deepcopy(config)
     validate, execute = _PIPELINES[subcommand]
     params = validate(cfg)
@@ -1221,7 +1140,7 @@ def run(subcommand: str, config, out_dir: str = "./out",
     checks, artifacts = execute(params)
     wall = time.perf_counter() - t0
     passed = all(c["pass"] for c in checks)
-    torus = params.get("torus") or TorusSpec()
+    torus = params["torus"]
     report = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,

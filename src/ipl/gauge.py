@@ -74,11 +74,11 @@ def fd_step(conn: ConnectionSource, points: np.ndarray) -> float:
     return 1e-2
 
 
-def connection_derivative(conn: ConnectionSource, points, axis: int) -> np.ndarray:
+def richardson_derivative(fun, points, axis: int, h: float) -> np.ndarray:
+    """Partial of fun along coordinate `axis`: 4th-order central stencils
+    at steps h and h/2, combined by one Richardson step on the O(h^4)
+    error."""
     points = np.asarray(points, dtype=float)
-    if conn.derivative is not None:
-        return conn.derivative(points, axis)
-    h = fd_step(conn, points)
 
     def central4(hh):
         out = 0.0
@@ -86,13 +86,20 @@ def connection_derivative(conn: ConnectionSource, points, axis: int) -> np.ndarr
             for sgn in (1.0, -1.0):
                 p = points.copy()
                 p[..., axis] += sgn * k * hh
-                out = out + sgn * w * conn.evaluate(p)
+                out = out + sgn * w * fun(p)
         return out / (12.0 * hh)
 
     d1 = central4(h)
     d2 = central4(h / 2.0)
-    # one Richardson step on the O(h^4) error
     return (16.0 * d2 - d1) / 15.0
+
+
+def connection_derivative(conn: ConnectionSource, points, axis: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if conn.derivative is not None:
+        return conn.derivative(points, axis)
+    return richardson_derivative(conn.evaluate, points, axis,
+                                 fd_step(conn, points))
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, DomainError
+from .gauge import ConnectionSource, DomainError, richardson_derivative
 from .geometry import TorusSpec
 
 
@@ -63,30 +63,16 @@ class HiggsPairOnPlane:
                               f"[{self.r_min}, {self.r_max}]")
 
 
-def _fd2(fun, points, axis, h=1e-2):
-    def central4(hh):
-        out = 0.0
-        for k, w in ((1, 8.0), (2, -1.0)):
-            for sgn in (1.0, -1.0):
-                p = np.array(points, dtype=float)
-                p[..., axis] += sgn * k * hh
-                out = out + sgn * w * fun(p)
-        return out / (12.0 * hh)
-
-    d1, d2 = central4(h), central4(h / 2.0)
-    return (16.0 * d2 - d1) / 15.0
-
-
 def pair_derivative_b(pair: HiggsPairOnPlane, points, axis: int):
     if pair.derivative_b is not None:
         return pair.derivative_b(np.asarray(points, dtype=float), axis)
-    return _fd2(pair.evaluate_b, points, axis)
+    return richardson_derivative(pair.evaluate_b, points, axis, 1e-2)
 
 
 def pair_derivative_psi(pair: HiggsPairOnPlane, points, axis: int):
     if pair.derivative_psi is not None:
         return pair.derivative_psi(np.asarray(points, dtype=float), axis)
-    return _fd2(pair.evaluate_psi, points, axis)
+    return richardson_derivative(pair.evaluate_psi, points, axis, 1e-2)
 
 
 def reduce(conn: ConnectionSource, n_check: int = 16, tol: float = 1e-9,
@@ -148,34 +134,31 @@ def reduce(conn: ConnectionSource, n_check: int = 16, tol: float = 1e-9,
 def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
     """Torus-invariant connection of a Higgs pair (exact inverse of reduce)."""
 
-    def evaluate(points):
-        points = np.asarray(points, dtype=float)
-        p2 = points[..., :2]
-        b = pair.evaluate_b(p2)
-        psi = pair.evaluate_psi(p2)
+    def components(b, psi, shape):
+        """(a_r, a_theta, a_x, a_y) from (b_r, b_theta) and psi_w, or the
+        same for their partials."""
         psid = _su2.dag(psi)
-        out = np.empty(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 0, :, :] = b[..., 0, :, :]
-        out[..., 1, :, :] = b[..., 1, :, :]
+        out = np.empty(shape + (4, 2, 2), dtype=complex)
+        out[..., :2, :, :] = b
         out[..., 2, :, :] = 1j * (psi + psid)
         out[..., 3, :, :] = psi - psid
         return out
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        p2 = points[..., :2]
+        return components(pair.evaluate_b(p2), pair.evaluate_psi(p2),
+                          points.shape[:-1])
 
     derivative = None
     if pair.is_analytic:
         def derivative(points, axis):
             points = np.asarray(points, dtype=float)
+            if axis not in (0, 1):  # torus directions: invariant
+                return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
             p2 = points[..., :2]
-            out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-            if axis in (0, 1):
-                db = pair.derivative_b(p2, axis)
-                dpsi = pair.derivative_psi(p2, axis)
-                dpsid = _su2.dag(dpsi)
-                out[..., 0, :, :] = db[..., 0, :, :]
-                out[..., 1, :, :] = db[..., 1, :, :]
-                out[..., 2, :, :] = 1j * (dpsi + dpsid)
-                out[..., 3, :, :] = dpsi - dpsid
-            return out
+            return components(pair.derivative_b(p2, axis),
+                              pair.derivative_psi(p2, axis), points.shape[:-1])
 
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,

@@ -79,6 +79,16 @@ def fourier_diff(arr: np.ndarray, axis: int, period: float) -> np.ndarray:
                        axis=axis)
 
 
+def quadrature_weights(grid: AnnulusGrid, torus: TorusSpec):
+    """(radial weights times the volume factor r, angular-torus cell
+    volume): the quadrature of AnnulusCalculus and of l2_metric."""
+    w_radial = interpolatory_weights(grid.rs, grid.r_min, grid.r_max) \
+        * grid.rs
+    w_angular = (TWO_PI / grid.n_theta) * (torus.period_x / grid.n_x) \
+        * (torus.period_y / grid.n_y)
+    return w_radial, w_angular
+
+
 @dataclass
 class TangentVectorInstanton:
     """su(2)-valued 1-form on an annulus grid, orthonormal-frame
@@ -143,14 +153,10 @@ class AnnulusCalculus:
         self.rs = rs
         self.r_col = rs.reshape(-1, 1, 1, 1, 1, 1)
         self.Dr = differentiation_matrix(rs)
-        self.wr = interpolatory_weights(rs, grid.r_min, grid.r_max)
-        if np.any(self.wr <= 0):
+        self.w_radial, self.w_angular = quadrature_weights(grid, self.torus)
+        if np.any(self.w_radial <= 0):
             raise ValueError("radial quadrature weights must be positive; "
                              "use chebyshev spacing")
-        self.w_radial = self.wr * rs  # includes the volume factor r
-        self.w_angular = (TWO_PI / grid.n_theta) \
-            * (self.torus.period_x / grid.n_x) \
-            * (self.torus.period_y / grid.n_y)
         self.weight = self.w_radial.reshape(-1, 1, 1, 1) * self.w_angular
 
     # -- scalar building blocks ------------------------------------------
@@ -306,7 +312,7 @@ def apply_complex_structure(a: TangentVectorInstanton,
         grid=a.grid, comps=np.stack([br, bt, bx, by], axis=0), torus=a.torus)
 
 
-def l2_metric(t1, t2, domain=None) -> float:
+def l2_metric(t1, t2) -> float:
     """Symmetric positive-definite L2 pairing. For instanton tangents the
     domain is their grid (quadrature weights as in AnnulusCalculus); for
     Higgs tangents a uniform dual-torus grid with the (1,0)-form factor."""
@@ -314,10 +320,7 @@ def l2_metric(t1, t2, domain=None) -> float:
         if not isinstance(t2, TangentVectorInstanton) \
                 or t1.grid is not t2.grid and t1.grid != t2.grid:
             raise DomainError("instanton tangents must share a grid")
-        g = t1.grid
-        wr = interpolatory_weights(g.rs, g.r_min, g.r_max) * g.rs
-        w_ang = (TWO_PI / g.n_theta) * (t1.torus.period_x / g.n_x) \
-            * (t1.torus.period_y / g.n_y)
+        wr, w_ang = quadrature_weights(t1.grid, t1.torus)
         w = wr.reshape(1, -1, 1, 1, 1) * w_ang
         vals = np.real(np.einsum("s...ij,s...ij->s...",
                                  t1.comps, np.conj(t2.comps)))

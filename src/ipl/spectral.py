@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (TorusSpec, DualTorusPoint, covering_radius,
-                       lattice_translates, lattice_distance, lattice_reduce,
-                       in_dual_lattice)
+                       lattice_translates, lattice_distance, lattice_reduce)
 
 
 class SingularPointError(ValueError):
@@ -73,22 +72,6 @@ class SpectralData:
     @property
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
-
-
-def dbar_min_singular(zeta: complex, cutoff: int,
-                      torus: TorusSpec | None = None) -> float:
-    """Smallest twisted Dolbeault symbol over Fourier modes |n|,|m| <= cutoff:
-    min |(i n - m)/2 * scale + zeta|; zero exactly when the twisted line
-    bundle is trivial (zeta in the dual lattice)."""
-    if cutoff < 4:
-        raise ValueError("mode cutoff must be >= 4")
-    torus = torus or TorusSpec()
-    g1, g2 = (np.pi / torus.period_y, 1j * np.pi / torus.period_x)
-    ns = np.arange(-cutoff, cutoff + 1)
-    nn, mm = np.meshgrid(ns, ns, indexing="ij")
-    # mode (n, m) contributes the lattice-shifted symbol g2*n - g1*m + zeta
-    sym = g2 * nn - g1 * mm + complex(zeta)
-    return float(np.min(np.abs(sym)))
 
 
 def _roots_in_annulus(coeffs, target, r_lo, r_hi, tol=1e-9):

@@ -5,11 +5,11 @@ the fiberwise section-count consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DualTorusPoint, TorusSpec, lattice_distance
+from .geometry import DualTorusPoint, lattice_distance
 from .spectral import BundleModel, jumping_points, SingularPointError
 
 
@@ -103,46 +103,17 @@ def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain=(5.0, 1e3),
     eigenline branches on the domain plus the infinity-fiber contribution
     (1 for each asymptotic eigenline that xi trivializes; 2 at a split
     order-two state). Singular xi raises unless allow_singular."""
-    torus = bundle.torus
-    zx = xi.zeta
-    inf_contrib = 0
-    singular = False
-    for sgn in (+1.0, -1.0):
-        if lattice_distance(sgn * zx - bundle.lam, torus) < 1e-9:
-            inf_contrib += 1
-            singular = True
-    if singular and not allow_singular:
+    inf_contrib = sum(
+        lattice_distance(sgn * xi.zeta - bundle.lam, bundle.torus) < 1e-9
+        for sgn in (+1.0, -1.0))
+    if inf_contrib and not allow_singular:
         raise SingularPointError("xi is an asymptotic state; pass "
                                  "allow_singular=True to count anyway")
-    if singular:
-        # at the singular point the escaping eigenvalue sits outside any
-        # finite annulus; count only the interior points that remain
-        interior = _interior_count_singular(bundle, xi, domain)
-    else:
-        interior = jumping_points(bundle, xi, domain=domain,
-                                  branch="both").total_multiplicity
+    # at a singular point the escaping eigenvalue sits outside any finite
+    # annulus, and singular_tol=0 counts only the interior points that remain
+    interior = jumping_points(bundle, xi, domain=domain, branch="both",
+                              singular_tol=0.0).total_multiplicity
     return interior + inf_contrib
-
-
-def _interior_count_singular(bundle, xi, domain):
-    total = 0
-    zx = xi.zeta
-    coeffs = bundle.coeffs_low_to_high()
-    from .geometry import lattice_translates
-    from .spectral import _roots_in_annulus
-    r_lo, r_hi = float(domain[0]), float(domain[1])
-    scale = abs(bundle.mu) + sum(abs(c) for c in bundle.tail)
-    for sgn in (+1.0, -1.0):
-        target0 = sgn * zx
-        radius = 1.2 * scale / r_lo + 1e-12
-        for omega in lattice_translates(bundle.lam - target0, radius,
-                                        bundle.torus):
-            target = target0 + omega
-            if abs(target - bundle.lam) * r_hi < 0.5 * abs(bundle.mu):
-                continue
-            total += sum(m for _, m in
-                         _roots_in_annulus(coeffs, target, r_lo, r_hi))
-    return total
 
 
 def h0_consistency(bundle: BundleModel, xi: DualTorusPoint,

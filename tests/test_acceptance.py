@@ -9,21 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ipl.cli import run
+from ipl.cli import SUITE, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-SUITE = (
-    ("conventions", "conventions.json"),
-    ("model-check", "model_check_exact.json"),
-    ("model-check", "model_check_decay.json"),
-    ("model-check", "inequalities.json"),
-    ("invariants", "invariants_roundtrip.json"),
-    ("spectral", "spectral_counting.json"),
-    ("spectral", "spectral_dichotomy.json"),
-    ("stability", "stability_table.json"),
-    ("moduli", "moduli_suite.json"),
-)
 
 
 def run_suite(root):

@@ -172,3 +172,95 @@ def test_thread_budget_recorded(tmp_path, monkeypatch):
     report, _ = run("conventions", {"schema_version": 1},
                     out_dir=str(tmp_path), quiet=True)
     assert report["provenance"]["threads"] == 3
+
+
+def main_in(tmp_path, subcommand, cfg):
+    """(exit code, output dir) of `ipl SUBCOMMAND` run on cfg."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    rc = main([subcommand, "--config", str(cfg_path), "--out", str(out),
+               "--quiet"])
+    return rc, out
+
+
+SEEDED = {"schema_version": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("subcommand, cfg, path", [
+    ("model-check", {**SEEDED, "inequalities": {"fourier_gap": 5}},
+     "inequalities.fourier_gap"),
+    ("model-check", {**SEEDED, "inequalities": {"poincare": [0.3, 0.1]}},
+     "inequalities.poincare"),
+    ("model-check", {**SEEDED, "models": [{"mu": [1.0, 0.0]}],
+                     "decay": {"rings_semisimple": "abc"}},
+     "decay.rings_semisimple"),
+    ("model-check", {**SEEDED, "models": [{"mu": [1.0, 0.0]}],
+                     "decay": {"rings_semisimple": [20, 40, 30, 60, 80, 400]}},
+     "decay.rings_semisimple"),
+    ("model-check", {**SEEDED, "models": 5}, "models"),
+    ("spectral", {**SPECTRAL_CFG, "counting": {"radius": ["a", "b"]}},
+     "counting.radius[0]"),
+    ("stability", {"schema_version": 1, "family": {"b_values": [True]}},
+     "family.b_values[0]"),
+    ("spectral", {**SPECTRAL_CFG, "dichotomy": {"annulus": [1.0, 100.0]}},
+     "dichotomy.annulus"),
+    ("conventions", {"schema_version": True}, "schema_version"),
+    ("conventions", {"schema_version": 1, "torus": {"period_x": 10 ** 400}},
+     "torus.period_x"),
+    ("invariants", {"schema_version": 1, "models": [{}],
+                    "tolerances_clean": [1]}, "tolerances_clean"),
+])
+def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
+                                        path):
+    rc, out = main_in(tmp_path, subcommand, cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert f"config error: {path} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, cfg, path", [
+    ("moduli", {**SEEDED, "n_alpah": 3}, "n_alpah"),
+    ("moduli", {**SEEDED, "grid": {"n_rr": 8}}, "grid.n_rr"),
+    ("spectral", {**SPECTRAL_CFG, "bundle": {**SPECTRAL_CFG["bundle"],
+                                             "residue": [1, 0]}},
+     "bundle.residue"),
+    ("stability", {"schema_version": 1, "obstructions": [
+        {"xi0": [0.3, 0.2], "expect": "ok", "mu": [0.3, 0.0]},
+        {"xi0": [0.3, 0.2], "expect": "ok", "mu": [0.3, 0.0], "charge": 1}]},
+     "obstructions[1].charge"),
+    ("model-check", {**SEEDED, "model_grid": {
+        "lambda": [[0, 0]], "mu": [[0, 0]], "alpha": [0.0], "alpah": [0.0]}},
+     "model_grid.alpah"),
+])
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, subcommand,
+                                             cfg, path):
+    rc, out = main_in(tmp_path, subcommand, cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert f"config error: {path} is not a known key" \
+        in capsys.readouterr().err
+
+
+def test_tolerances_stands_in_for_tolerances_clean(tmp_path):
+    cfg = {"schema_version": 1,
+           "models": [{"lambda": [0.1, 0.0], "mu": [1.0, 0.0]}],
+           "tolerances": {"mu": 2e-4}}
+    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0
+    tols = {c["name"]: c["tolerance"] for c in report["checks"]}
+    assert tols["mu_error_max_clean"] == 2e-4
+    assert tols["lambda_error_max_clean"] == 1e-4
+    assert report["inputs"] == cfg
+
+
+@pytest.mark.parametrize("xi", [[0.5, 0.0], [0.3, 0.2]])
+def test_h0_domain_below_r_min_exits_2(tmp_path, capsys, xi):
+    # xi = (0.5, 0) is an asymptotic state of lambda = 0.25i, (0.3, 0.2) is not
+    cfg = {"schema_version": 1,
+           "h0": {"lambda": [0.0, 0.25], "mu": [0.3, 0.0], "xi": xi,
+                  "r_min": 5.0, "domain": [2.0, 1000.0]}}
+    rc, out = main_in(tmp_path, "stability", cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert "h0.domain" in capsys.readouterr().err

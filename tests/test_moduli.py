@@ -184,6 +184,19 @@ def test_l2_metric_symmetry_positivity_isometry():
         assert l2_metric(aI, aI) == pytest.approx(base, rel=1e-12)
 
 
+def test_l2_metric_uses_the_calculus_quadrature():
+    # one set of quadrature weights: the L2 metric of instanton tangents is
+    # AnnulusCalculus.inner on their components, bit for bit
+    grid = make_grid()
+    conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
+                                        alpha=0.15), TORUS)
+    calc = AnnulusCalculus(conn, grid)
+    t1 = translation_tangent(conn, grid, (1.0, 0.0))
+    t2 = random_tangent(grid, TORUS, seed=3, compact_radial=True)
+    assert l2_metric(t1, t2) == calc.inner(t1.comps, t2.comps)
+    assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
+
+
 def commuting_background(n1, n2):
     B = np.zeros((2, n1, n2, 2, 2), complex)
     B[0] = 0.3j * SIGMA3
