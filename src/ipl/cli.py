@@ -346,6 +346,9 @@ def _run_conventions(params: dict):
 # model-check
 
 _DEFAULT_DOMAIN = {"semisimple": (5.0, 500.0), "nilpotent": (10.0, 1000.0)}
+# inner edge of each model family's validity domain (its core)
+_R_MIN = {"semisimple": models.DEFAULT_SEMISIMPLE_R_MIN,
+          "nilpotent": models.DEFAULT_NILPOTENT_R_MIN}
 
 
 _MODEL_CHECK = {
@@ -378,10 +381,20 @@ def _model_check_rules(cfg: dict, params: dict) -> None:
             or params["inequalities"],
             "model-check needs models, model_grid, or inequalities")
     _require_seed(cfg)
-    for key in ("rings_semisimple", "rings_nilpotent"):
-        rings = (params["decay"] or {}).get(key)
+    starts = [(f"models[{i}].domain", m["kind"], m["domain"])
+              for i, m in enumerate(params["models"])]
+    if params["model_grid"] is not None:
+        starts.append(("model_grid.domain", params["model_grid"]["kind"],
+                       params["model_grid"]["domain"]))
+    for kind in _R_MIN:
+        rings = (params["decay"] or {}).get(f"rings_{kind}")
         _expect(rings is None or rings[-1] >= 10.0 * rings[0],
-                f"decay.{key} must span at least a decade")
+                f"decay.rings_{kind} must span at least a decade")
+        starts.append((f"decay.rings_{kind}", kind, rings))
+    for path, kind, radii in starts:
+        _expect(radii is None or radii[0] >= _R_MIN[kind],
+                f"{path}[0] must be >= {_R_MIN[kind]}, the inner edge of "
+                f"the {kind} model's domain")
     ineq = params["inequalities"]
     _expect(ineq is None or any(ineq.values()),
             "inequalities block is empty")
@@ -653,6 +666,12 @@ _INVARIANTS = {
 def _invariants_rules(cfg: dict, params: dict) -> None:
     _expect(params["models"] or params["model_grid"],
             "invariants needs models or model_grid")
+    # the inverse-log fit divides by ln r, and no ring may enter a core
+    _expect(params["rings"][0] > 1.0, "rings must start beyond r = 1")
+    for kind in sorted({p.kind for p, _ in _expand_models(params)}):
+        _expect(params["rings"][0] >= _R_MIN[kind],
+                f"rings[0] must be >= {_R_MIN[kind]}, the inner edge of the "
+                f"{kind} model's domain")
     if params["perturbation"] is not None:
         _require_seed(cfg)
     if "tolerances_clean" not in cfg and "tolerances" in cfg:

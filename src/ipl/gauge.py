@@ -12,7 +12,6 @@ theta-paired slot by r, i.e. uses the orthonormal coframe
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -481,24 +480,17 @@ class SeparableOneForm:
         return tuple(np.max(np.abs(ms), axis=0)) if len(self.terms) else (0, 0, 0)
 
 
-def _term_fields(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
-    """Returns value and exact partials (d_r, d_th, d_x, d_y) of the scalar
-    factor on the tensor grid (r, theta, x, y)."""
-    p, n, m = term.modes
-    ph = term.phases
+def _term_factors(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
+    """The term's scalar factor f(r) cos(p th + ph0) cos(kx x + ph1)
+    cos(ky y + ph2) is a product of four 1-D factors; returns each one with
+    its exact derivative, sampled on the r, theta, x and y nodes."""
+    def trig(k, s, ph):
+        return np.cos(k * s + ph), -k * np.sin(k * s + ph)
+    (p, n, m), ph = term.modes, term.phases
     f = term.poly()
-    fr = f(rs)[:, None, None, None]
-    dfr = f.deriv()(rs)[:, None, None, None]
-    cth = np.cos(p * th + ph[0])[None, :, None, None]
-    dth = -p * np.sin(p * th + ph[0])[None, :, None, None]
-    kx = TWO_PI * n / torus.period_x
-    ky = TWO_PI * m / torus.period_y
-    cx = np.cos(kx * xs + ph[1])[None, None, :, None]
-    dx = -kx * np.sin(kx * xs + ph[1])[None, None, :, None]
-    cy = np.cos(ky * ys + ph[2])[None, None, None, :]
-    dy = -ky * np.sin(ky * ys + ph[2])[None, None, None, :]
-    val = fr * cth * cx * cy
-    return val, dfr * cth * cx * cy, fr * dth * cx * cy, fr * cth * dx * cy, fr * cth * cx * dy
+    return ((f(rs), f.deriv()(rs)), trig(p, th, ph[0]),
+            trig(TWO_PI * n / torus.period_x, xs, ph[1]),
+            trig(TWO_PI * m / torus.period_y, ys, ph[2]))
 
 
 def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
@@ -514,6 +506,11 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     vanishes when the dtheta radial profiles are 0 at R'. Requires the
     radial component to vanish identically (raises BoundaryConditionError
     otherwise); G is the flat diagonal twist of `gamma` (None = untwisted).
+
+    Every integrand is |sum_k g_k M_k|^2 with constant matrices M_k and
+    separable fields g_k = R_k(r) Th_k(theta) X_k(x) Y_k(y); on the tensor
+    grid (Gauss-Legendre in r, uniform in theta, x, y) each sum of g_k g_l
+    is a product of four 1-D sums, so no 4-D field is ever formed.
     """
     torus = torus or TorusSpec()
     if any(t.component == 0 for t in form.terms):
@@ -546,68 +543,70 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
         c1 = c2 = 0.0
     gx, gy = c1 * np.array([1j, -1j]), c2 * np.array([1j, -1j])
 
+    def gram(entries, w_r):
+        """Re<e_k, e_l> integrated over the tensor grid, for entries
+        e = (R, Th, X, Y, M): the 1-D Gram matrices of the four factors
+        multiplied elementwise, times the matrix Gram Re<M_k, M_l>."""
+        if not entries:
+            return np.zeros((0, 0))
+        g = w_ang
+        for axis, w in enumerate((w_r, 1.0, 1.0, 1.0)):
+            f = np.stack([e[axis] for e in entries])
+            g = g * ((f * w) @ f.T)
+        m = np.stack([e[4] for e in entries]).astype(complex)
+        m = m.view(float).reshape(len(entries), 8)
+        return g * (m @ m.T)
+
     # covariant frame derivatives nabla_{alpha beta}, alpha,beta in 1..4,
     # of the unit-frame components ahat_beta (beta 2 <-> a_theta / r,
     # 3 <-> a_x, 4 <-> a_y, ahat_1 = 0); rows alpha: e1 = d_r,
     # e2 = (1/r) d_th (+ curvature corrections), e3 = d_x + [gx, .],
-    # e4 = d_y + [gy, .]. Each is a sum of real scalar fields times constant
-    # matrices, kept as a list of (field, matrix) pairs; nabla_{alpha 1} = 0
-    # except for alpha = 2.
-    rcol = rs[:, None, None, None]
-    nat = defaultdict(list)
+    # e4 = d_y + [gy, .]. Each is a sum of entries (R, Th, X, Y, M), one
+    # separable real field times a constant matrix, labelled (alpha, beta);
+    # nabla_{alpha 1} = 0 except for alpha = 2.
+    labels, entries = [], []
     for t in form.terms:
         T = np.asarray(t.matrix, dtype=complex)
-        val, d_r, d_th, d_x, d_y = _term_fields(t, rs, th, xs, ys, torus)
+        (f, df), (c, dc), (cx, dcx), (cy, dcy) = _term_factors(
+            t, rs, th, xs, ys, torus)
+        beta = t.component + 1
         if t.component == 1:
             # ahat = f(r)/r * trig; product rule for the r-partial
-            val, d_r = val / rcol, (d_r - val / rcol) / rcol
-            d_th, d_x, d_y = d_th / rcol, d_x / rcol, d_y / rcol
+            f, df = f / rs, (df - f / rs) / rs
             # -ahat_theta / r from nabla_{e2} e1
-            nat[(2, 1)].append((-val / rcol, T))
-        beta = t.component + 1
-        for alpha, pairs in ((1, [(d_r, T)]), (2, [(d_th / rcol, T)]),
-                             (3, [(d_x, T), (val, _su2.comm_diag(gx, T))]),
-                             (4, [(d_y, T), (val, _su2.comm_diag(gy, T))])):
-            nat[(alpha, beta)].extend(pairs)
+            labels.append((2, 1))
+            entries.append((-f / rs, c, cx, cy, T))
+        labels += [(alpha, beta) for alpha in (1, 2, 3, 3, 4, 4)]
+        entries += [(df, c, cx, cy, T), (f / rs, dc, cx, cy, T),
+                    (f, c, dcx, cy, T), (f, c, cx, cy, _su2.comm_diag(gx, T)),
+                    (f, c, cx, dcy, T), (f, c, cx, cy, _su2.comm_diag(gy, T))]
 
-    vol = np.broadcast_to((wr * rs)[:, None, None, None] * w_ang,
-                          (len(rs), n_th, n_x, n_y)).ravel()
+    G = gram(entries, wr * rs)
+    rows, cols = np.array(labels, dtype=int).reshape(-1, 2).T
 
-    def sq_integral(pairs, weight):
-        """sum(weight * |sum_k f_k M_k|_F^2) over (f_k, M_k) = pairs, weight
-        a scalar or flat like the fields: the field Gram matrix against
-        the matrix Gram matrix Re<M_k, M_l>, so no matrix-valued field is
-        ever formed."""
-        if not pairs:
-            return 0.0
-        f = np.stack([np.ravel(fk) for fk, _ in pairs])
-        # row sums along the contiguous axis use numpy's pairwise summation;
-        # a BLAS product (f * weight) @ f.T loses about two digits here
-        gram_f = np.stack([np.sum(fk * f, axis=1) for fk in f * weight])
-        m = np.stack([mk for _, mk in pairs]).astype(complex)
-        m = m.view(float).reshape(len(pairs), 8)
-        return float(np.sum(gram_f * (m @ m.T)))
+    def sq(signs):
+        """|sum_k signs_k e_k|^2 integrated: one quadratic form in G."""
+        return float(signs @ G @ signs)
 
-    grad_sq = sum(sq_integral(v, vol) for v in nat.values())
+    def block(a, b):
+        return ((rows == a) & (cols == b)).astype(float)
 
-    d_sq = 0.0
-    for a in range(1, 5):
-        for b in range(a + 1, 5):
-            d_sq += sq_integral(nat[(a, b)]
-                                + [(f, -m) for f, m in nat[(b, a)]], vol)
-
+    grad_sq = sum(sq(block(a, b)) for a in range(1, 5) for b in range(1, 5))
+    d_sq = sum(sq(block(a, b) - block(b, a))
+               for a in range(1, 5) for b in range(a + 1, 5))
     # d* a = -(nabla_22 + nabla_33 + nabla_44); the sign drops out of |.|^2
-    dstar_sq = sq_integral(nat[(2, 2)] + nat[(3, 3)] + nat[(4, 4)], vol)
+    dstar_sq = sq((rows == cols).astype(float))
 
-    # boundary integrals of |a_theta / r|^2 with measure dtheta dx dy;
-    # only theta-component terms contribute
+    # boundary integrals of |a_theta / r|^2 with measure dtheta dx dy: the
+    # same Gram on a single radial node; only theta-component terms count
     def boundary(rho):
-        pairs = []
+        entries = []
         for t in form.terms:
             if t.component == 1:
-                val, *_ = _term_fields(t, np.array([rho]), th, xs, ys, torus)
-                pairs.append((val / rho, np.asarray(t.matrix)))
-        return sq_integral(pairs, w_ang)
+                (f, _), (c, _), (cx, _), (cy, _) = _term_factors(
+                    t, np.array([rho]), th, xs, ys, torus)
+                entries.append((f / rho, c, cx, cy, np.asarray(t.matrix)))
+        return float(np.sum(gram(entries, 1.0)))
 
     inner_term = boundary(r_inner)
     outer_term = boundary(r_outer)

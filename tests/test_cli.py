@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from ipl import models
 from ipl.cli import ConfigError, SUBCOMMANDS, main, run
 
 SPECTRAL_CFG = {
@@ -210,6 +211,26 @@ SEEDED = {"schema_version": 1, "seed": 1}
      "torus.period_x"),
     ("invariants", {"schema_version": 1, "models": [{}],
                     "tolerances_clean": [1]}, "tolerances_clean"),
+    # radii inside a model's core, or at r <= 1 for the inverse-log fit
+    ("model-check", {**SEEDED, "models": [
+        {"kind": "nilpotent", "domain": [1.5, 10.0]}]}, "models[0].domain[0]"),
+    ("model-check", {**SEEDED, "models": [
+        {"mu": [1.0, 0.0]}, {"domain": [5e-4, 10.0]}]}, "models[1].domain[0]"),
+    ("model-check", {**SEEDED, "model_grid": {
+        "kind": "nilpotent", "lambda": [[0, 0]], "mu": [[0, 0]],
+        "alpha": [0.0], "domain": [1.2, 50.0]}}, "model_grid.domain[0]"),
+    ("model-check", {**SEEDED, "models": [{"kind": "nilpotent"}],
+                     "decay": {"rings_nilpotent": [1, 2, 4, 8, 16, 32]}},
+     "decay.rings_nilpotent[0]"),
+    ("model-check", {**SEEDED, "models": [{"mu": [1.0, 0.0]}], "decay": {
+        "rings_semisimple": [5e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]}},
+     "decay.rings_semisimple[0]"),
+    ("invariants", {"schema_version": 1, "models": [{"mu": [1.0, 0.0]}],
+                    "rings": [0.5, 1.0, 2.0, 4.0]}, "rings"),
+    ("invariants", {"schema_version": 1, "models": [{"mu": [1.0, 0.0]}],
+                    "rings": [1.0, 2.0, 4.0, 8.0]}, "rings"),
+    ("invariants", {"schema_version": 1, "models": [{"kind": "nilpotent"}],
+                    "rings": [1.2, 2.0, 4.0, 8.0]}, "rings[0]"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
@@ -264,3 +285,21 @@ def test_h0_domain_below_r_min_exits_2(tmp_path, capsys, xi):
     assert rc == 2
     assert not out.exists()
     assert "h0.domain" in capsys.readouterr().err
+
+
+
+def test_model_domain_at_the_core_edge_runs(tmp_path):
+    cfg = {**SEEDED, "models": [{"kind": "nilpotent", "domain": [
+        models.DEFAULT_NILPOTENT_R_MIN, 10.0]}]}
+    rc, out = main_in(tmp_path, "model-check", cfg)
+    assert rc == 0
+    assert (out / "model_check_report.json").exists()
+
+
+def test_invariant_rings_just_beyond_one_write_a_report(tmp_path):
+    # accepted; this close to r = 1 the fits miss their tolerances
+    cfg = {"schema_version": 1, "models": [{"mu": [1.0, 0.0]}],
+           "rings": [1.1, 2.0, 4.0, 8.0]}
+    rc, out = main_in(tmp_path, "invariants", cfg)
+    assert rc == 1
+    assert (out / "invariants_report.json").exists()

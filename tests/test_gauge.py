@@ -10,8 +10,11 @@ import pytest
 
 from ipl import _su2
 from ipl.gauge import (
+    BoundaryConditionError,
     ConnectionSource,
     DomainError,
+    SeparableOneForm,
+    TrigRadialTerm,
     circle_holonomies,
     connection_derivative,
     connection_from_json,
@@ -209,6 +212,122 @@ def test_weitzenbock_identity_on_random_fixtures():
         scale = max(1.0, d["grad_sq"])
         assert abs(d["defect"]) / scale < 1e-10
         assert abs(d["outer_term"]) < 1e-10
+
+
+def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
+    """Tensor-grid reference for weitzenbock_defect on its nodes: every
+    nabla_{alpha beta} (zero-based frame indices) as a matrix-valued field
+    on the (theta, x, y) grid, and w |.|_F^2 summed point by point, one
+    Gauss-Legendre radial node at a time."""
+    pmax, nmax, mmax = form.max_modes()
+    n_th, n_x, n_y = (max(8, 4 * k + 4) for k in (pmax, nmax, mmax))
+    nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    rs = 0.5 * (r_out - r_in) * nodes + 0.5 * (r_out + r_in)
+    wr = 0.5 * (r_out - r_in) * wts
+    Lx, Ly = torus.period_x, torus.period_y
+    TH, X, Y = np.meshgrid(np.linspace(0, 2 * math.pi, n_th, endpoint=False),
+                           np.linspace(0, Lx, n_x, endpoint=False),
+                           np.linspace(0, Ly, n_y, endpoint=False),
+                           indexing="ij")
+    w_ang = (2 * math.pi / n_th) * (Lx / n_x) * (Ly / n_y)
+    xi = (0.0, 0.0) if gamma is None else (gamma.xi1, gamma.xi2)
+    twist = [2 * math.pi * xi[0] / Lx * 1j * SIGMA3,
+             2 * math.pi * xi[1] / Ly * 1j * SIGMA3]
+
+    def field(scalar, M):
+        return scalar[..., None, None] * M
+
+    def nabla(r):
+        nab = np.zeros((4, 4) + TH.shape + (2, 2), dtype=complex)
+        for t in form.terms:
+            T = np.asarray(t.matrix, dtype=complex)
+            p, n, m = t.modes
+            kx, ky = 2 * math.pi * n / Lx, 2 * math.pi * m / Ly
+            ph = t.phases
+            ct, st = np.cos(p * TH + ph[0]), np.sin(p * TH + ph[0])
+            cx, sx = np.cos(kx * X + ph[1]), np.sin(kx * X + ph[1])
+            cy, sy = np.cos(ky * Y + ph[2]), np.sin(ky * Y + ph[2])
+            f, df = t.poly()(r), t.poly().deriv()(r)
+            if t.component == 1:  # unit frame: ahat = a_theta / r
+                f, df = f / r, df / r - f / r ** 2
+            a = f * ct * cx * cy
+            b = t.component
+            nab[0, b] += field(df * ct * cx * cy, T)
+            nab[1, b] += field(-p * f * st * cx * cy / r, T)
+            for row, (k, trig) in ((2, (kx, ct * sx * cy)),
+                                   (3, (ky, ct * cx * sy))):
+                g = twist[row - 2]
+                nab[row, b] += field(-k * f * trig, T) \
+                    + field(a, g @ T - T @ g)
+            if t.component == 1:
+                nab[1, 0] += field(-a / r, T)
+        return nab
+
+    def nsq(F):
+        return float(np.sum(np.abs(F) ** 2))
+
+    out = dict.fromkeys(("grad_sq", "d_sq", "dstar_sq"), 0.0)
+    for r, w in zip(rs, wr * rs * w_ang):
+        nab = nabla(r)
+        out["grad_sq"] += w * nsq(nab)
+        out["d_sq"] += w * sum(nsq(nab[a, b] - nab[b, a])
+                               for a in range(4) for b in range(a + 1, 4))
+        out["dstar_sq"] += w * nsq(nab[1, 1] + nab[2, 2] + nab[3, 3])
+    for key, rho in (("inner_term", r_in), ("outer_term", r_out)):
+        out[key] = w_ang * nsq(nabla(rho)[1, 0] * -rho)  # |a_theta / r|^2
+    out["defect"] = (out["d_sq"] + out["dstar_sq"] - out["grad_sq"]
+                     + out["inner_term"])
+    return out
+
+
+def test_weitzenbock_matches_dense_tensor_grid_sum():
+    rng = np.random.default_rng(23)
+    n_theta_terms = 0
+    for j in range(10):
+        form = random_quadratic_form_fixture(rng, 3.0, 9.0)
+        gamma = None if j % 2 == 0 else reduce_dual(
+            (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), TORUS)
+        got = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=TORUS)
+        ref = _dense_weitzenbock(form, gamma, 3.0, 9.0, TORUS)
+        # defect and outer_term are zero up to rounding: compare on the
+        # scale of grad_sq
+        for key, value in ref.items():
+            assert got[key] == pytest.approx(
+                value, rel=1e-13, abs=1e-13 * ref["grad_sq"]), key
+        n_theta_terms += sum(t.component == 1 for t in form.terms)
+    assert n_theta_terms > 0
+
+
+def test_weitzenbock_closed_form_single_dx_mode():
+    # a_x = c T cos(kx x): the only nonzero entry is nabla_33, so
+    # grad_sq = dstar_sq = |T|^2 c^2 kx^2 pi (R'^2 - R^2) Lx Ly / 2
+    torus = TorusSpec(period_x=1.3, period_y=0.7)
+    c, n, r_in, r_out = 1.7, 2, 3.0, 9.0
+    T = _su2.from_vector([0.3, -1.1, 0.4])
+    term = TrigRadialTerm(component=2, matrix=tuple(map(tuple, T)),
+                          radial_coeffs=(c,), modes=(0, n, 0))
+    d = weitzenbock_defect(SeparableOneForm(terms=(term,)), None,
+                           r_in, r_out, torus=torus)
+    kx = 2 * math.pi * n / torus.period_x
+    exact = (np.sum(np.abs(T) ** 2) * c ** 2 * kx ** 2 * math.pi
+             * (r_out ** 2 - r_in ** 2) * torus.period_x * torus.period_y / 2)
+    assert d["grad_sq"] == pytest.approx(exact, rel=1e-14)
+    assert d["dstar_sq"] == pytest.approx(exact, rel=1e-14)
+    assert abs(d["d_sq"]) <= 1e-14 * exact
+    assert abs(d["defect"]) <= 1e-14 * exact
+    assert d["inner_term"] == d["outer_term"] == 0.0
+
+
+@pytest.mark.parametrize("component, error", [
+    (0, BoundaryConditionError), (4, ValueError)])
+def test_weitzenbock_rejects_bad_components(component, error):
+    term = TrigRadialTerm(component=component, matrix=((1j, 0), (0, -1j)),
+                          radial_coeffs=(1.0,), modes=(1, 1, 0))
+    with pytest.raises(error) as info:
+        weitzenbock_defect(SeparableOneForm(terms=(term,)), None, 3.0, 9.0,
+                           torus=TORUS)
+    # a component-4 term is a plain ValueError, not a boundary violation
+    assert (info.type is BoundaryConditionError) == (component == 0)
 
 
 def test_connection_serialization_round_trip():
