@@ -9,15 +9,14 @@ from .asymptotics import (AsymptoticInvariants, ExtractionError,
                           instanton_number, limiting_holonomy,
                           poincare_constant, residue)
 from .gauge import (ConnectionSource, DomainError, asd_residual, curvature,
-                    curvature_norm, holonomy, monodromy_drift_defect,
+                    curvature_norm, monodromy_drift_defect,
                     weitzenbock_defect)
 from .geometry import (AnnulusGrid, DualTorusPoint, TorusSpec,
                        conventions_hash, conventions_sheet, reduce_dual)
 from .hitchin import HiggsPairOnPlane, hitchin_residual, lift, reduce
 from .models import ModelParams, model_connection, perturb
-from .moduli import (AnnulusCalculus, K1Chart, TangentVectorHiggs,
-                     TangentVectorInstanton, complex_structures,
-                     higgs_tangent_residual, instanton_tangent_residual,
+from .moduli import (AnnulusCalculus, K1Chart, TangentVectorInstanton,
+                     complex_structures, instanton_tangent_residual,
                      k1_chart, l2_metric, moduli_dimension,
                      translation_tangent)
 from .spectral import (BundleModel, SingularPointError, SpectralData,

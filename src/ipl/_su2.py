@@ -92,11 +92,6 @@ def frob(X):
     return np.sqrt(np.sum(np.abs(X) ** 2, axis=(-2, -1)))
 
 
-def inner(X, Y):
-    """Re tr(X Y^dagger), batched."""
-    return np.einsum("...ab,...ab->...", X, np.conj(Y)).real
-
-
 def expm_su2(X):
     """exp(X) for anti-hermitian traceless X, closed form, batched.
 
@@ -157,21 +152,9 @@ def su2_defect(U):
     return np.maximum(uni, np.abs(det - 1.0))
 
 
-def algebra_defect(X, traceless=True):
-    """Deviation of X from anti-hermitian (and traceless), batched."""
+def algebra_defect(X):
+    """Deviation of X from anti-hermitian traceless, batched."""
     X = np.asarray(X, dtype=complex)
     ah = frob(X + dag(X))
-    if not traceless:
-        return ah
     tr = np.abs(np.trace(X, axis1=-2, axis2=-1))
     return np.maximum(ah, tr)
-
-
-def random_su2_algebra(rng, shape=(), scale=1.0):
-    """Random su(2) element(s) with normal coefficients."""
-    v = rng.normal(scale=scale, size=tuple(shape) + (3,))
-    return from_vector(v)
-
-
-def random_su2(rng, shape=()):
-    return expm_su2(random_su2_algebra(rng, shape))

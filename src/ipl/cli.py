@@ -709,7 +709,8 @@ def _run_invariants(params: dict):
         errs = {"lambda": 0.0, "alpha": 0.0, "mu": 0.0}
         kinds_ok = True
         failed = []
-        for j, (p, _) in enumerate(_expand_models(params)):
+        models = _expand_models(params)
+        for j, (p, _) in enumerate(models):
             conn = model_connection(p, torus)
             kind = None
             if pert is not None:
@@ -746,12 +747,20 @@ def _run_invariants(params: dict):
         if failed:
             checks.append(_check(f"extraction_failed_{tag}", len(failed), 0,
                                  False, models=failed))
+        # maxima over zero extracted models would read 0.0 and pass, so
+        # with none extracted these checks fail unevaluated
+        none_left = len(failed) == len(models)
+        reason = f"no model extracted in the {tag} pass"
         for k in ("lambda", "alpha", "mu"):
-            checks.append(_leq_check(f"{k}_error_max_{tag}", errs[k],
-                                     tols[k]))
+            name = f"{k}_error_max_{tag}"
+            checks.append(_check(name, None, tols[k], False, reason=reason)
+                          if none_left
+                          else _leq_check(name, errs[k], tols[k]))
         if pert is None:
-            checks.append(_check(f"kind_detected_{tag}", kinds_ok, None,
-                                 kinds_ok))
+            name = f"kind_detected_{tag}"
+            checks.append(_check(name, None, None, False, reason=reason)
+                          if none_left
+                          else _check(name, kinds_ok, None, kinds_ok))
 
     one_pass("clean", None, params["tolerances_clean"])
     if params["perturbation"] is not None:
@@ -856,7 +865,10 @@ def _run_spectral(params: dict):
             for tag, pt, want in (("plus", xi0, mu),
                                   ("minus", xi0.minus, -mu)):
                 zc = pt.zeta
-                approach = [zc + 0.02 * (0.5 ** j) * complex(1.0, 0.7)
+                # the jumping point sits near |w| = |mu| / |dz|; a start
+                # of at most |mu| / (4 r_min) keeps it outside r_min
+                start = min(0.02, abs(mu) / (4.0 * bi.r_min))
+                approach = [zc + start * (0.5 ** j) * complex(1.0, 0.7)
                             for j in range(6)]
                 est, diag = phi_residue(bi, pt, approach,
                                         domain=(bi.r_min, 1e30))

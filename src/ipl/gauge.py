@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _su2
-from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, Loop, TorusSpec
+from .geometry import TWO_PI, DualTorusPoint, TorusSpec
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _THETA_PAIRED = (0, 3, 4)  # entries of PAIRS containing the theta index
@@ -36,7 +36,8 @@ class ConnectionSource:
     (a_r, a_theta, a_x, a_y) in the coordinate coframe. derivative, if
     given, maps (points, axis) to the exact partials of all four components
     with respect to coordinate `axis` (0..3); otherwise finite differences
-    are used (4th order Richardson-extrapolated central stencils).
+    are used (4th order Richardson-extrapolated central stencils, step
+    1e-2).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -44,9 +45,7 @@ class ConnectionSource:
     derivative: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     r_min: float = 0.0
     r_max: float = math.inf
-    grid: Optional[AnnulusGrid] = None
     name: str = "connection"
-    meta: dict = field(default_factory=dict)
 
     @property
     def is_analytic(self) -> bool:
@@ -63,14 +62,6 @@ class ConnectionSource:
         points = np.asarray(points, dtype=float)
         self.check_domain(points)
         return self.evaluate(points)
-
-
-def fd_step(conn: ConnectionSource, points: np.ndarray) -> float:
-    """Default finite-difference step: quarter of the finest grid spacing
-    when a grid is attached, otherwise scale-aware fixed fraction."""
-    if conn.grid is not None:
-        return conn.grid.min_spacing(conn.torus) / 4.0
-    return 1e-2
 
 
 def richardson_derivative(fun, points, axis: int, h: float) -> np.ndarray:
@@ -97,8 +88,7 @@ def connection_derivative(conn: ConnectionSource, points, axis: int) -> np.ndarr
     points = np.asarray(points, dtype=float)
     if conn.derivative is not None:
         return conn.derivative(points, axis)
-    return richardson_derivative(conn.evaluate, points, axis,
-                                 fd_step(conn, points))
+    return richardson_derivative(conn.evaluate, points, axis, 1e-2)
 
 
 @dataclass
@@ -107,30 +97,6 @@ class CurvatureSample:
 
     points: np.ndarray
     components: np.ndarray  # (..., 6, 2, 2)
-
-    @property
-    def f_rtheta(self):
-        return self.components[..., 0, :, :]
-
-    @property
-    def f_rx(self):
-        return self.components[..., 1, :, :]
-
-    @property
-    def f_ry(self):
-        return self.components[..., 2, :, :]
-
-    @property
-    def f_thetax(self):
-        return self.components[..., 3, :, :]
-
-    @property
-    def f_thetay(self):
-        return self.components[..., 4, :, :]
-
-    @property
-    def f_xy(self):
-        return self.components[..., 5, :, :]
 
     def unit_frame(self) -> np.ndarray:
         """Components in the orthonormal coframe (theta slots divided by r)."""
@@ -185,97 +151,7 @@ def curvature_norm(conn: ConnectionSource, points, components: str = "all") -> n
 
 
 # ---------------------------------------------------------------------------
-# grid-sampled serialization
-
-GRID_SCHEMA = "grid-sampled-connection"
-GRID_SCHEMA_VERSION = 1
-
-
-def _grid_header(torus: TorusSpec, grid: AnnulusGrid) -> dict:
-    return {
-        "schema": GRID_SCHEMA,
-        "schema_version": GRID_SCHEMA_VERSION,
-        "torus": {"period_x": torus.period_x, "period_y": torus.period_y},
-        "grid": {"r_min": grid.r_min, "r_max": grid.r_max,
-                 "n_r": grid.n_r, "n_theta": grid.n_theta,
-                 "n_x": grid.n_x, "n_y": grid.n_y,
-                 "spacing": grid.spacing},
-    }
-
-
-def _decode_header(data: dict) -> tuple[TorusSpec, AnnulusGrid]:
-    if data.get("schema") != GRID_SCHEMA:
-        raise ValueError(f"not a {GRID_SCHEMA} document")
-    if data.get("schema_version") != GRID_SCHEMA_VERSION:
-        raise ValueError("unsupported schema_version")
-    t = data["torus"]
-    g = data["grid"]
-    torus = TorusSpec(period_x=float(t["period_x"]),
-                      period_y=float(t["period_y"]))
-    grid = AnnulusGrid(r_min=float(g["r_min"]), r_max=float(g["r_max"]),
-                       n_r=int(g["n_r"]), n_theta=int(g["n_theta"]),
-                       n_x=int(g["n_x"]), n_y=int(g["n_y"]),
-                       spacing=str(g["spacing"]))
-    return torus, grid
-
-
-def _pairs_from_complex(arr: np.ndarray) -> list:
-    flat = np.asarray(arr, dtype=complex).reshape(-1)
-    return [[float(v.real), float(v.imag)] for v in flat]
-
-
-def _complex_from_pairs(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(p[0], p[1]) for p in pairs])
-    if flat.size != int(np.prod(shape)):
-        raise ValueError("value count does not match the declared grid")
-    return flat.reshape(shape)
-
-
-def connection_to_json(conn: ConnectionSource, grid: AnnulusGrid) -> dict:
-    """Grid samples of a connection as a JSON-safe dict: header (torus and
-    grid) plus the component values as row-major (re, im) pairs with index
-    order (r, theta, x, y, component a_r..a_y, row, col)."""
-    rs, ths = grid.rs, grid.thetas
-    xs, ys = grid.xs(conn.torus), grid.ys(conn.torus)
-    R, T, X, Y = np.meshgrid(rs, ths, xs, ys, indexing="ij")
-    pts = np.stack([R, T, X, Y], axis=-1)
-    vals = np.asarray(conn(pts), dtype=complex)
-    doc = _grid_header(conn.torus, grid)
-    doc.update({
-        "reduced": False,
-        "name": conn.name,
-        "component_order": ["a_r", "a_theta", "a_x", "a_y"],
-        "index_order": ["r", "theta", "x", "y", "component", "row", "col"],
-        "values": _pairs_from_complex(vals),
-    })
-    return doc
-
-
-def connection_from_json(data: dict):
-    """Decodes a grid-sampled connection document; returns
-    (torus, grid, components) with components shaped
-    (n_r, n_theta, n_x, n_y, 4, 2, 2). Exact inverse of connection_to_json
-    at the grid nodes."""
-    torus, grid = _decode_header(data)
-    if data.get("reduced"):
-        raise ValueError("document holds a reduced pair; use the "
-                         "dimensional-reduction loader")
-    shape = (grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 4, 2, 2)
-    return torus, grid, _complex_from_pairs(data["values"], shape)
-
-
-# ---------------------------------------------------------------------------
 # holonomy
-
-@dataclass(frozen=True)
-class SU2Element:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.shape[-2:] != (2, 2) or float(np.max(_su2.su2_defect(m))) > 1e-10:
-            raise ValueError("not an SU(2) element to tolerance")
-
 
 def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
                           tans: np.ndarray) -> np.ndarray:
@@ -298,12 +174,6 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
         paired = _su2.mul(steps[1::2], steps[:-1:2])
         steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
     return _su2.project_su2(steps[0])
-
-
-def holonomy(conn: ConnectionSource, loop: Loop, steps: int = 256) -> SU2Element:
-    """Holonomy of the loop with transport h' = -A(gamma') h."""
-    pts, tans = loop.points_and_tangents(steps, conn.torus)
-    return SU2Element(_path_ordered_product(conn, pts, tans))
 
 
 def circle_paths(torus: TorusSpec, kind: str, bases: np.ndarray,

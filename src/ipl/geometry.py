@@ -1,4 +1,4 @@
-"""Torus geometry, dual-torus bookkeeping, grids, and loops.
+"""Torus geometry, dual-torus bookkeeping, and annulus grids.
 
 Fixes every convention the rest of the package consumes:
 
@@ -193,80 +193,9 @@ class AnnulusGrid:
     def ys(self, torus: TorusSpec) -> np.ndarray:
         return np.linspace(0.0, torus.period_y, self.n_y, endpoint=False)
 
-    def min_spacing(self, torus: TorusSpec) -> float:
-        rs = self.rs
-        dr = float(np.min(np.diff(rs)))
-        dth = TWO_PI / self.n_theta * self.r_min
-        dx = torus.period_x / self.n_x
-        dy = torus.period_y / self.n_y
-        return min(dr, dth, dx, dy)
-
-
-@dataclass(frozen=True)
-class Loop:
-    """Closed loop for holonomy; kinds: x-circle, y-circle, theta-circle,
-    polyline (vertices traversed in order and closed back to the start)."""
-
-    kind: str
-    base: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
-    vertices: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("x-circle", "y-circle", "theta-circle", "polyline"):
-            raise ValueError(f"unknown loop kind {self.kind!r}")
-        if self.kind == "polyline" and len(self.vertices) < 2:
-            raise ValueError("polyline needs at least 2 vertices")
-
-    def points_and_tangents(self, n: int, torus: TorusSpec):
-        """Midpoint samples: returns (points (n,4), tangents (n,4)) with the
-        tangents carrying the full parameterization speed (integral weights
-        are 1/n)."""
-        if n < 16:
-            raise ValueError("sample count must be >= 16")
-        t = (np.arange(n) + 0.5) / n
-        r0, th0, x0, y0 = self.base
-        pts = np.tile(np.array([r0, th0, x0, y0]), (n, 1))
-        tans = np.zeros((n, 4))
-        if self.kind == "x-circle":
-            pts[:, 2] = x0 + torus.period_x * t
-            tans[:, 2] = torus.period_x
-        elif self.kind == "y-circle":
-            pts[:, 3] = y0 + torus.period_y * t
-            tans[:, 3] = torus.period_y
-        elif self.kind == "theta-circle":
-            pts[:, 1] = th0 + TWO_PI * t
-            tans[:, 1] = TWO_PI
-        else:
-            verts = np.asarray(self.vertices, dtype=float)
-            closed = np.vstack([verts, verts[:1]])
-            nseg = len(verts)
-            per_seg = [n // nseg + (1 if k < n % nseg else 0) for k in range(nseg)]
-            rows_p, rows_t = [], []
-            for k, m in enumerate(per_seg):
-                if m == 0:
-                    continue
-                s = (np.arange(m) + 0.5) / m
-                a, b = closed[k], closed[k + 1]
-                rows_p.append(a + np.outer(s, b - a))
-                # speed relative to global parameter: segment covers 1/nseg
-                # of parameter time but we sample m of n points on it
-                rows_t.append(np.tile((b - a) * (n / m), (m, 1)))
-            pts = np.vstack(rows_p)
-            tans = np.vstack(rows_t)
-        return pts, tans
-
 
 # ---------------------------------------------------------------------------
 # conventions sheet
-
-HODGE_SELF_DUAL_BASIS = (
-    ((0, 1), (2, 3), 1),
-    ((0, 2), (1, 3), -1),
-    ((0, 3), (1, 2), 1),
-)
-"""Self-dual 2-form basis in the orthonormal coframe e1..e4 =
-(dr, r dtheta, dx, dy): e_a^e_b + sign * e_c^e_d per entry."""
-
 
 def conventions_sheet(torus: TorusSpec | None = None) -> dict:
     torus = torus or TorusSpec()

@@ -50,7 +50,6 @@ class HiggsPairOnPlane:
     r_min: float = 0.0
     r_max: float = math.inf
     name: str = "higgs-pair"
-    meta: dict = field(default_factory=dict)
 
     @property
     def is_analytic(self) -> bool:
@@ -104,30 +103,31 @@ def reduce(conn: ConnectionSource, n_check: int = 16, tol: float = 1e-9,
         out[..., 1] = points[..., 1]
         return out
 
+    def psi_slice(a):
+        """psi_w = (a_y - i a_x)/2 from connection components, or the same
+        for their partials."""
+        return (a[..., 3, :, :] - 1j * a[..., 2, :, :]) / 2.0
+
     def evaluate_b(points):
-        a = conn.evaluate(_lift_points(points))
-        return a[..., :2, :, :]
+        return conn.evaluate(_lift_points(points))[..., :2, :, :]
 
     def evaluate_psi(points):
-        a = conn.evaluate(_lift_points(points))
-        return (a[..., 3, :, :] - 1j * a[..., 2, :, :]) / 2.0
+        return psi_slice(conn.evaluate(_lift_points(points)))
 
     derivative_b = None
     derivative_psi = None
     if conn.is_analytic:
         def derivative_b(points, axis):
-            d = conn.derivative(_lift_points(points), axis)
-            return d[..., :2, :, :]
+            return conn.derivative(_lift_points(points), axis)[..., :2, :, :]
 
         def derivative_psi(points, axis):
-            d = conn.derivative(_lift_points(points), axis)
-            return (d[..., 3, :, :] - 1j * d[..., 2, :, :]) / 2.0
+            return psi_slice(conn.derivative(_lift_points(points), axis))
 
     return HiggsPairOnPlane(
         evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
         derivative_b=derivative_b, derivative_psi=derivative_psi,
         torus=conn.torus, r_min=conn.r_min, r_max=conn.r_max,
-        name=f"reduce({conn.name})", meta={"reduced": True, **conn.meta},
+        name=f"reduce({conn.name})",
     )
 
 
@@ -163,49 +163,8 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
         r_min=pair.r_min, r_max=pair.r_max,
-        name=f"lift({pair.name})", meta=dict(pair.meta),
+        name=f"lift({pair.name})",
     )
-
-
-def pair_to_json(pair: HiggsPairOnPlane, grid) -> dict:
-    """Grid samples of a Higgs pair in the grid-sampled connection schema,
-    marked "reduced": true; values live on the (r, theta) factor only:
-    b as row-major (re, im) pairs with index order (r, theta, component
-    b_r/b_theta, row, col), psi with (r, theta, row, col)."""
-    from .gauge import _grid_header, _pairs_from_complex
-    rs, ths = grid.rs, grid.thetas
-    R, T = np.meshgrid(rs, ths, indexing="ij")
-    pts = np.stack([R, T], axis=-1)
-    pair.check_domain(pts)
-    b = np.asarray(pair.evaluate_b(pts), dtype=complex)
-    psi = np.asarray(pair.evaluate_psi(pts), dtype=complex)
-    doc = _grid_header(pair.torus, grid)
-    doc.update({
-        "reduced": True,
-        "name": pair.name,
-        "component_order": ["b_r", "b_theta"],
-        "index_order": ["r", "theta", "component", "row", "col"],
-        "b_values": _pairs_from_complex(b),
-        "psi_index_order": ["r", "theta", "row", "col"],
-        "psi_values": _pairs_from_complex(psi),
-    })
-    return doc
-
-
-def pair_from_json(data: dict):
-    """Decodes a reduced-pair document; returns (torus, grid, b, psi) with
-    b shaped (n_r, n_theta, 2, 2, 2) and psi (n_r, n_theta, 2, 2). Exact
-    inverse of pair_to_json at the grid nodes."""
-    from .gauge import _complex_from_pairs, _decode_header
-    torus, grid = _decode_header(data)
-    if not data.get("reduced"):
-        raise ValueError("document holds a full connection; use the "
-                         "gauge-module loader")
-    b = _complex_from_pairs(data["b_values"],
-                            (grid.n_r, grid.n_theta, 2, 2, 2))
-    psi = _complex_from_pairs(data["psi_values"],
-                              (grid.n_r, grid.n_theta, 2, 2))
-    return torus, grid, b, psi
 
 
 def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.ndarray]:

@@ -41,15 +41,6 @@ class ModelParams:
         if not (-0.5 <= self.alpha < 0.5):
             raise ValueError("alpha must lie in [-1/2, 1/2)")
 
-    @property
-    def lambda12(self) -> tuple[float, float]:
-        """Real exponents (lambda1, lambda2) with lambda = (l1 + i l2)/2."""
-        return (2.0 * self.lam.real, 2.0 * self.lam.imag)
-
-    @property
-    def mu12(self) -> tuple[float, float]:
-        return (2.0 * self.mu.real, 2.0 * self.mu.imag)
-
     def to_json(self) -> dict:
         return {
             "lambda": [self.lam.real, self.lam.imag],
@@ -57,14 +48,6 @@ class ModelParams:
             "alpha": self.alpha,
             "kind": self.kind,
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ModelParams":
-        lam = d.get("lambda", [0.0, 0.0])
-        mu = d.get("mu", [0.0, 0.0])
-        return cls(lam=complex(lam[0], lam[1]), mu=complex(mu[0], mu[1]),
-                   alpha=float(d.get("alpha", 0.0)),
-                   kind=str(d.get("kind", "semisimple")))
 
 
 def hitchin_model(params: ModelParams, torus: TorusSpec | None = None,
@@ -149,7 +132,6 @@ def hitchin_model(params: ModelParams, torus: TorusSpec | None = None,
         evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
         derivative_b=derivative_b, derivative_psi=derivative_psi,
         torus=torus, r_min=r0, name=name,
-        meta={"params": params.to_json()},
     )
 
 
@@ -326,9 +308,6 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
 
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
-        r_min=conn.r_min, r_max=conn.r_max, grid=conn.grid,
+        r_min=conn.r_min, r_max=conn.r_max,
         name=f"{conn.name}+perturbation",
-        meta={**conn.meta, "perturbation": {"delta": delta,
-                                            "amplitude": amplitude,
-                                            "seed": seed}},
     )

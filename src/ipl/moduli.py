@@ -1,7 +1,7 @@
-"""Hyperkähler linear algebra and tangent-space numerics: the three
-complex structures, discrete covariant calculus on an annulus grid with
-exact adjoints, linearized equation residuals on both sides of the
-correspondence, L2 metrics, the dimension formula, and the explicit
+"""Hyperkähler linear algebra and tangent-space numerics on the instanton
+side: the three complex structures, discrete covariant calculus on an
+annulus grid with exact adjoints, the linearized-equation residuals of an
+instanton tangent, its L2 metric, the dimension formula, and the explicit
 charge-1 chart of degree-1 rational maps.
 
 The discrete adjoint d* is the exact transpose of the discrete d under
@@ -106,26 +106,6 @@ class TangentVectorInstanton:
             raise ValueError(f"components must have shape {expect}")
         if float(np.max(_su2.algebra_defect(self.comps))) > 1e-9:
             raise ValueError("components must be anti-hermitian traceless")
-
-
-@dataclass
-class TangentVectorHiggs:
-    """Linearized Higgs data on a uniform dual-torus grid: b anti-hermitian
-    1-form components (2, n1, n2, 2, 2); phi the (1,0)-endomorphism
-    coefficient (n1, n2, 2, 2), unconstrained in gl(2)."""
-    b: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=complex)
-        self.phi = np.asarray(self.phi, dtype=complex)
-        if self.b.ndim != 5 or self.b.shape[0] != 2 \
-                or self.b.shape[-2:] != (2, 2):
-            raise ValueError("b must be (2, n1, n2, 2, 2)")
-        if self.phi.shape != self.b.shape[1:]:
-            raise ValueError("phi must be (n1, n2, 2, 2)")
-        if float(np.max(_su2.algebra_defect(self.b, traceless=False))) > 1e-9:
-            raise ValueError("b components must be anti-hermitian")
 
 
 class AnnulusCalculus:
@@ -312,92 +292,17 @@ def apply_complex_structure(a: TangentVectorInstanton,
         grid=a.grid, comps=np.stack([br, bt, bx, by], axis=0), torus=a.torus)
 
 
-def l2_metric(t1, t2) -> float:
-    """Symmetric positive-definite L2 pairing. For instanton tangents the
-    domain is their grid (quadrature weights as in AnnulusCalculus); for
-    Higgs tangents a uniform dual-torus grid with the (1,0)-form factor."""
-    if isinstance(t1, TangentVectorInstanton):
-        if not isinstance(t2, TangentVectorInstanton) \
-                or t1.grid is not t2.grid and t1.grid != t2.grid:
-            raise DomainError("instanton tangents must share a grid")
-        wr, w_ang = quadrature_weights(t1.grid, t1.torus)
-        w = wr.reshape(1, -1, 1, 1, 1) * w_ang
-        vals = np.real(np.einsum("s...ij,s...ij->s...",
-                                 t1.comps, np.conj(t2.comps)))
-        return float(np.sum(w * vals))
-    if isinstance(t1, TangentVectorHiggs):
-        if not isinstance(t2, TangentVectorHiggs) \
-                or t1.b.shape != t2.b.shape:
-            raise DomainError("higgs tangents must share a grid")
-        n1, n2 = t1.b.shape[1:3]
-        w = 1.0 / (n1 * n2)
-        vb = float(np.sum(np.real(t1.b * np.conj(t2.b))))
-        vp = 2.0 * float(np.sum(np.real(t1.phi * np.conj(t2.phi))))
-        return w * (vb + vp)
-    raise TypeError("unsupported tangent types")
-
-
-# ---------------------------------------------------------------------------
-# Higgs side
-
-def higgs_residual_components(B: np.ndarray, Phi: np.ndarray,
-                              tangent: TangentVectorHiggs):
-    """Raw linearized-condition fields for a Higgs background on a uniform
-    unit-period dual-torus grid: (curvature-moment condition,
-    holomorphicity condition, gauge-orthogonality condition)."""
-    b, phi = tangent.b, tangent.phi
-    B = np.asarray(B, dtype=complex)
-    Phi = np.asarray(Phi, dtype=complex)
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(Phi))):
-        raise ValueError("background touches a singular point")
-    if B.shape != b.shape or Phi.shape != phi.shape:
-        raise DomainError("background and tangent grids differ")
-
-    def d1(u):
-        return fourier_diff(u, 0, 1.0)
-
-    def d2(u):
-        return fourier_diff(u, 1, 1.0)
-
-    br, dag = _su2.comm, _su2.dag
-
-    # (i) curvature moment: d_B b + [Phi, phi*] + [phi, Phi*] on the area slot
-    c1 = d1(b[1]) - d2(b[0]) + br(B[0], b[1]) - br(B[1], b[0]) \
-        - 2j * (br(Phi, dag(phi)) + br(phi, dag(Phi)))
-    # (ii) holomorphicity: dbar_B phi + [b^(0,1), Phi]
-    Bzbar = (B[0] + 1j * B[1]) / 2.0
-    bzbar = (b[0] + 1j * b[1]) / 2.0
-    c2 = (d1(phi) + 1j * d2(phi)) / 2.0 + br(Bzbar, phi) + br(bzbar, Phi)
-    # (iii) gauge orthogonality: d_B* b + projection of [Phi*, phi]
-    div = d1(b[0]) + d2(b[1]) + br(B[0], b[0]) + br(B[1], b[1])
-    cross = br(dag(Phi), phi)
-    c3 = -div + 2.0 * (cross - dag(cross)) / 2.0
-    return c1, c2, c3
-
-
-def higgs_tangent_residual(B: np.ndarray, Phi: np.ndarray,
-                           tangent: TangentVectorHiggs):
-    """L2 norms of the three linearized conditions; the third vanishes
-    exactly when the tangent is L2-orthogonal to every infinitesimal gauge
-    direction (d_B u, [Phi, u])."""
-    c1, c2, c3 = higgs_residual_components(B, Phi, tangent)
-    n1, n2 = tangent.phi.shape[:2]
-    w = 1.0 / (n1 * n2)
-
-    def nrm(c):
-        return math.sqrt(w * float(np.sum(np.real(c * np.conj(c)))))
-
-    return nrm(c1), nrm(c2), nrm(c3)
-
-
-def higgs_gauge_direction(B: np.ndarray, Phi: np.ndarray,
-                          u: np.ndarray) -> TangentVectorHiggs:
-    """Infinitesimal gauge transformation by anti-hermitian u:
-    b = d_B u, phi = [Phi, u]."""
-    b = np.stack([fourier_diff(u, 0, 1.0) + _su2.comm(B[0], u),
-                  fourier_diff(u, 1, 1.0) + _su2.comm(B[1], u)], axis=0)
-    phi = _su2.comm(Phi, u)
-    return TangentVectorHiggs(b=b, phi=phi)
+def l2_metric(t1: TangentVectorInstanton,
+              t2: TangentVectorInstanton) -> float:
+    """Symmetric positive-definite L2 pairing of two instanton tangents on
+    one grid, with the quadrature weights of AnnulusCalculus."""
+    if t1.grid != t2.grid:
+        raise DomainError("instanton tangents must share a grid")
+    wr, w_ang = quadrature_weights(t1.grid, t1.torus)
+    w = wr.reshape(1, -1, 1, 1, 1) * w_ang
+    vals = np.real(np.einsum("s...ij,s...ij->s...",
+                             t1.comps, np.conj(t2.comps)))
+    return float(np.sum(w * vals))
 
 
 # ---------------------------------------------------------------------------

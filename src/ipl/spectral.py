@@ -49,14 +49,6 @@ class BundleModel:
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "tail", tuple(complex(c) for c in self.tail))
 
-    def zeta_of_w(self, w):
-        w = np.asarray(w, dtype=complex)
-        out = np.full_like(w, self.lam)
-        out = out + self.mu / w
-        for j, c in enumerate(self.tail):
-            out = out + c / w ** (j + 2)
-        return out if out.ndim else complex(out)
-
     def coeffs_low_to_high(self) -> np.ndarray:
         """(lam, mu, tail...) as polynomial coefficients in u = 1/w."""
         return np.array([self.lam, self.mu, *self.tail], dtype=complex)

@@ -93,7 +93,8 @@ def test_extract_invariants_round_trip_semisimple():
     p = ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=0.2)
     inv = extract_invariants(model_connection(p, TORUS), RINGS)
     assert inv.kind == "semisimple"
-    # lambda12 = (0.2, -0.14): reduced exponents (0.2, 0.86), no flip
+    # (lambda1, lambda2) = (0.2, -0.14): reduced exponents (0.2, 0.86),
+    # no flip
     assert not inv.diagnostics["branch_flipped"]
     assert inv.xi0.xi1 == pytest.approx(0.2, abs=1e-9)
     assert inv.xi0.xi2 == pytest.approx(0.86, abs=1e-9)
@@ -104,8 +105,8 @@ def test_extract_invariants_round_trip_semisimple():
 
 
 def test_extract_invariants_flipped_branch_negates_alpha_and_mu():
-    # lambda12 = (0, 0.7) reduces above 1/2: extraction must report the
-    # canonical branch with alpha and mu jointly negated
+    # (lambda1, lambda2) = (0, 0.7) reduces above 1/2: extraction must
+    # report the canonical branch with alpha and mu jointly negated
     p = ModelParams(lam=0.35j, mu=0.3, alpha=0.2)
     inv = extract_invariants(model_connection(p, TORUS), RINGS)
     assert inv.diagnostics["branch_flipped"]
@@ -139,8 +140,9 @@ def test_principal_alpha_cut():
 
 
 def test_alpha_at_cut_survives_branch_flip():
-    # lambda12 = (-0.1, 0.14) flips the branch; alpha = -1/2 negates to the
-    # cut +1/2 and must come back as -1/2, not +0.4999999999999999
+    # (lambda1, lambda2) = (-0.1, 0.14) flips the branch; alpha = -1/2
+    # negates to the cut +1/2 and must come back as -1/2, not
+    # +0.4999999999999999
     for mu in (0.0, 0.3 - 0.2j):
         p = ModelParams(lam=-0.05 + 0.07j, mu=mu, alpha=-0.5)
         inv = extract_invariants(model_connection(p, TORUS), RINGS)

@@ -9,6 +9,8 @@ import pytest
 from ipl import models
 from ipl.cli import ConfigError, SUBCOMMANDS, main, run
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 SPECTRAL_CFG = {
     "schema_version": 1,
     "seed": 5,
@@ -155,6 +157,39 @@ def test_extraction_failure_exits_1_with_full_report(tmp_path):
     assert "extracted" not in records[0]
     assert "k_estimate" not in records[1]["extracted"]
     assert records[1]["errors"]["mu"] < 1e-4
+
+
+def test_pass_with_no_extracted_model_fails_its_error_checks(tmp_path):
+    # maxima over zero models must not read 0.0 and pass: with every
+    # extraction failed, the error and kind checks are reported unevaluated
+    cfg = {"schema_version": 1,
+           "models": [{"lambda": [0.0, 0.25], "mu": [0.3, -0.2]}]}
+    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["extraction_failed_clean"]["value"] == 1
+    for name in ("lambda_error_max_clean", "alpha_error_max_clean",
+                 "mu_error_max_clean", "kind_detected_clean"):
+        c = checks[name]
+        assert c["value"] is None and c["pass"] is False
+        assert c["reason"] == "no model extracted in the clean pass"
+    saved = json.loads((tmp_path / "invariants_report.json").read_text())
+    assert saved["checks"] == report["checks"]
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5, 7])
+def test_spectral_residues_with_small_mu_draws_exit_0(tmp_path, seed):
+    # these seeds draw a residue |mu| below 0.12, whose jumping point a
+    # fixed approach start would put inside r_min
+    out = tmp_path / "out"
+    rc = main(["spectral", "--config", os.path.join(CONFIGS,
+                                                    "spectral_counting.json"),
+               "--out", str(out), "--seed", str(seed), "--quiet"])
+    assert rc == 0
+    report = json.loads((out / "spectral_report.json").read_text())
+    [check] = [c for c in report["checks"]
+               if c["name"] == "phi_residue_error_max"]
+    assert check["pass"] and check["tolerance"] == 1e-8
 
 
 def test_seed_override_via_main(tmp_path):

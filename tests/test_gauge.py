@@ -1,8 +1,6 @@
 """Tests for curvature sampling, self-dual projection, holonomy transport,
-the drift inequality, the annulus quadratic-form identity, and grid
-serialization."""
+the drift inequality and the annulus quadratic-form identity."""
 
-import json
 import math
 
 import numpy as np
@@ -17,19 +15,16 @@ from ipl.gauge import (
     TrigRadialTerm,
     circle_holonomies,
     connection_derivative,
-    connection_from_json,
-    connection_to_json,
     curvature,
     curvature_norm,
     flat_connection,
-    holonomy,
     monodromy_drift_defect,
     random_quadratic_form_fixture,
     segment_transports,
     self_dual_part,
     weitzenbock_defect,
 )
-from ipl.geometry import AnnulusGrid, Loop, TorusSpec, reduce_dual
+from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
 TORUS = TorusSpec()
@@ -86,9 +81,10 @@ def test_curvature_of_explicit_radial_field():
     pts = rand_points(np.random.default_rng(2), 10)
     F = curvature(conn, pts)
     expected = (-1j / pts[:, 0] ** 2)[:, None, None] * SIGMA3
-    assert np.max(np.abs(F.f_rx - expected)) < 1e-13
-    for name in ("f_rtheta", "f_ry", "f_thetax", "f_thetay", "f_xy"):
-        assert np.max(np.abs(getattr(F, name))) < 1e-13
+    # pair order (r,th), (r,x), (r,y), (th,x), (th,y), (x,y)
+    assert np.max(np.abs(F.components[..., 1, :, :] - expected)) < 1e-13
+    for k in (0, 2, 3, 4, 5):
+        assert np.max(np.abs(F.components[..., k, :, :])) < 1e-13
 
 
 def test_self_dual_projection_matches_hand_formula():
@@ -126,14 +122,13 @@ def test_flat_holonomy_closed_form():
     # exp(-i c1 Lx sigma3) = diag(exp(-2 pi i xi1), exp(+2 pi i xi1))
     xi = reduce_dual((0.3, 0.2), TORUS)
     conn = flat_connection(xi, TORUS)
-    loop = Loop(kind="x-circle", base=(10.0, 0.0, 0.0, 0.0))
-    h = holonomy(conn, loop, steps=256).matrix
+    base = np.array([[10.0, 0.0, 0.0, 0.0]])
+    h = circle_holonomies(conn, "x", base, steps=256)[0]
     expected = np.diag([np.exp(-2j * math.pi * 0.3),
                         np.exp(+2j * math.pi * 0.3)])
     assert np.max(np.abs(h - expected)) < 1e-12
 
-    loop_y = Loop(kind="y-circle", base=(10.0, 0.0, 0.0, 0.0))
-    hy = holonomy(conn, loop_y, steps=256).matrix
+    hy = circle_holonomies(conn, "y", base, steps=256)[0]
     expected_y = np.diag([np.exp(-2j * math.pi * 0.2),
                           np.exp(+2j * math.pi * 0.2)])
     assert np.max(np.abs(hy - expected_y)) < 1e-12
@@ -154,8 +149,8 @@ def test_abelian_theta_holonomy_closed_form():
 def test_holonomy_is_special_unitary():
     conn = perturb(flat_connection(reduce_dual((0.1, 0.4), TORUS), TORUS),
                    amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
-    loop = Loop(kind="theta-circle", base=(20.0, 0.0, 2.0, 1.0))
-    h = holonomy(conn, loop, steps=512).matrix
+    base = np.array([[20.0, 0.0, 2.0, 1.0]])
+    h = circle_holonomies(conn, "theta", base, steps=512)[0]
     assert _su2.su2_defect(h) < 1e-10
 
 
@@ -329,29 +324,3 @@ def test_weitzenbock_rejects_bad_components(component, error):
     # a component-4 term is a plain ValueError, not a boundary violation
     assert (info.type is BoundaryConditionError) == (component == 0)
 
-
-def test_connection_serialization_round_trip():
-    conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4, alpha=0.2),
-                            TORUS)
-    grid = AnnulusGrid(6.0, 30.0, n_r=5, n_theta=4, n_x=4, n_y=4)
-    blob = connection_to_json(conn, grid)
-    text = json.dumps(blob)  # must survive an actual serialization pass
-    torus2, grid2, comps = connection_from_json(json.loads(text))
-    assert torus2.period_x == TORUS.period_x
-    assert grid2.n_r == 5 and grid2.n_theta == 4
-
-    pts = np.zeros((5, 4, 4, 4, 4))
-    R, TH, X, Y = np.meshgrid(grid.rs, grid.thetas, grid.xs(TORUS),
-                              grid.ys(TORUS), indexing="ij")
-    pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3] = R, TH, X, Y
-    assert comps.shape == (5, 4, 4, 4, 4, 2, 2)
-    assert np.max(np.abs(comps - conn.evaluate(pts))) == 0.0
-
-
-def test_connection_from_json_rejects_reduced_payload():
-    conn = model_connection(ModelParams(mu=1.0), TORUS)
-    grid = AnnulusGrid(6.0, 30.0, n_r=5, n_theta=4, n_x=4, n_y=4)
-    blob = connection_to_json(conn, grid)
-    blob["reduced"] = True
-    with pytest.raises(ValueError):
-        connection_from_json(blob)

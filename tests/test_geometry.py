@@ -1,5 +1,5 @@
-"""Tests for torus/dual-torus arithmetic, annulus grids, and the
-conventions sheet."""
+"""Tests for torus/dual-torus arithmetic, annulus grids, coordinate-circle
+sampling, and the conventions sheet."""
 
 import math
 
@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipl.gauge import circle_paths
 from ipl.geometry import (
     TWO_PI,
     AnnulusGrid,
     DualTorusPoint,
-    Loop,
     TorusSpec,
     conventions_hash,
     conventions_sheet,
@@ -132,15 +132,17 @@ def test_annulus_grid_spacings():
 
 
 def test_loop_points_and_tangents_close_up():
-    loop = Loop(kind="x-circle", base=(10.0, 0.3, 0.0, 1.0))
-    pts, tans = loop.points_and_tangents(64, TORUS)
-    assert pts.shape == (64, 4)
-    # x-circle: only the x coordinate moves, tangents integrate to one period
-    assert np.ptp(pts[:, 0]) == 0.0
-    assert np.ptp(pts[:, 1]) == 0.0
+    pts, tans = circle_paths(TORUS, "x", np.array([[10.0, 0.3, 0.0, 1.0]]),
+                             64)
+    assert pts.shape == tans.shape == (64, 1, 4)
+    # x-circle: only the x coordinate moves, at the midpoints of 64 steps
+    assert np.ptp(pts[:, 0, 0]) == 0.0
+    assert np.ptp(pts[:, 0, 1]) == 0.0
+    assert np.allclose(pts[:, 0, 2], TORUS.period_x * (np.arange(64) + 0.5)
+                       / 64)
     # unit-speed-in-t parametrization: tangent is one full period
-    assert np.mean(tans[:, 2]) == pytest.approx(TORUS.period_x)
-    assert np.ptp(tans[:, 2]) == 0.0
+    assert np.mean(tans[:, 0, 2]) == pytest.approx(TORUS.period_x)
+    assert np.ptp(tans[:, 0, 2]) == 0.0
 
 
 def test_conventions_sheet_and_hash():

@@ -1,7 +1,6 @@
 """Tests for the plane reduction of torus-invariant connections, the
-Hitchin residual, and reduced-pair serialization."""
+Hitchin residual."""
 
-import json
 import math
 
 import numpy as np
@@ -11,11 +10,9 @@ from ipl.hitchin import (
     NotTorusInvariantError,
     hitchin_residual,
     lift,
-    pair_from_json,
-    pair_to_json,
     reduce,
 )
-from ipl.geometry import AnnulusGrid, TorusSpec
+from ipl.geometry import TorusSpec
 from ipl.models import ModelParams, hitchin_model, model_connection, perturb
 
 TORUS = TorusSpec()
@@ -46,6 +43,11 @@ def test_lift_reduce_round_trip():
     pts = plane_points(np.random.default_rng(1), 10)
     assert np.max(np.abs(back.evaluate_b(pts) - pair.evaluate_b(pts))) < 1e-12
     assert np.max(np.abs(back.evaluate_psi(pts) - pair.evaluate_psi(pts))) < 1e-12
+    for axis in (0, 1):
+        assert np.max(np.abs(back.derivative_b(pts, axis)
+                             - pair.derivative_b(pts, axis))) < 1e-12
+        assert np.max(np.abs(back.derivative_psi(pts, axis)
+                             - pair.derivative_psi(pts, axis))) < 1e-12
 
 
 def test_reduce_rejects_torus_dependent_connection():
@@ -85,28 +87,3 @@ def test_hitchin_residual_detects_wrong_pair():
     good_rho1, _ = hitchin_residual(good, pts)
     assert np.max(rho1) > 100.0 * max(np.max(good_rho1), 1e-15)
 
-
-def test_pair_serialization_round_trip():
-    params = ModelParams(lam=0.05 + 0.02j, mu=0.6, alpha=0.1)
-    pair = hitchin_model(params, TORUS)
-    grid = AnnulusGrid(6.0, 40.0, n_r=6, n_theta=5, n_x=4, n_y=4)
-    blob = pair_to_json(pair, grid)
-    assert blob["reduced"] is True
-    torus2, grid2, b, psi = pair_from_json(json.loads(json.dumps(blob)))
-    assert torus2.period_y == TORUS.period_y
-    assert b.shape == (6, 5, 2, 2, 2)
-    assert psi.shape == (6, 5, 2, 2)
-
-    pts = np.stack(np.meshgrid(grid.rs, grid.thetas, indexing="ij"), axis=-1)
-    assert np.max(np.abs(b - pair.evaluate_b(pts))) == 0.0
-    assert np.max(np.abs(psi - pair.evaluate_psi(pts))) == 0.0
-
-
-def test_pair_from_json_rejects_full_connection_payload():
-    params = ModelParams(mu=1.0)
-    pair = hitchin_model(params, TORUS)
-    grid = AnnulusGrid(6.0, 40.0, n_r=6, n_theta=5, n_x=4, n_y=4)
-    blob = pair_to_json(pair, grid)
-    blob["reduced"] = False
-    with pytest.raises(ValueError):
-        pair_from_json(blob)

@@ -10,15 +10,11 @@ from ipl.geometry import AnnulusGrid, TorusSpec
 from ipl.models import ModelParams, model_connection, nilpotent_model
 from ipl.moduli import (
     AnnulusCalculus,
-    TangentVectorHiggs,
     TangentVectorInstanton,
     apply_complex_structure,
     complex_structures,
     differentiation_matrix,
     fourier_diff,
-    higgs_gauge_direction,
-    higgs_residual_components,
-    higgs_tangent_residual,
     instanton_tangent_residual,
     interpolatory_weights,
     k1_chart,
@@ -29,7 +25,6 @@ from ipl.moduli import (
 )
 
 TORUS = TorusSpec()
-SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
 
 def make_grid(n_r=12, n_theta=8):
@@ -196,55 +191,3 @@ def test_l2_metric_uses_the_calculus_quadrature():
     assert l2_metric(t1, t2) == calc.inner(t1.comps, t2.comps)
     assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
 
-
-def commuting_background(n1, n2):
-    B = np.zeros((2, n1, n2, 2, 2), complex)
-    B[0] = 0.3j * SIGMA3
-    B[1] = -0.1j * SIGMA3
-    Phi = np.zeros((n1, n2, 2, 2), complex)
-    Phi[...] = (0.4 - 0.2j) * SIGMA3
-    return B, Phi
-
-
-def test_higgs_residuals_vanish_on_commuting_constants():
-    n1 = n2 = 12
-    B, Phi = commuting_background(n1, n2)
-    b = np.zeros((2, n1, n2, 2, 2), complex)
-    b[0] = 0.2j * SIGMA3
-    b[1] = 0.05j * SIGMA3
-    phi = np.zeros((n1, n2, 2, 2), complex)
-    phi[...] = (0.1 + 0.3j) * SIGMA3
-    r1, r2, r3 = higgs_tangent_residual(B, Phi, TangentVectorHiggs(b, phi))
-    assert max(r1, r2, r3) < 1e-13
-
-
-def test_higgs_gauge_direction_solves_linearized_conditions():
-    n1 = n2 = 12
-    B, Phi = commuting_background(n1, n2)
-    rng = np.random.default_rng(5)
-    u = anti_hermitian(rng, (n1, n2, 2, 2))
-    g = higgs_gauge_direction(B, Phi, u)
-    r1, r2, r3 = higgs_tangent_residual(B, Phi, g)
-    assert r1 < 1e-11
-    assert r2 < 1e-11
-    assert r3 > 1.0  # gauge directions are not gauge-orthogonal
-
-
-def test_higgs_gauge_pairing_identity():
-    # <gauge(u), t> = <u, c3(t)> with weight 2 on the endomorphism slot
-    n1 = n2 = 12
-    B, Phi = commuting_background(n1, n2)
-    rng = np.random.default_rng(5)
-    u = anti_hermitian(rng, (n1, n2, 2, 2))
-    g = higgs_gauge_direction(B, Phi, u)
-    b = anti_hermitian(rng, (2, n1, n2, 2, 2))
-    phi = rng.normal(size=(n1, n2, 2, 2)) + 1j * rng.normal(size=(n1, n2, 2, 2))
-    t = TangentVectorHiggs(b, phi)
-    _, _, c3 = higgs_residual_components(B, Phi, t)
-
-    def pair(x, y):
-        return float(np.real(np.sum(x * np.conj(y)))) / (n1 * n2)
-
-    lhs = pair(g.b, t.b) + 2.0 * pair(g.phi, t.phi)
-    rhs = pair(u, c3)
-    assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -52,7 +52,7 @@ def test_comm_diag_matches_generic_commutator():
 
 def test_project_su2_matches_polar_projection():
     rng = np.random.default_rng(2)
-    U = _su2.random_su2(rng, (200,))
+    U = _su2.expm_su2(_su2.from_vector(rng.normal(size=(200, 3))))
     M = U + 1e-8 * rand_complex(rng, (200, 2, 2))
     P = _su2.project_su2(M)
     assert np.max(np.abs(P - polar_su2(M))) < 1e-13
