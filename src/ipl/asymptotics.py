@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _su2
-from .gauge import (ConnectionSource, _path_ordered_product, circle_paths,
-                    curvature_norm)
+from .gauge import (LOOP_STEPS, ConnectionSource, _path_ordered_product,
+                    circle_holonomies, circle_paths, curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, reduce_dual
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -93,7 +93,8 @@ def principal_alpha(alpha: float) -> float:
 @dataclass
 class HolonomyTable:
     """Every circle holonomy an extraction reads, sampled on `rings` by one
-    batched path-ordered product of `steps` steps per loop.
+    batched path-ordered product of `steps` fourth-order Magnus steps per
+    loop (two connection evaluations each; see gauge._path_ordered_product).
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
     base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
@@ -112,32 +113,38 @@ class HolonomyTable:
     axis_theta: np.ndarray
 
 
-def holonomy_table(conn: ConnectionSource, rings, steps: int = 192) -> HolonomyTable:
+def _ring_bases(rs, ths, x: float = 0.0, y: float = 0.0) -> np.ndarray:
+    """Base points (r, theta, x, y) on the grid rs x ths, ring-major."""
+    R, T = np.meshgrid(rs, ths, indexing="ij")
+    return np.stack([R.ravel(), T.ravel(), np.full(R.size, x),
+                     np.full(R.size, y)], axis=-1)
+
+
+def holonomy_table(conn: ConnectionSource, rings,
+                   steps: int = LOOP_STEPS) -> HolonomyTable:
     """Samples the `HolonomyTable` of conn on rings."""
     rings = tuple(float(r) for r in rings)
     Lx, Ly = conn.torus.period_x, conn.torus.period_y
     thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
     coarse = thetas[::COARSE]
 
-    def bases(rs, ths, x=0.0, y=0.0):
-        R, T = np.meshgrid(rs, ths, indexing="ij")
-        return np.stack([R.ravel(), T.ravel(), np.full(R.size, x),
-                         np.full(R.size, y)], axis=-1)
-
     n = len(rings)
     loops = {  # field: (kind, base points, field shape)
-        "x": ("x", bases(rings, thetas), (n, N_THETA)),
-        "y": ("y", bases(rings, thetas), (n, N_THETA)),
-        "x_half": ("x", bases(rings, coarse, y=Ly / 2.0), (n, coarse.size)),
-        "y_half": ("y", bases(rings, coarse, x=Lx / 2.0), (n, coarse.size)),
-        "theta": ("theta", bases(rings, [0.0]), (n,)),
-        "axis_theta": ("theta", bases(rings[-1:], coarse), (coarse.size,)),
+        "x": ("x", _ring_bases(rings, thetas), (n, N_THETA)),
+        "y": ("y", _ring_bases(rings, thetas), (n, N_THETA)),
+        "x_half": ("x", _ring_bases(rings, coarse, y=Ly / 2.0),
+                   (n, coarse.size)),
+        "y_half": ("y", _ring_bases(rings, coarse, x=Lx / 2.0),
+                   (n, coarse.size)),
+        "theta": ("theta", _ring_bases(rings, [0.0]), (n,)),
+        "axis_theta": ("theta", _ring_bases(rings[-1:], coarse),
+                       (coarse.size,)),
     }
     paths = [circle_paths(conn.torus, kind, b, steps)
              for kind, b, _ in loops.values()]
     mats = _path_ordered_product(conn,
-                                 np.concatenate([p for p, _ in paths], axis=1),
-                                 np.concatenate([t for _, t in paths], axis=1))
+                                 np.concatenate([p for p, _ in paths], axis=2),
+                                 np.concatenate([t for _, t in paths], axis=2))
     fields, start = {}, 0
     for name, (_, b, shape) in loops.items():
         fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
@@ -208,7 +215,7 @@ def _richardson_fit(rs: np.ndarray, vals: np.ndarray, powers=(0, 1, 2)) -> float
     return float(coef[0])
 
 
-def flat_limit(conn: ConnectionSource, rings, steps: int = 192,
+def flat_limit(conn: ConnectionSource, rings, steps: int = LOOP_STEPS,
                drift_threshold: float = 0.2, *,
                table: HolonomyTable | None = None) -> FlatLimit:
     """Torus monodromy exponents extrapolated over rings.
@@ -256,14 +263,19 @@ def asymptotic_states(fl: FlatLimit) -> AsymptoticStates:
     return AsymptoticStates(xi0=xi, flipped=flipped, order_two=order_two)
 
 
-def limiting_holonomy(conn: ConnectionSource, rings, steps: int = 256,
+def limiting_holonomy(conn: ConnectionSource, rings, steps: int = LOOP_STEPS,
                       basis: str = "inverse-r", axis=None, *,
                       table: HolonomyTable | None = None) -> float:
     """Theta-circle holonomy exponent alpha in [-1/2, 1/2), extrapolated
     over rings; basis 'inverse-r' fits {1, 1/r, 1/r^2} (semisimple decay),
-    'inverse-log' fits {1, 1/ln r} (nilpotent decay)."""
+    'inverse-log' fits {1, 1/ln r} (nilpotent decay). Without a table,
+    samples only the theta-circles of `HolonomyTable.theta`."""
     rings = tuple(float(r) for r in rings)
-    mats = _table_for(conn, rings, steps, table).theta
+    if table is None:
+        mats = circle_holonomies(conn, "theta", _ring_bases(rings, [0.0]),
+                                 steps)
+    else:
+        mats = _table_for(conn, rings, steps, table).theta
     if axis is None:
         axis = reference_axis(mats)
     alphas = -signed_phases(mats, axis, strict=True) / TWO_PI
@@ -280,7 +292,7 @@ def limiting_holonomy(conn: ConnectionSource, rings, steps: int = 256,
 
 
 def residue(conn: ConnectionSource, rings, fl: FlatLimit | None = None,
-            steps: int = 192, residual_threshold: float = 0.1, *,
+            steps: int = LOOP_STEPS, residual_threshold: float = 0.1, *,
             table: HolonomyTable | None = None) -> tuple[complex, dict]:
     """Residue mu of the complex monodromy exponent zeta(w) = lambda + mu/w.
 
@@ -436,7 +448,7 @@ def poincare_constant(gamma: FlatLimit | None, N: int = 8,
 # orchestrator
 
 def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = None,
-                       steps: int = 192,
+                       steps: int = LOOP_STEPS,
                        energy_radius: float | None = None) -> AsymptoticInvariants:
     """Full invariant extraction with branch bookkeeping: fits flat_limit,
     limiting_holonomy and residue from one holonomy table with a shared

@@ -215,7 +215,8 @@ def conventions_sheet(torus: TorusSpec | None = None) -> dict:
         "zeta_of_xi": "zeta = (i c1 - c2)/2, c_i = 2 pi xi_i / L_i",
         "model_parameters": "lambda = (lambda1 + i lambda2)/2, mu = (mu1 + i mu2)/2; "
         "complex monodromy exponent (c1 + i c2)/2 = lambda + mu/w",
-        "holonomy_transport": "h' = -A(gamma') h (path-ordered, midpoint rule)",
+        "holonomy_transport": "h' = -A(gamma') h (path-ordered, fourth-order "
+        "Magnus steps on two Gauss nodes)",
         "reduction": "psi_w = (a_y - i a_x)/2; lift: a_x = i(psi + psi^dag), "
         "a_y = psi - psi^dag",
         "asd_from_reduction": "|F^+|^2 = rho1^2/2 + 2 rho2^2 with rho1 = "

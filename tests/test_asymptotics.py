@@ -23,7 +23,8 @@ from ipl.asymptotics import (
     principal_alpha,
     residue,
 )
-from ipl.gauge import ConnectionSource, circle_holonomies, flat_connection
+from ipl.gauge import (LOOP_STEPS, ConnectionSource, circle_holonomies,
+                       flat_connection)
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, nilpotent_model, perturb
 
@@ -78,6 +79,26 @@ def test_limiting_holonomy_of_model():
     conn = model_connection(ModelParams(lam=0.1, mu=0.5, alpha=alpha), TORUS)
     got = limiting_holonomy(conn, RINGS)
     assert abs(got) == pytest.approx(alpha, abs=1e-9)
+
+
+def test_limiting_holonomy_alone_samples_only_theta_circles():
+    # without a table it reads the table's theta-circles, bit for bit, and
+    # evaluates the connection on nothing else
+    conn = perturb(model_connection(ModelParams(lam=0.1, mu=0.3 - 0.2j,
+                                                alpha=0.25), TORUS),
+                   amplitude=0.05, seed=7)
+    seen = []
+
+    def evaluate(points):
+        seen.append(np.shape(points)[:-1])
+        return conn.evaluate(points)
+
+    counted = ConnectionSource(evaluate=evaluate, torus=TORUS,
+                               derivative=conn.derivative, name=conn.name)
+    alone = limiting_holonomy(counted, RINGS)
+    assert seen == [(LOOP_STEPS, 2, len(RINGS))]
+    table = holonomy_table(conn, RINGS)
+    assert alone == limiting_holonomy(conn, RINGS, table=table)
 
 
 def test_residue_fit_recovers_lambda_and_mu():
@@ -200,7 +221,7 @@ def test_extraction_matches_public_fits(lam, mu, alpha):
     inv = extract_invariants(conn, RINGS)
     fl = flat_limit(conn, RINGS)
     states = asymptotic_states(fl)
-    a = limiting_holonomy(conn, RINGS, steps=192, axis=fl.axis)
+    a = limiting_holonomy(conn, RINGS, axis=fl.axis)
     m, diag = residue(conn, RINGS)
     if states.flipped:
         a, m = principal_alpha(-a), -m

@@ -177,6 +177,28 @@ def test_pass_with_no_extracted_model_fails_its_error_checks(tmp_path):
     assert saved["checks"] == report["checks"]
 
 
+def test_order_two_target_scores_the_nearer_weyl_branch(tmp_path):
+    # lambda = 0 is order two. This perturbation (seed 47, the second model
+    # of the benchmark's 9-model cut at seed 46) moves the extracted xi0 off
+    # 0 by about 4e-7, and the extractor reports the reflected branch
+    # (alpha, mu) = (-1/4, -1). It names the input state (1/4, 1), so the
+    # errors are small, not alpha 1/2 and mu 2
+    cfg = {"schema_version": 1, "seed": 47,
+           "models": [{"lambda": [0.0, 0.0], "mu": [1.0, 0.0],
+                       "alpha": 0.25}],
+           "perturbation": {"amplitude": 0.05, "delta": 0.5, "r_lo": 5.0,
+                            "r_hi": 600.0}}
+    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0 and report["passed"]
+    records = json.loads((tmp_path / "invariants.json").read_text())["models"]
+    perturbed = records[1]
+    assert perturbed["pass"] == "perturbed"
+    assert perturbed["extracted"]["alpha"] == pytest.approx(-0.25, abs=1e-6)
+    assert perturbed["extracted"]["mu"][0] == pytest.approx(-1.0, abs=1e-4)
+    assert perturbed["errors"]["alpha"] < 1e-6
+    assert perturbed["errors"]["mu"] < 1e-4
+
+
 @pytest.mark.parametrize("seed", [2, 3, 5, 7])
 def test_spectral_residues_with_small_mu_draws_exit_0(tmp_path, seed):
     # these seeds draw a residue |mu| below 0.12, whose jumping point a

@@ -134,15 +134,22 @@ def test_annulus_grid_spacings():
 def test_loop_points_and_tangents_close_up():
     pts, tans = circle_paths(TORUS, "x", np.array([[10.0, 0.3, 0.0, 1.0]]),
                              64)
-    assert pts.shape == tans.shape == (64, 1, 4)
-    # x-circle: only the x coordinate moves, at the midpoints of 64 steps
-    assert np.ptp(pts[:, 0, 0]) == 0.0
-    assert np.ptp(pts[:, 0, 1]) == 0.0
-    assert np.allclose(pts[:, 0, 2], TORUS.period_x * (np.arange(64) + 0.5)
-                       / 64)
+    assert pts.shape == tans.shape == (64, 2, 1, 4)
+    # x-circle: only the x coordinate moves, at the two Gauss nodes of each
+    # of 64 steps
+    assert np.ptp(pts[..., 0]) == 0.0
+    assert np.ptp(pts[..., 1]) == 0.0
+    t = pts[:, :, 0, 2] / TORUS.period_x
+    assert np.all((t > 0.0) & (t < 1.0))
+    assert np.all(np.diff(t.ravel()) > 0.0)
+    # the nodes sit symmetrically about each step's midpoint, 1/sqrt(3)
+    # of a half step away
+    k = np.arange(64)
+    assert np.allclose(t.mean(axis=1), (k + 0.5) / 64)
+    assert np.allclose(np.diff(t, axis=1)[:, 0], 1.0 / (64 * math.sqrt(3.0)))
     # unit-speed-in-t parametrization: tangent is one full period
-    assert np.mean(tans[:, 0, 2]) == pytest.approx(TORUS.period_x)
-    assert np.ptp(tans[:, 0, 2]) == 0.0
+    assert np.mean(tans[..., 2]) == pytest.approx(TORUS.period_x)
+    assert np.ptp(tans[..., 2]) == 0.0
 
 
 def test_conventions_sheet_and_hash():
