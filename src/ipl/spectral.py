@@ -207,36 +207,53 @@ def nahm_weights(alpha: float):
     return (1.0 + alpha, 1.0 - alpha), float(check)
 
 
-def in_hypothesis_region(lam: complex, mu: complex, w: complex,
-                         torus: TorusSpec | None = None) -> bool:
+def in_hypothesis_region(lam, mu, w, torus: TorusSpec | None = None):
     """Empirically safe region for the Fourier gap inequality: lam small
     against the lattice, |w| large against |mu|, and the constant-mode
     alignment Re(conj(lam) mu) >= Re(conj(lam) mu e^{-i arg w}) that the
-    equality case forces."""
+    equality case forces.
+
+    lam, mu and w broadcast against each other as complex arrays; the
+    result is a bool for scalar inputs and a bool array of the broadcast
+    shape otherwise. w = 0 lies outside the region."""
     torus = torus or TorusSpec()
     cov = covering_radius(torus)
-    if abs(lam) > 0.1 * cov:
-        return False
-    if abs(w) < 10.0 * abs(mu) / cov or abs(w) <= 0:
-        return False
-    phase = w / abs(w)
+    lam, mu, w = (np.asarray(v, dtype=complex) for v in (lam, mu, w))
+    aw = np.abs(w)
+    phase = w / np.where(aw > 0, aw, 1.0)
     lm = np.conj(lam) * mu
-    return bool(lm.real >= (lm * np.conj(phase)).real - 1e-15)
+    inside = ((np.abs(lam) <= 0.1 * cov) & (aw >= 10.0 * np.abs(mu) / cov)
+              & (aw > 0) & (lm.real >= (lm * np.conj(phase)).real - 1e-15))
+    return bool(inside) if inside.ndim == 0 else inside
 
 
-def fourier_gap(lam: complex, mu: complex, w: complex, sigma,
-                torus: TorusSpec | None = None) -> tuple[float, bool]:
+def fourier_gap(lam, mu, w, sigma, torus: TorusSpec | None = None):
     """Mode-sum gap sum |g_nm + lam + mu/|w||^2 |sigma_nm|^2
     - |lam + mu/w|^2 sum |sigma_nm|^2, with g_nm the dual-lattice symbol of
-    mode (n, m). sigma: iterable of (n, m, coefficient). Nonnegative on the
-    hypothesis region; outside it the value is still returned, flagged."""
+    mode (n, m). Nonnegative on the hypothesis region; outside it the value
+    is still returned, flagged by the second result (`in_hypothesis_region`
+    at the same point).
+
+    sigma: array-like (..., K, 3) of rows (n, m, coefficient); a list of K
+    triples is one point's modes. Rows with coefficient 0 add nothing to
+    either sum, so points with fewer modes are padded with them. lam, mu and
+    w broadcast against sigma's leading shape (...). Returns (float, bool)
+    for a single point and a pair of arrays of the broadcast shape
+    otherwise. Raises ValueError at w = 0, where mu/|w| is undefined."""
     torus = torus or TorusSpec()
+    sigma = np.asarray(sigma, dtype=complex)
+    if sigma.ndim < 2 or sigma.shape[-1] != 3:
+        raise ValueError("sigma must have shape (..., K, 3)")
+    lam, mu, w = (np.asarray(v, dtype=complex) for v in (lam, mu, w))
+    if np.any(w == 0):
+        raise ValueError("fourier_gap at w = 0: the symbol mu/|w| is "
+                         "undefined there")
     ok = in_hypothesis_region(lam, mu, w, torus)
-    aw = abs(w)
-    lhs = 0.0
-    total = 0.0
-    for n, m, c in sigma:
-        lhs += abs(n + 1j * m + lam + mu / aw) ** 2 * abs(c) ** 2
-        total += abs(c) ** 2
-    gap = lhs - abs(lam + mu / w) ** 2 * total
-    return float(gap), ok
+    g = sigma[..., 0].real + 1j * sigma[..., 1].real
+    c2 = np.abs(sigma[..., 2]) ** 2
+    shift = (lam + mu / np.abs(w))[..., None]
+    lhs = np.sum(np.abs(g + shift) ** 2 * c2, axis=-1)
+    gap = lhs - np.abs(lam + mu / w) ** 2 * np.sum(c2, axis=-1)
+    if gap.ndim == 0:
+        return float(gap), bool(ok)
+    return gap, np.broadcast_to(ok, gap.shape)

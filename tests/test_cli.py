@@ -4,10 +4,13 @@ report structure, CSV artifacts, seeded determinism, and exit codes."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ipl import models
-from ipl.cli import ConfigError, SUBCOMMANDS, main, run
+from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, \
+    _fourier_gap_scan, main, run
+from ipl.geometry import TorusSpec
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -230,6 +233,55 @@ def test_thread_budget_recorded(tmp_path, monkeypatch):
     report, _ = run("conventions", {"schema_version": 1},
                     out_dir=str(tmp_path), quiet=True)
     assert report["provenance"]["threads"] == 3
+
+
+@pytest.mark.parametrize("n_samples", [1, 4095, 4097, 12345])
+def test_fourier_gap_scan_returns_exactly_n_samples(n_samples):
+    assert n_samples % GAP_SCAN_BLOCK
+    gap_min, n_done = _fourier_gap_scan(np.random.default_rng(0),
+                                        TorusSpec(), n_samples)
+    assert n_done == n_samples
+    assert np.isfinite(gap_min)
+
+
+def test_fourier_gap_scan_repeats_per_seed():
+    a = np.random.default_rng(9)
+    b = np.random.default_rng(9)
+    assert _fourier_gap_scan(a, TorusSpec(), 5000) \
+        == _fourier_gap_scan(b, TorusSpec(), 5000)
+    # the stream continues at the same place for the stages after the scan
+    assert a.random() == b.random()
+
+
+def test_fourier_gap_scan_is_nonnegative_on_every_seed():
+    worst = {seed: _fourier_gap_scan(np.random.default_rng(seed),
+                                     TorusSpec(), 10000)[0]
+             for seed in range(41)}
+    assert all(g >= -1e-15 for g in worst.values()), worst
+
+
+def test_check_margins(tmp_path):
+    def checks(subcommand, cfg):
+        report, code = run(subcommand, cfg, out_dir=str(tmp_path / subcommand),
+                           quiet=True)
+        assert code == 0
+        return {c["name"]: c for c in report["checks"]}
+
+    conv = checks("conventions", {"schema_version": 1})
+    # value <= tolerance: tolerance - value
+    lattice = conv["integer_xi_in_lattice"]
+    assert lattice["margin"] == lattice["tolerance"] - lattice["value"] > 0
+    assert conv["hodge_star_involution"]["margin"] == 0.0
+    # boolean value, no numeric bound
+    assert conv["hash_stable"]["margin"] is None
+    gap = checks("model-check", {**SEEDED, "inequalities": {
+        "fourier_gap": {"n_samples": 100}}})["fourier_gap_min"]
+    # value >= -1e-15: value + 1e-15
+    assert gap["margin"] == gap["value"] + 1e-15 > 0
+    # numeric value, no tolerance
+    count = checks("spectral", SPECTRAL_CFG)["counting_total_multiplicity"]
+    assert count["value"] == 1.0 and count["tolerance"] is None
+    assert count["margin"] is None
 
 
 def main_in(tmp_path, subcommand, cfg):

@@ -143,6 +143,59 @@ def test_fourier_gap_flags_outside_region():
     assert np.isfinite(gap)
 
 
+def test_fourier_gap_at_w_zero_names_the_cause():
+    with pytest.raises(ValueError, match="w = 0"):
+        fourier_gap(0.0, 0.25, 0.0, [(1, 0, 1.0)], torus=TORUS)
+    with pytest.raises(ValueError, match="w = 0"):
+        fourier_gap(np.zeros(2), 0.25, np.array([30.0, 0.0]),
+                    np.ones((2, 1, 3)), torus=TORUS)
+
+
+def test_scalar_calls_return_python_scalars():
+    gap, ok = fourier_gap(0.01, 0.25 - 0.1j, 30.0j, [(1, 0, 1.0)],
+                          torus=TORUS)
+    assert type(gap) is float and type(ok) is bool
+    assert type(in_hypothesis_region(0.01, 0.25, 30.0, torus=TORUS)) is bool
+
+
+def test_array_calls_match_scalar_calls_row_by_row():
+    rng = np.random.default_rng(11)
+    n, k = 200, 4
+    cov = covering_radius(TORUS)
+    # lam and |w| straddle the region's edges, so both verdicts occur
+    lam = 0.15 * cov * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    mu = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = 20.0 * np.abs(mu) / cov * rng.random(n) * np.exp(
+        2j * np.pi * rng.random(n)) + 1e-9
+    sigma = np.empty((n, k, 3), dtype=complex)
+    sigma[..., :2] = rng.integers(-3, 4, (n, k, 2))
+    sigma[..., 2] = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    gaps, oks = fourier_gap(lam, mu, w, sigma, torus=TORUS)
+    region = in_hypothesis_region(lam, mu, w, torus=TORUS)
+    assert gaps.shape == oks.shape == region.shape == (n,)
+    assert 0 < region.sum() < n
+    for i in range(n):
+        rows = [(int(a.real), int(b.real), c) for a, b, c in sigma[i]]
+        gap, ok = fourier_gap(lam[i], mu[i], w[i], rows, torus=TORUS)
+        assert gap == gaps[i]
+        assert ok == oks[i] == region[i] \
+            == in_hypothesis_region(lam[i], mu[i], w[i], torus=TORUS)
+
+
+def test_zero_coefficient_rows_change_neither_sum():
+    # lam + mu/|w| and lam + mu/w differ, so a padding row that leaked into
+    # either sum alone would move the gap
+    lam, mu, w = 0.02 + 0.01j, 0.4 - 0.3j, 25.0 * np.exp(0.7j)
+    sigma = [(1, 0, 0.3 - 0.2j), (-1, 2, 1.1)]
+    padded = sigma + [(2, -3, 0.0), (0, 0, 0.0)]
+    assert fourier_gap(lam, mu, w, padded, torus=TORUS) \
+        == fourier_gap(lam, mu, w, sigma, torus=TORUS)
+    batch, _ = fourier_gap(lam, mu, w, [padded, sigma + [(0, 0, 0.0)] * 2],
+                           torus=TORUS)
+    assert batch[0] == batch[1] == fourier_gap(lam, mu, w, sigma,
+                                               torus=TORUS)[0]
+
+
 def test_in_hypothesis_region_boundaries():
     assert not in_hypothesis_region(0.0, 1.0, 1.0, torus=TORUS)
     assert in_hypothesis_region(0.0, 1.0, 100.0, torus=TORUS)
