@@ -15,7 +15,8 @@ tail makes the outer shells grow).
 
 import argparse
 
-from ipl.asymptotics import extract_invariants
+from ipl.asymptotics import (ExtractionError, extract_invariants,
+                             instanton_number)
 from ipl.geometry import TorusSpec
 from ipl.models import ModelParams, model_connection, perturb
 
@@ -53,8 +54,7 @@ def main():
           f"mu={params.mu}")
 
     for rings in RING_FAMILIES:
-        inv = extract_invariants(conn, rings, kind="semisimple",
-                                 energy_radius=rings[-1])
+        inv = extract_invariants(conn, rings, kind="semisimple")
         sign = -1.0 if inv.diagnostics["branch_flipped"] else 1.0
         fit = inv.diagnostics.get("residue_fit") or {}
         lam_hat = complex(*fit["lambda_hat"]) if "lambda_hat" in fit else None
@@ -62,7 +62,12 @@ def main():
             else float("nan")
         e_alpha = abs(inv.alpha - sign * params.alpha)
         e_mu = abs(inv.mu - sign * params.mu)
-        e_txt = "n/a" if inv.energy is None else f"{inv.energy:.3f}"
+        try:
+            energy = instanton_number(conn, rings[-1],
+                                      r_inner=max(conn.r_min, 1.0))["energy"]
+            e_txt = f"{energy:.3f}"
+        except ExtractionError:
+            e_txt = "n/a"
         print(f"rings {rings[0]:6.1f}..{rings[-1]:6.1f}: "
               f"|dlam|={e_lam:.2e} |dalpha|={e_alpha:.2e} "
               f"|dmu|={e_mu:.2e} xi0=({inv.xi0.xi1:.4f},{inv.xi0.xi2:.4f}) "

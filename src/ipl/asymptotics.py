@@ -1,8 +1,9 @@
 """Extraction of asymptotic invariants from a connection: flat limit,
 asymptotic states, limiting holonomy, residue, decay exponents, the
-opt-in curvature energy, and the flat-kernel decomposition toolkit on the
-torus. One extraction samples every circle holonomy it reads once, in a
-single `HolonomyTable`.
+curvature energy, and the flat-kernel decomposition toolkit on the torus.
+`holonomy_table` is the one holonomy sampler: it samples every circle
+holonomy an extraction reads once, and the fits (`flat_limit`,
+`limiting_holonomy`, `residue`) are functions of that table alone.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _su2
 from .gauge import (LOOP_STEPS, ConnectionSource, _path_ordered_product,
-                    circle_holonomies, circle_paths, curvature_norm)
+                    circle_paths, curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, reduce_dual
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -31,6 +32,12 @@ E3 = np.array([0.0, 0.0, 1.0])
 # the coarser grid of the flat limit and of the reference axis from them
 N_THETA = 24
 COARSE = 3
+# largest ring-to-ring drift of the flat-limit exponents, largest zeta(w)
+# fit residual, and the smallest |projection| / |rotation| of a strict
+# signed phase before the extraction gives up
+DRIFT_THRESHOLD = 0.2
+RESIDUAL_THRESHOLD = 0.1
+COLLISION_TOL = 0.2
 
 
 class ExtractionError(RuntimeError):
@@ -46,15 +53,6 @@ class FlatLimit:
     drift: float
     axis: np.ndarray
     torus: TorusSpec = field(default_factory=TorusSpec)
-
-    @property
-    def gamma(self) -> tuple[float, float]:
-        return (self.lambda1, self.lambda2)
-
-    @property
-    def lam(self) -> complex:
-        """lambda = (lambda1 + i lambda2)/2."""
-        return complex(self.lambda1, self.lambda2) / 2.0
 
     def xi_raw(self) -> tuple[float, float]:
         return (self.lambda1 * self.torus.period_x / TWO_PI,
@@ -78,7 +76,6 @@ class AsymptoticInvariants:
     xi0: DualTorusPoint
     alpha: float
     mu: complex
-    energy: float | None
     kind: str
     diagnostics: dict
 
@@ -92,9 +89,10 @@ def principal_alpha(alpha: float) -> float:
 
 @dataclass
 class HolonomyTable:
-    """Every circle holonomy an extraction reads, sampled on `rings` by one
-    batched path-ordered product of `steps` fourth-order Magnus steps per
-    loop (two connection evaluations each; see gauge._path_ordered_product).
+    """Every circle holonomy an extraction reads, sampled on `rings` of a
+    connection over `torus` by one batched path-ordered product of
+    gauge.LOOP_STEPS fourth-order Magnus steps per loop (two connection
+    evaluations each; see gauge._path_ordered_product).
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
     base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
@@ -103,7 +101,7 @@ class HolonomyTable:
     theta = 0. axis_theta: (N_THETA / COARSE, 2, 2), theta-circles on the
     outer ring through thetas[::COARSE]."""
     rings: tuple
-    steps: int
+    torus: TorusSpec
     thetas: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -120,10 +118,12 @@ def _ring_bases(rs, ths, x: float = 0.0, y: float = 0.0) -> np.ndarray:
                      np.full(R.size, y)], axis=-1)
 
 
-def holonomy_table(conn: ConnectionSource, rings,
-                   steps: int = LOOP_STEPS) -> HolonomyTable:
-    """Samples the `HolonomyTable` of conn on rings."""
+def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
+    """Samples the `HolonomyTable` of conn on rings, which must be at least
+    4 and strictly increasing."""
     rings = tuple(float(r) for r in rings)
+    if len(rings) < 4 or any(b <= a for a, b in zip(rings, rings[1:])):
+        raise ValueError("need at least 4 strictly increasing rings")
     Lx, Ly = conn.torus.period_x, conn.torus.period_y
     thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
     coarse = thetas[::COARSE]
@@ -140,7 +140,7 @@ def holonomy_table(conn: ConnectionSource, rings,
         "axis_theta": ("theta", _ring_bases(rings[-1:], coarse),
                        (coarse.size,)),
     }
-    paths = [circle_paths(conn.torus, kind, b, steps)
+    paths = [circle_paths(conn.torus, kind, b, LOOP_STEPS)
              for kind, b, _ in loops.values()]
     mats = _path_ordered_product(conn,
                                  np.concatenate([p for p, _ in paths], axis=2),
@@ -149,17 +149,8 @@ def holonomy_table(conn: ConnectionSource, rings,
     for name, (_, b, shape) in loops.items():
         fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
         start += len(b)
-    return HolonomyTable(rings=rings, steps=steps, thetas=thetas, **fields)
-
-
-def _table_for(conn: ConnectionSource, rings: tuple, steps: int,
-               table: HolonomyTable | None) -> HolonomyTable:
-    """The given table, checked against rings and steps, or a new one."""
-    if table is None:
-        return holonomy_table(conn, rings, steps)
-    if table.rings != rings or table.steps != steps:
-        raise ValueError("holonomy table was sampled on other rings or steps")
-    return table
+    return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
+                         **fields)
 
 
 def reference_axis(mats: np.ndarray) -> np.ndarray:
@@ -181,7 +172,7 @@ def reference_axis(mats: np.ndarray) -> np.ndarray:
 
 
 def signed_phases(mats: np.ndarray, axis: np.ndarray,
-                  strict: bool = False, collision_tol: float = 0.2) -> np.ndarray:
+                  strict: bool = False) -> np.ndarray:
     """Rotation angles of SU(2) elements projected on the reference axis.
 
     For families whose rotation axes align with the reference this is the
@@ -194,7 +185,7 @@ def signed_phases(mats: np.ndarray, axis: np.ndarray,
     dots = v @ axis
     if strict:
         norms = np.linalg.norm(v, axis=-1)
-        bad = (norms > 0.05) & (np.abs(dots) < collision_tol * norms)
+        bad = (norms > 0.05) & (np.abs(dots) < COLLISION_TOL * norms)
         if np.any(bad):
             raise ExtractionError("monodromy axis nearly orthogonal to the "
                                   "reference; eigenvalue branch collision")
@@ -215,37 +206,33 @@ def _richardson_fit(rs: np.ndarray, vals: np.ndarray, powers=(0, 1, 2)) -> float
     return float(coef[0])
 
 
-def flat_limit(conn: ConnectionSource, rings, steps: int = LOOP_STEPS,
-               drift_threshold: float = 0.2, *,
-               table: HolonomyTable | None = None) -> FlatLimit:
-    """Torus monodromy exponents extrapolated over rings.
+def flat_limit(table: HolonomyTable) -> FlatLimit:
+    """Torus monodromy exponents extrapolated over the table's rings.
 
-    Per ring, x- and y-circle holonomies are taken on a grid of theta
+    Per ring, x- and y-circle holonomies are read on a grid of theta
     samples times transverse torus offsets 0 and one half; the signed
     eigenvalue phases (common-axis convention) are averaged (this cancels
     the 1/r residue term exactly for the models) and extrapolated in 1/r.
+    Raises ExtractionError when they drift by more than DRIFT_THRESHOLD
+    over the rings.
     """
-    rings = tuple(float(r) for r in rings)
-    if len(rings) < 4 or any(b <= a for a, b in zip(rings, rings[1:])):
-        raise ValueError("need at least 4 strictly increasing rings")
-    table = _table_for(conn, rings, steps, table)
+    rings, torus = table.rings, table.torus
     axis = _dominant_axis(table)
     per_ring = np.zeros((len(rings), 2))
     for col, (full, half, period) in enumerate((
-            (table.x, table.x_half, conn.torus.period_x),
-            (table.y, table.y_half, conn.torus.period_y))):
+            (table.x, table.x_half, torus.period_x),
+            (table.y, table.y_half, torus.period_y))):
         mats = np.concatenate([full[:, ::COARSE], half], axis=1)
         per_ring[:, col] = np.mean(-signed_phases(mats, axis) / period, axis=1)
     lam1 = _richardson_fit(np.array(rings), per_ring[:, 0])
     lam2 = _richardson_fit(np.array(rings), per_ring[:, 1])
     drift = float(np.max(np.abs(per_ring - per_ring[-1]), initial=0.0))
-    if drift > drift_threshold:
+    if drift > DRIFT_THRESHOLD:
         raise ExtractionError(
             f"monodromy exponents drift {drift:.3e} over rings; "
             "curvature decay hypothesis violated")
     return FlatLimit(lambda1=lam1, lambda2=lam2, rings=rings,
-                     per_ring=per_ring, drift=drift, axis=axis,
-                     torus=conn.torus)
+                     per_ring=per_ring, drift=drift, axis=axis, torus=torus)
 
 
 def asymptotic_states(fl: FlatLimit) -> AsymptoticStates:
@@ -263,23 +250,14 @@ def asymptotic_states(fl: FlatLimit) -> AsymptoticStates:
     return AsymptoticStates(xi0=xi, flipped=flipped, order_two=order_two)
 
 
-def limiting_holonomy(conn: ConnectionSource, rings, steps: int = LOOP_STEPS,
-                      basis: str = "inverse-r", axis=None, *,
-                      table: HolonomyTable | None = None) -> float:
-    """Theta-circle holonomy exponent alpha in [-1/2, 1/2), extrapolated
-    over rings; basis 'inverse-r' fits {1, 1/r, 1/r^2} (semisimple decay),
-    'inverse-log' fits {1, 1/ln r} (nilpotent decay). Without a table,
-    samples only the theta-circles of `HolonomyTable.theta`."""
-    rings = tuple(float(r) for r in rings)
-    if table is None:
-        mats = circle_holonomies(conn, "theta", _ring_bases(rings, [0.0]),
-                                 steps)
-    else:
-        mats = _table_for(conn, rings, steps, table).theta
-    if axis is None:
-        axis = reference_axis(mats)
-    alphas = -signed_phases(mats, axis, strict=True) / TWO_PI
-    rs = np.array(rings)
+def limiting_holonomy(table: HolonomyTable, axis: np.ndarray,
+                      basis: str = "inverse-r") -> float:
+    """Theta-circle holonomy exponent alpha in [-1/2, 1/2), with phases
+    projected on `axis` (the flat limit's) and extrapolated over the
+    table's rings; basis 'inverse-r' fits {1, 1/r, 1/r^2} (semisimple
+    decay), 'inverse-log' fits {1, 1/ln r} (nilpotent decay)."""
+    alphas = -signed_phases(table.theta, axis, strict=True) / TWO_PI
+    rs = np.array(table.rings)
     if basis == "inverse-r":
         alpha = _richardson_fit(rs, alphas)
     elif basis == "inverse-log":
@@ -291,34 +269,28 @@ def limiting_holonomy(conn: ConnectionSource, rings, steps: int = LOOP_STEPS,
     return principal_alpha(alpha)
 
 
-def residue(conn: ConnectionSource, rings, fl: FlatLimit | None = None,
-            steps: int = LOOP_STEPS, residual_threshold: float = 0.1, *,
-            table: HolonomyTable | None = None) -> tuple[complex, dict]:
+def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
     """Residue mu of the complex monodromy exponent zeta(w) = lambda + mu/w.
 
-    Per ring and theta sample, extracts zeta(w) from the x/y monodromies
-    (phases anchored at the flat-limit value so the mod-1 ambiguity cannot
-    wrap), then least-squares fits against (1, 1/w) over all samples.
+    Per ring and theta sample of the table, extracts zeta(w) from the x/y
+    monodromies (phases on the axis of the flat limit fl, anchored at its
+    value so the mod-1 ambiguity cannot wrap), then least-squares fits
+    against (1, 1/w) over all samples. Raises ExtractionError when the fit
+    residual exceeds RESIDUAL_THRESHOLD.
     """
-    rings = tuple(float(r) for r in rings)
-    if len(rings) < 4:
-        raise ValueError("need at least 4 rings")
-    table = _table_for(conn, rings, steps, table)
-    if fl is None:
-        fl = flat_limit(conn, rings, steps=steps, table=table)
     cs = []
-    for mats, period, ref in ((table.x, conn.torus.period_x, fl.lambda1),
-                              (table.y, conn.torus.period_y, fl.lambda2)):
+    for mats, period, ref in ((table.x, table.torus.period_x, fl.lambda1),
+                              (table.y, table.torus.period_y, fl.lambda2)):
         c = -signed_phases(mats, fl.axis) / period
         c = c + np.round((ref - c) * period / TWO_PI) * TWO_PI / period
         cs.append(c)
-    w = (np.array(rings)[:, None] * np.exp(1j * table.thetas)).ravel()
+    w = (np.array(table.rings)[:, None] * np.exp(1j * table.thetas)).ravel()
     z = ((cs[0] + 1j * cs[1]) / 2.0).ravel()
     X = np.stack([np.ones_like(w), 1.0 / w], axis=-1)
     coef, *_ = np.linalg.lstsq(X, z, rcond=None)
     lam_hat, mu_hat = complex(coef[0]), complex(coef[1])
     resid = float(np.max(np.abs(z - X @ coef)))
-    if resid > residual_threshold:
+    if resid > RESIDUAL_THRESHOLD:
         raise ExtractionError(
             f"zeta(w) fit residual {resid:.3e} above threshold; connection "
             "is not semisimple-asymptotic on these rings")
@@ -447,26 +419,19 @@ def poincare_constant(gamma: FlatLimit | None, N: int = 8,
 # ---------------------------------------------------------------------------
 # orchestrator
 
-def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = None,
-                       steps: int = LOOP_STEPS,
-                       energy_radius: float | None = None) -> AsymptoticInvariants:
+def extract_invariants(conn: ConnectionSource, rings=None,
+                       kind: str | None = None) -> AsymptoticInvariants:
     """Full invariant extraction with branch bookkeeping: fits flat_limit,
     limiting_holonomy and residue from one holonomy table with a shared
     axis convention, detects the asymptotic kind when not supplied, and
-    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu).
-    With energy_radius, also integrates the curvature energy over
-    max(r_min, 1) <= r <= energy_radius (see instanton_number)."""
+    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)."""
     if rings is None:
         rings = (50.0, 100.0, 200.0, 400.0)
-    rings = tuple(float(r) for r in rings)
-    table = holonomy_table(conn, rings, steps)
-    fl = flat_limit(conn, rings, steps=steps, table=table)
+    table = holonomy_table(conn, rings)
+    fl = flat_limit(table)
     if kind is None:
-        alpha_log = limiting_holonomy(conn, rings, steps=steps,
-                                      basis="inverse-log", axis=fl.axis,
-                                      table=table)
-        alpha_r = limiting_holonomy(conn, rings, steps=steps, axis=fl.axis,
-                                    table=table)
+        alpha_log = limiting_holonomy(table, fl.axis, basis="inverse-log")
+        alpha_r = limiting_holonomy(table, fl.axis)
         # nilpotent regime: theta-holonomy nonzero at finite r but
         # converging to identity at a 1/ln r rate, flat limit trivial
         raw = -signed_phases(table.theta, fl.axis) / TWO_PI
@@ -475,12 +440,11 @@ def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = No
         alpha = alpha_log if kind == "nilpotent" else alpha_r
     else:
         alpha = limiting_holonomy(
-            conn, rings, steps=steps,
-            basis="inverse-log" if kind == "nilpotent" else "inverse-r",
-            axis=fl.axis, table=table)
+            table, fl.axis,
+            basis="inverse-log" if kind == "nilpotent" else "inverse-r")
     diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring.tolist()}
     if kind == "semisimple":
-        mu, res_diag = residue(conn, rings, fl=fl, steps=steps, table=table)
+        mu, res_diag = residue(table, fl)
         diagnostics["residue_fit"] = {
             "lambda_hat": [res_diag["lambda_hat"].real, res_diag["lambda_hat"].imag],
             "max_residual": res_diag["max_residual"],
@@ -490,20 +454,7 @@ def extract_invariants(conn: ConnectionSource, rings=None, kind: str | None = No
     states = asymptotic_states(fl)
     if states.flipped:
         alpha, mu = principal_alpha(-alpha), -mu
-    energy = None
-    if energy_radius is not None:
-        try:
-            e_diag = instanton_number(conn, energy_radius,
-                                      r_inner=max(conn.r_min, 1.0))
-            energy = e_diag["energy"]
-            diagnostics["energy_shells"] = e_diag["shells"]
-        except ExtractionError as e:
-            # the energy is diagnostic only; a non-monotone tail (noise
-            # region not yet exited) must not abort the extraction
-            diagnostics["energy_shells"] = None
-            diagnostics["energy_note"] = str(e)
     diagnostics["order_two"] = states.order_two
     diagnostics["branch_flipped"] = states.flipped
-    return AsymptoticInvariants(
-        xi0=states.xi0, alpha=alpha, mu=mu,
-        energy=energy, kind=kind, diagnostics=diagnostics)
+    return AsymptoticInvariants(xi0=states.xi0, alpha=alpha, mu=mu,
+                                kind=kind, diagnostics=diagnostics)

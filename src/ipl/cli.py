@@ -287,7 +287,8 @@ def _jsonable(obj):
 def _check(name, value, tolerance, passed, margin=None, **extra) -> dict:
     """One report check. `margin` is the signed distance from value to the
     check's bound in the check's own units, >= 0 on the passing side; None
-    for a check with no numeric bound."""
+    for a check with no numeric bound. A strict check (value > bound)
+    fails at margin 0."""
     d = {"name": name, "value": _jsonable(value),
          "tolerance": _jsonable(tolerance), "margin": _jsonable(margin),
          "pass": bool(passed)}
@@ -921,8 +922,8 @@ def _run_spectral(params: dict):
                               "bound": bound})
             for w, m in sd.points:
                 csv_rows.append((xi.xi1, xi.xi2, w.real, w.imag, m))
-        checks.append(_check("blowup_ratio_min", ratio_min, None,
-                             ratio_min >= 1.0))
+        checks.append(_check("blowup_ratio_min", ratio_min, 1.0,
+                             ratio_min >= 1.0, margin=ratio_min - 1.0))
         bundle0 = BundleModel(lam=bundle.lam, mu=0.0, r_min=bundle.r_min,
                               k=bundle.k, torus=torus)
         found = 0
@@ -936,8 +937,8 @@ def _run_spectral(params: dict):
                                 branch="both")
             found += sd.total_multiplicity
             n_done += 1
-        checks.append(_check("mu_zero_jumping_points", found, None,
-                             found == 0, n_samples=n_done))
+        checks.append(_leq_check("mu_zero_jumping_points", found, 0,
+                                 n_samples=n_done))
         summary["dichotomy"] = {"blowup": blow_rows,
                                 "mu_zero_points_found": found}
 
@@ -1122,7 +1123,7 @@ def _run_moduli(params: dict):
 
     res_rel_max = 0.0
     for tag, t in tangents[:2]:
-        r1, r2 = instanton_tangent_residual(conn, t, calc)
+        r1, r2 = instanton_tangent_residual(t, calc)
         scale = max(calc.norm(t.comps), 1e-30)
         res_rel_max = max(res_rel_max, r1 / scale, r2 / scale)
     checks.append(_leq_check("translation_tangent_residual_rel",
@@ -1137,8 +1138,8 @@ def _run_moduli(params: dict):
     sym_dev = float(np.max(np.abs(gram - gram.T)))
     eigs = np.linalg.eigvalsh(gram)
     checks.append(_leq_check("l2_metric_symmetry", sym_dev, 0.0))
-    checks.append(_check("l2_metric_positive", float(eigs[0]), None,
-                         bool(eigs[0] > 0)))
+    checks.append(_check("l2_metric_positive", float(eigs[0]), 0.0,
+                         bool(eigs[0] > 0), margin=float(eigs[0])))
 
     iso_dev = 0.0
     a = tangents[-1][1] if params["n_random_tangents"] else tangents[0][1]

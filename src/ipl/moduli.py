@@ -210,13 +210,12 @@ class AnnulusCalculus:
         return math.sqrt(max(self.inner(a, a), 0.0))
 
 
-def instanton_tangent_residual(conn: ConnectionSource,
-                               a: TangentVectorInstanton,
-                               calculus: AnnulusCalculus | None = None):
+def instanton_tangent_residual(a: TangentVectorInstanton,
+                               calc: AnnulusCalculus):
     """(gauge-fixing residual, linearized-equation residual): L2 norms of
     the covariant codifferential and of the self-dual part of the
-    covariant exterior derivative of the tangent field."""
-    calc = calculus or AnnulusCalculus(conn, a.grid)
+    covariant exterior derivative of the tangent field, on calc's grid
+    about calc.conn."""
     return calc.norm(calc.dstar(a.comps)), calc.norm(calc.dplus(a.comps))
 
 

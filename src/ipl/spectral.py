@@ -58,8 +58,6 @@ class BundleModel:
 class SpectralData:
     xi: DualTorusPoint
     points: tuple  # ((w, multiplicity), ...)
-    branch: str = "plus"
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def total_multiplicity(self) -> int:
@@ -122,23 +120,18 @@ def jumping_points(bundle: BundleModel, xi: DualTorusPoint,
     scale = abs(bundle.mu) + sum(abs(c) for c in bundle.tail)
     signs = {"plus": (+1.0,), "minus": (-1.0,), "both": (+1.0, -1.0)}[branch]
     points = []
-    n_translates = 0
     for sgn in signs:
         target0 = sgn * zx
         # admissible translates keep |target + omega - lam| small enough
         # that the root can lie inside |w| <= r_hi yet beyond r_lo
         radius = 1.2 * scale / r_lo + 1e-12
         for omega in lattice_translates(bundle.lam - target0, radius, torus):
-            n_translates += 1
             target = target0 + omega
             if abs(target - bundle.lam) * r_hi < 0.5 * abs(bundle.mu):
                 continue  # root beyond the outer radius (or at the pole)
             points.extend(_roots_in_annulus(coeffs, target, r_lo, r_hi))
     points.sort(key=lambda pm: (abs(pm[0]), pm[0].real, pm[0].imag))
-    diag = {"n_translates_scanned": n_translates,
-            "empty": len(points) == 0}
-    return SpectralData(xi=xi, points=tuple(points), branch=branch,
-                        diagnostics=diag)
+    return SpectralData(xi=xi, points=tuple(points))
 
 
 def phi_residue(bundle: BundleModel, xi0: DualTorusPoint, approach,

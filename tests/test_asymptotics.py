@@ -41,13 +41,13 @@ def synthetic_flat_limit(lambda1, lambda2):
 def test_flat_limit_needs_four_rings():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
     with pytest.raises(ValueError):
-        flat_limit(conn, (50.0, 100.0, 200.0))
+        holonomy_table(conn, (50.0, 100.0, 200.0))
 
 
 def test_flat_limit_of_flat_connection():
     xi = reduce_dual((0.3, 0.2), TORUS)
     conn = flat_connection(xi, TORUS)
-    fl = flat_limit(conn, RINGS)
+    fl = flat_limit(holonomy_table(conn, RINGS))
     assert fl.drift < 1e-10
     states = asymptotic_states(fl)
     assert states.xi0.xi1 == pytest.approx(0.3, abs=1e-9)
@@ -77,34 +77,16 @@ def test_order_two_detection():
 def test_limiting_holonomy_of_model():
     alpha = 0.2
     conn = model_connection(ModelParams(lam=0.1, mu=0.5, alpha=alpha), TORUS)
-    got = limiting_holonomy(conn, RINGS)
-    assert abs(got) == pytest.approx(alpha, abs=1e-9)
-
-
-def test_limiting_holonomy_alone_samples_only_theta_circles():
-    # without a table it reads the table's theta-circles, bit for bit, and
-    # evaluates the connection on nothing else
-    conn = perturb(model_connection(ModelParams(lam=0.1, mu=0.3 - 0.2j,
-                                                alpha=0.25), TORUS),
-                   amplitude=0.05, seed=7)
-    seen = []
-
-    def evaluate(points):
-        seen.append(np.shape(points)[:-1])
-        return conn.evaluate(points)
-
-    counted = ConnectionSource(evaluate=evaluate, torus=TORUS,
-                               derivative=conn.derivative, name=conn.name)
-    alone = limiting_holonomy(counted, RINGS)
-    assert seen == [(LOOP_STEPS, 2, len(RINGS))]
     table = holonomy_table(conn, RINGS)
-    assert alone == limiting_holonomy(conn, RINGS, table=table)
+    got = limiting_holonomy(table, flat_limit(table).axis)
+    assert abs(got) == pytest.approx(alpha, abs=1e-9)
 
 
 def test_residue_fit_recovers_lambda_and_mu():
     lam, mu = 0.1 - 0.07j, 0.3 + 0.2j
     conn = model_connection(ModelParams(lam=lam, mu=mu, alpha=0.2), TORUS)
-    mu_hat, diag = residue(conn, RINGS)
+    table = holonomy_table(conn, RINGS)
+    mu_hat, diag = residue(table, flat_limit(table))
     assert abs(abs(mu_hat) - abs(mu)) < 1e-10
     assert abs(abs(diag["lambda_hat"]) - abs(lam)) < 1e-10
     assert diag["max_residual"] < 1e-8
@@ -178,15 +160,15 @@ def test_holonomy_table_entries_are_circle_holonomies():
     conn = perturb(model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
                                                 alpha=0.2), TORUS),
                    amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
-    steps = 24
-    table = holonomy_table(conn, RINGS, steps)
+    table = holonomy_table(conn, RINGS)
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     half_x, half_y = TORUS.period_x / 2.0, TORUS.period_y / 2.0
 
     def hol(kind, r, th, x=0.0, y=0.0):
-        return circle_holonomies(conn, kind, np.array([[r, th, x, y]]), steps)[0]
+        return circle_holonomies(conn, kind, np.array([[r, th, x, y]]),
+                                 LOOP_STEPS)[0]
 
-    assert table.rings == RINGS and table.steps == steps
+    assert table.rings == RINGS and table.torus == TORUS
     assert np.array_equal(table.thetas, ths)
     assert table.x.shape == table.y.shape == (4, 24, 2, 2)
     assert table.x_half.shape == table.y_half.shape == (4, 8, 2, 2)
@@ -215,14 +197,14 @@ CLEAN_GRID = [
 
 @pytest.mark.parametrize("lam,mu,alpha", CLEAN_GRID)
 def test_extraction_matches_public_fits(lam, mu, alpha):
-    # the shared table must give what each public fit gives when it samples
-    # its own holonomies
+    # the extraction must give what the public fits give on one table
     conn = model_connection(ModelParams(lam=lam, mu=mu, alpha=alpha), TORUS)
     inv = extract_invariants(conn, RINGS)
-    fl = flat_limit(conn, RINGS)
+    table = holonomy_table(conn, RINGS)
+    fl = flat_limit(table)
     states = asymptotic_states(fl)
-    a = limiting_holonomy(conn, RINGS, axis=fl.axis)
-    m, diag = residue(conn, RINGS)
+    a = limiting_holonomy(table, fl.axis)
+    m, diag = residue(table, fl)
     if states.flipped:
         a, m = principal_alpha(-a), -m
     assert inv.kind == "semisimple"
@@ -274,30 +256,6 @@ def test_instanton_number_monotone_guard():
                             r_min=1e-3)
     with pytest.raises(ExtractionError):
         instanton_number(grow, 100.0, r_inner=1.0)
-
-
-def test_extraction_survives_unavailable_charge_estimate():
-    # bump noise on a flat background makes outer shells non-monotone; the
-    # extraction must degrade the energy diagnostic instead of aborting
-    conn = perturb(model_connection(ModelParams(alpha=-0.25), TORUS),
-                   delta=0.5, amplitude=0.05, seed=20260815,
-                   r_lo=5.0, r_hi=600.0)
-    inv = extract_invariants(conn, RINGS, kind="semisimple",
-                             energy_radius=400.0)
-    assert inv.energy is None
-    assert "energy_note" in inv.diagnostics
-    assert inv.alpha == pytest.approx(-0.25, abs=1e-3)
-
-
-def test_energy_is_opt_in():
-    conn = model_connection(ModelParams(lam=0.1, mu=0.5), TORUS)
-    inv = extract_invariants(conn, RINGS)
-    assert inv.energy is None
-    assert not any(k.startswith("energy") for k in inv.diagnostics)
-    inv = extract_invariants(conn, RINGS, energy_radius=400.0)
-    assert inv.energy == pytest.approx(8.0 * math.pi * 0.25 * (1.0 - 400.0 ** -2.0),
-                                       rel=1e-13)
-    assert len(inv.diagnostics["energy_shells"]) >= 2
 
 
 @pytest.mark.parametrize("lam,mu,alpha,R", [

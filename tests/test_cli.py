@@ -282,6 +282,22 @@ def test_check_margins(tmp_path):
     count = checks("spectral", SPECTRAL_CFG)["counting_total_multiplicity"]
     assert count["value"] == 1.0 and count["tolerance"] is None
     assert count["margin"] is None
+    dichotomy = checks("spectral", {**SEEDED, "bundle": SPECTRAL_CFG["bundle"],
+                                    "dichotomy": {"n_approach": 3,
+                                                  "n_mu_zero": 5}})
+    # value >= 1: value - 1
+    blowup = dichotomy["blowup_ratio_min"]
+    assert blowup["tolerance"] == 1.0
+    assert blowup["margin"] == blowup["value"] - 1.0 >= 0
+    # a count that must stay 0: -value
+    zero = dichotomy["mu_zero_jumping_points"]
+    assert zero["tolerance"] == 0 and zero["value"] == 0
+    assert zero["margin"] == -zero["value"]
+    # value > 0, strict: the value itself
+    positive = checks("moduli", {**SEEDED, "n_alpha": 1,
+                                 "n_random_tangents": 1})["l2_metric_positive"]
+    assert positive["tolerance"] == 0.0
+    assert positive["margin"] == positive["value"] > 0
 
 
 def main_in(tmp_path, subcommand, cfg):
