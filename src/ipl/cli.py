@@ -244,6 +244,19 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _nilpotent_rule(params: dict) -> None:
+    """The nilpotent model has no parameters: in a nilpotent models entry
+    or model_grid, lambda, mu and alpha are 0 or left out."""
+    keys, grid = ("lambda", "mu", "alpha"), params["model_grid"]
+    fields = [(f"models[{i}].{k}", m["kind"], [m[k]])
+              for i, m in enumerate(params["models"]) for k in keys]
+    if grid is not None:
+        fields += [(f"model_grid.{k}", grid["kind"], grid[k]) for k in keys]
+    for path, kind, values in fields:
+        _expect(kind != "nilpotent" or not any(values),
+                f"{path} must be 0: the nilpotent model has no parameters")
+
+
 def _model(m: dict) -> ModelParams:
     return ModelParams(lam=m["lambda"], mu=m["mu"], alpha=m["alpha"],
                        kind=m["kind"])
@@ -386,6 +399,7 @@ def _model_check_rules(cfg: dict, params: dict) -> None:
     _expect(params["models"] or params["model_grid"]
             or params["inequalities"],
             "model-check needs models, model_grid, or inequalities")
+    _nilpotent_rule(params)
     _require_seed(cfg)
     starts = [(f"models[{i}].domain", m["kind"], m["domain"])
               for i, m in enumerate(params["models"])]
@@ -661,14 +675,12 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
 # ---------------------------------------------------------------------------
 # invariants
 
-_ROUNDTRIP_TOL = {"lambda": _positive(1e-4), "alpha": _positive(1e-6),
-                  "mu": _positive(1e-4)}
 _INVARIANTS = {
     **_MODELS,
     "rings": _radii([50.0, 100.0, 200.0, 400.0], min_len=4),
-    "tolerances_clean": _object(_ROUNDTRIP_TOL, {}),
-    # older spelling of tolerances_clean, read when that key is absent
-    "tolerances": _object(_ROUNDTRIP_TOL),
+    "tolerances_clean": _object({"lambda": _positive(1e-4),
+                                 "alpha": _positive(1e-6),
+                                 "mu": _positive(1e-4)}, {}),
     "perturbation": _object({"amplitude": _positive(0.05),
                              "delta": _positive(0.5),
                              "r_lo": _positive(5.0),
@@ -682,6 +694,7 @@ _INVARIANTS = {
 def _invariants_rules(cfg: dict, params: dict) -> None:
     _expect(params["models"] or params["model_grid"],
             "invariants needs models or model_grid")
+    _nilpotent_rule(params)
     # the inverse-log fit divides by ln r, and no ring may enter a core
     _expect(params["rings"][0] > 1.0, "rings must start beyond r = 1")
     for kind in sorted({p.kind for p, _ in _expand_models(params)}):
@@ -690,8 +703,6 @@ def _invariants_rules(cfg: dict, params: dict) -> None:
                 f"{kind} model's domain")
     if params["perturbation"] is not None:
         _require_seed(cfg)
-    if "tolerances_clean" not in cfg and "tolerances" in cfg:
-        params["tolerances_clean"] = params["tolerances"]
 
 
 def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
@@ -1110,8 +1121,7 @@ def _run_moduli(params: dict):
 
     g = params["grid"]
     grid = AnnulusGrid(g["r_min"], g["r_max"], n_r=g["n_r"],
-                       n_theta=g["n_theta"], n_x=g["n_x"], n_y=g["n_y"],
-                       spacing="chebyshev")
+                       n_theta=g["n_theta"], n_x=g["n_x"], n_y=g["n_y"])
     conn = model_connection(_model(params["model"]), torus)
     calc = AnnulusCalculus(conn, grid)
     tangents = [("translation_x", translation_tangent(conn, grid, (1.0, 0.0))),

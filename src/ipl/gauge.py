@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,23 +33,20 @@ class ConnectionSource:
     """A connection given by callables, vectorized over leading axes.
 
     evaluate(points): (..., 4) float -> (..., 4, 2, 2) complex, components
-    (a_r, a_theta, a_x, a_y) in the coordinate coframe. derivative, if
-    given, maps (points, axis) to the exact partials of all four components
-    with respect to coordinate `axis` (0..3); otherwise finite differences
-    are used (4th order Richardson-extrapolated central stencils, step
-    1e-2).
+    (a_r, a_theta, a_x, a_y) in the coordinate coframe.
+    derivative(points, axis): the exact partials of all four components
+    with respect to coordinate `axis` (0..3), same shape. Every connection
+    here is a closed form (a lift of an explicit Higgs pair, a flat
+    connection, or a perturbation of one), so its partials are too; there
+    is no finite-difference fallback.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray, int], np.ndarray]
     torus: TorusSpec = field(default_factory=TorusSpec)
-    derivative: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
     r_min: float = 0.0
     r_max: float = math.inf
     name: str = "connection"
-
-    @property
-    def is_analytic(self) -> bool:
-        return self.derivative is not None
 
     def check_domain(self, points: np.ndarray) -> None:
         r = np.asarray(points)[..., 0]
@@ -57,38 +54,6 @@ class ConnectionSource:
             raise DomainError(
                 f"{self.name}: radius outside [{self.r_min}, {self.r_max}]"
             )
-
-    def __call__(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        self.check_domain(points)
-        return self.evaluate(points)
-
-
-def richardson_derivative(fun, points, axis: int, h: float) -> np.ndarray:
-    """Partial of fun along coordinate `axis`: 4th-order central stencils
-    at steps h and h/2, combined by one Richardson step on the O(h^4)
-    error."""
-    points = np.asarray(points, dtype=float)
-
-    def central4(hh):
-        out = 0.0
-        for k, w in ((1, 8.0), (2, -1.0)):
-            for sgn in (1.0, -1.0):
-                p = points.copy()
-                p[..., axis] += sgn * k * hh
-                out = out + sgn * w * fun(p)
-        return out / (12.0 * hh)
-
-    d1 = central4(h)
-    d2 = central4(h / 2.0)
-    return (16.0 * d2 - d1) / 15.0
-
-
-def connection_derivative(conn: ConnectionSource, points, axis: int) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if conn.derivative is not None:
-        return conn.derivative(points, axis)
-    return richardson_derivative(conn.evaluate, points, axis, 1e-2)
 
 
 @dataclass
@@ -112,7 +77,7 @@ def curvature(conn: ConnectionSource, points) -> CurvatureSample:
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     a = conn.evaluate(points)
-    d = np.stack([connection_derivative(conn, points, ax) for ax in range(4)], axis=-4)
+    d = np.stack([conn.derivative(points, ax) for ax in range(4)], axis=-4)
     # d[..., i, j, :, :] = partial_i a_j
     comps = []
     for i, j in PAIRS:

@@ -156,32 +156,29 @@ def lattice_translates(center: complex, radius: float, torus: TorusSpec):
 
 @dataclass(frozen=True)
 class AnnulusGrid:
+    """Product grid on [r_min, r_max] x circle x torus: Chebyshev-Lobatto
+    radii (the nodes of the radial differentiation matrix and of the
+    positive-weight interpolatory quadrature of `moduli`), and evenly
+    spaced periodic nodes."""
     r_min: float
     r_max: float
     n_r: int = 16
     n_theta: int = 16
     n_x: int = 8
     n_y: int = 8
-    spacing: str = "log"
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         if min(self.n_r, self.n_theta, self.n_x, self.n_y) < 4:
             raise ValueError("all node counts must be >= 4")
-        if self.spacing not in ("uniform", "log", "chebyshev"):
-            raise ValueError("spacing must be 'uniform', 'log', or 'chebyshev'")
 
     @property
     def rs(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.r_min, self.r_max, self.n_r)
-        if self.spacing == "chebyshev":
-            j = np.arange(self.n_r)
-            x = np.cos(np.pi * j / (self.n_r - 1))[::-1]
-            return 0.5 * (self.r_min + self.r_max) + 0.5 * (
-                self.r_max - self.r_min) * x
-        return np.linspace(self.r_min, self.r_max, self.n_r)
+        j = np.arange(self.n_r)
+        x = np.cos(np.pi * j / (self.n_r - 1))[::-1]
+        return 0.5 * (self.r_min + self.r_max) + 0.5 * (
+            self.r_max - self.r_min) * x
 
     @property
     def thetas(self) -> np.ndarray:

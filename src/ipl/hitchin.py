@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, DomainError, richardson_derivative
+from .gauge import ConnectionSource, DomainError
 from .geometry import TorusSpec
 
 
@@ -39,21 +39,18 @@ class HiggsPairOnPlane:
     evaluate_b(points): (..., 2) [r, theta] -> (..., 2, 2, 2), components
     (b_r, b_theta), anti-hermitian traceless. evaluate_psi(points):
     (..., 2) -> (..., 2, 2) complex traceless (the dw-coefficient of the
-    Higgs field). Optional exact partials with axis 0 = r, 1 = theta.
+    Higgs field). derivative_b(points, axis) and derivative_psi(points,
+    axis) are their exact partials, axis 0 = r, 1 = theta.
     """
 
     evaluate_b: Callable[[np.ndarray], np.ndarray]
     evaluate_psi: Callable[[np.ndarray], np.ndarray]
-    derivative_b: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
-    derivative_psi: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
+    derivative_b: Callable[[np.ndarray, int], np.ndarray]
+    derivative_psi: Callable[[np.ndarray, int], np.ndarray]
     torus: TorusSpec = field(default_factory=TorusSpec)
     r_min: float = 0.0
     r_max: float = math.inf
     name: str = "higgs-pair"
-
-    @property
-    def is_analytic(self) -> bool:
-        return self.derivative_b is not None and self.derivative_psi is not None
 
     def check_domain(self, points) -> None:
         r = np.asarray(points)[..., 0]
@@ -62,46 +59,38 @@ class HiggsPairOnPlane:
                               f"[{self.r_min}, {self.r_max}]")
 
 
-def pair_derivative_b(pair: HiggsPairOnPlane, points, axis: int):
-    if pair.derivative_b is not None:
-        return pair.derivative_b(np.asarray(points, dtype=float), axis)
-    return richardson_derivative(pair.evaluate_b, points, axis, 1e-2)
+# `reduce` checks torus invariance at this many random points, to this
+# component deviation, with this seed
+N_CHECK, CHECK_TOL, CHECK_SEED = 16, 1e-9, 0
 
 
-def pair_derivative_psi(pair: HiggsPairOnPlane, points, axis: int):
-    if pair.derivative_psi is not None:
-        return pair.derivative_psi(np.asarray(points, dtype=float), axis)
-    return richardson_derivative(pair.evaluate_psi, points, axis, 1e-2)
-
-
-def reduce(conn: ConnectionSource, n_check: int = 16, tol: float = 1e-9,
-           seed: int = 0) -> HiggsPairOnPlane:
+def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
     """Reduce a torus-invariant connection to its Higgs pair.
 
-    Torus invariance is verified on `n_check` random (r, theta) points by
+    Torus invariance is verified on N_CHECK random (r, theta) points by
     comparing component values at random torus positions against the base
-    torus position; raises NotTorusInvariantError beyond `tol`.
+    torus position; raises NotTorusInvariantError beyond CHECK_TOL.
     """
-    rng = np.random.default_rng(seed)
+    n = N_CHECK
+    rng = np.random.default_rng(CHECK_SEED)
     r_lo = max(conn.r_min, 1e-3)
     r_hi = min(conn.r_max, r_lo * 100.0 + 10.0)
-    rs = rng.uniform(r_lo + 1e-6, r_hi, size=n_check)
-    ths = rng.uniform(0.0, 2 * math.pi, size=n_check)
-    base = np.stack([rs, ths, np.zeros(n_check), np.zeros(n_check)], axis=-1)
-    xs = rng.uniform(0.0, conn.torus.period_x, size=n_check)
-    ys = rng.uniform(0.0, conn.torus.period_y, size=n_check)
+    rs = rng.uniform(r_lo + 1e-6, r_hi, size=n)
+    ths = rng.uniform(0.0, 2 * math.pi, size=n)
+    base = np.stack([rs, ths, np.zeros(n), np.zeros(n)], axis=-1)
+    xs = rng.uniform(0.0, conn.torus.period_x, size=n)
+    ys = rng.uniform(0.0, conn.torus.period_y, size=n)
     moved = np.stack([rs, ths, xs, ys], axis=-1)
-    dev = float(np.max(_su2.frob(conn(moved) - conn(base))))
-    if dev > tol:
+    dev = float(np.max(_su2.frob(conn.evaluate(moved) - conn.evaluate(base))))
+    if dev > CHECK_TOL:
         raise NotTorusInvariantError(
-            f"component deviation {dev:.3e} over the torus exceeds {tol:.1e}")
+            f"component deviation {dev:.3e} over the torus exceeds "
+            f"{CHECK_TOL:.1e}")
 
     def _lift_points(points):
+        """(..., 2) plane points (r, theta) -> (r, theta, 0, 0)."""
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4,))
-        out[..., 0] = points[..., 0]
-        out[..., 1] = points[..., 1]
-        return out
+        return np.concatenate([points, np.zeros_like(points)], axis=-1)
 
     def psi_slice(a):
         """psi_w = (a_y - i a_x)/2 from connection components, or the same
@@ -114,14 +103,11 @@ def reduce(conn: ConnectionSource, n_check: int = 16, tol: float = 1e-9,
     def evaluate_psi(points):
         return psi_slice(conn.evaluate(_lift_points(points)))
 
-    derivative_b = None
-    derivative_psi = None
-    if conn.is_analytic:
-        def derivative_b(points, axis):
-            return conn.derivative(_lift_points(points), axis)[..., :2, :, :]
+    def derivative_b(points, axis):
+        return conn.derivative(_lift_points(points), axis)[..., :2, :, :]
 
-        def derivative_psi(points, axis):
-            return psi_slice(conn.derivative(_lift_points(points), axis))
+    def derivative_psi(points, axis):
+        return psi_slice(conn.derivative(_lift_points(points), axis))
 
     return HiggsPairOnPlane(
         evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
@@ -150,15 +136,13 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
         return components(pair.evaluate_b(p2), pair.evaluate_psi(p2),
                           points.shape[:-1])
 
-    derivative = None
-    if pair.is_analytic:
-        def derivative(points, axis):
-            points = np.asarray(points, dtype=float)
-            if axis not in (0, 1):  # torus directions: invariant
-                return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-            p2 = points[..., :2]
-            return components(pair.derivative_b(p2, axis),
-                              pair.derivative_psi(p2, axis), points.shape[:-1])
+    def derivative(points, axis):
+        points = np.asarray(points, dtype=float)
+        if axis not in (0, 1):  # torus directions: invariant
+            return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
+        p2 = points[..., :2]
+        return components(pair.derivative_b(p2, axis),
+                          pair.derivative_psi(p2, axis), points.shape[:-1])
 
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
@@ -180,10 +164,10 @@ def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.nda
     b = pair.evaluate_b(points)
     psi = pair.evaluate_psi(points)
     psid = _su2.dag(psi)
-    db_r = pair_derivative_b(pair, points, 0)
-    db_th = pair_derivative_b(pair, points, 1)
-    dpsi_r = pair_derivative_psi(pair, points, 0)
-    dpsi_th = pair_derivative_psi(pair, points, 1)
+    db_r = pair.derivative_b(points, 0)
+    db_th = pair.derivative_b(points, 1)
+    dpsi_r = pair.derivative_psi(points, 0)
+    dpsi_th = pair.derivative_psi(points, 1)
 
     br, bth = b[..., 0, :, :], b[..., 1, :, :]
     f12 = (db_r[..., 1, :, :] - db_th[..., 0, :, :] + _su2.comm(br, bth))

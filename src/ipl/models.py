@@ -40,6 +40,9 @@ class ModelParams:
             raise ValueError("kind must be 'semisimple' or 'nilpotent'")
         if not (-0.5 <= self.alpha < 0.5):
             raise ValueError("alpha must lie in [-1/2, 1/2)")
+        if self.kind == "nilpotent" and any((self.lam, self.mu, self.alpha)):
+            raise ValueError("the nilpotent model has no parameters: lambda, "
+                             "mu and alpha must be 0")
 
     def to_json(self) -> dict:
         return {
@@ -50,14 +53,13 @@ class ModelParams:
         }
 
 
-def hitchin_model(params: ModelParams, torus: TorusSpec | None = None,
-                  r_min: float | None = None) -> HiggsPairOnPlane:
-    """Higgs pair of a model; closed-form fields and exact derivatives."""
+def hitchin_model(params: ModelParams,
+                  torus: TorusSpec | None = None) -> HiggsPairOnPlane:
+    """Higgs pair of a model on the annulus beyond its core; closed-form
+    fields and exact derivatives."""
     torus = torus or TorusSpec()
     if params.kind == "semisimple":
-        r0 = DEFAULT_SEMISIMPLE_R_MIN if r_min is None else r_min
-        if not r0 > 0:
-            raise ValueError("semisimple model needs r_min > 0")
+        r0 = DEFAULT_SEMISIMPLE_R_MIN
         lam, mu, alpha = params.lam, params.mu, params.alpha
 
         def evaluate_b(points):
@@ -87,9 +89,7 @@ def hitchin_model(params: ModelParams, torus: TorusSpec | None = None,
 
         name = "semisimple-higgs"
     else:
-        r0 = DEFAULT_NILPOTENT_R_MIN if r_min is None else r_min
-        if not r0 > 1.0:
-            raise ValueError("nilpotent model needs r_min > 1")
+        r0 = DEFAULT_NILPOTENT_R_MIN
 
         def evaluate_b(points):
             points = np.asarray(points, dtype=float)
@@ -135,27 +135,12 @@ def hitchin_model(params: ModelParams, torus: TorusSpec | None = None,
     )
 
 
-def semisimple_model(params: ModelParams, torus: TorusSpec | None = None,
-                     r_min: float | None = None) -> ConnectionSource:
-    if params.kind != "semisimple":
-        raise ValueError("params.kind must be 'semisimple'")
-    conn = lift(hitchin_model(params, torus, r_min))
-    conn.name = "semisimple-model"
+def model_connection(params: ModelParams,
+                     torus: TorusSpec | None = None) -> ConnectionSource:
+    """The model instanton: the lift of the model's Higgs pair."""
+    conn = lift(hitchin_model(params, torus))
+    conn.name = f"{params.kind}-model"
     return conn
-
-
-def nilpotent_model(torus: TorusSpec | None = None,
-                    r_min: float | None = None) -> ConnectionSource:
-    conn = lift(hitchin_model(ModelParams(kind="nilpotent"), torus, r_min))
-    conn.name = "nilpotent-model"
-    return conn
-
-
-def model_connection(params: ModelParams, torus: TorusSpec | None = None,
-                     r_min: float | None = None) -> ConnectionSource:
-    if params.kind == "semisimple":
-        return semisimple_model(params, torus, r_min)
-    return nilpotent_model(torus, r_min)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +232,8 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
     """Adds a deterministic random perturbation with pointwise bound
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
     decay: compactly supported radial bumps times torus/theta trig waves
-    times unit su(2) directions. Exact derivatives, so the result stays in
-    analytic mode when the base is.
+    times unit su(2) directions, with exact derivatives added to the
+    base's.
 
     A term vanishes exactly outside its bump's support, so each shell's
     terms are evaluated only on the points inside that support; every sum
@@ -284,27 +269,25 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
                     half_amp * (g * c)[:, None, None] * term.matrix)
         return out
 
-    derivative = None
-    if base_deriv is not None:
-        def derivative(points, axis):
-            points = np.asarray(points, dtype=float)
-            out = np.array(base_deriv(points, axis), copy=True, order="C")
-            flat = out.reshape(-1, 4, 2, 2)
-            for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+    def derivative(points, axis):
+        points = np.asarray(points, dtype=float)
+        out = np.array(base_deriv(points, axis), copy=True, order="C")
+        flat = out.reshape(-1, 4, 2, 2)
+        for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+            if axis == 0:
+                _, dg = _radial(pts[:, 0], u, shell.width, delta,
+                                want_deriv=True)
+            else:
+                g = _radial(pts[:, 0], u, shell.width, delta)
+            for term in shell.terms:
                 if axis == 0:
-                    _, dg = _radial(pts[:, 0], u, shell.width, delta,
-                                    want_deriv=True)
+                    coef = dg * _angular(pts, term, torus)
                 else:
-                    g = _radial(pts[:, 0], u, shell.width, delta)
-                for term in shell.terms:
-                    if axis == 0:
-                        coef = dg * _angular(pts, term, torus)
-                    else:
-                        coef = g * _angular(pts, term, torus,
-                                            want_derivs=True)[axis]
-                    flat[idx, term.component] += (
-                        half_amp * coef[:, None, None] * term.matrix)
-            return out
+                    coef = g * _angular(pts, term, torus,
+                                        want_derivs=True)[axis]
+                flat[idx, term.component] += (
+                    half_amp * coef[:, None, None] * term.matrix)
+        return out
 
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,

@@ -112,7 +112,7 @@ class AnnulusCalculus:
     """Discrete covariant calculus for a fixed connection on a fixed grid.
 
     Frame components throughout; the radial derivative is a polynomial
-    differentiation matrix (use chebyshev grid spacing), periodic
+    differentiation matrix on the grid's Chebyshev radii, periodic
     directions are Nyquist-zeroed spectral derivatives, and adjoints are
     exact transposes under the quadrature inner product."""
 
@@ -135,8 +135,7 @@ class AnnulusCalculus:
         self.Dr = differentiation_matrix(rs)
         self.w_radial, self.w_angular = quadrature_weights(grid, self.torus)
         if np.any(self.w_radial <= 0):
-            raise ValueError("radial quadrature weights must be positive; "
-                             "use chebyshev spacing")
+            raise ValueError("radial quadrature weights must be positive")
         self.weight = self.w_radial.reshape(-1, 1, 1, 1) * self.w_angular
 
     # -- scalar building blocks ------------------------------------------

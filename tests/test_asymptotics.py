@@ -26,7 +26,7 @@ from ipl.asymptotics import (
 from ipl.gauge import (LOOP_STEPS, ConnectionSource, circle_holonomies,
                        flat_connection)
 from ipl.geometry import TorusSpec, reduce_dual
-from ipl.models import ModelParams, model_connection, nilpotent_model, perturb
+from ipl.models import ModelParams, model_connection, perturb
 
 TORUS = TorusSpec()
 RINGS = (50.0, 100.0, 200.0, 400.0)
@@ -119,7 +119,8 @@ def test_extract_invariants_flipped_branch_negates_alpha_and_mu():
 
 
 def test_extract_invariants_nilpotent():
-    inv = extract_invariants(nilpotent_model(TORUS), RINGS)
+    conn = model_connection(ModelParams(kind="nilpotent"), TORUS)
+    inv = extract_invariants(conn, RINGS)
     assert inv.kind == "nilpotent"
     assert inv.diagnostics["order_two"]
     assert abs(inv.alpha) < 1e-9
@@ -223,7 +224,7 @@ def test_decay_exponent_semisimple():
 
 
 def test_decay_exponent_nilpotent_log_power():
-    conn = nilpotent_model(TORUS)
+    conn = model_connection(ModelParams(kind="nilpotent"), TORUS)
     rings = np.geomspace(math.e ** 2, math.e ** 6, 10)
     fit = decay_exponent(conn, rings, components="kahler", with_log=True)
     assert fit["gamma"] == pytest.approx(-2.0, abs=1e-9)

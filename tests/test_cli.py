@@ -356,6 +356,13 @@ SEEDED = {"schema_version": 1, "seed": 1}
                     "rings": [1.0, 2.0, 4.0, 8.0]}, "rings"),
     ("invariants", {"schema_version": 1, "models": [{"kind": "nilpotent"}],
                     "rings": [1.2, 2.0, 4.0, 8.0]}, "rings[0]"),
+    # the nilpotent model has no parameters to set
+    ("model-check", {**SEEDED, "models": [{"kind": "nilpotent",
+                                           "mu": [1.0, 0.0]}]},
+     "models[0].mu"),
+    ("invariants", {"schema_version": 1, "model_grid": {
+        "kind": "nilpotent", "lambda": [[0, 0]], "mu": [[0, 0]],
+        "alpha": [0.0, 0.25]}}, "model_grid.alpha"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
@@ -378,6 +385,8 @@ def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
     ("model-check", {**SEEDED, "model_grid": {
         "lambda": [[0, 0]], "mu": [[0, 0]], "alpha": [0.0], "alpah": [0.0]}},
      "model_grid.alpah"),
+    ("invariants", {"schema_version": 1, "models": [{"mu": [1.0, 0.0]}],
+                    "tolerances": {"mu": 2e-4}}, "tolerances"),
 ])
 def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, subcommand,
                                              cfg, path):
@@ -386,18 +395,6 @@ def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, subcommand,
     assert not out.exists()
     assert f"config error: {path} is not a known key" \
         in capsys.readouterr().err
-
-
-def test_tolerances_stands_in_for_tolerances_clean(tmp_path):
-    cfg = {"schema_version": 1,
-           "models": [{"lambda": [0.1, 0.0], "mu": [1.0, 0.0]}],
-           "tolerances": {"mu": 2e-4}}
-    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
-    assert code == 0
-    tols = {c["name"]: c["tolerance"] for c in report["checks"]}
-    assert tols["mu_error_max_clean"] == 2e-4
-    assert tols["lambda_error_max_clean"] == 1e-4
-    assert report["inputs"] == cfg
 
 
 @pytest.mark.parametrize("xi", [[0.5, 0.0], [0.3, 0.2]])

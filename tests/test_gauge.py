@@ -14,7 +14,6 @@ from ipl.gauge import (
     SeparableOneForm,
     TrigRadialTerm,
     circle_holonomies,
-    connection_derivative,
     curvature,
     curvature_norm,
     flat_connection,
@@ -45,19 +44,6 @@ def test_flat_connection_curvature_vanishes():
     pts = rand_points(np.random.default_rng(0), 20)
     F = curvature(conn, pts).components
     assert np.max(np.abs(F)) == 0.0
-
-
-def test_finite_difference_derivative_matches_analytic():
-    base = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j,
-                                        alpha=0.2), TORUS)
-    # same evaluator, but with the exact derivative withheld
-    fd_conn = ConnectionSource(evaluate=base.evaluate, torus=TORUS,
-                               derivative=None, r_min=base.r_min)
-    pts = rand_points(np.random.default_rng(1), 12)
-    for axis in range(4):
-        num = connection_derivative(fd_conn, pts, axis)
-        exact = base.derivative(pts, axis)
-        assert np.max(np.abs(num - exact)) < 1e-8
 
 
 def test_curvature_of_explicit_radial_field():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ipl.hitchin import (
+    HiggsPairOnPlane,
     NotTorusInvariantError,
     hitchin_residual,
     lift,
@@ -77,10 +78,12 @@ def test_hitchin_residual_detects_wrong_pair():
     def bad_psi(points):
         return 2.0 * good.evaluate_psi(points)
 
-    from ipl.hitchin import HiggsPairOnPlane
+    def bad_dpsi(points, axis):
+        return 2.0 * good.derivative_psi(points, axis)
+
     bad = HiggsPairOnPlane(evaluate_b=good.evaluate_b, evaluate_psi=bad_psi,
                            derivative_b=good.derivative_b,
-                           derivative_psi=None, torus=TORUS,
+                           derivative_psi=bad_dpsi, torus=TORUS,
                            r_min=good.r_min)
     pts = plane_points(np.random.default_rng(3), 8, r_lo=6.0, r_hi=60.0)
     rho1, _ = hitchin_residual(bad, pts)

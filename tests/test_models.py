@@ -17,12 +17,11 @@ from ipl.models import (
     _radial,
     hitchin_model,
     model_connection,
-    nilpotent_model,
     perturb,
-    semisimple_model,
 )
 
 TORUS = TorusSpec()
+NILPOTENT = ModelParams(kind="nilpotent")
 
 
 def rand_points(rng, n, r_lo, r_hi):
@@ -39,6 +38,9 @@ def test_params_validation_and_json():
         ModelParams(alpha=0.5)
     with pytest.raises(ValueError):
         ModelParams(kind="other")
+    for field in ({"lam": 0.1j}, {"mu": 1.0}, {"alpha": 0.25}):
+        with pytest.raises(ValueError):
+            ModelParams(kind="nilpotent", **field)
     p = ModelParams(lam=0.1 - 0.2j, mu=0.3 + 0.4j, alpha=-0.25,
                     kind="semisimple")
     assert p.to_json() == {"lambda": [0.1, -0.2], "mu": [0.3, 0.4],
@@ -50,7 +52,7 @@ def test_semisimple_exactly_anti_self_dual():
     for lam in (0.0, 0.1 + 0.05j):
         for mu in (0.0, 1.0, 0.3 - 0.2j):
             for alpha in (-0.25, 0.0, 0.25):
-                conn = semisimple_model(
+                conn = model_connection(
                     ModelParams(lam=lam, mu=mu, alpha=alpha), TORUS)
                 pts = rand_points(rng, 40, 5.0, 500.0)
                 assert np.max(asd_residual(conn, pts)) < 1e-12
@@ -59,7 +61,7 @@ def test_semisimple_exactly_anti_self_dual():
 def test_semisimple_curvature_magnitude():
     # |F| = 4 |mu| / r^2 pointwise for the abelian model
     mu = 0.7 - 0.4j
-    conn = semisimple_model(ModelParams(lam=0.2j, mu=mu, alpha=0.1), TORUS)
+    conn = model_connection(ModelParams(lam=0.2j, mu=mu, alpha=0.1), TORUS)
     pts = rand_points(np.random.default_rng(1), 30, 5.0, 300.0)
     norms = curvature_norm(conn, pts)
     assert np.max(np.abs(norms - 4.0 * abs(mu) / pts[:, 0] ** 2)) < 1e-12
@@ -69,7 +71,7 @@ def test_semisimple_chirality_split():
     # the self-dual coefficients vanish; the opposite chirality holds all
     # the curvature, 2 |mu| / r^2 per diagonal gauge entry
     mu = 0.5 - 0.3j
-    conn = semisimple_model(ModelParams(lam=0.11 + 0.07j, mu=mu, alpha=0.2),
+    conn = model_connection(ModelParams(lam=0.11 + 0.07j, mu=mu, alpha=0.2),
                             TORUS)
     pts = rand_points(np.random.default_rng(2), 20, 5.0, 200.0)
     sample = curvature(conn, pts)
@@ -83,7 +85,7 @@ def test_semisimple_chirality_split():
 
 
 def test_nilpotent_exactly_anti_self_dual():
-    conn = nilpotent_model(TORUS)
+    conn = model_connection(NILPOTENT, TORUS)
     pts = rand_points(np.random.default_rng(3), 40, 10.0, 1000.0)
     assert np.max(asd_residual(conn, pts)) < 1e-12
 
@@ -91,7 +93,7 @@ def test_nilpotent_exactly_anti_self_dual():
 def test_nilpotent_curvature_magnitudes():
     # Kahler pair: 4 / (r L)^2 with L = 2 ln r; all six components:
     # sqrt(8 (2 + (L+2)^2)) / (r L)^2
-    conn = nilpotent_model(TORUS)
+    conn = model_connection(NILPOTENT, TORUS)
     pts = rand_points(np.random.default_rng(4), 30, 10.0, 1000.0)
     r = pts[:, 0]
     L = 2.0 * np.log(r)
@@ -103,14 +105,15 @@ def test_nilpotent_curvature_magnitudes():
 
 
 def test_nilpotent_needs_radius_above_one():
-    conn = nilpotent_model(TORUS)
+    conn = model_connection(NILPOTENT, TORUS)
     assert conn.r_min > 1.0
 
 
 def test_model_connection_dispatch():
     c1 = model_connection(ModelParams(mu=1.0), TORUS)
-    c2 = model_connection(ModelParams(kind="nilpotent"), TORUS)
+    c2 = model_connection(NILPOTENT, TORUS)
     assert c1.r_min != c2.r_min
+    assert (c1.name, c2.name) == ("semisimple-model", "nilpotent-model")
 
 
 @given(seed=st.integers(0, 10 ** 6))
@@ -192,18 +195,26 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
         assert same_bits(got, ref), axis
 
 
-def test_perturbation_derivative_is_exact():
-    base = model_connection(ModelParams(mu=0.5), TORUS)
-    conn = perturb(base, amplitude=0.3, seed=9, r_lo=5.0, r_hi=100.0)
-    assert conn.is_analytic
-    pts = rand_points(np.random.default_rng(5), 10, 6.0, 90.0)
+@pytest.mark.parametrize("params", [
+    ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j, alpha=0.2), NILPOTENT],
+    ids=["semisimple", "nilpotent"])
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["clean", "perturbed"])
+def test_model_derivative_matches_central_difference(params, perturbed):
+    # every connection carries its exact partials; check them against a
+    # central difference, whose truncation and rounding errors are both
+    # far below the bound at h = 1e-5
+    conn = model_connection(params, TORUS)
+    if perturbed:
+        conn = perturb(conn, amplitude=0.3, seed=9, r_lo=5.0, r_hi=100.0)
+    pts = rand_points(np.random.default_rng(5), 12, 6.0, 90.0)
     h = 1e-5
     for axis in range(4):
         shift = np.zeros(4)
         shift[axis] = h
         fd = (conn.evaluate(pts + shift) - conn.evaluate(pts - shift)) / (2 * h)
         exact = conn.derivative(pts, axis)
-        assert np.max(np.abs(fd - exact)) < 1e-5
+        assert np.max(np.abs(fd - exact)) < 1e-8, axis
 
 
 def test_hitchin_model_matches_connection_reduction():

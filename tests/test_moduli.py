@@ -7,7 +7,7 @@ import pytest
 
 from ipl.gauge import DomainError
 from ipl.geometry import AnnulusGrid, TorusSpec
-from ipl.models import ModelParams, model_connection, nilpotent_model
+from ipl.models import ModelParams, model_connection
 from ipl.moduli import (
     AnnulusCalculus,
     TangentVectorInstanton,
@@ -28,8 +28,7 @@ TORUS = TorusSpec()
 
 
 def make_grid(n_r=12, n_theta=8):
-    return AnnulusGrid(8.0, 40.0, n_r=n_r, n_theta=n_theta, n_x=6, n_y=6,
-                       spacing="chebyshev")
+    return AnnulusGrid(8.0, 40.0, n_r=n_r, n_theta=n_theta, n_x=6, n_y=6)
 
 
 def anti_hermitian(rng, shape):
@@ -118,9 +117,8 @@ def test_tangent_vector_validation():
 
 
 def test_calculus_rejects_grid_outside_domain():
-    conn = nilpotent_model(TORUS)
-    grid = AnnulusGrid(0.5, 40.0, n_r=8, n_theta=8, n_x=6, n_y=6,
-                       spacing="chebyshev")
+    conn = model_connection(ModelParams(kind="nilpotent"), TORUS)
+    grid = AnnulusGrid(0.5, 40.0, n_r=8, n_theta=8, n_x=6, n_y=6)
     with pytest.raises(DomainError):
         AnnulusCalculus(conn, grid)
 
@@ -144,8 +142,7 @@ def test_gauge_adjoint_identity():
 def test_translation_tangent_near_kernel():
     # translating an exact model solution solves the linearized equations;
     # the discrete residual is resolution-limited, not modeling-limited
-    grid = AnnulusGrid(8.0, 40.0, n_r=20, n_theta=12, n_x=6, n_y=6,
-                       spacing="chebyshev")
+    grid = AnnulusGrid(8.0, 40.0, n_r=20, n_theta=12, n_x=6, n_y=6)
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
