@@ -17,7 +17,7 @@ import argparse
 
 from ipl.asymptotics import (ExtractionError, extract_invariants,
                              instanton_number)
-from ipl.geometry import TorusSpec
+from ipl.geometry import TorusSpec, lattice_distance
 from ipl.models import ModelParams, model_connection, perturb
 
 RING_FAMILIES = (
@@ -58,8 +58,10 @@ def main():
         sign = -1.0 if inv.diagnostics["branch_flipped"] else 1.0
         fit = inv.diagnostics.get("residue_fit") or {}
         lam_hat = complex(*fit["lambda_hat"]) if "lambda_hat" in fit else None
-        e_lam = abs(lam_hat - sign * params.lam) if lam_hat is not None \
-            else float("nan")
+        # the residue fit's lambda is not sign-flipped with (alpha, mu), and
+        # lambda + (pi/Lx) m + i (pi/Ly) n names the same state
+        e_lam = lattice_distance(1j * (lam_hat - params.lam), torus) \
+            if lam_hat is not None else float("nan")
         e_alpha = abs(inv.alpha - sign * params.alpha)
         e_mu = abs(inv.mu - sign * params.mu)
         try:

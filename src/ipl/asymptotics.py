@@ -17,7 +17,7 @@ flipped the branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,11 @@ COARSE = 3
 DRIFT_THRESHOLD = 0.2
 RESIDUAL_THRESHOLD = 0.1
 COLLISION_TOL = 0.2
+# sample grids of the curvature fits: theta samples and torus samples per
+# period on each ring of `decay_exponent`, and Gauss-Legendre nodes in ln r,
+# theta samples and torus samples per period of `instanton_number`
+DECAY_N_THETA, DECAY_N_TRANS = 16, 2
+ENERGY_N_R, ENERGY_N_THETA, ENERGY_N_TRANS = 64, 16, 4
 
 
 class ExtractionError(RuntimeError):
@@ -52,7 +57,7 @@ class FlatLimit:
     per_ring: np.ndarray  # (n_rings, 2) ring-averaged exponents
     drift: float
     axis: np.ndarray
-    torus: TorusSpec = field(default_factory=TorusSpec)
+    torus: TorusSpec
 
     def xi_raw(self) -> tuple[float, float]:
         return (self.lambda1 * self.torus.period_x / TWO_PI,
@@ -199,9 +204,9 @@ def _dominant_axis(table: HolonomyTable) -> np.ndarray:
         table.axis_theta, table.x[-1, ::COARSE], table.y[-1, ::COARSE]]))
 
 
-def _richardson_fit(rs: np.ndarray, vals: np.ndarray, powers=(0, 1, 2)) -> float:
-    """Least-squares extrapolation r -> inf with basis r^-p."""
-    X = np.stack([rs ** (-float(p)) for p in powers], axis=-1)
+def _richardson_fit(rs: np.ndarray, vals: np.ndarray) -> float:
+    """Least-squares extrapolation r -> inf with basis {1, 1/r, 1/r^2}."""
+    X = np.stack([rs ** (-float(p)) for p in (0, 1, 2)], axis=-1)
     coef, *_ = np.linalg.lstsq(X, vals, rcond=None)
     return float(coef[0])
 
@@ -299,7 +304,6 @@ def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
 
 
 def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
-                   n_theta: int = 16, n_trans: int = 2,
                    with_log: bool = True) -> dict:
     """Log-log fit of the per-ring sup of |F| against r:
     ln sup|F| = c + gamma ln r + p ln ln r. components='kahler' restricts
@@ -309,9 +313,9 @@ def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
     if len(rings) < 6 or rings[-1] < 10.0 * rings[0]:
         raise ValueError("need >= 6 rings spanning at least a decade")
     sups = []
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    xs = np.linspace(0.0, conn.torus.period_x, n_trans, endpoint=False)
-    ys = np.linspace(0.0, conn.torus.period_y, n_trans, endpoint=False)
+    ths = np.linspace(0.0, TWO_PI, DECAY_N_THETA, endpoint=False)
+    xs = np.linspace(0.0, conn.torus.period_x, DECAY_N_TRANS, endpoint=False)
+    ys = np.linspace(0.0, conn.torus.period_y, DECAY_N_TRANS, endpoint=False)
     T, X, Y = np.meshgrid(ths, xs, ys, indexing="ij")
     for r in rings:
         pts = np.stack([np.full(T.size, r), T.ravel(), X.ravel(), Y.ravel()],
@@ -335,31 +339,29 @@ def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
 
 
 def instanton_number(conn: ConnectionSource, R: float,
-                     r_inner: float | None = None, n_r: int = 64,
-                     n_theta: int = 16, n_trans: int = 4) -> dict:
+                     r_inner: float) -> dict:
     """Curvature energy (1/8 pi^2) int_{r_inner <= r <= R} |F|^2 over
     annulus x torus, Gauss-Legendre in ln r, trapezoid in the angles. It
-    is not a charge: for the semisimple model on the default 2 pi x 2 pi
+    is not a charge: for the semisimple model on the 2 pi x 2 pi
     torus it is 8 pi |mu|^2 (1/r_inner^2 - 1/R^2). Reports dyadic-shell
     energies as the convergence diagnostic; raises ExtractionError when
     the outer shells grow (non-integrable tail)."""
-    if r_inner is None:
-        r_inner = max(conn.r_min, 1e-3)
-    if not (0 < r_inner < R <= conn.r_max):
-        raise ValueError("need conn.r_min <= r_inner < R <= conn.r_max")
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    if not (0 < r_inner and conn.r_min <= r_inner < R):
+        raise ValueError(f"need 0 < r_inner and r_min <= r_inner < R; got "
+                         f"r_inner = {r_inner}, r_min = {conn.r_min}, R = {R}")
+    nodes, wts = np.polynomial.legendre.leggauss(ENERGY_N_R)
     s0, s1 = math.log(r_inner), math.log(R)
     s = 0.5 * (s1 - s0) * nodes + 0.5 * (s1 + s0)
     ws = 0.5 * (s1 - s0) * wts
     rs = np.exp(s)
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    xs = np.linspace(0.0, conn.torus.period_x, n_trans, endpoint=False)
-    ys = np.linspace(0.0, conn.torus.period_y, n_trans, endpoint=False)
+    ths = np.linspace(0.0, TWO_PI, ENERGY_N_THETA, endpoint=False)
+    xs = np.linspace(0.0, conn.torus.period_x, ENERGY_N_TRANS, endpoint=False)
+    ys = np.linspace(0.0, conn.torus.period_y, ENERGY_N_TRANS, endpoint=False)
     Rg, Tg, Xg, Yg = np.meshgrid(rs, ths, xs, ys, indexing="ij")
     pts = np.stack([Rg.ravel(), Tg.ravel(), Xg.ravel(), Yg.ravel()], axis=-1)
     dens = curvature_norm(conn, pts).reshape(Rg.shape) ** 2
-    w_ang = (TWO_PI / n_theta) * (conn.torus.period_x / n_trans) * (
-        conn.torus.period_y / n_trans)
+    w_ang = (TWO_PI / ENERGY_N_THETA) * (conn.torus.period_x / ENERGY_N_TRANS) \
+        * (conn.torus.period_y / ENERGY_N_TRANS)
     # volume element r dr = r^2 ds under s = ln r
     shell_dens = np.sum(dens, axis=(1, 2, 3)) * w_ang * rs ** 2
     total = float(np.sum(shell_dens * ws) / (8.0 * math.pi ** 2))
@@ -381,16 +383,13 @@ def instanton_number(conn: ConnectionSource, R: float,
 # ---------------------------------------------------------------------------
 # torus-fiber decomposition toolkit
 
-def poincare_constant(gamma: FlatLimit | None, N: int = 8,
-                      torus: TorusSpec | None = None) -> float:
+def poincare_constant(gamma: FlatLimit | None, torus: TorusSpec) -> float:
     """Smallest twisted-gradient Rayleigh quotient on the complement of the
-    flat kernel: min over Fourier modes (|n|,|m| <= N) and matrix slots of
+    flat kernel (gamma None: untwisted): min over Fourier modes
+    (|n|, |m| <= 8) and matrix slots of
     |2 pi n / Lx + shift|^2 + |2 pi m / Ly + shift'|^2, where off-diagonal
     slots are shifted by +-2 lambda. Exactly-zero symbols (order-two flat
     limits) belong to the kernel and are excluded, keeping c > 0."""
-    if N < 4:
-        raise ValueError("mode cutoff must be >= 4")
-    torus = torus or (gamma.torus if gamma is not None else TorusSpec())
     kx = TWO_PI / torus.period_x
     ky = TWO_PI / torus.period_y
     if gamma is None:
@@ -398,7 +397,7 @@ def poincare_constant(gamma: FlatLimit | None, N: int = 8,
     else:
         l1, l2 = gamma.lambda1, gamma.lambda2
     trivial = gamma is None or gamma.is_trivial()
-    ns = np.arange(-N, N + 1)
+    ns = np.arange(-8, 9)
     nn, mm = np.meshgrid(ns, ns, indexing="ij")
     best = math.inf
     # diagonal slots: untwisted, constants excluded
@@ -419,14 +418,12 @@ def poincare_constant(gamma: FlatLimit | None, N: int = 8,
 # ---------------------------------------------------------------------------
 # orchestrator
 
-def extract_invariants(conn: ConnectionSource, rings=None,
+def extract_invariants(conn: ConnectionSource, rings,
                        kind: str | None = None) -> AsymptoticInvariants:
     """Full invariant extraction with branch bookkeeping: fits flat_limit,
     limiting_holonomy and residue from one holonomy table with a shared
     axis convention, detects the asymptotic kind when not supplied, and
     applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)."""
-    if rings is None:
-        rings = (50.0, 100.0, 200.0, 400.0)
     table = holonomy_table(conn, rings)
     fl = flat_limit(table)
     if kind is None:

@@ -515,7 +515,7 @@ def _run_model_check(params: dict):
             rel_max = 0.0
             for tag, fl in (("twisted", _flat_limit_from_lambda(lam, torus)),
                             ("untwisted", None)):
-                c = poincare_constant(fl, N=8, torus=torus)
+                c = poincare_constant(fl, torus)
                 oracle = _rayleigh_oracle(fl, torus, rng)
                 rel = abs(c - oracle) / oracle
                 rel_max = max(rel_max, rel)
@@ -594,7 +594,7 @@ def _monodromy_families(rng, torus: TorusSpec):
         ModelParams(lam=0.05 + 0.02j, mu=0.4 - 0.1j, alpha=0.1), torus)
     bumped = perturb(flat, delta=0.5, amplitude=0.02,
                      seed=int(rng.integers(0, 2 ** 31)), r_lo=12.0,
-                     r_hi=60.0, max_mode=2)
+                     r_hi=60.0)
     fams = [("flat", flat, radial_x_family(20.0, 10.0, 1.1)),
             ("abelian", abelian, radial_x_family(25.0, 10.0, 0.7)),
             ("perturbed-flat", bumped, radial_x_family(15.0, 20.0, 2.0))]
@@ -610,7 +610,7 @@ def _monodromy_families(rng, torus: TorusSpec):
 def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
     worst = 0.0
     for j in range(n_fixtures):
-        form = random_quadratic_form_fixture(rng, 3.0, 9.0)
+        form = random_quadratic_form_fixture(rng, 9.0)
         gamma = None if j % 2 == 0 else reduce_dual(
             (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), torus)
         d = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=torus)
@@ -619,8 +619,12 @@ def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
     return worst, n_fixtures
 
 
-def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
-                     n_grid: int = 24, n_random: int = 64) -> float:
+# torus grid points per period, and random three-mode mixtures, of the
+# Rayleigh-quotient oracle
+ORACLE_N_GRID, ORACLE_N_RANDOM = 24, 64
+
+
+def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng) -> float:
     """Independent lower estimate of the twisted Poincare constant: exact
     Rayleigh quotients of grid-sampled Fourier sections, minimized over all
     single modes |n|, |m| <= 3 in every matrix slot plus random mixtures."""
@@ -633,8 +637,8 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
         trivial = fl.is_trivial()
     gx = 1j * c1 * _SIGMA3
     gy = 1j * c2 * _SIGMA3
-    xs = np.linspace(0.0, Lx, n_grid, endpoint=False)
-    ys = np.linspace(0.0, Ly, n_grid, endpoint=False)
+    xs = np.linspace(0.0, Lx, ORACLE_N_GRID, endpoint=False)
+    ys = np.linspace(0.0, Ly, ORACLE_N_GRID, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     E_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     E_dn = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -657,8 +661,8 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng,
                 q = quotient(wave[..., None, None] * E)
                 if q is not None:
                     best = min(best, q)
-    for _ in range(n_random):
-        u = np.zeros((n_grid, n_grid, 2, 2), dtype=complex)
+    for _ in range(ORACLE_N_RANDOM):
+        u = np.zeros((ORACLE_N_GRID, ORACLE_N_GRID, 2, 2), dtype=complex)
         for _ in range(3):
             n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
             wave = np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
@@ -721,7 +725,9 @@ def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
     fit = inv.diagnostics.get("residue_fit")
     if fit is not None:
         lam_hat = complex(fit["lambda_hat"][0], fit["lambda_hat"][1])
-        e_lam = abs(lam_hat - p.lam)
+        # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and
+        # zeta = i lambda is defined modulo the dual lattice
+        e_lam = lattice_distance(1j * (lam_hat - p.lam), torus)
     else:
         e_lam = 0.0  # nilpotent: the dual point alone carries the limit
     e_alpha = _circle_gap(inv.alpha, alpha_t)
@@ -905,8 +911,7 @@ def _run_spectral(params: dict):
                 start = min(0.02, abs(mu) / (4.0 * bi.r_min))
                 approach = [zc + start * (0.5 ** j) * complex(1.0, 0.7)
                             for j in range(6)]
-                est, diag = phi_residue(bi, pt, approach,
-                                        domain=(bi.r_min, 1e30))
+                est, diag = phi_residue(bi, pt, approach)
                 err = abs(est - want)
                 err_max = max(err_max, err)
                 row[f"{tag}_estimate"] = [est.real, est.imag]
@@ -1128,8 +1133,7 @@ def _run_moduli(params: dict):
                 ("translation_y", translation_tangent(conn, grid, (0.0, 1.0)))]
     for j in range(params["n_random_tangents"]):
         tangents.append((f"random{j}", random_tangent(
-            grid, torus, seed=int(rng.integers(0, 2 ** 31)),
-            compact_radial=True)))
+            grid, torus, seed=int(rng.integers(0, 2 ** 31)))))
 
     res_rel_max = 0.0
     for tag, t in tangents[:2]:

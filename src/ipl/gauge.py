@@ -12,7 +12,7 @@ theta-paired slot by r, i.e. uses the orthonormal coframe
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,8 +28,17 @@ class DomainError(ValueError):
     """Point outside the validity domain of a connection."""
 
 
+class RadialDomain:
+    """A field defined on the radii r >= r_min (its `r_min`), reported by
+    its `name`."""
+
+    def check_domain(self, points) -> None:
+        if np.any(np.asarray(points)[..., 0] < self.r_min):
+            raise DomainError(f"{self.name}: radius below r_min = {self.r_min}")
+
+
 @dataclass
-class ConnectionSource:
+class ConnectionSource(RadialDomain):
     """A connection given by callables, vectorized over leading axes.
 
     evaluate(points): (..., 4) float -> (..., 4, 2, 2) complex, components
@@ -43,17 +52,9 @@ class ConnectionSource:
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, int], np.ndarray]
-    torus: TorusSpec = field(default_factory=TorusSpec)
+    torus: TorusSpec
     r_min: float = 0.0
-    r_max: float = math.inf
     name: str = "connection"
-
-    def check_domain(self, points: np.ndarray) -> None:
-        r = np.asarray(points)[..., 0]
-        if np.any(r < self.r_min) or np.any(r > self.r_max):
-            raise DomainError(
-                f"{self.name}: radius outside [{self.r_min}, {self.r_max}]"
-            )
 
 
 @dataclass
@@ -225,22 +226,26 @@ class CircleFamily:
     dphi_ds: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+# Magnus steps per circle of a monodromy-drift family
+DRIFT_STEPS = 128
+
+
 def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
-                           n_t: int = 9, n_s: int = 128) -> dict:
+                           n_t: int = 9) -> dict:
     """Checks |d/dt (h^-1 m h)| <= int |F(dphi/dt, dphi/ds)| ds along the
     family; returns the max signed defect (LHS - RHS), nonpositive up to
     discretization for true connections.
 
     m(t) is the circle holonomy at parameter t, h(t) the transport along
-    the base path phi(., 0) from 0 to t. Each circle takes n_s Magnus
-    steps, and the curvature integral over s is the two-point Gauss rule
-    on the same nodes.
+    the base path phi(., 0) from 0 to t. Each circle takes DRIFT_STEPS
+    Magnus steps, and the curvature integral over s is the two-point Gauss
+    rule on the same nodes.
     """
     ts = np.linspace(0.0, 1.0, n_t)
 
     # monodromies of every circle in the family, batched over t
-    Sg, Tg = np.broadcast_arrays(_step_times(n_s)[..., None], ts)
-    pts = family.phi(Tg, Sg)  # (n_s, 2, n_t, 4)
+    Sg, Tg = np.broadcast_arrays(_step_times(DRIFT_STEPS)[..., None], ts)
+    pts = family.phi(Tg, Sg)  # (DRIFT_STEPS, 2, n_t, 4)
     tans = family.dphi_ds(Tg, Sg)
     m_t = _path_ordered_product(conn, pts, tans)  # (n_t, 2, 2)
 
@@ -259,7 +264,7 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
     dM = _su2.frob((M[2:] - M[:-2]) / (2 * dt))
 
     # curvature contracted with the family surface element
-    F = curvature(conn, pts).components  # (n_s, 2, n_t, 6, 2, 2)
+    F = curvature(conn, pts).components  # (DRIFT_STEPS, 2, n_t, 6, 2, 2)
     u = family.dphi_dt(Tg, Sg)
     v = tans
     contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
@@ -267,7 +272,7 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
         contract += F[..., k, :, :] * (
             u[..., i] * v[..., j] - u[..., j] * v[..., i]
         )[..., None, None]
-    # integral over s: equal weights 1 / (2 n_s) on the Gauss nodes
+    # integral over s: equal weights 1 / (2 DRIFT_STEPS) on the Gauss nodes
     rhs = np.mean(_su2.frob(contract), axis=(0, 1))
 
     defect = dM - rhs[1:-1]
@@ -282,13 +287,11 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
 # ---------------------------------------------------------------------------
 # flat model connections
 
-def flat_connection(xi: DualTorusPoint, torus: TorusSpec | None = None,
-                    name: str = "flat") -> ConnectionSource:
+def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
     """Flat diagonal connection i diag(c, -c) dx + i diag(c', -c') dy with
     holonomy exponents given by the dual-torus point."""
-    torus = torus or (xi.torus if xi is not None else TorusSpec())
-    c1 = TWO_PI * xi.xi1 / torus.period_x if xi is not None else 0.0
-    c2 = TWO_PI * xi.xi2 / torus.period_y if xi is not None else 0.0
+    c1 = TWO_PI * xi.xi1 / torus.period_x
+    c2 = TWO_PI * xi.xi2 / torus.period_y
     sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
     def evaluate(points):
@@ -303,7 +306,7 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec | None = None,
         return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
 
     return ConnectionSource(evaluate=evaluate, torus=torus,
-                            derivative=derivative, name=name)
+                            derivative=derivative, name="flat")
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +361,7 @@ def _term_factors(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
 
 def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
                        r_inner: float, r_outer: float,
-                       torus: TorusSpec | None = None,
-                       n_r: int = 48) -> dict:
+                       torus: TorusSpec) -> dict:
     r"""Quadratic-form identity for twisted 1-forms on [R, R'] x T^3:
 
         ||d_G a||^2 + ||d_G* a||^2 - ||grad_G a||^2
@@ -372,10 +374,10 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
 
     Every integrand is |sum_k g_k M_k|^2 with constant matrices M_k and
     separable fields g_k = R_k(r) Th_k(theta) X_k(x) Y_k(y); on the tensor
-    grid (Gauss-Legendre in r, uniform in theta, x, y) each sum of g_k g_l
-    is a product of four 1-D sums, so no 4-D field is ever formed.
+    grid (48 Gauss-Legendre nodes in r, uniform in theta, x, y) each sum
+    of g_k g_l is a product of four 1-D sums, so no 4-D field is ever
+    formed.
     """
-    torus = torus or TorusSpec()
     if any(t.component == 0 for t in form.terms):
         raise BoundaryConditionError(
             "radial component present: the two-boundary identity requires "
@@ -390,7 +392,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     n_x = max(8, 4 * nmax + 4)
     n_y = max(8, 4 * mmax + 4)
 
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    nodes, wts = np.polynomial.legendre.leggauss(48)
     rs = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
     wr = 0.5 * (r_outer - r_inner) * wts
     th = np.linspace(0.0, TWO_PI, n_th, endpoint=False)
@@ -484,20 +486,20 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     }
 
 
-def random_quadratic_form_fixture(rng, r_inner: float, r_outer: float,
-                                  n_terms: int = 4, max_mode: int = 2,
-                                  degree: int = 3) -> SeparableOneForm:
-    """Random admissible fixture: a_r = 0 and every dtheta radial profile
-    vanishes at the outer radius (so the identity target is exactly zero)."""
+def random_quadratic_form_fixture(rng, r_outer: float) -> SeparableOneForm:
+    """Random admissible fixture of four terms, each a random quadratic
+    radial profile times trig modes |p|, |n|, |m| <= 2: a_r = 0, and every
+    dtheta profile also carries the factor r - r_outer, so it vanishes at
+    the outer radius (and the identity target is exactly zero)."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(4):
         comp = int(rng.integers(1, 4))
-        coeffs = rng.normal(size=degree)
+        coeffs = rng.normal(size=3)
         poly = np.polynomial.Polynomial(coeffs)
         if comp == 1:
             poly = poly * np.polynomial.Polynomial([-r_outer, 1.0])
         mat = _su2.from_vector(rng.normal(size=3))
-        modes = tuple(int(v) for v in rng.integers(-max_mode, max_mode + 1, size=3))
+        modes = tuple(int(v) for v in rng.integers(-2, 3, size=3))
         phases = tuple(float(v) for v in rng.uniform(0, TWO_PI, size=3))
         terms.append(TrigRadialTerm(component=comp, matrix=tuple(map(tuple, mat)),
                                     radial_coeffs=tuple(poly.coef), modes=modes,

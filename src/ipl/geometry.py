@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def xi_from_zeta(zeta: complex, torus: TorusSpec) -> "DualTorusPoint":
 class DualTorusPoint:
     xi1: float
     xi2: float
-    torus: TorusSpec = field(default_factory=TorusSpec)
+    torus: TorusSpec
 
     def __post_init__(self):
         for v in (self.xi1, self.xi2):
@@ -95,12 +95,12 @@ class DualTorusPoint:
         )
 
 
-def reduce_dual(xi_raw, torus: TorusSpec | None = None) -> DualTorusPoint:
+def reduce_dual(xi_raw, torus: TorusSpec) -> DualTorusPoint:
     """Reduce raw dual-torus coordinates mod 1 per component."""
     x1, x2 = float(xi_raw[0]), float(xi_raw[1])
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("dual-torus coordinates must be finite")
-    return DualTorusPoint(_mod1(x1), _mod1(x2), torus or TorusSpec())
+    return DualTorusPoint(_mod1(x1), _mod1(x2), torus)
 
 
 def dual_lattice(torus: TorusSpec) -> tuple[complex, complex]:
@@ -194,8 +194,7 @@ class AnnulusGrid:
 # ---------------------------------------------------------------------------
 # conventions sheet
 
-def conventions_sheet(torus: TorusSpec | None = None) -> dict:
-    torus = torus or TorusSpec()
+def conventions_sheet(torus: TorusSpec) -> dict:
     g1, g2 = dual_lattice(torus)
     sheet = {
         "coordinates": "(r, theta, x, y); w = r exp(i theta)",
@@ -224,6 +223,6 @@ def conventions_sheet(torus: TorusSpec | None = None) -> dict:
     return sheet
 
 
-def conventions_hash(torus: TorusSpec | None = None) -> str:
+def conventions_hash(torus: TorusSpec) -> str:
     payload = json.dumps(conventions_sheet(torus), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -18,13 +18,13 @@ the residual pair returned by hitchin_residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, DomainError
+from .gauge import ConnectionSource, RadialDomain
 from .geometry import TorusSpec
 
 
@@ -33,7 +33,7 @@ class NotTorusInvariantError(ValueError):
 
 
 @dataclass
-class HiggsPairOnPlane:
+class HiggsPairOnPlane(RadialDomain):
     """Pair (B, psi) on the annulus r >= r_min of the plane.
 
     evaluate_b(points): (..., 2) [r, theta] -> (..., 2, 2, 2), components
@@ -47,16 +47,9 @@ class HiggsPairOnPlane:
     evaluate_psi: Callable[[np.ndarray], np.ndarray]
     derivative_b: Callable[[np.ndarray, int], np.ndarray]
     derivative_psi: Callable[[np.ndarray, int], np.ndarray]
-    torus: TorusSpec = field(default_factory=TorusSpec)
+    torus: TorusSpec
     r_min: float = 0.0
-    r_max: float = math.inf
     name: str = "higgs-pair"
-
-    def check_domain(self, points) -> None:
-        r = np.asarray(points)[..., 0]
-        if np.any(r < self.r_min) or np.any(r > self.r_max):
-            raise DomainError(f"{self.name}: radius outside "
-                              f"[{self.r_min}, {self.r_max}]")
 
 
 # `reduce` checks torus invariance at this many random points, to this
@@ -74,7 +67,7 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
     n = N_CHECK
     rng = np.random.default_rng(CHECK_SEED)
     r_lo = max(conn.r_min, 1e-3)
-    r_hi = min(conn.r_max, r_lo * 100.0 + 10.0)
+    r_hi = r_lo * 100.0 + 10.0
     rs = rng.uniform(r_lo + 1e-6, r_hi, size=n)
     ths = rng.uniform(0.0, 2 * math.pi, size=n)
     base = np.stack([rs, ths, np.zeros(n), np.zeros(n)], axis=-1)
@@ -112,8 +105,7 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
     return HiggsPairOnPlane(
         evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
         derivative_b=derivative_b, derivative_psi=derivative_psi,
-        torus=conn.torus, r_min=conn.r_min, r_max=conn.r_max,
-        name=f"reduce({conn.name})",
+        torus=conn.torus, r_min=conn.r_min, name=f"reduce({conn.name})",
     )
 
 
@@ -146,8 +138,7 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
 
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
-        r_min=pair.r_min, r_max=pair.r_max,
-        name=f"lift({pair.name})",
+        r_min=pair.r_min, name=f"lift({pair.name})",
     )
 
 

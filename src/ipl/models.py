@@ -53,11 +53,9 @@ class ModelParams:
         }
 
 
-def hitchin_model(params: ModelParams,
-                  torus: TorusSpec | None = None) -> HiggsPairOnPlane:
+def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
     """Higgs pair of a model on the annulus beyond its core; closed-form
     fields and exact derivatives."""
-    torus = torus or TorusSpec()
     if params.kind == "semisimple":
         r0 = DEFAULT_SEMISIMPLE_R_MIN
         lam, mu, alpha = params.lam, params.mu, params.alpha
@@ -135,8 +133,7 @@ def hitchin_model(params: ModelParams,
     )
 
 
-def model_connection(params: ModelParams,
-                     torus: TorusSpec | None = None) -> ConnectionSource:
+def model_connection(params: ModelParams, torus: TorusSpec) -> ConnectionSource:
     """The model instanton: the lift of the model's Higgs pair."""
     conn = lift(hitchin_model(params, torus))
     conn.name = f"{params.kind}-model"
@@ -179,17 +176,22 @@ class _PerturbShell:
     terms: tuple
 
 
-def _perturb_shells(seed: int, n_bumps: int, r_lo: float, r_hi: float,
-                    max_mode: int) -> tuple:
+# radial bumps of a perturbation, and the largest |mode| of its trig waves
+N_BUMPS = 6
+MAX_MODE = 2
+
+
+def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
     """The seeded random terms of `perturb`, grouped by radial bump."""
     rng = np.random.default_rng(seed)
     shells = []
-    for rho in np.geomspace(r_lo, r_hi, n_bumps):
+    for rho in np.geomspace(r_lo, r_hi, N_BUMPS):
         terms = []
         for comp in range(4):
             v = rng.normal(size=3)
             mat = _su2.from_vector(v / (math.sqrt(2.0) * np.linalg.norm(v)))
-            modes = tuple(int(k) for k in rng.integers(-max_mode, max_mode + 1, size=3))
+            modes = tuple(int(k) for k in rng.integers(-MAX_MODE, MAX_MODE + 1,
+                                                       size=3))
             phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=3))
             terms.append(_PerturbTerm(component=comp, matrix=mat,
                                       modes=modes, phases=phases))
@@ -227,13 +229,14 @@ def _radial(r, u, width: float, delta: float, want_deriv=False):
 
 
 def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
-            seed: int = 0, n_bumps: int = 6, r_lo: float = 5.0,
-            r_hi: float = 600.0, max_mode: int = 2) -> ConnectionSource:
+            seed: int = 0, r_lo: float = 5.0,
+            r_hi: float = 600.0) -> ConnectionSource:
     """Adds a deterministic random perturbation with pointwise bound
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
-    decay: compactly supported radial bumps times torus/theta trig waves
-    times unit su(2) directions, with exact derivatives added to the
-    base's.
+    decay: N_BUMPS compactly supported radial bumps, centred geometrically
+    from r_lo to r_hi, times torus/theta trig waves of modes up to
+    MAX_MODE, times unit su(2) directions drawn from `seed`, with exact
+    derivatives added to the base's.
 
     A term vanishes exactly outside its bump's support, so each shell's
     terms are evaluated only on the points inside that support; every sum
@@ -242,7 +245,7 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
     torus = conn.torus
-    shells = _perturb_shells(seed, n_bumps, r_lo, r_hi, max_mode)
+    shells = _perturb_shells(seed, r_lo, r_hi)
     half_amp = amplitude / 2.0
 
     def _live_shells(points):
@@ -291,6 +294,5 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
 
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
-        r_min=conn.r_min, r_max=conn.r_max,
-        name=f"{conn.name}+perturbation",
+        r_min=conn.r_min, name=f"{conn.name}+perturbation",
     )

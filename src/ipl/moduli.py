@@ -12,7 +12,7 @@ machine precision rather than to discretization order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class TangentVectorInstanton:
     comps shape (4, n_r, n_theta, n_x, n_y, 2, 2)."""
     grid: AnnulusGrid
     comps: np.ndarray
-    torus: TorusSpec = field(default_factory=TorusSpec)
+    torus: TorusSpec
 
     def __post_init__(self):
         expect = (4, self.grid.n_r, self.grid.n_theta,
@@ -117,8 +117,9 @@ class AnnulusCalculus:
     exact transposes under the quadrature inner product."""
 
     def __init__(self, conn: ConnectionSource, grid: AnnulusGrid):
-        if grid.r_min < conn.r_min or grid.r_max > conn.r_max:
-            raise DomainError("grid exceeds the connection's domain")
+        if grid.r_min < conn.r_min:
+            raise DomainError(f"grid starts at r = {grid.r_min}, below the "
+                              f"connection's r_min = {conn.r_min}")
         self.conn = conn
         self.grid = grid
         self.torus = conn.torus
@@ -239,13 +240,11 @@ def translation_tangent(conn: ConnectionSource, grid: AnnulusGrid,
     return TangentVectorInstanton(grid=grid, comps=comps, torus=conn.torus)
 
 
-def random_tangent(grid: AnnulusGrid, torus: TorusSpec | None = None,
-                   seed: int = 0, max_mode: int = 1,
-                   compact_radial: bool = False) -> TangentVectorInstanton:
-    """Smooth random tangent field: low Fourier modes in the periodic
-    directions times a radial polynomial (optionally vanishing at both
-    radial ends), with random su(2) directions."""
-    torus = torus or TorusSpec()
+def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
+                   seed: int = 0) -> TangentVectorInstanton:
+    """Smooth random tangent field: Fourier modes -1, 0, 1 in each periodic
+    direction times a radial polynomial that vanishes at both radial ends,
+    with random su(2) directions."""
     rng = np.random.default_rng(seed)
     rs, ths = grid.rs, grid.thetas
     xs, ys = grid.xs(torus), grid.ys(torus)
@@ -255,14 +254,12 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec | None = None,
     for slot in range(4):
         f = np.zeros_like(R)
         for _ in range(3):
-            p = rng.integers(-max_mode, max_mode + 1)
-            n = rng.integers(-max_mode, max_mode + 1)
-            m = rng.integers(-max_mode, max_mode + 1)
+            p = rng.integers(-1, 2)
+            n = rng.integers(-1, 2)
+            m = rng.integers(-1, 2)
             phase = rng.uniform(0, TWO_PI)
             radial = np.polynomial.polynomial.polyval(
-                t, rng.normal(size=3))
-            if compact_radial:
-                radial = radial * (1.0 - t ** 2)
+                t, rng.normal(size=3)) * (1.0 - t ** 2)
             f = f + radial * np.cos(
                 p * T + n * TWO_PI * X / torus.period_x
                 + m * TWO_PI * Y / torus.period_y + phase)

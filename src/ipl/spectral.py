@@ -6,7 +6,7 @@ inequality underlying the vanishing argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,12 +27,12 @@ class BundleModel:
     Valid for |w| >= r_min; r_min must keep |zeta(w) - lam| under the
     dual-lattice covering radius so fibers stay close to the asymptotic
     splitting."""
-    lam: complex = 0.0
-    mu: complex = 1.0
+    lam: complex
+    mu: complex
+    r_min: float
+    k: int
+    torus: TorusSpec
     tail: tuple = ()
-    r_min: float = 5.0
-    k: int = 1
-    torus: TorusSpec = field(default_factory=TorusSpec)
 
     def __post_init__(self):
         if self.r_min <= 0:
@@ -64,9 +64,10 @@ class SpectralData:
         return sum(m for _, m in self.points)
 
 
-def _roots_in_annulus(coeffs, target, r_lo, r_hi, tol=1e-9):
+def _roots_in_annulus(coeffs, target, r_lo, r_hi):
     """Roots of zeta(w) = target with zeta given by coeffs in u = 1/w,
-    restricted to r_lo <= |w| <= r_hi; returns [(w, mult)]."""
+    restricted to r_lo <= |w| <= r_hi; returns [(w, mult)], roots within a
+    relative 1e-9 of each other counted as one of higher multiplicity."""
     poly = coeffs.copy()
     poly[0] -= target
     # polynomial in u, highest-degree-first for np.roots
@@ -87,7 +88,7 @@ def _roots_in_annulus(coeffs, target, r_lo, r_hi, tol=1e-9):
     out = []
     for w in sorted(ws, key=lambda z: (z.real, z.imag)):
         for i, (w0, m0) in enumerate(out):
-            if abs(w - w0) <= tol * max(1.0, abs(w0)):
+            if abs(w - w0) <= 1e-9 * max(1.0, abs(w0)):
                 out[i] = ((w0 * m0 + w) / (m0 + 1), m0 + 1)
                 break
         else:
@@ -134,14 +135,13 @@ def jumping_points(bundle: BundleModel, xi: DualTorusPoint,
     return SpectralData(xi=xi, points=tuple(points))
 
 
-def phi_residue(bundle: BundleModel, xi0: DualTorusPoint, approach,
-                domain=None) -> tuple[complex, dict]:
+def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
+                approach) -> tuple[complex, dict]:
     """Residue of the transformed Higgs field at the singular point xi0,
     estimated from an approach sequence: w(xi_j) * (zeta(xi_j) - zeta(xi0))
-    for the largest jumping point, Richardson-extrapolated. Equals +mu at
-    the singularity over the plus eigenline and -mu at the opposite one."""
-    if domain is None:
-        domain = (bundle.r_min, 1e30)
+    for the largest jumping point on r_min <= |w| <= 1e30,
+    Richardson-extrapolated. Equals +mu at the singularity over the plus
+    eigenline and -mu at the opposite one."""
     z0 = xi0.zeta
     sign = None
     for sgn in (+1.0, -1.0):
@@ -155,7 +155,7 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint, approach,
         zj = xj.zeta if isinstance(xj, DualTorusPoint) else complex(xj)
         branch = "plus" if sign > 0 else "minus"
         sd = jumping_points(bundle, _as_point(xj, zj, bundle.torus),
-                            domain=domain, branch=branch)
+                            domain=(bundle.r_min, 1e30), branch=branch)
         if not sd.points:
             raise RuntimeError("approach point produced no jumping points; "
                                "cannot continue the residue estimate")
@@ -200,7 +200,7 @@ def nahm_weights(alpha: float):
     return (1.0 + alpha, 1.0 - alpha), float(check)
 
 
-def in_hypothesis_region(lam, mu, w, torus: TorusSpec | None = None):
+def in_hypothesis_region(lam, mu, w, torus: TorusSpec):
     """Empirically safe region for the Fourier gap inequality: lam small
     against the lattice, |w| large against |mu|, and the constant-mode
     alignment Re(conj(lam) mu) >= Re(conj(lam) mu e^{-i arg w}) that the
@@ -209,7 +209,6 @@ def in_hypothesis_region(lam, mu, w, torus: TorusSpec | None = None):
     lam, mu and w broadcast against each other as complex arrays; the
     result is a bool for scalar inputs and a bool array of the broadcast
     shape otherwise. w = 0 lies outside the region."""
-    torus = torus or TorusSpec()
     cov = covering_radius(torus)
     lam, mu, w = (np.asarray(v, dtype=complex) for v in (lam, mu, w))
     aw = np.abs(w)
@@ -220,7 +219,7 @@ def in_hypothesis_region(lam, mu, w, torus: TorusSpec | None = None):
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def fourier_gap(lam, mu, w, sigma, torus: TorusSpec | None = None):
+def fourier_gap(lam, mu, w, sigma, torus: TorusSpec):
     """Mode-sum gap sum |g_nm + lam + mu/|w||^2 |sigma_nm|^2
     - |lam + mu/w|^2 sum |sigma_nm|^2, with g_nm the dual-lattice symbol of
     mode (n, m). Nonnegative on the hypothesis region; outside it the value
@@ -233,7 +232,6 @@ def fourier_gap(lam, mu, w, sigma, torus: TorusSpec | None = None):
     w broadcast against sigma's leading shape (...). Returns (float, bool)
     for a single point and a pair of arrays of the broadcast shape
     otherwise. Raises ValueError at w = 0, where mu/|w| is undefined."""
-    torus = torus or TorusSpec()
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim < 2 or sigma.shape[-1] != 3:
         raise ValueError("sigma must have shape (..., K, 3)")

@@ -57,17 +57,14 @@ class StabilityVerdict:
     witness_degree: float
 
 
-def parabolic_degree(sub: SubsheafSpec, alpha: float,
-                     torus_area: float = 1.0) -> float:
-    """Degree corrected by the parabolic weight at infinity:
-    d_inf + alpha*area on the plus side, d_inf - alpha*area on the minus
-    side (area normalized to 1 in degree computations)."""
+def parabolic_degree(sub: SubsheafSpec, alpha: float) -> float:
+    """Degree corrected by the parabolic weight at infinity: d_inf + alpha
+    on the plus side, d_inf - alpha on the minus side (the torus area is
+    normalized to 1 in degree computations)."""
     if not (-0.5 <= alpha < 0.5):
         raise ValueError("alpha must lie in [-1/2, 1/2)")
-    if torus_area <= 0:
-        raise ValueError("area must be positive")
     sign = 1.0 if sub.side == "plus" else -1.0
-    return sub.d_inf + sign * alpha * torus_area
+    return sub.d_inf + sign * alpha
 
 
 def alpha_stable_extension(spec: ExtensionBundleSpec,

@@ -23,8 +23,8 @@ from ipl.asymptotics import (
     principal_alpha,
     residue,
 )
-from ipl.gauge import (LOOP_STEPS, ConnectionSource, circle_holonomies,
-                       flat_connection)
+from ipl.gauge import (LOOP_STEPS, ConnectionSource, DomainError,
+                       circle_holonomies, flat_connection)
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
@@ -257,6 +257,19 @@ def test_instanton_number_monotone_guard():
                             r_min=1e-3)
     with pytest.raises(ExtractionError):
         instanton_number(grow, 100.0, r_inner=1.0)
+
+
+@pytest.mark.parametrize("r_inner,R", [
+    (5e-4, 100.0),   # inside the core r < r_min = 1e-3
+    (0.0, 100.0),
+    (100.0, 100.0),  # empty range
+])
+def test_instanton_number_rejects_r_inner_outside_range(r_inner, R):
+    conn = model_connection(ModelParams(lam=0.1, mu=0.3, alpha=0.1), TORUS)
+    with pytest.raises(ValueError, match="r_inner") as e:
+        instanton_number(conn, R, r_inner=r_inner)
+    assert f"r_min = {conn.r_min}" in str(e.value)
+    assert not isinstance(e.value, DomainError)
 
 
 @pytest.mark.parametrize("lam,mu,alpha,R", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ipl import models
-from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, \
+from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, main, run
 from ipl.geometry import TorusSpec
 
@@ -200,6 +200,43 @@ def test_order_two_target_scores_the_nearer_weyl_branch(tmp_path):
     assert perturbed["extracted"]["mu"][0] == pytest.approx(-1.0, abs=1e-4)
     assert perturbed["errors"]["alpha"] < 1e-6
     assert perturbed["errors"]["mu"] < 1e-4
+
+
+@pytest.mark.parametrize("torus", [None, {"period_x": 4.0, "period_y": 7.0}],
+                         ids=["2pi-x-2pi", "4-x-7"])
+@pytest.mark.parametrize("lam", [[0.4, 0.0], [0.4, 0.1], [-0.45, 0.3],
+                                 [0.6, -0.2]])
+def test_lambda_error_is_taken_modulo_the_translates_fixing_xi0(
+        tmp_path, lam, torus):
+    # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and each of
+    # these lambda is extracted as another translate: unreduced, the error
+    # read 0.5-0.9 with xi0, alpha and mu exact
+    cfg = {"schema_version": 1,
+           "models": [{"lambda": lam, "mu": [0.3, -0.2], "alpha": 0.1}]}
+    if torus is not None:
+        cfg["torus"] = torus
+    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["lambda_error_max_clean"]["value"] < 1e-12
+    assert code == 0 and report["passed"]
+
+
+# Seven of the nine shipped configs pass on any torus. The other two expect
+# values that hold on the 2 pi x 2 pi torus only, with no defect elsewhere:
+# stability_table's h0 case needs lambda = 0.25i to be order two, and
+# spectral_counting expects a total of 1, but on 2 pi x 3 pi, 2 lambda
+# reduces to 0.18, below |mu| / r_min = 0.2, so the minus branch has a
+# genuine root in the annulus.
+@pytest.mark.parametrize("subcommand, name", [
+    (s, n) for s, n in SUITE
+    if n not in ("stability_table.json", "spectral_counting.json")])
+def test_shipped_configs_pass_on_a_non_square_torus(tmp_path, subcommand,
+                                                    name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        cfg = json.load(fh)
+    cfg["torus"] = {"period_x": 4.0, "period_y": 7.0}
+    report, code = run(subcommand, cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0, [c["name"] for c in report["checks"] if not c["pass"]]
 
 
 @pytest.mark.parametrize("seed", [2, 3, 5, 7])

@@ -179,7 +179,7 @@ def test_drift_defect_zero_for_flat():
 
     from ipl.gauge import CircleFamily
     fam = CircleFamily(phi=phi, dphi_dt=dphi_dt, dphi_ds=dphi_ds)
-    d = monodromy_drift_defect(conn, fam, n_t=9, n_s=128)
+    d = monodromy_drift_defect(conn, fam, n_t=9)
     assert d["defect"] <= 1e-12
     assert np.max(np.abs(d["rhs"])) < 1e-15
 
@@ -187,7 +187,7 @@ def test_drift_defect_zero_for_flat():
 def test_weitzenbock_identity_on_random_fixtures():
     rng = np.random.default_rng(7)
     for j in range(6):
-        form = random_quadratic_form_fixture(rng, 3.0, 9.0)
+        form = random_quadratic_form_fixture(rng, 9.0)
         gamma = None if j % 2 == 0 else reduce_dual((0.37, 0.61), TORUS)
         d = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=TORUS)
         scale = max(1.0, d["grad_sq"])
@@ -265,7 +265,7 @@ def test_weitzenbock_matches_dense_tensor_grid_sum():
     rng = np.random.default_rng(23)
     n_theta_terms = 0
     for j in range(10):
-        form = random_quadratic_form_fixture(rng, 3.0, 9.0)
+        form = random_quadratic_form_fixture(rng, 9.0)
         gamma = None if j % 2 == 0 else reduce_dual(
             (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), TORUS)
         got = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=TORUS)

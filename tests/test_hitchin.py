@@ -53,7 +53,7 @@ def test_lift_reduce_round_trip():
 
 def test_reduce_rejects_torus_dependent_connection():
     conn = perturb(model_connection(ModelParams(mu=1.0), TORUS),
-                   amplitude=0.5, seed=3, r_lo=5.0, r_hi=100.0, max_mode=2)
+                   amplitude=0.5, seed=3, r_lo=5.0, r_hi=100.0)
     with pytest.raises(NotTorusInvariantError):
         reduce(conn)
 

@@ -136,7 +136,7 @@ def dense_perturbed(base, points, axis, delta, amplitude, seed, r_lo, r_hi):
     out = np.array(base.evaluate(points) if axis is None
                    else base.derivative(points, axis), copy=True)
     r = points[..., 0]
-    for shell in _perturb_shells(seed, 6, r_lo, r_hi, 2):
+    for shell in _perturb_shells(seed, r_lo, r_hi):
         u = (r - shell.center) / shell.width
         g, dg = _radial(r, u, shell.width, delta, want_deriv=True)
         for term in shell.terms:
@@ -169,7 +169,7 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
     # on the points inside it must reproduce the all-terms sum bit for bit,
     # including at r = centre +- width where the support test decides
     delta, amplitude, r_lo, r_hi = 0.5, 0.05, 5.0, 600.0
-    sh = _perturb_shells(seed, 6, r_lo, r_hi, 2)[shell]
+    sh = _perturb_shells(seed, r_lo, r_hi)[shell]
     rs = []
     for v in radii:
         if v == "edge-":

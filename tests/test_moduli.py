@@ -129,7 +129,7 @@ def test_gauge_adjoint_identity():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
-    t = random_tangent(grid, TORUS, seed=3, compact_radial=True)
+    t = random_tangent(grid, TORUS, seed=3)
     rng = np.random.default_rng(0)
     u = anti_hermitian(rng, t.comps.shape[1:])
     tr = np.trace(u, axis1=-2, axis2=-1)
@@ -160,7 +160,7 @@ def test_l2_metric_symmetry_positivity_isometry():
                                         alpha=0.15), TORUS)
     tangents = [translation_tangent(conn, grid, (1.0, 0.0)),
                 translation_tangent(conn, grid, (0.0, 1.0)),
-                random_tangent(grid, TORUS, seed=11, compact_radial=True)]
+                random_tangent(grid, TORUS, seed=11)]
     n = len(tangents)
     gram = np.zeros((n, n))
     for i in range(n):
@@ -184,7 +184,7 @@ def test_l2_metric_uses_the_calculus_quadrature():
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
     t1 = translation_tangent(conn, grid, (1.0, 0.0))
-    t2 = random_tangent(grid, TORUS, seed=3, compact_radial=True)
+    t2 = random_tangent(grid, TORUS, seed=3)
     assert l2_metric(t1, t2) == calc.inner(t1.comps, t2.comps)
     assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
 

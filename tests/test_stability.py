@@ -25,7 +25,7 @@ XI_GENERIC = DualTorusPoint(0.3, 0.2, TORUS)
 def test_parabolic_degree_hand_values():
     assert parabolic_degree(SubsheafSpec(1, "minus"), 0.2) == pytest.approx(0.8)
     assert parabolic_degree(SubsheafSpec(1, "plus"), 0.2) == pytest.approx(1.2)
-    assert parabolic_degree(SubsheafSpec(0, "minus"), -0.3, 2.0) == pytest.approx(0.6)
+    assert parabolic_degree(SubsheafSpec(0, "minus"), -0.3) == pytest.approx(0.3)
 
 
 def test_parabolic_degree_validation():
@@ -35,8 +35,6 @@ def test_parabolic_degree_validation():
         parabolic_degree(SubsheafSpec(1, "minus"), 0.5)
     with pytest.raises(ValueError):
         parabolic_degree(SubsheafSpec(1, "minus"), -0.6)
-    with pytest.raises(ValueError):
-        parabolic_degree(SubsheafSpec(1, "minus"), 0.2, 0.0)
 
 
 def test_extension_spec_defaults_and_validation():
