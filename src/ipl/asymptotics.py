@@ -87,8 +87,8 @@ class AsymptoticInvariants:
 
 def principal_alpha(alpha: float) -> float:
     """alpha reduced to [-1/2, 1/2); values within 1e-12 of +1/2 are the
-    cut itself and map to -1/2."""
-    alpha = alpha - math.floor(alpha + 0.5)
+    cut itself and map to -1/2. A zero is always +0.0."""
+    alpha = alpha - math.floor(alpha + 0.5) + 0.0  # + 0.0 turns -0.0 into 0.0
     return -0.5 if alpha >= 0.5 - 1e-12 else alpha
 
 

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from . import _su2, models
+from . import models
 from .asymptotics import E3, ExtractionError, FlatLimit, asymptotic_states, \
     decay_exponent, extract_invariants, poincare_constant, principal_alpha
 from .gauge import CircleFamily, asd_residual, flat_connection, \
@@ -625,9 +625,24 @@ ORACLE_N_GRID, ORACLE_N_RANDOM = 24, 64
 
 
 def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng) -> float:
-    """Independent lower estimate of the twisted Poincare constant: exact
-    Rayleigh quotients of grid-sampled Fourier sections, minimized over all
-    single modes |n|, |m| <= 3 in every matrix slot plus random mixtures."""
+    """Independent lower estimate of the twisted Poincare constant: the
+    least of the `_rayleigh_quotients`."""
+    return float(np.min(_rayleigh_quotients(fl, torus, rng)))
+
+
+def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec,
+                        rng) -> np.ndarray:
+    """Exact Rayleigh quotients of grid-sampled Fourier sections: every
+    single mode |n|, |m| <= 3 in every matrix slot (in the order n, m,
+    slot), then ORACLE_N_RANDOM random three-mode mixtures; inf for a
+    flat-kernel member, which is excluded.
+
+    Every candidate is u = sum_j W_j C_j over the 49 sampled waves W_j,
+    with 2x2 coefficients C_j. With the twist g = i c diag(1, -1), entry
+    (a, b) of d_x u + [g_x, u] is sum_j (d_x W_j + (g_a - g_b) W_j) C_j,ab,
+    so each quotient is a ratio of quadratic forms in the coefficients: per
+    entry, the grid Gram matrix of the FFT-differentiated, twisted waves
+    over the grid Gram matrix of the waves."""
     Lx, Ly = torus.period_x, torus.period_y
     if fl is None:
         c1 = c2 = 0.0
@@ -635,45 +650,55 @@ def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng) -> float:
     else:
         c1, c2 = fl.lambda1, fl.lambda2
         trivial = fl.is_trivial()
-    gx = 1j * c1 * _SIGMA3
-    gy = 1j * c2 * _SIGMA3
     xs = np.linspace(0.0, Lx, ORACLE_N_GRID, endpoint=False)
     ys = np.linspace(0.0, Ly, ORACLE_N_GRID, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     E_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     E_dn = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    # wave j has modes (n, m) = (j // 7 - 3, j % 7 - 3); j = 24 is constant
+    ns, ms = np.mgrid[-3:4, -3:4].reshape(2, -1)
+    grid_waves = np.exp(1j * (TWO_PI * ns * X[..., None] / Lx
+                              + TWO_PI * ms * Y[..., None] / Ly))  # (N, N, 49)
+    waves = grid_waves.reshape(-1, 49)
+    gram_den = waves.conj().T @ waves
 
-    def quotient(u):
-        du_x = fourier_diff(u, 0, Lx) + _su2.comm(gx, u)
-        du_y = fourier_diff(u, 1, Ly) + _su2.comm(gy, u)
-        num = float(np.sum(np.abs(du_x) ** 2 + np.abs(du_y) ** 2))
-        den = float(np.sum(np.abs(u) ** 2))
-        if num < 1e-13 * den:
-            return None  # flat-kernel member, excluded
-        return num / den
+    # g = i c sigma3 gives entry (a, b) the twist t = g_a - g_b =
+    # c twist[a, b], and the Gram matrix of d W_j + t W_j is
+    # d^H d + t d^H W + conj(t) W^H d + |t|^2 W^H W
+    twist = np.array([[0.0, 2j], [-2j, 0.0]])
+    gram_num = np.zeros((2, 2, 49, 49), dtype=complex)
+    for axis, period, c in ((0, Lx, c1), (1, Ly, c2)):
+        d = fourier_diff(grid_waves, axis, period).reshape(-1, 49)
+        dw = d.conj().T @ waves
+        t = (c * twist)[..., None, None]
+        gram_num += d.conj().T @ d + t * dw + np.conj(t) * dw.conj().T \
+            + abs(t) ** 2 * gram_den
 
-    best = math.inf
-    for n in range(-3, 4):
-        for m in range(-3, 4):
-            wave = np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
-            slots = (_SIGMA3, E_up, E_dn) if not trivial else (_SIGMA3,)
-            for E in slots:
-                q = quotient(wave[..., None, None] * E)
-                if q is not None:
-                    best = min(best, q)
-    for _ in range(ORACLE_N_RANDOM):
-        u = np.zeros((ORACLE_N_GRID, ORACLE_N_GRID, 2, 2), dtype=complex)
+    # coefficients (K, 49, 2, 2): every single mode, then the mixtures
+    slots = (_SIGMA3,) if trivial else (_SIGMA3, E_up, E_dn)
+    single = np.zeros((49, len(slots), 49, 2, 2), dtype=complex)
+    for i, E in enumerate(slots):
+        single[np.arange(49), i, np.arange(49)] = E
+    mixed = np.zeros((ORACLE_N_RANDOM, 49, 2, 2), dtype=complex)
+    for mix in mixed:
         for _ in range(3):
             n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-            wave = np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
             H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            u += wave[..., None, None] * H
-        avg = u.mean(axis=(0, 1))
-        u -= avg if trivial else np.diag(np.diag(avg))
-        q = quotient(u)
-        if q is not None:
-            best = min(best, q)
-    return best
+            mix[7 * (n + 3) + (m + 3)] += H
+    # take each mixture's grid mean (its diagonal, when twisted: the flat
+    # kernel) off the coefficient of the constant wave, which is exactly 1
+    avg = np.einsum("j,kjab->kab", grid_waves.mean(axis=(0, 1)), mixed)
+    mixed[:, 24] -= avg if trivial else avg * np.eye(2)
+    coef = np.concatenate([single.reshape(-1, 49, 2, 2), mixed])
+    coef = coef.transpose(2, 3, 0, 1)  # (2, 2, K, 49)
+
+    def form(gram):
+        """c^H gram c for every candidate, summed over the entries."""
+        return np.einsum("abkj,abkj->k", coef.conj(),
+                         coef @ gram.swapaxes(-1, -2)).real
+
+    num, den = form(gram_num), form(gram_den)
+    return np.where(num < 1e-13 * den, math.inf, num / den)
 
 
 # ---------------------------------------------------------------------------

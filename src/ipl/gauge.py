@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -78,14 +79,14 @@ def curvature(conn: ConnectionSource, points) -> CurvatureSample:
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     a = conn.evaluate(points)
-    d = np.stack([conn.derivative(points, ax) for ax in range(4)], axis=-4)
-    # d[..., i, j, :, :] = partial_i a_j
-    comps = []
-    for i, j in PAIRS:
-        f = d[..., i, j, :, :] - d[..., j, i, :, :]
-        f = f + _su2.comm(a[..., i, :, :], a[..., j, :, :])
-        comps.append(f)
-    return CurvatureSample(points=points, components=np.stack(comps, axis=-3))
+    d = [conn.derivative(points, ax) for ax in range(4)]
+    # d[i][..., j, :, :] = partial_i a_j
+    out = np.empty(a.shape[:-3] + (len(PAIRS), 2, 2), dtype=complex)
+    for k, (i, j) in enumerate(PAIRS):
+        f = out[..., k, :, :]
+        np.subtract(d[i][..., j, :, :], d[j][..., i, :, :], out=f)
+        f += _su2.comm(a[..., i, :, :], a[..., j, :, :])
+    return CurvatureSample(points=points, components=out)
 
 
 def self_dual_part(sample: CurvatureSample) -> np.ndarray:
@@ -359,6 +360,15 @@ def _term_factors(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
             trig(TWO_PI * m / torus.period_y, ys, ph[2]))
 
 
+@cache
+def _radial_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 48 Gauss-Legendre nodes and weights on [-1, 1] of the radial
+    quadrature, computed on first use (read-only: every call shares them)."""
+    nodes, wts = np.polynomial.legendre.leggauss(48)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
 def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
                        r_inner: float, r_outer: float,
                        torus: TorusSpec) -> dict:
@@ -392,7 +402,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     n_x = max(8, 4 * nmax + 4)
     n_y = max(8, 4 * mmax + 4)
 
-    nodes, wts = np.polynomial.legendre.leggauss(48)
+    nodes, wts = _radial_gauss_legendre()
     rs = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
     wr = 0.5 * (r_outer - r_inner) * wts
     th = np.linspace(0.0, TWO_PI, n_th, endpoint=False)

@@ -43,7 +43,8 @@ class TorusSpec:
 
 
 def _mod1(x: float) -> float:
-    r = x - math.floor(x)
+    """x reduced to [0, 1); a zero is always +0.0."""
+    r = x - math.floor(x) + 0.0  # + 0.0 turns -0.0 into 0.0
     return 0.0 if r >= 1.0 else r
 
 

@@ -239,7 +239,8 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
     derivatives added to the base's.
 
     A term vanishes exactly outside its bump's support, so each shell's
-    terms are evaluated only on the points inside that support; every sum
+    terms are evaluated only on the points inside that support, into one
+    block (one term per component) added there in one scatter; every sum
     equals, bit for bit, that of adding every term at every point (up to
     the sign of a zero, which adding an exact zero term can flip)."""
     if delta <= 0 or amplitude < 0:
@@ -266,10 +267,12 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
         flat = out.reshape(-1, 4, 2, 2)
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             g = _radial(pts[:, 0], u, shell.width, delta)
+            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
             for term in shell.terms:
                 c = _angular(pts, term, torus)
-                flat[idx, term.component] += (
+                block[:, term.component] = (
                     half_amp * (g * c)[:, None, None] * term.matrix)
+            flat[idx] += block
         return out
 
     def derivative(points, axis):
@@ -282,14 +285,16 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
                                 want_deriv=True)
             else:
                 g = _radial(pts[:, 0], u, shell.width, delta)
+            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
             for term in shell.terms:
                 if axis == 0:
                     coef = dg * _angular(pts, term, torus)
                 else:
                     coef = g * _angular(pts, term, torus,
                                         want_derivs=True)[axis]
-                flat[idx, term.component] += (
+                block[:, term.component] = (
                     half_amp * coef[:, None, None] * term.matrix)
+            flat[idx] += block
         return out
 
     return ConnectionSource(

@@ -141,6 +141,10 @@ def test_principal_alpha_cut():
     assert principal_alpha(-0.5 - 1e-16) == -0.5
     assert principal_alpha(0.4999) == pytest.approx(0.4999, abs=1e-15)
     assert principal_alpha(0.75) == pytest.approx(-0.25, abs=1e-15)
+    # a zero is +0.0, also the -0.0 the branch flip principal_alpha(-alpha)
+    # passes at alpha = 0
+    for alpha in (-0.0, 0.0, -1.0, 1.0, -3.0):
+        assert math.copysign(1.0, principal_alpha(alpha)) == 1.0
 
 
 def test_alpha_at_cut_survives_branch_flip():

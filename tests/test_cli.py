@@ -2,15 +2,18 @@
 report structure, CSV artifacts, seeded determinism, and exit codes."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from ipl import models
+from ipl import _su2, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
-    _fourier_gap_scan, main, run
-from ipl.geometry import TorusSpec
+    _flat_limit_from_lambda, _fourier_gap_scan, _rayleigh_oracle, \
+    _rayleigh_quotients, main, run
+from ipl.geometry import TWO_PI, TorusSpec
+from ipl.moduli import fourier_diff
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -295,6 +298,61 @@ def test_fourier_gap_scan_is_nonnegative_on_every_seed():
                                      TorusSpec(), 10000)[0]
              for seed in range(41)}
     assert all(g >= -1e-15 for g in worst.values()), worst
+
+
+def _rayleigh_reference(fl, torus, rng):
+    """The oracle's quotients one candidate at a time: sample each section
+    on the 24 x 24 grid, FFT-differentiate it and sum its quotient."""
+    Lx, Ly = torus.period_x, torus.period_y
+    c1, c2 = (0.0, 0.0) if fl is None else (fl.lambda1, fl.lambda2)
+    trivial = fl is None or fl.is_trivial()
+    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+    gx, gy = 1j * c1 * sigma3, 1j * c2 * sigma3
+    X, Y = np.meshgrid(np.linspace(0.0, Lx, 24, endpoint=False),
+                       np.linspace(0.0, Ly, 24, endpoint=False), indexing="ij")
+    e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+    def wave(n, m):
+        return np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
+
+    def quotient(u):
+        du_x = fourier_diff(u, 0, Lx) + _su2.comm(gx, u)
+        du_y = fourier_diff(u, 1, Ly) + _su2.comm(gy, u)
+        num = float(np.sum(np.abs(du_x) ** 2 + np.abs(du_y) ** 2))
+        den = float(np.sum(np.abs(u) ** 2))
+        return math.inf if num < 1e-13 * den else num / den
+
+    slots = (sigma3,) if trivial else (sigma3, e_up, e_up.T)
+    quotients = [quotient(wave(n, m)[..., None, None] * E)
+                 for n in range(-3, 4) for m in range(-3, 4) for E in slots]
+    for _ in range(64):
+        u = np.zeros((24, 24, 2, 2), dtype=complex)
+        for _ in range(3):
+            n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+            H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            u += wave(n, m)[..., None, None] * H
+        avg = u.mean(axis=(0, 1))
+        u -= avg if trivial else np.diag(np.diag(avg))
+        quotients.append(quotient(u))
+    return np.array(quotients)
+
+
+@pytest.mark.parametrize("torus", [TorusSpec(), TorusSpec(4.0, 7.0)])
+@pytest.mark.parametrize("xi", [(0.0, 0.0), (0.5, 0.0), (0.3, 0.15),
+                                (0.01, 0.49)])
+def test_rayleigh_oracle_matches_the_per_candidate_reference(torus, xi):
+    lam = complex(TWO_PI * xi[0] / torus.period_x,
+                  TWO_PI * xi[1] / torus.period_y) / 2.0
+    for fl in (_flat_limit_from_lambda(lam, torus), None):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        want = _rayleigh_reference(fl, torus, a)
+        # every quotient, excluded kernel members (inf) included
+        np.testing.assert_allclose(_rayleigh_quotients(fl, torus, b), want,
+                                   rtol=1e-12, atol=0.0)
+        # the same draws, so the stream continues at the same place
+        assert a.random() == b.random()
+        oracle = _rayleigh_oracle(fl, torus, np.random.default_rng(3))
+        assert oracle == pytest.approx(want.min(), rel=1e-12, abs=0.0)
 
 
 def test_check_margins(tmp_path):

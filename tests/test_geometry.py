@@ -101,6 +101,10 @@ def test_reduce_dual_and_minus():
     mn = pt.minus
     assert mn.xi1 == pytest.approx(0.7)
     assert mn.xi2 == pytest.approx(0.8)
+    # a reduced zero is +0.0
+    for xi in ((0.0, -0.0), (-0.0, 0.0), (-1.0, -0.0), (2.0, -3.0)):
+        pt = reduce_dual(xi, TORUS)
+        assert math.copysign(1.0, pt.xi1) == math.copysign(1.0, pt.xi2) == 1.0
 
 
 def test_order_two_points():

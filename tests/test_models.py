@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl.gauge import asd_residual, curvature, curvature_norm, self_dual_part
-from ipl.geometry import TorusSpec
+from ipl import _su2
+from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
+    flat_connection, self_dual_part
+from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import (
     ModelParams,
     _angular,
@@ -193,6 +195,37 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
         got = conn.evaluate(pts) if axis is None else conn.derivative(pts, axis)
         ref = dense_perturbed(base, pts, axis, delta, amplitude, seed, r_lo, r_hi)
         assert same_bits(got, ref), axis
+
+
+def stacked_curvature(conn, pts):
+    """F_ab = d_a A_b - d_b A_a + [A_a, A_b] from the stacked (..., 4, 4,
+    2, 2) table of partials d[..., i, j] = partial_i a_j."""
+    a = conn.evaluate(pts)
+    d = np.stack([conn.derivative(pts, ax) for ax in range(4)], axis=-4)
+    return np.stack([d[..., i, j, :, :] - d[..., j, i, :, :]
+                     + _su2.comm(a[..., i, :, :], a[..., j, :, :])
+                     for i, j in PAIRS], axis=-3)
+
+
+@pytest.mark.parametrize("kind", ["flat", "semisimple", "nilpotent",
+                                  "perturbed"])
+@pytest.mark.parametrize("batch_2d", [False, True], ids=["1d", "2d"])
+def test_curvature_matches_the_stacked_reference_bit_for_bit(kind, batch_2d):
+    if kind == "flat":
+        conn = flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS)
+    elif kind == "nilpotent":
+        conn = model_connection(NILPOTENT, TORUS)
+    else:
+        conn = model_connection(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
+                                            alpha=0.25), TORUS)
+        if kind == "perturbed":
+            conn = perturb(conn, seed=4)
+    pts = rand_points(np.random.default_rng(11), 96, 2.0, 700.0)
+    if batch_2d:
+        pts = pts.reshape(4, 24, 4)
+    got = curvature(conn, pts).components
+    assert got.shape == pts.shape[:-1] + (6, 2, 2)
+    assert same_bits(got, stacked_curvature(conn, pts))
 
 
 @pytest.mark.parametrize("params", [
