@@ -2,8 +2,8 @@
 asymptotic-invariant extraction, dimensional reduction to Higgs pairs,
 spectral jumping data, stability arithmetic, and moduli-space checks."""
 
-from . import (asymptotics, cli, gauge, geometry, hitchin, models, moduli,
-               spectral, stability)
+from . import (asymptotics, gauge, geometry, hitchin, models, moduli, spectral,
+               stability)
 from .asymptotics import (AsymptoticInvariants, ExtractionError,
                           decay_exponent, extract_invariants, flat_limit,
                           instanton_number, limiting_holonomy,

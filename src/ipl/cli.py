@@ -60,9 +60,6 @@ SUITE = (
     ("moduli", "moduli_suite.json"),
 )
 
-_SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-
-
 class ConfigError(ValueError):
     """Config fails schema validation; nothing may be written."""
 
@@ -489,11 +486,11 @@ def _run_model_check(params: dict):
     if params["inequalities"] is not None:
         q = params["inequalities"]
         if q["fourier_gap"] is not None:
-            gap_min, n_done = _fourier_gap_scan(
-                rng, torus, q["fourier_gap"]["n_samples"])
+            n_samples = q["fourier_gap"]["n_samples"]
+            gap_min = _fourier_gap_scan(rng, torus, n_samples)
             checks.append(_check("fourier_gap_min", gap_min, 1e-15,
                                  gap_min >= -1e-15, margin=gap_min + 1e-15,
-                                 n_samples=n_done))
+                                 n_samples=n_samples))
             ineq_summary["fourier_gap_min"] = gap_min
         if q["monodromy_drift"] is not None:
             worst, per = _monodromy_families(rng, torus)
@@ -502,11 +499,11 @@ def _run_model_check(params: dict):
                                      per_family=per))
             ineq_summary["monodromy_drift"] = per
         if q["weitzenbock"] is not None:
-            worst, n_fix = _weitzenbock_scan(rng, torus,
-                                             q["weitzenbock"]["n_fixtures"])
+            n_fixtures = q["weitzenbock"]["n_fixtures"]
+            worst = _weitzenbock_scan(rng, torus, n_fixtures)
             checks.append(_leq_check("weitzenbock_defect_max", worst,
                                      q["weitzenbock"]["tolerance"],
-                                     n_fixtures=n_fix))
+                                     n_fixtures=n_fixtures))
             ineq_summary["weitzenbock_defect_max"] = worst
         if q["poincare"] is not None:
             xi = q["poincare"]["xi"]
@@ -516,7 +513,7 @@ def _run_model_check(params: dict):
             for tag, fl in (("twisted", _flat_limit_from_lambda(lam, torus)),
                             ("untwisted", None)):
                 c = poincare_constant(fl, torus)
-                oracle = _rayleigh_oracle(fl, torus, rng)
+                oracle = float(np.min(_rayleigh_quotients(fl, torus)))
                 rel = abs(c - oracle) / oracle
                 rel_max = max(rel_max, rel)
                 ineq_summary[f"poincare_{tag}"] = {"constant": c,
@@ -540,7 +537,7 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
     hypothesis region. Candidates are drawn in blocks of GAP_SCAN_BLOCK and
     the accepted ones kept in draw order, up to n_samples; each has 1-3
     random modes and, half the time, a constant mode, padded to 4 rows with
-    zero coefficients. Returns (gap_min, n_samples)."""
+    zero coefficients."""
     cov = covering_radius(torus)
     B = GAP_SCAN_BLOCK
     gap_min = math.inf
@@ -561,10 +558,10 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
             * (rng.random(B) < 0.5)
         keep = np.flatnonzero(in_hypothesis_region(lam, mu, w, torus))[
             :n_samples - n_kept]
-        gap, _ = fourier_gap(lam[keep], mu[keep], w[keep], sigma[keep], torus)
+        gap = fourier_gap(lam[keep], mu[keep], w[keep], sigma[keep], torus)
         gap_min = min(gap_min, float(np.min(gap, initial=math.inf)))
         n_kept += keep.size
-    return gap_min, n_kept
+    return gap_min
 
 
 def _monodromy_families(rng, torus: TorusSpec):
@@ -616,33 +613,28 @@ def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
         d = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=torus)
         scale = max(1.0, d["grad_sq"])
         worst = max(worst, abs(d["defect"]) / scale, abs(d["outer_term"]))
-    return worst, n_fixtures
+    return worst
 
 
-# torus grid points per period, and random three-mode mixtures, of the
-# Rayleigh-quotient oracle
-ORACLE_N_GRID, ORACLE_N_RANDOM = 24, 64
+# torus grid points per period of the Rayleigh-quotient oracle
+ORACLE_N_GRID = 24
 
 
-def _rayleigh_oracle(fl: FlatLimit | None, torus: TorusSpec, rng) -> float:
-    """Independent lower estimate of the twisted Poincare constant: the
-    least of the `_rayleigh_quotients`."""
-    return float(np.min(_rayleigh_quotients(fl, torus, rng)))
+def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec) -> np.ndarray:
+    """Exact Rayleigh quotients of grid-sampled Fourier sections, whose
+    least is an independent estimate of the twisted Poincare constant:
+    every single wave W = e^{i(2 pi n x/Lx + 2 pi m y/Ly)}, |n|, |m| <= 3,
+    in every matrix slot (in the order n, m, slot); inf for a flat-kernel
+    member, which is excluded. The slots are sigma3, E_12 and E_21, or
+    sigma3 alone when the twist is trivial.
 
-
-def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec,
-                        rng) -> np.ndarray:
-    """Exact Rayleigh quotients of grid-sampled Fourier sections: every
-    single mode |n|, |m| <= 3 in every matrix slot (in the order n, m,
-    slot), then ORACLE_N_RANDOM random three-mode mixtures; inf for a
-    flat-kernel member, which is excluded.
-
-    Every candidate is u = sum_j W_j C_j over the 49 sampled waves W_j,
-    with 2x2 coefficients C_j. With the twist g = i c diag(1, -1), entry
-    (a, b) of d_x u + [g_x, u] is sum_j (d_x W_j + (g_a - g_b) W_j) C_j,ab,
-    so each quotient is a ratio of quadratic forms in the coefficients: per
-    entry, the grid Gram matrix of the FFT-differentiated, twisted waves
-    over the grid Gram matrix of the waves."""
+    With the twist g = i c sigma3, entry (a, b) of d(W E) + [g, W E] is
+    (dW + t W) E_ab with t = g_a - g_b: 0 on the diagonal and +-2ic off it.
+    So a quotient is the sum over axes of |dW + t W|^2 / |W|^2 on the grid,
+    dW FFT-differentiated (both entries of sigma3 have t = 0 and the same
+    ratio). Mixtures of waves cannot score lower: the waves are orthogonal
+    on the grid and the operator acts on each entry apart, so a mixture's
+    quotient is a weighted mean of its modes' quotients."""
     Lx, Ly = torus.period_x, torus.period_y
     if fl is None:
         c1 = c2 = 0.0
@@ -653,52 +645,20 @@ def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec,
     xs = np.linspace(0.0, Lx, ORACLE_N_GRID, endpoint=False)
     ys = np.linspace(0.0, Ly, ORACLE_N_GRID, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    E_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    E_dn = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    # wave j has modes (n, m) = (j // 7 - 3, j % 7 - 3); j = 24 is constant
+    # wave j has modes (n, m) = (j // 7 - 3, j % 7 - 3)
     ns, ms = np.mgrid[-3:4, -3:4].reshape(2, -1)
-    grid_waves = np.exp(1j * (TWO_PI * ns * X[..., None] / Lx
-                              + TWO_PI * ms * Y[..., None] / Ly))  # (N, N, 49)
-    waves = grid_waves.reshape(-1, 49)
-    gram_den = waves.conj().T @ waves
-
-    # g = i c sigma3 gives entry (a, b) the twist t = g_a - g_b =
-    # c twist[a, b], and the Gram matrix of d W_j + t W_j is
-    # d^H d + t d^H W + conj(t) W^H d + |t|^2 W^H W
-    twist = np.array([[0.0, 2j], [-2j, 0.0]])
-    gram_num = np.zeros((2, 2, 49, 49), dtype=complex)
+    waves = np.exp(1j * (TWO_PI * ns * X[..., None] / Lx
+                         + TWO_PI * ms * Y[..., None] / Ly))  # (N, N, 49)
+    # the entry twist t / c of each slot: sigma3, E_12, E_21
+    slots = np.array([0.0] if trivial else [0.0, 2j, -2j])
+    num = 0.0
     for axis, period, c in ((0, Lx, c1), (1, Ly, c2)):
-        d = fourier_diff(grid_waves, axis, period).reshape(-1, 49)
-        dw = d.conj().T @ waves
-        t = (c * twist)[..., None, None]
-        gram_num += d.conj().T @ d + t * dw + np.conj(t) * dw.conj().T \
-            + abs(t) ** 2 * gram_den
-
-    # coefficients (K, 49, 2, 2): every single mode, then the mixtures
-    slots = (_SIGMA3,) if trivial else (_SIGMA3, E_up, E_dn)
-    single = np.zeros((49, len(slots), 49, 2, 2), dtype=complex)
-    for i, E in enumerate(slots):
-        single[np.arange(49), i, np.arange(49)] = E
-    mixed = np.zeros((ORACLE_N_RANDOM, 49, 2, 2), dtype=complex)
-    for mix in mixed:
-        for _ in range(3):
-            n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-            H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            mix[7 * (n + 3) + (m + 3)] += H
-    # take each mixture's grid mean (its diagonal, when twisted: the flat
-    # kernel) off the coefficient of the constant wave, which is exactly 1
-    avg = np.einsum("j,kjab->kab", grid_waves.mean(axis=(0, 1)), mixed)
-    mixed[:, 24] -= avg if trivial else avg * np.eye(2)
-    coef = np.concatenate([single.reshape(-1, 49, 2, 2), mixed])
-    coef = coef.transpose(2, 3, 0, 1)  # (2, 2, K, 49)
-
-    def form(gram):
-        """c^H gram c for every candidate, summed over the entries."""
-        return np.einsum("abkj,abkj->k", coef.conj(),
-                         coef @ gram.swapaxes(-1, -2)).real
-
-    num, den = form(gram_num), form(gram_den)
-    return np.where(num < 1e-13 * den, math.inf, num / den)
+        d = fourier_diff(waves, axis, period)
+        num = num + np.sum(np.abs(d[..., None]
+                                  + c * slots * waves[..., None]) ** 2,
+                           axis=(0, 1))  # (49, slots)
+    den = np.sum(np.abs(waves) ** 2, axis=(0, 1))[:, None]
+    return np.where(num < 1e-13 * den, math.inf, num / den).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -1127,8 +1087,6 @@ def _run_moduli(params: dict):
     wdev = 0.0
     for _ in range(params["n_alpha"]):
         alpha = float(rng.uniform(-0.5, 0.5))
-        if alpha >= 0.5:
-            alpha = 0.0
         (_, _), balance = nahm_weights(alpha)
         wdev = max(wdev, abs(balance))
     checks.append(_leq_check("parabolic_weight_zero_sum", wdev, 0.0,

@@ -196,7 +196,7 @@ def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
 
 
 def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,
-                       steps_per_seg: int = 32) -> np.ndarray:
+                       steps_per_seg: int) -> np.ndarray:
     """Transport matrices along consecutive straight segments of a path,
     `steps_per_seg` Magnus steps (two connection evaluations each) per
     segment.
@@ -232,7 +232,7 @@ DRIFT_STEPS = 128
 
 
 def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
-                           n_t: int = 9) -> dict:
+                           n_t: int) -> dict:
     """Checks |d/dt (h^-1 m h)| <= int |F(dphi/dt, dphi/ds)| ds along the
     family; returns the max signed defect (LHS - RHS), nonpositive up to
     discretization for true connections.

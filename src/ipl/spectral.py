@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import (TorusSpec, DualTorusPoint, covering_radius,
-                       lattice_translates, lattice_distance, lattice_reduce)
+                       lattice_translates, lattice_distance, lattice_reduce,
+                       xi_from_zeta)
 
 
 class SingularPointError(ValueError):
@@ -96,15 +97,15 @@ def _roots_in_annulus(coeffs, target, r_lo, r_hi):
     return out
 
 
-def jumping_points(bundle: BundleModel, xi: DualTorusPoint,
-                   domain=(5.0, 1e3), branch: str = "plus",
-                   singular_tol: float = 1e-9) -> SpectralData:
+def jumping_points(bundle: BundleModel, xi: DualTorusPoint, domain,
+                   branch: str, singular_tol: float = 1e-9) -> SpectralData:
     """Fiberwise-trivial locus: solves zeta(w) = (+-)zeta(xi) modulo the
-    dual lattice on the annulus. The returned w are the eigenvalues of the
-    transformed Higgs field at xi; multiplicity from root order.
+    dual lattice on the annulus domain = (r_lo, r_hi). The returned w are
+    the eigenvalues of the transformed Higgs field at xi; multiplicity from
+    root order.
 
     branch: 'plus', 'minus', or 'both' (which eigenline of the split fiber
-    the twist trivializes); default 'plus'.
+    the twist trivializes).
     """
     if branch not in ("plus", "minus", "both"):
         raise ValueError("branch must be plus, minus, or both")
@@ -138,10 +139,10 @@ def jumping_points(bundle: BundleModel, xi: DualTorusPoint,
 def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
                 approach) -> tuple[complex, dict]:
     """Residue of the transformed Higgs field at the singular point xi0,
-    estimated from an approach sequence: w(xi_j) * (zeta(xi_j) - zeta(xi0))
-    for the largest jumping point on r_min <= |w| <= 1e30,
-    Richardson-extrapolated. Equals +mu at the singularity over the plus
-    eigenline and -mu at the opposite one."""
+    estimated from an approach sequence of complex twists zeta_j:
+    w(xi_j) * (zeta_j - zeta(xi0)) for the largest jumping point on
+    r_min <= |w| <= 1e30, Richardson-extrapolated. Equals +mu at the
+    singularity over the plus eigenline and -mu at the opposite one."""
     z0 = xi0.zeta
     sign = None
     for sgn in (+1.0, -1.0):
@@ -150,11 +151,10 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
             break
     if sign is None:
         raise ValueError("xi0 is not a singular point of this bundle")
+    branch = "plus" if sign > 0 else "minus"
     ests, seps = [], []
-    for xj in approach:
-        zj = xj.zeta if isinstance(xj, DualTorusPoint) else complex(xj)
-        branch = "plus" if sign > 0 else "minus"
-        sd = jumping_points(bundle, _as_point(xj, zj, bundle.torus),
+    for zj in approach:
+        sd = jumping_points(bundle, xi_from_zeta(zj, bundle.torus),
                             domain=(bundle.r_min, 1e30), branch=branch)
         if not sd.points:
             raise RuntimeError("approach point produced no jumping points; "
@@ -179,13 +179,6 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
         raise RuntimeError(f"residue estimates failed to converge: {diag}")
     diag["converged"] = True
     return est, diag
-
-
-def _as_point(xj, zj, torus):
-    if isinstance(xj, DualTorusPoint):
-        return xj
-    from .geometry import xi_from_zeta
-    return xi_from_zeta(zj, torus)
 
 
 def nahm_weights(alpha: float):
@@ -222,16 +215,15 @@ def in_hypothesis_region(lam, mu, w, torus: TorusSpec):
 def fourier_gap(lam, mu, w, sigma, torus: TorusSpec):
     """Mode-sum gap sum |g_nm + lam + mu/|w||^2 |sigma_nm|^2
     - |lam + mu/w|^2 sum |sigma_nm|^2, with g_nm the dual-lattice symbol of
-    mode (n, m). Nonnegative on the hypothesis region; outside it the value
-    is still returned, flagged by the second result (`in_hypothesis_region`
-    at the same point).
+    mode (n, m). Nonnegative on the hypothesis region
+    (`in_hypothesis_region`); outside it the value is still returned.
 
     sigma: array-like (..., K, 3) of rows (n, m, coefficient); a list of K
     triples is one point's modes. Rows with coefficient 0 add nothing to
     either sum, so points with fewer modes are padded with them. lam, mu and
-    w broadcast against sigma's leading shape (...). Returns (float, bool)
-    for a single point and a pair of arrays of the broadcast shape
-    otherwise. Raises ValueError at w = 0, where mu/|w| is undefined."""
+    w broadcast against sigma's leading shape (...). Returns a float for a
+    single point and an array of the broadcast shape otherwise. Raises
+    ValueError at w = 0, where mu/|w| is undefined."""
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.ndim < 2 or sigma.shape[-1] != 3:
         raise ValueError("sigma must have shape (..., K, 3)")
@@ -239,12 +231,9 @@ def fourier_gap(lam, mu, w, sigma, torus: TorusSpec):
     if np.any(w == 0):
         raise ValueError("fourier_gap at w = 0: the symbol mu/|w| is "
                          "undefined there")
-    ok = in_hypothesis_region(lam, mu, w, torus)
     g = sigma[..., 0].real + 1j * sigma[..., 1].real
     c2 = np.abs(sigma[..., 2]) ** 2
     shift = (lam + mu / np.abs(w))[..., None]
     lhs = np.sum(np.abs(g + shift) ** 2 * c2, axis=-1)
     gap = lhs - np.abs(lam + mu / w) ** 2 * np.sum(c2, axis=-1)
-    if gap.ndim == 0:
-        return float(gap), bool(ok)
-    return gap, np.broadcast_to(ok, gap.shape)
+    return float(gap) if gap.ndim == 0 else gap

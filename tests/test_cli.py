@@ -4,14 +4,16 @@ report structure, CSV artifacts, seeded determinism, and exit codes."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ipl import _su2, models
+from ipl import _su2, cli, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
-    _flat_limit_from_lambda, _fourier_gap_scan, _rayleigh_oracle, \
-    _rayleigh_quotients, main, run
+    _flat_limit_from_lambda, _fourier_gap_scan, _rayleigh_quotients, main, \
+    run
 from ipl.geometry import TWO_PI, TorusSpec
 from ipl.moduli import fourier_diff
 
@@ -268,6 +270,21 @@ def test_seed_override_via_main(tmp_path):
     assert report["inputs"]["seed"] == 99
 
 
+def test_module_entry_point_runs_clean_under_warning_errors(tmp_path):
+    # `python -m ipl.cli` is how the CLI runs uninstalled; importing the
+    # package must not load ipl.cli first, or runpy warns on every run
+    src = os.path.join(os.path.dirname(CONFIGS), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ipl.cli",
+         "conventions", "--config", os.path.join(CONFIGS, "conventions.json"),
+         "--out", str(tmp_path), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "conventions_report.json").is_file()
+
+
 def test_thread_budget_recorded(tmp_path, monkeypatch):
     monkeypatch.setenv("IPL_THREADS", "3")
     report, _ = run("conventions", {"schema_version": 1},
@@ -276,11 +293,18 @@ def test_thread_budget_recorded(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n_samples", [1, 4095, 4097, 12345])
-def test_fourier_gap_scan_returns_exactly_n_samples(n_samples):
+def test_fourier_gap_scan_returns_exactly_n_samples(n_samples, monkeypatch):
     assert n_samples % GAP_SCAN_BLOCK
-    gap_min, n_done = _fourier_gap_scan(np.random.default_rng(0),
-                                        TorusSpec(), n_samples)
-    assert n_done == n_samples
+    scored, gap = [], cli.fourier_gap
+
+    def counting_gap(lam, *args):
+        scored.append(lam.size)
+        return gap(lam, *args)
+
+    monkeypatch.setattr(cli, "fourier_gap", counting_gap)
+    gap_min = _fourier_gap_scan(np.random.default_rng(0), TorusSpec(),
+                                n_samples)
+    assert sum(scored) == n_samples
     assert np.isfinite(gap_min)
 
 
@@ -295,22 +319,21 @@ def test_fourier_gap_scan_repeats_per_seed():
 
 def test_fourier_gap_scan_is_nonnegative_on_every_seed():
     worst = {seed: _fourier_gap_scan(np.random.default_rng(seed),
-                                     TorusSpec(), 10000)[0]
+                                     TorusSpec(), 10000)
              for seed in range(41)}
     assert all(g >= -1e-15 for g in worst.values()), worst
 
 
-def _rayleigh_reference(fl, torus, rng):
-    """The oracle's quotients one candidate at a time: sample each section
-    on the 24 x 24 grid, FFT-differentiate it and sum its quotient."""
+def _grid_quotient(fl, torus):
+    """(wave, quotient): wave(n, m) sampled on the oracle's 24 x 24 grid,
+    and the Rayleigh quotient of one sampled section, FFT-differentiated on
+    its own."""
     Lx, Ly = torus.period_x, torus.period_y
     c1, c2 = (0.0, 0.0) if fl is None else (fl.lambda1, fl.lambda2)
-    trivial = fl is None or fl.is_trivial()
     sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
     gx, gy = 1j * c1 * sigma3, 1j * c2 * sigma3
     X, Y = np.meshgrid(np.linspace(0.0, Lx, 24, endpoint=False),
                        np.linspace(0.0, Ly, 24, endpoint=False), indexing="ij")
-    e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
     def wave(n, m):
         return np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
@@ -322,19 +345,20 @@ def _rayleigh_reference(fl, torus, rng):
         den = float(np.sum(np.abs(u) ** 2))
         return math.inf if num < 1e-13 * den else num / den
 
+    return wave, quotient
+
+
+def _rayleigh_reference(fl, torus):
+    """The oracle's quotients one candidate at a time: every single wave in
+    every slot, each sampled, differentiated and summed on its own."""
+    wave, quotient = _grid_quotient(fl, torus)
+    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
+    e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    trivial = fl is None or fl.is_trivial()
     slots = (sigma3,) if trivial else (sigma3, e_up, e_up.T)
-    quotients = [quotient(wave(n, m)[..., None, None] * E)
-                 for n in range(-3, 4) for m in range(-3, 4) for E in slots]
-    for _ in range(64):
-        u = np.zeros((24, 24, 2, 2), dtype=complex)
-        for _ in range(3):
-            n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-            H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            u += wave(n, m)[..., None, None] * H
-        avg = u.mean(axis=(0, 1))
-        u -= avg if trivial else np.diag(np.diag(avg))
-        quotients.append(quotient(u))
-    return np.array(quotients)
+    return np.array([quotient(wave(n, m)[..., None, None] * E)
+                     for n in range(-3, 4) for m in range(-3, 4)
+                     for E in slots])
 
 
 @pytest.mark.parametrize("torus", [TorusSpec(), TorusSpec(4.0, 7.0)])
@@ -344,15 +368,25 @@ def test_rayleigh_oracle_matches_the_per_candidate_reference(torus, xi):
     lam = complex(TWO_PI * xi[0] / torus.period_x,
                   TWO_PI * xi[1] / torus.period_y) / 2.0
     for fl in (_flat_limit_from_lambda(lam, torus), None):
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        want = _rayleigh_reference(fl, torus, a)
+        quotients = _rayleigh_quotients(fl, torus)
         # every quotient, excluded kernel members (inf) included
-        np.testing.assert_allclose(_rayleigh_quotients(fl, torus, b), want,
+        np.testing.assert_allclose(quotients, _rayleigh_reference(fl, torus),
                                    rtol=1e-12, atol=0.0)
-        # the same draws, so the stream continues at the same place
-        assert a.random() == b.random()
-        oracle = _rayleigh_oracle(fl, torus, np.random.default_rng(3))
-        assert oracle == pytest.approx(want.min(), rel=1e-12, abs=0.0)
+        oracle = float(np.min(quotients))
+        # no mixture of waves, its flat-kernel part removed, scores below
+        # the best single wave: its quotient is a weighted mean of theirs
+        wave, quotient = _grid_quotient(fl, torus)
+        trivial = fl is None or fl.is_trivial()
+        rng = np.random.default_rng(3)
+        for _ in range(64):
+            u = np.zeros((24, 24, 2, 2), dtype=complex)
+            for _ in range(3):
+                n, m = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+                H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                u += wave(n, m)[..., None, None] * H
+            avg = u.mean(axis=(0, 1))
+            u -= avg if trivial else np.diag(np.diag(avg))
+            assert quotient(u) >= oracle * (1.0 - 1e-12)
 
 
 def test_check_margins(tmp_path):

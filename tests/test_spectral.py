@@ -129,17 +129,16 @@ def test_nahm_weights_balance_exact(alpha):
 
 
 def test_fourier_gap_hand_values():
-    gap, ok = fourier_gap(0.0, 0.25, 30.0, [(0, 0, 1.0)], torus=TORUS)
-    assert ok
+    assert in_hypothesis_region(0.0, 0.25, 30.0, torus=TORUS)
+    gap = fourier_gap(0.0, 0.25, 30.0, [(0, 0, 1.0)], torus=TORUS)
     assert gap == 0.0
-    gap2, ok2 = fourier_gap(0.0, 0.25, 30.0, [(1, 0, 1.0)], torus=TORUS)
-    assert ok2
+    gap2 = fourier_gap(0.0, 0.25, 30.0, [(1, 0, 1.0)], torus=TORUS)
     assert gap2 == pytest.approx(1.0 + 1.0 / 60.0, abs=1e-15)
 
 
-def test_fourier_gap_flags_outside_region():
-    gap, ok = fourier_gap(0.3 + 0.1j, 0.25, 30.0, [(1, 0, 1.0)], torus=TORUS)
-    assert not ok
+def test_fourier_gap_is_finite_outside_region():
+    assert not in_hypothesis_region(0.3 + 0.1j, 0.25, 30.0, torus=TORUS)
+    gap = fourier_gap(0.3 + 0.1j, 0.25, 30.0, [(1, 0, 1.0)], torus=TORUS)
     assert np.isfinite(gap)
 
 
@@ -152,9 +151,8 @@ def test_fourier_gap_at_w_zero_names_the_cause():
 
 
 def test_scalar_calls_return_python_scalars():
-    gap, ok = fourier_gap(0.01, 0.25 - 0.1j, 30.0j, [(1, 0, 1.0)],
-                          torus=TORUS)
-    assert type(gap) is float and type(ok) is bool
+    gap = fourier_gap(0.01, 0.25 - 0.1j, 30.0j, [(1, 0, 1.0)], torus=TORUS)
+    assert type(gap) is float
     assert type(in_hypothesis_region(0.01, 0.25, 30.0, torus=TORUS)) is bool
 
 
@@ -170,15 +168,14 @@ def test_array_calls_match_scalar_calls_row_by_row():
     sigma = np.empty((n, k, 3), dtype=complex)
     sigma[..., :2] = rng.integers(-3, 4, (n, k, 2))
     sigma[..., 2] = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    gaps, oks = fourier_gap(lam, mu, w, sigma, torus=TORUS)
+    gaps = fourier_gap(lam, mu, w, sigma, torus=TORUS)
     region = in_hypothesis_region(lam, mu, w, torus=TORUS)
-    assert gaps.shape == oks.shape == region.shape == (n,)
+    assert gaps.shape == region.shape == (n,)
     assert 0 < region.sum() < n
     for i in range(n):
         rows = [(int(a.real), int(b.real), c) for a, b, c in sigma[i]]
-        gap, ok = fourier_gap(lam[i], mu[i], w[i], rows, torus=TORUS)
-        assert gap == gaps[i]
-        assert ok == oks[i] == region[i] \
+        assert fourier_gap(lam[i], mu[i], w[i], rows, torus=TORUS) == gaps[i]
+        assert region[i] \
             == in_hypothesis_region(lam[i], mu[i], w[i], torus=TORUS)
 
 
@@ -190,10 +187,9 @@ def test_zero_coefficient_rows_change_neither_sum():
     padded = sigma + [(2, -3, 0.0), (0, 0, 0.0)]
     assert fourier_gap(lam, mu, w, padded, torus=TORUS) \
         == fourier_gap(lam, mu, w, sigma, torus=TORUS)
-    batch, _ = fourier_gap(lam, mu, w, [padded, sigma + [(0, 0, 0.0)] * 2],
-                           torus=TORUS)
-    assert batch[0] == batch[1] == fourier_gap(lam, mu, w, sigma,
-                                               torus=TORUS)[0]
+    batch = fourier_gap(lam, mu, w, [padded, sigma + [(0, 0, 0.0)] * 2],
+                        torus=TORUS)
+    assert batch[0] == batch[1] == fourier_gap(lam, mu, w, sigma, torus=TORUS)
 
 
 def test_in_hypothesis_region_boundaries():
@@ -214,6 +210,5 @@ def test_fourier_gap_nonnegative_on_region(mu_re, mu_im, scale, ang, c1, c2):
     cov = covering_radius(TORUS)
     w = (10.0 * abs(mu) / cov * scale + 1e-6) * np.exp(1j * ang)
     sigma = [(0, 0, 1.0), (1, 0, c1), (-1, 1, c2)]
-    gap, ok = fourier_gap(0.0, mu, w, sigma, torus=TORUS)
-    assert ok
-    assert gap >= -1e-15
+    assert in_hypothesis_region(0.0, mu, w, torus=TORUS)
+    assert fourier_gap(0.0, mu, w, sigma, torus=TORUS) >= -1e-15
