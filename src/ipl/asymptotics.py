@@ -53,20 +53,17 @@ class ExtractionError(RuntimeError):
 class FlatLimit:
     lambda1: float
     lambda2: float
-    rings: tuple
     per_ring: np.ndarray  # (n_rings, 2) ring-averaged exponents
     drift: float
     axis: np.ndarray
     torus: TorusSpec
 
-    def xi_raw(self) -> tuple[float, float]:
-        return (self.lambda1 * self.torus.period_x / TWO_PI,
-                self.lambda2 * self.torus.period_y / TWO_PI)
-
-    def is_trivial(self, tol: float = 1e-9) -> bool:
-        x1, x2 = self.xi_raw()
-        return (min(x1 % 1.0, 1.0 - x1 % 1.0) <= tol
-                and min(x2 % 1.0, 1.0 - x2 % 1.0) <= tol)
+    @property
+    def xi(self) -> DualTorusPoint:
+        """The dual-torus point of the exponents, xi = lambda L / (2 pi)."""
+        return reduce_dual((self.lambda1 * self.torus.period_x / TWO_PI,
+                            self.lambda2 * self.torus.period_y / TWO_PI),
+                           self.torus)
 
 
 @dataclass
@@ -236,14 +233,13 @@ def flat_limit(table: HolonomyTable) -> FlatLimit:
         raise ExtractionError(
             f"monodromy exponents drift {drift:.3e} over rings; "
             "curvature decay hypothesis violated")
-    return FlatLimit(lambda1=lam1, lambda2=lam2, rings=rings,
-                     per_ring=per_ring, drift=drift, axis=axis, torus=torus)
+    return FlatLimit(lambda1=lam1, lambda2=lam2, per_ring=per_ring,
+                     drift=drift, axis=axis, torus=torus)
 
 
-def asymptotic_states(fl: FlatLimit) -> AsymptoticStates:
-    """+-xi0 pair of the flat limit, sign resolved lexicographically:
-    the first nonzero reduced component of the representative is <= 1/2."""
-    xi = reduce_dual(fl.xi_raw(), fl.torus)
+def asymptotic_states(xi: DualTorusPoint) -> AsymptoticStates:
+    """+-xi0 pair of the flat limit at xi, sign resolved lexicographically:
+    the first nonzero component of the representative is <= 1/2."""
     flipped = False
     for comp in (xi.xi1, xi.xi2):
         if comp > 1e-12 and abs(comp - 0.5) > 1e-12:
@@ -383,20 +379,19 @@ def instanton_number(conn: ConnectionSource, R: float,
 # ---------------------------------------------------------------------------
 # torus-fiber decomposition toolkit
 
-def poincare_constant(gamma: FlatLimit | None, torus: TorusSpec) -> float:
+def poincare_constant(gamma: DualTorusPoint | None,
+                      torus: TorusSpec) -> float:
     """Smallest twisted-gradient Rayleigh quotient on the complement of the
-    flat kernel (gamma None: untwisted): min over Fourier modes
-    (|n|, |m| <= 8) and matrix slots of
+    flat kernel of the flat twist at gamma (None: untwisted): min over
+    Fourier modes (|n|, |m| <= 8) and matrix slots of
     |2 pi n / Lx + shift|^2 + |2 pi m / Ly + shift'|^2, where off-diagonal
-    slots are shifted by +-2 lambda. Exactly-zero symbols (order-two flat
-    limits) belong to the kernel and are excluded, keeping c > 0."""
+    slots are shifted by +-2 c (c = gamma.c). Exactly-zero symbols
+    (order-two twists) belong to the kernel and are excluded, keeping
+    c > 0."""
     kx = TWO_PI / torus.period_x
     ky = TWO_PI / torus.period_y
-    if gamma is None:
-        l1 = l2 = 0.0
-    else:
-        l1, l2 = gamma.lambda1, gamma.lambda2
-    trivial = gamma is None or gamma.is_trivial()
+    l1, l2 = (0.0, 0.0) if gamma is None else gamma.c
+    trivial = gamma is None or gamma.is_trivial(1e-9)
     ns = np.arange(-8, 9)
     nn, mm = np.meshgrid(ns, ns, indexing="ij")
     best = math.inf
@@ -426,6 +421,7 @@ def extract_invariants(conn: ConnectionSource, rings,
     applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)."""
     table = holonomy_table(conn, rings)
     fl = flat_limit(table)
+    xi = fl.xi
     if kind is None:
         alpha_log = limiting_holonomy(table, fl.axis, basis="inverse-log")
         alpha_r = limiting_holonomy(table, fl.axis)
@@ -433,7 +429,7 @@ def extract_invariants(conn: ConnectionSource, rings,
         # converging to identity at a 1/ln r rate, flat limit trivial
         raw = -signed_phases(table.theta, fl.axis) / TWO_PI
         decaying = abs(alpha_log) < 0.02 and np.max(np.abs(raw)) > 5.0 * abs(alpha_log) + 1e-4
-        kind = "nilpotent" if (fl.is_trivial(1e-4) and decaying) else "semisimple"
+        kind = "nilpotent" if (xi.is_trivial(1e-4) and decaying) else "semisimple"
         alpha = alpha_log if kind == "nilpotent" else alpha_r
     else:
         alpha = limiting_holonomy(
@@ -448,7 +444,7 @@ def extract_invariants(conn: ConnectionSource, rings,
         }
     else:
         mu = 0.0 + 0.0j
-    states = asymptotic_states(fl)
+    states = asymptotic_states(xi)
     if states.flipped:
         alpha, mu = principal_alpha(-alpha), -mu
     diagnostics["order_two"] = states.order_two

@@ -27,11 +27,11 @@ import numpy as np
 
 from ._version import __version__
 from . import models
-from .asymptotics import E3, ExtractionError, FlatLimit, asymptotic_states, \
-    decay_exponent, extract_invariants, poincare_constant, principal_alpha
-from .gauge import CircleFamily, asd_residual, flat_connection, \
-    monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
-from .geometry import TWO_PI, AnnulusGrid, TorusSpec, \
+from .asymptotics import ExtractionError, asymptotic_states, decay_exponent, \
+    extract_invariants, poincare_constant, principal_alpha
+from .gauge import asd_residual, flat_connection, monodromy_drift_defect, \
+    random_quadratic_form_fixture, weitzenbock_defect
+from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, lattice_distance, \
     reduce_dual, xi_from_zeta, zeta_from_xi
 from .hitchin import hitchin_residual
@@ -45,8 +45,6 @@ from .stability import ExtensionBundleSpec, alpha_stable_extension, \
     existence_obstruction, h0_consistency
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("conventions", "model-check", "invariants", "spectral",
-               "stability", "moduli")
 # the acceptance suite: (subcommand, config file under configs/)
 SUITE = (
     ("conventions", "conventions.json"),
@@ -311,12 +309,6 @@ def _leq_check(name, value, tolerance, **extra) -> dict:
                   margin=tolerance - value, **extra)
 
 
-def _flat_limit_from_lambda(lam: complex, torus: TorusSpec) -> FlatLimit:
-    return FlatLimit(lambda1=2.0 * lam.real, lambda2=2.0 * lam.imag,
-                     rings=(1.0, 2.0, 3.0, 4.0), per_ring=np.zeros((4, 2)),
-                     drift=0.0, axis=E3.copy(), torus=torus)
-
-
 def _circle_gap(a: float, b: float) -> float:
     d = abs(a - b) % 1.0
     return min(d, 1.0 - d)
@@ -507,13 +499,11 @@ def _run_model_check(params: dict):
             ineq_summary["weitzenbock_defect_max"] = worst
         if q["poincare"] is not None:
             xi = q["poincare"]["xi"]
-            lam = complex(TWO_PI * xi.real / torus.period_x,
-                          TWO_PI * xi.imag / torus.period_y) / 2.0
+            twist = reduce_dual((xi.real, xi.imag), torus)
             rel_max = 0.0
-            for tag, fl in (("twisted", _flat_limit_from_lambda(lam, torus)),
-                            ("untwisted", None)):
-                c = poincare_constant(fl, torus)
-                oracle = float(np.min(_rayleigh_quotients(fl, torus)))
+            for tag, gamma in (("twisted", twist), ("untwisted", None)):
+                c = poincare_constant(gamma, torus)
+                oracle = float(np.min(_rayleigh_quotients(gamma, torus)))
                 rel = abs(c - oracle) / oracle
                 rel_max = max(rel_max, rel)
                 ineq_summary[f"poincare_{tag}"] = {"constant": c,
@@ -566,39 +556,23 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
 
 def _monodromy_families(rng, torus: TorusSpec):
     """Three drift-inequality test cases: a flat connection, an abelian
-    model, and a random compactly supported perturbation of flat."""
-    Lx = torus.period_x
-
-    def affine(c0, ct, cs):
-        """(t, s) -> c0 + t ct + s cs, a (..., 4) point field."""
-        def f(t, s):
-            t, s = np.broadcast_arrays(np.asarray(t, float),
-                                       np.asarray(s, float))
-            return c0 + t[..., None] * ct + s[..., None] * cs
-        return f
-
-    def radial_x_family(r0, dr, y0):
-        # x-circles at (r0 + dr t, 0.3, ., y0)
-        ct = np.array([dr, 0.0, 0.0, 0.0])
-        cs = np.array([0.0, 0.0, Lx, 0.0])
-        zero = np.zeros(4)
-        return CircleFamily(phi=affine(np.array([r0, 0.3, 0.0, y0]), ct, cs),
-                            dphi_dt=affine(ct, zero, zero),
-                            dphi_ds=affine(cs, zero, zero))
-
+    model, and a random compactly supported perturbation of flat. Each
+    family is the x-circles through (r0 + dr t, 0.3, 0, y0)."""
     flat = flat_connection(reduce_dual((0.3, 0.2), torus), torus)
     abelian = model_connection(
         ModelParams(lam=0.05 + 0.02j, mu=0.4 - 0.1j, alpha=0.1), torus)
     bumped = perturb(flat, delta=0.5, amplitude=0.02,
                      seed=int(rng.integers(0, 2 ** 31)), r_lo=12.0,
                      r_hi=60.0)
-    fams = [("flat", flat, radial_x_family(20.0, 10.0, 1.1)),
-            ("abelian", abelian, radial_x_family(25.0, 10.0, 0.7)),
-            ("perturbed-flat", bumped, radial_x_family(15.0, 20.0, 2.0))]
+    fams = [("flat", flat, 20.0, 10.0, 1.1),
+            ("abelian", abelian, 25.0, 10.0, 0.7),
+            ("perturbed-flat", bumped, 15.0, 20.0, 2.0)]
     per = {}
     worst = -math.inf
-    for tag, conn, fam in fams:
-        d = monodromy_drift_defect(conn, fam, n_t=33)
+    for tag, conn, r0, dr, y0 in fams:
+        d = monodromy_drift_defect(conn, (r0, 0.3, 0.0, y0),
+                                   (dr, 0.0, 0.0, 0.0),
+                                   (0.0, 0.0, torus.period_x, 0.0), n_t=33)
         per[tag] = d["defect"]
         worst = max(worst, d["defect"])
     return worst, per
@@ -620,13 +594,14 @@ def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
 ORACLE_N_GRID = 24
 
 
-def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec) -> np.ndarray:
+def _rayleigh_quotients(gamma: DualTorusPoint | None,
+                        torus: TorusSpec) -> np.ndarray:
     """Exact Rayleigh quotients of grid-sampled Fourier sections, whose
     least is an independent estimate of the twisted Poincare constant:
     every single wave W = e^{i(2 pi n x/Lx + 2 pi m y/Ly)}, |n|, |m| <= 3,
     in every matrix slot (in the order n, m, slot); inf for a flat-kernel
     member, which is excluded. The slots are sigma3, E_12 and E_21, or
-    sigma3 alone when the twist is trivial.
+    sigma3 alone when the twist at gamma (None: untwisted) is trivial.
 
     With the twist g = i c sigma3, entry (a, b) of d(W E) + [g, W E] is
     (dW + t W) E_ab with t = g_a - g_b: 0 on the diagonal and +-2ic off it.
@@ -636,12 +611,8 @@ def _rayleigh_quotients(fl: FlatLimit | None, torus: TorusSpec) -> np.ndarray:
     on the grid and the operator acts on each entry apart, so a mixture's
     quotient is a weighted mean of its modes' quotients."""
     Lx, Ly = torus.period_x, torus.period_y
-    if fl is None:
-        c1 = c2 = 0.0
-        trivial = True
-    else:
-        c1, c2 = fl.lambda1, fl.lambda2
-        trivial = fl.is_trivial()
+    c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
+    trivial = gamma is None or gamma.is_trivial(1e-9)
     xs = np.linspace(0.0, Lx, ORACLE_N_GRID, endpoint=False)
     ys = np.linspace(0.0, Ly, ORACLE_N_GRID, endpoint=False)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -700,7 +671,7 @@ def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
     xi0 the Weyl reflection (xi0, alpha, mu) -> (-xi0, -alpha, -mu) fixes
     xi0, so both branches name the same state: alpha and mu are scored on
     the branch whose larger error is smaller."""
-    states = asymptotic_states(_flat_limit_from_lambda(p.lam, torus))
+    states = asymptotic_states(xi_from_zeta(1j * p.lam, torus))
     alpha_t, mu_t = p.alpha, p.mu
     if states.flipped:
         alpha_t = principal_alpha(-alpha_t)
@@ -831,13 +802,25 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
         _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
         if params["counting"]["expected_total"] is None:
             params["counting"]["expected_total"] = b.k
+    # the residue and mu = 0 samplers draw until a draw lands in a window
+    # that these two rules keep nonempty
+    cov = covering_radius(params["torus"])
     if params["residues"] is not None:
         _expect(lattice_distance(2.0 * b.lam, params["torus"]) > 1e-6,
                 "residues need distinct +-xi0 (non-order-two lambda)")
+        _expect(0.9 * cov * b.r_min > 1e-3,
+                f"bundle.r_min must exceed {1e-3 / (0.9 * cov):.6g} for "
+                "residues: their |mu| draws lie in (1e-3, 0.9 r_min "
+                "covering_radius)")
     if params["dichotomy"] is not None:
+        d = params["dichotomy"]
         _expect(abs(b.mu) > 0, "dichotomy blow-up needs a nonzero residue")
-        _expect(params["dichotomy"]["annulus"][0] >= b.r_min,
+        _expect(d["annulus"][0] >= b.r_min,
                 "dichotomy.annulus must start at or beyond bundle.r_min")
+        _expect(d["min_lattice_distance"] < cov / 2.0,
+                f"dichotomy.min_lattice_distance must be below "
+                f"covering_radius / 2 = {cov / 2.0:.6g}, the distance from "
+                "+-xi0 that some dual-torus point always keeps")
 
 
 def _run_spectral(params: dict):
@@ -1170,6 +1153,7 @@ _PIPELINES = {
     "stability": (_validator(_STABILITY, _stability_rules), _run_stability),
     "moduli": (_validator(_MODULI, _moduli_rules), _run_moduli),
 }
+SUBCOMMANDS = tuple(_PIPELINES)
 
 _CSV_COLUMNS = ("xi1", "xi2", "re_w", "im_w", "mult")
 

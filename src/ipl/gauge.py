@@ -215,43 +215,34 @@ def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,
 # ---------------------------------------------------------------------------
 # monodromy drift along a family of circles
 
-@dataclass
-class CircleFamily:
-    """Family of closed circles phi(t, s), s the loop parameter in [0, 1),
-    t the family parameter in [0, 1]; dphi_dt and dphi_ds are the exact
-    partials. All maps are vectorized over broadcast (T, S) inputs and
-    return (..., 4) arrays."""
-
-    phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dphi_dt: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dphi_ds: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 # Magnus steps per circle of a monodromy-drift family
 DRIFT_STEPS = 128
 
 
-def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
+def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
                            n_t: int) -> dict:
     """Checks |d/dt (h^-1 m h)| <= int |F(dphi/dt, dphi/ds)| ds along the
-    family; returns the max signed defect (LHS - RHS), nonpositive up to
-    discretization for true connections.
+    family of closed circles phi(t, s) = origin + t dphi_dt + s dphi_ds
+    (4-vectors; s in [0, 1) the loop parameter, t in [0, 1] the family
+    parameter); returns the max signed defect (LHS - RHS), nonpositive up
+    to discretization for true connections.
 
     m(t) is the circle holonomy at parameter t, h(t) the transport along
     the base path phi(., 0) from 0 to t. Each circle takes DRIFT_STEPS
     Magnus steps, and the curvature integral over s is the two-point Gauss
     rule on the same nodes.
     """
+    origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
+                                for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
 
     # monodromies of every circle in the family, batched over t
-    Sg, Tg = np.broadcast_arrays(_step_times(DRIFT_STEPS)[..., None], ts)
-    pts = family.phi(Tg, Sg)  # (DRIFT_STEPS, 2, n_t, 4)
-    tans = family.dphi_ds(Tg, Sg)
+    base = origin + ts[:, None] * dphi_dt  # (n_t, 4)
+    pts = base + _step_times(DRIFT_STEPS)[..., None, None] * dphi_ds
+    tans = np.broadcast_to(dphi_ds, pts.shape)  # (DRIFT_STEPS, 2, n_t, 4)
     m_t = _path_ordered_product(conn, pts, tans)  # (n_t, 2, 2)
 
     # base-path transports between consecutive t samples
-    base = family.phi(ts, np.zeros_like(ts))
     hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
     h = np.empty((n_t, 2, 2), dtype=complex)
     h[0] = _su2.EYE2
@@ -266,13 +257,10 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
 
     # curvature contracted with the family surface element
     F = curvature(conn, pts).components  # (DRIFT_STEPS, 2, n_t, 6, 2, 2)
-    u = family.dphi_dt(Tg, Sg)
-    v = tans
     contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
     for k, (i, j) in enumerate(PAIRS):
-        contract += F[..., k, :, :] * (
-            u[..., i] * v[..., j] - u[..., j] * v[..., i]
-        )[..., None, None]
+        contract += F[..., k, :, :] * (dphi_dt[i] * dphi_ds[j]
+                                       - dphi_dt[j] * dphi_ds[i])
     # integral over s: equal weights 1 / (2 DRIFT_STEPS) on the Gauss nodes
     rhs = np.mean(_su2.frob(contract), axis=(0, 1))
 
@@ -290,9 +278,11 @@ def monodromy_drift_defect(conn: ConnectionSource, family: CircleFamily,
 
 def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
     """Flat diagonal connection i diag(c, -c) dx + i diag(c', -c') dy with
-    holonomy exponents given by the dual-torus point."""
-    c1 = TWO_PI * xi.xi1 / torus.period_x
-    c2 = TWO_PI * xi.xi2 / torus.period_y
+    holonomy exponents given by the dual-torus point, a point of torus's
+    dual."""
+    if xi.torus != torus:
+        raise ValueError("xi is a point of another torus's dual")
+    c1, c2 = xi.c
     sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
     def evaluate(points):
@@ -388,6 +378,8 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     of g_k g_l is a product of four 1-D sums, so no 4-D field is ever
     formed.
     """
+    if gamma is not None and gamma.torus != torus:
+        raise ValueError("gamma is a point of another torus's dual")
     if any(t.component == 0 for t in form.terms):
         raise BoundaryConditionError(
             "radial component present: the two-boundary identity requires "
@@ -411,11 +403,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     w_ang = (TWO_PI / n_th) * (torus.period_x / n_x) * (torus.period_y / n_y)
 
     # flat twist: the diagonals of c * diag(i, -i)
-    if gamma is not None:
-        c1 = TWO_PI * gamma.xi1 / torus.period_x
-        c2 = TWO_PI * gamma.xi2 / torus.period_y
-    else:
-        c1 = c2 = 0.0
+    c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
     gx, gy = c1 * np.array([1j, -1j]), c2 * np.array([1j, -1j])
 
     def gram(entries, w_r):

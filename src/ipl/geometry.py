@@ -77,8 +77,11 @@ class DualTorusPoint:
                                  "use reduce_dual to construct from raw values")
 
     @property
-    def xi(self) -> tuple[float, float]:
-        return (self.xi1, self.xi2)
+    def c(self) -> tuple[float, float]:
+        """Exponents (c1, c2) = 2 pi xi / L of the flat connection
+        i c1 dx + i c2 dy."""
+        return (TWO_PI * self.xi1 / self.torus.period_x,
+                TWO_PI * self.xi2 / self.torus.period_y)
 
     @property
     def zeta(self) -> complex:
@@ -88,7 +91,11 @@ class DualTorusPoint:
     def minus(self) -> "DualTorusPoint":
         return reduce_dual((-self.xi1, -self.xi2), self.torus)
 
-    def is_order_two(self, tol: float = 1e-12) -> bool:
+    def is_trivial(self, tol: float) -> bool:
+        """True when xi = 0 on the dual torus (xi integral)."""
+        return all(min(v, 1.0 - v) <= tol for v in (self.xi1, self.xi2))
+
+    def is_order_two(self, tol: float) -> bool:
         """True when xi = -xi on the dual torus (2 xi integral)."""
         return all(
             min(_mod1(2.0 * v), 1.0 - _mod1(2.0 * v)) <= tol

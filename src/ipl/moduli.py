@@ -220,7 +220,7 @@ def instanton_tangent_residual(a: TangentVectorInstanton,
 
 
 def translation_tangent(conn: ConnectionSource, grid: AnnulusGrid,
-                        direction=(1.0, 0.0)) -> TangentVectorInstanton:
+                        direction) -> TangentVectorInstanton:
     """Moduli direction from a plane translation: the curvature contracted
     with the translation vector field, in frame components."""
     rs, ths = grid.rs, grid.thetas
@@ -241,7 +241,7 @@ def translation_tangent(conn: ConnectionSource, grid: AnnulusGrid,
 
 
 def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
-                   seed: int = 0) -> TangentVectorInstanton:
+                   seed: int) -> TangentVectorInstanton:
     """Smooth random tangent field: Fourier modes -1, 0, 1 in each periodic
     direction times a radial polynomial that vanishes at both radial ends,
     with random su(2) directions."""

@@ -7,33 +7,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import DualTorusPoint, lattice_distance
 from .spectral import BundleModel, jumping_points, SingularPointError
 
 
 @dataclass(frozen=True)
 class ExtensionBundleSpec:
-    """Extension of an ideal-sheaf twist by a flat-times-O(b) line bundle;
-    the k points of the ideal sheaf must avoid the fiber at infinity."""
+    """Extension of an ideal-sheaf twist, of length k, by a flat-times-O(b)
+    line bundle."""
     xi0: DualTorusPoint
     b: int
     k: int
-    points: tuple = ()
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        pts = tuple(complex(p) for p in self.points)
-        if not pts:
-            pts = tuple(complex(j + 1, 0.0) for j in range(self.k))
-        if len(pts) != self.k:
-            raise ValueError("need exactly k ideal-sheaf points")
-        if any(not np.isfinite(p.real) or not np.isfinite(p.imag)
-               for p in pts):
-            raise ValueError("ideal-sheaf points must avoid the infinity fiber")
-        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ def existence_obstruction(k: int, xi0: DualTorusPoint, mu: complex) -> str:
     return "ok"
 
 
-def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain=(5.0, 1e3),
+def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain,
              allow_singular: bool = False) -> int:
     """Total fiberwise section count: jumping multiplicity over both
     eigenline branches on the domain plus the infinity-fiber contribution
@@ -113,8 +101,8 @@ def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain=(5.0, 1e3),
     return interior + inf_contrib
 
 
-def h0_consistency(bundle: BundleModel, xi: DualTorusPoint,
-                   domain=(5.0, 1e3), allow_singular: bool = False) -> dict:
+def h0_consistency(bundle: BundleModel, xi: DualTorusPoint, domain,
+                   allow_singular: bool = False) -> dict:
     """Section-count ledger against the declared charge; surfaces the
     k = 1 order-two contradiction (infinity fiber alone contributes 2)."""
     total = h0_total(bundle, xi, domain=domain, allow_singular=allow_singular)

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ipl.asymptotics import (
-    E3,
     ExtractionError,
-    FlatLimit,
     asymptotic_states,
     decay_exponent,
     extract_invariants,
@@ -25,17 +23,11 @@ from ipl.asymptotics import (
 )
 from ipl.gauge import (LOOP_STEPS, ConnectionSource, DomainError,
                        circle_holonomies, flat_connection)
-from ipl.geometry import TorusSpec, reduce_dual
+from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
 TORUS = TorusSpec()
 RINGS = (50.0, 100.0, 200.0, 400.0)
-
-
-def synthetic_flat_limit(lambda1, lambda2):
-    return FlatLimit(lambda1=lambda1, lambda2=lambda2, rings=(1.0, 2.0, 3.0, 4.0),
-                     per_ring=np.zeros((4, 2)), drift=0.0, axis=E3.copy(),
-                     torus=TORUS)
 
 
 def test_flat_limit_needs_four_rings():
@@ -49,29 +41,29 @@ def test_flat_limit_of_flat_connection():
     conn = flat_connection(xi, TORUS)
     fl = flat_limit(holonomy_table(conn, RINGS))
     assert fl.drift < 1e-10
-    states = asymptotic_states(fl)
+    states = asymptotic_states(fl.xi)
     assert states.xi0.xi1 == pytest.approx(0.3, abs=1e-9)
     assert states.xi0.xi2 == pytest.approx(0.2, abs=1e-9)
     assert not states.order_two
 
 
 def test_branch_canonicalization_flips_above_half():
-    # raw exponents (0, 0.7): the first nonzero reduced component exceeds
-    # 1/2, so the canonical representative is the sign-flipped (0, 0.3)
-    states = asymptotic_states(synthetic_flat_limit(0.0, 0.7))
+    # xi = (0, 0.7): the first nonzero component exceeds 1/2, so the
+    # canonical representative is the sign-flipped (0, 0.3)
+    states = asymptotic_states(reduce_dual((0.0, 0.7), TORUS))
     assert states.flipped
     assert states.xi0.xi1 == pytest.approx(0.0, abs=1e-12)
     assert states.xi0.xi2 == pytest.approx(0.3, abs=1e-12)
 
-    states2 = asymptotic_states(synthetic_flat_limit(0.2, 0.9))
+    states2 = asymptotic_states(reduce_dual((0.2, 0.9), TORUS))
     assert not states2.flipped
     assert states2.xi0.xi1 == pytest.approx(0.2, abs=1e-12)
 
 
 def test_order_two_detection():
-    assert asymptotic_states(synthetic_flat_limit(0.0, 0.0)).order_two
-    assert asymptotic_states(synthetic_flat_limit(1.0, 0.0)).order_two
-    assert not asymptotic_states(synthetic_flat_limit(0.4, 0.0)).order_two
+    assert asymptotic_states(reduce_dual((0.0, 0.0), TORUS)).order_two
+    assert asymptotic_states(reduce_dual((1.0, 0.0), TORUS)).order_two
+    assert not asymptotic_states(reduce_dual((0.4, 0.0), TORUS)).order_two
 
 
 def test_limiting_holonomy_of_model():
@@ -207,7 +199,7 @@ def test_extraction_matches_public_fits(lam, mu, alpha):
     inv = extract_invariants(conn, RINGS)
     table = holonomy_table(conn, RINGS)
     fl = flat_limit(table)
-    states = asymptotic_states(fl)
+    states = asymptotic_states(fl.xi)
     a = limiting_holonomy(table, fl.axis)
     m, diag = residue(table, fl)
     if states.flipped:
@@ -297,18 +289,25 @@ def test_poincare_constant_untwisted():
 
 
 def test_poincare_constant_twisted_hand_values():
-    # exponents (0.3, 0.15): off-diagonal symbol min over integer shifts of
+    # xi = (0.3, 0.15): off-diagonal symbol min over integer shifts of
     # (n + 0.6)^2 + (m + 0.3)^2 is 0.16 + 0.09 = 0.25
-    fl = synthetic_flat_limit(0.3, 0.15)
-    assert poincare_constant(fl, torus=TORUS) == pytest.approx(0.25)
+    assert poincare_constant(reduce_dual((0.3, 0.15), TORUS),
+                             torus=TORUS) == pytest.approx(0.25)
     # order-two (0.5, 0): the off-diagonal shift is integral, its zero mode
     # joins the excluded kernel, and the bound returns to 1
-    fl2 = synthetic_flat_limit(0.5, 0.0)
-    assert poincare_constant(fl2, torus=TORUS) == pytest.approx(1.0)
+    assert poincare_constant(reduce_dual((0.5, 0.0), TORUS),
+                             torus=TORUS) == pytest.approx(1.0)
+    # on the 4 x 7 torus the symbol is k_x^2 (n + 0.6)^2 + k_y^2 (m + 0.3)^2
+    # with k = 2 pi / L; its least value 0.16 k_x^2 + 0.09 k_y^2 = 0.467 lies
+    # below the untwisted k_y^2 = 0.806
+    torus = TorusSpec(4.0, 7.0)
+    kx, ky = TWO_PI / 4.0, TWO_PI / 7.0
+    assert poincare_constant(reduce_dual((0.3, 0.15), torus), torus=torus) \
+        == pytest.approx(0.16 * kx ** 2 + 0.09 * ky ** 2)
 
 
 @given(l1=st.floats(0.01, 0.49), l2=st.floats(0.01, 0.49))
 @settings(max_examples=50, deadline=None)
 def test_poincare_constant_positive_and_bounded(l1, l2):
-    c = poincare_constant(synthetic_flat_limit(l1, l2), torus=TORUS)
+    c = poincare_constant(reduce_dual((l1, l2), TORUS), torus=TORUS)
     assert 0.0 < c <= 1.0 + 1e-12

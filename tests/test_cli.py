@@ -12,9 +12,8 @@ import pytest
 
 from ipl import _su2, cli, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
-    _flat_limit_from_lambda, _fourier_gap_scan, _rayleigh_quotients, main, \
-    run
-from ipl.geometry import TWO_PI, TorusSpec
+    _fourier_gap_scan, _rayleigh_quotients, main, run
+from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.moduli import fourier_diff
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
@@ -324,12 +323,12 @@ def test_fourier_gap_scan_is_nonnegative_on_every_seed():
     assert all(g >= -1e-15 for g in worst.values()), worst
 
 
-def _grid_quotient(fl, torus):
+def _grid_quotient(gamma, torus):
     """(wave, quotient): wave(n, m) sampled on the oracle's 24 x 24 grid,
     and the Rayleigh quotient of one sampled section, FFT-differentiated on
     its own."""
     Lx, Ly = torus.period_x, torus.period_y
-    c1, c2 = (0.0, 0.0) if fl is None else (fl.lambda1, fl.lambda2)
+    c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
     sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
     gx, gy = 1j * c1 * sigma3, 1j * c2 * sigma3
     X, Y = np.meshgrid(np.linspace(0.0, Lx, 24, endpoint=False),
@@ -348,13 +347,13 @@ def _grid_quotient(fl, torus):
     return wave, quotient
 
 
-def _rayleigh_reference(fl, torus):
+def _rayleigh_reference(gamma, torus):
     """The oracle's quotients one candidate at a time: every single wave in
     every slot, each sampled, differentiated and summed on its own."""
-    wave, quotient = _grid_quotient(fl, torus)
+    wave, quotient = _grid_quotient(gamma, torus)
     sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
     e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    trivial = fl is None or fl.is_trivial()
+    trivial = gamma is None or gamma.is_trivial(1e-9)
     slots = (sigma3,) if trivial else (sigma3, e_up, e_up.T)
     return np.array([quotient(wave(n, m)[..., None, None] * E)
                      for n in range(-3, 4) for m in range(-3, 4)
@@ -365,18 +364,17 @@ def _rayleigh_reference(fl, torus):
 @pytest.mark.parametrize("xi", [(0.0, 0.0), (0.5, 0.0), (0.3, 0.15),
                                 (0.01, 0.49)])
 def test_rayleigh_oracle_matches_the_per_candidate_reference(torus, xi):
-    lam = complex(TWO_PI * xi[0] / torus.period_x,
-                  TWO_PI * xi[1] / torus.period_y) / 2.0
-    for fl in (_flat_limit_from_lambda(lam, torus), None):
-        quotients = _rayleigh_quotients(fl, torus)
+    for gamma in (reduce_dual(xi, torus), None):
+        quotients = _rayleigh_quotients(gamma, torus)
         # every quotient, excluded kernel members (inf) included
-        np.testing.assert_allclose(quotients, _rayleigh_reference(fl, torus),
+        np.testing.assert_allclose(quotients,
+                                   _rayleigh_reference(gamma, torus),
                                    rtol=1e-12, atol=0.0)
         oracle = float(np.min(quotients))
         # no mixture of waves, its flat-kernel part removed, scores below
         # the best single wave: its quotient is a weighted mean of theirs
-        wave, quotient = _grid_quotient(fl, torus)
-        trivial = fl is None or fl.is_trivial()
+        wave, quotient = _grid_quotient(gamma, torus)
+        trivial = gamma is None or gamma.is_trivial(1e-9)
         rng = np.random.default_rng(3)
         for _ in range(64):
             u = np.zeros((24, 24, 2, 2), dtype=complex)
@@ -492,6 +490,13 @@ SEEDED = {"schema_version": 1, "seed": 1}
     ("invariants", {"schema_version": 1, "model_grid": {
         "kind": "nilpotent", "lambda": [[0, 0]], "mu": [[0, 0]],
         "alpha": [0.0, 0.25]}}, "model_grid.alpha"),
+    # sampling windows that no draw can land in
+    ("spectral", {**SPECTRAL_CFG, "bundle": {
+        "lambda": [0.11, 0.07], "mu": [0.0001, 0.0], "r_min": 0.001, "k": 1},
+        "residues": {"n_mu": 2}}, "bundle.r_min"),
+    ("spectral", {**SPECTRAL_CFG, "dichotomy": {
+        "n_mu_zero": 3, "min_lattice_distance": 0.5}},
+     "dichotomy.min_lattice_distance"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):

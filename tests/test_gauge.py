@@ -154,32 +154,11 @@ def test_segment_transports_compose():
 
 
 def test_drift_defect_zero_for_flat():
+    # x-circles through (10 + 5 t, 0, 0, 1)
     conn = flat_connection(reduce_dual((0.25, 0.1), TORUS), TORUS)
-    Lx = TORUS.period_x
-
-    def phi(t, s):
-        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-        out = np.zeros(t.shape + (4,))
-        out[..., 0] = 10.0 + 5.0 * t
-        out[..., 2] = Lx * s
-        out[..., 3] = 1.0
-        return out
-
-    def dphi_dt(t, s):
-        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-        out = np.zeros(t.shape + (4,))
-        out[..., 0] = 5.0
-        return out
-
-    def dphi_ds(t, s):
-        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-        out = np.zeros(t.shape + (4,))
-        out[..., 2] = Lx
-        return out
-
-    from ipl.gauge import CircleFamily
-    fam = CircleFamily(phi=phi, dphi_dt=dphi_dt, dphi_ds=dphi_ds)
-    d = monodromy_drift_defect(conn, fam, n_t=9)
+    d = monodromy_drift_defect(conn, (10.0, 0.0, 0.0, 1.0),
+                               (5.0, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
     assert d["defect"] <= 1e-12
     assert np.max(np.abs(d["rhs"])) < 1e-15
 
@@ -310,3 +289,16 @@ def test_weitzenbock_rejects_bad_components(component, error):
     # a component-4 term is a plain ValueError, not a boundary violation
     assert (info.type is BoundaryConditionError) == (component == 0)
 
+
+
+def test_flat_twist_from_another_torus_is_rejected():
+    # the exponents 2 pi xi / L are read on xi's own torus, so a point of
+    # another torus's dual would give a connection whose holonomy is not xi
+    xi = reduce_dual((0.3, 0.2), TorusSpec(4.0, 7.0))
+    with pytest.raises(ValueError, match="another torus"):
+        flat_connection(xi, TORUS)
+    term = TrigRadialTerm(component=2, matrix=((1j, 0), (0, -1j)),
+                          radial_coeffs=(1.0,), modes=(1, 1, 0))
+    with pytest.raises(ValueError, match="another torus"):
+        weitzenbock_defect(SeparableOneForm(terms=(term,)), xi, 3.0, 9.0,
+                           torus=TORUS)

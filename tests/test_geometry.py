@@ -67,6 +67,19 @@ def test_zeta_from_xi_hand_values():
     assert zeta_from_xi(0.4, 0.6, TORUS) == pytest.approx(-0.3 + 0.2j)
 
 
+def test_exponents_on_a_non_square_torus():
+    # (c1, c2) = 2 pi xi / L, and zeta = (i c1 - c2)/2 is built from them
+    torus = TorusSpec(4.0, 7.0)
+    xi = reduce_dual((0.3, 0.15), torus)
+    c1, c2 = xi.c
+    assert (c1, c2) == pytest.approx((TWO_PI * 0.3 / 4.0, TWO_PI * 0.15 / 7.0))
+    assert xi.zeta == (1j * c1 - c2) / 2
+    # trivial: xi within tol of an integer point, from either side
+    assert reduce_dual((1.0, -1e-12), torus).is_trivial(1e-9)
+    assert not xi.is_trivial(1e-9)
+    assert not reduce_dual((0.0, 0.5), torus).is_trivial(1e-9)
+
+
 @given(xi1=unit, xi2=unit)
 @settings(max_examples=200)
 def test_xi_zeta_round_trip(xi1, xi2):
@@ -109,8 +122,8 @@ def test_reduce_dual_and_minus():
 
 def test_order_two_points():
     for xi in ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
-        assert reduce_dual(xi, TORUS).is_order_two()
-    assert not reduce_dual((0.3, 0.2), TORUS).is_order_two()
+        assert reduce_dual(xi, TORUS).is_order_two(1e-12)
+    assert not reduce_dual((0.3, 0.2), TORUS).is_order_two(1e-12)
 
 
 @given(xi1=unit, xi2=unit)
