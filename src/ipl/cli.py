@@ -802,8 +802,8 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
         _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
         if params["counting"]["expected_total"] is None:
             params["counting"]["expected_total"] = b.k
-    # the residue and mu = 0 samplers draw until a draw lands in a window
-    # that these two rules keep nonempty
+    # the residue sampler draws inside a window, and the mu = 0 sampler
+    # until a draw lands in one; these two rules keep them nonempty
     cov = covering_radius(params["torus"])
     if params["residues"] is not None:
         _expect(lattice_distance(2.0 * b.lam, params["torus"]) > 1e-6,
@@ -861,12 +861,16 @@ def _run_spectral(params: dict):
         r = params["residues"]
         err_max = 0.0
         rows = []
-        cov = covering_radius(torus)
+        # 0.4 (N + iN) conditioned on 1e-3 < |mu| < hi, drawn directly: a
+        # uniform phase and a Rayleigh(0.4) modulus by its truncated inverse
+        # CDF in t = |mu|^2 / 0.32, exact for a window a few 1e-6 wide
+        hi = 0.9 * covering_radius(torus) * bundle.r_min
+        t_lo, t_hi = 1e-3 ** 2 / 0.32, hi ** 2 / 0.32
         for _ in range(r["n_mu"]):
-            while True:
-                mu = complex(rng.normal(), rng.normal()) * 0.4
-                if 1e-3 < abs(mu) < 0.9 * cov * bundle.r_min:
-                    break
+            phase = rng.uniform(0.0, TWO_PI)
+            t = t_lo - math.log1p(rng.uniform() * math.expm1(t_lo - t_hi))
+            mu = math.sqrt(0.32 * t) * complex(math.cos(phase),
+                                               math.sin(phase))
             bi = BundleModel(lam=bundle.lam, mu=mu, r_min=bundle.r_min,
                              k=bundle.k, torus=torus)
             xi0 = xi_from_zeta(bi.lam, torus)

@@ -44,15 +44,17 @@ class ConnectionSource(RadialDomain):
 
     evaluate(points): (..., 4) float -> (..., 4, 2, 2) complex, components
     (a_r, a_theta, a_x, a_y) in the coordinate coframe.
-    derivative(points, axis): the exact partials of all four components
-    with respect to coordinate `axis` (0..3), same shape. Every connection
-    here is a closed form (a lift of an explicit Higgs pair, a flat
-    connection, or a perturbation of one), so its partials are too; there
-    is no finite-difference fallback.
+    derivative(points): (..., 4) float -> (..., 4, 4, 2, 2) complex, the
+    table of exact partials, entry [..., i, j] = partial_i a_j. Every
+    connection here is a closed form (a lift of an explicit Higgs pair, a
+    flat connection, or a perturbation of one), so its partials are too;
+    there is no finite-difference fallback.
+    Each call of either returns a new array that the caller may write to
+    (`perturb` adds into its base's table in place).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray, int], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
     torus: TorusSpec
     r_min: float = 0.0
     name: str = "connection"
@@ -79,12 +81,11 @@ def curvature(conn: ConnectionSource, points) -> CurvatureSample:
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     a = conn.evaluate(points)
-    d = [conn.derivative(points, ax) for ax in range(4)]
-    # d[i][..., j, :, :] = partial_i a_j
+    d = conn.derivative(points)
     out = np.empty(a.shape[:-3] + (len(PAIRS), 2, 2), dtype=complex)
     for k, (i, j) in enumerate(PAIRS):
         f = out[..., k, :, :]
-        np.subtract(d[i][..., j, :, :], d[j][..., i, :, :], out=f)
+        np.subtract(d[..., i, j, :, :], d[..., j, i, :, :], out=f)
         f += _su2.comm(a[..., i, :, :], a[..., j, :, :])
     return CurvatureSample(points=points, components=out)
 
@@ -292,9 +293,9 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
         out[..., 3, :, :] = 1j * c2 * sigma3
         return out
 
-    def derivative(points, axis):
+    def derivative(points):
         points = np.asarray(points, dtype=float)
-        return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
+        return np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
 
     return ConnectionSource(evaluate=evaluate, torus=torus,
                             derivative=derivative, name="flat")

@@ -39,14 +39,17 @@ class HiggsPairOnPlane(RadialDomain):
     evaluate_b(points): (..., 2) [r, theta] -> (..., 2, 2, 2), components
     (b_r, b_theta), anti-hermitian traceless. evaluate_psi(points):
     (..., 2) -> (..., 2, 2) complex traceless (the dw-coefficient of the
-    Higgs field). derivative_b(points, axis) and derivative_psi(points,
-    axis) are their exact partials, axis 0 = r, 1 = theta.
+    Higgs field). derivative_b(points): (..., 2, 2, 2, 2), the table of
+    exact partials, entry [..., i, j] = partial_i b_j; derivative_psi(points):
+    (..., 2, 2, 2), entry [..., i] = partial_i psi; index 0 = r, 1 = theta.
+    Each call of any of the four returns a new array that the caller may
+    write to.
     """
 
     evaluate_b: Callable[[np.ndarray], np.ndarray]
     evaluate_psi: Callable[[np.ndarray], np.ndarray]
-    derivative_b: Callable[[np.ndarray, int], np.ndarray]
-    derivative_psi: Callable[[np.ndarray, int], np.ndarray]
+    derivative_b: Callable[[np.ndarray], np.ndarray]
+    derivative_psi: Callable[[np.ndarray], np.ndarray]
     torus: TorusSpec
     r_min: float = 0.0
     name: str = "higgs-pair"
@@ -96,11 +99,11 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
     def evaluate_psi(points):
         return psi_slice(conn.evaluate(_lift_points(points)))
 
-    def derivative_b(points, axis):
-        return conn.derivative(_lift_points(points), axis)[..., :2, :, :]
+    def derivative_b(points):
+        return conn.derivative(_lift_points(points))[..., :2, :2, :, :]
 
-    def derivative_psi(points, axis):
-        return psi_slice(conn.derivative(_lift_points(points), axis))
+    def derivative_psi(points):
+        return psi_slice(conn.derivative(_lift_points(points)))[..., :2, :, :]
 
     return HiggsPairOnPlane(
         evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
@@ -112,11 +115,10 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
 def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
     """Torus-invariant connection of a Higgs pair (exact inverse of reduce)."""
 
-    def components(b, psi, shape):
-        """(a_r, a_theta, a_x, a_y) from (b_r, b_theta) and psi_w, or the
-        same for their partials."""
+    def components(b, psi, out):
+        """Writes (a_r, a_theta, a_x, a_y) from (b_r, b_theta) and psi_w into
+        out (..., 4, 2, 2), or the same for their partials."""
         psid = _su2.dag(psi)
-        out = np.empty(shape + (4, 2, 2), dtype=complex)
         out[..., :2, :, :] = b
         out[..., 2, :, :] = 1j * (psi + psid)
         out[..., 3, :, :] = psi - psid
@@ -126,15 +128,15 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
         return components(pair.evaluate_b(p2), pair.evaluate_psi(p2),
-                          points.shape[:-1])
+                          np.empty(p2.shape[:-1] + (4, 2, 2), complex))
 
-    def derivative(points, axis):
+    def derivative(points):
         points = np.asarray(points, dtype=float)
-        if axis not in (0, 1):  # torus directions: invariant
-            return np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
         p2 = points[..., :2]
-        return components(pair.derivative_b(p2, axis),
-                          pair.derivative_psi(p2, axis), points.shape[:-1])
+        out = np.zeros(p2.shape[:-1] + (4, 4, 2, 2), complex)
+        components(pair.derivative_b(p2), pair.derivative_psi(p2),
+                   out[..., :2, :, :, :])  # torus partials: invariant, zero
+        return out
 
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
@@ -155,18 +157,17 @@ def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.nda
     b = pair.evaluate_b(points)
     psi = pair.evaluate_psi(points)
     psid = _su2.dag(psi)
-    db_r = pair.derivative_b(points, 0)
-    db_th = pair.derivative_b(points, 1)
-    dpsi_r = pair.derivative_psi(points, 0)
-    dpsi_th = pair.derivative_psi(points, 1)
+    db = pair.derivative_b(points)
+    dpsi = pair.derivative_psi(points)
 
     br, bth = b[..., 0, :, :], b[..., 1, :, :]
-    f12 = (db_r[..., 1, :, :] - db_th[..., 0, :, :] + _su2.comm(br, bth))
+    f12 = (db[..., 0, 1, :, :] - db[..., 1, 0, :, :] + _su2.comm(br, bth))
     f12 = f12 / r[..., None, None]
     rho1 = _su2.frob(f12 - 2j * _su2.comm(psi, psid))
 
     phase = np.exp(1j * th)[..., None, None]
-    dwbar_psi = 0.5 * phase * (dpsi_r + 1j * dpsi_th / r[..., None, None])
+    dwbar_psi = 0.5 * phase * (dpsi[..., 0, :, :]
+                               + 1j * dpsi[..., 1, :, :] / r[..., None, None])
     bwbar = 0.5 * phase * (br + 1j * bth / r[..., None, None])
     g = dwbar_psi + _su2.comm(bwbar, psi)
     rho2 = 2.0 * _su2.frob(g)

@@ -66,23 +66,20 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
             out[..., 1, :, :] = 1j * alpha * SIGMA3
             return out
 
-        def derivative_b(points, axis):
+        def derivative_b(points):
             points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
+            return np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
 
         def evaluate_psi(points):
             points = np.asarray(points, dtype=float)
             w = points[..., 0] * np.exp(1j * points[..., 1])
             return (lam + mu / w)[..., None, None] * SIGMA3
 
-        def derivative_psi(points, axis):
+        def derivative_psi(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
-            if axis == 0:
-                coef = -mu / (w * r)
-            else:
-                coef = -1j * mu / w
+            coef = np.stack([-mu / (w * r), -1j * mu / w], axis=-1)
             return coef[..., None, None] * SIGMA3
 
         name = "semisimple-higgs"
@@ -96,14 +93,13 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
             out[..., 1, :, :] = (1j / L)[..., None, None] * DIAG_MINUS_PLUS
             return out
 
-        def derivative_b(points, axis):
+        def derivative_b(points):
             points = np.asarray(points, dtype=float)
-            out = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
-            if axis == 0:
-                r = points[..., 0]
-                L = 2.0 * np.log(r)
-                coef = -2j / (r * L ** 2)
-                out[..., 1, :, :] = coef[..., None, None] * DIAG_MINUS_PLUS
+            r = points[..., 0]
+            L = 2.0 * np.log(r)
+            out = np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+            out[..., 0, 1, :, :] = (-2j / (r * L ** 2))[..., None, None] \
+                * DIAG_MINUS_PLUS
             return out
 
         def evaluate_psi(points):
@@ -113,15 +109,13 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
             L = 2.0 * np.log(r)
             return (1.0 / (w * L))[..., None, None] * NILP
 
-        def derivative_psi(points, axis):
+        def derivative_psi(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
-            if axis == 0:
-                coef = -(L + 2.0) / (w * r * L ** 2)
-            else:
-                coef = -1j / (w * L)
+            coef = np.stack([-(L + 2.0) / (w * r * L ** 2), -1j / (w * L)],
+                            axis=-1)
             return coef[..., None, None] * NILP
 
         name = "nilpotent-higgs"
@@ -200,37 +194,23 @@ def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
     return tuple(shells)
 
 
-def _angular(points, term: _PerturbTerm, torus: TorusSpec, want_derivs=False):
-    """Trig factor of a term and, with want_derivs, its theta/x/y partials."""
-    th, x, y = points[..., 1], points[..., 2], points[..., 3]
+def _waves(points, term: _PerturbTerm, torus: TorusSpec):
+    """Wave numbers (p, k_x, k_y) of a term's trig waves in theta, x and y,
+    and the waves' arguments (p theta + phase_0, ...) at the points; the
+    term's trig factor is the product of the three cosines."""
     p, n, m = term.modes
-    kx, ky = TWO_PI * n / torus.period_x, TWO_PI * m / torus.period_y
-    f0 = np.cos(p * th + term.phases[0])
-    f1 = np.cos(kx * x + term.phases[1])
-    f2 = np.cos(ky * y + term.phases[2])
-    if not want_derivs:
-        return f0 * f1 * f2
-    d0 = -p * np.sin(p * th + term.phases[0]) * f1 * f2
-    d1 = -kx * np.sin(kx * x + term.phases[1]) * f0 * f2
-    d2 = -ky * np.sin(ky * y + term.phases[2]) * f0 * f1
-    return f0 * f1 * f2, d0, d1, d2
+    ks = (p, TWO_PI * n / torus.period_x, TWO_PI * m / torus.period_y)
+    return ks, [k * points[..., 1 + i] + term.phases[i]
+                for i, k in enumerate(ks)]
 
 
-def _radial(r, u, width: float, delta: float, want_deriv=False):
-    """Radial factor bump(u) r^-(1+delta), u = (r - center)/width, and with
-    want_deriv its r-derivative."""
-    env = r ** (-(1.0 + delta))
-    g = _bump(u) * env
-    if not want_deriv:
-        return g
-    dg = (_bump_deriv(u) / width) * env + _bump(u) * (
-        -(1.0 + delta)) * r ** (-(2.0 + delta))
-    return g, dg
+def _radial(r, u, delta: float):
+    """Radial factor bump(u) r^-(1+delta), u = (r - center)/width."""
+    return _bump(u) * r ** (-(1.0 + delta))
 
 
-def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
-            seed: int = 0, r_lo: float = 5.0,
-            r_hi: float = 600.0) -> ConnectionSource:
+def perturb(conn: ConnectionSource, delta: float, amplitude: float,
+            seed: int, r_lo: float, r_hi: float) -> ConnectionSource:
     """Adds a deterministic random perturbation with pointwise bound
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
     decay: N_BUMPS compactly supported radial bumps, centred geometrically
@@ -240,9 +220,11 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
 
     A term vanishes exactly outside its bump's support, so each shell's
     terms are evaluated only on the points inside that support, into one
-    block (one term per component) added there in one scatter; every sum
-    equals, bit for bit, that of adding every term at every point (up to
-    the sign of a zero, which adding an exact zero term can flip)."""
+    block (one term per component) added there in one scatter (one per row
+    of the table of partials); every sum equals, bit for bit, that of
+    adding every term at every point (up to the sign of a zero, which
+    adding an exact zero term can flip). The sums are taken in place in the
+    base's fresh arrays."""
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
     torus = conn.torus
@@ -263,38 +245,44 @@ def perturb(conn: ConnectionSource, delta: float = 0.5, amplitude: float = 0.05,
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = np.array(base_eval(points), copy=True, order="C")
+        out = np.ascontiguousarray(base_eval(points))
         flat = out.reshape(-1, 4, 2, 2)
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
-            g = _radial(pts[:, 0], u, shell.width, delta)
+            g = _radial(pts[:, 0], u, delta)
             block = np.empty((idx.size, 4, 2, 2), dtype=complex)
             for term in shell.terms:
-                c = _angular(pts, term, torus)
+                f0, f1, f2 = np.cos(_waves(pts, term, torus)[1])
                 block[:, term.component] = (
-                    half_amp * (g * c)[:, None, None] * term.matrix)
+                    half_amp * (g * (f0 * f1 * f2))[:, None, None]
+                    * term.matrix)
             flat[idx] += block
         return out
 
-    def derivative(points, axis):
+    def derivative(points):
         points = np.asarray(points, dtype=float)
-        out = np.array(base_deriv(points, axis), copy=True, order="C")
-        flat = out.reshape(-1, 4, 2, 2)
+        out = np.ascontiguousarray(base_deriv(points))
+        flat = out.reshape(-1, 4, 4, 2, 2)
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
-            if axis == 0:
-                _, dg = _radial(pts[:, 0], u, shell.width, delta,
-                                want_deriv=True)
-            else:
-                g = _radial(pts[:, 0], u, shell.width, delta)
-            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
+            r = pts[:, 0]
+            g = _radial(r, u, delta)
+            dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
+                + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
+            # partials[t][i]: partial_i of term t's scalar factor
+            partials = []
             for term in shell.terms:
-                if axis == 0:
-                    coef = dg * _angular(pts, term, torus)
-                else:
-                    coef = g * _angular(pts, term, torus,
-                                        want_derivs=True)[axis]
-                block[:, term.component] = (
-                    half_amp * coef[:, None, None] * term.matrix)
-            flat[idx] += block
+                (p, kx, ky), args = _waves(pts, term, torus)
+                f0, f1, f2 = np.cos(args)
+                s0, s1, s2 = np.sin(args)
+                partials.append((dg * (f0 * f1 * f2),
+                                 g * (-p * s0 * f1 * f2),
+                                 g * (-kx * s1 * f0 * f2),
+                                 g * (-ky * s2 * f0 * f1)))
+            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
+            for axis in range(4):
+                for term, d in zip(shell.terms, partials):
+                    block[:, term.component] = (
+                        half_amp * d[axis][:, None, None] * term.matrix)
+                flat[idx, axis] += block
         return out
 
     return ConnectionSource(

@@ -156,7 +156,7 @@ def test_holonomy_table_entries_are_circle_holonomies():
     # holonomies; each table entry is its own loop's circle holonomy
     conn = perturb(model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
                                                 alpha=0.2), TORUS),
-                   amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
+                   delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
     table = holonomy_table(conn, RINGS)
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     half_x, half_y = TORUS.period_x / 2.0, TORUS.period_y / 2.0
@@ -242,11 +242,10 @@ def test_instanton_number_monotone_guard():
         out[..., 2, :, :] = (1j * points[..., 0])[..., None, None] * sigma3
         return out
 
-    def dv(points, axis):
+    def dv(points):
         points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        if axis == 0:
-            out[..., 2, :, :] = (1j * np.ones(points.shape[:-1]))[..., None, None] * sigma3
+        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
+        out[..., 0, 2, :, :] = 1j * sigma3
         return out
 
     grow = ConnectionSource(evaluate=ev, torus=TORUS, derivative=dv,

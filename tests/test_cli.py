@@ -13,7 +13,7 @@ import pytest
 from ipl import _su2, cli, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, _rayleigh_quotients, main, run
-from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
+from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
 from ipl.moduli import fourier_diff
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
@@ -245,7 +245,7 @@ def test_shipped_configs_pass_on_a_non_square_torus(tmp_path, subcommand,
 
 @pytest.mark.parametrize("seed", [2, 3, 5, 7])
 def test_spectral_residues_with_small_mu_draws_exit_0(tmp_path, seed):
-    # these seeds draw a residue |mu| below 0.12, whose jumping point a
+    # seeds 2 and 7 draw a residue |mu| below 0.12, whose jumping point a
     # fixed approach start would put inside r_min
     out = tmp_path / "out"
     rc = main(["spectral", "--config", os.path.join(CONFIGS,
@@ -256,6 +256,37 @@ def test_spectral_residues_with_small_mu_draws_exit_0(tmp_path, seed):
     [check] = [c for c in report["checks"]
                if c["name"] == "phi_residue_error_max"]
     assert check["pass"] and check["tolerance"] == 1e-8
+    if seed in (2, 7):
+        rows = json.loads((out / "spectral_summary.json").read_text())
+        assert min(abs(complex(*row["mu"])) for row in rows["residues"]) \
+            < 0.12
+
+
+def test_residue_sampler_ends_on_a_narrow_mu_window(tmp_path):
+    # just above the bundle.r_min rule the |mu| window (1e-3, 0.9
+    # covering_radius r_min) is 2.3e-6 wide, which a draw of 0.4 (N + iN)
+    # hits about once in 7e7 tries; the sampler must draw inside it
+    r_min = 0.00315
+    cfg = {"schema_version": 1, "seed": 5,
+           "bundle": {"lambda": [0.11, 0.07], "mu": [0.0001, 0.0],
+                      "r_min": r_min, "k": 1},
+           "residues": {"n_mu": 2}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(CONFIGS), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipl.cli", "spectral", "--config",
+         str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((tmp_path / "out" / "spectral_summary.json")
+                      .read_text())["residues"]
+    hi = 0.9 * covering_radius(TorusSpec()) * r_min
+    assert hi - 1e-3 < 2.5e-6
+    assert len(rows) == 2
+    assert all(1e-3 < abs(complex(*row["mu"])) < hi for row in rows)
 
 
 def test_seed_override_via_main(tmp_path):

@@ -2,6 +2,8 @@
 the drift inequality and the annulus quadratic-form identity."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,6 +48,40 @@ def test_flat_connection_curvature_vanishes():
     assert np.max(np.abs(F)) == 0.0
 
 
+def counted(conn, calls, prefix):
+    """The connection with its evaluate and derivative calls counted in
+    calls[prefix + name]."""
+    def wrap(name):
+        fn = getattr(conn, name)
+
+        def wrapper(points):
+            calls[prefix + name] += 1
+            return fn(points)
+        return wrapper
+
+    return replace(conn, evaluate=wrap("evaluate"),
+                   derivative=wrap("derivative"))
+
+
+@pytest.mark.parametrize("kind", ["flat", "lifted", "perturbed"])
+def test_curvature_reads_each_callable_once_per_batch(kind):
+    calls = Counter()
+    if kind == "flat":
+        conn = flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS)
+    else:
+        conn = model_connection(ModelParams(lam=0.1, mu=0.5, alpha=0.1), TORUS)
+    if kind == "perturbed":
+        conn = perturb(counted(conn, calls, "base."), delta=0.5,
+                       amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
+    conn = counted(conn, calls, "")
+    pts = rand_points(np.random.default_rng(7), 40).reshape(4, 10, 4)
+    curvature(conn, pts)
+    expected = {"evaluate": 1, "derivative": 1}
+    if kind == "perturbed":
+        expected.update({"base.evaluate": 1, "base.derivative": 1})
+    assert calls == expected
+
+
 def test_curvature_of_explicit_radial_field():
     # a_x = i g(r) sigma3 with g = 1/r: the only nonzero coordinate-frame
     # component is F_rx = g'(r) = -1/r^2 (abelian, no commutator term)
@@ -55,11 +91,11 @@ def test_curvature_of_explicit_radial_field():
         out[..., 2, :, :] = (1j / points[..., 0])[..., None, None] * SIGMA3
         return out
 
-    def derivative(points, axis):
+    def derivative(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        if axis == 0:
-            out[..., 2, :, :] = (-1j / points[..., 0] ** 2)[..., None, None] * SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
+        out[..., 0, 2, :, :] = \
+            (-1j / points[..., 0] ** 2)[..., None, None] * SIGMA3
         return out
 
     conn = ConnectionSource(evaluate=evaluate, torus=TORUS,
@@ -134,7 +170,7 @@ def test_abelian_theta_holonomy_closed_form():
 
 def test_holonomy_is_special_unitary():
     conn = perturb(flat_connection(reduce_dual((0.1, 0.4), TORUS), TORUS),
-                   amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
+                   delta=0.5, amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
     base = np.array([[20.0, 0.0, 2.0, 1.0]])
     h = circle_holonomies(conn, "theta", base, steps=512)[0]
     assert _su2.su2_defect(h) < 1e-10

@@ -2,19 +2,21 @@
 Hitchin residual."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ipl.gauge import asd_residual
 from ipl.hitchin import (
-    HiggsPairOnPlane,
     NotTorusInvariantError,
     hitchin_residual,
     lift,
     reduce,
 )
 from ipl.geometry import TorusSpec
-from ipl.models import ModelParams, hitchin_model, model_connection, perturb
+from ipl.models import SIGMA3, ModelParams, hitchin_model, model_connection, \
+    perturb
 
 TORUS = TorusSpec()
 
@@ -44,16 +46,17 @@ def test_lift_reduce_round_trip():
     pts = plane_points(np.random.default_rng(1), 10)
     assert np.max(np.abs(back.evaluate_b(pts) - pair.evaluate_b(pts))) < 1e-12
     assert np.max(np.abs(back.evaluate_psi(pts) - pair.evaluate_psi(pts))) < 1e-12
-    for axis in (0, 1):
-        assert np.max(np.abs(back.derivative_b(pts, axis)
-                             - pair.derivative_b(pts, axis))) < 1e-12
-        assert np.max(np.abs(back.derivative_psi(pts, axis)
-                             - pair.derivative_psi(pts, axis))) < 1e-12
+    db = back.derivative_b(pts)
+    assert db.shape == (10, 2, 2, 2, 2)
+    assert np.max(np.abs(db - pair.derivative_b(pts))) < 1e-12
+    dpsi = back.derivative_psi(pts)
+    assert dpsi.shape == (10, 2, 2, 2)
+    assert np.max(np.abs(dpsi - pair.derivative_psi(pts))) < 1e-12
 
 
 def test_reduce_rejects_torus_dependent_connection():
     conn = perturb(model_connection(ModelParams(mu=1.0), TORUS),
-                   amplitude=0.5, seed=3, r_lo=5.0, r_hi=100.0)
+                   delta=0.5, amplitude=0.5, seed=3, r_lo=5.0, r_hi=100.0)
     with pytest.raises(NotTorusInvariantError):
         reduce(conn)
 
@@ -70,23 +73,79 @@ def test_hitchin_residual_vanishes_on_models():
         assert np.max(rho2) < 1e-10
 
 
+def doubled_nilpotent(torus):
+    """The nilpotent pair with psi scaled by 2: [psi, psi^dag] quadruples
+    while F_B stays, so rho1 > 0 and rho2 = 0."""
+    good = hitchin_model(ModelParams(kind="nilpotent"), torus)
+    return replace(good, evaluate_psi=lambda p: 2.0 * good.evaluate_psi(p),
+                   derivative_psi=lambda p: 2.0 * good.derivative_psi(p))
+
+
+def wbar_semisimple(torus, eps=0.01):
+    """A semisimple pair plus eps wbar sigma3 in psi: D_wbar psi = eps
+    sigma3, so rho2 > 0, and psi stays normal, so rho1 = 0."""
+    good = hitchin_model(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
+                                     alpha=0.2), torus)
+
+    def psi(points):
+        wbar = points[..., 0] * np.exp(-1j * points[..., 1])
+        return good.evaluate_psi(points) + eps * wbar[..., None, None] * SIGMA3
+
+    def dpsi(points):
+        # d_r wbar = e^{-i theta}, d_theta wbar = -i wbar
+        wbar = points[..., 0] * np.exp(-1j * points[..., 1])
+        coef = np.stack([wbar / points[..., 0], -1j * wbar], axis=-1)
+        return good.derivative_psi(points) \
+            + eps * coef[..., None, None] * SIGMA3
+
+    return replace(good, evaluate_psi=psi, derivative_psi=dpsi)
+
+
 def test_hitchin_residual_detects_wrong_pair():
     # scaling a non-normal Higgs field quadruples [psi, psi*] while leaving
     # the curvature side fixed, so the moment-map residual must light up
     good = hitchin_model(ModelParams(kind="nilpotent"), TORUS)
-
-    def bad_psi(points):
-        return 2.0 * good.evaluate_psi(points)
-
-    def bad_dpsi(points, axis):
-        return 2.0 * good.derivative_psi(points, axis)
-
-    bad = HiggsPairOnPlane(evaluate_b=good.evaluate_b, evaluate_psi=bad_psi,
-                           derivative_b=good.derivative_b,
-                           derivative_psi=bad_dpsi, torus=TORUS,
-                           r_min=good.r_min)
+    bad = doubled_nilpotent(TORUS)
     pts = plane_points(np.random.default_rng(3), 8, r_lo=6.0, r_hi=60.0)
     rho1, _ = hitchin_residual(bad, pts)
     good_rho1, _ = hitchin_residual(good, pts)
     assert np.max(rho1) > 100.0 * max(np.max(good_rho1), 1e-15)
 
+
+@pytest.mark.parametrize("torus", [TorusSpec(), TorusSpec(4.0, 7.0)],
+                         ids=["2pi", "4x7"])
+@pytest.mark.parametrize("make, live", [(doubled_nilpotent, 0),
+                                        (wbar_semisimple, 1)],
+                         ids=["rho1", "rho2"])
+def test_reduction_identity_on_non_asd_pairs(torus, make, live):
+    # |F^+|^2 = rho1^2 / 2 + 2 rho2^2 pointwise (the module docstring); the
+    # left side reads the lift's table of partials through gauge.curvature,
+    # the right side the pair's tables through hitchin_residual
+    pair = make(torus)
+    rng = np.random.default_rng(4)
+    pts = np.column_stack([plane_points(rng, 30, r_lo=6.0, r_hi=60.0),
+                           rng.uniform(0.0, torus.period_x, 30),
+                           rng.uniform(0.0, torus.period_y, 30)])
+    lhs = asd_residual(lift(pair), pts) ** 2
+    rho = hitchin_residual(pair, pts[:, :2])
+    rhs = rho[0] ** 2 / 2.0 + 2.0 * rho[1] ** 2
+    assert np.min(rho[live]) > 1e-6 and np.max(rho[1 - live]) < 1e-12
+    assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
+
+
+def test_hitchin_residual_reads_each_table_once():
+    pair = hitchin_model(ModelParams(kind="nilpotent"), TORUS)
+    calls = {"derivative_b": 0, "derivative_psi": 0}
+
+    def counted(name):
+        fn = getattr(pair, name)
+
+        def wrapper(points):
+            calls[name] += 1
+            return fn(points)
+        return wrapper
+
+    pair = replace(pair, derivative_b=counted("derivative_b"),
+                   derivative_psi=counted("derivative_psi"))
+    hitchin_residual(pair, plane_points(np.random.default_rng(5), 9))
+    assert calls == {"derivative_b": 1, "derivative_psi": 1}

@@ -14,9 +14,11 @@ from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import (
     ModelParams,
-    _angular,
+    _bump,
+    _bump_deriv,
     _perturb_shells,
     _radial,
+    _waves,
     hitchin_model,
     model_connection,
     perturb,
@@ -132,25 +134,30 @@ def test_perturbation_pointwise_bound(seed):
     assert np.all(np.max(dev, axis=(-3, -2, -1)) <= bound + 1e-15)
 
 
-def dense_perturbed(base, points, axis, delta, amplitude, seed, r_lo, r_hi):
+def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
     """Reference for `perturb`: all 24 terms added at every point, with no
-    support test (axis None: the connection, else its axis derivative)."""
-    out = np.array(base.evaluate(points) if axis is None
-                   else base.derivative(points, axis), copy=True)
+    support test. Returns the connection and its table of partials."""
+    a = np.array(base.evaluate(points), copy=True)
+    d = np.array(base.derivative(points), copy=True)
     r = points[..., 0]
     for shell in _perturb_shells(seed, r_lo, r_hi):
         u = (r - shell.center) / shell.width
-        g, dg = _radial(r, u, shell.width, delta, want_deriv=True)
+        g = _radial(r, u, delta)
+        dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
+            + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
         for term in shell.terms:
-            if axis is None:
-                coef = g * _angular(points, term, TORUS)
-            elif axis == 0:
-                coef = dg * _angular(points, term, TORUS)
-            else:
-                coef = g * _angular(points, term, TORUS, want_derivs=True)[axis]
-            out[..., term.component, :, :] += (
-                amplitude / 2.0 * coef[..., None, None] * term.matrix)
-    return out
+            (p, kx, ky), args = _waves(points, term, TORUS)
+            f0, f1, f2 = np.cos(args)
+            c = f0 * f1 * f2
+            coefs = (g * c, dg * c,
+                     g * (-p * np.sin(args[0]) * f1 * f2),
+                     g * (-kx * np.sin(args[1]) * f0 * f2),
+                     g * (-ky * np.sin(args[2]) * f0 * f1))
+            for out, coef in zip([a] + [d[..., i, :, :, :] for i in range(4)],
+                                 coefs):
+                out[..., term.component, :, :] += (
+                    amplitude / 2.0 * coef[..., None, None] * term.matrix)
+    return a, d
 
 
 def same_bits(a, b):
@@ -191,17 +198,20 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
                                         alpha=0.25), TORUS)
     conn = perturb(base, delta=delta, amplitude=amplitude, seed=seed,
                    r_lo=r_lo, r_hi=r_hi)
-    for axis in (None, 0, 1, 2, 3):
-        got = conn.evaluate(pts) if axis is None else conn.derivative(pts, axis)
-        ref = dense_perturbed(base, pts, axis, delta, amplitude, seed, r_lo, r_hi)
-        assert same_bits(got, ref), axis
+    a_ref, d_ref = dense_perturbed(base, pts, delta, amplitude, seed, r_lo,
+                                   r_hi)
+    assert same_bits(conn.evaluate(pts), a_ref)
+    d = conn.derivative(pts)
+    assert d.shape == pts.shape[:-1] + (4, 4, 2, 2)
+    for i in range(4):
+        assert same_bits(d[..., i, :, :, :], d_ref[..., i, :, :, :]), i
 
 
 def stacked_curvature(conn, pts):
-    """F_ab = d_a A_b - d_b A_a + [A_a, A_b] from the stacked (..., 4, 4,
-    2, 2) table of partials d[..., i, j] = partial_i a_j."""
+    """F_ab = d_a A_b - d_b A_a + [A_a, A_b], stacked over PAIRS, from the
+    (..., 4, 4, 2, 2) table of partials d[..., i, j] = partial_i a_j."""
     a = conn.evaluate(pts)
-    d = np.stack([conn.derivative(pts, ax) for ax in range(4)], axis=-4)
+    d = conn.derivative(pts)
     return np.stack([d[..., i, j, :, :] - d[..., j, i, :, :]
                      + _su2.comm(a[..., i, :, :], a[..., j, :, :])
                      for i, j in PAIRS], axis=-3)
@@ -219,7 +229,8 @@ def test_curvature_matches_the_stacked_reference_bit_for_bit(kind, batch_2d):
         conn = model_connection(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
                                             alpha=0.25), TORUS)
         if kind == "perturbed":
-            conn = perturb(conn, seed=4)
+            conn = perturb(conn, delta=0.5, amplitude=0.05, seed=4,
+                           r_lo=5.0, r_hi=600.0)
     pts = rand_points(np.random.default_rng(11), 96, 2.0, 700.0)
     if batch_2d:
         pts = pts.reshape(4, 24, 4)
@@ -239,15 +250,16 @@ def test_model_derivative_matches_central_difference(params, perturbed):
     # far below the bound at h = 1e-5
     conn = model_connection(params, TORUS)
     if perturbed:
-        conn = perturb(conn, amplitude=0.3, seed=9, r_lo=5.0, r_hi=100.0)
+        conn = perturb(conn, delta=0.5, amplitude=0.3, seed=9, r_lo=5.0,
+                       r_hi=100.0)
     pts = rand_points(np.random.default_rng(5), 12, 6.0, 90.0)
     h = 1e-5
+    exact = conn.derivative(pts)
     for axis in range(4):
         shift = np.zeros(4)
         shift[axis] = h
         fd = (conn.evaluate(pts + shift) - conn.evaluate(pts - shift)) / (2 * h)
-        exact = conn.derivative(pts, axis)
-        assert np.max(np.abs(fd - exact)) < 1e-8, axis
+        assert np.max(np.abs(fd - exact[:, axis])) < 1e-8, axis
 
 
 def test_hitchin_model_matches_connection_reduction():

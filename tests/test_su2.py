@@ -83,7 +83,8 @@ def sequential_product(conn, pts, tans):
 def test_tree_product_matches_sequential(n):
     base = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j,
                                         alpha=0.2), TORUS)
-    conn = perturb(base, amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
+    conn = perturb(base, delta=0.5, amplitude=0.3, seed=5, r_lo=5.0,
+                   r_hi=50.0)
     rng = np.random.default_rng(3)
     B = 6
     bases = np.column_stack([rng.uniform(8.0, 40.0, B),
@@ -102,7 +103,8 @@ def test_magnus_step_is_fourth_order(kind):
     # rule), for every loop kind
     base = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j,
                                         alpha=0.2), TORUS)
-    conn = perturb(base, amplitude=0.3, seed=5, r_lo=5.0, r_hi=50.0)
+    conn = perturb(base, delta=0.5, amplitude=0.3, seed=5, r_lo=5.0,
+                   r_hi=50.0)
     bases = np.array([[8.0, 0.3, 1.0, 2.0], [12.0, 2.0, 4.0, 0.5],
                       [20.0, 4.0, 2.5, 5.0]])
     ref = circle_holonomies(conn, kind, bases, 1024)
