@@ -6,8 +6,9 @@ Usage:
     python3 scripts/extraction_demo.py [--lam RE IM] [--mu RE IM]
         [--alpha A] [--amplitude AMP] [--seed N]
 
-Prints the recovered (lambda, alpha, mu) and the leading-order errors for
-a few nested ring families, so the convergence with ring radius is
+Prints the errors of the recovered (lambda, alpha, mu), scored as the
+`ipl invariants` report scores them (asymptotics.roundtrip_errors), for a
+few nested ring families, so the convergence with ring radius is
 visible directly, together with the curvature energy inside the outer
 ring (8 pi |mu|^2 (1 - R^-2) for a clean model; "n/a" when a perturbed
 tail makes the outer shells grow).
@@ -16,8 +17,8 @@ tail makes the outer shells grow).
 import argparse
 
 from ipl.asymptotics import (ExtractionError, extract_invariants,
-                             instanton_number)
-from ipl.geometry import TorusSpec, lattice_distance
+                             instanton_number, roundtrip_errors)
+from ipl.geometry import TorusSpec
 from ipl.models import ModelParams, model_connection, perturb
 
 RING_FAMILIES = (
@@ -55,15 +56,7 @@ def main():
 
     for rings in RING_FAMILIES:
         inv = extract_invariants(conn, rings, kind="semisimple")
-        sign = -1.0 if inv.diagnostics["branch_flipped"] else 1.0
-        fit = inv.diagnostics.get("residue_fit") or {}
-        lam_hat = complex(*fit["lambda_hat"]) if "lambda_hat" in fit else None
-        # the residue fit's lambda is not sign-flipped with (alpha, mu), and
-        # lambda + (pi/Lx) m + i (pi/Ly) n names the same state
-        e_lam = lattice_distance(1j * (lam_hat - params.lam), torus) \
-            if lam_hat is not None else float("nan")
-        e_alpha = abs(inv.alpha - sign * params.alpha)
-        e_mu = abs(inv.mu - sign * params.mu)
+        e = roundtrip_errors(params, inv, torus)
         try:
             energy = instanton_number(conn, rings[-1],
                                       r_inner=max(conn.r_min, 1.0))["energy"]
@@ -71,8 +64,8 @@ def main():
         except ExtractionError:
             e_txt = "n/a"
         print(f"rings {rings[0]:6.1f}..{rings[-1]:6.1f}: "
-              f"|dlam|={e_lam:.2e} |dalpha|={e_alpha:.2e} "
-              f"|dmu|={e_mu:.2e} xi0=({inv.xi0.xi1:.4f},{inv.xi0.xi2:.4f}) "
+              f"|dlam|={e['lambda']:.2e} |dalpha|={e['alpha']:.2e} "
+              f"|dmu|={e['mu']:.2e} xi0=({inv.xi0.xi1:.4f},{inv.xi0.xi2:.4f}) "
               f"energy={e_txt}")
 
 

@@ -24,6 +24,7 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
+SIGMA3 = PAULI[2]
 
 EYE2 = np.eye(2, dtype=complex)
 

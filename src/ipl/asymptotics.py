@@ -24,7 +24,8 @@ import numpy as np
 from . import _su2
 from .gauge import (LOOP_STEPS, ConnectionSource, _path_ordered_product,
                     circle_paths, curvature_norm)
-from .geometry import TWO_PI, DualTorusPoint, TorusSpec, reduce_dual
+from .geometry import TWO_PI, DualTorusPoint, TorusSpec, lattice_distance, \
+    reduce_dual, xi_from_zeta
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -451,3 +452,44 @@ def extract_invariants(conn: ConnectionSource, rings,
     diagnostics["branch_flipped"] = states.flipped
     return AsymptoticInvariants(xi0=states.xi0, alpha=alpha, mu=mu,
                                 kind=kind, diagnostics=diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# scoring an extraction against the model it came from
+
+def _circle_gap(a: float, b: float) -> float:
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def roundtrip_errors(p, inv: AsymptoticInvariants, torus: TorusSpec) -> dict:
+    """Errors of extracted invariants `inv` against the inputs `p` (a
+    models.ModelParams) of the model they were extracted from, in the
+    canonical branch frame used by the extractor. At an order-two target
+    xi0 the Weyl reflection (xi0, alpha, mu) -> (-xi0, -alpha, -mu) fixes
+    xi0, so both branches name the same state: alpha and mu are scored on
+    the branch whose larger error is smaller."""
+    states = asymptotic_states(xi_from_zeta(1j * p.lam, torus))
+    alpha_t, mu_t = p.alpha, p.mu
+    if states.flipped:
+        alpha_t = principal_alpha(-alpha_t)
+        mu_t = -mu_t
+    e_xi = max(_circle_gap(inv.xi0.xi1, states.xi0.xi1),
+               _circle_gap(inv.xi0.xi2, states.xi0.xi2))
+    fit = inv.diagnostics.get("residue_fit")
+    if fit is not None:
+        lam_hat = complex(fit["lambda_hat"][0], fit["lambda_hat"][1])
+        # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and
+        # zeta = i lambda is defined modulo the dual lattice
+        e_lam = lattice_distance(1j * (lam_hat - p.lam), torus)
+    else:
+        e_lam = 0.0  # nilpotent: the dual point alone carries the limit
+    e_alpha = _circle_gap(inv.alpha, alpha_t)
+    e_mu = abs(inv.mu - mu_t)
+    if states.order_two:
+        weyl = (_circle_gap(inv.alpha, principal_alpha(-alpha_t)),
+                abs(inv.mu + mu_t))
+        if max(weyl) < max(e_alpha, e_mu):
+            e_alpha, e_mu = weyl
+    return {"lambda": max(e_lam, e_xi), "alpha": e_alpha, "mu": e_mu,
+            "kind_ok": inv.kind == p.kind}

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._version import __version__
 from . import models
-from .asymptotics import ExtractionError, asymptotic_states, decay_exponent, \
-    extract_invariants, poincare_constant, principal_alpha
+from .asymptotics import ExtractionError, decay_exponent, \
+    extract_invariants, poincare_constant, roundtrip_errors
 from .gauge import asd_residual, flat_connection, monodromy_drift_defect, \
     random_quadratic_form_fixture, weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
@@ -307,11 +307,6 @@ def _check(name, value, tolerance, passed, margin=None, **extra) -> dict:
 def _leq_check(name, value, tolerance, **extra) -> dict:
     return _check(name, value, tolerance, value <= tolerance,
                   margin=tolerance - value, **extra)
-
-
-def _circle_gap(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -665,38 +660,6 @@ def _invariants_rules(cfg: dict, params: dict) -> None:
         _require_seed(cfg)
 
 
-def _roundtrip_errors(p: ModelParams, inv, torus: TorusSpec) -> dict:
-    """Errors of extracted invariants against the model inputs, in the
-    canonical branch frame used by the extractor. At an order-two target
-    xi0 the Weyl reflection (xi0, alpha, mu) -> (-xi0, -alpha, -mu) fixes
-    xi0, so both branches name the same state: alpha and mu are scored on
-    the branch whose larger error is smaller."""
-    states = asymptotic_states(xi_from_zeta(1j * p.lam, torus))
-    alpha_t, mu_t = p.alpha, p.mu
-    if states.flipped:
-        alpha_t = principal_alpha(-alpha_t)
-        mu_t = -mu_t
-    e_xi = max(_circle_gap(inv.xi0.xi1, states.xi0.xi1),
-               _circle_gap(inv.xi0.xi2, states.xi0.xi2))
-    fit = inv.diagnostics.get("residue_fit")
-    if fit is not None:
-        lam_hat = complex(fit["lambda_hat"][0], fit["lambda_hat"][1])
-        # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and
-        # zeta = i lambda is defined modulo the dual lattice
-        e_lam = lattice_distance(1j * (lam_hat - p.lam), torus)
-    else:
-        e_lam = 0.0  # nilpotent: the dual point alone carries the limit
-    e_alpha = _circle_gap(inv.alpha, alpha_t)
-    e_mu = abs(inv.mu - mu_t)
-    if states.order_two:
-        weyl = (_circle_gap(inv.alpha, principal_alpha(-alpha_t)),
-                abs(inv.mu + mu_t))
-        if max(weyl) < max(e_alpha, e_mu):
-            e_alpha, e_mu = weyl
-    return {"lambda": max(e_lam, e_xi), "alpha": e_alpha, "mu": e_mu,
-            "kind_ok": inv.kind == p.kind}
-
-
 def _run_invariants(params: dict):
     torus = params["torus"]
     checks = []
@@ -727,7 +690,7 @@ def _run_invariants(params: dict):
                 record["error"] = str(e)
                 failed.append({"model": record["model"], "error": str(e)})
                 continue
-            e = _roundtrip_errors(p, inv, torus)
+            e = roundtrip_errors(p, inv, torus)
             kinds_ok = kinds_ok and e["kind_ok"]
             for k in errs:
                 errs[k] = max(errs[k], e[k])
@@ -918,8 +881,7 @@ def _run_spectral(params: dict):
         n_done = 0
         while n_done < d["n_mu_zero"]:
             xi = reduce_dual((rng.random(), rng.random()), torus)
-            if min(lattice_distance(s * xi.zeta - bundle0.lam, torus)
-                   for s in (1.0, -1.0)) < d["min_lattice_distance"]:
+            if min(bundle0.state_distances(xi)) < d["min_lattice_distance"]:
                 continue
             sd = jumping_points(bundle0, xi, domain=d["annulus"],
                                 branch="both")
@@ -1016,8 +978,7 @@ def _run_stability(params: dict):
     if params["h0"] is not None:
         h = params["h0"]
         xi = reduce_dual((h["xi"].real, h["xi"].imag), torus)
-        ledger = h0_consistency(h["bundle"], xi, domain=h["domain"],
-                                allow_singular=True)
+        ledger = h0_consistency(h["bundle"], xi, domain=h["domain"])
         contradiction = (not ledger["consistent"]
                          and ledger["h0_total"] > ledger["k"])
         checks.append(_check("h0_contradiction_surfaced",

@@ -284,13 +284,12 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
     if xi.torus != torus:
         raise ValueError("xi is a point of another torus's dual")
     c1, c2 = xi.c
-    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = 1j * c1 * sigma3
-        out[..., 3, :, :] = 1j * c2 * sigma3
+        out[..., 2, :, :] = 1j * c1 * _su2.SIGMA3
+        out[..., 3, :, :] = 1j * c2 * _su2.SIGMA3
         return out
 
     def derivative(points):

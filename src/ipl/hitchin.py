@@ -36,20 +36,18 @@ class NotTorusInvariantError(ValueError):
 class HiggsPairOnPlane(RadialDomain):
     """Pair (B, psi) on the annulus r >= r_min of the plane.
 
-    evaluate_b(points): (..., 2) [r, theta] -> (..., 2, 2, 2), components
-    (b_r, b_theta), anti-hermitian traceless. evaluate_psi(points):
-    (..., 2) -> (..., 2, 2) complex traceless (the dw-coefficient of the
-    Higgs field). derivative_b(points): (..., 2, 2, 2, 2), the table of
-    exact partials, entry [..., i, j] = partial_i b_j; derivative_psi(points):
-    (..., 2, 2, 2), entry [..., i] = partial_i psi; index 0 = r, 1 = theta.
-    Each call of any of the four returns a new array that the caller may
+    evaluate(points): (..., 2) [r, theta] -> the tuple (b, psi); b is
+    (..., 2, 2, 2), components (b_r, b_theta), anti-hermitian traceless,
+    and psi is (..., 2, 2) complex traceless (the dw-coefficient of the
+    Higgs field). derivative(points): the tuple (db, dpsi) of exact
+    partials, (..., 2, 2, 2, 2) with entry [..., i, j] = partial_i b_j and
+    (..., 2, 2, 2) with entry [..., i] = partial_i psi; index 0 = r,
+    1 = theta. Each call of either returns new arrays that the caller may
     write to.
     """
 
-    evaluate_b: Callable[[np.ndarray], np.ndarray]
-    evaluate_psi: Callable[[np.ndarray], np.ndarray]
-    derivative_b: Callable[[np.ndarray], np.ndarray]
-    derivative_psi: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    derivative: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     torus: TorusSpec
     r_min: float = 0.0
     name: str = "higgs-pair"
@@ -93,21 +91,16 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
         for their partials."""
         return (a[..., 3, :, :] - 1j * a[..., 2, :, :]) / 2.0
 
-    def evaluate_b(points):
-        return conn.evaluate(_lift_points(points))[..., :2, :, :]
+    def evaluate(points):
+        a = conn.evaluate(_lift_points(points))
+        return a[..., :2, :, :], psi_slice(a)
 
-    def evaluate_psi(points):
-        return psi_slice(conn.evaluate(_lift_points(points)))
-
-    def derivative_b(points):
-        return conn.derivative(_lift_points(points))[..., :2, :2, :, :]
-
-    def derivative_psi(points):
-        return psi_slice(conn.derivative(_lift_points(points)))[..., :2, :, :]
+    def derivative(points):
+        da = conn.derivative(_lift_points(points))
+        return da[..., :2, :2, :, :], psi_slice(da)[..., :2, :, :]
 
     return HiggsPairOnPlane(
-        evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
-        derivative_b=derivative_b, derivative_psi=derivative_psi,
+        evaluate=evaluate, derivative=derivative,
         torus=conn.torus, r_min=conn.r_min, name=f"reduce({conn.name})",
     )
 
@@ -127,14 +120,14 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
-        return components(pair.evaluate_b(p2), pair.evaluate_psi(p2),
+        return components(*pair.evaluate(p2),
                           np.empty(p2.shape[:-1] + (4, 2, 2), complex))
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
         out = np.zeros(p2.shape[:-1] + (4, 4, 2, 2), complex)
-        components(pair.derivative_b(p2), pair.derivative_psi(p2),
+        components(*pair.derivative(p2),
                    out[..., :2, :, :, :])  # torus partials: invariant, zero
         return out
 
@@ -154,11 +147,9 @@ def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.nda
     pair.check_domain(points)
     r = points[..., 0]
     th = points[..., 1]
-    b = pair.evaluate_b(points)
-    psi = pair.evaluate_psi(points)
+    b, psi = pair.evaluate(points)
     psid = _su2.dag(psi)
-    db = pair.derivative_b(points)
-    dpsi = pair.derivative_psi(points)
+    db, dpsi = pair.derivative(points)
 
     br, bth = b[..., 0, :, :], b[..., 1, :, :]
     f12 = (db[..., 0, 1, :, :] - db[..., 1, 0, :, :] + _su2.comm(br, bth))

@@ -20,7 +20,6 @@ from .gauge import ConnectionSource
 from .geometry import TWO_PI, TorusSpec
 from .hitchin import HiggsPairOnPlane, lift
 
-SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 NILP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 DIAG_MINUS_PLUS = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
 
@@ -60,71 +59,50 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
         r0 = DEFAULT_SEMISIMPLE_R_MIN
         lam, mu, alpha = params.lam, params.mu, params.alpha
 
-        def evaluate_b(points):
+        def evaluate(points):
             points = np.asarray(points, dtype=float)
-            out = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
-            out[..., 1, :, :] = 1j * alpha * SIGMA3
-            return out
-
-        def derivative_b(points):
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
-
-        def evaluate_psi(points):
-            points = np.asarray(points, dtype=float)
+            b = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
+            b[..., 1, :, :] = 1j * alpha * _su2.SIGMA3
             w = points[..., 0] * np.exp(1j * points[..., 1])
-            return (lam + mu / w)[..., None, None] * SIGMA3
+            return b, (lam + mu / w)[..., None, None] * _su2.SIGMA3
 
-        def derivative_psi(points):
+        def derivative(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             coef = np.stack([-mu / (w * r), -1j * mu / w], axis=-1)
-            return coef[..., None, None] * SIGMA3
+            return (np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex),
+                    coef[..., None, None] * _su2.SIGMA3)
 
         name = "semisimple-higgs"
     else:
         r0 = DEFAULT_NILPOTENT_R_MIN
 
-        def evaluate_b(points):
-            points = np.asarray(points, dtype=float)
-            L = 2.0 * np.log(points[..., 0])
-            out = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
-            out[..., 1, :, :] = (1j / L)[..., None, None] * DIAG_MINUS_PLUS
-            return out
-
-        def derivative_b(points):
+        def evaluate(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
+            w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
-            out = np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
-            out[..., 0, 1, :, :] = (-2j / (r * L ** 2))[..., None, None] \
+            b = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
+            b[..., 1, :, :] = (1j / L)[..., None, None] * DIAG_MINUS_PLUS
+            return b, (1.0 / (w * L))[..., None, None] * NILP
+
+        def derivative(points):
+            points = np.asarray(points, dtype=float)
+            r = points[..., 0]
+            w = r * np.exp(1j * points[..., 1])
+            L = 2.0 * np.log(r)
+            db = np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
+            db[..., 0, 1, :, :] = (-2j / (r * L ** 2))[..., None, None] \
                 * DIAG_MINUS_PLUS
-            return out
-
-        def evaluate_psi(points):
-            points = np.asarray(points, dtype=float)
-            r = points[..., 0]
-            w = r * np.exp(1j * points[..., 1])
-            L = 2.0 * np.log(r)
-            return (1.0 / (w * L))[..., None, None] * NILP
-
-        def derivative_psi(points):
-            points = np.asarray(points, dtype=float)
-            r = points[..., 0]
-            w = r * np.exp(1j * points[..., 1])
-            L = 2.0 * np.log(r)
             coef = np.stack([-(L + 2.0) / (w * r * L ** 2), -1j / (w * L)],
                             axis=-1)
-            return coef[..., None, None] * NILP
+            return db, coef[..., None, None] * NILP
 
         name = "nilpotent-higgs"
 
-    return HiggsPairOnPlane(
-        evaluate_b=evaluate_b, evaluate_psi=evaluate_psi,
-        derivative_b=derivative_b, derivative_psi=derivative_psi,
-        torus=torus, r_min=r0, name=name,
-    )
+    return HiggsPairOnPlane(evaluate=evaluate, derivative=derivative,
+                            torus=torus, r_min=r0, name=name)
 
 
 def model_connection(params: ModelParams, torus: TorusSpec) -> ConnectionSource:

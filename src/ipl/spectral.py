@@ -50,6 +50,14 @@ class BundleModel:
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "tail", tuple(complex(c) for c in self.tail))
 
+    def state_distances(self, xi: DualTorusPoint) -> tuple[float, float]:
+        """Distances from +zeta(xi) and from -zeta(xi) to lam modulo the
+        dual lattice; xi is an asymptotic state (a pole of the Higgs field)
+        over the plus or the minus eigenline where the matching one is 0."""
+        z = xi.zeta
+        return tuple(lattice_distance(sgn * z - self.lam, self.torus)
+                     for sgn in (+1.0, -1.0))
+
     def coeffs_low_to_high(self) -> np.ndarray:
         """(lam, mu, tail...) as polynomial coefficients in u = 1/w."""
         return np.array([self.lam, self.mu, *self.tail], dtype=complex)
@@ -113,11 +121,10 @@ def jumping_points(bundle: BundleModel, xi: DualTorusPoint, domain,
     if not (bundle.r_min <= r_lo < r_hi):
         raise ValueError("domain must sit inside the bundle's validity range")
     torus = bundle.torus
+    if min(bundle.state_distances(xi)) < singular_tol:
+        raise SingularPointError(
+            "xi coincides with an asymptotic state (Higgs field pole)")
     zx = xi.zeta
-    for sgn in (+1.0, -1.0):
-        if lattice_distance(sgn * zx - bundle.lam, torus) < singular_tol:
-            raise SingularPointError(
-                "xi coincides with an asymptotic state (Higgs field pole)")
     coeffs = bundle.coeffs_low_to_high()
     scale = abs(bundle.mu) + sum(abs(c) for c in bundle.tail)
     signs = {"plus": (+1.0,), "minus": (-1.0,), "both": (+1.0, -1.0)}[branch]
@@ -143,14 +150,11 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
     w(xi_j) * (zeta_j - zeta(xi0)) for the largest jumping point on
     r_min <= |w| <= 1e30, Richardson-extrapolated. Equals +mu at the
     singularity over the plus eigenline and -mu at the opposite one."""
-    z0 = xi0.zeta
-    sign = None
-    for sgn in (+1.0, -1.0):
-        if lattice_distance(sgn * z0 - bundle.lam, bundle.torus) < 1e-9:
-            sign = sgn
-            break
-    if sign is None:
+    d_plus, d_minus = bundle.state_distances(xi0)
+    if min(d_plus, d_minus) >= 1e-9:
         raise ValueError("xi0 is not a singular point of this bundle")
+    sign = 1.0 if d_plus < 1e-9 else -1.0
+    z0 = xi0.zeta
     branch = "plus" if sign > 0 else "minus"
     ests, seps = [], []
     for zj in approach:

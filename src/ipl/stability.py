@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import DualTorusPoint, lattice_distance
-from .spectral import BundleModel, jumping_points, SingularPointError
+from .geometry import DualTorusPoint
+from .spectral import BundleModel, jumping_points
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,12 @@ def existence_obstruction(k: int, xi0: DualTorusPoint, mu: complex) -> str:
     return "ok"
 
 
-def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain,
-             allow_singular: bool = False) -> int:
+def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain) -> int:
     """Total fiberwise section count: jumping multiplicity over both
     eigenline branches on the domain plus the infinity-fiber contribution
     (1 for each asymptotic eigenline that xi trivializes; 2 at a split
-    order-two state). Singular xi raises unless allow_singular."""
-    inf_contrib = sum(
-        lattice_distance(sgn * xi.zeta - bundle.lam, bundle.torus) < 1e-9
-        for sgn in (+1.0, -1.0))
-    if inf_contrib and not allow_singular:
-        raise SingularPointError("xi is an asymptotic state; pass "
-                                 "allow_singular=True to count anyway")
+    order-two state)."""
+    inf_contrib = sum(d < 1e-9 for d in bundle.state_distances(xi))
     # at a singular point the escaping eigenvalue sits outside any finite
     # annulus, and singular_tol=0 counts only the interior points that remain
     interior = jumping_points(bundle, xi, domain=domain, branch="both",
@@ -101,11 +95,10 @@ def h0_total(bundle: BundleModel, xi: DualTorusPoint, domain,
     return interior + inf_contrib
 
 
-def h0_consistency(bundle: BundleModel, xi: DualTorusPoint, domain,
-                   allow_singular: bool = False) -> dict:
+def h0_consistency(bundle: BundleModel, xi: DualTorusPoint, domain) -> dict:
     """Section-count ledger against the declared charge; surfaces the
     k = 1 order-two contradiction (infinity fiber alone contributes 2)."""
-    total = h0_total(bundle, xi, domain=domain, allow_singular=allow_singular)
+    total = h0_total(bundle, xi, domain=domain)
     consistent = total == bundle.k
     note = ""
     if not consistent:

@@ -3,11 +3,17 @@ holonomy, residue fits, the shared holonomy table, decay exponents, the
 curvature energy, and the twisted Poincare constant."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipl import _su2
 from ipl.asymptotics import (
     ExtractionError,
     asymptotic_states,
@@ -234,18 +240,17 @@ def test_decay_exponent_flat_connection_sentinel():
 
 
 def test_instanton_number_monotone_guard():
-    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-
     def ev(points):
         points = np.asarray(points, float)
         out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = (1j * points[..., 0])[..., None, None] * sigma3
+        out[..., 2, :, :] = \
+            (1j * points[..., 0])[..., None, None] * _su2.SIGMA3
         return out
 
     def dv(points):
         points = np.asarray(points, float)
         out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
-        out[..., 0, 2, :, :] = 1j * sigma3
+        out[..., 0, 2, :, :] = 1j * _su2.SIGMA3
         return out
 
     grow = ConnectionSource(evaluate=ev, torus=TORUS, derivative=dv,
@@ -310,3 +315,21 @@ def test_poincare_constant_twisted_hand_values():
 def test_poincare_constant_positive_and_bounded(l1, l2):
     c = poincare_constant(reduce_dual((l1, l2), TORUS), torus=TORUS)
     assert 0.0 < c <= 1.0 + 1e-12
+
+
+def test_extraction_demo_scores_alpha_on_the_circle():
+    # target alpha = -1/2 sits on the cut and lambda = -0.1 + 0.07i needs the
+    # branch flip, so the extracted alpha is -1/2 again: the error is a gap
+    # on the circle, 0 here, not |(-1/2) - (+1/2)| = 1
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(root / "scripts" / "extraction_demo.py"),
+         "--lam", "-0.1", "0.07", "--alpha", "-0.5"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    errors = [float(e) for e in re.findall(r"\|dalpha\|=(\S+)", proc.stdout)]
+    assert len(errors) == 3, proc.stdout
+    assert max(errors) < 1e-9, proc.stdout

@@ -360,8 +360,7 @@ def _grid_quotient(gamma, torus):
     its own."""
     Lx, Ly = torus.period_x, torus.period_y
     c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
-    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-    gx, gy = 1j * c1 * sigma3, 1j * c2 * sigma3
+    gx, gy = 1j * c1 * _su2.SIGMA3, 1j * c2 * _su2.SIGMA3
     X, Y = np.meshgrid(np.linspace(0.0, Lx, 24, endpoint=False),
                        np.linspace(0.0, Ly, 24, endpoint=False), indexing="ij")
 
@@ -382,10 +381,9 @@ def _rayleigh_reference(gamma, torus):
     """The oracle's quotients one candidate at a time: every single wave in
     every slot, each sampled, differentiated and summed on its own."""
     wave, quotient = _grid_quotient(gamma, torus)
-    sigma3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
     e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     trivial = gamma is None or gamma.is_trivial(1e-9)
-    slots = (sigma3,) if trivial else (sigma3, e_up, e_up.T)
+    slots = (_su2.SIGMA3,) if trivial else (_su2.SIGMA3, e_up, e_up.T)
     return np.array([quotient(wave(n, m)[..., None, None] * E)
                      for n in range(-3, 4) for m in range(-3, 4)
                      for E in slots])

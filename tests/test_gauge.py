@@ -29,7 +29,6 @@ from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
 TORUS = TorusSpec()
-SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
 
 def rand_points(rng, n, r_lo=5.0, r_hi=80.0):
@@ -88,21 +87,22 @@ def test_curvature_of_explicit_radial_field():
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = (1j / points[..., 0])[..., None, None] * SIGMA3
+        out[..., 2, :, :] = \
+            (1j / points[..., 0])[..., None, None] * _su2.SIGMA3
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
         out[..., 0, 2, :, :] = \
-            (-1j / points[..., 0] ** 2)[..., None, None] * SIGMA3
+            (-1j / points[..., 0] ** 2)[..., None, None] * _su2.SIGMA3
         return out
 
     conn = ConnectionSource(evaluate=evaluate, torus=TORUS,
                             derivative=derivative, r_min=1e-6)
     pts = rand_points(np.random.default_rng(2), 10)
     F = curvature(conn, pts)
-    expected = (-1j / pts[:, 0] ** 2)[:, None, None] * SIGMA3
+    expected = (-1j / pts[:, 0] ** 2)[:, None, None] * _su2.SIGMA3
     # pair order (r,th), (r,x), (r,y), (th,x), (th,y), (x,y)
     assert np.max(np.abs(F.components[..., 1, :, :] - expected)) < 1e-13
     for k in (0, 2, 3, 4, 5):
@@ -227,8 +227,8 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
                            indexing="ij")
     w_ang = (2 * math.pi / n_th) * (Lx / n_x) * (Ly / n_y)
     xi = (0.0, 0.0) if gamma is None else (gamma.xi1, gamma.xi2)
-    twist = [2 * math.pi * xi[0] / Lx * 1j * SIGMA3,
-             2 * math.pi * xi[1] / Ly * 1j * SIGMA3]
+    twist = [2 * math.pi * xi[0] / Lx * 1j * _su2.SIGMA3,
+             2 * math.pi * xi[1] / Ly * 1j * _su2.SIGMA3]
 
     def field(scalar, M):
         return scalar[..., None, None] * M

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ipl import _su2
 from ipl.gauge import asd_residual
 from ipl.hitchin import (
     NotTorusInvariantError,
@@ -15,8 +16,7 @@ from ipl.hitchin import (
     reduce,
 )
 from ipl.geometry import TorusSpec
-from ipl.models import SIGMA3, ModelParams, hitchin_model, model_connection, \
-    perturb
+from ipl.models import ModelParams, hitchin_model, model_connection, perturb
 
 TORUS = TorusSpec()
 
@@ -34,8 +34,8 @@ def test_reduce_recovers_model_pair():
     direct = hitchin_model(params, TORUS)
     pair = reduce(conn)
     pts = plane_points(np.random.default_rng(0), 12)
-    assert np.max(np.abs(pair.evaluate_b(pts) - direct.evaluate_b(pts))) < 1e-12
-    assert np.max(np.abs(pair.evaluate_psi(pts) - direct.evaluate_psi(pts))) < 1e-12
+    for got, want in zip(pair.evaluate(pts), direct.evaluate(pts)):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_lift_reduce_round_trip():
@@ -44,14 +44,14 @@ def test_lift_reduce_round_trip():
     conn = lift(pair)
     back = reduce(conn)
     pts = plane_points(np.random.default_rng(1), 10)
-    assert np.max(np.abs(back.evaluate_b(pts) - pair.evaluate_b(pts))) < 1e-12
-    assert np.max(np.abs(back.evaluate_psi(pts) - pair.evaluate_psi(pts))) < 1e-12
-    db = back.derivative_b(pts)
-    assert db.shape == (10, 2, 2, 2, 2)
-    assert np.max(np.abs(db - pair.derivative_b(pts))) < 1e-12
-    dpsi = back.derivative_psi(pts)
-    assert dpsi.shape == (10, 2, 2, 2)
-    assert np.max(np.abs(dpsi - pair.derivative_psi(pts))) < 1e-12
+    # (b, psi) then (db, dpsi)
+    got = back.evaluate(pts) + back.derivative(pts)
+    want = pair.evaluate(pts) + pair.derivative(pts)
+    shapes = [(10, 2, 2, 2), (10, 2, 2), (10, 2, 2, 2, 2), (10, 2, 2, 2)]
+    assert [t.shape for t in got] == shapes
+    assert [t.shape for t in want] == shapes
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) < 1e-12
 
 
 def test_reduce_rejects_torus_dependent_connection():
@@ -77,8 +77,16 @@ def doubled_nilpotent(torus):
     """The nilpotent pair with psi scaled by 2: [psi, psi^dag] quadruples
     while F_B stays, so rho1 > 0 and rho2 = 0."""
     good = hitchin_model(ModelParams(kind="nilpotent"), torus)
-    return replace(good, evaluate_psi=lambda p: 2.0 * good.evaluate_psi(p),
-                   derivative_psi=lambda p: 2.0 * good.derivative_psi(p))
+
+    def evaluate(points):
+        b, psi = good.evaluate(points)
+        return b, 2.0 * psi
+
+    def derivative(points):
+        db, dpsi = good.derivative(points)
+        return db, 2.0 * dpsi
+
+    return replace(good, evaluate=evaluate, derivative=derivative)
 
 
 def wbar_semisimple(torus, eps=0.01):
@@ -87,18 +95,19 @@ def wbar_semisimple(torus, eps=0.01):
     good = hitchin_model(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
                                      alpha=0.2), torus)
 
-    def psi(points):
+    def evaluate(points):
+        b, psi = good.evaluate(points)
         wbar = points[..., 0] * np.exp(-1j * points[..., 1])
-        return good.evaluate_psi(points) + eps * wbar[..., None, None] * SIGMA3
+        return b, psi + eps * wbar[..., None, None] * _su2.SIGMA3
 
-    def dpsi(points):
+    def derivative(points):
         # d_r wbar = e^{-i theta}, d_theta wbar = -i wbar
+        db, dpsi = good.derivative(points)
         wbar = points[..., 0] * np.exp(-1j * points[..., 1])
         coef = np.stack([wbar / points[..., 0], -1j * wbar], axis=-1)
-        return good.derivative_psi(points) \
-            + eps * coef[..., None, None] * SIGMA3
+        return db, dpsi + eps * coef[..., None, None] * _su2.SIGMA3
 
-    return replace(good, evaluate_psi=psi, derivative_psi=dpsi)
+    return replace(good, evaluate=evaluate, derivative=derivative)
 
 
 def test_hitchin_residual_detects_wrong_pair():
@@ -135,7 +144,7 @@ def test_reduction_identity_on_non_asd_pairs(torus, make, live):
 
 def test_hitchin_residual_reads_each_table_once():
     pair = hitchin_model(ModelParams(kind="nilpotent"), TORUS)
-    calls = {"derivative_b": 0, "derivative_psi": 0}
+    calls = {"evaluate": 0, "derivative": 0}
 
     def counted(name):
         fn = getattr(pair, name)
@@ -145,7 +154,7 @@ def test_hitchin_residual_reads_each_table_once():
             return fn(points)
         return wrapper
 
-    pair = replace(pair, derivative_b=counted("derivative_b"),
-                   derivative_psi=counted("derivative_psi"))
+    pair = replace(pair, evaluate=counted("evaluate"),
+                   derivative=counted("derivative"))
     hitchin_residual(pair, plane_points(np.random.default_rng(5), 9))
-    assert calls == {"derivative_b": 1, "derivative_psi": 1}
+    assert calls == {"evaluate": 1, "derivative": 1}

@@ -268,6 +268,6 @@ def test_hitchin_model_matches_connection_reduction():
     conn = model_connection(params, TORUS)
     pts4 = rand_points(np.random.default_rng(6), 10, 5.0, 100.0)
     a = conn.evaluate(pts4)
-    psi = pair.evaluate_psi(pts4[:, :2])
+    _, psi = pair.evaluate(pts4[:, :2])
     # reduction convention: psi_w = (a_y - i a_x) / 2
     assert np.max(np.abs((a[:, 3] - 1j * a[:, 2]) / 2.0 - psi)) < 1e-12

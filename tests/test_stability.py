@@ -9,7 +9,6 @@ from ipl.geometry import DualTorusPoint, TorusSpec, xi_from_zeta
 from ipl.stability import (
     BundleModel,
     ExtensionBundleSpec,
-    SingularPointError,
     SubsheafSpec,
     alpha_stable_extension,
     existence_obstruction,
@@ -117,10 +116,8 @@ def test_h0_order_two_contradiction_at_unit_charge():
     # coincide and the infinity fiber alone contributes two sections
     bundle = BundleModel(lam=0.25j, mu=0.3, r_min=5.0, k=1, torus=TORUS)
     xi = DualTorusPoint(0.5, 0.0, TORUS)
-    with pytest.raises(SingularPointError):
-        h0_consistency(bundle, xi, domain=(5.0, 1000.0))
-    assert h0_total(bundle, xi, domain=(5.0, 1000.0), allow_singular=True) == 2
-    rep = h0_consistency(bundle, xi, domain=(5.0, 1000.0), allow_singular=True)
+    assert h0_total(bundle, xi, domain=(5.0, 1000.0)) == 2
+    rep = h0_consistency(bundle, xi, domain=(5.0, 1000.0))
     assert rep["h0_total"] == 2
     assert not rep["consistent"]
     assert "exceeds" in rep["note"]
