@@ -1,9 +1,12 @@
 """Extraction of asymptotic invariants from a connection: flat limit,
 asymptotic states, limiting holonomy, residue, decay exponents, the
 curvature energy, and the flat-kernel decomposition toolkit on the torus.
-`holonomy_table` is the one holonomy sampler: it samples every circle
+`holonomy_table` is the one holonomy sampler: it computes every circle
 holonomy an extraction reads once, and the fits (`flat_limit`,
-`limiting_holonomy`, `residue`) are functions of that table alone.
+`limiting_holonomy`, `residue`) are functions of that table alone. The
+x- and y-circles of a connection that declares torus invariance are in
+closed form, exp(-L a) at the base point; theta-circles, and every
+circle of any other connection, are sampled by path-ordered products.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -92,10 +95,15 @@ def principal_alpha(alpha: float) -> float:
 
 @dataclass
 class HolonomyTable:
-    """Every circle holonomy an extraction reads, sampled on `rings` of a
-    connection over `torus` by one batched path-ordered product of
-    gauge.LOOP_STEPS fourth-order Magnus steps per loop (two connection
-    evaluations each; see gauge._path_ordered_product).
+    """Every circle holonomy an extraction reads, on `rings` of a
+    connection over `torus`. The sampled loops take one batched
+    path-ordered product of gauge.LOOP_STEPS fourth-order Magnus steps per
+    loop (two connection evaluations each; see
+    gauge._path_ordered_product): the theta-circles always, and the x/y
+    circles unless the connection declares torus_invariant. A
+    torus-invariant connection is constant along its x- and y-circles, so
+    those are in closed form, exp(-L_x a_x) and exp(-L_y a_y) from one
+    evaluation at each base point.
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
     base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
@@ -121,9 +129,19 @@ def _ring_bases(rs, ths, x: float = 0.0, y: float = 0.0) -> np.ndarray:
                      np.full(R.size, y)], axis=-1)
 
 
+def _split_loops(mats: np.ndarray, loops: dict) -> dict:
+    """The (B, 2, 2) holonomies of loops' base points, concatenated in
+    loops' order, as each field's shaped array."""
+    fields, start = {}, 0
+    for name, (_, b, shape) in loops.items():
+        fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
+        start += len(b)
+    return fields
+
+
 def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
-    """Samples the `HolonomyTable` of conn on rings, which must be at least
-    4 and strictly increasing."""
+    """The `HolonomyTable` of conn on rings, which must be at least 4 and
+    strictly increasing."""
     rings = tuple(float(r) for r in rings)
     if len(rings) < 4 or any(b <= a for a, b in zip(rings, rings[1:])):
         raise ValueError("need at least 4 strictly increasing rings")
@@ -143,15 +161,25 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
         "axis_theta": ("theta", _ring_bases(rings[-1:], coarse),
                        (coarse.size,)),
     }
+    closed = {name: loop for name, loop in loops.items()
+              if conn.torus_invariant and loop[0] != "theta"}
+    sampled = {name: loop for name, loop in loops.items()
+               if name not in closed}
+    fields = {}
+    if closed:
+        bases = np.concatenate([b for _, b, _ in closed.values()])
+        conn.check_domain(bases)
+        a = conn.evaluate(bases)
+        along_y = np.concatenate([np.full(len(b), kind == "y")
+                                  for kind, b, _ in closed.values()])
+        gen = np.where(along_y[:, None, None], -Ly * a[:, 3], -Lx * a[:, 2])
+        fields.update(_split_loops(_su2.expm_su2(gen), closed))
     paths = [circle_paths(conn.torus, kind, b, LOOP_STEPS)
-             for kind, b, _ in loops.values()]
+             for kind, b, _ in sampled.values()]
     mats = _path_ordered_product(conn,
                                  np.concatenate([p for p, _ in paths], axis=2),
                                  np.concatenate([t for _, t in paths], axis=2))
-    fields, start = {}, 0
-    for name, (_, b, shape) in loops.items():
-        fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
-        start += len(b)
+    fields.update(_split_loops(mats, sampled))
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
                          **fields)
 
@@ -214,8 +242,10 @@ def flat_limit(table: HolonomyTable) -> FlatLimit:
 
     Per ring, x- and y-circle holonomies are read on a grid of theta
     samples times transverse torus offsets 0 and one half; the signed
-    eigenvalue phases (common-axis convention) are averaged (this cancels
-    the 1/r residue term exactly for the models) and extrapolated in 1/r.
+    eigenvalue phases (common-axis convention) are unwrapped about their
+    circular mean and averaged (this cancels the 1/r residue term exactly
+    for the models), and the ring averages, unwrapped about the outer
+    ring's, are extrapolated in 1/r.
     Raises ExtractionError when they drift by more than DRIFT_THRESHOLD
     over the rings.
     """
@@ -226,7 +256,16 @@ def flat_limit(table: HolonomyTable) -> FlatLimit:
             (table.x, table.x_half, torus.period_x),
             (table.y, table.y_half, torus.period_y))):
         mats = np.concatenate([full[:, ::COARSE], half], axis=1)
-        per_ring[:, col] = np.mean(-signed_phases(mats, axis) / period, axis=1)
+        phases = signed_phases(mats, axis)
+        # unwrap each ring's phases about their circular mean, so samples
+        # on both sides of +-pi average to the mean, not to a jump of 2 pi
+        centre = np.angle(np.mean(np.exp(1j * phases), axis=1))[:, None]
+        phases = phases + np.round((centre - phases) / TWO_PI) * TWO_PI
+        exps = np.mean(-phases / period, axis=1)
+        # the exponents are defined modulo 2 pi / period: unwrap them about
+        # the outer ring before the fit
+        step = TWO_PI / period
+        per_ring[:, col] = exps + np.round((exps[-1] - exps) / step) * step
     lam1 = _richardson_fit(np.array(rings), per_ring[:, 0])
     lam2 = _richardson_fit(np.array(rings), per_ring[:, 1])
     drift = float(np.max(np.abs(per_ring - per_ring[-1]), initial=0.0))

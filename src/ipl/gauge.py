@@ -51,6 +51,11 @@ class ConnectionSource(RadialDomain):
     there is no finite-difference fallback.
     Each call of either returns a new array that the caller may write to
     (`perturb` adds into its base's table in place).
+    torus_invariant: True when the components depend on (r, theta) alone.
+    Only the constructors that guarantee it set it (`hitchin.lift` and
+    `flat_connection`); a connection built any other way, `perturb`'s
+    included, does not declare it. The holonomy table then takes its x-
+    and y-circles in closed form (see asymptotics.holonomy_table).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -58,6 +63,7 @@ class ConnectionSource(RadialDomain):
     torus: TorusSpec
     r_min: float = 0.0
     name: str = "connection"
+    torus_invariant: bool = False
 
 
 @dataclass
@@ -125,10 +131,12 @@ def curvature_norm(conn: ConnectionSource, points, components: str = "all") -> n
 # fractions of the step
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
-# Magnus steps per loop of every circle holonomy an extraction reads: the
-# fewest whose loop error, on rings 50-400 of three perturbed models, is
-# at most a fifth of a 192-step midpoint rule's on every loop kind (the
-# error budget is in CHANGES.md)
+# Magnus steps per loop of every circle holonomy an extraction samples
+# (every theta-circle, and the x- and y-circles of a connection that does
+# not declare torus invariance; a torus-invariant one's x/y loops are in
+# closed form): the fewest whose loop error, on rings 50-400 of three
+# perturbed models, is at most a fifth of a 192-step midpoint rule's on
+# every loop kind (the error budget is in CHANGES.md)
 LOOP_STEPS = 24
 
 
@@ -160,7 +168,11 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
     n = pts.shape[0]
     conn.check_domain(pts)
     a = conn.evaluate(pts)  # (n, 2, ..., 4, 2, 2)
-    b = np.einsum("k...i,k...iab->k...ab", tans, a) / -n
+    t = tans[..., None, None]
+    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
+    for i in range(1, 4):
+        b += t[..., i, :, :] * a[..., i, :, :]
+    b /= -n
     omega = 0.5 * (b[:, 0] + b[:, 1]) \
         + (math.sqrt(3.0) / 12.0) * _su2.comm(b[:, 1], b[:, 0])
     steps = _su2.expm_su2(omega)
@@ -297,7 +309,8 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
         return np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
 
     return ConnectionSource(evaluate=evaluate, torus=torus,
-                            derivative=derivative, name="flat")
+                            derivative=derivative, name="flat",
+                            torus_invariant=True)
 
 
 # ---------------------------------------------------------------------------

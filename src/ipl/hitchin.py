@@ -133,7 +133,7 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
 
     return ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
-        r_min=pair.r_min, name=f"lift({pair.name})",
+        r_min=pair.r_min, name=f"lift({pair.name})", torus_invariant=True,
     )
 
 

@@ -189,6 +189,65 @@ def test_holonomy_table_entries_are_circle_holonomies():
         assert np.array_equal(table.axis_theta[i], hol("theta", RINGS[-1], th))
 
 
+def _invariant_connections(torus):
+    """A clean semisimple model, the clean nilpotent model and a flat
+    connection on torus: each declares torus invariance."""
+    return [model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
+                                         alpha=0.2), torus),
+            model_connection(ModelParams(kind="nilpotent"), torus),
+            flat_connection(reduce_dual((0.3, 0.2), torus), torus)]
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["2pi-x-2pi", "4-x-7"])
+def test_closed_form_loops_equal_the_sampler(torus):
+    # a torus-invariant connection's x/y loops are exp(-L a) at the base,
+    # not sampled: each must equal the LOOP_STEPS product to rounding, and
+    # the theta loops must still be that product itself
+    ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+    half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
+    for conn in _invariant_connections(torus):
+        assert conn.torus_invariant
+        table = holonomy_table(conn, RINGS)
+
+        def hol(kind, bases):
+            return circle_holonomies(conn, kind, np.array(bases), LOOP_STEPS)
+
+        full = [[r, th, 0.0, 0.0] for r in RINGS for th in ths]
+        for field, kind, bases in (
+                (table.x, "x", full), (table.y, "y", full),
+                (table.x_half, "x",
+                 [[r, th, 0.0, half_y] for r in RINGS for th in ths[::3]]),
+                (table.y_half, "y",
+                 [[r, th, half_x, 0.0] for r in RINGS for th in ths[::3]])):
+            ref = hol(kind, bases).reshape(field.shape)
+            assert np.max(np.abs(field - ref)) < 1e-14, conn.name
+        assert np.array_equal(
+            table.theta, hol("theta", [[r, 0.0, 0.0, 0.0] for r in RINGS]))
+        assert np.array_equal(
+            table.axis_theta,
+            hol("theta", [[RINGS[-1], th, 0.0, 0.0] for th in ths[::3]]))
+
+
+def test_only_invariant_constructors_declare_torus_invariance():
+    conn = model_connection(ModelParams(mu=1.0), TORUS)
+    assert conn.torus_invariant
+    assert flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS) \
+        .torus_invariant
+    assert not perturb(conn, delta=0.5, amplitude=0.05, seed=1, r_lo=5.0,
+                       r_hi=600.0).torus_invariant
+    assert not ConnectionSource(evaluate=conn.evaluate,
+                                derivative=conn.derivative,
+                                torus=TORUS).torus_invariant
+
+
+def test_closed_form_table_checks_the_domain():
+    conn = model_connection(ModelParams(mu=1.0), TORUS)
+    assert conn.torus_invariant
+    with pytest.raises(DomainError, match="r_min"):
+        holonomy_table(conn, (conn.r_min / 2.0, 100.0, 200.0, 400.0))
+
+
 # the 9 of the 27 clean round-trip models (configs/invariants_roundtrip.json)
 # whose grid indices sum to a multiple of 3
 CLEAN_GRID = [

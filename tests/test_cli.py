@@ -139,11 +139,13 @@ def test_numerical_failure_exits_1_with_full_report(tmp_path):
 
 
 def test_extraction_failure_exits_1_with_full_report(tmp_path):
-    # an order-two flat limit with mu != 0 defeats the residue fit; the
-    # failure must become a failed check in a written report, not a raise
+    # with |mu| = 10 the first default ring (50) is too near the pole: the
+    # monodromy exponents drift over the rings and the flat limit fails;
+    # the failure must become a failed check in a written report, not a
+    # raise
     cfg = {
         "schema_version": 1,
-        "models": [{"lambda": [0.0, 0.25], "mu": [0.3, -0.2], "alpha": 0.0},
+        "models": [{"lambda": [0.0, 0.25], "mu": [10.0, 0.0], "alpha": 0.0},
                    {"lambda": [0.1, 0.0], "mu": [1.0, 0.0], "alpha": 0.25}],
     }
     cfg_path = tmp_path / "cfg.json"
@@ -158,7 +160,7 @@ def test_extraction_failure_exits_1_with_full_report(tmp_path):
     assert [c["name"] for c in failed] == ["extraction_failed_clean"]
     assert failed[0]["value"] == 1
     assert failed[0]["models"][0]["model"] == "model0_semisimple"
-    assert "residual" in failed[0]["models"][0]["error"]
+    assert "drift" in failed[0]["models"][0]["error"]
     records = json.loads((out / "invariants.json").read_text())["models"]
     assert records[0]["error"] == failed[0]["models"][0]["error"]
     assert "extracted" not in records[0]
@@ -170,7 +172,7 @@ def test_pass_with_no_extracted_model_fails_its_error_checks(tmp_path):
     # maxima over zero models must not read 0.0 and pass: with every
     # extraction failed, the error and kind checks are reported unevaluated
     cfg = {"schema_version": 1,
-           "models": [{"lambda": [0.0, 0.25], "mu": [0.3, -0.2]}]}
+           "models": [{"lambda": [0.0, 0.25], "mu": [10.0, 0.0]}]}
     report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
     assert code == 1
     checks = {c["name"]: c for c in report["checks"]}
@@ -223,6 +225,21 @@ def test_lambda_error_is_taken_modulo_the_translates_fixing_xi0(
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["lambda_error_max_clean"]["value"] < 1e-12
     assert code == 0 and report["passed"]
+
+
+@pytest.mark.parametrize("torus", [(1.0, 30.0), (30.0, 1.0), (50.0, 50.0)],
+                         ids=["1-x-30", "30-x-1", "50-x-50"])
+def test_roundtrip_config_passes_on_long_and_large_tori(tmp_path, torus):
+    # on these tori some x/y phases of a ring straddle +-pi, and the ring
+    # exponents of a long period wrap modulo 2 pi / period: averaged and
+    # fitted unwrapped, lambda read 1/48 to 0.10 off and alpha and mu
+    # followed
+    with open(os.path.join(CONFIGS, "invariants_roundtrip.json")) as fh:
+        cfg = json.load(fh)
+    cfg["torus"] = {"period_x": torus[0], "period_y": torus[1]}
+    report, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0, [(c["name"], c["value"]) for c in report["checks"]
+                       if not c["pass"]]
 
 
 # Seven of the nine shipped configs pass on any torus. The other two expect
