@@ -145,14 +145,6 @@ def project_su2(M):
     return _assemble(p, q, -np.conj(q), np.conj(p))
 
 
-def su2_defect(U):
-    """max of unitarity and determinant defects; 0 for exact SU(2)."""
-    U = np.asarray(U, dtype=complex)
-    uni = frob(mul(U, dag(U)) - EYE2)
-    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
-    return np.maximum(uni, np.abs(det - 1.0))
-
-
 def algebra_defect(X):
     """Deviation of X from anti-hermitian traceless, batched."""
     X = np.asarray(X, dtype=complex)

@@ -7,6 +7,9 @@ holonomy an extraction reads once, and the fits (`flat_limit`,
 x- and y-circles of a connection that declares torus invariance are in
 closed form, exp(-L a) at the base point; theta-circles, and every
 circle of any other connection, are sampled by path-ordered products.
+On the x/y circles of a perturbed torus-invariant connection (one with
+an `invariant_split`) the base is read once per loop, at its base point,
+and only the perturbation's term is evaluated at the loop's nodes.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -103,7 +106,11 @@ class HolonomyTable:
     circles unless the connection declares torus_invariant. A
     torus-invariant connection is constant along its x- and y-circles, so
     those are in closed form, exp(-L_x a_x) and exp(-L_y a_y) from one
-    evaluation at each base point.
+    evaluation at each base point. A connection with an invariant_split
+    (a perturbed torus-invariant one) has its x/y loops sampled, but its
+    base is read once per loop, at the base point, broadcast over the
+    loop's nodes, and only the term is added there; every loop of one
+    table goes through one path-ordered product.
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
     base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
@@ -176,12 +183,34 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
         fields.update(_split_loops(_su2.expm_su2(gen), closed))
     paths = [circle_paths(conn.torus, kind, b, LOOP_STEPS)
              for kind, b, _ in sampled.values()]
-    mats = _path_ordered_product(conn,
-                                 np.concatenate([p for p, _ in paths], axis=2),
-                                 np.concatenate([t for _, t in paths], axis=2))
+    pts = np.concatenate([p for p, _ in paths], axis=2)
+    tans = np.concatenate([t for _, t in paths], axis=2)
+    mats = _path_ordered_product(conn, pts, tans,
+                                 _split_table(conn, sampled, pts))
     fields.update(_split_loops(mats, sampled))
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
                          **fields)
+
+
+def _split_table(conn: ConnectionSource, loops: dict,
+                 pts: np.ndarray) -> np.ndarray | None:
+    """conn at the Gauss nodes pts (steps, 2, B, 4) of loops, whose x/y
+    loops come before their theta loops, when conn has an
+    invariant_split: its base is read once per x/y loop, at the loop's base
+    point, and broadcast over the nodes, where the term is then added; the
+    theta loops are evaluated whole. None when conn has no split
+    (`_path_ordered_product` then evaluates conn)."""
+    if conn.invariant_split is None:
+        return None
+    base, add_term = conn.invariant_split
+    bases = [b for kind, b, _ in loops.values() if kind != "theta"]
+    n_xy = sum(len(b) for b in bases)
+    conn.check_domain(pts)
+    a = np.empty(pts.shape[:-1] + (4, 2, 2), dtype=complex)
+    a[:, :, :n_xy] = base.evaluate(np.concatenate(bases))
+    add_term(pts[:, :, :n_xy], a[:, :, :n_xy])
+    a[:, :, n_xy:] = conn.evaluate(pts[:, :, n_xy:])
+    return a
 
 
 def reference_axis(mats: np.ndarray) -> np.ndarray:

@@ -56,6 +56,13 @@ class ConnectionSource(RadialDomain):
     `flat_connection`); a connection built any other way, `perturb`'s
     included, does not declare it. The holonomy table then takes its x-
     and y-circles in closed form (see asymptotics.holonomy_table).
+    invariant_split: (base, add_term) when the connection is a
+    torus-invariant base plus a term, evaluate(points) being
+    add_term(points, base.evaluate(points)) with add_term adding in place
+    into its second argument; only `perturb` sets it, and only on a base
+    that declares torus_invariant. The holonomy table then reads the base
+    once per x/y loop, at the loop's base point, and adds the term at the
+    loop's nodes.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -64,6 +71,7 @@ class ConnectionSource(RadialDomain):
     r_min: float = 0.0
     name: str = "connection"
     torus_invariant: bool = False
+    invariant_split: tuple | None = None
 
 
 @dataclass
@@ -134,7 +142,8 @@ GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 # Magnus steps per loop of every circle holonomy an extraction samples
 # (every theta-circle, and the x- and y-circles of a connection that does
 # not declare torus invariance; a torus-invariant one's x/y loops are in
-# closed form): the fewest whose loop error, on rings 50-400 of three
+# closed form, and a perturbed one's read the base once per loop, at its
+# base point): the fewest whose loop error, on rings 50-400 of three
 # perturbed models, is at most a fifth of a 192-step midpoint rule's on
 # every loop kind (the error budget is in CHANGES.md)
 LOOP_STEPS = 24
@@ -147,12 +156,15 @@ def _step_times(steps: int) -> np.ndarray:
 
 
 def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
-                          tans: np.ndarray) -> np.ndarray:
+                          tans: np.ndarray, a: np.ndarray | None = None
+                          ) -> np.ndarray:
     """Path-ordered product of the transport h' = -A(gamma') h along paths
     gamma parametrized by t in [0, 1], over n steps of width 1/n.
 
     pts, tans: (n, 2, ..., 4), gamma and gamma' at the two Gauss nodes
     t_k,i = (k + GAUSS_NODES[i]) / n of each step k (see `_step_times`).
+    a: conn at pts, (n, 2, ..., 4, 2, 2), when the caller has built it;
+    conn.evaluate(pts) otherwise.
     Returns (..., 2, 2). Each step is exp(Omega) of the fourth-order
     Magnus expansion (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros
     2009): with b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n,
@@ -167,7 +179,8 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
     """
     n = pts.shape[0]
     conn.check_domain(pts)
-    a = conn.evaluate(pts)  # (n, 2, ..., 4, 2, 2)
+    if a is None:
+        a = conn.evaluate(pts)  # (n, 2, ..., 4, 2, 2)
     t = tans[..., None, None]
     b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
     for i in range(1, 4):

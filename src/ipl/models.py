@@ -196,6 +196,14 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     MAX_MODE, times unit su(2) directions drawn from `seed`, with exact
     derivatives added to the base's.
 
+    The term is written once, as the in-place adder add_term(points, out),
+    and evaluate(points) is add_term(points, base.evaluate(points)). When
+    the base declares torus_invariant, the returned connection carries
+    (base, add_term) as its `invariant_split`, so a caller that knows the
+    base is constant along a loop can read it once per loop (see
+    asymptotics.holonomy_table); a perturbation of any other base carries
+    None.
+
     A term vanishes exactly outside its bump's support, so each shell's
     terms are evaluated only on the points inside that support, into one
     block (one term per component) added there in one scatter (one per row
@@ -219,12 +227,11 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             if idx.size:
                 yield shell, idx, points[idx], u[idx]
 
-    base_eval, base_deriv = conn.evaluate, conn.derivative
-
-    def evaluate(points):
+    def add_term(points, out):
+        """Adds the term at points (..., 4) into out (..., 4, 2, 2), a
+        writable array or view, in place; returns out."""
         points = np.asarray(points, dtype=float)
-        out = np.ascontiguousarray(base_eval(points))
-        flat = out.reshape(-1, 4, 2, 2)
+        lead = points.shape[:-1]
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             g = _radial(pts[:, 0], u, delta)
             block = np.empty((idx.size, 4, 2, 2), dtype=complex)
@@ -233,12 +240,15 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
                 block[:, term.component] = (
                     half_amp * (g * (f0 * f1 * f2))[:, None, None]
                     * term.matrix)
-            flat[idx] += block
+            out[np.unravel_index(idx, lead)] += block
         return out
+
+    def evaluate(points):
+        return add_term(points, conn.evaluate(points))
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
-        out = np.ascontiguousarray(base_deriv(points))
+        out = np.ascontiguousarray(conn.derivative(points))
         flat = out.reshape(-1, 4, 4, 2, 2)
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             r = pts[:, 0]
@@ -266,4 +276,5 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
         r_min=conn.r_min, name=f"{conn.name}+perturbation",
+        invariant_split=(conn, add_term) if conn.torus_invariant else None,
     )

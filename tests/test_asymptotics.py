@@ -163,15 +163,33 @@ def test_holonomy_table_entries_are_circle_holonomies():
     conn = perturb(model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
                                                 alpha=0.2), TORUS),
                    delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
+    _assert_entries_are_circle_holonomies(conn)
+
+
+@pytest.mark.parametrize("params,torus", [
+    (ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=0.2),
+     TorusSpec(4.0, 7.0)),
+    (ModelParams(kind="nilpotent"), TORUS),
+], ids=["semisimple-4-x-7", "nilpotent-2pi-x-2pi"])
+def test_perturbed_table_entries_are_circle_holonomies(params, torus):
+    conn = perturb(model_connection(params, torus), delta=0.5, amplitude=0.3,
+                   seed=4, r_lo=5.0, r_hi=600.0)
+    _assert_entries_are_circle_holonomies(conn)
+
+
+def _assert_entries_are_circle_holonomies(conn):
+    """Every entry of conn's table on RINGS equals, bit for bit, its own
+    loop's LOOP_STEPS circle holonomy."""
+    torus = conn.torus
     table = holonomy_table(conn, RINGS)
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
-    half_x, half_y = TORUS.period_x / 2.0, TORUS.period_y / 2.0
+    half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
 
     def hol(kind, r, th, x=0.0, y=0.0):
         return circle_holonomies(conn, kind, np.array([[r, th, x, y]]),
                                  LOOP_STEPS)[0]
 
-    assert table.rings == RINGS and table.torus == TORUS
+    assert table.rings == RINGS and table.torus == torus
     assert np.array_equal(table.thetas, ths)
     assert table.x.shape == table.y.shape == (4, 24, 2, 2)
     assert table.x_half.shape == table.y_half.shape == (4, 8, 2, 2)
@@ -187,6 +205,44 @@ def test_holonomy_table_entries_are_circle_holonomies():
             assert np.array_equal(table.y_half[j, i], hol("y", r, th, x=half_x))
     for i, th in enumerate(ths[::3]):
         assert np.array_equal(table.axis_theta[i], hol("theta", RINGS[-1], th))
+
+
+def test_perturbed_table_reads_its_base_once_per_xy_loop():
+    base = model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
+                                        alpha=0.2), TORUS)
+    read = []
+    base_evaluate = base.evaluate
+
+    def counted(points):
+        read.append(math.prod(np.shape(points)[:-1]))
+        return base_evaluate(points)
+
+    base.evaluate = counted
+    conn = perturb(base, delta=0.5, amplitude=0.3, seed=4, r_lo=5.0,
+                   r_hi=600.0)
+    holonomy_table(conn, RINGS)
+    # the 256 x/y loops read the base at their base points alone; the 12
+    # theta loops read it, through the perturbation, at all their nodes
+    assert sum(read) == 256 + 12 * 2 * LOOP_STEPS == 832
+
+
+def test_only_a_torus_invariant_base_is_split_out():
+    base = model_connection(ModelParams(mu=1.0), TORUS)
+    once = perturb(base, delta=0.5, amplitude=0.3, seed=1, r_lo=5.0,
+                   r_hi=600.0)
+    split_base, add_term = once.invariant_split
+    assert split_base is base
+    pts = np.random.default_rng(0).uniform(
+        (5.0, 0.0, 0.0, 0.0), (600.0, TWO_PI, TORUS.period_x, TORUS.period_y),
+        size=(64, 3, 4))
+    assert np.array_equal(once.evaluate(pts),
+                          add_term(pts, base.evaluate(pts)))
+    assert perturb(once, delta=0.5, amplitude=0.05, seed=2, r_lo=5.0,
+                   r_hi=600.0).invariant_split is None
+    assert ConnectionSource(evaluate=once.evaluate,
+                            derivative=once.derivative,
+                            torus=TORUS).invariant_split is None
+    assert base.invariant_split is None
 
 
 def _invariant_connections(torus):
@@ -246,6 +302,16 @@ def test_closed_form_table_checks_the_domain():
     assert conn.torus_invariant
     with pytest.raises(DomainError, match="r_min"):
         holonomy_table(conn, (conn.r_min / 2.0, 100.0, 200.0, 400.0))
+
+
+def test_perturbed_table_checks_the_domain():
+    # ring 1 is below the nilpotent model's r_min, where its ln r^2 is 0:
+    # a base read before the domain check would divide by zero there
+    conn = perturb(model_connection(ModelParams(kind="nilpotent"), TORUS),
+                   delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
+    assert conn.invariant_split is not None
+    with pytest.raises(DomainError, match="r_min"):
+        holonomy_table(conn, (1.0, 100.0, 200.0, 400.0))
 
 
 # the 9 of the 27 clean round-trip models (configs/invariants_roundtrip.json)
