@@ -9,7 +9,8 @@ closed form, exp(-L a) at the base point; theta-circles, and every
 circle of any other connection, are sampled by path-ordered products.
 On the x/y circles of a perturbed torus-invariant connection (one with
 an `invariant_split`) the base is read once per loop, at its base point,
-and only the perturbation's term is evaluated at the loop's nodes.
+only the perturbation term's along-loop component is evaluated at the
+loop's nodes, and the table builds those loops' Magnus generators itself.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _su2
-from .gauge import (LOOP_STEPS, ConnectionSource, _path_ordered_product,
-                    circle_paths, curvature_norm)
+from .gauge import (LOOP_STEPS, ConnectionSource, _generators,
+                    _path_ordered_product, circle_paths, curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, lattice_distance, \
     reduce_dual, xi_from_zeta
 
@@ -107,9 +108,13 @@ class HolonomyTable:
     torus-invariant connection is constant along its x- and y-circles, so
     those are in closed form, exp(-L_x a_x) and exp(-L_y a_y) from one
     evaluation at each base point. A connection with an invariant_split
-    (a perturbed torus-invariant one) has its x/y loops sampled, but its
-    base is read once per loop, at the base point, broadcast over the
-    loop's nodes, and only the term is added there; every loop of one
+    (a perturbed torus-invariant one) has its x/y loops sampled, but only
+    a_x on an x-loop (a_y on a y-loop) enters its transport: the table
+    reads the base once per loop, at the base point, broadcasts its a_x
+    (a_y) over the loop's nodes, has the split's loop adder add the term's
+    a_x (a_y) there, and scales the sum into the Magnus generators
+    -(L / LOOP_STEPS)(a_base + term) itself. With the theta loops'
+    generators, built from the connection's evaluate, every loop of one
     table goes through one path-ordered product.
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
@@ -185,32 +190,34 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
              for kind, b, _ in sampled.values()]
     pts = np.concatenate([p for p, _ in paths], axis=2)
     tans = np.concatenate([t for _, t in paths], axis=2)
-    mats = _path_ordered_product(conn, pts, tans,
-                                 _split_table(conn, sampled, pts))
+    gen = None
+    if conn.invariant_split is not None:
+        # the x/y loops come first in sampled, then the theta loops
+        base, add_loop = conn.invariant_split
+        xy = [(kind, b) for kind, b, _ in sampled.values() if kind != "theta"]
+        n_xy = sum(len(b) for _, b in xy)
+        conn.check_domain(pts)
+        a = base.evaluate(np.concatenate([b for _, b in xy]))
+        gen = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
+        start = 0
+        for kind, b in xy:
+            axis, period = (2, Lx) if kind == "x" else (3, Ly)
+            loop = slice(start, start + len(b))
+            out = gen[:, :, loop]
+            out[...] = a[loop, axis]
+            # a field's loops share their nodes' along-loop coordinates
+            add_loop(kind, b, pts[:, :, start, axis], out)
+            # -(L / n)(a_base + term), rounded as gauge._generators rounds
+            # sum_i tans_i a_i / -n
+            out *= period
+            out /= -LOOP_STEPS
+            start += len(b)
+        gen[:, :, n_xy:] = _generators(conn.evaluate(pts[:, :, n_xy:]),
+                                       tans[:, :, n_xy:])
+    mats = _path_ordered_product(conn, pts, tans, gen)
     fields.update(_split_loops(mats, sampled))
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
                          **fields)
-
-
-def _split_table(conn: ConnectionSource, loops: dict,
-                 pts: np.ndarray) -> np.ndarray | None:
-    """conn at the Gauss nodes pts (steps, 2, B, 4) of loops, whose x/y
-    loops come before their theta loops, when conn has an
-    invariant_split: its base is read once per x/y loop, at the loop's base
-    point, and broadcast over the nodes, where the term is then added; the
-    theta loops are evaluated whole. None when conn has no split
-    (`_path_ordered_product` then evaluates conn)."""
-    if conn.invariant_split is None:
-        return None
-    base, add_term = conn.invariant_split
-    bases = [b for kind, b, _ in loops.values() if kind != "theta"]
-    n_xy = sum(len(b) for b in bases)
-    conn.check_domain(pts)
-    a = np.empty(pts.shape[:-1] + (4, 2, 2), dtype=complex)
-    a[:, :, :n_xy] = base.evaluate(np.concatenate(bases))
-    add_term(pts[:, :, :n_xy], a[:, :, :n_xy])
-    a[:, :, n_xy:] = conn.evaluate(pts[:, :, n_xy:])
-    return a
 
 
 def reference_axis(mats: np.ndarray) -> np.ndarray:

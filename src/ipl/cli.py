@@ -780,6 +780,8 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
         _expect(abs(b.mu) > 0, "dichotomy blow-up needs a nonzero residue")
         _expect(d["annulus"][0] >= b.r_min,
                 "dichotomy.annulus must start at or beyond bundle.r_min")
+        # the covering radius is the right scale here: the rule is about
+        # the farthest a dual-torus point can lie from the lattice
         _expect(d["min_lattice_distance"] < cov / 2.0,
                 f"dichotomy.min_lattice_distance must be below "
                 f"covering_radius / 2 = {cov / 2.0:.6g}, the distance from "

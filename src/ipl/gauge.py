@@ -56,13 +56,15 @@ class ConnectionSource(RadialDomain):
     `flat_connection`); a connection built any other way, `perturb`'s
     included, does not declare it. The holonomy table then takes its x-
     and y-circles in closed form (see asymptotics.holonomy_table).
-    invariant_split: (base, add_term) when the connection is a
-    torus-invariant base plus a term, evaluate(points) being
-    add_term(points, base.evaluate(points)) with add_term adding in place
-    into its second argument; only `perturb` sets it, and only on a base
-    that declares torus_invariant. The holonomy table then reads the base
-    once per x/y loop, at the loop's base point, and adds the term at the
-    loop's nodes.
+    invariant_split: (base, add_loop) when the connection is a
+    torus-invariant base plus a term; only `perturb` sets it, and only on a
+    base that declares torus_invariant. add_loop(kind, bases, coords, out)
+    adds in place into out (S..., B, 2, 2) the term's along-circle
+    component (a_x for kind 'x', a_y for 'y') on the circles of that kind
+    through the base points bases (B, 4), at the along-circle coordinates
+    coords (S...). The holonomy table then reads the base once per x/y
+    loop, at the loop's base point, adds the term's one component at the
+    loop's nodes, and builds the loop's Magnus generators itself.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -143,9 +145,10 @@ GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 # (every theta-circle, and the x- and y-circles of a connection that does
 # not declare torus invariance; a torus-invariant one's x/y loops are in
 # closed form, and a perturbed one's read the base once per loop, at its
-# base point): the fewest whose loop error, on rings 50-400 of three
-# perturbed models, is at most a fifth of a 192-step midpoint rule's on
-# every loop kind (the error budget is in CHANGES.md)
+# base point, and only the term's along-loop component at the nodes): the
+# fewest whose loop error, on rings 50-400 of three perturbed models, is
+# at most a fifth of a 192-step midpoint rule's on every loop kind (the
+# error budget is in CHANGES.md)
 LOOP_STEPS = 24
 
 
@@ -155,16 +158,29 @@ def _step_times(steps: int) -> np.ndarray:
     return (np.arange(steps)[:, None] + GAUSS_NODES) / steps
 
 
+def _generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
+    """The Magnus generators b = -A(gamma) . gamma' / n, (n, 2, ..., 2, 2),
+    of n steps, from a connection's values a (n, 2, ..., 4, 2, 2) at the
+    Gauss nodes and the tangents tans (n, 2, ..., 4) there."""
+    t = tans[..., None, None]
+    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
+    for i in range(1, 4):
+        b += t[..., i, :, :] * a[..., i, :, :]
+    b /= -len(a)
+    return b
+
+
 def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
-                          tans: np.ndarray, a: np.ndarray | None = None
+                          tans: np.ndarray, gen: np.ndarray | None = None
                           ) -> np.ndarray:
     """Path-ordered product of the transport h' = -A(gamma') h along paths
     gamma parametrized by t in [0, 1], over n steps of width 1/n.
 
     pts, tans: (n, 2, ..., 4), gamma and gamma' at the two Gauss nodes
     t_k,i = (k + GAUSS_NODES[i]) / n of each step k (see `_step_times`).
-    a: conn at pts, (n, 2, ..., 4, 2, 2), when the caller has built it;
-    conn.evaluate(pts) otherwise.
+    gen: the generators b (n, 2, ..., 2, 2) below, when the caller has
+    built them (asymptotics.holonomy_table does, for a connection with an
+    invariant_split); `_generators(conn.evaluate(pts), tans)` otherwise.
     Returns (..., 2, 2). Each step is exp(Omega) of the fourth-order
     Magnus expansion (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros
     2009): with b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n,
@@ -177,15 +193,8 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
     with log2(n) levels rather than n sequential products, so one SU(2)
     projection at the end suffices.
     """
-    n = pts.shape[0]
     conn.check_domain(pts)
-    if a is None:
-        a = conn.evaluate(pts)  # (n, 2, ..., 4, 2, 2)
-    t = tans[..., None, None]
-    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
-    for i in range(1, 4):
-        b += t[..., i, :, :] * a[..., i, :, :]
-    b /= -n
+    b = _generators(conn.evaluate(pts), tans) if gen is None else gen
     omega = 0.5 * (b[:, 0] + b[:, 1]) \
         + (math.sqrt(3.0) / 12.0) * _su2.comm(b[:, 1], b[:, 0])
     steps = _su2.expm_su2(omega)

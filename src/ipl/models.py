@@ -142,7 +142,8 @@ class _PerturbTerm:
 
 @dataclass(frozen=True)
 class _PerturbShell:
-    """The terms sharing one radial bump, one per connection component."""
+    """The terms sharing one radial bump, one per connection component,
+    in component order."""
     center: float
     width: float
     terms: tuple
@@ -172,14 +173,14 @@ def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
     return tuple(shells)
 
 
-def _waves(points, term: _PerturbTerm, torus: TorusSpec):
+def _waves(coords, term: _PerturbTerm, torus: TorusSpec):
     """Wave numbers (p, k_x, k_y) of a term's trig waves in theta, x and y,
-    and the waves' arguments (p theta + phase_0, ...) at the points; the
+    and the waves' arguments (p theta + phase_0, ...) at coords, the
+    (theta, x, y) coordinates as three arrays that broadcast together; the
     term's trig factor is the product of the three cosines."""
     p, n, m = term.modes
     ks = (p, TWO_PI * n / torus.period_x, TWO_PI * m / torus.period_y)
-    return ks, [k * points[..., 1 + i] + term.phases[i]
-                for i, k in enumerate(ks)]
+    return ks, [k * c + phase for k, c, phase in zip(ks, coords, term.phases)]
 
 
 def _radial(r, u, delta: float):
@@ -196,21 +197,27 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     MAX_MODE, times unit su(2) directions drawn from `seed`, with exact
     derivatives added to the base's.
 
-    The term is written once, as the in-place adder add_term(points, out),
-    and evaluate(points) is add_term(points, base.evaluate(points)). When
-    the base declares torus_invariant, the returned connection carries
-    (base, add_term) as its `invariant_split`, so a caller that knows the
-    base is constant along a loop can read it once per loop (see
+    A term's value, amplitude/2 g(r) (f0 f1 f2) times its su(2) direction,
+    is written once (`term_value`) and read two ways. evaluate(points) adds
+    every term at the points into base.evaluate(points). The loop adder
+    add_loop(kind, bases, coords, out) adds, along the x- or y-circles
+    (kind 'x' or 'y') through the base points, only the term's a_x or a_y,
+    the one component a transport along the circle reads: on such a circle
+    r, theta and the transverse coordinate are fixed, so the support test,
+    g and two of the three cosines are taken once per circle and only the
+    along-circle cosine once per node coordinate. When the base declares
+    torus_invariant, the returned connection carries (base, add_loop) as
+    its `invariant_split`, so a caller that knows the base is constant
+    along a circle can read it once per circle (see
     asymptotics.holonomy_table); a perturbation of any other base carries
     None.
 
     A term vanishes exactly outside its bump's support, so each shell's
-    terms are evaluated only on the points inside that support, into one
-    block (one term per component) added there in one scatter (one per row
-    of the table of partials); every sum equals, bit for bit, that of
-    adding every term at every point (up to the sign of a zero, which
-    adding an exact zero term can flip). The sums are taken in place in the
-    base's fresh arrays."""
+    terms are evaluated only on the points (circles) inside that support
+    and added there in one scatter (one per row of the table of partials);
+    every sum equals, bit for bit, that of adding every term at every point
+    (up to the sign of a zero, which adding an exact zero term can flip).
+    The sums are taken in place in the base's fresh arrays."""
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
     torus = conn.torus
@@ -227,24 +234,39 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             if idx.size:
                 yield shell, idx, points[idx], u[idx]
 
-    def add_term(points, out):
-        """Adds the term at points (..., 4) into out (..., 4, 2, 2), a
-        writable array or view, in place; returns out."""
+    def term_value(term, g, coords):
+        """The term at the (theta, x, y) coords, g its radial factor there:
+        (..., 2, 2) over the coords' broadcast shape."""
+        f0, f1, f2 = (np.cos(arg) for arg in _waves(coords, term, torus)[1])
+        return half_amp * (g * (f0 * f1 * f2))[..., None, None] * term.matrix
+
+    def evaluate(points):
         points = np.asarray(points, dtype=float)
+        out = conn.evaluate(points)
         lead = points.shape[:-1]
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             g = _radial(pts[:, 0], u, delta)
             block = np.empty((idx.size, 4, 2, 2), dtype=complex)
             for term in shell.terms:
-                f0, f1, f2 = np.cos(_waves(pts, term, torus)[1])
-                block[:, term.component] = (
-                    half_amp * (g * (f0 * f1 * f2))[:, None, None]
-                    * term.matrix)
+                block[:, term.component] = term_value(term, g, pts[:, 1:].T)
             out[np.unravel_index(idx, lead)] += block
         return out
 
-    def evaluate(points):
-        return add_term(points, conn.evaluate(points))
+    def add_loop(kind, bases, coords, out):
+        """Adds the term's a_x (kind 'x') or a_y (kind 'y') on the circles
+        of that kind through bases (B, 4) into out (S..., B, 2, 2), a
+        writable array or view, in place, at the along-circle coordinates
+        coords (S...): the circle through b meets coordinate s at
+        (b_r, b_theta, s, b_y) for 'x', (b_r, b_theta, b_x, s) for 'y'.
+        Returns out."""
+        axis = {"x": 2, "y": 3}[kind]
+        along = np.asarray(coords, dtype=float)[..., None]
+        for shell, idx, pts, u in _live_shells(np.asarray(bases, dtype=float)):
+            wave_coords = [pts[:, 1], pts[:, 2], pts[:, 3]]
+            wave_coords[axis - 1] = along
+            out[..., idx, :, :] += term_value(
+                shell.terms[axis], _radial(pts[:, 0], u, delta), wave_coords)
+        return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
@@ -258,7 +280,7 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             # partials[t][i]: partial_i of term t's scalar factor
             partials = []
             for term in shell.terms:
-                (p, kx, ky), args = _waves(pts, term, torus)
+                (p, kx, ky), args = _waves(pts[:, 1:].T, term, torus)
                 f0, f1, f2 = np.cos(args)
                 s0, s1, s2 = np.sin(args)
                 partials.append((dg * (f0 * f1 * f2),
@@ -276,5 +298,5 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
         r_min=conn.r_min, name=f"{conn.name}+perturbation",
-        invariant_split=(conn, add_term) if conn.torus_invariant else None,
+        invariant_split=(conn, add_loop) if conn.torus_invariant else None,
     )

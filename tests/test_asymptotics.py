@@ -28,7 +28,7 @@ from ipl.asymptotics import (
     residue,
 )
 from ipl.gauge import (LOOP_STEPS, ConnectionSource, DomainError,
-                       circle_holonomies, flat_connection)
+                       circle_holonomies, circle_paths, flat_connection)
 from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
@@ -166,14 +166,19 @@ def test_holonomy_table_entries_are_circle_holonomies():
     _assert_entries_are_circle_holonomies(conn)
 
 
-@pytest.mark.parametrize("params,torus", [
+@pytest.mark.parametrize("params,torus,r_lo,r_hi", [
     (ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=0.2),
-     TorusSpec(4.0, 7.0)),
-    (ModelParams(kind="nilpotent"), TORUS),
-], ids=["semisimple-4-x-7", "nilpotent-2pi-x-2pi"])
-def test_perturbed_table_entries_are_circle_holonomies(params, torus):
+     TorusSpec(4.0, 7.0), 5.0, 600.0),
+    (ModelParams(kind="nilpotent"), TORUS, 5.0, 600.0),
+    # shells from r = 40 to 500 put the term on every ring's x/y loops;
+    # with 5 to 600, ring 50 lies in no shell's support
+    (ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=0.2),
+     TorusSpec(4.0, 7.0), 40.0, 500.0),
+], ids=["semisimple-4-x-7", "nilpotent-2pi-x-2pi", "every-ring-4-x-7"])
+def test_perturbed_table_entries_are_circle_holonomies(params, torus, r_lo,
+                                                       r_hi):
     conn = perturb(model_connection(params, torus), delta=0.5, amplitude=0.3,
-                   seed=4, r_lo=5.0, r_hi=600.0)
+                   seed=4, r_lo=r_lo, r_hi=r_hi)
     _assert_entries_are_circle_holonomies(conn)
 
 
@@ -227,22 +232,39 @@ def test_perturbed_table_reads_its_base_once_per_xy_loop():
 
 
 def test_only_a_torus_invariant_base_is_split_out():
-    base = model_connection(ModelParams(mu=1.0), TORUS)
-    once = perturb(base, delta=0.5, amplitude=0.3, seed=1, r_lo=5.0,
-                   r_hi=600.0)
-    split_base, add_term = once.invariant_split
-    assert split_base is base
-    pts = np.random.default_rng(0).uniform(
-        (5.0, 0.0, 0.0, 0.0), (600.0, TWO_PI, TORUS.period_x, TORUS.period_y),
-        size=(64, 3, 4))
-    assert np.array_equal(once.evaluate(pts),
-                          add_term(pts, base.evaluate(pts)))
+    # the base read once per loop, broadcast over the loop's nodes, plus the
+    # loop adder's term must be the connection's along-loop component at
+    # every node; shells from r = 40 to 500 reach every ring
+    ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
+    for torus in (TORUS, TorusSpec(4.0, 7.0)):
+        half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
+        for params in (ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
+                                   alpha=0.2), ModelParams(kind="nilpotent")):
+            base = model_connection(params, torus)
+            conn = perturb(base, delta=0.5, amplitude=0.3, seed=4, r_lo=40.0,
+                           r_hi=500.0)
+            split_base, add_loop = conn.invariant_split
+            assert split_base is base
+            for kind, comp, x, y, step in (("x", 2, 0.0, 0.0, 1),
+                                           ("y", 3, 0.0, 0.0, 1),
+                                           ("x", 2, 0.0, half_y, 3),
+                                           ("y", 3, half_x, 0.0, 3)):
+                bases = np.array([[r, th, x, y] for r in RINGS
+                                  for th in ths[::step]])
+                nodes = circle_paths(torus, kind, bases, LOOP_STEPS)[0]
+                out = np.broadcast_to(base.evaluate(bases)[:, comp],
+                                      nodes.shape[:-1] + (2, 2)).copy()
+                assert add_loop(kind, bases, nodes[:, :, 0, comp], out) \
+                    is out
+                assert np.array_equal(out, conn.evaluate(nodes)[..., comp, :, :])
+    once = perturb(model_connection(ModelParams(mu=1.0), TORUS), delta=0.5,
+                   amplitude=0.3, seed=1, r_lo=5.0, r_hi=600.0)
     assert perturb(once, delta=0.5, amplitude=0.05, seed=2, r_lo=5.0,
                    r_hi=600.0).invariant_split is None
     assert ConnectionSource(evaluate=once.evaluate,
                             derivative=once.derivative,
                             torus=TORUS).invariant_split is None
-    assert base.invariant_split is None
+    assert once.invariant_split[0].invariant_split is None
 
 
 def _invariant_connections(torus):

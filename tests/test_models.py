@@ -146,7 +146,8 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
         dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
             + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
         for term in shell.terms:
-            (p, kx, ky), args = _waves(points, term, TORUS)
+            (p, kx, ky), args = _waves(np.moveaxis(points[..., 1:], -1, 0),
+                                        term, TORUS)
             f0, f1, f2 = np.cos(args)
             c = f0 * f1 * f2
             coefs = (g * c, dg * c,
