@@ -3,7 +3,9 @@
 Usage:
     python3 scripts/run_all_suites.py [--out OUT_DIR] [--quiet]
 
-Exit code is 0 only if every pipeline passes.
+Exit code is 0 only if every pipeline passes, 1 if some pipeline ran and
+failed a check, and 2 if some config could not be read or validated (each
+such config is named on stderr as "config error: <stem>: <message>").
 """
 
 import argparse
@@ -11,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from ipl.cli import SUITE, run
+from ipl.cli import SUITE, ConfigError, run
 
 
 def main():
@@ -34,8 +36,13 @@ def main():
     for subcommand, name in SUITE:
         stem = name[:-5]
         t1 = time.perf_counter()
-        report, code = run(subcommand, str(root / name),
-                           out_dir=str(out_root / stem), quiet=args.quiet)
+        try:
+            report, code = run(subcommand, str(root / name),
+                               out_dir=str(out_root / stem), quiet=args.quiet)
+        except ConfigError as e:
+            print(f"config error: {stem}: {e}", file=sys.stderr)
+            worst = 2
+            continue
         dt = time.perf_counter() - t1
         n_ok = sum(1 for c in report["checks"] if c["pass"])
         status = "ok" if code == 0 else "FAIL"

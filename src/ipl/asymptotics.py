@@ -4,13 +4,11 @@ curvature energy, and the flat-kernel decomposition toolkit on the torus.
 `holonomy_table` is the one holonomy sampler: it computes every circle
 holonomy an extraction reads once, and the fits (`flat_limit`,
 `limiting_holonomy`, `residue`) are functions of that table alone. The
-x- and y-circles of a connection that declares torus invariance are in
-closed form, exp(-L a) at the base point; theta-circles, and every
-circle of any other connection, are sampled by path-ordered products.
-On the x/y circles of a perturbed torus-invariant connection (one with
-an `invariant_split`) the base is read once per loop, at its base point,
-only the perturbation term's along-loop component is evaluated at the
-loop's nodes, and the table builds those loops' Magnus generators itself.
+x- and y-circles of a connection with an `along_circle` are read from it:
+in closed form, exp(-L a) at the base point, where it is constant along
+the circle, and by Magnus steps from its values at the nodes otherwise.
+Theta-circles, and every circle of any other connection, are sampled by
+path-ordered products.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -29,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _su2
-from .gauge import (LOOP_STEPS, ConnectionSource, _generators,
-                    _path_ordered_product, circle_paths, curvature_norm)
+from .gauge import (LOOP_STEPS, ConnectionSource, _magnus_product,
+                    _path_ordered_product, _step_times, circle_paths,
+                    curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, lattice_distance, \
     reduce_dual, xi_from_zeta
 
@@ -100,22 +99,17 @@ def principal_alpha(alpha: float) -> float:
 @dataclass
 class HolonomyTable:
     """Every circle holonomy an extraction reads, on `rings` of a
-    connection over `torus`. The sampled loops take one batched
-    path-ordered product of gauge.LOOP_STEPS fourth-order Magnus steps per
-    loop (two connection evaluations each; see
-    gauge._path_ordered_product): the theta-circles always, and the x/y
-    circles unless the connection declares torus_invariant. A
-    torus-invariant connection is constant along its x- and y-circles, so
-    those are in closed form, exp(-L_x a_x) and exp(-L_y a_y) from one
-    evaluation at each base point. A connection with an invariant_split
-    (a perturbed torus-invariant one) has its x/y loops sampled, but only
-    a_x on an x-loop (a_y on a y-loop) enters its transport: the table
-    reads the base once per loop, at the base point, broadcasts its a_x
-    (a_y) over the loop's nodes, has the split's loop adder add the term's
-    a_x (a_y) there, and scales the sum into the Magnus generators
-    -(L / LOOP_STEPS)(a_base + term) itself. With the theta loops'
-    generators, built from the connection's evaluate, every loop of one
-    table goes through one path-ordered product.
+    connection over `torus`. Each loop takes gauge.LOOP_STEPS fourth-order
+    Magnus steps (see gauge._magnus_product), except where the connection
+    is constant along it. Theta-circles, and every circle of a connection
+    without an along_circle, are sampled by one batched path-ordered
+    product per loop kind, from two evaluations per step. An x-circle
+    (y-circle) of a connection with an along_circle reads only a_x (a_y),
+    the one component its transport sees, through along_circle: once per
+    loop, at its base point, for a torus-invariant connection, whose loop
+    is then exp(-L_x a_x) (exp(-L_y a_y)) in closed form; at the loop's
+    nodes otherwise (a perturbed one), scaled into the Magnus generators
+    -(L / LOOP_STEPS) a.
 
     x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
     base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
@@ -141,16 +135,6 @@ def _ring_bases(rs, ths, x: float = 0.0, y: float = 0.0) -> np.ndarray:
                      np.full(R.size, y)], axis=-1)
 
 
-def _split_loops(mats: np.ndarray, loops: dict) -> dict:
-    """The (B, 2, 2) holonomies of loops' base points, concatenated in
-    loops' order, as each field's shaped array."""
-    fields, start = {}, 0
-    for name, (_, b, shape) in loops.items():
-        fields[name] = mats[start:start + len(b)].reshape(shape + (2, 2))
-        start += len(b)
-    return fields
-
-
 def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
     """The `HolonomyTable` of conn on rings, which must be at least 4 and
     strictly increasing."""
@@ -162,62 +146,43 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
     coarse = thetas[::COARSE]
 
     n = len(rings)
-    loops = {  # field: (kind, base points, field shape)
-        "x": ("x", _ring_bases(rings, thetas), (n, N_THETA)),
-        "y": ("y", _ring_bases(rings, thetas), (n, N_THETA)),
-        "x_half": ("x", _ring_bases(rings, coarse, y=Ly / 2.0),
-                   (n, coarse.size)),
-        "y_half": ("y", _ring_bases(rings, coarse, x=Lx / 2.0),
-                   (n, coarse.size)),
-        "theta": ("theta", _ring_bases(rings, [0.0]), (n,)),
-        "axis_theta": ("theta", _ring_bases(rings[-1:], coarse),
-                       (coarse.size,)),
+    loops = {  # kind: {field: (base points, field shape)}
+        "x": {"x": (_ring_bases(rings, thetas), (n, N_THETA)),
+              "x_half": (_ring_bases(rings, coarse, y=Ly / 2.0),
+                         (n, coarse.size))},
+        "y": {"y": (_ring_bases(rings, thetas), (n, N_THETA)),
+              "y_half": (_ring_bases(rings, coarse, x=Lx / 2.0),
+                         (n, coarse.size))},
+        "theta": {"theta": (_ring_bases(rings, [0.0]), (n,)),
+                  "axis_theta": (_ring_bases(rings[-1:], coarse),
+                                 (coarse.size,))},
     }
-    closed = {name: loop for name, loop in loops.items()
-              if conn.torus_invariant and loop[0] != "theta"}
-    sampled = {name: loop for name, loop in loops.items()
-               if name not in closed}
-    fields = {}
-    if closed:
-        bases = np.concatenate([b for _, b, _ in closed.values()])
-        conn.check_domain(bases)
-        a = conn.evaluate(bases)
-        along_y = np.concatenate([np.full(len(b), kind == "y")
-                                  for kind, b, _ in closed.values()])
-        gen = np.where(along_y[:, None, None], -Ly * a[:, 3], -Lx * a[:, 2])
-        fields.update(_split_loops(_su2.expm_su2(gen), closed))
-    paths = [circle_paths(conn.torus, kind, b, LOOP_STEPS)
-             for kind, b, _ in sampled.values()]
-    pts = np.concatenate([p for p, _ in paths], axis=2)
-    tans = np.concatenate([t for _, t in paths], axis=2)
-    gen = None
-    if conn.invariant_split is not None:
-        # the x/y loops come first in sampled, then the theta loops
-        base, add_loop = conn.invariant_split
-        xy = [(kind, b) for kind, b, _ in sampled.values() if kind != "theta"]
-        n_xy = sum(len(b) for _, b in xy)
-        conn.check_domain(pts)
-        a = base.evaluate(np.concatenate([b for _, b in xy]))
-        gen = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
+    kind_bases = {kind: np.concatenate([pts for pts, _ in fields.values()])
+                  for kind, fields in loops.items()}
+    conn.check_domain(np.concatenate(list(kind_bases.values())))
+    table = {}
+    for kind, fields in loops.items():
+        b = kind_bases[kind]
+        if kind == "theta" or conn.along_circle is None:
+            mats = _path_ordered_product(
+                conn, *circle_paths(conn.torus, kind, b, LOOP_STEPS))
+        else:
+            L = Lx if kind == "x" else Ly
+            a = conn.along_circle(kind, b, L * _step_times(LOOP_STEPS))
+            if a.ndim == 3:  # constant along each circle
+                mats = _su2.expm_su2(-L * a)
+            else:
+                # -(L / n) a, rounded as _path_ordered_product rounds
+                # sum_i tans_i a_i / -n
+                a *= L
+                a /= -LOOP_STEPS
+                mats = _magnus_product(a)
         start = 0
-        for kind, b in xy:
-            axis, period = (2, Lx) if kind == "x" else (3, Ly)
-            loop = slice(start, start + len(b))
-            out = gen[:, :, loop]
-            out[...] = a[loop, axis]
-            # a field's loops share their nodes' along-loop coordinates
-            add_loop(kind, b, pts[:, :, start, axis], out)
-            # -(L / n)(a_base + term), rounded as gauge._generators rounds
-            # sum_i tans_i a_i / -n
-            out *= period
-            out /= -LOOP_STEPS
-            start += len(b)
-        gen[:, :, n_xy:] = _generators(conn.evaluate(pts[:, :, n_xy:]),
-                                       tans[:, :, n_xy:])
-    mats = _path_ordered_product(conn, pts, tans, gen)
-    fields.update(_split_loops(mats, sampled))
+        for name, (bases, shape) in fields.items():
+            table[name] = mats[start:start + len(bases)].reshape(shape + (2, 2))
+            start += len(bases)
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
-                         **fields)
+                         **table)
 
 
 def reference_axis(mats: np.ndarray) -> np.ndarray:

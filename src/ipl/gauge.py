@@ -51,20 +51,17 @@ class ConnectionSource(RadialDomain):
     there is no finite-difference fallback.
     Each call of either returns a new array that the caller may write to
     (`perturb` adds into its base's table in place).
-    torus_invariant: True when the components depend on (r, theta) alone.
-    Only the constructors that guarantee it set it (`hitchin.lift` and
-    `flat_connection`); a connection built any other way, `perturb`'s
-    included, does not declare it. The holonomy table then takes its x-
-    and y-circles in closed form (see asymptotics.holonomy_table).
-    invariant_split: (base, add_loop) when the connection is a
-    torus-invariant base plus a term; only `perturb` sets it, and only on a
-    base that declares torus_invariant. add_loop(kind, bases, coords, out)
-    adds in place into out (S..., B, 2, 2) the term's along-circle
-    component (a_x for kind 'x', a_y for 'y') on the circles of that kind
-    through the base points bases (B, 4), at the along-circle coordinates
-    coords (S...). The holonomy table then reads the base once per x/y
-    loop, at the loop's base point, adds the term's one component at the
-    loop's nodes, and builds the loop's Magnus generators itself.
+    along_circle(kind, bases, coords), when set: the along-circle component
+    (a_x for kind 'x', a_y for 'y') on the circles of that kind through the
+    base points bases (B, 4), at the along-circle coordinates coords (S...):
+    the circle through b meets coordinate s at (b_r, b_theta, s, b_y) for
+    'x', (b_r, b_theta, b_x, s) for 'y'. It returns (S..., B, 2, 2), or
+    (B, 2, 2) when the component is constant along every circle, as a new
+    array the caller may write to. Only the constructors that know the
+    component's form along the circles set it: `hitchin.lift` and
+    `flat_connection` (through `read_along_circle_at_base`), and `perturb`
+    on a base that has one. The holonomy table then takes its x- and
+    y-circles from it (see asymptotics.holonomy_table).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -72,8 +69,20 @@ class ConnectionSource(RadialDomain):
     torus: TorusSpec
     r_min: float = 0.0
     name: str = "connection"
-    torus_invariant: bool = False
-    invariant_split: tuple | None = None
+    along_circle: Callable | None = None
+
+
+def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
+    """Gives conn, whose components depend on (r, theta) alone, the
+    along_circle that reads them once per circle, at its base point: a
+    (B, 2, 2) result. It reads through conn's evaluate as set at call time,
+    so a wrapper installed on evaluate later sees every read. Returns
+    conn."""
+    def along_circle(kind, bases, coords):
+        return conn.evaluate(bases)[:, {"x": 2, "y": 3}[kind]]
+
+    conn.along_circle = along_circle
+    return conn
 
 
 @dataclass
@@ -142,13 +151,10 @@ def curvature_norm(conn: ConnectionSource, points, components: str = "all") -> n
 GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 
 # Magnus steps per loop of every circle holonomy an extraction samples
-# (every theta-circle, and the x- and y-circles of a connection that does
-# not declare torus invariance; a torus-invariant one's x/y loops are in
-# closed form, and a perturbed one's read the base once per loop, at its
-# base point, and only the term's along-loop component at the nodes): the
-# fewest whose loop error, on rings 50-400 of three perturbed models, is
-# at most a fifth of a 192-step midpoint rule's on every loop kind (the
-# error budget is in CHANGES.md)
+# (every theta-circle, and the x- and y-circles whose along_circle is not
+# constant along them): the fewest whose loop error, on rings 50-400 of
+# three perturbed models, is at most a fifth of a 192-step midpoint rule's
+# on every loop kind (the error budget is in CHANGES.md)
 LOOP_STEPS = 24
 
 
@@ -158,32 +164,33 @@ def _step_times(steps: int) -> np.ndarray:
     return (np.arange(steps)[:, None] + GAUSS_NODES) / steps
 
 
-def _generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
-    """The Magnus generators b = -A(gamma) . gamma' / n, (n, 2, ..., 2, 2),
-    of n steps, from a connection's values a (n, 2, ..., 4, 2, 2) at the
-    Gauss nodes and the tangents tans (n, 2, ..., 4) there."""
-    t = tans[..., None, None]
-    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
-    for i in range(1, 4):
-        b += t[..., i, :, :] * a[..., i, :, :]
-    b /= -len(a)
-    return b
-
-
 def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
-                          tans: np.ndarray, gen: np.ndarray | None = None
-                          ) -> np.ndarray:
+                          tans: np.ndarray) -> np.ndarray:
     """Path-ordered product of the transport h' = -A(gamma') h along paths
     gamma parametrized by t in [0, 1], over n steps of width 1/n.
 
     pts, tans: (n, 2, ..., 4), gamma and gamma' at the two Gauss nodes
     t_k,i = (k + GAUSS_NODES[i]) / n of each step k (see `_step_times`).
-    gen: the generators b (n, 2, ..., 2, 2) below, when the caller has
-    built them (asymptotics.holonomy_table does, for a connection with an
-    invariant_split); `_generators(conn.evaluate(pts), tans)` otherwise.
-    Returns (..., 2, 2). Each step is exp(Omega) of the fourth-order
-    Magnus expansion (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros
-    2009): with b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n,
+    Returns (..., 2, 2), the `_magnus_product` of the generators
+    b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n.
+    """
+    conn.check_domain(pts)
+    a = conn.evaluate(pts)
+    t = tans[..., None, None]
+    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
+    for i in range(1, 4):
+        b += t[..., i, :, :] * a[..., i, :, :]
+    b /= -len(a)
+    return _magnus_product(b)
+
+
+def _magnus_product(b: np.ndarray) -> np.ndarray:
+    """Product of n transport steps from their Magnus generators b
+    (n, 2, ..., 2, 2), b_i = -A . gamma' / n at the step's two Gauss nodes
+    (see `_path_ordered_product`). Returns (..., 2, 2).
+
+    Each step is exp(Omega) of the fourth-order Magnus expansion (Iserles &
+    Norsett 1999; Blanes, Casas, Oteo & Ros 2009):
     Omega = (b_1 + b_2) / 2 + (sqrt(3) / 12) [b_2, b_1], which lies in
     su(2). A step errs O(n^-5), so a loop's error falls 16-fold per
     halving of the step.
@@ -193,8 +200,6 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
     with log2(n) levels rather than n sequential products, so one SU(2)
     projection at the end suffices.
     """
-    conn.check_domain(pts)
-    b = _generators(conn.evaluate(pts), tans) if gen is None else gen
     omega = 0.5 * (b[:, 0] + b[:, 1]) \
         + (math.sqrt(3.0) / 12.0) * _su2.comm(b[:, 1], b[:, 0])
     steps = _su2.expm_su2(omega)
@@ -330,9 +335,8 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
         points = np.asarray(points, dtype=float)
         return np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
 
-    return ConnectionSource(evaluate=evaluate, torus=torus,
-                            derivative=derivative, name="flat",
-                            torus_invariant=True)
+    return read_along_circle_at_base(ConnectionSource(
+        evaluate=evaluate, torus=torus, derivative=derivative, name="flat"))
 
 
 # ---------------------------------------------------------------------------

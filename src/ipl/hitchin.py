@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, RadialDomain
+from .gauge import ConnectionSource, RadialDomain, read_along_circle_at_base
 from .geometry import TorusSpec
 
 
@@ -131,10 +131,10 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
                    out[..., :2, :, :, :])  # torus partials: invariant, zero
         return out
 
-    return ConnectionSource(
+    return read_along_circle_at_base(ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,
-        r_min=pair.r_min, name=f"lift({pair.name})", torus_invariant=True,
-    )
+        r_min=pair.r_min, name=f"lift({pair.name})",
+    ))
 
 
 def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.ndarray]:

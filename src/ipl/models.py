@@ -199,18 +199,15 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
 
     A term's value, amplitude/2 g(r) (f0 f1 f2) times its su(2) direction,
     is written once (`term_value`) and read two ways. evaluate(points) adds
-    every term at the points into base.evaluate(points). The loop adder
-    add_loop(kind, bases, coords, out) adds, along the x- or y-circles
-    (kind 'x' or 'y') through the base points, only the term's a_x or a_y,
-    the one component a transport along the circle reads: on such a circle
-    r, theta and the transverse coordinate are fixed, so the support test,
-    g and two of the three cosines are taken once per circle and only the
-    along-circle cosine once per node coordinate. When the base declares
-    torus_invariant, the returned connection carries (base, add_loop) as
-    its `invariant_split`, so a caller that knows the base is constant
-    along a circle can read it once per circle (see
-    asymptotics.holonomy_table); a perturbation of any other base carries
-    None.
+    every term at the points into base.evaluate(points). When the base has
+    an along_circle (see gauge.ConnectionSource), so does the result: it
+    broadcasts the base's along_circle over the coordinates and adds only
+    the term's a_x or a_y, the one component a transport along the circle
+    reads. On such a circle r, theta and the transverse coordinate are
+    fixed, so the support test, g and two of the three cosines are taken
+    once per circle and only the along-circle cosine once per node
+    coordinate. A perturbation of a perturbation of a lift thus has one
+    too.
 
     A term vanishes exactly outside its bump's support, so each shell's
     terms are evaluated only on the points (circles) inside that support
@@ -252,15 +249,12 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             out[np.unravel_index(idx, lead)] += block
         return out
 
-    def add_loop(kind, bases, coords, out):
-        """Adds the term's a_x (kind 'x') or a_y (kind 'y') on the circles
-        of that kind through bases (B, 4) into out (S..., B, 2, 2), a
-        writable array or view, in place, at the along-circle coordinates
-        coords (S...): the circle through b meets coordinate s at
-        (b_r, b_theta, s, b_y) for 'x', (b_r, b_theta, b_x, s) for 'y'.
-        Returns out."""
+    def along_circle(kind, bases, coords):
         axis = {"x": 2, "y": 3}[kind]
-        along = np.asarray(coords, dtype=float)[..., None]
+        along = np.asarray(coords, dtype=float)
+        a = conn.along_circle(kind, bases, along)
+        out = np.broadcast_to(a, along.shape + a.shape[-3:]).copy()
+        along = along[..., None]
         for shell, idx, pts, u in _live_shells(np.asarray(bases, dtype=float)):
             wave_coords = [pts[:, 1], pts[:, 2], pts[:, 3]]
             wave_coords[axis - 1] = along
@@ -298,5 +292,5 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
         r_min=conn.r_min, name=f"{conn.name}+perturbation",
-        invariant_split=(conn, add_loop) if conn.torus_invariant else None,
+        along_circle=None if conn.along_circle is None else along_circle,
     )

@@ -164,6 +164,15 @@ def test_holonomy_table_entries_are_circle_holonomies():
                                                 alpha=0.2), TORUS),
                    delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
     _assert_entries_are_circle_holonomies(conn)
+    # a perturbation of it has an along_circle too, not constant along its
+    # circles; a bare connection of its callables has none, so every loop
+    # of its table is sampled
+    _assert_entries_are_circle_holonomies(
+        perturb(conn, delta=0.7, amplitude=0.1, seed=9, r_lo=20.0,
+                r_hi=900.0))
+    _assert_entries_are_circle_holonomies(
+        ConnectionSource(evaluate=conn.evaluate, derivative=conn.derivative,
+                         torus=TORUS, r_min=conn.r_min))
 
 
 @pytest.mark.parametrize("params,torus,r_lo,r_hi", [
@@ -231,10 +240,20 @@ def test_perturbed_table_reads_its_base_once_per_xy_loop():
     assert sum(read) == 256 + 12 * 2 * LOOP_STEPS == 832
 
 
+def _reader_shape(conn, kind="x"):
+    """Shape of conn's along_circle on the LOOP_STEPS nodes of two circles
+    of that kind: (LOOP_STEPS, 2, 2, 2, 2), or (2, 2, 2) when it is
+    constant along every circle."""
+    bases = np.array([[RINGS[0], 0.3, 0.0, 0.0], [RINGS[-1], 1.1, 0.5, 0.5]])
+    nodes = circle_paths(conn.torus, kind, bases, LOOP_STEPS)[0]
+    coords = nodes[:, :, 0, {"x": 2, "y": 3}[kind]]
+    return conn.along_circle(kind, bases, coords).shape
+
+
 def test_only_a_torus_invariant_base_is_split_out():
-    # the base read once per loop, broadcast over the loop's nodes, plus the
-    # loop adder's term must be the connection's along-loop component at
-    # every node; shells from r = 40 to 500 reach every ring
+    # the base's along_circle, constant along each circle, broadcast over
+    # the loop's nodes, plus the term must be the connection's along-loop
+    # component at every node; shells from r = 40 to 500 reach every ring
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     for torus in (TORUS, TorusSpec(4.0, 7.0)):
         half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
@@ -243,8 +262,6 @@ def test_only_a_torus_invariant_base_is_split_out():
             base = model_connection(params, torus)
             conn = perturb(base, delta=0.5, amplitude=0.3, seed=4, r_lo=40.0,
                            r_hi=500.0)
-            split_base, add_loop = conn.invariant_split
-            assert split_base is base
             for kind, comp, x, y, step in (("x", 2, 0.0, 0.0, 1),
                                            ("y", 3, 0.0, 0.0, 1),
                                            ("x", 2, 0.0, half_y, 3),
@@ -252,24 +269,30 @@ def test_only_a_torus_invariant_base_is_split_out():
                 bases = np.array([[r, th, x, y] for r in RINGS
                                   for th in ths[::step]])
                 nodes = circle_paths(torus, kind, bases, LOOP_STEPS)[0]
-                out = np.broadcast_to(base.evaluate(bases)[:, comp],
-                                      nodes.shape[:-1] + (2, 2)).copy()
-                assert add_loop(kind, bases, nodes[:, :, 0, comp], out) \
-                    is out
+                coords = nodes[:, :, 0, comp]
+                assert np.array_equal(base.along_circle(kind, bases, coords),
+                                      base.evaluate(bases)[:, comp])
+                out = conn.along_circle(kind, bases, coords)
+                assert out.shape == nodes.shape[:-1] + (2, 2)
+                assert out.flags.writeable
                 assert np.array_equal(out, conn.evaluate(nodes)[..., comp, :, :])
-    once = perturb(model_connection(ModelParams(mu=1.0), TORUS), delta=0.5,
-                   amplitude=0.3, seed=1, r_lo=5.0, r_hi=600.0)
-    assert perturb(once, delta=0.5, amplitude=0.05, seed=2, r_lo=5.0,
-                   r_hi=600.0).invariant_split is None
+    clean = model_connection(ModelParams(mu=1.0), TORUS)
+    once = perturb(clean, delta=0.5, amplitude=0.3, seed=1, r_lo=5.0,
+                   r_hi=600.0)
+    # a perturbation of a perturbation reads its base's along_circle too
+    assert _reader_shape(perturb(once, delta=0.5, amplitude=0.05, seed=2,
+                                 r_lo=5.0, r_hi=600.0)) \
+        == (LOOP_STEPS, 2, 2, 2, 2)
     assert ConnectionSource(evaluate=once.evaluate,
                             derivative=once.derivative,
-                            torus=TORUS).invariant_split is None
-    assert once.invariant_split[0].invariant_split is None
+                            torus=TORUS).along_circle is None
+    assert _reader_shape(once) == (LOOP_STEPS, 2, 2, 2, 2)
+    assert _reader_shape(clean) == (2, 2, 2)
 
 
 def _invariant_connections(torus):
     """A clean semisimple model, the clean nilpotent model and a flat
-    connection on torus: each declares torus invariance."""
+    connection on torus: each is constant along its x- and y-circles."""
     return [model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
                                          alpha=0.2), torus),
             model_connection(ModelParams(kind="nilpotent"), torus),
@@ -285,7 +308,8 @@ def test_closed_form_loops_equal_the_sampler(torus):
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
     for conn in _invariant_connections(torus):
-        assert conn.torus_invariant
+        assert _reader_shape(conn, "x") == _reader_shape(conn, "y") \
+            == (2, 2, 2)
         table = holonomy_table(conn, RINGS)
 
         def hol(kind, bases):
@@ -309,19 +333,20 @@ def test_closed_form_loops_equal_the_sampler(torus):
 
 def test_only_invariant_constructors_declare_torus_invariance():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
-    assert conn.torus_invariant
-    assert flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS) \
-        .torus_invariant
-    assert not perturb(conn, delta=0.5, amplitude=0.05, seed=1, r_lo=5.0,
-                       r_hi=600.0).torus_invariant
-    assert not ConnectionSource(evaluate=conn.evaluate,
-                                derivative=conn.derivative,
-                                torus=TORUS).torus_invariant
+    assert _reader_shape(conn) == (2, 2, 2)
+    assert _reader_shape(flat_connection(reduce_dual((0.3, 0.2), TORUS),
+                                         TORUS)) == (2, 2, 2)
+    assert _reader_shape(perturb(conn, delta=0.5, amplitude=0.05, seed=1,
+                                 r_lo=5.0, r_hi=600.0)) \
+        == (LOOP_STEPS, 2, 2, 2, 2)
+    assert ConnectionSource(evaluate=conn.evaluate,
+                            derivative=conn.derivative,
+                            torus=TORUS).along_circle is None
 
 
 def test_closed_form_table_checks_the_domain():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
-    assert conn.torus_invariant
+    assert _reader_shape(conn) == (2, 2, 2)
     with pytest.raises(DomainError, match="r_min"):
         holonomy_table(conn, (conn.r_min / 2.0, 100.0, 200.0, 400.0))
 
@@ -331,7 +356,7 @@ def test_perturbed_table_checks_the_domain():
     # a base read before the domain check would divide by zero there
     conn = perturb(model_connection(ModelParams(kind="nilpotent"), TORUS),
                    delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
-    assert conn.invariant_split is not None
+    assert conn.along_circle is not None
     with pytest.raises(DomainError, match="r_min"):
         holonomy_table(conn, (1.0, 100.0, 200.0, 400.0))
 
@@ -464,19 +489,51 @@ def test_poincare_constant_positive_and_bounded(l1, l2):
     assert 0.0 < c <= 1.0 + 1e-12
 
 
+def _run_demo(*args):
+    """scripts/extraction_demo.py run with args, RuntimeWarnings as
+    errors."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(root / "scripts" / "extraction_demo.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_extraction_demo_scores_alpha_on_the_circle():
     # target alpha = -1/2 sits on the cut and lambda = -0.1 + 0.07i needs the
     # branch flip, so the extracted alpha is -1/2 again: the error is a gap
     # on the circle, 0 here, not |(-1/2) - (+1/2)| = 1
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src") + os.pathsep
-           + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning",
-         str(root / "scripts" / "extraction_demo.py"),
-         "--lam", "-0.1", "0.07", "--alpha", "-0.5"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_demo("--lam", "-0.1", "0.07", "--alpha", "-0.5")
     assert proc.returncode == 0, proc.stderr
     errors = [float(e) for e in re.findall(r"\|dalpha\|=(\S+)", proc.stdout)]
     assert len(errors) == 3, proc.stdout
     assert max(errors) < 1e-9, proc.stdout
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--amplitude", "-0.05"), "--amplitude must be >= 0"),
+    (("--delta", "0"), "--delta must be > 0"),
+], ids=["negative-amplitude", "zero-delta"])
+def test_extraction_demo_rejects_a_bad_perturbation(args, message):
+    # a negative amplitude once ran the clean model without a word
+    proc = _run_demo(*args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_extraction_demo_reports_a_failed_ring_family():
+    # perturbed alpha = -1/2 has theta holonomies near -I (an open
+    # extraction fault, ROADMAP item 1): the two inner families fail with a
+    # branch collision, and the outer one still runs
+    proc = _run_demo("--lam", "-0.1", "0.07", "--alpha", "-0.5",
+                     "--amplitude", "0.05")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("rings")]
+    assert len(lines) == 3, proc.stdout
+    failed = [ln for ln in lines if ": extraction failed: " in ln]
+    assert failed and all("branch collision" in ln for ln in failed)
+    assert len(failed) < 3

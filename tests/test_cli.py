@@ -332,6 +332,25 @@ def test_module_entry_point_runs_clean_under_warning_errors(tmp_path):
     assert (tmp_path / "conventions_report.json").is_file()
 
 
+def test_run_all_suites_exits_2_on_a_config_error(tmp_path):
+    # a missing config directory once ended in a traceback and exit 1,
+    # the code of a failed pipeline
+    root = os.path.dirname(CONFIGS)
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src") + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_all_suites.py"),
+         "--configs", str(tmp_path / "none"), "--out", str(tmp_path / "out"),
+         "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == len(SUITE)
+    assert errors[0].startswith("config error: conventions: cannot read "
+                                "config: ")
+
+
 def test_thread_budget_recorded(tmp_path, monkeypatch):
     monkeypatch.setenv("IPL_THREADS", "3")
     report, _ = run("conventions", {"schema_version": 1},
