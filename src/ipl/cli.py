@@ -549,28 +549,30 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
     return gap_min
 
 
-def _monodromy_families(rng, torus: TorusSpec):
-    """Three drift-inequality test cases: a flat connection, an abelian
-    model, and a random compactly supported perturbation of flat. Each
-    family is the x-circles through (r0 + dr t, 0.3, 0, y0)."""
+def _drift_families(rng, torus: TorusSpec):
+    """Three drift-inequality test cases (tag, connection, origin, dphi_dt,
+    dphi_ds; see gauge.monodromy_drift_defect): a flat connection, an
+    abelian model, and a random compactly supported perturbation of flat.
+    Each family is the x-circles through (r0 + dr t, 0.3, 0, y0)."""
     flat = flat_connection(reduce_dual((0.3, 0.2), torus), torus)
     abelian = model_connection(
         ModelParams(lam=0.05 + 0.02j, mu=0.4 - 0.1j, alpha=0.1), torus)
     bumped = perturb(flat, delta=0.5, amplitude=0.02,
                      seed=int(rng.integers(0, 2 ** 31)), r_lo=12.0,
                      r_hi=60.0)
-    fams = [("flat", flat, 20.0, 10.0, 1.1),
+    fams = (("flat", flat, 20.0, 10.0, 1.1),
             ("abelian", abelian, 25.0, 10.0, 0.7),
-            ("perturbed-flat", bumped, 15.0, 20.0, 2.0)]
-    per = {}
-    worst = -math.inf
-    for tag, conn, r0, dr, y0 in fams:
-        d = monodromy_drift_defect(conn, (r0, 0.3, 0.0, y0),
-                                   (dr, 0.0, 0.0, 0.0),
-                                   (0.0, 0.0, torus.period_x, 0.0), n_t=33)
-        per[tag] = d["defect"]
-        worst = max(worst, d["defect"])
-    return worst, per
+            ("perturbed-flat", bumped, 15.0, 20.0, 2.0))
+    return [(tag, conn, (r0, 0.3, 0.0, y0), (dr, 0.0, 0.0, 0.0),
+             (0.0, 0.0, torus.period_x, 0.0))
+            for tag, conn, r0, dr, y0 in fams]
+
+
+def _monodromy_families(rng, torus: TorusSpec):
+    """The worst drift defect of the `_drift_families`, and each one's."""
+    per = {tag: monodromy_drift_defect(conn, *family, n_t=33)["defect"]
+           for tag, conn, *family in _drift_families(rng, torus)}
+    return max(per.values()), per
 
 
 def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
@@ -863,8 +865,11 @@ def _run_spectral(params: dict):
         z0 = xi_from_zeta(bundle.lam, torus).zeta
         ratio_min = math.inf
         blow_rows = []
+        # the jumping point sits near |w| = |mu| / |dz|; a start of at most
+        # |mu| / (4 r_min) keeps it outside r_min, as for the residues
+        start = min(0.05, abs(bundle.mu) / (4.0 * bundle.r_min))
         for j in range(d["n_approach"]):
-            dz = 0.05 * (0.5 ** j) * complex(0.8, -0.6)
+            dz = start * (0.5 ** j) * complex(0.8, -0.6)
             xi = xi_from_zeta(z0 + dz, torus)
             sd = jumping_points(bundle, xi, domain=(bundle.r_min, 1e30),
                                 branch="both")

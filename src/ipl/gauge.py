@@ -106,13 +106,18 @@ def curvature(conn: ConnectionSource, points) -> CurvatureSample:
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     a = conn.evaluate(points)
-    d = conn.derivative(points)
-    out = np.empty(a.shape[:-3] + (len(PAIRS), 2, 2), dtype=complex)
-    for k, (i, j) in enumerate(PAIRS):
-        f = out[..., k, :, :]
-        np.subtract(d[..., i, j, :, :], d[..., j, i, :, :], out=f)
-        f += _su2.comm(a[..., i, :, :], a[..., j, :, :])
-    return CurvatureSample(points=points, components=out)
+    return CurvatureSample(points=points, components=_field_strength(
+        a, conn.derivative(points), PAIRS))
+
+
+def _field_strength(a, d, pairs) -> np.ndarray:
+    """F_ij = d_i A_j - d_j A_i + [A_i, A_j] for each (i, j) of pairs, from
+    the components a (..., 4, 2, 2) and the table of their partials
+    d (..., 4, 4, 2, 2): (..., len(pairs), 2, 2)."""
+    out = _su2.comm_pairs(a, pairs)
+    for k, (i, j) in enumerate(pairs):
+        out[..., k, :, :] += d[..., i, j, :, :] - d[..., j, i, :, :]
+    return out
 
 
 def self_dual_part(sample: CurvatureSample) -> np.ndarray:
@@ -175,19 +180,25 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
     b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n.
     """
     conn.check_domain(pts)
-    a = conn.evaluate(pts)
+    return _magnus_product(_magnus_generators(conn.evaluate(pts), tans))
+
+
+def _magnus_generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
+    """The generators b = -A . gamma' / n (n, 2, ..., 2, 2) of
+    `_magnus_product`, from the connection a (n, 2, ..., 4, 2, 2) sampled
+    at the path's Gauss nodes and the tangents tans (n, 2, ..., 4) there."""
     t = tans[..., None, None]
     b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
     for i in range(1, 4):
         b += t[..., i, :, :] * a[..., i, :, :]
     b /= -len(a)
-    return _magnus_product(b)
+    return b
 
 
 def _magnus_product(b: np.ndarray) -> np.ndarray:
     """Product of n transport steps from their Magnus generators b
     (n, 2, ..., 2, 2), b_i = -A . gamma' / n at the step's two Gauss nodes
-    (see `_path_ordered_product`). Returns (..., 2, 2).
+    (see `_magnus_generators`). Returns (..., 2, 2).
 
     Each step is exp(Omega) of the fourth-order Magnus expansion (Iserles &
     Norsett 1999; Blanes, Casas, Oteo & Ros 2009):
@@ -270,17 +281,22 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     m(t) is the circle holonomy at parameter t, h(t) the transport along
     the base path phi(., 0) from 0 to t. Each circle takes DRIFT_STEPS
     Magnus steps, and the curvature integral over s is the two-point Gauss
-    rule on the same nodes.
+    rule on the same nodes: one evaluation of the connection there feeds
+    both the circle transports and the curvature. Only the curvature
+    components F_ij whose coefficient in F(dphi/dt, dphi/ds) is nonzero are
+    formed, in PAIRS order; a skipped one would add an exact zero.
     """
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
 
-    # monodromies of every circle in the family, batched over t
+    # every circle in the family, batched over t, at its Gauss nodes
     base = origin + ts[:, None] * dphi_dt  # (n_t, 4)
     pts = base + _step_times(DRIFT_STEPS)[..., None, None] * dphi_ds
     tans = np.broadcast_to(dphi_ds, pts.shape)  # (DRIFT_STEPS, 2, n_t, 4)
-    m_t = _path_ordered_product(conn, pts, tans)  # (n_t, 2, 2)
+    conn.check_domain(pts)
+    a = conn.evaluate(pts)
+    m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
 
     # base-path transports between consecutive t samples
     hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
@@ -296,11 +312,13 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     dM = _su2.frob((M[2:] - M[:-2]) / (2 * dt))
 
     # curvature contracted with the family surface element
-    F = curvature(conn, pts).components  # (DRIFT_STEPS, 2, n_t, 6, 2, 2)
-    contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
-    for k, (i, j) in enumerate(PAIRS):
-        contract += F[..., k, :, :] * (dphi_dt[i] * dphi_ds[j]
-                                       - dphi_dt[j] * dphi_ds[i])
+    coeff = {(i, j): dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i]
+             for i, j in PAIRS}
+    live = [pair for pair in PAIRS if coeff[pair]]
+    F = _field_strength(a, conn.derivative(pts), live)
+    contract = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
+    for k, pair in enumerate(live):
+        contract += F[..., k, :, :] * coeff[pair]
     # integral over s: equal weights 1 / (2 DRIFT_STEPS) on the Gauss nodes
     rhs = np.mean(_su2.frob(contract), axis=(0, 1))
 

@@ -279,6 +279,22 @@ def test_spectral_residues_with_small_mu_draws_exit_0(tmp_path, seed):
             < 0.12
 
 
+@pytest.mark.parametrize("mu", [0.2, 0.01])
+def test_dichotomy_blowup_holds_at_small_mu(tmp_path, mu):
+    # |mu| / r_min = 0.04 and 0.002, below the 0.05 approach cap: a start
+    # of |mu| / (4 r_min) keeps the jumping point outside r_min, where the
+    # blow-up ratio reads 2
+    with open(os.path.join(CONFIGS, "spectral_dichotomy.json")) as fh:
+        cfg = json.load(fh)
+    cfg["bundle"]["mu"] = [mu, 0.0]
+    report, code = run("spectral", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0, [(c["name"], c["value"]) for c in report["checks"]
+                       if not c["pass"]]
+    [blowup] = [c for c in report["checks"]
+                if c["name"] == "blowup_ratio_min"]
+    assert abs(blowup["value"] - 2.0) < 1e-9
+
+
 def test_residue_sampler_ends_on_a_narrow_mu_window(tmp_path):
     # just above the bundle.r_min rule the |mu| window (1e-3, 0.9
     # covering_radius r_min) is 2.3e-6 wide, which a draw of 0.4 (N + iN)

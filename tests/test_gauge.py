@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from ipl import _su2
+from ipl.cli import _drift_families
 from ipl.gauge import (
+    DRIFT_STEPS,
+    PAIRS,
     BoundaryConditionError,
     ConnectionSource,
     DomainError,
     SeparableOneForm,
     TrigRadialTerm,
+    _path_ordered_product,
+    _step_times,
     circle_holonomies,
     curvature,
     curvature_norm,
@@ -205,6 +210,54 @@ def test_drift_defect_zero_for_flat():
                                (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
     assert d["defect"] <= 1e-12
     assert np.max(np.abs(d["rhs"])) < 1e-15
+
+
+def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t):
+    """lhs and rhs of monodromy_drift_defect with the circle transports by
+    `_path_ordered_product` and the curvature contracted over all six
+    PAIRS of `curvature`."""
+    origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
+                                for v in (origin, dphi_dt, dphi_ds))
+    ts = np.linspace(0.0, 1.0, n_t)
+    base = origin + ts[:, None] * dphi_dt
+    pts = base + _step_times(DRIFT_STEPS)[..., None, None] * dphi_ds
+    m_t = _path_ordered_product(conn, pts, np.broadcast_to(dphi_ds,
+                                                           pts.shape))
+    hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
+    h = [_su2.EYE2]
+    for hop in hops:
+        h.append(_su2.mul(hop, h[-1]))
+    h = np.array(h)
+    M = _su2.mul(_su2.mul(_su2.dag(h), m_t), h)
+    lhs = _su2.frob((M[2:] - M[:-2]) / (2 * (ts[1] - ts[0])))
+    F = curvature(conn, pts).components
+    contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
+    for k, (i, j) in enumerate(PAIRS):
+        contract += F[..., k, :, :] * (dphi_dt[i] * dphi_ds[j]
+                                       - dphi_dt[j] * dphi_ds[i])
+    return lhs, np.mean(_su2.frob(contract), axis=(0, 1))
+
+
+def theta_family():
+    # theta-circles through (20 + 10 t, 0, 0.5 t, 1.3) on a perturbed
+    # model: two live pairs, (r, theta) and (theta, x)
+    conn = perturb(model_connection(
+        ModelParams(lam=0.05 + 0.02j, mu=0.4 - 0.1j, alpha=0.1), TORUS),
+        delta=0.5, amplitude=0.05, seed=3, r_lo=12.0, r_hi=60.0)
+    return ("theta", conn, (20.0, 0.0, 0.0, 1.3), (10.0, 0.0, 0.5, 0.0),
+            (0.0, 2 * math.pi, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("family", [
+    *_drift_families(np.random.default_rng(3), TORUS), theta_family()],
+    ids=lambda family: family[0])
+def test_drift_defect_matches_the_two_pass_reference_bit_for_bit(family):
+    _, conn, *args = family
+    d = monodromy_drift_defect(conn, *args, n_t=33)
+    lhs, rhs = reference_drift(conn, *args, n_t=33)
+    assert np.array_equal(d["lhs"], lhs)
+    assert np.array_equal(d["rhs"], rhs)
+    assert d["defect"] == np.max(lhs - rhs[1:-1])
 
 
 def test_weitzenbock_identity_on_random_fixtures():
