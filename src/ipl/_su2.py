@@ -6,11 +6,10 @@ matrices X = i (v . sigma) with v real; the Frobenius inner product
 equal to -Re tr(XY) on anti-hermitian matrices).
 
 Every 2x2 product, commutator and conjugate transpose in the package goes
-through `mul`, `comm`, `comm_pairs`, `comm_diag` and `dag` here, and
-nowhere else. They are closed-form elementwise expressions in the four
-entries, broadcasting over leading axes; numpy's batched `@` on (..., 2, 2)
-arrays pays a generic per-matrix cost several times larger than the
-arithmetic.
+through `mul`, `comm`, `comm_diag` and `dag` here, and nowhere else. They
+are closed-form elementwise expressions in the four entries, broadcasting
+over leading axes; numpy's batched `@` on (..., 2, 2) arrays pays a generic
+per-matrix cost several times larger than the arithmetic.
 """
 
 from __future__ import annotations
@@ -60,27 +59,6 @@ def comm(X, Y):
     e, f, g, h = _entries(Y)
     t = b * g - c * f
     return _assemble(t, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d), -t)
-
-
-def comm_pairs(A, pairs):
-    """[A_i, A_j] for each component pair (i, j) of pairs, of the stacked
-    components A (..., n, 2, 2): (..., len(pairs), 2, 2), equal bit for bit
-    to `comm` of each pair. Each component's b, c and a - d are read once,
-    however many pairs it is in."""
-    A = np.asarray(A)
-    parts = {}
-    for k in dict.fromkeys(k for pair in pairs for k in pair):
-        a, b, c, d = _entries(A[..., k, :, :])
-        parts[k] = b, c, a - d
-    out = np.empty(A.shape[:-3] + (len(pairs), 2, 2), dtype=A.dtype)
-    for p, (i, j) in enumerate(pairs):
-        (b, c, a_d), (f, g, e_h) = parts[i], parts[j]
-        t = b * g - c * f
-        out[..., p, 0, 0] = t
-        out[..., p, 0, 1] = f * a_d - b * e_h
-        out[..., p, 1, 0] = c * e_h - g * a_d
-        out[..., p, 1, 1] = -t
-    return out
 
 
 def comm_diag(g, X):

@@ -172,7 +172,7 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
             if a.ndim == 3:  # constant along each circle
                 mats = _su2.expm_su2(-L * a)
             else:
-                # -(L / n) a, rounded as _magnus_generators rounds
+                # -(L / n) a, rounded as _path_ordered_product rounds
                 # sum_i tans_i a_i / -n
                 a *= L
                 a /= -LOOP_STEPS

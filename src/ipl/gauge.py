@@ -114,9 +114,11 @@ def _field_strength(a, d, pairs) -> np.ndarray:
     """F_ij = d_i A_j - d_j A_i + [A_i, A_j] for each (i, j) of pairs, from
     the components a (..., 4, 2, 2) and the table of their partials
     d (..., 4, 4, 2, 2): (..., len(pairs), 2, 2)."""
-    out = _su2.comm_pairs(a, pairs)
+    out = np.empty(a.shape[:-3] + (len(pairs), 2, 2), dtype=complex)
     for k, (i, j) in enumerate(pairs):
-        out[..., k, :, :] += d[..., i, j, :, :] - d[..., j, i, :, :]
+        f = out[..., k, :, :]
+        np.subtract(d[..., i, j, :, :], d[..., j, i, :, :], out=f)
+        f += _su2.comm(a[..., i, :, :], a[..., j, :, :])
     return out
 
 

@@ -122,6 +122,47 @@ def test_curvature_of_explicit_radial_field():
         assert np.max(np.abs(F.components[..., k, :, :])) < 1e-13
 
 
+def real_so2_connection(dtype):
+    # a_r = 0.3 J and a_x = J / r with J = [[0, 1], [-1, 0]]: a real
+    # antisymmetric form is anti-hermitian and traceless, so in su(2);
+    # evaluate returns it as dtype, derivative as complex
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def evaluate(points):
+        points = np.asarray(points, dtype=float)
+        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=dtype)
+        out[..., 0, :, :] = 0.3 * J
+        out[..., 2, :, :] = (1.0 / points[..., 0])[..., None, None] * J
+        return out
+
+    def derivative(points):
+        points = np.asarray(points, dtype=float)
+        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
+        out[..., 0, 2, :, :] = \
+            (-1.0 / points[..., 0] ** 2)[..., None, None] * J
+        return out
+
+    return ConnectionSource(evaluate=evaluate, torus=TORUS,
+                            derivative=derivative, r_min=1e-6)
+
+
+def test_curvature_of_a_real_valued_connection():
+    pts = rand_points(np.random.default_rng(2), 10)
+    F = curvature(real_so2_connection(float), pts).components
+    assert F.dtype == complex
+    assert np.array_equal(
+        F, curvature(real_so2_connection(complex), pts).components)
+    d = monodromy_drift_defect(real_so2_connection(float),
+                               (20.0, 0.3, 0.0, 1.1), (10.0, 0.0, 0.0, 0.0),
+                               (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
+    ref = monodromy_drift_defect(real_so2_connection(complex),
+                                 (20.0, 0.3, 0.0, 1.1),
+                                 (10.0, 0.0, 0.0, 0.0),
+                                 (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
+    assert np.array_equal(d["rhs"], ref["rhs"])
+    assert np.max(d["rhs"]) > 0
+
+
 def test_self_dual_projection_matches_hand_formula():
     conn = model_connection(ModelParams(lam=0.05j, mu=0.7, alpha=0.1), TORUS)
     pts = rand_points(np.random.default_rng(3), 8)

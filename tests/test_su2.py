@@ -60,19 +60,6 @@ def test_comm_diag_matches_generic_commutator():
         assert np.max(np.abs(_su2.comm_diag(g, X) - expected)) < 1e-14
 
 
-@pytest.mark.parametrize("lead", [(9,), (3, 5)], ids=["1d", "2d"])
-def test_comm_pairs_matches_comm_bit_for_bit(lead):
-    rng = np.random.default_rng(3)
-    A = rand_complex(rng, lead + (4, 2, 2))
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 0), (3, 3)]
-    got = _su2.comm_pairs(A, pairs)
-    assert got.shape == lead + (len(pairs), 2, 2)
-    for k, (i, j) in enumerate(pairs):
-        assert np.array_equal(got[..., k, :, :],
-                              _su2.comm(A[..., i, :, :], A[..., j, :, :]))
-    assert _su2.comm_pairs(A, []).shape == lead + (0, 2, 2)
-
-
 def test_project_su2_matches_polar_projection():
     rng = np.random.default_rng(2)
     U = _su2.expm_su2(_su2.from_vector(rng.normal(size=(200, 3))))
