@@ -18,7 +18,7 @@ from .models import ModelParams, model_connection, perturb
 from .moduli import (AnnulusCalculus, K1Chart, TangentVectorInstanton,
                      complex_structures, instanton_tangent_residual,
                      k1_chart, l2_metric, moduli_dimension,
-                     translation_tangent)
+                     translation_tangents)
 from .spectral import (BundleModel, SingularPointError, SpectralData,
                        fourier_gap, jumping_points, nahm_weights,
                        phi_residue)

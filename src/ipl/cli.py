@@ -38,7 +38,7 @@ from .hitchin import hitchin_residual
 from .models import ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
     complex_structures, fourier_diff, instanton_tangent_residual, k1_chart, \
-    l2_metric, moduli_dimension, random_tangent, translation_tangent
+    l2_metric, moduli_dimension, random_tangent, translation_tangents
 from .spectral import BundleModel, fourier_gap, in_hypothesis_region, \
     jumping_points, nahm_weights, phi_residue
 from .stability import ExtensionBundleSpec, alpha_stable_extension, \
@@ -1019,6 +1019,12 @@ def _moduli_rules(cfg: dict, params: dict) -> None:
     _require_seed(cfg)
     _expect(params["model"]["kind"] == "semisimple",
             "moduli tangent checks need a semisimple model")
+    _expect(params["model"]["mu"] != 0,
+            "model.mu must be nonzero: at mu = 0 the semisimple model is "
+            "flat (F = 0), so both translation tangents vanish")
+    _expect(params["grid"]["r_min"] >= _R_MIN["semisimple"],
+            f"grid.r_min must be >= {_R_MIN['semisimple']}, the inner edge "
+            "of the semisimple model's domain")
     _expect(params["grid"]["r_min"] < params["grid"]["r_max"],
             "grid radii must increase (grid.r_min < grid.r_max)")
     _expect(abs(params["chart"]["fp0"]) > 1e-12, "chart.fp0 must be nonzero")
@@ -1062,13 +1068,11 @@ def _run_moduli(params: dict):
                    abs((dc - bc * cc) / dc ** 2 - fp0))
     checks.append(_leq_check("chart_constraints", cdev, 1e-12))
 
-    g = params["grid"]
-    grid = AnnulusGrid(g["r_min"], g["r_max"], n_r=g["n_r"],
-                       n_theta=g["n_theta"], n_x=g["n_x"], n_y=g["n_y"])
+    grid = AnnulusGrid(**params["grid"])
     conn = model_connection(_model(params["model"]), torus)
     calc = AnnulusCalculus(conn, grid)
-    tangents = [("translation_x", translation_tangent(conn, grid, (1.0, 0.0))),
-                ("translation_y", translation_tangent(conn, grid, (0.0, 1.0)))]
+    tx, ty = translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0)))
+    tangents = [("translation_x", tx), ("translation_y", ty)]
     for j in range(params["n_random_tangents"]):
         tangents.append((f"random{j}", random_tangent(
             grid, torus, seed=int(rng.integers(0, 2 ** 31)))))
@@ -1093,12 +1097,10 @@ def _run_moduli(params: dict):
     checks.append(_check("l2_metric_positive", float(eigs[0]), 0.0,
                          bool(eigs[0] > 0), margin=float(eigs[0])))
 
-    iso_dev = 0.0
     a = tangents[-1][1] if params["n_random_tangents"] else tangents[0][1]
-    for I in (I1, I2, I3):
-        aI = apply_complex_structure(a, I)
-        iso_dev = max(iso_dev, abs(l2_metric(aI, aI) - l2_metric(a, a)))
     scale = l2_metric(a, a)
+    iso_dev = max(abs(l2_metric(aI, aI) - scale) for aI in (
+        apply_complex_structure(a, I) for I in (I1, I2, I3)))
     checks.append(_leq_check("complex_structure_isometry_rel",
                              iso_dev / scale, 1e-12))
 

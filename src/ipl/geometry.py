@@ -192,11 +192,12 @@ class AnnulusGrid:
     def thetas(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.n_theta, endpoint=False)
 
-    def xs(self, torus: TorusSpec) -> np.ndarray:
-        return np.linspace(0.0, torus.period_x, self.n_x, endpoint=False)
-
-    def ys(self, torus: TorusSpec) -> np.ndarray:
-        return np.linspace(0.0, torus.period_y, self.n_y, endpoint=False)
+    def points(self, torus: TorusSpec) -> np.ndarray:
+        """The (r, theta, x, y) mesh, shape (n_r, n_theta, n_x, n_y, 4)."""
+        xs = np.linspace(0.0, torus.period_x, self.n_x, endpoint=False)
+        ys = np.linspace(0.0, torus.period_y, self.n_y, endpoint=False)
+        return np.stack(np.meshgrid(self.rs, self.thetas, xs, ys,
+                                    indexing="ij"), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -79,14 +80,27 @@ def fourier_diff(arr: np.ndarray, axis: int, period: float) -> np.ndarray:
                        axis=axis)
 
 
+@cache
 def quadrature_weights(grid: AnnulusGrid, torus: TorusSpec):
-    """(radial weights times the volume factor r, angular-torus cell
-    volume): the quadrature of AnnulusCalculus and of l2_metric."""
+    """(radial weights times the volume factor r, those times the
+    angular-torus cell volume, shaped (n_r, 1, 1, 1)): the quadrature of
+    AnnulusCalculus and of l2_metric, cached per (grid, torus), read-only."""
     w_radial = interpolatory_weights(grid.rs, grid.r_min, grid.r_max) \
         * grid.rs
+    if np.any(w_radial <= 0):
+        raise ValueError("radial quadrature weights must be positive")
     w_angular = (TWO_PI / grid.n_theta) * (torus.period_x / grid.n_x) \
         * (torus.period_y / grid.n_y)
-    return w_radial, w_angular
+    w_cell = w_radial.reshape(-1, 1, 1, 1) * w_angular
+    w_radial.flags.writeable = w_cell.flags.writeable = False
+    return w_radial, w_cell
+
+
+def _l2_pairing(a, b, grid: AnnulusGrid, torus: TorusSpec) -> float:
+    """L2 pairing of stacked-slot fields under quadrature_weights."""
+    _, w_cell = quadrature_weights(grid, torus)
+    vals = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
+    return float(np.sum(w_cell * vals))
 
 
 @dataclass
@@ -123,21 +137,14 @@ class AnnulusCalculus:
         self.conn = conn
         self.grid = grid
         self.torus = conn.torus
-        rs, ths = grid.rs, grid.thetas
-        xs, ys = grid.xs(self.torus), grid.ys(self.torus)
-        R, T, X, Y = np.meshgrid(rs, ths, xs, ys, indexing="ij")
-        pts = np.stack([R, T, X, Y], axis=-1)
-        A = np.asarray(conn.evaluate(pts), dtype=complex)
+        self.points = grid.points(self.torus)
+        self.r_col = grid.rs.reshape(-1, 1, 1, 1, 1, 1)
+        A = np.asarray(conn.evaluate(self.points), dtype=complex)
         A = np.moveaxis(A, -3, 0).copy()  # (4, n_r, n_t, n_x, n_y, 2, 2)
-        A[1] = A[1] / R[None, ..., None, None][0]
+        A[1] = A[1] / self.r_col
         self.A = A
-        self.rs = rs
-        self.r_col = rs.reshape(-1, 1, 1, 1, 1, 1)
-        self.Dr = differentiation_matrix(rs)
-        self.w_radial, self.w_angular = quadrature_weights(grid, self.torus)
-        if np.any(self.w_radial <= 0):
-            raise ValueError("radial quadrature weights must be positive")
-        self.weight = self.w_radial.reshape(-1, 1, 1, 1) * self.w_angular
+        self.Dr = differentiation_matrix(grid.rs)
+        self.w_radial, _ = quadrature_weights(grid, self.torus)
 
     # -- scalar building blocks ------------------------------------------
 
@@ -202,9 +209,7 @@ class AnnulusCalculus:
 
     def inner(self, a, b) -> float:
         """L2 pairing of stacked-slot fields of equal shape."""
-        w = self.weight.reshape((1,) * (a.ndim - 6) + self.weight.shape)
-        vals = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
-        return float(np.sum(w * vals))
+        return _l2_pairing(a, b, self.grid, self.torus)
 
     def norm(self, a) -> float:
         return math.sqrt(max(self.inner(a, a), 0.0))
@@ -219,25 +224,27 @@ def instanton_tangent_residual(a: TangentVectorInstanton,
     return calc.norm(calc.dstar(a.comps)), calc.norm(calc.dplus(a.comps))
 
 
-def translation_tangent(conn: ConnectionSource, grid: AnnulusGrid,
-                        direction) -> TangentVectorInstanton:
-    """Moduli direction from a plane translation: the curvature contracted
-    with the translation vector field, in frame components."""
-    rs, ths = grid.rs, grid.thetas
-    xs, ys = grid.xs(conn.torus), grid.ys(conn.torus)
-    R, T, X, Y = np.meshgrid(rs, ths, xs, ys, indexing="ij")
-    pts = np.stack([R, T, X, Y], axis=-1)
-    F = curvature(conn, pts).unit_frame()  # (..., 6, 2, 2)
+def translation_tangents(calc: AnnulusCalculus,
+                         directions) -> list[TangentVectorInstanton]:
+    """Moduli directions from plane translations, one per (c1, c2) of
+    directions: the curvature of calc.conn on calc's grid, sampled once and
+    contracted with each translation vector field, in frame components."""
+    F = curvature(calc.conn, calc.points).unit_frame()  # (..., 6, 2, 2)
     F = np.moveaxis(F, -3, 0)
-    c1, c2 = direction
-    vr = (c1 * np.cos(T) + c2 * np.sin(T))[..., None, None]
-    vt = (-c1 * np.sin(T) + c2 * np.cos(T))[..., None, None]
-    a_r = -vt * F[0]
-    a_t = vr * F[0]
-    a_x = vr * F[1] + vt * F[3]
-    a_y = vr * F[2] + vt * F[4]
-    comps = np.stack([a_r, a_t, a_x, a_y], axis=0)
-    return TangentVectorInstanton(grid=grid, comps=comps, torus=conn.torus)
+    T = calc.points[..., 1, None, None]
+    cos_t, sin_t = np.cos(T), np.sin(T)
+    out = []
+    for c1, c2 in directions:
+        vr = c1 * cos_t + c2 * sin_t
+        vt = -c1 * sin_t + c2 * cos_t
+        a_r = -vt * F[0]
+        a_t = vr * F[0]
+        a_x = vr * F[1] + vt * F[3]
+        a_y = vr * F[2] + vt * F[4]
+        comps = np.stack([a_r, a_t, a_x, a_y], axis=0)
+        out.append(TangentVectorInstanton(grid=calc.grid, comps=comps,
+                                          torus=calc.torus))
+    return out
 
 
 def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
@@ -246,9 +253,7 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
     direction times a radial polynomial that vanishes at both radial ends,
     with random su(2) directions."""
     rng = np.random.default_rng(seed)
-    rs, ths = grid.rs, grid.thetas
-    xs, ys = grid.xs(torus), grid.ys(torus)
-    R, T, X, Y = np.meshgrid(rs, ths, xs, ys, indexing="ij")
+    R, T, X, Y = np.moveaxis(grid.points(torus), -1, 0)
     t = 2.0 * (R - grid.r_min) / (grid.r_max - grid.r_min) - 1.0
     comps = np.zeros((4,) + R.shape + (2, 2), dtype=complex)
     for slot in range(4):
@@ -293,11 +298,7 @@ def l2_metric(t1: TangentVectorInstanton,
     one grid, with the quadrature weights of AnnulusCalculus."""
     if t1.grid != t2.grid:
         raise DomainError("instanton tangents must share a grid")
-    wr, w_ang = quadrature_weights(t1.grid, t1.torus)
-    w = wr.reshape(1, -1, 1, 1, 1) * w_ang
-    vals = np.real(np.einsum("s...ij,s...ij->s...",
-                             t1.comps, np.conj(t2.comps)))
-    return float(np.sum(w * vals))
+    return _l2_pairing(t1.comps, t2.comps, t1.grid, t1.torus)
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,12 @@ SEEDED = {"schema_version": 1, "seed": 1}
     ("spectral", {**SPECTRAL_CFG, "dichotomy": {
         "n_mu_zero": 3, "min_lattice_distance": 0.5}},
      "dichotomy.min_lattice_distance"),
+    # a flat moduli model has no translation tangents; a moduli grid
+    # inside the semisimple core
+    ("moduli", {**SEEDED, "n_random_tangents": 0, "model": {
+        "lambda": [0.1, 0.05], "mu": [0, 0], "alpha": 0.15}}, "model.mu"),
+    ("moduli", {**SEEDED, "grid": {"r_min": 0.0005, "r_max": 40.0}},
+     "grid.r_min"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):

@@ -2,6 +2,9 @@
 dimension formula and charge-1 chart, discrete covariant calculus on an
 annulus grid, tangent-vector residuals, and the L2 metric."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,9 @@ from ipl.moduli import (
     k1_chart,
     l2_metric,
     moduli_dimension,
+    quadrature_weights,
     random_tangent,
-    translation_tangent,
+    translation_tangents,
 )
 
 TORUS = TorusSpec()
@@ -146,8 +150,7 @@ def test_translation_tangent_near_kernel():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
-    for direction in ((1.0, 0.0), (0.0, 1.0)):
-        t = translation_tangent(conn, grid, direction)
+    for t in translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0))):
         r_gauge, r_sd = instanton_tangent_residual(t, calc)
         scale = max(calc.norm(t.comps), 1e-30)
         assert r_gauge / scale <= 1e-6
@@ -158,8 +161,8 @@ def test_l2_metric_symmetry_positivity_isometry():
     grid = make_grid()
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
-    tangents = [translation_tangent(conn, grid, (1.0, 0.0)),
-                translation_tangent(conn, grid, (0.0, 1.0)),
+    tangents = [*translation_tangents(AnnulusCalculus(conn, grid),
+                                      ((1.0, 0.0), (0.0, 1.0))),
                 random_tangent(grid, TORUS, seed=11)]
     n = len(tangents)
     gram = np.zeros((n, n))
@@ -183,8 +186,52 @@ def test_l2_metric_uses_the_calculus_quadrature():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
-    t1 = translation_tangent(conn, grid, (1.0, 0.0))
+    t1, = translation_tangents(calc, ((1.0, 0.0),))
     t2 = random_tangent(grid, TORUS, seed=3)
     assert l2_metric(t1, t2) == calc.inner(t1.comps, t2.comps)
     assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
 
+
+def test_translation_tangents_sample_the_curvature_once():
+    # every direction contracts one curvature sample on calc's points
+    calls = Counter()
+    conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
+                                        alpha=0.15), TORUS)
+
+    def counted(name):
+        fn = getattr(conn, name)
+
+        def wrapper(points):
+            calls[name] += 1
+            return fn(points)
+        return wrapper
+
+    calc = AnnulusCalculus(replace(conn, evaluate=counted("evaluate"),
+                                   derivative=counted("derivative")),
+                           make_grid())
+    calls.clear()
+    tangents = translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0)))
+    assert len(tangents) == 2
+    assert calls == {"evaluate": 1, "derivative": 1}
+
+
+def test_quadrature_weights_are_shared_and_read_only():
+    first = quadrature_weights(make_grid(), TORUS)
+    second = quadrature_weights(make_grid(), TORUS)
+    assert all(a is b for a, b in zip(first, second))
+    for w in first:
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def test_l2_metric_scales_with_the_torus_area():
+    # the weights are cached per (grid, torus): the same components on a
+    # 4 x 7 torus pair to the 2 pi x 2 pi value times the area ratio
+    grid = make_grid()
+    comps = random_tangent(grid, TORUS, seed=5).comps
+    other = TorusSpec(4.0, 7.0)
+    square = TangentVectorInstanton(grid, comps, TORUS)
+    oblong = TangentVectorInstanton(grid, comps, other)
+    assert l2_metric(oblong, oblong) == pytest.approx(
+        l2_metric(square, square) * other.area / TORUS.area, rel=1e-12)
