@@ -146,8 +146,11 @@ def project_su2(M):
 
 
 def algebra_defect(X):
-    """Deviation of X from anti-hermitian traceless, batched."""
-    X = np.asarray(X, dtype=complex)
-    ah = frob(X + dag(X))
-    tr = np.abs(np.trace(X, axis1=-2, axis2=-1))
-    return np.maximum(ah, tr)
+    """Deviation of X from anti-hermitian traceless, batched:
+    max(frob(X + dag(X)), |tr X|) from the four entries, with
+    frob(X + dag(X))^2 = 4 (Re a)^2 + 4 (Re d)^2 + 2 |b + conj(c)|^2."""
+    a, b, c, d = _entries(np.asarray(X, dtype=complex))
+    s = b + np.conj(c)
+    ah = np.sqrt(4.0 * (a.real ** 2 + d.real ** 2)
+                 + 2.0 * (s.real ** 2 + s.imag ** 2))
+    return np.maximum(ah, np.abs(a + d))

@@ -603,10 +603,10 @@ def _rayleigh_quotients(gamma: DualTorusPoint | None,
     With the twist g = i c sigma3, entry (a, b) of d(W E) + [g, W E] is
     (dW + t W) E_ab with t = g_a - g_b: 0 on the diagonal and +-2ic off it.
     So a quotient is the sum over axes of |dW + t W|^2 / |W|^2 on the grid,
-    dW FFT-differentiated (both entries of sigma3 have t = 0 and the same
-    ratio). Mixtures of waves cannot score lower: the waves are orthogonal
-    on the grid and the operator acts on each entry apart, so a mixture's
-    quotient is a weighted mean of its modes' quotients."""
+    dW by fourier_diff's spectral matrix (both entries of sigma3 have t = 0
+    and the same ratio). Mixtures of waves cannot score lower: the waves
+    are orthogonal on the grid and the operator acts on each entry apart,
+    so a mixture's quotient is a weighted mean of its modes' quotients."""
     Lx, Ly = torus.period_x, torus.period_y
     c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
     trivial = gamma is None or gamma.is_trivial(1e-9)

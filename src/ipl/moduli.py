@@ -67,17 +67,44 @@ def interpolatory_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.linalg.solve(V, m)
 
 
+def _along(M: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The real matrix M applied along one axis of a real or complex arr:
+    out[..., a, ...] = sum_b M[a, b] arr[..., b, ...]."""
+    # einsum's own loop, not BLAS, whose unpinned threads slow small products
+    arr = np.asarray(arr)
+    dtype = complex if np.iscomplexobj(arr) else float
+    flat = np.ascontiguousarray(arr, dtype=dtype).view(float)
+    flat = flat.reshape(math.prod(arr.shape[:axis]), arr.shape[axis], -1)
+    out = np.ascontiguousarray(np.einsum("zb,abc->azc", M, flat))
+    return out.view(dtype).reshape(arr.shape)
+
+
+@cache
+def fourier_matrix(n: int, period: float) -> np.ndarray:
+    """Spectral differentiation matrix on n equispaced points of one
+    period, with the Nyquist mode zeroed (Trefethen, Spectral Methods in
+    MATLAB, ch. 3): real, exactly skew-symmetric, cached per (n, period),
+    read-only."""
+    # first column: (-1)^m / 2 times cot(m pi / n) for even n, csc for odd
+    # n, for 0 < m < n / 2; the rest by skew-symmetry, the Nyquist entry 0
+    m = np.arange(1, (n + 1) // 2)
+    half = np.pi * m / n
+    scale = np.where(m % 2 == 0, 0.5, -0.5) * (TWO_PI / period)
+    col = np.zeros(n)
+    col[m] = scale / (np.tan(half) if n % 2 == 0 else np.sin(half))
+    col[n - m] = -col[m]
+    D = col[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    D.flags.writeable = False
+    return D
+
+
 def fourier_diff(arr: np.ndarray, axis: int, period: float) -> np.ndarray:
-    """Spectral derivative along a periodic axis; the Nyquist mode is
-    zeroed so the operator is exactly skew-adjoint."""
-    n = arr.shape[axis]
-    k = 2j * np.pi * np.fft.fftfreq(n, d=period / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * k.reshape(shape),
-                       axis=axis)
+    """Spectral derivative along a periodic axis, applied as the dense
+    matrix fourier_matrix(n, period); the Nyquist mode is zeroed so the
+    operator is exactly skew-adjoint. Its cost per element grows with n,
+    which the shipped grids keep at n <= 24."""
+    n = np.shape(arr)[axis]
+    return _along(fourier_matrix(n, period), arr, axis)
 
 
 @cache
@@ -97,10 +124,13 @@ def quadrature_weights(grid: AnnulusGrid, torus: TorusSpec):
 
 
 def _l2_pairing(a, b, grid: AnnulusGrid, torus: TorusSpec) -> float:
-    """L2 pairing of stacked-slot fields under quadrature_weights."""
+    """L2 pairing of sections (n_r, ...) or stacked-slot fields
+    (k, n_r, ...) under quadrature_weights: one real dot per (slot, radius)
+    of the float views, then the rows weighted by the cell volumes."""
     _, w_cell = quadrature_weights(grid, torus)
-    vals = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
-    return float(np.sum(w_cell * vals))
+    rows = [np.ascontiguousarray(x, dtype=complex).view(float).reshape(
+        -1, grid.n_r, 8 * grid.n_theta * grid.n_x * grid.n_y) for x in (a, b)]
+    return float(np.sum(np.einsum("sri,sri->sr", *rows) * w_cell.ravel()))
 
 
 @dataclass
@@ -149,11 +179,11 @@ class AnnulusCalculus:
     # -- scalar building blocks ------------------------------------------
 
     def _dr(self, u):
-        return np.einsum("ab,b...->a...", self.Dr, u)
+        return _along(self.Dr, u, 0)
 
     def _dr_adj(self, u):
         w = self.w_radial.reshape(-1, 1, 1, 1, 1, 1)
-        return np.einsum("ba,b...->a...", self.Dr, w * u) / w
+        return _along(self.Dr.T, w * u, 0) / w
 
     def _dtheta(self, u):
         return fourier_diff(u, 0 + 1, TWO_PI) / self.r_col
@@ -278,18 +308,20 @@ def apply_complex_structure(a: TangentVectorInstanton,
     an isometry of the L2 metric since the matrices are orthogonal. The
     frame components are rotated through Cartesian components ordered
     (z1, z2, w1, w2) = (torus-x, torus-y, plane-1, plane-2)."""
-    ths = a.grid.thetas
-    ct = np.cos(ths).reshape(1, -1, 1, 1, 1, 1)
-    st = np.sin(ths).reshape(1, -1, 1, 1, 1, 1)
-    ar, at, ax, ay = a.comps
-    cart = np.stack([ax, ay, ct[0] * ar - st[0] * at,
-                     st[0] * ar + ct[0] * at], axis=0)
-    rot = np.einsum("ji,j...->i...", I, cart)
-    bx, by, bw1, bw2 = rot
-    br = ct[0] * bw1 + st[0] * bw2
-    bt = -st[0] * bw1 + ct[0] * bw2
-    return TangentVectorInstanton(
-        grid=a.grid, comps=np.stack([br, bt, bx, by], axis=0), torus=a.torus)
+    ct, st = np.cos(a.grid.thetas), np.sin(a.grid.thetas)
+    # P[t]: frame (r, theta, x, y) -> Cartesian components at angle t
+    P = np.zeros((ct.size, 4, 4))
+    P[:, 0, 2] = P[:, 1, 3] = 1.0
+    P[:, 2, 0], P[:, 2, 1], P[:, 3, 0], P[:, 3, 1] = ct, -st, st, ct
+    # the frame action P^T I^T P at each angle, contracted on the float
+    # view without BLAS, as in _along
+    M = np.einsum("tji,kj,tkl->til", P, I, P)
+    f = np.ascontiguousarray(a.comps).view(float).reshape(
+        4, a.grid.n_r, a.grid.n_theta, -1)
+    comps = np.einsum("tzb,brtk->zrtk", M, f, order="C")
+    return TangentVectorInstanton(grid=a.grid, torus=a.torus,
+                                  comps=comps.view(complex).reshape(
+                                      a.comps.shape))
 
 
 def l2_metric(t1: TangentVectorInstanton,
@@ -298,6 +330,8 @@ def l2_metric(t1: TangentVectorInstanton,
     one grid, with the quadrature weights of AnnulusCalculus."""
     if t1.grid != t2.grid:
         raise DomainError("instanton tangents must share a grid")
+    if t1.torus != t2.torus:
+        raise DomainError("instanton tangents must share a torus")
     return _l2_pairing(t1.comps, t2.comps, t1.grid, t1.torus)
 
 

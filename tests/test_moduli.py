@@ -14,10 +14,12 @@ from ipl.models import ModelParams, model_connection
 from ipl.moduli import (
     AnnulusCalculus,
     TangentVectorInstanton,
+    _l2_pairing,
     apply_complex_structure,
     complex_structures,
     differentiation_matrix,
     fourier_diff,
+    fourier_matrix,
     instanton_tangent_residual,
     interpolatory_weights,
     k1_chart,
@@ -33,6 +35,26 @@ TORUS = TorusSpec()
 
 def make_grid(n_r=12, n_theta=8):
     return AnnulusGrid(8.0, 40.0, n_r=n_r, n_theta=n_theta, n_x=6, n_y=6)
+
+
+def fft_diff(arr, axis, period):
+    """Reference spectral derivative by FFT, Nyquist mode zeroed."""
+    n = arr.shape[axis]
+    k = 2j * np.pi * np.fft.fftfreq(n, d=period / n)
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    shape = [1] * arr.ndim
+    shape[axis] = n
+    return np.fft.ifft(np.fft.fft(arr, axis=axis) * k.reshape(shape),
+                       axis=axis)
+
+
+def complex_pairing(a, b, grid, torus):
+    """Reference L2 pairing: a complex einsum over the 2x2 entries, weighted
+    cell by cell."""
+    _, w_cell = quadrature_weights(grid, torus)
+    vals = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
+    return float(np.sum(w_cell * vals))
 
 
 def anti_hermitian(rng, shape):
@@ -106,6 +128,37 @@ def test_fourier_diff_trig_exact():
         d2, 2.0 * np.pi * np.cos(2.0 * np.pi * np.arange(n) / n), atol=1e-10)
 
 
+@pytest.mark.parametrize("n", range(4, 26))
+def test_fourier_diff_matches_the_fft_formula(n):
+    # the dense operator against the FFT, along the first, a middle and the
+    # last axis, on 1-D, real and complex input, odd and even n
+    rng = np.random.default_rng(n)
+    period = 7.0
+    cases = [(rng.normal(size=n), 0)]
+    for shape, axis in (((n, 3, 4), 0), ((3, n, 4), 1), ((3, 4, n), 2),
+                        ((2, 3, n), -1)):
+        cases.append((rng.normal(size=shape), axis))
+        cases.append((rng.normal(size=shape)
+                      + 1j * rng.normal(size=shape), axis))
+    for arr, axis in cases:
+        got = fourier_diff(arr, axis, period)
+        want = fft_diff(arr, axis, period)
+        assert got.shape == arr.shape
+        assert np.iscomplexobj(got) == np.iscomplexobj(arr)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_fourier_matrix_is_skew_cached_and_read_only():
+    for n in range(1, 26):
+        D = fourier_matrix(n, 2.0 * np.pi)
+        assert D is fourier_matrix(n, 2.0 * np.pi)
+        assert D.dtype == float
+        assert np.array_equal(D, -D.T)
+        assert not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 1.0
+
+
 def test_tangent_vector_validation():
     grid = make_grid()
     rng = np.random.default_rng(0)
@@ -163,12 +216,14 @@ def test_l2_metric_symmetry_positivity_isometry():
                                         alpha=0.15), TORUS)
     tangents = [*translation_tangents(AnnulusCalculus(conn, grid),
                                       ((1.0, 0.0), (0.0, 1.0))),
-                random_tangent(grid, TORUS, seed=11)]
+                random_tangent(grid, TORUS, seed=11),
+                random_tangent(grid, TORUS, seed=12)]
     n = len(tangents)
     gram = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             gram[i, j] = l2_metric(tangents[i], tangents[j])
+    # both triangles are computed, and agree bit for bit
     assert np.array_equal(gram, gram.T)
     assert np.linalg.eigvalsh(gram)[0] > 0.0
 
@@ -177,6 +232,34 @@ def test_l2_metric_symmetry_positivity_isometry():
     for I in complex_structures():
         aI = apply_complex_structure(a, I)
         assert l2_metric(aI, aI) == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (4,), (6,)])
+def test_l2_pairing_matches_the_complex_einsum(lead):
+    # sections (n_r, ...) and stacked fields (k, n_r, ...) alike
+    grid = make_grid()
+    torus = TorusSpec(4.0, 7.0)
+    rng = np.random.default_rng(len(lead))
+    shape = lead + (grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 2, 2)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # b leans on a, so the sum does not cancel to its rounding noise
+    b = a + 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = complex_pairing(x, y, grid, torus)
+        assert abs(_l2_pairing(x, y, grid, torus) - want) \
+            <= 1e-13 * abs(want)
+
+
+def test_l2_metric_rejects_tangents_from_two_tori():
+    # the same components on two tori: either order would pair them with
+    # one torus's weights
+    grid = make_grid()
+    comps = random_tangent(grid, TORUS, seed=5).comps
+    a = TangentVectorInstanton(grid, comps, TORUS)
+    b = TangentVectorInstanton(grid, comps, TorusSpec(4.0, 7.0))
+    for t1, t2 in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match="share a torus"):
+            l2_metric(t1, t2)
 
 
 def test_l2_metric_uses_the_calculus_quadrature():

@@ -60,6 +60,20 @@ def test_comm_diag_matches_generic_commutator():
         assert np.max(np.abs(_su2.comm_diag(g, X) - expected)) < 1e-14
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (9, 2, 2), (4, 5, 3, 2, 2)])
+def test_algebra_defect_matches_frobenius_and_trace(shape):
+    # the four-entry form against max(frob(X + dag X), |tr X|), on general
+    # complex matrices (no anti-hermitian or traceless part is special)
+    rng = np.random.default_rng(len(shape))
+    X = rand_complex(rng, shape) * np.exp(rng.normal(size=shape[:-2]))[
+        ..., None, None]
+    expected = np.maximum(_su2.frob(X + _su2.dag(X)),
+                          np.abs(np.trace(X, axis1=-2, axis2=-1)))
+    got = _su2.algebra_defect(X)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+
+
 def test_project_su2_matches_polar_projection():
     rng = np.random.default_rng(2)
     U = _su2.expm_su2(_su2.from_vector(rng.normal(size=(200, 3))))
