@@ -22,7 +22,7 @@ from .moduli import (AnnulusCalculus, K1Chart, TangentVectorInstanton,
 from .spectral import (BundleModel, SingularPointError, SpectralData,
                        fourier_gap, jumping_points, nahm_weights,
                        phi_residue)
-from .stability import (ExtensionBundleSpec, StabilityVerdict, SubsheafSpec,
-                        alpha_stable_extension, existence_obstruction,
-                        h0_consistency, h0_total, parabolic_degree)
+from .stability import (StabilityVerdict, SubsheafSpec, alpha_stable_extension,
+                        existence_obstruction, h0_consistency, h0_total,
+                        parabolic_degree)
 from ._version import __version__

@@ -41,8 +41,8 @@ from .moduli import AnnulusCalculus, apply_complex_structure, \
     l2_metric, moduli_dimension, random_tangent, translation_tangents
 from .spectral import BundleModel, fourier_gap, in_hypothesis_region, \
     jumping_points, nahm_weights, phi_residue
-from .stability import ExtensionBundleSpec, alpha_stable_extension, \
-    existence_obstruction, h0_consistency
+from .stability import alpha_stable_extension, existence_obstruction, \
+    h0_consistency
 
 SCHEMA_VERSION = 1
 # the acceptance suite: (subcommand, config file under configs/)
@@ -183,17 +183,23 @@ _COMMON = {
 }
 
 _KIND = _choice("semisimple", choices=("semisimple", "nilpotent"))
-_MODEL = {"kind": _KIND, "lambda": _pair([0.0, 0.0]),
-          "mu": _pair([0.0, 0.0]), "alpha": _alpha(0.0)}
-_MODELS = {
-    "models": _list([], item=_object({**_MODEL, "domain": _domain()}),
-                    min_len=0),
-    "model_grid": _object({"kind": _KIND,
-                           "lambda": _list(_REQUIRED, item=_pair()),
-                           "mu": _list(_REQUIRED, item=_pair()),
-                           "alpha": _list(_REQUIRED, item=_alpha()),
-                           "domain": _domain()}),
-}
+# a semisimple model's parameters; the moduli model is always semisimple
+_MODEL = {"lambda": _pair([0.0, 0.0]), "mu": _pair([0.0, 0.0]),
+          "alpha": _alpha(0.0)}
+
+
+def _models(**extra) -> dict:
+    """The "models" list and "model_grid" block, each with a kind, the
+    model parameters and the extra keys."""
+    return {
+        "models": _list([], item=_object({"kind": _KIND, **_MODEL, **extra}),
+                        min_len=0),
+        "model_grid": _object({"kind": _KIND,
+                               "lambda": _list(_REQUIRED, item=_pair()),
+                               "mu": _list(_REQUIRED, item=_pair()),
+                               "alpha": _list(_REQUIRED, item=_alpha()),
+                               **extra}),
+    }
 
 
 def _validator(schema: dict, rules=None):
@@ -221,8 +227,8 @@ def _bundle(b: dict, torus: TorusSpec, name: str) -> BundleModel:
     """The BundleModel of a parsed bundle block; its own checks (the
     fibers must stay near the asymptotic splitting) become config errors."""
     try:
-        return BundleModel(lam=b["lambda"], mu=b["mu"], tail=b.get("tail", ()),
-                           r_min=b["r_min"], k=b["k"], torus=torus)
+        return BundleModel(lam=b["lambda"], mu=b["mu"], r_min=b["r_min"],
+                           k=b["k"], torus=torus)
     except ValueError as e:
         raise ConfigError(f"{name}: {e}")
 
@@ -252,20 +258,21 @@ def _nilpotent_rule(params: dict) -> None:
                 f"{path} must be 0: the nilpotent model has no parameters")
 
 
-def _model(m: dict) -> ModelParams:
+def _model(m: dict, kind: str = "semisimple") -> ModelParams:
     return ModelParams(lam=m["lambda"], mu=m["mu"], alpha=m["alpha"],
-                       kind=m["kind"])
+                       kind=kind)
 
 
 def _expand_models(params: dict) -> list:
     """(ModelParams, domain) for the explicit "models" list, then for the
     (lambda, mu, alpha) product of the optional "model_grid" block, in
-    deterministic order; a domain is None where the config gives none."""
-    out = [(_model(m), m["domain"]) for m in params["models"]]
+    deterministic order; a domain is None where the config gives none, and
+    always for invariants, whose schema has no domain."""
+    out = [(_model(m, m["kind"]), m.get("domain")) for m in params["models"]]
     grid = params["model_grid"]
     if grid is not None:
         out += [(ModelParams(lam=lam, mu=mu, alpha=alpha, kind=grid["kind"]),
-                 grid["domain"])
+                 grid.get("domain"))
                 for lam in grid["lambda"] for mu in grid["mu"]
                 for alpha in grid["alpha"]]
     return out
@@ -355,14 +362,13 @@ _R_MIN = {"semisimple": models.DEFAULT_SEMISIMPLE_R_MIN,
 
 
 _MODEL_CHECK = {
-    **_MODELS,
+    **_models(domain=_domain()),
     "n_points": _integer(1000, minimum=1),
     "tolerances": _object({"asd_residual": _positive(1e-8),
                            "nilpotent_residual": _positive(1e-6)}, {}),
     "decay": _object({
         "exponent_window": _positive(0.05),
         "log_power_window": _positive(0.3),
-        "components": _choice("kahler", choices=("all", "kahler")),
         "rings_semisimple": _radii(np.geomspace(20.0, 500.0, 8).tolist(),
                                    min_len=6),
         "rings_nilpotent": _radii(
@@ -455,8 +461,10 @@ def _run_model_check(params: dict):
             continue
         tag = _model_tag(j, p)
         rings = d[f"rings_{p.kind}"]
+        # the nilpotent fit reads the Kahler pair, exactly 4 / (2 r ln r)^2;
+        # the full norm carries an extra factor of about ln r
         fit = decay_exponent(model_connection(p, torus), rings,
-                             components="all" if semi else d["components"],
+                             components="all" if semi else "kahler",
                              with_log=not semi)
         checks.append(_leq_check(f"decay_exponent_dev_{tag}",
                                  abs(fit["gamma"] + 2.0),
@@ -633,7 +641,7 @@ def _rayleigh_quotients(gamma: DualTorusPoint | None,
 # invariants
 
 _INVARIANTS = {
-    **_MODELS,
+    **_models(),
     "rings": _radii([50.0, 100.0, 200.0, 400.0], min_len=4),
     "tolerances_clean": _object({"lambda": _positive(1e-4),
                                  "alpha": _positive(1e-6),
@@ -736,7 +744,6 @@ def _run_invariants(params: dict):
 
 _SPECTRAL = {
     "bundle": _object({"lambda": _pair([0.0, 0.0]), "mu": _pair([1.0, 0.0]),
-                       "tail": _list([], item=_pair(), min_len=0),
                        "r_min": _positive(5.0), "k": _integer(1, minimum=1)},
                       _REQUIRED),
     "domain": _domain(),  # default [bundle.r_min, 1e4]
@@ -912,8 +919,6 @@ _STABILITY = {
     "family": _object({
         "b_values": _list([1, 2, 3, 4, 5], item=_integer(minimum=1)),
         "alpha_values": _list([-0.4, -0.2, 0.0, 0.2, 0.4], item=_alpha()),
-        "xi0": _pair([0.3, 0.2]),
-        "k": _integer(1, minimum=1),
     }),
     "obstructions": _list(item=_object({
         "k": _integer(1, minimum=1),
@@ -947,13 +952,11 @@ def _run_stability(params: dict):
 
     if params["family"] is not None:
         f = params["family"]
-        xi0 = reduce_dual((f["xi0"].real, f["xi0"].imag), torus)
         n_unstable = 0
         n_total = 0
         for bval in f["b_values"]:
-            spec = ExtensionBundleSpec(xi0=xi0, b=bval, k=f["k"])
             for alpha in f["alpha_values"]:
-                v = alpha_stable_extension(spec, alpha)
+                v = alpha_stable_extension(bval, alpha)
                 n_total += 1
                 n_unstable += v.verdict == "unstable"
                 verdicts["family"].append({
@@ -1000,8 +1003,8 @@ def _run_stability(params: dict):
 # moduli
 
 _MODULI = {
-    "model": _object(_MODEL, {"kind": "semisimple", "lambda": [0.1, 0.05],
-                              "mu": [0.3, -0.2], "alpha": 0.15}),
+    "model": _object(_MODEL, {"lambda": [0.1, 0.05], "mu": [0.3, -0.2],
+                              "alpha": 0.15}),
     "grid": _object({"r_min": _positive(8.0), "r_max": _positive(40.0),
                      "n_r": _integer(20, minimum=4),
                      "n_theta": _integer(12, minimum=4),
@@ -1017,8 +1020,6 @@ _MODULI = {
 
 def _moduli_rules(cfg: dict, params: dict) -> None:
     _require_seed(cfg)
-    _expect(params["model"]["kind"] == "semisimple",
-            "moduli tangent checks need a semisimple model")
     _expect(params["model"]["mu"] != 0,
             "model.mu must be nonzero: at mu = 0 the semisimple model is "
             "flat (F = 0), so both translation tangents vanish")

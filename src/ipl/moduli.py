@@ -313,9 +313,9 @@ def apply_complex_structure(a: TangentVectorInstanton,
     P = np.zeros((ct.size, 4, 4))
     P[:, 0, 2] = P[:, 1, 3] = 1.0
     P[:, 2, 0], P[:, 2, 1], P[:, 3, 0], P[:, 3, 1] = ct, -st, st, ct
-    # the frame action P^T I^T P at each angle, contracted on the float
+    # the frame action P^T I P at each angle, contracted on the float
     # view without BLAS, as in _along
-    M = np.einsum("tji,kj,tkl->til", P, I, P)
+    M = np.einsum("tji,jk,tkl->til", P, I, P)
     f = np.ascontiguousarray(a.comps).view(float).reshape(
         4, a.grid.n_r, a.grid.n_theta, -1)
     comps = np.einsum("tzb,brtk->zrtk", M, f, order="C")

@@ -22,33 +22,29 @@ class SingularPointError(ValueError):
 
 @dataclass(frozen=True)
 class BundleModel:
-    """Rank-2 fiberwise-split model bundle with exponent
-    zeta(w) = lam + mu/w + tail[0]/w^2 + tail[1]/w^3 + ...
+    """Rank-2 fiberwise-split model bundle with the rational exponent
+    zeta(w) = lam + mu/w: its Higgs field has simple poles at the two
+    asymptotic states, and each jumping point is a simple root.
 
-    Valid for |w| >= r_min; r_min must keep |zeta(w) - lam| under the
-    dual-lattice covering radius so fibers stay close to the asymptotic
-    splitting."""
+    Valid for |w| >= r_min; r_min must keep |zeta(w) - lam| = |mu|/|w|
+    under the dual-lattice covering radius so fibers stay close to the
+    asymptotic splitting."""
     lam: complex
     mu: complex
     r_min: float
     k: int
     torus: TorusSpec
-    tail: tuple = ()
 
     def __post_init__(self):
         if self.r_min <= 0:
             raise ValueError("r_min must be positive")
         if self.k < 1:
             raise ValueError("declared charge k must be >= 1")
-        dev = abs(self.mu) / self.r_min
-        for j, c in enumerate(self.tail):
-            dev += abs(c) / self.r_min ** (j + 2)
-        if dev >= covering_radius(self.torus):
+        if abs(self.mu) / self.r_min >= covering_radius(self.torus):
             raise ValueError("zeta deviates from lam by more than the "
                              "dual-lattice covering radius on |w| >= r_min")
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "mu", complex(self.mu))
-        object.__setattr__(self, "tail", tuple(complex(c) for c in self.tail))
 
     def state_distances(self, xi: DualTorusPoint) -> tuple[float, float]:
         """Distances from +zeta(xi) and from -zeta(xi) to lam modulo the
@@ -57,10 +53,6 @@ class BundleModel:
         z = xi.zeta
         return tuple(lattice_distance(sgn * z - self.lam, self.torus)
                      for sgn in (+1.0, -1.0))
-
-    def coeffs_low_to_high(self) -> np.ndarray:
-        """(lam, mu, tail...) as polynomial coefficients in u = 1/w."""
-        return np.array([self.lam, self.mu, *self.tail], dtype=complex)
 
 
 @dataclass
@@ -73,44 +65,13 @@ class SpectralData:
         return sum(m for _, m in self.points)
 
 
-def _roots_in_annulus(coeffs, target, r_lo, r_hi):
-    """Roots of zeta(w) = target with zeta given by coeffs in u = 1/w,
-    restricted to r_lo <= |w| <= r_hi; returns [(w, mult)], roots within a
-    relative 1e-9 of each other counted as one of higher multiplicity."""
-    poly = coeffs.copy()
-    poly[0] -= target
-    # polynomial in u, highest-degree-first for np.roots
-    rev = poly[::-1]
-    nz = np.nonzero(np.abs(rev) > 1e-14)[0]
-    if nz.size == 0 or nz[0] == rev.size - 1:
-        return []  # constant nonzero, or identically shifted zero handled upstream
-    rev = rev[nz[0]:]
-    us = np.roots(rev)
-    ws = []
-    for u in us:
-        if abs(u) < 1e-300:
-            continue
-        w = 1.0 / u
-        if r_lo - 1e-9 <= abs(w) <= r_hi + 1e-9:
-            ws.append(w)
-    # cluster near-coincident roots into multiplicities
-    out = []
-    for w in sorted(ws, key=lambda z: (z.real, z.imag)):
-        for i, (w0, m0) in enumerate(out):
-            if abs(w - w0) <= 1e-9 * max(1.0, abs(w0)):
-                out[i] = ((w0 * m0 + w) / (m0 + 1), m0 + 1)
-                break
-        else:
-            out.append((w, 1))
-    return out
-
-
 def jumping_points(bundle: BundleModel, xi: DualTorusPoint, domain,
                    branch: str, singular_tol: float = 1e-9) -> SpectralData:
     """Fiberwise-trivial locus: solves zeta(w) = (+-)zeta(xi) modulo the
-    dual lattice on the annulus domain = (r_lo, r_hi). The returned w are
-    the eigenvalues of the transformed Higgs field at xi; multiplicity from
-    root order.
+    dual lattice on the annulus domain = (r_lo, r_hi). Each lattice
+    translate target of (+-)zeta(xi) gives at most the one root
+    w = mu / (target - lam), a simple eigenvalue of the transformed Higgs
+    field at xi, so every multiplicity is 1.
 
     branch: 'plus', 'minus', or 'both' (which eigenline of the split fiber
     the twist trivializes).
@@ -124,21 +85,30 @@ def jumping_points(bundle: BundleModel, xi: DualTorusPoint, domain,
     if min(bundle.state_distances(xi)) < singular_tol:
         raise SingularPointError(
             "xi coincides with an asymptotic state (Higgs field pole)")
+    lam, mu = bundle.lam, bundle.mu
+    if abs(mu) <= 1e-14:
+        return SpectralData(xi=xi, points=())  # zeta is constant: no root
     zx = xi.zeta
-    coeffs = bundle.coeffs_low_to_high()
-    scale = abs(bundle.mu) + sum(abs(c) for c in bundle.tail)
     signs = {"plus": (+1.0,), "minus": (-1.0,), "both": (+1.0, -1.0)}[branch]
     points = []
     for sgn in signs:
         target0 = sgn * zx
         # admissible translates keep |target + omega - lam| small enough
         # that the root can lie inside |w| <= r_hi yet beyond r_lo
-        radius = 1.2 * scale / r_lo + 1e-12
-        for omega in lattice_translates(bundle.lam - target0, radius, torus):
+        radius = 1.2 * abs(mu) / r_lo + 1e-12
+        for omega in lattice_translates(lam - target0, radius, torus):
             target = target0 + omega
-            if abs(target - bundle.lam) * r_hi < 0.5 * abs(bundle.mu):
+            if abs(target - lam) * r_hi < 0.5 * abs(mu):
                 continue  # root beyond the outer radius (or at the pole)
-            points.extend(_roots_in_annulus(coeffs, target, r_lo, r_hi))
+            # u = 1/w solves lam + mu u = target. numpy's complex128
+            # division: Python's complex division rounds differently in
+            # the last bit for about 2 in 5 operands
+            u = np.complex128(target - lam) / mu
+            if abs(u) < 1e-300:
+                continue
+            w = 1.0 / u
+            if r_lo - 1e-9 <= abs(w) <= r_hi + 1e-9:
+                points.append((w, 1))
     points.sort(key=lambda pm: (abs(pm[0]), pm[0].real, pm[0].imag))
     return SpectralData(xi=xi, points=tuple(points))
 

@@ -12,19 +12,6 @@ from .spectral import BundleModel, jumping_points
 
 
 @dataclass(frozen=True)
-class ExtensionBundleSpec:
-    """Extension of an ideal-sheaf twist, of length k, by a flat-times-O(b)
-    line bundle."""
-    xi0: DualTorusPoint
-    b: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
 class SubsheafSpec:
     """Line subsheaf data: twist degree along the rational direction and
     which eigenline of the split infinity fiber its restriction lands in
@@ -55,14 +42,15 @@ def parabolic_degree(sub: SubsheafSpec, alpha: float) -> float:
     return sub.d_inf + sign * alpha
 
 
-def alpha_stable_extension(spec: ExtensionBundleSpec,
-                           alpha: float) -> StabilityVerdict:
-    """Evaluates the canonical destabilizing candidate: the extension's own
-    line subbundle, of twist degree b, restricting at infinity to the plus
-    asymptotic eigenline (side minus). Positive parabolic degree certifies
-    instability; otherwise no verdict of stability is claimed, only that
-    this family contains no destabilizer."""
-    witness = SubsheafSpec(d_inf=spec.b, side="minus")
+def alpha_stable_extension(b: int, alpha: float) -> StabilityVerdict:
+    """Evaluates the canonical destabilizing candidate of the extension of
+    an ideal-sheaf twist by a flat-times-O(b) line bundle: the extension's
+    own line subbundle, of twist degree b, restricting at infinity to the
+    plus asymptotic eigenline (side minus). Its parabolic degree depends on
+    b and alpha alone, not on the twist's point or length. Positive
+    parabolic degree certifies instability; otherwise no verdict of
+    stability is claimed, only that this family contains no destabilizer."""
+    witness = SubsheafSpec(d_inf=b, side="minus")
     deg = parabolic_degree(witness, alpha)
     verdict = "unstable" if deg > 0 else "no_destabilizer_found"
     return StabilityVerdict(verdict=verdict, witness=witness,

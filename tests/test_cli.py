@@ -608,6 +608,21 @@ def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
      "model_grid.alpah"),
     ("invariants", {"schema_version": 1, "models": [{"mu": [1.0, 0.0]}],
                     "tolerances": {"mu": 2e-4}}, "tolerances"),
+    # keys that changed no result, removed from the schemas
+    ("spectral", {**SPECTRAL_CFG, "bundle": {**SPECTRAL_CFG["bundle"],
+                                             "tail": [[1.0, 0.0]]}},
+     "bundle.tail"),
+    ("model-check", {**SEEDED, "models": [{"kind": "nilpotent"}],
+                     "decay": {"components": "kahler"}}, "decay.components"),
+    ("invariants", {"schema_version": 1, "models": [
+        {"mu": [1.0, 0.0], "domain": [50.0, 400.0]}]}, "models[0].domain"),
+    ("invariants", {"schema_version": 1, "model_grid": {
+        "lambda": [[0, 0]], "mu": [[1, 0]], "alpha": [0.0],
+        "domain": [300.0, 301.0]}}, "model_grid.domain"),
+    ("stability", {"schema_version": 1, "family": {"xi0": [0.3, 0.2]}},
+     "family.xi0"),
+    ("stability", {"schema_version": 1, "family": {"k": 1}}, "family.k"),
+    ("moduli", {**SEEDED, "model": {"kind": "semisimple"}}, "model.kind"),
 ])
 def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, subcommand,
                                              cfg, path):

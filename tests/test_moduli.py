@@ -234,6 +234,20 @@ def test_l2_metric_symmetry_positivity_isometry():
         assert l2_metric(aI, aI) == pytest.approx(base, rel=1e-12)
 
 
+def test_complex_structure_acts_as_its_matrix():
+    # I1 maps z1 (torus-x) to +z2 (torus-y): a tangent whose only component
+    # is i sigma_1 in the torus-x slot comes back as +i sigma_1 in torus-y
+    grid = AnnulusGrid(8.0, 40.0, n_r=4, n_theta=4, n_x=4, n_y=4)
+    comps = np.zeros((4, 4, 4, 4, 4, 2, 2), dtype=complex)
+    comps[2] = [[0, 1j], [1j, 0]]
+    I1, _, _ = complex_structures()
+    got = apply_complex_structure(
+        TangentVectorInstanton(grid=grid, comps=comps, torus=TORUS), I1).comps
+    want = np.zeros_like(comps)
+    want[3] = comps[2]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("lead", [(), (3,), (4,), (6,)])
 def test_l2_pairing_matches_the_complex_einsum(lead):
     # sections (n_r, ...) and stacked fields (k, n_r, ...) alike

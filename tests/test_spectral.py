@@ -26,12 +26,10 @@ def total_multiplicity(data):
 
 
 def test_bundle_model_validation():
-    # |mu|/r_min plus tail mass must stay below the dual covering radius
+    # |mu|/r_min must stay below the dual covering radius
     assert abs(BUNDLE.mu) / BUNDLE.r_min < covering_radius(TORUS)
     with pytest.raises(ValueError):
         BundleModel(lam=0.0, mu=1.0, r_min=2.0, k=1, torus=TORUS)
-    with pytest.raises(ValueError):
-        BundleModel(lam=0.0, mu=1.0, tail=(40.0,), r_min=5.0, k=1, torus=TORUS)
     with pytest.raises(ValueError):
         BundleModel(lam=0.0, mu=1.0, r_min=5.0, k=0, torus=TORUS)
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ipl.geometry import DualTorusPoint, TorusSpec, xi_from_zeta
 from ipl.stability import (
     BundleModel,
-    ExtensionBundleSpec,
     SubsheafSpec,
     alpha_stable_extension,
     existence_obstruction,
@@ -36,29 +35,22 @@ def test_parabolic_degree_validation():
         parabolic_degree(SubsheafSpec(1, "minus"), -0.6)
 
 
-def test_extension_spec_defaults_and_validation():
-    with pytest.raises(ValueError):
-        ExtensionBundleSpec(XI_GENERIC, b=0, k=0)
-
-
 def test_positive_twist_family_is_never_stable():
     # the distinguished line subsheaf has parabolic degree b - alpha > 0
     # for every b >= 1 and every admissible alpha
     for b in range(1, 6):
         for alpha in (-0.4, -0.2, 0.0, 0.2, 0.4):
-            v = alpha_stable_extension(ExtensionBundleSpec(XI_GENERIC, b=b, k=1),
-                                       alpha)
+            v = alpha_stable_extension(b, alpha)
             assert v.verdict == "unstable"
             assert v.witness == SubsheafSpec(b, "minus")
             assert v.witness_degree == pytest.approx(b - alpha)
 
 
 def test_zero_twist_depends_on_alpha_sign():
-    spec = ExtensionBundleSpec(XI_GENERIC, b=0, k=1)
-    ok = alpha_stable_extension(spec, 0.2)
+    ok = alpha_stable_extension(0, 0.2)
     assert ok.verdict == "no_destabilizer_found"
     assert ok.witness_degree == pytest.approx(-0.2)
-    bad = alpha_stable_extension(spec, -0.2)
+    bad = alpha_stable_extension(0, -0.2)
     assert bad.verdict == "unstable"
     assert bad.witness_degree == pytest.approx(0.2)
 
