@@ -746,7 +746,7 @@ _SPECTRAL = {
     "bundle": _object({"lambda": _pair([0.0, 0.0]), "mu": _pair([1.0, 0.0]),
                        "r_min": _positive(5.0), "k": _integer(1, minimum=1)},
                       _REQUIRED),
-    "domain": _domain(),  # default [bundle.r_min, 1e4]
+    "domain": _domain(),  # counting's; default [bundle.r_min, 1e4]
     "counting": _object({"n_samples": _integer(100, minimum=1),
                          "radius": _domain([0.005, 0.02]),
                          # default bundle.k
@@ -766,11 +766,11 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
         _require_seed(cfg)
     b = params["bundle"] = _bundle(params["bundle"], params["torus"],
                                    "bundle")
-    if params["domain"] is None:
-        params["domain"] = (b.r_min, 1e4)
-    _expect(params["domain"][0] >= b.r_min,
-            "domain must start at or beyond bundle.r_min")
     if params["counting"] is not None:
+        if params["domain"] is None:
+            params["domain"] = (b.r_min, 1e4)
+        _expect(params["domain"][0] >= b.r_min,
+                "domain must start at or beyond bundle.r_min")
         _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
         if params["counting"]["expected_total"] is None:
             params["counting"]["expected_total"] = b.k
@@ -1072,7 +1072,7 @@ def _run_moduli(params: dict):
     grid = AnnulusGrid(**params["grid"])
     conn = model_connection(_model(params["model"]), torus)
     calc = AnnulusCalculus(conn, grid)
-    tx, ty = translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0)))
+    tx, ty = translation_tangents(calc, np.eye(4)[2:])  # the plane: w1, w2
     tangents = [("translation_x", tx), ("translation_y", ty)]
     for j in range(params["n_random_tangents"]):
         tangents.append((f"random{j}", random_tangent(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -122,18 +122,30 @@ def _field_strength(a, d, pairs) -> np.ndarray:
     return out
 
 
-def self_dual_part(sample: CurvatureSample) -> np.ndarray:
-    """Coefficients (c1, c2, c3) of F on the self-dual basis, shape (...,3,2,2)."""
-    fh = sample.unit_frame()
-    c1 = 0.5 * (fh[..., 0, :, :] + fh[..., 5, :, :])
-    c2 = 0.5 * (fh[..., 1, :, :] - fh[..., 4, :, :])
-    c3 = 0.5 * (fh[..., 2, :, :] + fh[..., 3, :, :])
-    return np.stack([c1, c2, c3], axis=-3)
+def self_dual(f: np.ndarray, axis: int = -3) -> np.ndarray:
+    """Coefficients (c1, c2, c3) on the self-dual basis of the 2-form with
+    six unit-frame components f in PAIRS order along `axis`."""
+    f = np.moveaxis(f, axis, 0)
+    return np.stack([f[0] + f[5], f[1] - f[4], f[2] + f[3]], axis=axis) * 0.5
+
+
+def interior(f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """i_v F (..., 4, 2, 2), entry j = sum_i v_i F_ij, for the 2-form f
+    (..., 6, 2, 2) in PAIRS order and vectors v (..., 4) broadcast to its
+    leading axes; a component of v that is zero everywhere is skipped."""
+    f = np.ascontiguousarray(np.moveaxis(f, -3, 0))  # whole slots, unstrided
+    out = np.zeros((4,) + f.shape[1:], dtype=complex)
+    for k, (i, j) in enumerate(PAIRS):
+        if np.any(v[..., i]):
+            out[j] += v[..., i, None, None] * f[k]
+        if np.any(v[..., j]):
+            out[i] -= v[..., j, None, None] * f[k]
+    return np.moveaxis(out, 0, -3)
 
 
 def asd_residual(conn: ConnectionSource, points) -> np.ndarray:
     """Pointwise |F^+| (Frobenius aggregate over the self-dual coefficients)."""
-    c = self_dual_part(curvature(conn, points))
+    c = self_dual(curvature(conn, points).unit_frame())
     return np.sqrt(2.0 * np.sum(_su2.frob(c) ** 2, axis=-1))
 
 
@@ -222,20 +234,20 @@ def _magnus_product(b: np.ndarray) -> np.ndarray:
     return _su2.project_su2(steps[0])
 
 
+def line_paths(starts, delta, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-node samples and tangents, each (steps, 2, B, 4), of the paths
+    start + t delta, t in [0, 1], from each start (B, 4) along delta (4 or
+    (B, 4)), for `steps` Magnus steps of `_path_ordered_product`."""
+    pts = starts + _step_times(steps)[..., None, None] * delta
+    return pts, np.broadcast_to(delta, pts.shape)
+
+
 def circle_paths(torus: TorusSpec, kind: str, bases: np.ndarray,
                  steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-node samples and tangents, each (steps, 2, B, 4), of the
-    coordinate circles of one kind ('x', 'y' or 'theta') through each base
-    point, for `steps` Magnus steps of `_path_ordered_product`."""
-    bases = np.asarray(bases, dtype=float)
-    t = _step_times(steps)
-    axis = {"theta": 1, "x": 2, "y": 3}[kind]
-    period = {"theta": TWO_PI, "x": torus.period_x, "y": torus.period_y}[kind]
-    pts = np.broadcast_to(bases, t.shape + bases.shape).copy()
-    pts[..., axis] += period * t[..., None]
-    tans = np.zeros_like(pts)
-    tans[..., axis] = period
-    return pts, tans
+    """`line_paths` once around the coordinate circles of one kind ('x',
+    'y' or 'theta') through each base point."""
+    delta = np.diag((0.0, TWO_PI, torus.period_x, torus.period_y))
+    return line_paths(bases, delta[{"theta": 1, "x": 2, "y": 3}[kind]], steps)
 
 
 def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
@@ -258,11 +270,8 @@ def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,
     waypoint k to waypoint k+1.
     """
     waypoints = np.asarray(waypoints, dtype=float)
-    t = _step_times(steps_per_seg)
-    a, b = waypoints[:-1], waypoints[1:]
-    pts = a + t[..., None, None] * (b - a)  # (steps_per_seg, 2, m-1, 4)
-    tans = np.broadcast_to(b - a, pts.shape)
-    return _path_ordered_product(conn, pts, tans)
+    return _path_ordered_product(conn, *line_paths(
+        waypoints[:-1], waypoints[1:] - waypoints[:-1], steps_per_seg))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +303,7 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
 
     # every circle in the family, batched over t, at its Gauss nodes
     base = origin + ts[:, None] * dphi_dt  # (n_t, 4)
-    pts = base + _step_times(DRIFT_STEPS)[..., None, None] * dphi_ds
-    tans = np.broadcast_to(dphi_ds, pts.shape)  # (DRIFT_STEPS, 2, n_t, 4)
+    pts, tans = line_paths(base, dphi_ds, DRIFT_STEPS)
     conn.check_domain(pts)
     a = conn.evaluate(pts)
     m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
@@ -381,9 +389,6 @@ class TrigRadialTerm:
     modes: tuple  # (p, n, m) integers
     phases: tuple = (0.0, 0.0, 0.0)
 
-    def poly(self) -> np.polynomial.Polynomial:
-        return np.polynomial.Polynomial(self.radial_coeffs)
-
 
 @dataclass(frozen=True)
 class SeparableOneForm:
@@ -402,9 +407,12 @@ def _term_factors(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
     its exact derivative, sampled on the r, theta, x and y nodes."""
     def trig(k, s, ph):
         return np.cos(k * s + ph), -k * np.sin(k * s + ph)
-    (p, n, m), ph = term.modes, term.phases
-    f = term.poly()
-    return ((f(rs), f.deriv()(rs)), trig(p, th, ph[0]),
+    def horner(c):  # in numpy's polyval order
+        return reduce(lambda acc, ck: acc * rs + ck, c[-2::-1],
+                      np.full_like(rs, c[-1]))
+    c, (p, n, m), ph = term.radial_coeffs, term.modes, term.phases
+    dc = [k * c[k] for k in range(1, len(c))] or [0.0]
+    return ((horner(c), horner(dc)), trig(p, th, ph[0]),
             trig(TWO_PI * n / torus.period_x, xs, ph[1]),
             trig(TWO_PI * m / torus.period_y, ys, ph[2]))
 
@@ -552,13 +560,12 @@ def random_quadratic_form_fixture(rng, r_outer: float) -> SeparableOneForm:
     for _ in range(4):
         comp = int(rng.integers(1, 4))
         coeffs = rng.normal(size=3)
-        poly = np.polynomial.Polynomial(coeffs)
         if comp == 1:
-            poly = poly * np.polynomial.Polynomial([-r_outer, 1.0])
+            coeffs = np.convolve(coeffs, [-r_outer, 1.0])
         mat = _su2.from_vector(rng.normal(size=3))
         modes = tuple(int(v) for v in rng.integers(-2, 3, size=3))
         phases = tuple(float(v) for v in rng.uniform(0, TWO_PI, size=3))
         terms.append(TrigRadialTerm(component=comp, matrix=tuple(map(tuple, mat)),
-                                    radial_coeffs=tuple(poly.coef), modes=modes,
+                                    radial_coeffs=tuple(coeffs), modes=modes,
                                     phases=phases))
     return SeparableOneForm(terms=tuple(terms))

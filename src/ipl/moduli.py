@@ -18,7 +18,8 @@ from functools import cache
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, DomainError, PAIRS, curvature
+from .gauge import ConnectionSource, DomainError, PAIRS, curvature, \
+    interior, self_dual
 from .geometry import TWO_PI, AnnulusGrid, TorusSpec
 
 
@@ -228,9 +229,7 @@ class AnnulusCalculus:
         return np.stack(out, axis=0)
 
     def sd_part(self, f6: np.ndarray) -> np.ndarray:
-        return np.stack([(f6[0] + f6[5]) / 2.0,
-                         (f6[1] - f6[4]) / 2.0,
-                         (f6[2] + f6[3]) / 2.0], axis=0)
+        return self_dual(f6, axis=0)
 
     def dplus(self, a: np.ndarray) -> np.ndarray:
         return self.sd_part(self.d1(a))
@@ -254,27 +253,25 @@ def instanton_tangent_residual(a: TangentVectorInstanton,
     return calc.norm(calc.dstar(a.comps)), calc.norm(calc.dplus(a.comps))
 
 
+def _cartesian_from_frame(thetas: np.ndarray) -> np.ndarray:
+    """P[t]: the frame (r, theta, x, y) at thetas[t] to (z1, z2, w1, w2)."""
+    ct, st = np.cos(thetas), np.sin(thetas)
+    P = np.zeros((ct.size, 4, 4))
+    P[:, 0, 2] = P[:, 1, 3] = 1.0
+    P[:, 2, 0], P[:, 2, 1], P[:, 3, 0], P[:, 3, 1] = ct, -st, st, ct
+    return P
+
+
 def translation_tangents(calc: AnnulusCalculus,
                          directions) -> list[TangentVectorInstanton]:
-    """Moduli directions from plane translations, one per (c1, c2) of
-    directions: the curvature of calc.conn on calc's grid, sampled once and
-    contracted with each translation vector field, in frame components."""
+    """Moduli directions from translations, one per constant vector d =
+    (z1, z2, w1, w2) of directions: the curvature of calc.conn on calc's
+    grid, sampled once, contracted with d's frame components P^T d."""
     F = curvature(calc.conn, calc.points).unit_frame()  # (..., 6, 2, 2)
-    F = np.moveaxis(F, -3, 0)
-    T = calc.points[..., 1, None, None]
-    cos_t, sin_t = np.cos(T), np.sin(T)
-    out = []
-    for c1, c2 in directions:
-        vr = c1 * cos_t + c2 * sin_t
-        vt = -c1 * sin_t + c2 * cos_t
-        a_r = -vt * F[0]
-        a_t = vr * F[0]
-        a_x = vr * F[1] + vt * F[3]
-        a_y = vr * F[2] + vt * F[4]
-        comps = np.stack([a_r, a_t, a_x, a_y], axis=0)
-        out.append(TangentVectorInstanton(grid=calc.grid, comps=comps,
-                                          torus=calc.torus))
-    return out
+    P = _cartesian_from_frame(calc.grid.thetas)
+    frames = np.einsum("tji,dj->dti", P, directions)[:, :, None, None]
+    return [TangentVectorInstanton(calc.grid, np.moveaxis(interior(F, v), -3, 0),
+                                   calc.torus) for v in frames]
 
 
 def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
@@ -308,11 +305,7 @@ def apply_complex_structure(a: TangentVectorInstanton,
     an isometry of the L2 metric since the matrices are orthogonal. The
     frame components are rotated through Cartesian components ordered
     (z1, z2, w1, w2) = (torus-x, torus-y, plane-1, plane-2)."""
-    ct, st = np.cos(a.grid.thetas), np.sin(a.grid.thetas)
-    # P[t]: frame (r, theta, x, y) -> Cartesian components at angle t
-    P = np.zeros((ct.size, 4, 4))
-    P[:, 0, 2] = P[:, 1, 3] = 1.0
-    P[:, 2, 0], P[:, 2, 1], P[:, 3, 0], P[:, 3, 1] = ct, -st, st, ct
+    P = _cartesian_from_frame(a.grid.thetas)
     # the frame action P^T I P at each angle, contracted on the float
     # view without BLAS, as in _along
     M = np.einsum("tji,jk,tkl->til", P, I, P)

@@ -584,6 +584,8 @@ SEEDED = {"schema_version": 1, "seed": 1}
         "lambda": [0.1, 0.05], "mu": [0, 0], "alpha": 0.15}}, "model.mu"),
     ("moduli", {**SEEDED, "grid": {"r_min": 0.0005, "r_max": 40.0}},
      "grid.r_min"),
+    # a counting domain must keep to the bundle's radii
+    ("spectral", {**SPECTRAL_CFG, "domain": [1.0, 10.0]}, "domain"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
@@ -591,6 +593,17 @@ def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
     assert rc == 2
     assert not out.exists()
     assert f"config error: {path} " in capsys.readouterr().err
+
+
+def test_spectral_domain_binds_only_counting(tmp_path):
+    # only the counting scan reads domain, so a config without a counting
+    # block runs whatever domain it gives
+    cfg = {**SEEDED, "bundle": {"lambda": [0.11, 0.07], "mu": [1, 0],
+                                "r_min": 5, "k": 1},
+           "domain": [1, 10], "dichotomy": {}}
+    rc, out = main_in(tmp_path, "spectral", cfg)
+    assert rc == 0
+    assert (out / "spectral_report.json").exists()
 
 
 @pytest.mark.parametrize("subcommand, cfg, path", [

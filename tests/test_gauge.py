@@ -19,15 +19,17 @@ from ipl.gauge import (
     SeparableOneForm,
     TrigRadialTerm,
     _path_ordered_product,
-    _step_times,
+    _term_factors,
     circle_holonomies,
     curvature,
     curvature_norm,
     flat_connection,
+    interior,
+    line_paths,
     monodromy_drift_defect,
     random_quadratic_form_fixture,
     segment_transports,
-    self_dual_part,
+    self_dual,
     weitzenbock_defect,
 )
 from ipl.geometry import TorusSpec, reduce_dual
@@ -168,13 +170,31 @@ def test_self_dual_projection_matches_hand_formula():
     pts = rand_points(np.random.default_rng(3), 8)
     sample = curvature(conn, pts)
     fh = sample.unit_frame()
-    c = self_dual_part(sample)
+    c = self_dual(fh)
     assert np.allclose(c[..., 0, :, :],
                        0.5 * (fh[..., 0, :, :] + fh[..., 5, :, :]))
     assert np.allclose(c[..., 1, :, :],
                        0.5 * (fh[..., 1, :, :] - fh[..., 4, :, :]))
     assert np.allclose(c[..., 2, :, :],
                        0.5 * (fh[..., 2, :, :] + fh[..., 3, :, :]))
+
+
+def test_interior_matches_the_dense_contraction():
+    # F as the antisymmetric 4 x 4 array of its PAIRS entries, contracted
+    # on its first index in index order; a zero component of v is skipped
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=(5, 6, 2, 2)) + 1j * rng.normal(size=(5, 6, 2, 2))
+    dense = np.zeros((5, 4, 4, 2, 2), dtype=complex)
+    for k, (i, j) in enumerate(PAIRS):
+        dense[:, i, j], dense[:, j, i] = f[:, k], -f[:, k]
+    for zero in (None, 0, 2):
+        v = rng.normal(size=(5, 4))
+        if zero is not None:
+            v[:, zero] = 0.0
+        want = np.zeros((5, 4, 2, 2), dtype=complex)
+        for i in range(4):
+            want += v[:, i, None, None, None] * dense[:, i]
+        assert np.array_equal(interior(f, v), want)
 
 
 def test_curvature_norm_component_split():
@@ -261,9 +281,8 @@ def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t):
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
     base = origin + ts[:, None] * dphi_dt
-    pts = base + _step_times(DRIFT_STEPS)[..., None, None] * dphi_ds
-    m_t = _path_ordered_product(conn, pts, np.broadcast_to(dphi_ds,
-                                                           pts.shape))
+    pts, tans = line_paths(base, dphi_ds, DRIFT_STEPS)
+    m_t = _path_ordered_product(conn, pts, tans)
     hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
     h = [_su2.EYE2]
     for hop in hops:
@@ -345,7 +364,8 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
             ct, st = np.cos(p * TH + ph[0]), np.sin(p * TH + ph[0])
             cx, sx = np.cos(kx * X + ph[1]), np.sin(kx * X + ph[1])
             cy, sy = np.cos(ky * Y + ph[2]), np.sin(ky * Y + ph[2])
-            f, df = t.poly()(r), t.poly().deriv()(r)
+            poly = np.polynomial.Polynomial(t.radial_coeffs)
+            f, df = poly(r), poly.deriv()(r)
             if t.component == 1:  # unit frame: ahat = a_theta / r
                 f, df = f / r, df / r - f / r ** 2
             a = f * ct * cx * cy
@@ -393,6 +413,45 @@ def test_weitzenbock_matches_dense_tensor_grid_sum():
             assert got[key] == pytest.approx(
                 value, rel=1e-13, abs=1e-13 * ref["grad_sq"]), key
         n_theta_terms += sum(t.component == 1 for t in form.terms)
+    assert n_theta_terms > 0
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1.7,), (0.4, -1.3), (-0.2, 0.9, 0.05), (1.1, -0.3, 0.02, -7e-4)])
+def test_radial_factor_is_the_numpy_polynomial_bit_for_bit(coeffs):
+    # the profile and its derivative by Horner, in numpy's polyval order;
+    # the constant profile of the single-dx-mode closed form has f' = 0
+    rs = 6.0 + 3.0 * np.polynomial.legendre.leggauss(48)[0]
+    rng = np.random.default_rng(len(coeffs))
+    draws = [coeffs] + [tuple(rng.normal(size=len(coeffs)))
+                        for _ in range(50)]
+    for c in draws:
+        term = TrigRadialTerm(component=2, matrix=((1j, 0), (0, -1j)),
+                              radial_coeffs=c, modes=(1, 1, 0))
+        (f, df), *_ = _term_factors(term, rs, np.zeros(1), np.zeros(1),
+                                    np.zeros(1), TORUS)
+        poly = np.polynomial.Polynomial(c)
+        assert np.array_equal(f, poly(rs))
+        assert np.array_equal(df, poly.deriv()(rs))
+
+
+def test_fixture_profiles_are_the_numpy_polynomial_products():
+    # replays the fixture's draws: each dtheta profile is the drawn
+    # quadratic times r - r_outer, bit for bit the Polynomial product
+    rng, replay = np.random.default_rng(31), np.random.default_rng(31)
+    n_theta_terms = 0
+    for _ in range(20):
+        for t in random_quadratic_form_fixture(rng, 9.0).terms:
+            comp = int(replay.integers(1, 4))
+            poly = np.polynomial.Polynomial(replay.normal(size=3))
+            if comp == 1:
+                poly = poly * np.polynomial.Polynomial([-9.0, 1.0])
+                n_theta_terms += 1
+            replay.normal(size=3)
+            replay.integers(-2, 3, size=3)
+            replay.uniform(0, 2 * math.pi, size=3)
+            assert t.component == comp
+            assert t.radial_coeffs == tuple(poly.coef)
     assert n_theta_terms > 0
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ipl import _su2
 from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
-    flat_connection, self_dual_part
+    flat_connection, self_dual
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import (
     ModelParams,
@@ -79,7 +79,7 @@ def test_semisimple_chirality_split():
                             TORUS)
     pts = rand_points(np.random.default_rng(2), 20, 5.0, 200.0)
     sample = curvature(conn, pts)
-    assert np.max(np.abs(self_dual_part(sample))) < 1e-13
+    assert np.max(np.abs(self_dual(sample.unit_frame()))) < 1e-13
     fh = sample.unit_frame()
     d1 = 0.5 * (fh[:, 0, 0, 0] - fh[:, 5, 0, 0])
     d2 = 0.5 * (fh[:, 1, 0, 0] + fh[:, 4, 0, 0])

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ipl.gauge import DomainError
+from ipl import _su2
+from ipl.gauge import DomainError, curvature
 from ipl.geometry import AnnulusGrid, TorusSpec
-from ipl.models import ModelParams, model_connection
+from ipl.models import ModelParams, model_connection, perturb
 from ipl.moduli import (
     AnnulusCalculus,
     TangentVectorInstanton,
@@ -31,6 +32,8 @@ from ipl.moduli import (
 )
 
 TORUS = TorusSpec()
+# the two plane translations w1, w2, as (z1, z2, w1, w2) vectors
+PLANE = ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def make_grid(n_r=12, n_theta=8):
@@ -203,19 +206,43 @@ def test_translation_tangent_near_kernel():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
-    for t in translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0))):
+    for t in translation_tangents(calc, PLANE):
         r_gauge, r_sd = instanton_tangent_residual(t, calc)
         scale = max(calc.norm(t.comps), 1e-30)
         assert r_gauge / scale <= 1e-6
         assert r_sd / scale <= 1e-6
 
 
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["square", "oblong"])
+@pytest.mark.parametrize("params", [
+    ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j, alpha=0.15),
+    ModelParams(kind="nilpotent")], ids=["semisimple", "nilpotent"])
+def test_translation_tangents_keep_half_the_asd_curvature(torus, params):
+    # |i_v F|^2 = |v|^2 |F|^2 / 2 at every node for anti-self-dual F, for
+    # each unit translation (z1, z2, w1, w2); a perturbed model is not ASD
+    # and misses
+    grid = AnnulusGrid(8.0, 40.0, n_r=8, n_theta=8, n_x=4, n_y=4)
+
+    def worst_miss(conn):
+        calc = AnnulusCalculus(conn, grid)
+        f_sq = np.sum(_su2.frob(curvature(conn, calc.points).unit_frame())
+                      ** 2, axis=-1)
+        return max(float(np.max(np.abs(
+            np.sum(_su2.frob(t.comps) ** 2, axis=0) - f_sq / 2) / f_sq))
+            for t in translation_tangents(calc, np.eye(4)))
+
+    conn = model_connection(params, torus)
+    assert worst_miss(conn) <= 1e-14
+    assert worst_miss(perturb(conn, delta=0.5, amplitude=0.05, seed=3,
+                              r_lo=8.0, r_hi=40.0)) > 1e-3
+
+
 def test_l2_metric_symmetry_positivity_isometry():
     grid = make_grid()
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
-    tangents = [*translation_tangents(AnnulusCalculus(conn, grid),
-                                      ((1.0, 0.0), (0.0, 1.0))),
+    tangents = [*translation_tangents(AnnulusCalculus(conn, grid), PLANE),
                 random_tangent(grid, TORUS, seed=11),
                 random_tangent(grid, TORUS, seed=12)]
     n = len(tangents)
@@ -283,7 +310,7 @@ def test_l2_metric_uses_the_calculus_quadrature():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
-    t1, = translation_tangents(calc, ((1.0, 0.0),))
+    t1, = translation_tangents(calc, ((0.0, 0.0, 1.0, 0.0),))
     t2 = random_tangent(grid, TORUS, seed=3)
     assert l2_metric(t1, t2) == calc.inner(t1.comps, t2.comps)
     assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
@@ -307,7 +334,7 @@ def test_translation_tangents_sample_the_curvature_once():
                                    derivative=counted("derivative")),
                            make_grid())
     calls.clear()
-    tangents = translation_tangents(calc, ((1.0, 0.0), (0.0, 1.0)))
+    tangents = translation_tangents(calc, PLANE)
     assert len(tangents) == 2
     assert calls == {"evaluate": 1, "derivative": 1}
 
