@@ -29,8 +29,8 @@ from ._version import __version__
 from . import models
 from .asymptotics import ExtractionError, decay_exponent, \
     extract_invariants, poincare_constant, roundtrip_errors
-from .gauge import asd_residual, flat_connection, monodromy_drift_defect, \
-    random_quadratic_form_fixture, weitzenbock_defect
+from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
+    monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, lattice_distance, \
     reduce_dual, xi_from_zeta, zeta_from_xi
@@ -488,10 +488,16 @@ def _run_model_check(params: dict):
                                  n_samples=n_samples))
             ineq_summary["fourier_gap_min"] = gap_min
         if q["monodromy_drift"] is not None:
-            worst, per = _monodromy_families(rng, torus)
-            checks.append(_leq_check("monodromy_drift_defect_max", worst,
-                                     q["monodromy_drift"]["tolerance"],
+            drift_tol = q["monodromy_drift"]["tolerance"]
+            per, halved = _monodromy_families(rng, torus)
+            checks.append(_leq_check("monodromy_drift_defect_max",
+                                     max(per.values()), drift_tol,
                                      per_family=per))
+            step_error = {tag: abs(per[tag] - halved[tag]) for tag in per}
+            checks.append(_leq_check(
+                "monodromy_drift_step_error", max(step_error.values()),
+                DRIFT_STEP_ERROR_SHARE * drift_tol, steps=DRIFT_STEPS,
+                per_family=step_error))
             ineq_summary["monodromy_drift"] = per
         if q["weitzenbock"] is not None:
             n_fixtures = q["weitzenbock"]["n_fixtures"]
@@ -576,11 +582,22 @@ def _drift_families(rng, torus: TorusSpec):
             for tag, conn, r0, dr, y0 in fams]
 
 
+# tolerance of the drift's step-halving row, as a share of the drift's own:
+# a fourth-order rule's |d_N - d_{N/2}| is about 2^4 - 1 = 15 times the
+# N-step error, so holding it to a tenth of the tolerance holds the true
+# error near 1 % of it
+DRIFT_STEP_ERROR_SHARE = 0.1
+
+
 def _monodromy_families(rng, torus: TorusSpec):
-    """The worst drift defect of the `_drift_families`, and each one's."""
-    per = {tag: monodromy_drift_defect(conn, *family, n_t=33)["defect"]
-           for tag, conn, *family in _drift_families(rng, torus)}
-    return max(per.values()), per
+    """Each `_drift_families` defect at gauge.DRIFT_STEPS Magnus steps per
+    circle, and again at half as many: two {tag: defect} dicts."""
+    families = _drift_families(rng, torus)
+    return tuple(
+        {tag: monodromy_drift_defect(conn, *family, n_t=33,
+                                     steps=steps)["defect"]
+         for tag, conn, *family in families}
+        for steps in (DRIFT_STEPS, DRIFT_STEPS // 2))
 
 
 def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):

@@ -277,12 +277,18 @@ def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,
 # ---------------------------------------------------------------------------
 # monodromy drift along a family of circles
 
-# Magnus steps per circle of a monodromy-drift family
-DRIFT_STEPS = 128
+# Magnus steps per circle of a monodromy-drift family: the least power of
+# two whose step-halving difference |d_N - d_{N/2}| stays under a tenth of
+# the drift tolerance 1e-3 with margin. Over five tori (2pi x 2pi, 4 x 7,
+# 0.5 x 0.5, 1 x 30, 30 x 1) and seeds 0-59 of the inequality suite's three
+# families, 32 steps gave at most 2.15e-5 (4.6 times under 1e-4) and 16
+# steps 9.3e-5; the largest |d_32 - d_512| was 1.45e-6, 0.15 % of the
+# tolerance (the sweep is in CHANGES.md)
+DRIFT_STEPS = 32
 
 
 def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
-                           n_t: int) -> dict:
+                           n_t: int, steps: int = DRIFT_STEPS) -> dict:
     """Checks |d/dt (h^-1 m h)| <= int |F(dphi/dt, dphi/ds)| ds along the
     family of closed circles phi(t, s) = origin + t dphi_dt + s dphi_ds
     (4-vectors; s in [0, 1) the loop parameter, t in [0, 1] the family
@@ -290,8 +296,8 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     to discretization for true connections.
 
     m(t) is the circle holonomy at parameter t, h(t) the transport along
-    the base path phi(., 0) from 0 to t. Each circle takes DRIFT_STEPS
-    Magnus steps, and the curvature integral over s is the two-point Gauss
+    the base path phi(., 0) from 0 to t. Each circle takes `steps` Magnus
+    steps, and the curvature integral over s is the two-point Gauss
     rule on the same nodes: one evaluation of the connection there feeds
     both the circle transports and the curvature. Only the curvature
     components F_ij whose coefficient in F(dphi/dt, dphi/ds) is nonzero are
@@ -303,7 +309,7 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
 
     # every circle in the family, batched over t, at its Gauss nodes
     base = origin + ts[:, None] * dphi_dt  # (n_t, 4)
-    pts, tans = line_paths(base, dphi_ds, DRIFT_STEPS)
+    pts, tans = line_paths(base, dphi_ds, steps)
     conn.check_domain(pts)
     a = conn.evaluate(pts)
     m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
@@ -329,7 +335,7 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     contract = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
     for k, pair in enumerate(live):
         contract += F[..., k, :, :] * coeff[pair]
-    # integral over s: equal weights 1 / (2 DRIFT_STEPS) on the Gauss nodes
+    # integral over s: equal weights 1 / (2 steps) on the Gauss nodes
     rhs = np.mean(_su2.frob(contract), axis=(0, 1))
 
     defect = dM - rhs[1:-1]

@@ -146,7 +146,9 @@ class TangentVectorInstanton:
     def __post_init__(self):
         expect = (4, self.grid.n_r, self.grid.n_theta,
                   self.grid.n_x, self.grid.n_y, 2, 2)
-        self.comps = np.asarray(self.comps, dtype=complex)
+        # every calculus operator reads comps slot by slot; strided
+        # components (a moveaxis view, say) ran them about 1.5x slower
+        self.comps = np.ascontiguousarray(self.comps, dtype=complex)
         if self.comps.shape != expect:
             raise ValueError(f"components must have shape {expect}")
         if float(np.max(_su2.algebra_defect(self.comps))) > 1e-9:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ipl.cli import SUITE, run
+from ipl.gauge import DRIFT_STEPS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,6 +139,7 @@ def test_criterion_6_inequality_suite(suite):
     rep = r["report"]
     gap = check(rep, "fourier_gap_min")
     drift = check(rep, "monodromy_drift_defect_max")
+    step = check(rep, "monodromy_drift_step_error")
     weitz = check(rep, "weitzenbock_defect_max")
     poin = check(rep, "poincare_vs_rayleigh_rel")
     ineq = rep["inputs"]["inequalities"]
@@ -145,15 +147,21 @@ def test_criterion_6_inequality_suite(suite):
           and ineq["fourier_gap"]["n_samples"] == 10000
           and gap["value"] >= 0.0
           and drift["tolerance"] == 1e-3
+          and step["pass"] and step["tolerance"] == 0.1 * 1e-3
+          and step["steps"] == DRIFT_STEPS
+          and step["value"] == max(step["per_family"].values())
+          and sorted(step["per_family"]) == sorted(drift["per_family"])
+          == ["abelian", "flat", "perturbed-flat"]
           and ineq["weitzenbock"]["n_fixtures"] == 20
           and weitz["tolerance"] == 1e-6
           and poin["tolerance"] == 0.01
           and r["elapsed"] < 120.0)
     finish(6, "inequality suite", ok,
            f"gap min {gap['value']:.2e} >= 0 on 10^4 samples, drift "
-           f"{drift['value']:.2e} <= 1e-3, weitzenbock {weitz['value']:.2e}"
-           f" <= 1e-6, poincare rel {poin['value']:.2e} <= 1e-2, "
-           f"{r['elapsed']:.1f}s < 120s")
+           f"{drift['value']:.2e} <= 1e-3, its {DRIFT_STEPS}-step halving "
+           f"error {step['value']:.2e} <= 1e-4, weitzenbock "
+           f"{weitz['value']:.2e} <= 1e-6, poincare rel "
+           f"{poin['value']:.2e} <= 1e-2, {r['elapsed']:.1f}s < 120s")
 
 
 def test_criterion_7_stability_and_obstructions(suite):

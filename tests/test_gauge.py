@@ -273,15 +273,15 @@ def test_drift_defect_zero_for_flat():
     assert np.max(np.abs(d["rhs"])) < 1e-15
 
 
-def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t):
-    """lhs and rhs of monodromy_drift_defect with the circle transports by
-    `_path_ordered_product` and the curvature contracted over all six
-    PAIRS of `curvature`."""
+def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps):
+    """lhs and rhs of monodromy_drift_defect, `steps` Magnus steps per
+    circle, with the circle transports by `_path_ordered_product` and the
+    curvature contracted over all six PAIRS of `curvature`."""
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
     base = origin + ts[:, None] * dphi_dt
-    pts, tans = line_paths(base, dphi_ds, DRIFT_STEPS)
+    pts, tans = line_paths(base, dphi_ds, steps)
     m_t = _path_ordered_product(conn, pts, tans)
     hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
     h = [_su2.EYE2]
@@ -308,16 +308,39 @@ def theta_family():
             (0.0, 2 * math.pi, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("family", [
-    *_drift_families(np.random.default_rng(3), TORUS), theta_family()],
-    ids=lambda family: family[0])
-def test_drift_defect_matches_the_two_pass_reference_bit_for_bit(family):
+# each family at DRIFT_STEPS (id: its tag) and at the step-halving row's
+# DRIFT_STEPS // 2 (id: tag-halved)
+@pytest.mark.parametrize("family, steps", [
+    pytest.param(family, steps, id=family[0] + suffix)
+    for family in (*_drift_families(np.random.default_rng(3), TORUS),
+                   theta_family())
+    for steps, suffix in ((DRIFT_STEPS, ""), (DRIFT_STEPS // 2, "-halved"))])
+def test_drift_defect_matches_the_two_pass_reference_bit_for_bit(family,
+                                                                steps):
     _, conn, *args = family
-    d = monodromy_drift_defect(conn, *args, n_t=33)
-    lhs, rhs = reference_drift(conn, *args, n_t=33)
+    d = monodromy_drift_defect(conn, *args, n_t=33, steps=steps)
+    lhs, rhs = reference_drift(conn, *args, n_t=33, steps=steps)
     assert np.array_equal(d["lhs"], lhs)
     assert np.array_equal(d["rhs"], rhs)
     assert d["defect"] == np.max(lhs - rhs[1:-1])
+    if steps == DRIFT_STEPS:
+        default = monodromy_drift_defect(conn, *args, n_t=33)
+        assert all(np.array_equal(default[k], d[k]) for k in d)
+
+
+@pytest.mark.parametrize("torus", [TorusSpec(4.0, 7.0), TorusSpec(30.0, 1.0)],
+                         ids=["4x7", "30x1"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_drift_defect_at_drift_steps_is_within_5e_6_of_128_steps(torus,
+                                                                 seed):
+    # the defect's discretization error at DRIFT_STEPS, read against four
+    # times as many steps: at most 0.5 % of the inequality suite's drift
+    # tolerance 1e-3
+    for tag, conn, *args in _drift_families(np.random.default_rng(seed),
+                                            torus):
+        fine = monodromy_drift_defect(conn, *args, n_t=33, steps=128)
+        d = monodromy_drift_defect(conn, *args, n_t=33)
+        assert abs(d["defect"] - fine["defect"]) <= 5e-6, tag
 
 
 def test_weitzenbock_identity_on_random_fixtures():

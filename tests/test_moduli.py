@@ -316,6 +316,23 @@ def test_l2_metric_uses_the_calculus_quadrature():
     assert l2_metric(t2, t2) == calc.inner(t2.comps, t2.comps)
 
 
+def test_tangent_components_are_stored_contiguous():
+    # a strided view of a translation tangent's components is copied to C
+    # order, and pairs to the contiguous array's L2 metric bit for bit
+    grid = make_grid()
+    conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
+                                        alpha=0.15), TORUS)
+    t1, = translation_tangents(AnnulusCalculus(conn, grid), PLANE[:1])
+    view = np.moveaxis(np.moveaxis(t1.comps, 0, -3).copy(), -3, 0)
+    assert not view.flags.c_contiguous
+    strided = TangentVectorInstanton(grid, view, TORUS)
+    assert strided.comps.flags.c_contiguous
+    assert np.array_equal(strided.comps, t1.comps)
+    other = random_tangent(grid, TORUS, seed=3)
+    assert l2_metric(strided, other) == l2_metric(t1, other)
+    assert l2_metric(strided, strided) == l2_metric(t1, t1)
+
+
 def test_translation_tangents_sample_the_curvature_once():
     # every direction contracts one curvature sample on calc's points
     calls = Counter()
