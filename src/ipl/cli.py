@@ -778,9 +778,10 @@ _SPECTRAL = {
 
 
 def _spectral_rules(cfg: dict, params: dict) -> None:
-    if any(params[k] is not None
-           for k in ("counting", "residues", "dichotomy")):
-        _require_seed(cfg)
+    _expect(any(params[k] is not None
+                for k in ("counting", "residues", "dichotomy")),
+            "spectral needs at least one of counting, residues, dichotomy")
+    _require_seed(cfg)
     b = params["bundle"] = _bundle(params["bundle"], params["torus"],
                                    "bundle")
     if params["counting"] is not None:

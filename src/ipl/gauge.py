@@ -260,20 +260,6 @@ def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
         conn, *circle_paths(conn.torus, kind, bases, steps))
 
 
-def segment_transports(conn: ConnectionSource, waypoints: np.ndarray,
-                       steps_per_seg: int) -> np.ndarray:
-    """Transport matrices along consecutive straight segments of a path,
-    `steps_per_seg` Magnus steps (two connection evaluations each) per
-    segment.
-
-    waypoints: (m, 4). Returns (m-1, 2, 2), h_k transporting from
-    waypoint k to waypoint k+1.
-    """
-    waypoints = np.asarray(waypoints, dtype=float)
-    return _path_ordered_product(conn, *line_paths(
-        waypoints[:-1], waypoints[1:] - waypoints[:-1], steps_per_seg))
-
-
 # ---------------------------------------------------------------------------
 # monodromy drift along a family of circles
 
@@ -296,12 +282,17 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     to discretization for true connections.
 
     m(t) is the circle holonomy at parameter t, h(t) the transport along
-    the base path phi(., 0) from 0 to t. Each circle takes `steps` Magnus
-    steps, and the curvature integral over s is the two-point Gauss
-    rule on the same nodes: one evaluation of the connection there feeds
-    both the circle transports and the curvature. Only the curvature
-    components F_ij whose coefficient in F(dphi/dt, dphi/ds) is nonzero are
-    formed, in PAIRS order; a skipped one would add an exact zero.
+    the base path phi(., 0) from 0 to t. As h' = -A(dphi/dt) h,
+    d/dt (h^-1 m h) = h^-1 (m' + [A(dphi/dt), m]) h, and conjugation keeps
+    the Frobenius norm: the LHS is |m' + [A(dphi/dt), m]|, the covariant
+    derivative of the circle holonomy at its base point, read from the
+    centred difference of m and one evaluation of A at the base points.
+    Each circle takes `steps` Magnus steps, and the curvature integral over
+    s is the two-point Gauss rule on the same nodes: one evaluation of the
+    connection there feeds both the circle transports and the curvature.
+    Only the curvature components F_ij whose coefficient in
+    F(dphi/dt, dphi/ds) is nonzero are formed, in PAIRS order; a skipped
+    one would add an exact zero.
     """
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
@@ -314,18 +305,16 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     a = conn.evaluate(pts)
     m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
 
-    # base-path transports between consecutive t samples
-    hops = segment_transports(conn, base, steps_per_seg=max(8, 1024 // n_t))
-    h = np.empty((n_t, 2, 2), dtype=complex)
-    h[0] = _su2.EYE2
-    for k in range(1, n_t):
-        h[k] = _su2.mul(hops[k - 1], h[k - 1])
+    # A(dphi/dt) at the base points
+    a_base = conn.evaluate(base)
+    a_t = dphi_dt[0] * a_base[:, 0]
+    for i in range(1, 4):
+        a_t += dphi_dt[i] * a_base[:, i]
 
-    M = _su2.mul(_su2.mul(_su2.dag(h), m_t), h)
-
-    # centered derivative of M in t
+    # centered derivative of m in t, made covariant
     dt = ts[1] - ts[0]
-    dM = _su2.frob((M[2:] - M[:-2]) / (2 * dt))
+    lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * dt)
+                    + _su2.comm(a_t[1:-1], m_t[1:-1]))
 
     # curvature contracted with the family surface element
     coeff = {(i, j): dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i]
@@ -338,10 +327,10 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     # integral over s: equal weights 1 / (2 steps) on the Gauss nodes
     rhs = np.mean(_su2.frob(contract), axis=(0, 1))
 
-    defect = dM - rhs[1:-1]
+    defect = lhs - rhs[1:-1]
     return {
         "defect": float(np.max(defect)),
-        "lhs": dM,
+        "lhs": lhs,
         "rhs": rhs,
         "ts": ts,
     }

@@ -586,6 +586,10 @@ SEEDED = {"schema_version": 1, "seed": 1}
      "grid.r_min"),
     # a counting domain must keep to the bundle's radii
     ("spectral", {**SPECTRAL_CFG, "domain": [1.0, 10.0]}, "domain"),
+    # a bundle with no check block would run nothing and pass
+    ("spectral", {"schema_version": 1, "bundle": {
+        "lambda": [0.11, 0.07], "mu": [1, 0], "r_min": 5, "k": 1}},
+     "spectral"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
