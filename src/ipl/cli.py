@@ -389,6 +389,9 @@ def _model_check_rules(cfg: dict, params: dict) -> None:
     _expect(params["models"] or params["model_grid"]
             or params["inequalities"],
             "model-check needs models, model_grid, or inequalities")
+    for key in ("n_points", "tolerances", "decay"):  # read by the sweep alone
+        _expect(key not in cfg or params["models"] or params["model_grid"],
+                f"{key} needs models or model_grid")
     _nilpotent_rule(params)
     _require_seed(cfg)
     starts = [(f"models[{i}].domain", m["kind"], m["domain"])
@@ -483,7 +486,7 @@ def _run_model_check(params: dict):
         if q["fourier_gap"] is not None:
             n_samples = q["fourier_gap"]["n_samples"]
             gap_min = _fourier_gap_scan(rng, torus, n_samples)
-            checks.append(_check("fourier_gap_min", gap_min, 1e-15,
+            checks.append(_check("fourier_gap_min", gap_min, -1e-15,
                                  gap_min >= -1e-15, margin=gap_min + 1e-15,
                                  n_samples=n_samples))
             ineq_summary["fourier_gap_min"] = gap_min
@@ -666,10 +669,11 @@ _INVARIANTS = {
     "perturbation": _object({"amplitude": _positive(0.05),
                              "delta": _positive(0.5),
                              "r_lo": _positive(5.0),
-                             "r_hi": _positive(600.0)}),
-    "tolerances_perturbed": _object({"lambda": _positive(1e-2),
-                                     "alpha": _positive(1e-3),
-                                     "mu": _positive(1e-2)}, {}),
+                             "r_hi": _positive(600.0),
+                             "tolerances": _object({
+                                 "lambda": _positive(1e-2),
+                                 "alpha": _positive(1e-3),
+                                 "mu": _positive(1e-2)}, {})}),
 }
 
 
@@ -752,7 +756,7 @@ def _run_invariants(params: dict):
     one_pass("clean", None, params["tolerances_clean"])
     if params["perturbation"] is not None:
         one_pass("perturbed", params["perturbation"],
-                 params["tolerances_perturbed"])
+                 params["perturbation"]["tolerances"])
     return checks, {"invariants.json": {"models": records}}
 
 
@@ -763,11 +767,9 @@ _SPECTRAL = {
     "bundle": _object({"lambda": _pair([0.0, 0.0]), "mu": _pair([1.0, 0.0]),
                        "r_min": _positive(5.0), "k": _integer(1, minimum=1)},
                       _REQUIRED),
-    "domain": _domain(),  # counting's; default [bundle.r_min, 1e4]
     "counting": _object({"n_samples": _integer(100, minimum=1),
                          "radius": _domain([0.005, 0.02]),
-                         # default bundle.k
-                         "expected_total": _integer(minimum=0)}),
+                         "domain": _domain()}),  # default [bundle.r_min, 1e4]
     "residues": _object({"n_mu": _integer(10, minimum=1),
                          "tolerance": _positive(1e-8)}),
     "dichotomy": _object({"n_approach": _integer(6, minimum=3),
@@ -784,14 +786,12 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
     _require_seed(cfg)
     b = params["bundle"] = _bundle(params["bundle"], params["torus"],
                                    "bundle")
-    if params["counting"] is not None:
-        if params["domain"] is None:
-            params["domain"] = (b.r_min, 1e4)
-        _expect(params["domain"][0] >= b.r_min,
-                "domain must start at or beyond bundle.r_min")
+    c = params["counting"]
+    if c is not None:
+        c["domain"] = c["domain"] or (b.r_min, 1e4)
+        _expect(c["domain"][0] >= b.r_min,
+                "counting.domain must start at or beyond bundle.r_min")
         _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
-        if params["counting"]["expected_total"] is None:
-            params["counting"]["expected_total"] = b.k
     # the residue sampler draws inside a window, and the mu = 0 sampler
     # until a draw lands in one; these two rules keep them nonempty
     cov = covering_radius(params["torus"])
@@ -819,7 +819,6 @@ def _run_spectral(params: dict):
     rng = np.random.default_rng(params["seed"])
     torus = params["torus"]
     bundle = params["bundle"]
-    domain = params["domain"]
     checks = []
     csv_rows = []
     summary = {}
@@ -834,15 +833,15 @@ def _run_spectral(params: dict):
             ang = rng.uniform(0.0, TWO_PI)
             dz = rad * complex(math.cos(ang), math.sin(ang))
             xi = xi_from_zeta(z0 + dz, torus)
-            sd = jumping_points(bundle, xi, domain=domain, branch="both")
+            sd = jumping_points(bundle, xi, domain=c["domain"], branch="both")
             totals.append(sd.total_multiplicity)
-            n_match += sd.total_multiplicity == c["expected_total"]
+            n_match += sd.total_multiplicity == bundle.k
             for w, m in sd.points:
                 csv_rows.append((xi.xi1, xi.xi2, w.real, w.imag, m))
         frac = n_match / c["n_samples"]
         checks.append(_check("counting_total_multiplicity", frac, None,
                              n_match == c["n_samples"],
-                             expected_total=c["expected_total"],
+                             expected_total=bundle.k,
                              n_samples=c["n_samples"]))
         summary["counting"] = {"fraction_matching": frac,
                                "totals_histogram": {

@@ -1,7 +1,8 @@
 """Acceptance gate: each numbered criterion drives exactly one CLI
 pipeline invocation at its stated tolerance and prints one pass/fail
 line; the final criterion replays the whole suite and demands bytewise
-agreement up to timing."""
+agreement up to timing. A last test reads the margins of the shipped
+reports' lower-bound checks."""
 
 import json
 import time
@@ -224,3 +225,15 @@ def test_criterion_9_determinism(suite, tmp_path_factory):
            f"{len(replay)} pipelines replayed identically up to timing"
            f"{'' if not mismatched else ': ' + ', '.join(mismatched)}, "
            f"two full passes {total:.1f}s < 600s")
+
+
+def test_lower_bound_rows_report_value_minus_tolerance(suite):
+    # the shipped reports' value >= tolerance rows (value > tolerance for
+    # l2_metric_positive); their margin is value - tolerance, so a bound
+    # reported with the wrong sign shows up here
+    rows = {"fourier_gap_min": "inequalities",
+            "blowup_ratio_min": "spectral_dichotomy",
+            "l2_metric_positive": "moduli_suite"}
+    for name, stem in rows.items():
+        row = check(suite[stem]["report"], name)
+        assert row["margin"] == row["value"] - row["tolerance"], row

@@ -22,8 +22,8 @@ SPECTRAL_CFG = {
     "schema_version": 1,
     "seed": 5,
     "bundle": {"lambda": [0.11, 0.07], "mu": [1.0, 0.0], "r_min": 5.0, "k": 1},
-    "domain": [5.0, 10000.0],
-    "counting": {"n_samples": 5, "radius": [0.005, 0.02], "expected_total": 1},
+    "counting": {"n_samples": 5, "radius": [0.005, 0.02],
+                 "domain": [5.0, 10000.0]},
 }
 
 
@@ -484,8 +484,9 @@ def test_check_margins(tmp_path):
     assert conv["hash_stable"]["margin"] is None
     gap = checks("model-check", {**SEEDED, "inequalities": {
         "fourier_gap": {"n_samples": 100}}})["fourier_gap_min"]
-    # value >= -1e-15: value + 1e-15
-    assert gap["margin"] == gap["value"] + 1e-15 > 0
+    # value >= tolerance: value - tolerance
+    assert gap["tolerance"] == -1e-15
+    assert gap["margin"] == gap["value"] - gap["tolerance"] > 0
     # numeric value, no tolerance
     count = checks("spectral", SPECTRAL_CFG)["counting_total_multiplicity"]
     assert count["value"] == 1.0 and count["tolerance"] is None
@@ -585,7 +586,15 @@ SEEDED = {"schema_version": 1, "seed": 1}
     ("moduli", {**SEEDED, "grid": {"r_min": 0.0005, "r_max": 40.0}},
      "grid.r_min"),
     # a counting domain must keep to the bundle's radii
-    ("spectral", {**SPECTRAL_CFG, "domain": [1.0, 10.0]}, "domain"),
+    ("spectral", {**SPECTRAL_CFG, "counting": {"domain": [1.0, 10.0]}},
+     "counting.domain"),
+    # keys only the model sweep reads need a model to sweep
+    ("model-check", {**SEEDED, "n_points": 7,
+                     "inequalities": {"poincare": {}}}, "n_points"),
+    ("model-check", {**SEEDED, "tolerances": {"asd_residual": 1e-30},
+                     "inequalities": {"poincare": {}}}, "tolerances"),
+    ("model-check", {**SEEDED, "decay": {"exponent_window": 1e-9},
+                     "inequalities": {"poincare": {}}}, "decay"),
     # a bundle with no check block would run nothing and pass
     ("spectral", {"schema_version": 1, "bundle": {
         "lambda": [0.11, 0.07], "mu": [1, 0], "r_min": 5, "k": 1}},
@@ -599,15 +608,20 @@ def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
     assert f"config error: {path} " in capsys.readouterr().err
 
 
-def test_spectral_domain_binds_only_counting(tmp_path):
-    # only the counting scan reads domain, so a config without a counting
-    # block runs whatever domain it gives
-    cfg = {**SEEDED, "bundle": {"lambda": [0.11, 0.07], "mu": [1, 0],
-                                "r_min": 5, "k": 1},
-           "domain": [1, 10], "dichotomy": {}}
+def test_counting_is_held_to_the_bundle_charge(tmp_path):
+    # a charge-1 bundle declared as k = 2 has one jumping point per generic
+    # xi, not two: the count fails, and the report is still written
+    with open(os.path.join(CONFIGS, "spectral_counting.json")) as fh:
+        cfg = json.load(fh)
+    cfg["bundle"]["k"] = 2
+    cfg.pop("residues")
     rc, out = main_in(tmp_path, "spectral", cfg)
-    assert rc == 0
-    assert (out / "spectral_report.json").exists()
+    assert rc == 1
+    report = json.loads((out / "spectral_report.json").read_text())
+    count = {c["name"]: c for c in report["checks"]}[
+        "counting_total_multiplicity"]
+    assert not count["pass"]
+    assert count["expected_total"] == 2 and count["value"] == 0.0
 
 
 @pytest.mark.parametrize("subcommand, cfg, path", [
@@ -640,6 +654,15 @@ def test_spectral_domain_binds_only_counting(tmp_path):
      "family.xi0"),
     ("stability", {"schema_version": 1, "family": {"k": 1}}, "family.k"),
     ("moduli", {**SEEDED, "model": {"kind": "semisimple"}}, "model.kind"),
+    # keys moved into the one block that reads them, or held to bundle.k
+    ("spectral", {**SPECTRAL_CFG, "domain": [5.0, 10000.0]}, "domain"),
+    ("spectral", {**SPECTRAL_CFG, "counting": {
+        **SPECTRAL_CFG["counting"], "expected_total": 1}},
+     "counting.expected_total"),
+    ("invariants", {"schema_version": 1, "seed": 1,
+                    "models": [{"mu": [1.0, 0.0]}], "perturbation": {},
+                    "tolerances_perturbed": {"mu": 1e-2}},
+     "tolerances_perturbed"),
 ])
 def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, subcommand,
                                              cfg, path):
