@@ -588,6 +588,10 @@ SEEDED = {"schema_version": 1, "seed": 1}
     # a counting domain must keep to the bundle's radii
     ("spectral", {**SPECTRAL_CFG, "counting": {"domain": [1.0, 10.0]}},
      "counting.domain"),
+    # a bundle with no check block would run nothing and pass
+    ("spectral", {"schema_version": 1, "bundle": {
+        "lambda": [0.11, 0.07], "mu": [1, 0], "r_min": 5, "k": 1}},
+     "spectral"),
     # keys only the model sweep reads need a model to sweep
     ("model-check", {**SEEDED, "n_points": 7,
                      "inequalities": {"poincare": {}}}, "n_points"),
@@ -595,10 +599,6 @@ SEEDED = {"schema_version": 1, "seed": 1}
                      "inequalities": {"poincare": {}}}, "tolerances"),
     ("model-check", {**SEEDED, "decay": {"exponent_window": 1e-9},
                      "inequalities": {"poincare": {}}}, "decay"),
-    # a bundle with no check block would run nothing and pass
-    ("spectral", {"schema_version": 1, "bundle": {
-        "lambda": [0.11, 0.07], "mu": [1, 0], "r_min": 5, "k": 1}},
-     "spectral"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
