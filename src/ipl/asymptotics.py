@@ -50,6 +50,15 @@ COLLISION_TOL = 0.2
 # theta samples and torus samples per period of `instanton_number`
 DECAY_N_THETA, DECAY_N_TRANS = 16, 2
 ENERGY_N_R, ENERGY_N_THETA, ENERGY_N_TRANS = 64, 16, 4
+# the two asymptotic kinds: the curvature of a semisimple end decays like
+# 1/r^2, that of a nilpotent end like 1/(r ln r)^2
+KINDS = ("semisimple", "nilpotent")
+
+
+def check_kind(kind) -> None:
+    """Raises ValueError unless kind is one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError("kind must be 'semisimple' or 'nilpotent'")
 
 
 class ExtractionError(RuntimeError):
@@ -293,22 +302,19 @@ def asymptotic_states(xi: DualTorusPoint) -> AsymptoticStates:
 
 
 def limiting_holonomy(table: HolonomyTable, axis: np.ndarray,
-                      basis: str = "inverse-r") -> float:
+                      kind: str) -> float:
     """Theta-circle holonomy exponent alpha in [-1/2, 1/2), with phases
     projected on `axis` (the flat limit's) and extrapolated over the
-    table's rings; basis 'inverse-r' fits {1, 1/r, 1/r^2} (semisimple
-    decay), 'inverse-log' fits {1, 1/ln r} (nilpotent decay)."""
+    table's rings in the decay of `kind`: {1, 1/r, 1/r^2} for
+    'semisimple', {1, 1/ln r} for 'nilpotent'."""
+    check_kind(kind)
     alphas = -signed_phases(table.theta, axis, strict=True) / TWO_PI
     rs = np.array(table.rings)
-    if basis == "inverse-r":
-        alpha = _richardson_fit(rs, alphas)
-    elif basis == "inverse-log":
-        X = np.stack([np.ones_like(rs), 1.0 / np.log(rs)], axis=-1)
-        coef, *_ = np.linalg.lstsq(X, alphas, rcond=None)
-        alpha = float(coef[0])
-    else:
-        raise ValueError("basis must be 'inverse-r' or 'inverse-log'")
-    return principal_alpha(alpha)
+    if kind == "semisimple":
+        return principal_alpha(_richardson_fit(rs, alphas))
+    X = np.stack([np.ones_like(rs), 1.0 / np.log(rs)], axis=-1)
+    coef, *_ = np.linalg.lstsq(X, alphas, rcond=None)
+    return principal_alpha(float(coef[0]))
 
 
 def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
@@ -340,12 +346,16 @@ def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
                     "n_samples": int(w.size)}
 
 
-def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
-                   with_log: bool = True) -> dict:
-    """Log-log fit of the per-ring sup of |F| against r:
-    ln sup|F| = c + gamma ln r + p ln ln r. components='kahler' restricts
-    to the instanton-density pair of curvature slots (see curvature_norm).
+def decay_exponent(conn: ConnectionSource, rings, kind: str) -> dict:
+    """Log-log fit of the per-ring sup of |F| against r in the decay of
+    `kind`: ln sup|F| = c + gamma ln r over all six curvature slots for
+    'semisimple'; ln sup|F| = c + gamma ln r + p ln ln r over the
+    instanton-density pair (see curvature_norm) for 'nilpotent', where
+    that pair is exactly 4 / (2 r ln r)^2 and the full norm carries an
+    extra factor of about ln r.
     Returns gamma = -inf sentinel for identically flat input."""
+    check_kind(kind)
+    nilpotent = kind == "nilpotent"
     rings = tuple(float(r) for r in rings)
     if len(rings) < 6 or rings[-1] < 10.0 * rings[0]:
         raise ValueError("need >= 6 rings spanning at least a decade")
@@ -357,19 +367,20 @@ def decay_exponent(conn: ConnectionSource, rings, components: str = "all",
     for r in rings:
         pts = np.stack([np.full(T.size, r), T.ravel(), X.ravel(), Y.ravel()],
                        axis=-1)
-        sups.append(float(np.max(curvature_norm(conn, pts, components))))
+        sups.append(float(np.max(curvature_norm(
+            conn, pts, "kahler" if nilpotent else "all"))))
     sups = np.array(sups)
     if np.max(sups) < 1e-14:
         return {"gamma": -math.inf, "log_power": 0.0, "sups": sups,
                 "rings": rings, "monotone": True}
     rs = np.array(rings)
     cols = [np.ones_like(rs), np.log(rs)]
-    if with_log:
+    if nilpotent:
         cols.append(np.log(np.log(rs)))
     Xd = np.stack(cols, axis=-1)
     coef, *_ = np.linalg.lstsq(Xd, np.log(sups), rcond=None)
     gamma = float(coef[1])
-    log_power = float(coef[2]) if with_log else 0.0
+    log_power = float(coef[2]) if nilpotent else 0.0
     monotone = bool(np.all(np.diff(sups) <= 1e-12 * sups[:-1]))
     return {"gamma": gamma, "log_power": log_power, "sups": sups,
             "rings": rings, "monotone": monotone}
@@ -460,12 +471,14 @@ def extract_invariants(conn: ConnectionSource, rings,
     limiting_holonomy and residue from one holonomy table with a shared
     axis convention, detects the asymptotic kind when not supplied, and
     applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)."""
+    if kind is not None:
+        check_kind(kind)
     table = holonomy_table(conn, rings)
     fl = flat_limit(table)
     xi = fl.xi
     if kind is None:
-        alpha_log = limiting_holonomy(table, fl.axis, basis="inverse-log")
-        alpha_r = limiting_holonomy(table, fl.axis)
+        alpha_log = limiting_holonomy(table, fl.axis, "nilpotent")
+        alpha_r = limiting_holonomy(table, fl.axis, "semisimple")
         # nilpotent regime: theta-holonomy nonzero at finite r but
         # converging to identity at a 1/ln r rate, flat limit trivial
         raw = -signed_phases(table.theta, fl.axis) / TWO_PI
@@ -473,9 +486,7 @@ def extract_invariants(conn: ConnectionSource, rings,
         kind = "nilpotent" if (xi.is_trivial(1e-4) and decaying) else "semisimple"
         alpha = alpha_log if kind == "nilpotent" else alpha_r
     else:
-        alpha = limiting_holonomy(
-            table, fl.axis,
-            basis="inverse-log" if kind == "nilpotent" else "inverse-r")
+        alpha = limiting_holonomy(table, fl.axis, kind)
     diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring.tolist()}
     if kind == "semisimple":
         mu, res_diag = residue(table, fl)

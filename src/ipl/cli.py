@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from . import models
-from .asymptotics import ExtractionError, decay_exponent, \
+from .asymptotics import KINDS, ExtractionError, decay_exponent, \
     extract_invariants, poincare_constant, roundtrip_errors
 from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
@@ -182,7 +182,7 @@ _COMMON = {
                       "period_y": _positive(TWO_PI)}, {}),
 }
 
-_KIND = _choice("semisimple", choices=("semisimple", "nilpotent"))
+_KIND = _choice("semisimple", choices=KINDS)
 # a semisimple model's parameters; the moduli model is always semisimple
 _MODEL = {"lambda": _pair([0.0, 0.0]), "mu": _pair([0.0, 0.0]),
           "alpha": _alpha(0.0)}
@@ -464,11 +464,7 @@ def _run_model_check(params: dict):
             continue
         tag = _model_tag(j, p)
         rings = d[f"rings_{p.kind}"]
-        # the nilpotent fit reads the Kahler pair, exactly 4 / (2 r ln r)^2;
-        # the full norm carries an extra factor of about ln r
-        fit = decay_exponent(model_connection(p, torus), rings,
-                             components="all" if semi else "kahler",
-                             with_log=not semi)
+        fit = decay_exponent(model_connection(p, torus), rings, p.kind)
         checks.append(_leq_check(f"decay_exponent_dev_{tag}",
                                  abs(fit["gamma"] + 2.0),
                                  d["exponent_window"], gamma=fit["gamma"]))

@@ -4,9 +4,9 @@ anti-self-duality, holonomy, and the integral identities used as oracles.
 Index conventions (see geometry.conventions_sheet): coordinates are ordered
 (r, theta, x, y); connection components are coefficients of
 (dr, dtheta, dx, dy); curvature components are stored in the pair order
-[(r,th), (r,x), (r,y), (th,x), (th,y), (x,y)]; "unit frame" divides every
-theta-paired slot by r, i.e. uses the orthonormal coframe
-(dr, r dtheta, dx, dy).
+[(r,th), (r,x), (r,y), (th,x), (th,y), (x,y)]. `curvature` returns them in
+the unit frame, the orthonormal coframe (dr, r dtheta, dx, dy): every
+theta-paired slot divided by r.
 """
 
 from __future__ import annotations
@@ -85,29 +85,16 @@ def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
     return conn
 
 
-@dataclass
-class CurvatureSample:
-    """Curvature at one or many points; components ordered per PAIRS."""
-
-    points: np.ndarray
-    components: np.ndarray  # (..., 6, 2, 2)
-
-    def unit_frame(self) -> np.ndarray:
-        """Components in the orthonormal coframe (theta slots divided by r)."""
-        out = np.array(self.components, copy=True)
-        r = np.asarray(self.points)[..., 0]
-        for k in _THETA_PAIRED:
-            out[..., k, :, :] = out[..., k, :, :] / r[..., None, None]
-        return out
-
-
-def curvature(conn: ConnectionSource, points) -> CurvatureSample:
-    """F_ab = d_a A_b - d_b A_a + [A_a, A_b] at the given points (..., 4)."""
+def curvature(conn: ConnectionSource, points) -> np.ndarray:
+    """F_ab = d_a A_b - d_b A_a + [A_a, A_b] at the given points (..., 4),
+    in the unit frame: (..., 6, 2, 2) in PAIRS order."""
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
-    a = conn.evaluate(points)
-    return CurvatureSample(points=points, components=_field_strength(
-        a, conn.derivative(points), PAIRS))
+    f = _field_strength(conn.evaluate(points), conn.derivative(points), PAIRS)
+    r = points[..., 0, None, None]
+    for k in _THETA_PAIRED:
+        f[..., k, :, :] /= r
+    return f
 
 
 def _field_strength(a, d, pairs) -> np.ndarray:
@@ -145,7 +132,7 @@ def interior(f: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def asd_residual(conn: ConnectionSource, points) -> np.ndarray:
     """Pointwise |F^+| (Frobenius aggregate over the self-dual coefficients)."""
-    c = self_dual(curvature(conn, points).unit_frame())
+    c = self_dual(curvature(conn, points))
     return np.sqrt(2.0 * np.sum(_su2.frob(c) ** 2, axis=-1))
 
 
@@ -153,8 +140,7 @@ def curvature_norm(conn: ConnectionSource, points, components: str = "all") -> n
     """Pointwise |F|; components='kahler' restricts to the (1,2) and (3,4)
     orthonormal-frame slots (the instanton-density pair), components='all'
     aggregates all six."""
-    fh = curvature(conn, points).unit_frame()
-    n2 = _su2.frob(fh) ** 2
+    n2 = _su2.frob(curvature(conn, points)) ** 2
     if components == "all":
         return np.sqrt(np.sum(n2, axis=-1))
     if components == "kahler":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _su2
+from .asymptotics import check_kind
 from .gauge import ConnectionSource
 from .geometry import TWO_PI, TorusSpec
 from .hitchin import HiggsPairOnPlane, lift
@@ -35,8 +36,7 @@ class ModelParams:
     kind: str = "semisimple"
 
     def __post_init__(self):
-        if self.kind not in ("semisimple", "nilpotent"):
-            raise ValueError("kind must be 'semisimple' or 'nilpotent'")
+        check_kind(self.kind)
         if not (-0.5 <= self.alpha < 0.5):
             raise ValueError("alpha must lie in [-1/2, 1/2)")
         if self.kind == "nilpotent" and any((self.lam, self.mu, self.alpha)):

@@ -269,7 +269,7 @@ def translation_tangents(calc: AnnulusCalculus,
     """Moduli directions from translations, one per constant vector d =
     (z1, z2, w1, w2) of directions: the curvature of calc.conn on calc's
     grid, sampled once, contracted with d's frame components P^T d."""
-    F = curvature(calc.conn, calc.points).unit_frame()  # (..., 6, 2, 2)
+    F = curvature(calc.conn, calc.points)  # (..., 6, 2, 2)
     P = _cartesian_from_frame(calc.grid.thetas)
     frames = np.einsum("tji,dj->dti", P, directions)[:, :, None, None]
     return [TangentVectorInstanton(calc.grid, np.moveaxis(interior(F, v), -3, 0),

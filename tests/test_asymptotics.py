@@ -76,7 +76,7 @@ def test_limiting_holonomy_of_model():
     alpha = 0.2
     conn = model_connection(ModelParams(lam=0.1, mu=0.5, alpha=alpha), TORUS)
     table = holonomy_table(conn, RINGS)
-    got = limiting_holonomy(table, flat_limit(table).axis)
+    got = limiting_holonomy(table, flat_limit(table).axis, kind="semisimple")
     assert abs(got) == pytest.approx(alpha, abs=1e-9)
 
 
@@ -378,7 +378,7 @@ def test_extraction_matches_public_fits(lam, mu, alpha):
     table = holonomy_table(conn, RINGS)
     fl = flat_limit(table)
     states = asymptotic_states(fl.xi)
-    a = limiting_holonomy(table, fl.axis)
+    a = limiting_holonomy(table, fl.axis, kind="semisimple")
     m, diag = residue(table, fl)
     if states.flipped:
         a, m = principal_alpha(-a), -m
@@ -392,7 +392,8 @@ def test_extraction_matches_public_fits(lam, mu, alpha):
 
 def test_decay_exponent_semisimple():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
-    fit = decay_exponent(conn, np.geomspace(20.0, 500.0, 8), with_log=False)
+    fit = decay_exponent(conn, np.geomspace(20.0, 500.0, 8),
+                         kind="semisimple")
     assert fit["gamma"] == pytest.approx(-2.0, abs=1e-9)
     assert fit["monotone"]
 
@@ -400,15 +401,34 @@ def test_decay_exponent_semisimple():
 def test_decay_exponent_nilpotent_log_power():
     conn = model_connection(ModelParams(kind="nilpotent"), TORUS)
     rings = np.geomspace(math.e ** 2, math.e ** 6, 10)
-    fit = decay_exponent(conn, rings, components="kahler", with_log=True)
+    fit = decay_exponent(conn, rings, kind="nilpotent")
     assert fit["gamma"] == pytest.approx(-2.0, abs=1e-9)
     assert fit["log_power"] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_decay_exponent_flat_connection_sentinel():
     conn = flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS)
-    fit = decay_exponent(conn, np.geomspace(20.0, 500.0, 8))
-    assert fit["gamma"] == -math.inf
+    for kind in ("semisimple", "nilpotent"):
+        fit = decay_exponent(conn, np.geomspace(20.0, 500.0, 8), kind=kind)
+        assert fit["gamma"] == -math.inf
+
+
+def test_every_kind_keyed_fit_rejects_an_unknown_kind():
+    # a misspelt kind would fit alpha one way and mu the other; each fit
+    # keyed by the kind names the two kinds instead
+    conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
+                                        alpha=0.1), TORUS)
+    table = holonomy_table(conn, RINGS)
+    axis = flat_limit(table).axis
+    msg = "kind must be 'semisimple' or 'nilpotent'"
+    for kind in ("Semisimple", "nil", ""):
+        with pytest.raises(ValueError, match=msg):
+            extract_invariants(conn, RINGS, kind=kind)
+    for kind in ("Semisimple", None):
+        with pytest.raises(ValueError, match=msg):
+            limiting_holonomy(table, axis, kind)
+        with pytest.raises(ValueError, match=msg):
+            decay_exponent(conn, np.geomspace(20.0, 500.0, 8), kind)
 
 
 def test_instanton_number_monotone_guard():

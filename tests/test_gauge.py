@@ -34,6 +34,8 @@ from ipl.gauge import (
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
+from conftest import stacked_curvature
+
 TORUS = TorusSpec()
 
 
@@ -57,7 +59,7 @@ def rand_points(rng, n, r_lo=5.0, r_hi=80.0):
 def test_flat_connection_curvature_vanishes():
     conn = flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS)
     pts = rand_points(np.random.default_rng(0), 20)
-    F = curvature(conn, pts).components
+    F = curvature(conn, pts)
     assert np.max(np.abs(F)) == 0.0
 
 
@@ -96,8 +98,9 @@ def test_curvature_reads_each_callable_once_per_batch(kind):
 
 
 def test_curvature_of_explicit_radial_field():
-    # a_x = i g(r) sigma3 with g = 1/r: the only nonzero coordinate-frame
-    # component is F_rx = g'(r) = -1/r^2 (abelian, no commutator term)
+    # a_x = i g(r) sigma3 with g = 1/r: the only nonzero component is
+    # F_rx = g'(r) = -1/r^2 (abelian, no commutator term), the same in the
+    # coordinate and the unit frame
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
@@ -118,9 +121,9 @@ def test_curvature_of_explicit_radial_field():
     F = curvature(conn, pts)
     expected = (-1j / pts[:, 0] ** 2)[:, None, None] * _su2.SIGMA3
     # pair order (r,th), (r,x), (r,y), (th,x), (th,y), (x,y)
-    assert np.max(np.abs(F.components[..., 1, :, :] - expected)) < 1e-13
+    assert np.max(np.abs(F[..., 1, :, :] - expected)) < 1e-13
     for k in (0, 2, 3, 4, 5):
-        assert np.max(np.abs(F.components[..., k, :, :])) < 1e-13
+        assert np.max(np.abs(F[..., k, :, :])) < 1e-13
 
 
 def real_so2_connection(dtype):
@@ -149,10 +152,9 @@ def real_so2_connection(dtype):
 
 def test_curvature_of_a_real_valued_connection():
     pts = rand_points(np.random.default_rng(2), 10)
-    F = curvature(real_so2_connection(float), pts).components
+    F = curvature(real_so2_connection(float), pts)
     assert F.dtype == complex
-    assert np.array_equal(
-        F, curvature(real_so2_connection(complex), pts).components)
+    assert np.array_equal(F, curvature(real_so2_connection(complex), pts))
     d = monodromy_drift_defect(real_so2_connection(float),
                                (20.0, 0.3, 0.0, 1.1), (10.0, 0.0, 0.0, 0.0),
                                (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
@@ -167,8 +169,7 @@ def test_curvature_of_a_real_valued_connection():
 def test_self_dual_projection_matches_hand_formula():
     conn = model_connection(ModelParams(lam=0.05j, mu=0.7, alpha=0.1), TORUS)
     pts = rand_points(np.random.default_rng(3), 8)
-    sample = curvature(conn, pts)
-    fh = sample.unit_frame()
+    fh = curvature(conn, pts)
     c = self_dual(fh)
     assert np.allclose(c[..., 0, :, :],
                        0.5 * (fh[..., 0, :, :] + fh[..., 5, :, :]))
@@ -262,8 +263,8 @@ def test_drift_defect_zero_for_flat():
 def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps):
     """lhs and rhs of monodromy_drift_defect, `steps` Magnus steps per
     circle, with the circle transports by `_path_ordered_product`, A(dphi/dt)
-    from its own evaluation at the base points and the curvature contracted
-    over all six PAIRS of `curvature`."""
+    from its own evaluation at the base points and the coordinate-frame
+    curvature contracted over all six PAIRS."""
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
@@ -274,7 +275,7 @@ def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps):
     a_t = sum(dphi_dt[i] * a_base[:, i] for i in range(4))
     lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * (ts[1] - ts[0]))
                     + _su2.comm(a_t, m_t)[1:-1])
-    F = curvature(conn, pts).components
+    F = stacked_curvature(conn, pts)
     contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
     for k, (i, j) in enumerate(PAIRS):
         contract += F[..., k, :, :] * (dphi_dt[i] * dphi_ds[j]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl import _su2
 from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
     flat_connection, self_dual
 from ipl.geometry import TorusSpec, reduce_dual
@@ -23,6 +22,8 @@ from ipl.models import (
     model_connection,
     perturb,
 )
+
+from conftest import same_bits, stacked_curvature
 
 TORUS = TorusSpec()
 NILPOTENT = ModelParams(kind="nilpotent")
@@ -78,9 +79,8 @@ def test_semisimple_chirality_split():
     conn = model_connection(ModelParams(lam=0.11 + 0.07j, mu=mu, alpha=0.2),
                             TORUS)
     pts = rand_points(np.random.default_rng(2), 20, 5.0, 200.0)
-    sample = curvature(conn, pts)
-    assert np.max(np.abs(self_dual(sample.unit_frame()))) < 1e-13
-    fh = sample.unit_frame()
+    fh = curvature(conn, pts)
+    assert np.max(np.abs(self_dual(fh))) < 1e-13
     d1 = 0.5 * (fh[:, 0, 0, 0] - fh[:, 5, 0, 0])
     d2 = 0.5 * (fh[:, 1, 0, 0] + fh[:, 4, 0, 0])
     d3 = 0.5 * (fh[:, 2, 0, 0] - fh[:, 3, 0, 0])
@@ -161,13 +161,6 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
     return a, d
 
 
-def same_bits(a, b):
-    """Bitwise equality of two complex arrays, the sign of a zero aside
-    (adding +0.0 maps -0.0 to +0.0 and leaves every other value alone)."""
-    return a.shape == b.shape and np.array_equal(
-        (a + 0.0).view(np.uint64), (b + 0.0).view(np.uint64))
-
-
 @given(seed=st.integers(0, 10 ** 6),
        radii=st.lists(st.one_of(st.sampled_from(("edge-", "edge+", "centre")),
                                 st.floats(2.0, 900.0)),
@@ -208,16 +201,6 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
         assert same_bits(d[..., i, :, :, :], d_ref[..., i, :, :, :]), i
 
 
-def stacked_curvature(conn, pts):
-    """F_ab = d_a A_b - d_b A_a + [A_a, A_b], stacked over PAIRS, from the
-    (..., 4, 4, 2, 2) table of partials d[..., i, j] = partial_i a_j."""
-    a = conn.evaluate(pts)
-    d = conn.derivative(pts)
-    return np.stack([d[..., i, j, :, :] - d[..., j, i, :, :]
-                     + _su2.comm(a[..., i, :, :], a[..., j, :, :])
-                     for i, j in PAIRS], axis=-3)
-
-
 @pytest.mark.parametrize("kind", ["flat", "semisimple", "nilpotent",
                                   "perturbed"])
 @pytest.mark.parametrize("batch_2d", [False, True], ids=["1d", "2d"])
@@ -235,9 +218,15 @@ def test_curvature_matches_the_stacked_reference_bit_for_bit(kind, batch_2d):
     pts = rand_points(np.random.default_rng(11), 96, 2.0, 700.0)
     if batch_2d:
         pts = pts.reshape(4, 24, 4)
-    got = curvature(conn, pts).components
+    got = curvature(conn, pts)
     assert got.shape == pts.shape[:-1] + (6, 2, 2)
-    assert same_bits(got, stacked_curvature(conn, pts))
+    # the unit frame: the coordinate frame's theta-paired slots (r, th),
+    # (th, x), (th, y) divided by r
+    want = stacked_curvature(conn, pts)
+    for k, pair in enumerate(PAIRS):
+        if 1 in pair:
+            want[..., k, :, :] = want[..., k, :, :] / pts[..., 0, None, None]
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("params", [
