@@ -3,7 +3,9 @@
 Conventions: su(2) elements are anti-hermitian traceless 2x2 complex
 matrices X = i (v . sigma) with v real; the Frobenius inner product
 <X, Y> = Re tr(X Y^dagger) is used everywhere (positive definite,
-equal to -Re tr(XY) on anti-hermitian matrices).
+equal to -Re tr(XY) on anti-hermitian matrices). On the real vectors v
+(..., 3) of `to_vector`, <X, Y> = 2 v.w, so |X|_F^2 = 2 |v|^2, and [X, Y]
+is -2 v x w (`comm_vector`).
 
 Every 2x2 product, commutator and conjugate transpose in the package goes
 through `mul`, `comm`, `comm_diag` and `dag` here, and nowhere else. They
@@ -61,6 +63,16 @@ def comm(X, Y):
     return _assemble(t, f * (a - d) - b * (e - h), c * (e - h) - g * (a - d), -t)
 
 
+def comm_vector(v, w):
+    """-2 v x w (..., 3), the vector of [i v.sigma, i w.sigma]; broadcasts."""
+    v, w = 2.0 * np.asarray(v), np.asarray(w)  # the factor 2 is exact
+    out = np.empty(np.broadcast_shapes(v.shape, w.shape))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(v[..., j] * w[..., i], v[..., i] * w[..., j],
+                    out=out[..., k])
+    return out
+
+
 def comm_diag(g, X):
     """[diag(g), X] for diagonals g (..., 2): (g_a - g_b) X_ab, one broadcast
     multiply with no matrix product."""
@@ -81,10 +93,8 @@ def from_vector(v):
 
 def to_vector(X):
     """Inverse of from_vector; takes the i(v.sigma) part of X."""
-    X = np.asarray(X, dtype=complex)
-    # tr(X sigma_k) = 2 i v_k for X = i v.sigma
-    tr = np.einsum("...ab,kba->...k", X, PAULI)
-    return (tr / 2j).real
+    a, b, c, d = _entries(np.asarray(X, dtype=complex))
+    return np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1) * 0.5
 
 
 def frob(X):
@@ -143,14 +153,3 @@ def project_su2(M):
     n = np.sqrt(p.real ** 2 + p.imag ** 2 + q.real ** 2 + q.imag ** 2)
     p, q = p / n, q / n
     return _assemble(p, q, -np.conj(q), np.conj(p))
-
-
-def algebra_defect(X):
-    """Deviation of X from anti-hermitian traceless, batched:
-    max(frob(X + dag(X)), |tr X|) from the four entries, with
-    frob(X + dag(X))^2 = 4 (Re a)^2 + 4 (Re d)^2 + 2 |b + conj(c)|^2."""
-    a, b, c, d = _entries(np.asarray(X, dtype=complex))
-    s = b + np.conj(c)
-    ah = np.sqrt(4.0 * (a.real ** 2 + d.real ** 2)
-                 + 2.0 * (s.real ** 2 + s.imag ** 2))
-    return np.maximum(ah, np.abs(a + d))

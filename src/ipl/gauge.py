@@ -91,9 +91,10 @@ def curvature(conn: ConnectionSource, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     f = _field_strength(conn.evaluate(points), conn.derivative(points), PAIRS)
-    r = points[..., 0, None, None]
+    # the bits of f / r, which numpy forms as the product with 1 / r
+    fv, inv_r = f.view(float), 1.0 / points[..., 0, None, None]
     for k in _THETA_PAIRED:
-        f[..., k, :, :] /= r
+        fv[..., k, :, :] *= inv_r
     return f
 
 

@@ -4,9 +4,10 @@ annulus grid with exact adjoints, the linearized-equation residuals of an
 instanton tangent, its L2 metric, the dimension formula, and the explicit
 charge-1 chart of degree-1 rational maps.
 
-The discrete adjoint d* is the exact transpose of the discrete d under
-the quadrature inner product, so integration-by-parts identities hold to
-machine precision rather than to discretization order.
+Every su(2)-valued field here is a real vector v (..., 3), X = i v.sigma
+(see `_su2`). The discrete adjoint d* is the exact transpose of the
+discrete d under the quadrature inner product, so integration-by-parts
+identities hold to machine precision rather than to discretization order.
 """
 
 from __future__ import annotations
@@ -125,34 +126,33 @@ def quadrature_weights(grid: AnnulusGrid, torus: TorusSpec):
 
 
 def _l2_pairing(a, b, grid: AnnulusGrid, torus: TorusSpec) -> float:
-    """L2 pairing of sections (n_r, ...) or stacked-slot fields
-    (k, n_r, ...) under quadrature_weights: one real dot per (slot, radius)
-    of the float views, then the rows weighted by the cell volumes."""
+    """L2 pairing 2 v.w of su(2)-vector sections (n_r, ..., 3) or stacked
+    fields (k, n_r, ..., 3) under quadrature_weights: one real dot per
+    (slot, radius), then the rows weighted by the cell volumes."""
     _, w_cell = quadrature_weights(grid, torus)
-    rows = [np.ascontiguousarray(x, dtype=complex).view(float).reshape(
-        -1, grid.n_r, 8 * grid.n_theta * grid.n_x * grid.n_y) for x in (a, b)]
-    return float(np.sum(np.einsum("sri,sri->sr", *rows) * w_cell.ravel()))
+    rows = [np.ascontiguousarray(x, dtype=float).reshape(
+        -1, grid.n_r, 3 * grid.n_theta * grid.n_x * grid.n_y) for x in (a, b)]
+    return float(np.sum(np.einsum("sri,sri->sr", *rows)
+                        * 2.0 * w_cell.ravel()))
 
 
 @dataclass
 class TangentVectorInstanton:
     """su(2)-valued 1-form on an annulus grid, orthonormal-frame
-    components ordered (radial, angular, torus-x, torus-y):
-    comps shape (4, n_r, n_theta, n_x, n_y, 2, 2)."""
+    components ordered (radial, angular, torus-x, torus-y), each in su(2)
+    vector form: comps shape (4, n_r, n_theta, n_x, n_y, 3), real."""
     grid: AnnulusGrid
     comps: np.ndarray
     torus: TorusSpec
 
     def __post_init__(self):
         expect = (4, self.grid.n_r, self.grid.n_theta,
-                  self.grid.n_x, self.grid.n_y, 2, 2)
+                  self.grid.n_x, self.grid.n_y, 3)
         # every calculus operator reads comps slot by slot; strided
         # components (a moveaxis view, say) ran them about 1.5x slower
-        self.comps = np.ascontiguousarray(self.comps, dtype=complex)
+        self.comps = np.ascontiguousarray(self.comps, dtype=float)
         if self.comps.shape != expect:
             raise ValueError(f"components must have shape {expect}")
-        if float(np.max(_su2.algebra_defect(self.comps))) > 1e-9:
-            raise ValueError("components must be anti-hermitian traceless")
 
 
 class AnnulusCalculus:
@@ -171,11 +171,10 @@ class AnnulusCalculus:
         self.grid = grid
         self.torus = conn.torus
         self.points = grid.points(self.torus)
-        self.r_col = grid.rs.reshape(-1, 1, 1, 1, 1, 1)
-        A = np.asarray(conn.evaluate(self.points), dtype=complex)
-        A = np.moveaxis(A, -3, 0).copy()  # (4, n_r, n_t, n_x, n_y, 2, 2)
-        A[1] = A[1] / self.r_col
-        self.A = A
+        self.r_col = grid.rs.reshape(-1, 1, 1, 1, 1)
+        self.A = np.moveaxis(_su2.to_vector(conn.evaluate(self.points)),
+                             -2, 0).copy()  # (4, n_r, n_t, n_x, n_y, 3)
+        self.A[1] /= self.r_col
         self.Dr = differentiation_matrix(grid.rs)
         self.w_radial, _ = quadrature_weights(grid, self.torus)
 
@@ -185,7 +184,7 @@ class AnnulusCalculus:
         return _along(self.Dr, u, 0)
 
     def _dr_adj(self, u):
-        w = self.w_radial.reshape(-1, 1, 1, 1, 1, 1)
+        w = self.w_radial.reshape(-1, 1, 1, 1, 1)
         return _along(self.Dr.T, w * u, 0) / w
 
     def _dtheta(self, u):
@@ -199,14 +198,14 @@ class AnnulusCalculus:
 
     def _cov(self, i, u):
         plain = (self._dr, self._dtheta, self._dx, self._dy)[i](u)
-        return plain + _su2.comm(self.A[i], u)
+        return plain + _su2.comm_vector(self.A[i], u)
 
     def _cov_adj(self, i, u):
         if i == 0:
             plain = self._dr_adj(u)
         else:
             plain = -(None, self._dtheta, self._dx, self._dy)[i](u)
-        return plain - _su2.comm(self.A[i], u)
+        return plain - _su2.comm_vector(self.A[i], u)
 
     # -- the operators -----------------------------------------------------
 
@@ -239,7 +238,7 @@ class AnnulusCalculus:
     # -- inner products ---------------------------------------------------
 
     def inner(self, a, b) -> float:
-        """L2 pairing of stacked-slot fields of equal shape."""
+        """L2 pairing of su(2)-vector fields of equal shape."""
         return _l2_pairing(a, b, self.grid, self.torus)
 
     def norm(self, a) -> float:
@@ -268,12 +267,15 @@ def translation_tangents(calc: AnnulusCalculus,
                          directions) -> list[TangentVectorInstanton]:
     """Moduli directions from translations, one per constant vector d =
     (z1, z2, w1, w2) of directions: the curvature of calc.conn on calc's
-    grid, sampled once, contracted with d's frame components P^T d."""
-    F = curvature(calc.conn, calc.points)  # (..., 6, 2, 2)
+    grid, sampled once by radius, contracted with d's frame vector P^T d."""
     P = _cartesian_from_frame(calc.grid.thetas)
     frames = np.einsum("tji,dj->dti", P, directions)[:, :, None, None]
-    return [TangentVectorInstanton(calc.grid, np.moveaxis(interior(F, v), -3, 0),
-                                   calc.torus) for v in frames]
+    comps = np.empty((len(frames), 4) + calc.points.shape[:-1] + (3,))
+    for k, pts in enumerate(calc.points):
+        F = curvature(calc.conn, pts)  # (n_theta, n_x, n_y, 6, 2, 2)
+        for c, v in zip(comps, frames):
+            c[:, k] = np.moveaxis(_su2.to_vector(interior(F, v)), -2, 0)
+    return [TangentVectorInstanton(calc.grid, c, calc.torus) for c in comps]
 
 
 def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
@@ -284,7 +286,7 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
     rng = np.random.default_rng(seed)
     R, T, X, Y = np.moveaxis(grid.points(torus), -1, 0)
     t = 2.0 * (R - grid.r_min) / (grid.r_max - grid.r_min) - 1.0
-    comps = np.zeros((4,) + R.shape + (2, 2), dtype=complex)
+    comps = np.zeros((4,) + R.shape + (3,))
     for slot in range(4):
         f = np.zeros_like(R)
         for _ in range(3):
@@ -297,7 +299,7 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
             f = f + radial * np.cos(
                 p * T + n * TWO_PI * X / torus.period_x
                 + m * TWO_PI * Y / torus.period_y + phase)
-        comps[slot] = f[..., None, None] * _su2.from_vector(rng.normal(size=3))
+        comps[slot] = f[..., None] * rng.normal(size=3)
     return TangentVectorInstanton(grid=grid, comps=comps, torus=torus)
 
 
@@ -308,15 +310,13 @@ def apply_complex_structure(a: TangentVectorInstanton,
     frame components are rotated through Cartesian components ordered
     (z1, z2, w1, w2) = (torus-x, torus-y, plane-1, plane-2)."""
     P = _cartesian_from_frame(a.grid.thetas)
-    # the frame action P^T I P at each angle, contracted on the float
-    # view without BLAS, as in _along
+    # the frame action P^T I P at each angle, contracted without BLAS, as
+    # in _along
     M = np.einsum("tji,jk,tkl->til", P, I, P)
-    f = np.ascontiguousarray(a.comps).view(float).reshape(
-        4, a.grid.n_r, a.grid.n_theta, -1)
+    f = a.comps.reshape(4, a.grid.n_r, a.grid.n_theta, -1)
     comps = np.einsum("tzb,brtk->zrtk", M, f, order="C")
     return TangentVectorInstanton(grid=a.grid, torus=a.torus,
-                                  comps=comps.view(complex).reshape(
-                                      a.comps.shape))
+                                  comps=comps.reshape(a.comps.shape))
 
 
 def l2_metric(t1: TangentVectorInstanton,

@@ -1,10 +1,15 @@
 """Helpers shared by the test modules: the coordinate-frame curvature
-reference and a bitwise comparison of complex arrays."""
+reference, the matrix-form covariant calculus the su(2) vector form of
+`moduli.AnnulusCalculus` is checked against, and a bitwise comparison of
+complex arrays."""
 
 import numpy as np
 
 from ipl import _su2
-from ipl.gauge import PAIRS
+from ipl.gauge import PAIRS, self_dual
+from ipl.geometry import TWO_PI
+from ipl.moduli import _along, differentiation_matrix, fourier_diff, \
+    quadrature_weights
 
 
 def same_bits(a, b):
@@ -23,3 +28,64 @@ def stacked_curvature(conn, pts):
     return np.stack([d[..., i, j, :, :] - d[..., j, i, :, :]
                      + _su2.comm(a[..., i, :, :], a[..., j, :, :])
                      for i, j in PAIRS], axis=-3)
+
+
+class MatrixCalculus:
+    """AnnulusCalculus on (..., 2, 2) complex su(2) matrices: the connection
+    from one evaluate on the whole grid, brackets by `_su2.comm`, and the
+    pairing Re tr(X Y^dagger) on the float views. Sections are
+    (n_r, n_theta, n_x, n_y, 2, 2), forms carry a leading slot axis."""
+
+    def __init__(self, conn, grid):
+        self.grid, self.torus = grid, conn.torus
+        self.r_col = grid.rs.reshape(-1, 1, 1, 1, 1, 1)
+        A = np.moveaxis(conn.evaluate(grid.points(self.torus)), -3, 0).copy()
+        A[1] = A[1] / self.r_col
+        self.A = A
+        self.Dr = differentiation_matrix(grid.rs)
+        self.w = quadrature_weights(grid, self.torus)[0].reshape(
+            -1, 1, 1, 1, 1, 1)
+
+    def _plain(self, i, u):
+        if i == 0:
+            return _along(self.Dr, u, 0)
+        if i == 1:
+            return fourier_diff(u, 1, TWO_PI) / self.r_col
+        return fourier_diff(u, i, (self.torus.period_x,
+                                   self.torus.period_y)[i - 2])
+
+    def _cov(self, i, u):
+        return self._plain(i, u) + _su2.comm(self.A[i], u)
+
+    def _cov_adj(self, i, u):
+        if i == 0:
+            plain = _along(self.Dr.T, self.w * u, 0) / self.w
+        else:
+            plain = -self._plain(i, u)
+        return plain - _su2.comm(self.A[i], u)
+
+    def d0(self, u):
+        return np.stack([self._cov(i, u) for i in range(4)], axis=0)
+
+    def dstar(self, a):
+        return sum(self._cov_adj(i, a[i]) for i in range(4))
+
+    def d1(self, a):
+        out = []
+        for i, j in PAIRS:
+            f = self._cov(i, a[j]) - self._cov(j, a[i])
+            if (i, j) == (0, 1):
+                f = f + a[1] / self.r_col
+            out.append(f)
+        return np.stack(out, axis=0)
+
+    def dplus(self, a):
+        return self_dual(self.d1(a), axis=0)
+
+    def inner(self, a, b):
+        g = self.grid
+        _, w_cell = quadrature_weights(g, self.torus)
+        rows = [np.ascontiguousarray(x, dtype=complex).view(float).reshape(
+            -1, g.n_r, 8 * g.n_theta * g.n_x * g.n_y) for x in (a, b)]
+        return float(np.sum(np.einsum("sri,sri->sr", *rows)
+                            * w_cell.ravel()))

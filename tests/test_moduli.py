@@ -2,13 +2,15 @@
 dimension formula and charge-1 chart, discrete covariant calculus on an
 annulus grid, tangent-vector residuals, and the L2 metric."""
 
-from collections import Counter
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import MatrixCalculus
 
-from ipl import _su2
+from ipl import _su2, cli
 from ipl.gauge import DomainError, curvature
 from ipl.geometry import AnnulusGrid, TorusSpec
 from ipl.models import ModelParams, model_connection, perturb
@@ -32,6 +34,8 @@ from ipl.moduli import (
 )
 
 TORUS = TorusSpec()
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
 # the two plane translations w1, w2, as (z1, z2, w1, w2) vectors
 PLANE = ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
@@ -58,11 +62,6 @@ def complex_pairing(a, b, grid, torus):
     _, w_cell = quadrature_weights(grid, torus)
     vals = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
     return float(np.sum(w_cell * vals))
-
-
-def anti_hermitian(rng, shape):
-    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return 0.5 * (x - np.conj(np.swapaxes(x, -1, -2)))
 
 
 def test_complex_structures_quaternion_relations():
@@ -163,17 +162,16 @@ def test_fourier_matrix_is_skew_cached_and_read_only():
 
 
 def test_tangent_vector_validation():
+    # components are four slots of su(2) vectors on the grid; any real
+    # array of that shape is a tangent, the (..., 2, 2) matrix form is not
     grid = make_grid()
     rng = np.random.default_rng(0)
-    shape = (4, grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 2, 2)
-    good = anti_hermitian(rng, shape)
-    tr = np.trace(good, axis1=-2, axis2=-1)
-    good = good - 0.5 * tr[..., None, None] * np.eye(2)
-    TangentVectorInstanton(grid, good, TORUS)
-    bad = good.copy()
-    bad[0, 0, 0, 0, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        TangentVectorInstanton(grid, bad, TORUS)
+    lead = (4, grid.n_r, grid.n_theta, grid.n_x, grid.n_y)
+    t = TangentVectorInstanton(grid, rng.normal(size=lead + (3,)), TORUS)
+    assert t.comps.shape == lead + (3,) and t.comps.dtype == float
+    for shape in (lead + (2, 2), lead + (4,), (3,) + lead[1:] + (3,)):
+        with pytest.raises(ValueError, match="shape"):
+            TangentVectorInstanton(grid, np.zeros(shape), TORUS)
 
 
 def test_calculus_rejects_grid_outside_domain():
@@ -190,10 +188,7 @@ def test_gauge_adjoint_identity():
                                         alpha=0.15), TORUS)
     calc = AnnulusCalculus(conn, grid)
     t = random_tangent(grid, TORUS, seed=3)
-    rng = np.random.default_rng(0)
-    u = anti_hermitian(rng, t.comps.shape[1:])
-    tr = np.trace(u, axis1=-2, axis2=-1)
-    u = u - 0.5 * tr[..., None, None] * np.eye(2)
+    u = np.random.default_rng(0).normal(size=t.comps.shape[1:])
     lhs = calc.inner(calc.d0(u), t.comps)
     rhs = calc.inner(u, calc.dstar(t.comps))
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -221,14 +216,14 @@ def test_translation_tangent_near_kernel():
 def test_translation_tangents_keep_half_the_asd_curvature(torus, params):
     # |i_v F|^2 = |v|^2 |F|^2 / 2 at every node for anti-self-dual F, for
     # each unit translation (z1, z2, w1, w2); a perturbed model is not ASD
-    # and misses
+    # and misses. A tangent's vector components have |X|_F^2 = 2 |v|^2
     grid = AnnulusGrid(8.0, 40.0, n_r=8, n_theta=8, n_x=4, n_y=4)
 
     def worst_miss(conn):
         calc = AnnulusCalculus(conn, grid)
         f_sq = np.sum(_su2.frob(curvature(conn, calc.points)) ** 2, axis=-1)
         return max(float(np.max(np.abs(
-            np.sum(_su2.frob(t.comps) ** 2, axis=0) - f_sq / 2) / f_sq))
+            2.0 * np.sum(t.comps ** 2, axis=(0, -1)) - f_sq / 2) / f_sq))
             for t in translation_tangents(calc, np.eye(4)))
 
     conn = model_connection(params, torus)
@@ -262,10 +257,11 @@ def test_l2_metric_symmetry_positivity_isometry():
 
 def test_complex_structure_acts_as_its_matrix():
     # I1 maps z1 (torus-x) to +z2 (torus-y): a tangent whose only component
-    # is i sigma_1 in the torus-x slot comes back as +i sigma_1 in torus-y
+    # is i sigma_1, the vector (1, 0, 0), in the torus-x slot comes back as
+    # +i sigma_1 in torus-y
     grid = AnnulusGrid(8.0, 40.0, n_r=4, n_theta=4, n_x=4, n_y=4)
-    comps = np.zeros((4, 4, 4, 4, 4, 2, 2), dtype=complex)
-    comps[2] = [[0, 1j], [1j, 0]]
+    comps = np.zeros((4, 4, 4, 4, 4, 3))
+    comps[2] = (1.0, 0.0, 0.0)
     I1, _, _ = complex_structures()
     got = apply_complex_structure(
         TangentVectorInstanton(grid=grid, comps=comps, torus=TORUS), I1).comps
@@ -276,16 +272,18 @@ def test_complex_structure_acts_as_its_matrix():
 
 @pytest.mark.parametrize("lead", [(), (3,), (4,), (6,)])
 def test_l2_pairing_matches_the_complex_einsum(lead):
-    # sections (n_r, ...) and stacked fields (k, n_r, ...) alike
+    # sections (n_r, ...) and stacked fields (k, n_r, ...) alike, in
+    # su(2) vector form against their matrices
     grid = make_grid()
     torus = TorusSpec(4.0, 7.0)
     rng = np.random.default_rng(len(lead))
-    shape = lead + (grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 2, 2)
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    shape = lead + (grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 3)
+    a = rng.normal(size=shape)
     # b leans on a, so the sum does not cancel to its rounding noise
-    b = a + 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    b = a + 0.5 * rng.normal(size=shape)
     for x, y in ((a, b), (b, a), (a, a)):
-        want = complex_pairing(x, y, grid, torus)
+        want = complex_pairing(_su2.from_vector(x), _su2.from_vector(y),
+                               grid, torus)
         assert abs(_l2_pairing(x, y, grid, torus) - want) \
             <= 1e-13 * abs(want)
 
@@ -322,7 +320,7 @@ def test_tangent_components_are_stored_contiguous():
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
     t1, = translation_tangents(AnnulusCalculus(conn, grid), PLANE[:1])
-    view = np.moveaxis(np.moveaxis(t1.comps, 0, -3).copy(), -3, 0)
+    view = np.moveaxis(np.moveaxis(t1.comps, 0, -2).copy(), -2, 0)
     assert not view.flags.c_contiguous
     strided = TangentVectorInstanton(grid, view, TORUS)
     assert strided.comps.flags.c_contiguous
@@ -333,26 +331,37 @@ def test_tangent_components_are_stored_contiguous():
 
 
 def test_translation_tangents_sample_the_curvature_once():
-    # every direction contracts one curvature sample on calc's points
-    calls = Counter()
+    # every direction contracts one curvature sample on calc's points,
+    # taken one radius at a time: the slabs' evaluate and derivative calls
+    # cover the grid exactly once, none more than a radius of it
+    seen = {"evaluate": [], "derivative": []}
     conn = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j,
                                         alpha=0.15), TORUS)
 
-    def counted(name):
+    def recorded(name):
         fn = getattr(conn, name)
 
         def wrapper(points):
-            calls[name] += 1
+            seen[name].append(np.array(points).reshape(-1, 4))
             return fn(points)
         return wrapper
 
-    calc = AnnulusCalculus(replace(conn, evaluate=counted("evaluate"),
-                                   derivative=counted("derivative")),
+    calc = AnnulusCalculus(replace(conn, evaluate=recorded("evaluate"),
+                                   derivative=recorded("derivative")),
                            make_grid())
-    calls.clear()
+    for slabs in seen.values():
+        slabs.clear()
     tangents = translation_tangents(calc, PLANE)
     assert len(tangents) == 2
-    assert calls == {"evaluate": 1, "derivative": 1}
+
+    def rows(p):
+        return p[np.lexsort(p.T[::-1])]
+
+    g = calc.grid
+    for slabs in seen.values():
+        assert max(len(p) for p in slabs) <= g.n_theta * g.n_x * g.n_y
+        assert np.array_equal(rows(np.concatenate(slabs)),
+                              rows(calc.points.reshape(-1, 4)))
 
 
 def test_quadrature_weights_are_shared_and_read_only():
@@ -375,3 +384,53 @@ def test_l2_metric_scales_with_the_torus_area():
     oblong = TangentVectorInstanton(grid, comps, other)
     assert l2_metric(oblong, oblong) == pytest.approx(
         l2_metric(square, square) * other.area / TORUS.area, rel=1e-12)
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["clean", "perturbed"])
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["square", "oblong"])
+@pytest.mark.parametrize("params", [
+    ModelParams(lam=0.1 + 0.05j, mu=0.3 - 0.2j, alpha=0.15),
+    ModelParams(kind="nilpotent")], ids=["semisimple", "nilpotent"])
+def test_vector_calculus_matches_the_matrix_form(params, torus, perturbed):
+    # d0, d*, d1, d+ and the pairing on su(2) vectors are the matrix-form
+    # operators read through to_vector, on random (rough) fields
+    grid = AnnulusGrid(8.0, 40.0, n_r=8, n_theta=8, n_x=4, n_y=4)
+    conn = model_connection(params, torus)
+    if perturbed:
+        conn = perturb(conn, delta=0.5, amplitude=0.05, seed=3, r_lo=8.0,
+                       r_hi=40.0)
+    calc, ref = AnnulusCalculus(conn, grid), MatrixCalculus(conn, grid)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=calc.points.shape[:-1] + (3,))
+    a, b = rng.normal(size=(2, 4) + u.shape)
+    U, A, B = (_su2.from_vector(x) for x in (u, a, b))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    close(calc.A, _su2.to_vector(ref.A))
+    close(calc.d0(u), _su2.to_vector(ref.d0(U)))
+    close(calc.dstar(a), _su2.to_vector(ref.dstar(A)))
+    close(calc.d1(a), _su2.to_vector(ref.d1(A)))
+    close(calc.dplus(a), _su2.to_vector(ref.dplus(A)))
+    for x, y, X, Y in ((a, b, A, B), (a, a, A, A), (u, u, U, U)):
+        close(np.array(calc.inner(x, y)), np.array(ref.inner(X, Y)))
+
+
+def test_moduli_pipeline_traced_peak_stays_under_10_mb():
+    # the shipped moduli_suite run holds no (..., 2, 2) tangent and no
+    # whole-grid table of connection partials; it peaked at 20.2 MB with
+    # them, and at 7.8 MB without
+    params = cli._PIPELINES["moduli"][0](cli._load_config(
+        os.path.join(CONFIGS, "moduli_suite.json")))
+    tracemalloc.start()
+    try:
+        checks, _ = cli._run_moduli(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in checks)
+    assert peak <= 10e6

@@ -60,18 +60,19 @@ def test_comm_diag_matches_generic_commutator():
         assert np.max(np.abs(_su2.comm_diag(g, X) - expected)) < 1e-14
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (9, 2, 2), (4, 5, 3, 2, 2)])
-def test_algebra_defect_matches_frobenius_and_trace(shape):
-    # the four-entry form against max(frob(X + dag X), |tr X|), on general
-    # complex matrices (no anti-hermitian or traceless part is special)
-    rng = np.random.default_rng(len(shape))
-    X = rand_complex(rng, shape) * np.exp(rng.normal(size=shape[:-2]))[
-        ..., None, None]
-    expected = np.maximum(_su2.frob(X + _su2.dag(X)),
-                          np.abs(np.trace(X, axis1=-2, axis2=-1)))
-    got = _su2.algebra_defect(X)
-    assert got.shape == expected.shape
-    assert np.all(np.abs(got - expected) <= 1e-14 * expected)
+@pytest.mark.parametrize("vs, ws", [((9, 3), (9, 3)), ((3,), (4, 5, 3)),
+                                    ((6, 1, 3), (1, 5, 3))])
+def test_comm_vector_is_the_matrix_commutator(vs, ws):
+    # the vector form of [X, Y] for X = i v.sigma, Y = i w.sigma, and the
+    # Frobenius pairing read as 2 v.w
+    rng = np.random.default_rng(len(vs) + len(ws))
+    v, w = rng.normal(size=vs), rng.normal(size=ws)
+    X, Y = _su2.from_vector(v), _su2.from_vector(w)
+    got = _su2.comm_vector(v, w)
+    assert got.shape == np.broadcast_shapes(vs, ws)
+    assert np.max(np.abs(got - _su2.to_vector(_su2.comm(X, Y)))) < 1e-14
+    assert np.allclose(np.real(np.einsum("...ij,...ij->...", X, np.conj(Y))),
+                       2.0 * np.sum(v * w, axis=-1), rtol=1e-14, atol=0.0)
 
 
 def test_project_su2_matches_polar_projection():
