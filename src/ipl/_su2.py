@@ -1,34 +1,23 @@
-"""su(2)/SU(2) matrix helpers, vectorized over leading batch axes.
+"""su(2) and SU(2) arithmetic, vectorized over leading batch axes.
 
-Conventions: su(2) elements are anti-hermitian traceless 2x2 complex
-matrices X = i (v . sigma) with v real; the Frobenius inner product
-<X, Y> = Re tr(X Y^dagger) is used everywhere (positive definite,
-equal to -Re tr(XY) on anti-hermitian matrices). On the real vectors v
-(..., 3) of `to_vector`, <X, Y> = 2 v.w, so |X|_F^2 = 2 |v|^2, and [X, Y]
-is -2 v x w (`comm_vector`).
-
-Every 2x2 product, commutator and conjugate transpose in the package goes
-through `mul`, `comm`, `comm_diag` and `dag` here, and nowhere else. They
-are closed-form elementwise expressions in the four entries, broadcasting
-over leading axes; numpy's batched `@` on (..., 2, 2) arrays pays a generic
-per-matrix cost several times larger than the arithmetic.
+The one rule of the package: an element of the Lie algebra is a 3-vector,
+and only an element of the group is a 2x2 matrix. An su(2) element is a
+real v (..., 3) standing for X = i v.sigma (`from_vector`); an sl(2,C)
+element (the Higgs field) is a complex q (..., 3) standing for
+psi = i q.sigma. The Frobenius inner product <X, Y> = Re tr(X Y^dagger)
+is 2 Re(v . conj w), so |X|_F^2 = 2 |v|^2 (`frob_vector`), and the bracket
+[X, Y] is -2 v x w (`comm_vector`); both hold for complex vectors too,
+being bilinear. An SU(2) element (a holonomy, a transport step) is a
+complex (..., 2, 2) matrix: `expm_su2` maps a vector to one, `log_su2`
+maps one back, and `mul`, `comm` and `project_su2` act on them. These
+kernels are closed-form elementwise expressions in the vector components
+or the four matrix entries; numpy's batched `@` on (..., 2, 2) arrays pays
+a generic per-matrix cost several times larger than the arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-PAULI = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-SIGMA3 = PAULI[2]
-
-EYE2 = np.eye(2, dtype=complex)
 
 
 def _entries(X):
@@ -64,35 +53,33 @@ def comm(X, Y):
 
 
 def comm_vector(v, w):
-    """-2 v x w (..., 3), the vector of [i v.sigma, i w.sigma]; broadcasts."""
+    """-2 v x w (..., 3), the vector of [i v.sigma, i w.sigma], for real or
+    complex v and w; broadcasts."""
     v, w = 2.0 * np.asarray(v), np.asarray(w)  # the factor 2 is exact
-    out = np.empty(np.broadcast_shapes(v.shape, w.shape))
+    out = np.empty(np.broadcast_shapes(v.shape, w.shape),
+                   dtype=np.result_type(v, w))
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.subtract(v[..., j] * w[..., i], v[..., i] * w[..., j],
                     out=out[..., k])
     return out
 
 
-def comm_diag(g, X):
-    """[diag(g), X] for diagonals g (..., 2): (g_a - g_b) X_ab, one broadcast
-    multiply with no matrix product."""
-    g = np.asarray(g)
-    return (g[..., :, None] - g[..., None, :]) * X
-
-
-def dag(X):
-    """Conjugate transpose over the trailing 2x2 axes."""
-    return np.conj(np.swapaxes(X, -1, -2))
+def frob_vector(v):
+    """|i v.sigma|_F = sqrt(2) |v| over the trailing axis of real or complex
+    vectors v (..., 3)."""
+    return np.sqrt(2.0 * np.sum(np.abs(v) ** 2, axis=-1))
 
 
 def from_vector(v):
-    """Real vector(s) (..., 3) -> anti-hermitian traceless i(v.sigma)."""
-    v = np.asarray(v, dtype=float)
-    return 1j * np.einsum("...k,kab->...ab", v, PAULI)
+    """Vector(s) (..., 3) -> the matrices i(v.sigma): anti-hermitian and
+    traceless for real v."""
+    x, y, z = np.moveaxis(np.asarray(v), -1, 0)
+    return _assemble(1j * z, y + 1j * x, 1j * x - y, -1j * z)
 
 
 def to_vector(X):
-    """Inverse of from_vector; takes the i(v.sigma) part of X."""
+    """Inverse of from_vector on real vectors; takes the i(v.sigma) part of
+    X."""
     a, b, c, d = _entries(np.asarray(X, dtype=complex))
     return np.stack([(b + c).imag, (b - c).real, (a - d).imag], axis=-1) * 0.5
 
@@ -103,21 +90,20 @@ def frob(X):
     return np.sqrt(np.sum(np.abs(X) ** 2, axis=(-2, -1)))
 
 
-def expm_su2(X):
-    """exp(X) for anti-hermitian traceless X, closed form, batched.
+def expm_su2(v):
+    """exp(i v.sigma) for real vectors v (..., 3), closed form, batched.
 
-    X = i t (n.sigma) with |n| = 1 gives exp(X) = cos(t) I + sin(t)/t X.
-    Only the su(2) part i(v.sigma) of X is used: a = i v3 and
-    b = v2 + i v1 are its (0, 0) and (0, 1) entries.
+    With t = |v|, exp(i v.sigma) = cos(t) I + sin(t)/t i(v.sigma), whose
+    (0, 0) and (0, 1) entries are p = cos(t) + i sin(t)/t v3 and
+    q = sin(t)/t (v2 + i v1).
     """
-    a, b, c, d = _entries(np.asarray(X, dtype=complex))
-    v3 = (a - d).imag / 2.0
-    w = (b - np.conj(c)) / 2.0
-    t = np.sqrt(v3 ** 2 + w.real ** 2 + w.imag ** 2)
+    v = np.asarray(v, dtype=float)
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    t = np.sqrt(v3 ** 2 + v2 ** 2 + v1 ** 2)
     # sin(t)/t via sinc, stable at t = 0
     s = np.sinc(t / np.pi)
     p = np.cos(t) + 1j * s * v3
-    q = s * w
+    q = s * (v2 + 1j * v1)
     return _assemble(p, q, -np.conj(q), np.conj(p))
 
 
@@ -129,8 +115,7 @@ def log_su2(U):
     """
     U = np.asarray(U, dtype=complex)
     c = np.clip(np.trace(U, axis1=-2, axis2=-1).real / 2.0, -1.0, 1.0)
-    A = (U - dag(U)) / 2.0
-    sn = to_vector(A)  # sin(t) * n
+    sn = to_vector(U)  # sin(t) * n, read from the anti-hermitian part
     s = np.linalg.norm(sn, axis=-1)
     t = np.arctan2(s, c)
     with np.errstate(invalid="ignore", divide="ignore"):

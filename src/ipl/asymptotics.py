@@ -178,7 +178,7 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
         else:
             L = Lx if kind == "x" else Ly
             a = conn.along_circle(kind, b, L * _step_times(LOOP_STEPS))
-            if a.ndim == 3:  # constant along each circle
+            if a.ndim == 2:  # constant along each circle
                 mats = _su2.expm_su2(-L * a)
             else:
                 # -(L / n) a, rounded as _path_ordered_product rounds

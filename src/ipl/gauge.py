@@ -42,10 +42,11 @@ class RadialDomain:
 class ConnectionSource(RadialDomain):
     """A connection given by callables, vectorized over leading axes.
 
-    evaluate(points): (..., 4) float -> (..., 4, 2, 2) complex, components
-    (a_r, a_theta, a_x, a_y) in the coordinate coframe.
-    derivative(points): (..., 4) float -> (..., 4, 4, 2, 2) complex, the
-    table of exact partials, entry [..., i, j] = partial_i a_j. Every
+    evaluate(points): (..., 4) float -> (..., 4, 3) float, components
+    (a_r, a_theta, a_x, a_y) in the coordinate coframe, each the su(2)
+    vector v of i v.sigma.
+    derivative(points): (..., 4) float -> (..., 4, 4, 3) float, the table
+    of exact partials, entry [..., i, j] = partial_i a_j. Every
     connection here is a closed form (a lift of an explicit Higgs pair, a
     flat connection, or a perturbation of one), so its partials are too;
     there is no finite-difference fallback.
@@ -55,8 +56,8 @@ class ConnectionSource(RadialDomain):
     (a_x for kind 'x', a_y for 'y') on the circles of that kind through the
     base points bases (B, 4), at the along-circle coordinates coords (S...):
     the circle through b meets coordinate s at (b_r, b_theta, s, b_y) for
-    'x', (b_r, b_theta, b_x, s) for 'y'. It returns (S..., B, 2, 2), or
-    (B, 2, 2) when the component is constant along every circle, as a new
+    'x', (b_r, b_theta, b_x, s) for 'y'. It returns (S..., B, 3), or
+    (B, 3) when the component is constant along every circle, as a new
     array the caller may write to. Only the constructors that know the
     component's form along the circles set it: `hitchin.lift` and
     `flat_connection` (through `read_along_circle_at_base`), and `perturb`
@@ -75,7 +76,7 @@ class ConnectionSource(RadialDomain):
 def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
     """Gives conn, whose components depend on (r, theta) alone, the
     along_circle that reads them once per circle, at its base point: a
-    (B, 2, 2) result. It reads through conn's evaluate as set at call time,
+    (B, 3) result. It reads through conn's evaluate as set at call time,
     so a wrapper installed on evaluate later sees every read. Returns
     conn."""
     def along_circle(kind, bases, coords):
@@ -87,30 +88,29 @@ def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
 
 def curvature(conn: ConnectionSource, points) -> np.ndarray:
     """F_ab = d_a A_b - d_b A_a + [A_a, A_b] at the given points (..., 4),
-    in the unit frame: (..., 6, 2, 2) in PAIRS order."""
+    in the unit frame: (..., 6, 3) in PAIRS order."""
     points = np.asarray(points, dtype=float)
     conn.check_domain(points)
     f = _field_strength(conn.evaluate(points), conn.derivative(points), PAIRS)
-    # the bits of f / r, which numpy forms as the product with 1 / r
-    fv, inv_r = f.view(float), 1.0 / points[..., 0, None, None]
+    inv_r = 1.0 / points[..., 0, None]
     for k in _THETA_PAIRED:
-        fv[..., k, :, :] *= inv_r
+        f[..., k, :] *= inv_r
     return f
 
 
 def _field_strength(a, d, pairs) -> np.ndarray:
     """F_ij = d_i A_j - d_j A_i + [A_i, A_j] for each (i, j) of pairs, from
-    the components a (..., 4, 2, 2) and the table of their partials
-    d (..., 4, 4, 2, 2): (..., len(pairs), 2, 2)."""
-    out = np.empty(a.shape[:-3] + (len(pairs), 2, 2), dtype=complex)
+    the components a (..., 4, 3) and the table of their partials
+    d (..., 4, 4, 3): (..., len(pairs), 3)."""
+    out = np.empty(a.shape[:-2] + (len(pairs), 3))
     for k, (i, j) in enumerate(pairs):
-        f = out[..., k, :, :]
-        np.subtract(d[..., i, j, :, :], d[..., j, i, :, :], out=f)
-        f += _su2.comm(a[..., i, :, :], a[..., j, :, :])
+        f = out[..., k, :]
+        np.subtract(d[..., i, j, :], d[..., j, i, :], out=f)
+        f += _su2.comm_vector(a[..., i, :], a[..., j, :])
     return out
 
 
-def self_dual(f: np.ndarray, axis: int = -3) -> np.ndarray:
+def self_dual(f: np.ndarray, axis: int = -2) -> np.ndarray:
     """Coefficients (c1, c2, c3) on the self-dual basis of the 2-form with
     six unit-frame components f in PAIRS order along `axis`."""
     f = np.moveaxis(f, axis, 0)
@@ -118,30 +118,30 @@ def self_dual(f: np.ndarray, axis: int = -3) -> np.ndarray:
 
 
 def interior(f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """i_v F (..., 4, 2, 2), entry j = sum_i v_i F_ij, for the 2-form f
-    (..., 6, 2, 2) in PAIRS order and vectors v (..., 4) broadcast to its
+    """i_v F (..., 4, 3), entry j = sum_i v_i F_ij, for the 2-form f
+    (..., 6, 3) in PAIRS order and vectors v (..., 4) broadcast to its
     leading axes; a component of v that is zero everywhere is skipped."""
-    f = np.ascontiguousarray(np.moveaxis(f, -3, 0))  # whole slots, unstrided
-    out = np.zeros((4,) + f.shape[1:], dtype=complex)
+    f = np.ascontiguousarray(np.moveaxis(f, -2, 0))  # whole slots, unstrided
+    out = np.zeros((4,) + f.shape[1:])
     for k, (i, j) in enumerate(PAIRS):
         if np.any(v[..., i]):
-            out[j] += v[..., i, None, None] * f[k]
+            out[j] += v[..., i, None] * f[k]
         if np.any(v[..., j]):
-            out[i] -= v[..., j, None, None] * f[k]
-    return np.moveaxis(out, 0, -3)
+            out[i] -= v[..., j, None] * f[k]
+    return np.moveaxis(out, 0, -2)
 
 
 def asd_residual(conn: ConnectionSource, points) -> np.ndarray:
     """Pointwise |F^+| (Frobenius aggregate over the self-dual coefficients)."""
     c = self_dual(curvature(conn, points))
-    return np.sqrt(2.0 * np.sum(_su2.frob(c) ** 2, axis=-1))
+    return np.sqrt(2.0 * np.sum(_su2.frob_vector(c) ** 2, axis=-1))
 
 
 def curvature_norm(conn: ConnectionSource, points, components: str = "all") -> np.ndarray:
     """Pointwise |F|; components='kahler' restricts to the (1,2) and (3,4)
     orthonormal-frame slots (the instanton-density pair), components='all'
     aggregates all six."""
-    n2 = _su2.frob(curvature(conn, points)) ** 2
+    n2 = _su2.frob_vector(curvature(conn, points)) ** 2
     if components == "all":
         return np.sqrt(np.sum(n2, axis=-1))
     if components == "kahler":
@@ -177,29 +177,29 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
 
     pts, tans: (n, 2, ..., 4), gamma and gamma' at the two Gauss nodes
     t_k,i = (k + GAUSS_NODES[i]) / n of each step k (see `_step_times`).
-    Returns (..., 2, 2), the `_magnus_product` of the generators
-    b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n.
+    Returns the SU(2) matrices (..., 2, 2), the `_magnus_product` of the
+    generators b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n.
     """
     conn.check_domain(pts)
     return _magnus_product(_magnus_generators(conn.evaluate(pts), tans))
 
 
 def _magnus_generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
-    """The generators b = -A . gamma' / n (n, 2, ..., 2, 2) of
-    `_magnus_product`, from the connection a (n, 2, ..., 4, 2, 2) sampled
-    at the path's Gauss nodes and the tangents tans (n, 2, ..., 4) there."""
-    t = tans[..., None, None]
-    b = t[..., 0, :, :] * a[..., 0, :, :]  # sum_i tans_i a_i / -n
+    """The su(2) generators b = -A . gamma' / n (n, 2, ..., 3) of
+    `_magnus_product`, from the connection a (n, 2, ..., 4, 3) sampled at
+    the path's Gauss nodes and the tangents tans (n, 2, ..., 4) there."""
+    t = tans[..., None]
+    b = t[..., 0, :] * a[..., 0, :]  # sum_i tans_i a_i / -n
     for i in range(1, 4):
-        b += t[..., i, :, :] * a[..., i, :, :]
+        b += t[..., i, :] * a[..., i, :]
     b /= -len(a)
     return b
 
 
 def _magnus_product(b: np.ndarray) -> np.ndarray:
-    """Product of n transport steps from their Magnus generators b
-    (n, 2, ..., 2, 2), b_i = -A . gamma' / n at the step's two Gauss nodes
-    (see `_magnus_generators`). Returns (..., 2, 2).
+    """Product of n transport steps from their su(2) Magnus generators b
+    (n, 2, ..., 3), b_i = -A . gamma' / n at the step's two Gauss nodes
+    (see `_magnus_generators`). Returns the SU(2) matrices (..., 2, 2).
 
     Each step is exp(Omega) of the fourth-order Magnus expansion (Iserles &
     Norsett 1999; Blanes, Casas, Oteo & Ros 2009):
@@ -213,7 +213,7 @@ def _magnus_product(b: np.ndarray) -> np.ndarray:
     projection at the end suffices.
     """
     omega = 0.5 * (b[:, 0] + b[:, 1]) \
-        + (math.sqrt(3.0) / 12.0) * _su2.comm(b[:, 1], b[:, 0])
+        + (math.sqrt(3.0) / 12.0) * _su2.comm_vector(b[:, 1], b[:, 0])
     steps = _su2.expm_su2(omega)
     while len(steps) > 1:
         paired = _su2.mul(steps[1::2], steps[:-1:2])
@@ -292,7 +292,7 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     a = conn.evaluate(pts)
     m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
 
-    # A(dphi/dt) at the base points
+    # A(dphi/dt) at the base points, as matrices to meet the holonomies
     a_base = conn.evaluate(base)
     a_t = dphi_dt[0] * a_base[:, 0]
     for i in range(1, 4):
@@ -301,18 +301,18 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     # centered derivative of m in t, made covariant
     dt = ts[1] - ts[0]
     lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * dt)
-                    + _su2.comm(a_t[1:-1], m_t[1:-1]))
+                    + _su2.comm(_su2.from_vector(a_t[1:-1]), m_t[1:-1]))
 
     # curvature contracted with the family surface element
     coeff = {(i, j): dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i]
              for i, j in PAIRS}
     live = [pair for pair in PAIRS if coeff[pair]]
     F = _field_strength(a, conn.derivative(pts), live)
-    contract = np.zeros(pts.shape[:-1] + (2, 2), dtype=complex)
+    contract = np.zeros(pts.shape[:-1] + (3,))
     for k, pair in enumerate(live):
-        contract += F[..., k, :, :] * coeff[pair]
+        contract += F[..., k, :] * coeff[pair]
     # integral over s: equal weights 1 / (2 steps) on the Gauss nodes
-    rhs = np.mean(_su2.frob(contract), axis=(0, 1))
+    rhs = np.mean(_su2.frob_vector(contract), axis=(0, 1))
 
     defect = lhs - rhs[1:-1]
     return {
@@ -327,23 +327,23 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
 # flat model connections
 
 def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
-    """Flat diagonal connection i diag(c, -c) dx + i diag(c', -c') dy with
-    holonomy exponents given by the dual-torus point, a point of torus's
-    dual."""
+    """Flat diagonal connection i c sigma3 dx + i c' sigma3 dy, the vectors
+    (0, 0, c) and (0, 0, c'), with holonomy exponents given by the
+    dual-torus point, a point of torus's dual."""
     if xi.torus != torus:
         raise ValueError("xi is a point of another torus's dual")
     c1, c2 = xi.c
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = 1j * c1 * _su2.SIGMA3
-        out[..., 3, :, :] = 1j * c2 * _su2.SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 3))
+        out[..., 2, 2] = c1
+        out[..., 3, 2] = c2
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
-        return np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
+        return np.zeros(points.shape[:-1] + (4, 4, 3))
 
     return read_along_circle_at_base(ConnectionSource(
         evaluate=evaluate, torus=torus, derivative=derivative, name="flat"))
@@ -358,7 +358,7 @@ class BoundaryConditionError(ValueError):
 
 @dataclass(frozen=True)
 class TrigRadialTerm:
-    """One separable term  matrix * f(r) * cos(p theta + ph0) *
+    """One separable term  i(vector . sigma) * f(r) * cos(p theta + ph0) *
     cos(n x + ph1) * cos(m y + ph2)  occupying a single angular component.
 
     component: 1 = dtheta, 2 = dx, 3 = dy (0 = dr is rejected by the
@@ -366,7 +366,7 @@ class TrigRadialTerm:
     """
 
     component: int
-    matrix: tuple  # nested 2x2 complex-able
+    vector: tuple  # the su(2) vector, three reals
     radial_coeffs: tuple  # polynomial coefficients, low order first
     modes: tuple  # (p, n, m) integers
     phases: tuple = (0.0, 0.0, 0.0)
@@ -421,7 +421,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     radial component to vanish identically (raises BoundaryConditionError
     otherwise); G is the flat diagonal twist of `gamma` (None = untwisted).
 
-    Every integrand is |sum_k g_k M_k|^2 with constant matrices M_k and
+    Every integrand is |sum_k g_k M_k|^2 with constant su(2) vectors M_k and
     separable fields g_k = R_k(r) Th_k(theta) X_k(x) Y_k(y); on the tensor
     grid (48 Gauss-Legendre nodes in r, uniform in theta, x, y) each sum
     of g_k g_l is a product of four 1-D sums, so no 4-D field is ever
@@ -451,34 +451,34 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     ys = np.linspace(0.0, torus.period_y, n_y, endpoint=False)
     w_ang = (TWO_PI / n_th) * (torus.period_x / n_x) * (torus.period_y / n_y)
 
-    # flat twist: the diagonals of c * diag(i, -i)
+    # flat twist: i c sigma3, the vector (0, 0, c)
     c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
-    gx, gy = c1 * np.array([1j, -1j]), c2 * np.array([1j, -1j])
+    gx, gy = (0.0, 0.0, c1), (0.0, 0.0, c2)
 
     def gram(entries, w_r):
-        """Re<e_k, e_l> integrated over the tensor grid, for entries
+        """<e_k, e_l> integrated over the tensor grid, for entries
         e = (R, Th, X, Y, M): the 1-D Gram matrices of the four factors
-        multiplied elementwise, times the matrix Gram Re<M_k, M_l>."""
+        multiplied elementwise, times the su(2) Gram <M_k, M_l> = 2 M_k.M_l."""
         if not entries:
             return np.zeros((0, 0))
         g = w_ang
         for axis, w in enumerate((w_r, 1.0, 1.0, 1.0)):
             f = np.stack([e[axis] for e in entries])
             g = g * ((f * w) @ f.T)
-        m = np.stack([e[4] for e in entries]).astype(complex)
-        m = m.view(float).reshape(len(entries), 8)
-        return g * (m @ m.T)
+        m = np.array([e[4] for e in entries], dtype=float)
+        return g * (2.0 * (m @ m.T))
 
     # covariant frame derivatives nabla_{alpha beta}, alpha,beta in 1..4,
     # of the unit-frame components ahat_beta (beta 2 <-> a_theta / r,
     # 3 <-> a_x, 4 <-> a_y, ahat_1 = 0); rows alpha: e1 = d_r,
     # e2 = (1/r) d_th (+ curvature corrections), e3 = d_x + [gx, .],
     # e4 = d_y + [gy, .]. Each is a sum of entries (R, Th, X, Y, M), one
-    # separable real field times a constant matrix, labelled (alpha, beta);
-    # nabla_{alpha 1} = 0 except for alpha = 2.
+    # separable real field times a constant su(2) vector, labelled
+    # (alpha, beta); nabla_{alpha 1} = 0 except for alpha = 2.
     labels, entries = [], []
-    for t in form.terms:
-        T = np.asarray(t.matrix, dtype=complex)
+    vectors = np.array([t.vector for t in form.terms], float).reshape(-1, 3)
+    twists = zip(_su2.comm_vector(gx, vectors), _su2.comm_vector(gy, vectors))
+    for t, T, (Tx, Ty) in zip(form.terms, vectors, twists):
         (f, df), (c, dc), (cx, dcx), (cy, dcy) = _term_factors(
             t, rs, th, xs, ys, torus)
         beta = t.component + 1
@@ -490,8 +490,8 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
             entries.append((-f / rs, c, cx, cy, T))
         labels += [(alpha, beta) for alpha in (1, 2, 3, 3, 4, 4)]
         entries += [(df, c, cx, cy, T), (f / rs, dc, cx, cy, T),
-                    (f, c, dcx, cy, T), (f, c, cx, cy, _su2.comm_diag(gx, T)),
-                    (f, c, cx, dcy, T), (f, c, cx, cy, _su2.comm_diag(gy, T))]
+                    (f, c, dcx, cy, T), (f, c, cx, cy, Tx),
+                    (f, c, cx, dcy, T), (f, c, cx, cy, Ty)]
 
     G = gram(entries, wr * rs)
     rows, cols = np.array(labels, dtype=int).reshape(-1, 2).T
@@ -517,7 +517,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
             if t.component == 1:
                 (f, _), (c, _), (cx, _), (cy, _) = _term_factors(
                     t, np.array([rho]), th, xs, ys, torus)
-                entries.append((f / rho, c, cx, cy, np.asarray(t.matrix)))
+                entries.append((f / rho, c, cx, cy, t.vector))
         return float(np.sum(gram(entries, 1.0)))
 
     inner_term = boundary(r_inner)
@@ -544,10 +544,10 @@ def random_quadratic_form_fixture(rng, r_outer: float) -> SeparableOneForm:
         coeffs = rng.normal(size=3)
         if comp == 1:
             coeffs = np.convolve(coeffs, [-r_outer, 1.0])
-        mat = _su2.from_vector(rng.normal(size=3))
+        vector = tuple(float(v) for v in rng.normal(size=3))
         modes = tuple(int(v) for v in rng.integers(-2, 3, size=3))
         phases = tuple(float(v) for v in rng.uniform(0, TWO_PI, size=3))
-        terms.append(TrigRadialTerm(component=comp, matrix=tuple(map(tuple, mat)),
+        terms.append(TrigRadialTerm(component=comp, vector=vector,
                                     radial_coeffs=tuple(coeffs), modes=modes,
                                     phases=phases))
     return SeparableOneForm(terms=tuple(terms))

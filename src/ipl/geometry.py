@@ -123,8 +123,7 @@ def dual_lattice(torus: TorusSpec) -> tuple[complex, complex]:
 
 def lattice_reduce(z: complex, torus: TorusSpec) -> complex:
     """Representative of z modulo the dual lattice nearest to zero."""
-    g_re = math.pi / torus.period_y
-    g_im = math.pi / torus.period_x
+    g_re, g_im = map(abs, dual_lattice(torus))
     re = z.real - round(z.real / g_re) * g_re
     im = z.imag - round(z.imag / g_im) * g_im
     return complex(re, im)
@@ -140,15 +139,13 @@ def in_dual_lattice(z: complex, torus: TorusSpec, tol: float = 1e-10) -> bool:
 
 def covering_radius(torus: TorusSpec) -> float:
     """Largest distance from any twist to the dual lattice."""
-    g_re = math.pi / torus.period_y
-    g_im = math.pi / torus.period_x
+    g_re, g_im = map(abs, dual_lattice(torus))
     return 0.5 * math.hypot(g_re, g_im)
 
 
 def lattice_translates(center: complex, radius: float, torus: TorusSpec):
     """All dual-lattice points within `radius` of `center`."""
-    g_re = math.pi / torus.period_y
-    g_im = math.pi / torus.period_x
+    g_re, g_im = map(abs, dual_lattice(torus))
     out = []
     m_lo = math.floor((center.real - radius) / g_re)
     m_hi = math.ceil((center.real + radius) / g_re)
@@ -192,12 +189,16 @@ class AnnulusGrid:
     def thetas(self) -> np.ndarray:
         return np.linspace(0.0, TWO_PI, self.n_theta, endpoint=False)
 
+    def torus_nodes(self, torus: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The evenly spaced x and y nodes on torus."""
+        return (np.linspace(0.0, torus.period_x, self.n_x, endpoint=False),
+                np.linspace(0.0, torus.period_y, self.n_y, endpoint=False))
+
     def points(self, torus: TorusSpec) -> np.ndarray:
         """The (r, theta, x, y) mesh, shape (n_r, n_theta, n_x, n_y, 4)."""
-        xs = np.linspace(0.0, torus.period_x, self.n_x, endpoint=False)
-        ys = np.linspace(0.0, torus.period_y, self.n_y, endpoint=False)
-        return np.stack(np.meshgrid(self.rs, self.thetas, xs, ys,
-                                    indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(self.rs, self.thetas,
+                                    *self.torus_nodes(torus), indexing="ij"),
+                        axis=-1)
 
 
 # ---------------------------------------------------------------------------

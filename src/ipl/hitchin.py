@@ -13,6 +13,10 @@ dw ^ dwbar = -2i dw1 ^ dw2, anti-self-duality of the lift is equivalent to
 
 and the exact pointwise identity |F^+|^2 = rho1^2/2 + 2 rho2^2 holds for
 the residual pair returned by hitchin_residual.
+
+In vectors (see `_su2`): a component a_j = i v_j.sigma is a real v_j and
+psi_w = i q.sigma a complex q, with psi_w^dag = i (-conj q).sigma; so
+q = (v_y - i v_x) / 2, and conversely v_x = -2 Im q, v_y = 2 Re q.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ class NotTorusInvariantError(ValueError):
 class HiggsPairOnPlane(RadialDomain):
     """Pair (B, psi) on the annulus r >= r_min of the plane.
 
-    evaluate(points): (..., 2) [r, theta] -> the tuple (b, psi); b is
-    (..., 2, 2, 2), components (b_r, b_theta), anti-hermitian traceless,
-    and psi is (..., 2, 2) complex traceless (the dw-coefficient of the
-    Higgs field). derivative(points): the tuple (db, dpsi) of exact
-    partials, (..., 2, 2, 2, 2) with entry [..., i, j] = partial_i b_j and
-    (..., 2, 2, 2) with entry [..., i] = partial_i psi; index 0 = r,
-    1 = theta. Each call of either returns new arrays that the caller may
-    write to.
+    evaluate(points): (..., 2) [r, theta] -> the tuple (b, q); b is
+    (..., 2, 3) float, the su(2) vectors of the components (b_r, b_theta),
+    and q is (..., 3) complex, the sl(2,C) vector of the dw-coefficient
+    psi = i q.sigma of the Higgs field. derivative(points): the tuple
+    (db, dq) of exact partials, (..., 2, 2, 3) float with entry
+    [..., i, j] = partial_i b_j and (..., 2, 3) complex with entry
+    [..., i] = partial_i q; index 0 = r, 1 = theta. Each call of either
+    returns new arrays that the caller may write to.
     """
 
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -75,7 +79,8 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
     xs = rng.uniform(0.0, conn.torus.period_x, size=n)
     ys = rng.uniform(0.0, conn.torus.period_y, size=n)
     moved = np.stack([rs, ths, xs, ys], axis=-1)
-    dev = float(np.max(_su2.frob(conn.evaluate(moved) - conn.evaluate(base))))
+    dev = float(np.max(_su2.frob_vector(conn.evaluate(moved)
+                                        - conn.evaluate(base))))
     if dev > CHECK_TOL:
         raise NotTorusInvariantError(
             f"component deviation {dev:.3e} over the torus exceeds "
@@ -86,18 +91,18 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
         points = np.asarray(points, dtype=float)
         return np.concatenate([points, np.zeros_like(points)], axis=-1)
 
-    def psi_slice(a):
-        """psi_w = (a_y - i a_x)/2 from connection components, or the same
-        for their partials."""
-        return (a[..., 3, :, :] - 1j * a[..., 2, :, :]) / 2.0
+    def q_slice(a):
+        """q = (v_y - i v_x)/2 from connection components, or the same for
+        their partials."""
+        return (a[..., 3, :] - 1j * a[..., 2, :]) / 2.0
 
     def evaluate(points):
         a = conn.evaluate(_lift_points(points))
-        return a[..., :2, :, :], psi_slice(a)
+        return a[..., :2, :], q_slice(a)
 
     def derivative(points):
         da = conn.derivative(_lift_points(points))
-        return da[..., :2, :2, :, :], psi_slice(da)[..., :2, :, :]
+        return da[..., :2, :2, :], q_slice(da)[..., :2, :]
 
     return HiggsPairOnPlane(
         evaluate=evaluate, derivative=derivative,
@@ -108,27 +113,26 @@ def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
 def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
     """Torus-invariant connection of a Higgs pair (exact inverse of reduce)."""
 
-    def components(b, psi, out):
-        """Writes (a_r, a_theta, a_x, a_y) from (b_r, b_theta) and psi_w into
-        out (..., 4, 2, 2), or the same for their partials."""
-        psid = _su2.dag(psi)
-        out[..., :2, :, :] = b
-        out[..., 2, :, :] = 1j * (psi + psid)
-        out[..., 3, :, :] = psi - psid
+    def components(b, q, out):
+        """Writes (a_r, a_theta, a_x, a_y) from (b_r, b_theta) and q into
+        out (..., 4, 3), or the same for their partials."""
+        out[..., :2, :] = b
+        out[..., 2, :] = -2.0 * q.imag
+        out[..., 3, :] = 2.0 * q.real
         return out
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
         return components(*pair.evaluate(p2),
-                          np.empty(p2.shape[:-1] + (4, 2, 2), complex))
+                          np.empty(p2.shape[:-1] + (4, 3)))
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
-        out = np.zeros(p2.shape[:-1] + (4, 4, 2, 2), complex)
+        out = np.zeros(p2.shape[:-1] + (4, 4, 3))
         components(*pair.derivative(p2),
-                   out[..., :2, :, :, :])  # torus partials: invariant, zero
+                   out[..., :2, :, :])  # torus partials: invariant, zero
         return out
 
     return read_along_circle_at_base(ConnectionSource(
@@ -147,19 +151,17 @@ def hitchin_residual(pair: HiggsPairOnPlane, points) -> tuple[np.ndarray, np.nda
     pair.check_domain(points)
     r = points[..., 0]
     th = points[..., 1]
-    b, psi = pair.evaluate(points)
-    psid = _su2.dag(psi)
-    db, dpsi = pair.derivative(points)
+    b, q = pair.evaluate(points)
+    db, dq = pair.derivative(points)
 
-    br, bth = b[..., 0, :, :], b[..., 1, :, :]
-    f12 = (db[..., 0, 1, :, :] - db[..., 1, 0, :, :] + _su2.comm(br, bth))
-    f12 = f12 / r[..., None, None]
-    rho1 = _su2.frob(f12 - 2j * _su2.comm(psi, psid))
+    br, bth = b[..., 0, :], b[..., 1, :]
+    f12 = (db[..., 0, 1, :] - db[..., 1, 0, :] + _su2.comm_vector(br, bth))
+    f12 = f12 / r[..., None]
+    rho1 = _su2.frob_vector(f12 - 2j * _su2.comm_vector(q, -np.conj(q)))
 
-    phase = np.exp(1j * th)[..., None, None]
-    dwbar_psi = 0.5 * phase * (dpsi[..., 0, :, :]
-                               + 1j * dpsi[..., 1, :, :] / r[..., None, None])
-    bwbar = 0.5 * phase * (br + 1j * bth / r[..., None, None])
-    g = dwbar_psi + _su2.comm(bwbar, psi)
-    rho2 = 2.0 * _su2.frob(g)
+    phase = np.exp(1j * th)[..., None]
+    dwbar_q = 0.5 * phase * (dq[..., 0, :] + 1j * dq[..., 1, :] / r[..., None])
+    bwbar = 0.5 * phase * (br + 1j * bth / r[..., None])
+    g = dwbar_q + _su2.comm_vector(bwbar, q)
+    rho2 = 2.0 * _su2.frob_vector(g)
     return rho1, rho2

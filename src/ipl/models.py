@@ -5,7 +5,9 @@ zeta(w) = lambda + mu/w (holomorphic in w) and theta-holonomy exponent
 alpha; the nilpotent model is the strictly-triangular Higgs pair
 psi = N / (w ln r^2) with B = d + i diag(-1, 1) dtheta / ln r^2. Both are
 defined as lifts of their Higgs pairs, so the reduction round trip is
-exact by construction.
+exact by construction. As vectors (see `_su2`): the semisimple pair is
+q = -i zeta(w) e3 with b_theta = alpha e3, and the nilpotent pair is
+q = NILP / (w ln r^2) with b_theta = -e3 / ln r^2.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _su2
-from .asymptotics import check_kind
+from .asymptotics import E3, check_kind
 from .gauge import ConnectionSource
 from .geometry import TWO_PI, TorusSpec
 from .hitchin import HiggsPairOnPlane, lift
 
-NILP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-DIAG_MINUS_PLUS = np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
+# the strictly upper-triangular N = [[0, 1], [0, 0]] = i NILP.sigma
+NILP = np.array([-0.5j, 0.5, 0.0])
 
 DEFAULT_SEMISIMPLE_R_MIN = 1e-3
 DEFAULT_NILPOTENT_R_MIN = math.sqrt(math.e)  # ln r^2 = 1
@@ -61,18 +62,18 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
 
         def evaluate(points):
             points = np.asarray(points, dtype=float)
-            b = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
-            b[..., 1, :, :] = 1j * alpha * _su2.SIGMA3
+            b = np.zeros(points.shape[:-1] + (2, 3))
+            b[..., 1, 2] = alpha
             w = points[..., 0] * np.exp(1j * points[..., 1])
-            return b, (lam + mu / w)[..., None, None] * _su2.SIGMA3
+            return b, (-1j * (lam + mu / w))[..., None] * E3
 
         def derivative(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             coef = np.stack([-mu / (w * r), -1j * mu / w], axis=-1)
-            return (np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex),
-                    coef[..., None, None] * _su2.SIGMA3)
+            return (np.zeros(points.shape[:-1] + (2, 2, 3)),
+                    (-1j * coef)[..., None] * E3)
 
         name = "semisimple-higgs"
     else:
@@ -83,21 +84,20 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
-            b = np.zeros(points.shape[:-1] + (2, 2, 2), dtype=complex)
-            b[..., 1, :, :] = (1j / L)[..., None, None] * DIAG_MINUS_PLUS
-            return b, (1.0 / (w * L))[..., None, None] * NILP
+            b = np.zeros(points.shape[:-1] + (2, 3))
+            b[..., 1, 2] = -1.0 / L
+            return b, (1.0 / (w * L))[..., None] * NILP
 
         def derivative(points):
             points = np.asarray(points, dtype=float)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
-            db = np.zeros(points.shape[:-1] + (2, 2, 2, 2), dtype=complex)
-            db[..., 0, 1, :, :] = (-2j / (r * L ** 2))[..., None, None] \
-                * DIAG_MINUS_PLUS
+            db = np.zeros(points.shape[:-1] + (2, 2, 3))
+            db[..., 0, 1, 2] = 2.0 / (r * L ** 2)
             coef = np.stack([-(L + 2.0) / (w * r * L ** 2), -1j / (w * L)],
                             axis=-1)
-            return db, coef[..., None, None] * NILP
+            return db, coef[..., None] * NILP
 
         name = "nilpotent-higgs"
 
@@ -135,7 +135,7 @@ def _bump_deriv(u):
 @dataclass(frozen=True)
 class _PerturbTerm:
     component: int
-    matrix: np.ndarray  # su(2), Frobenius norm 1
+    vector: np.ndarray  # su(2) vector v / (sqrt(2) |v|): Frobenius norm 1
     modes: tuple
     phases: tuple
 
@@ -162,11 +162,11 @@ def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
         terms = []
         for comp in range(4):
             v = rng.normal(size=3)
-            mat = _su2.from_vector(v / (math.sqrt(2.0) * np.linalg.norm(v)))
+            unit = v / (math.sqrt(2.0) * np.linalg.norm(v))
             modes = tuple(int(k) for k in rng.integers(-MAX_MODE, MAX_MODE + 1,
                                                        size=3))
             phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=3))
-            terms.append(_PerturbTerm(component=comp, matrix=mat,
+            terms.append(_PerturbTerm(component=comp, vector=unit,
                                       modes=modes, phases=phases))
         shells.append(_PerturbShell(center=float(rho), width=0.35 * float(rho),
                                     terms=tuple(terms)))
@@ -233,9 +233,9 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
 
     def term_value(term, g, coords):
         """The term at the (theta, x, y) coords, g its radial factor there:
-        (..., 2, 2) over the coords' broadcast shape."""
+        (..., 3) over the coords' broadcast shape."""
         f0, f1, f2 = (np.cos(arg) for arg in _waves(coords, term, torus)[1])
-        return half_amp * (g * (f0 * f1 * f2))[..., None, None] * term.matrix
+        return half_amp * (g * (f0 * f1 * f2))[..., None] * term.vector
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
@@ -243,7 +243,7 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
         lead = points.shape[:-1]
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             g = _radial(pts[:, 0], u, delta)
-            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
+            block = np.empty((idx.size, 4, 3))
             for term in shell.terms:
                 block[:, term.component] = term_value(term, g, pts[:, 1:].T)
             out[np.unravel_index(idx, lead)] += block
@@ -253,19 +253,19 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
         axis = {"x": 2, "y": 3}[kind]
         along = np.asarray(coords, dtype=float)
         a = conn.along_circle(kind, bases, along)
-        out = np.broadcast_to(a, along.shape + a.shape[-3:]).copy()
+        out = np.broadcast_to(a, along.shape + a.shape[-2:]).copy()
         along = along[..., None]
         for shell, idx, pts, u in _live_shells(np.asarray(bases, dtype=float)):
             wave_coords = [pts[:, 1], pts[:, 2], pts[:, 3]]
             wave_coords[axis - 1] = along
-            out[..., idx, :, :] += term_value(
+            out[..., idx, :] += term_value(
                 shell.terms[axis], _radial(pts[:, 0], u, delta), wave_coords)
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
         out = np.ascontiguousarray(conn.derivative(points))
-        flat = out.reshape(-1, 4, 4, 2, 2)
+        flat = out.reshape(-1, 4, 4, 3)
         for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             r = pts[:, 0]
             g = _radial(r, u, delta)
@@ -281,11 +281,11 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
                                  g * (-p * s0 * f1 * f2),
                                  g * (-kx * s1 * f0 * f2),
                                  g * (-ky * s2 * f0 * f1)))
-            block = np.empty((idx.size, 4, 2, 2), dtype=complex)
+            block = np.empty((idx.size, 4, 3))
             for axis in range(4):
                 for term, d in zip(shell.terms, partials):
                     block[:, term.component] = (
-                        half_amp * d[axis][:, None, None] * term.matrix)
+                        half_amp * d[axis][:, None] * term.vector)
                 flat[idx, axis] += block
         return out
 

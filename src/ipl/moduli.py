@@ -4,10 +4,9 @@ annulus grid with exact adjoints, the linearized-equation residuals of an
 instanton tangent, its L2 metric, the dimension formula, and the explicit
 charge-1 chart of degree-1 rational maps.
 
-Every su(2)-valued field here is a real vector v (..., 3), X = i v.sigma
-(see `_su2`). The discrete adjoint d* is the exact transpose of the
-discrete d under the quadrature inner product, so integration-by-parts
-identities hold to machine precision rather than to discretization order.
+The discrete adjoint d* is the exact transpose of the discrete d under the
+quadrature inner product, so integration-by-parts identities hold to
+machine precision rather than to discretization order.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ class AnnulusCalculus:
         self.torus = conn.torus
         self.points = grid.points(self.torus)
         self.r_col = grid.rs.reshape(-1, 1, 1, 1, 1)
-        self.A = np.moveaxis(_su2.to_vector(conn.evaluate(self.points)),
+        self.A = np.moveaxis(conn.evaluate(self.points),
                              -2, 0).copy()  # (4, n_r, n_t, n_x, n_y, 3)
         self.A[1] /= self.r_col
         self.Dr = differentiation_matrix(grid.rs)
@@ -272,9 +271,9 @@ def translation_tangents(calc: AnnulusCalculus,
     frames = np.einsum("tji,dj->dti", P, directions)[:, :, None, None]
     comps = np.empty((len(frames), 4) + calc.points.shape[:-1] + (3,))
     for k, pts in enumerate(calc.points):
-        F = curvature(calc.conn, pts)  # (n_theta, n_x, n_y, 6, 2, 2)
+        F = curvature(calc.conn, pts)  # (n_theta, n_x, n_y, 6, 3)
         for c, v in zip(comps, frames):
-            c[:, k] = np.moveaxis(_su2.to_vector(interior(F, v)), -2, 0)
+            c[:, k] = np.moveaxis(interior(F, v), -2, 0)
     return [TangentVectorInstanton(calc.grid, c, calc.torus) for c in comps]
 
 
@@ -284,11 +283,16 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
     direction times a radial polynomial that vanishes at both radial ends,
     with random su(2) directions."""
     rng = np.random.default_rng(seed)
-    R, T, X, Y = np.moveaxis(grid.points(torus), -1, 0)
-    t = 2.0 * (R - grid.r_min) / (grid.r_max - grid.r_min) - 1.0
-    comps = np.zeros((4,) + R.shape + (3,))
+    t = 2.0 * (grid.rs - grid.r_min) / (grid.r_max - grid.r_min) - 1.0
+    xs, ys = grid.torus_nodes(torus)
+    # e^{i k s} on the theta, x and y nodes, row k + 1 for k = -1, 0, 1
+    ks = np.array([-1.0, 0.0, 1.0])[:, None]
+    e_th, e_x, e_y = (np.exp(1j * ks * s) for s in (
+        grid.thetas, TWO_PI / torus.period_x * xs,
+        TWO_PI / torus.period_y * ys))
+    comps = np.zeros((4, grid.n_r, grid.n_theta, grid.n_x, grid.n_y, 3))
     for slot in range(4):
-        f = np.zeros_like(R)
+        f = np.zeros(comps.shape[1:-1])
         for _ in range(3):
             p = rng.integers(-1, 2)
             n = rng.integers(-1, 2)
@@ -296,9 +300,10 @@ def random_tangent(grid: AnnulusGrid, torus: TorusSpec,
             phase = rng.uniform(0, TWO_PI)
             radial = np.polynomial.polynomial.polyval(
                 t, rng.normal(size=3)) * (1.0 - t ** 2)
-            f = f + radial * np.cos(
-                p * T + n * TWO_PI * X / torus.period_x
-                + m * TWO_PI * Y / torus.period_y + phase)
+            # cos(p theta + n k_x x + m k_y y + phase) from 1-D factors
+            wave = (np.exp(1j * phase) * e_th[p + 1, :, None, None]
+                    * e_x[n + 1, :, None] * e_y[m + 1]).real
+            f += radial[:, None, None, None] * wave
         comps[slot] = f[..., None] * rng.normal(size=3)
     return TangentVectorInstanton(grid=grid, comps=comps, torus=torus)
 

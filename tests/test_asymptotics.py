@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl import _su2
 from ipl.asymptotics import (
     ExtractionError,
     asymptotic_states,
@@ -242,7 +241,7 @@ def test_perturbed_table_reads_its_base_once_per_xy_loop():
 
 def _reader_shape(conn, kind="x"):
     """Shape of conn's along_circle on the LOOP_STEPS nodes of two circles
-    of that kind: (LOOP_STEPS, 2, 2, 2, 2), or (2, 2, 2) when it is
+    of that kind: (LOOP_STEPS, 2, 2, 3), or (2, 3) when it is
     constant along every circle."""
     bases = np.array([[RINGS[0], 0.3, 0.0, 0.0], [RINGS[-1], 1.1, 0.5, 0.5]])
     nodes = circle_paths(conn.torus, kind, bases, LOOP_STEPS)[0]
@@ -273,21 +272,21 @@ def test_only_a_torus_invariant_base_is_split_out():
                 assert np.array_equal(base.along_circle(kind, bases, coords),
                                       base.evaluate(bases)[:, comp])
                 out = conn.along_circle(kind, bases, coords)
-                assert out.shape == nodes.shape[:-1] + (2, 2)
+                assert out.shape == nodes.shape[:-1] + (3,)
                 assert out.flags.writeable
-                assert np.array_equal(out, conn.evaluate(nodes)[..., comp, :, :])
+                assert np.array_equal(out, conn.evaluate(nodes)[..., comp, :])
     clean = model_connection(ModelParams(mu=1.0), TORUS)
     once = perturb(clean, delta=0.5, amplitude=0.3, seed=1, r_lo=5.0,
                    r_hi=600.0)
     # a perturbation of a perturbation reads its base's along_circle too
     assert _reader_shape(perturb(once, delta=0.5, amplitude=0.05, seed=2,
                                  r_lo=5.0, r_hi=600.0)) \
-        == (LOOP_STEPS, 2, 2, 2, 2)
+        == (LOOP_STEPS, 2, 2, 3)
     assert ConnectionSource(evaluate=once.evaluate,
                             derivative=once.derivative,
                             torus=TORUS).along_circle is None
-    assert _reader_shape(once) == (LOOP_STEPS, 2, 2, 2, 2)
-    assert _reader_shape(clean) == (2, 2, 2)
+    assert _reader_shape(once) == (LOOP_STEPS, 2, 2, 3)
+    assert _reader_shape(clean) == (2, 3)
 
 
 def _invariant_connections(torus):
@@ -309,7 +308,7 @@ def test_closed_form_loops_equal_the_sampler(torus):
     half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
     for conn in _invariant_connections(torus):
         assert _reader_shape(conn, "x") == _reader_shape(conn, "y") \
-            == (2, 2, 2)
+            == (2, 3)
         table = holonomy_table(conn, RINGS)
 
         def hol(kind, bases):
@@ -333,12 +332,12 @@ def test_closed_form_loops_equal_the_sampler(torus):
 
 def test_only_invariant_constructors_declare_torus_invariance():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
-    assert _reader_shape(conn) == (2, 2, 2)
+    assert _reader_shape(conn) == (2, 3)
     assert _reader_shape(flat_connection(reduce_dual((0.3, 0.2), TORUS),
-                                         TORUS)) == (2, 2, 2)
+                                         TORUS)) == (2, 3)
     assert _reader_shape(perturb(conn, delta=0.5, amplitude=0.05, seed=1,
                                  r_lo=5.0, r_hi=600.0)) \
-        == (LOOP_STEPS, 2, 2, 2, 2)
+        == (LOOP_STEPS, 2, 2, 3)
     assert ConnectionSource(evaluate=conn.evaluate,
                             derivative=conn.derivative,
                             torus=TORUS).along_circle is None
@@ -346,7 +345,7 @@ def test_only_invariant_constructors_declare_torus_invariance():
 
 def test_closed_form_table_checks_the_domain():
     conn = model_connection(ModelParams(mu=1.0), TORUS)
-    assert _reader_shape(conn) == (2, 2, 2)
+    assert _reader_shape(conn) == (2, 3)
     with pytest.raises(DomainError, match="r_min"):
         holonomy_table(conn, (conn.r_min / 2.0, 100.0, 200.0, 400.0))
 
@@ -434,15 +433,14 @@ def test_every_kind_keyed_fit_rejects_an_unknown_kind():
 def test_instanton_number_monotone_guard():
     def ev(points):
         points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = \
-            (1j * points[..., 0])[..., None, None] * _su2.SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 3))
+        out[..., 2, 2] = points[..., 0]  # a_x = i r sigma3
         return out
 
     def dv(points):
         points = np.asarray(points, float)
-        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
-        out[..., 0, 2, :, :] = 1j * _su2.SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 4, 3))
+        out[..., 0, 2, 2] = 1.0
         return out
 
     grow = ConnectionSource(evaluate=ev, torus=TORUS, derivative=dv,

@@ -16,6 +16,8 @@ from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
 from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
 from ipl.moduli import fourier_diff
 
+from conftest import SIGMA3
+
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
 SPECTRAL_CFG = {
@@ -412,7 +414,7 @@ def _grid_quotient(gamma, torus):
     its own."""
     Lx, Ly = torus.period_x, torus.period_y
     c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
-    gx, gy = 1j * c1 * _su2.SIGMA3, 1j * c2 * _su2.SIGMA3
+    gx, gy = 1j * c1 * SIGMA3, 1j * c2 * SIGMA3
     X, Y = np.meshgrid(np.linspace(0.0, Lx, 24, endpoint=False),
                        np.linspace(0.0, Ly, 24, endpoint=False), indexing="ij")
 
@@ -435,7 +437,7 @@ def _rayleigh_reference(gamma, torus):
     wave, quotient = _grid_quotient(gamma, torus)
     e_up = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     trivial = gamma is None or gamma.is_trivial(1e-9)
-    slots = (_su2.SIGMA3,) if trivial else (_su2.SIGMA3, e_up, e_up.T)
+    slots = (SIGMA3,) if trivial else (SIGMA3, e_up, e_up.T)
     return np.array([quotient(wave(n, m)[..., None, None] * E)
                      for n in range(-3, 4) for m in range(-3, 4)
                      for E in slots])

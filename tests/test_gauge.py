@@ -20,6 +20,7 @@ from ipl.gauge import (
     TrigRadialTerm,
     _path_ordered_product,
     _term_factors,
+    asd_residual,
     circle_holonomies,
     curvature,
     curvature_norm,
@@ -34,7 +35,7 @@ from ipl.gauge import (
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
-from conftest import stacked_curvature
+from conftest import EYE2, SIGMA3, stacked_curvature, stacked_vector_curvature
 
 TORUS = TorusSpec()
 
@@ -42,9 +43,14 @@ TORUS = TorusSpec()
 def su2_defect(U):
     """max of unitarity and determinant defects; 0 for exact SU(2)."""
     U = np.asarray(U, dtype=complex)
-    uni = _su2.frob(_su2.mul(U, _su2.dag(U)) - _su2.EYE2)
+    uni = _su2.frob(_su2.mul(U, dag(U)) - EYE2)
     det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
     return np.maximum(uni, np.abs(det - 1.0))
+
+
+def dag(X):
+    """Conjugate transpose over the trailing 2x2 axes."""
+    return np.conj(np.swapaxes(X, -1, -2))
 
 
 def rand_points(rng, n, r_lo=5.0, r_hi=80.0):
@@ -98,52 +104,48 @@ def test_curvature_reads_each_callable_once_per_batch(kind):
 
 
 def test_curvature_of_explicit_radial_field():
-    # a_x = i g(r) sigma3 with g = 1/r: the only nonzero component is
-    # F_rx = g'(r) = -1/r^2 (abelian, no commutator term), the same in the
-    # coordinate and the unit frame
+    # a_x = i g(r) sigma3 with g = 1/r, the vector (0, 0, 1/r): the only
+    # nonzero component is F_rx = g'(r) = -1/r^2 (abelian, no commutator
+    # term), the same in the coordinate and the unit frame
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=complex)
-        out[..., 2, :, :] = \
-            (1j / points[..., 0])[..., None, None] * _su2.SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 3))
+        out[..., 2, 2] = 1.0 / points[..., 0]
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
-        out[..., 0, 2, :, :] = \
-            (-1j / points[..., 0] ** 2)[..., None, None] * _su2.SIGMA3
+        out = np.zeros(points.shape[:-1] + (4, 4, 3))
+        out[..., 0, 2, 2] = -1.0 / points[..., 0] ** 2
         return out
 
     conn = ConnectionSource(evaluate=evaluate, torus=TORUS,
                             derivative=derivative, r_min=1e-6)
     pts = rand_points(np.random.default_rng(2), 10)
     F = curvature(conn, pts)
-    expected = (-1j / pts[:, 0] ** 2)[:, None, None] * _su2.SIGMA3
+    assert F.shape == (10, 6, 3) and F.dtype == float
+    expected = (-1j / pts[:, 0] ** 2)[:, None, None] * SIGMA3
     # pair order (r,th), (r,x), (r,y), (th,x), (th,y), (x,y)
-    assert np.max(np.abs(F[..., 1, :, :] - expected)) < 1e-13
+    assert np.max(np.abs(_su2.from_vector(F[..., 1, :]) - expected)) < 1e-13
     for k in (0, 2, 3, 4, 5):
-        assert np.max(np.abs(F[..., k, :, :])) < 1e-13
+        assert np.max(np.abs(F[..., k, :])) < 1e-13
 
 
-def real_so2_connection(dtype):
+def real_so2_connection():
     # a_r = 0.3 J and a_x = J / r with J = [[0, 1], [-1, 0]]: a real
-    # antisymmetric form is anti-hermitian and traceless, so in su(2);
-    # evaluate returns it as dtype, derivative as complex
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
+    # antisymmetric matrix is anti-hermitian and traceless, so in su(2);
+    # it is i v.sigma for v = (0, 1, 0)
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 2, 2), dtype=dtype)
-        out[..., 0, :, :] = 0.3 * J
-        out[..., 2, :, :] = (1.0 / points[..., 0])[..., None, None] * J
+        out = np.zeros(points.shape[:-1] + (4, 3))
+        out[..., 0, 1] = 0.3
+        out[..., 2, 1] = 1.0 / points[..., 0]
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1] + (4, 4, 2, 2), dtype=complex)
-        out[..., 0, 2, :, :] = \
-            (-1.0 / points[..., 0] ** 2)[..., None, None] * J
+        out = np.zeros(points.shape[:-1] + (4, 4, 3))
+        out[..., 0, 2, 1] = -1.0 / points[..., 0] ** 2
         return out
 
     return ConnectionSource(evaluate=evaluate, torus=TORUS,
@@ -151,18 +153,18 @@ def real_so2_connection(dtype):
 
 
 def test_curvature_of_a_real_valued_connection():
+    # the connection's matrices are real: F_rx = -J / r^2, with no
+    # commutator ([J, J] = 0), and the drift's curvature side is positive
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(_su2.from_vector([0.0, 1.0, 0.0]), J)
     pts = rand_points(np.random.default_rng(2), 10)
-    F = curvature(real_so2_connection(float), pts)
-    assert F.dtype == complex
-    assert np.array_equal(F, curvature(real_so2_connection(complex), pts))
-    d = monodromy_drift_defect(real_so2_connection(float),
+    F = curvature(real_so2_connection(), pts)
+    want = np.zeros((10, 6, 2, 2))
+    want[:, 1] = (-1.0 / pts[:, 0] ** 2)[:, None, None] * J
+    assert np.max(np.abs(_su2.from_vector(F) - want)) < 1e-15
+    d = monodromy_drift_defect(real_so2_connection(),
                                (20.0, 0.3, 0.0, 1.1), (10.0, 0.0, 0.0, 0.0),
                                (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
-    ref = monodromy_drift_defect(real_so2_connection(complex),
-                                 (20.0, 0.3, 0.0, 1.1),
-                                 (10.0, 0.0, 0.0, 0.0),
-                                 (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
-    assert np.array_equal(d["rhs"], ref["rhs"])
     assert np.max(d["rhs"]) > 0
 
 
@@ -171,29 +173,26 @@ def test_self_dual_projection_matches_hand_formula():
     pts = rand_points(np.random.default_rng(3), 8)
     fh = curvature(conn, pts)
     c = self_dual(fh)
-    assert np.allclose(c[..., 0, :, :],
-                       0.5 * (fh[..., 0, :, :] + fh[..., 5, :, :]))
-    assert np.allclose(c[..., 1, :, :],
-                       0.5 * (fh[..., 1, :, :] - fh[..., 4, :, :]))
-    assert np.allclose(c[..., 2, :, :],
-                       0.5 * (fh[..., 2, :, :] + fh[..., 3, :, :]))
+    assert np.allclose(c[..., 0, :], 0.5 * (fh[..., 0, :] + fh[..., 5, :]))
+    assert np.allclose(c[..., 1, :], 0.5 * (fh[..., 1, :] - fh[..., 4, :]))
+    assert np.allclose(c[..., 2, :], 0.5 * (fh[..., 2, :] + fh[..., 3, :]))
 
 
 def test_interior_matches_the_dense_contraction():
     # F as the antisymmetric 4 x 4 array of its PAIRS entries, contracted
     # on its first index in index order; a zero component of v is skipped
     rng = np.random.default_rng(7)
-    f = rng.normal(size=(5, 6, 2, 2)) + 1j * rng.normal(size=(5, 6, 2, 2))
-    dense = np.zeros((5, 4, 4, 2, 2), dtype=complex)
+    f = rng.normal(size=(5, 6, 3))
+    dense = np.zeros((5, 4, 4, 3))
     for k, (i, j) in enumerate(PAIRS):
         dense[:, i, j], dense[:, j, i] = f[:, k], -f[:, k]
     for zero in (None, 0, 2):
         v = rng.normal(size=(5, 4))
         if zero is not None:
             v[:, zero] = 0.0
-        want = np.zeros((5, 4, 2, 2), dtype=complex)
+        want = np.zeros((5, 4, 3))
         for i in range(4):
-            want += v[:, i, None, None, None] * dense[:, i]
+            want += v[:, i, None, None] * dense[:, i]
         assert np.array_equal(interior(f, v), want)
 
 
@@ -260,11 +259,15 @@ def test_drift_defect_zero_for_flat():
     assert np.max(np.abs(d["rhs"])) < 1e-15
 
 
-def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps):
+def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps,
+                    matrix=False):
     """lhs and rhs of monodromy_drift_defect, `steps` Magnus steps per
     circle, with the circle transports by `_path_ordered_product`, A(dphi/dt)
     from its own evaluation at the base points and the coordinate-frame
-    curvature contracted over all six PAIRS."""
+    curvature contracted over all six PAIRS: with matrix=False, the
+    su(2) vectors of `stacked_vector_curvature`, which the drift must
+    match bit for bit; with matrix=True, the 2x2 matrices of
+    `stacked_curvature` and their Frobenius norms."""
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
@@ -272,15 +275,18 @@ def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps):
     pts, tans = line_paths(base, dphi_ds, steps)
     m_t = _path_ordered_product(conn, pts, tans)
     a_base = conn.evaluate(base)
-    a_t = sum(dphi_dt[i] * a_base[:, i] for i in range(4))
+    a_t = _su2.from_vector(sum(dphi_dt[i] * a_base[:, i] for i in range(4)))
     lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * (ts[1] - ts[0]))
                     + _su2.comm(a_t, m_t)[1:-1])
-    F = stacked_curvature(conn, pts)
-    contract = np.zeros(F.shape[:-3] + (2, 2), dtype=complex)
-    for k, (i, j) in enumerate(PAIRS):
-        contract += F[..., k, :, :] * (dphi_dt[i] * dphi_ds[j]
-                                       - dphi_dt[j] * dphi_ds[i])
-    return lhs, np.mean(_su2.frob(contract), axis=(0, 1))
+    if matrix:
+        slots = np.moveaxis(stacked_curvature(conn, pts), -3, 0)
+    else:
+        slots = np.moveaxis(stacked_vector_curvature(conn, pts), -2, 0)
+    contract = np.zeros_like(slots[0])
+    for f, (i, j) in zip(slots, PAIRS):
+        contract += f * (dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i])
+    norms = _su2.frob(contract) if matrix else _su2.frob_vector(contract)
+    return lhs, np.mean(norms, axis=(0, 1))
 
 
 def segment_transports(conn, waypoints, steps_per_seg):
@@ -300,11 +306,11 @@ def conjugated_drift_lhs(conn, origin, dphi_dt, dphi_ds, n_t):
     ts = np.linspace(0.0, 1.0, n_t)
     base = origin + ts[:, None] * dphi_dt
     m_t = _path_ordered_product(conn, *line_paths(base, dphi_ds, DRIFT_STEPS))
-    h = [_su2.EYE2]
+    h = [EYE2]
     for hop in segment_transports(conn, base, steps_per_seg=8):
         h.append(_su2.mul(hop, h[-1]))
     h = np.array(h)
-    M = _su2.mul(_su2.mul(_su2.dag(h), m_t), h)
+    M = _su2.mul(_su2.mul(dag(h), m_t), h)
     return _su2.frob((M[2:] - M[:-2]) / (2 * (ts[1] - ts[0])))
 
 
@@ -336,6 +342,62 @@ def test_drift_defect_matches_the_two_pass_reference_bit_for_bit(family,
     if steps == DRIFT_STEPS:
         default = monodromy_drift_defect(conn, *args, n_t=33)
         assert all(np.array_equal(default[k], d[k]) for k in d)
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["clean", "perturbed"])
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["2pix2pi", "4x7"])
+@pytest.mark.parametrize("params", [
+    ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j, alpha=0.2),
+    ModelParams(kind="nilpotent")], ids=["semisimple", "nilpotent"])
+def test_vector_gauge_layer_matches_the_matrix_form(params, torus,
+                                                    perturbed):
+    # curvature, |F^+|, |F| and the drift's two sides from su(2) vectors
+    # are the matrix-form values: the connection and its partials turned
+    # into matrices by from_vector, every bracket the matrix commutator and
+    # every norm the Frobenius norm of a matrix
+    conn = model_connection(params, torus)
+    if perturbed:
+        conn = perturb(conn, delta=0.5, amplitude=0.3, seed=5, r_lo=5.0,
+                       r_hi=80.0)
+    rng = np.random.default_rng(13)
+    pts = np.column_stack([np.exp(rng.uniform(math.log(6.0), math.log(80.0),
+                                              64)),
+                           rng.uniform(0.0, 2 * math.pi, 64),
+                           rng.uniform(0.0, torus.period_x, 64),
+                           rng.uniform(0.0, torus.period_y, 64)])
+
+    def close(got, want, scale):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    want = stacked_curvature(conn, pts)
+    for k, pair in enumerate(PAIRS):  # the unit frame
+        if 1 in pair:
+            want[:, k] = want[:, k] / pts[:, 0, None, None]
+    F = curvature(conn, pts)
+    assert F.shape == (64, 6, 3) and F.dtype == float
+    n2 = np.sum(np.abs(want) ** 2, axis=(-2, -1))  # (64, 6)
+    scale = float(np.sqrt(np.max(np.sum(n2, axis=-1))))
+    close(_su2.from_vector(F), want, scale)
+    close(curvature_norm(conn, pts), np.sqrt(np.sum(n2, axis=-1)), scale)
+    close(curvature_norm(conn, pts, components="kahler"),
+          np.sqrt(n2[:, 0] + n2[:, 5]), scale)
+    sd = self_dual(want, axis=-3)
+    close(asd_residual(conn, pts),
+          np.sqrt(2.0 * np.sum(np.abs(sd) ** 2, axis=(-3, -2, -1))), scale)
+    # x-circles moving out and across, and theta-circles moving out
+    for args in (((20.0, 0.3, 0.0, 1.1), (10.0, 0.0, 0.0, 0.5),
+                  (0.0, 0.0, torus.period_x, 0.0)),
+                 ((20.0, 0.0, 0.0, 1.3), (10.0, 0.0, 0.5, 0.0),
+                  (0.0, 2 * math.pi, 0.0, 0.0))):
+        d = monodromy_drift_defect(conn, *args, n_t=17)
+        lhs, rhs = reference_drift(conn, *args, n_t=17, steps=DRIFT_STEPS,
+                                   matrix=True)
+        scale = float(np.max(rhs))
+        close(d["lhs"], lhs, scale)
+        close(d["rhs"], rhs, scale)
 
 
 @pytest.mark.parametrize("n_t, bound", [(129, 3e-5), (257, 1e-5)])
@@ -395,16 +457,17 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
                            indexing="ij")
     w_ang = (2 * math.pi / n_th) * (Lx / n_x) * (Ly / n_y)
     xi = (0.0, 0.0) if gamma is None else (gamma.xi1, gamma.xi2)
-    twist = [2 * math.pi * xi[0] / Lx * 1j * _su2.SIGMA3,
-             2 * math.pi * xi[1] / Ly * 1j * _su2.SIGMA3]
+    twist = [2 * math.pi * xi[0] / Lx * 1j * SIGMA3,
+             2 * math.pi * xi[1] / Ly * 1j * SIGMA3]
 
     def field(scalar, M):
         return scalar[..., None, None] * M
 
+    mats = [_su2.from_vector(t.vector) for t in form.terms]
+
     def nabla(r):
         nab = np.zeros((4, 4) + TH.shape + (2, 2), dtype=complex)
-        for t in form.terms:
-            T = np.asarray(t.matrix, dtype=complex)
+        for t, T in zip(form.terms, mats):
             p, n, m = t.modes
             kx, ky = 2 * math.pi * n / Lx, 2 * math.pi * m / Ly
             ph = t.phases
@@ -473,7 +536,7 @@ def test_radial_factor_is_the_numpy_polynomial_bit_for_bit(coeffs):
     draws = [coeffs] + [tuple(rng.normal(size=len(coeffs)))
                         for _ in range(50)]
     for c in draws:
-        term = TrigRadialTerm(component=2, matrix=((1j, 0), (0, -1j)),
+        term = TrigRadialTerm(component=2, vector=(0.0, 0.0, 1.0),
                               radial_coeffs=c, modes=(1, 1, 0))
         (f, df), *_ = _term_factors(term, rs, np.zeros(1), np.zeros(1),
                                     np.zeros(1), TORUS)
@@ -508,7 +571,7 @@ def test_weitzenbock_closed_form_single_dx_mode():
     torus = TorusSpec(period_x=1.3, period_y=0.7)
     c, n, r_in, r_out = 1.7, 2, 3.0, 9.0
     T = _su2.from_vector([0.3, -1.1, 0.4])
-    term = TrigRadialTerm(component=2, matrix=tuple(map(tuple, T)),
+    term = TrigRadialTerm(component=2, vector=(0.3, -1.1, 0.4),
                           radial_coeffs=(c,), modes=(0, n, 0))
     d = weitzenbock_defect(SeparableOneForm(terms=(term,)), None,
                            r_in, r_out, torus=torus)
@@ -525,7 +588,7 @@ def test_weitzenbock_closed_form_single_dx_mode():
 @pytest.mark.parametrize("component, error", [
     (0, BoundaryConditionError), (4, ValueError)])
 def test_weitzenbock_rejects_bad_components(component, error):
-    term = TrigRadialTerm(component=component, matrix=((1j, 0), (0, -1j)),
+    term = TrigRadialTerm(component=component, vector=(0.0, 0.0, 1.0),
                           radial_coeffs=(1.0,), modes=(1, 1, 0))
     with pytest.raises(error) as info:
         weitzenbock_defect(SeparableOneForm(terms=(term,)), None, 3.0, 9.0,
@@ -541,7 +604,7 @@ def test_flat_twist_from_another_torus_is_rejected():
     xi = reduce_dual((0.3, 0.2), TorusSpec(4.0, 7.0))
     with pytest.raises(ValueError, match="another torus"):
         flat_connection(xi, TORUS)
-    term = TrigRadialTerm(component=2, matrix=((1j, 0), (0, -1j)),
+    term = TrigRadialTerm(component=2, vector=(0.0, 0.0, 1.0),
                           radial_coeffs=(1.0,), modes=(1, 1, 0))
     with pytest.raises(ValueError, match="another torus"):
         weitzenbock_defect(SeparableOneForm(terms=(term,)), xi, 3.0, 9.0,

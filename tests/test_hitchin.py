@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ipl import _su2
 from ipl.gauge import asd_residual
 from ipl.hitchin import (
     NotTorusInvariantError,
@@ -44,12 +43,14 @@ def test_lift_reduce_round_trip():
     conn = lift(pair)
     back = reduce(conn)
     pts = plane_points(np.random.default_rng(1), 10)
-    # (b, psi) then (db, dpsi)
+    # (b, q) then (db, dq): su(2) vectors b and sl(2, C) vectors q
     got = back.evaluate(pts) + back.derivative(pts)
     want = pair.evaluate(pts) + pair.derivative(pts)
-    shapes = [(10, 2, 2, 2), (10, 2, 2), (10, 2, 2, 2, 2), (10, 2, 2, 2)]
+    shapes = [(10, 2, 3), (10, 3), (10, 2, 2, 3), (10, 2, 3)]
+    dtypes = [float, complex, float, complex]
     assert [t.shape for t in got] == shapes
     assert [t.shape for t in want] == shapes
+    assert [t.dtype for t in got] == [t.dtype for t in want] == dtypes
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) < 1e-12
 
@@ -79,33 +80,36 @@ def doubled_nilpotent(torus):
     good = hitchin_model(ModelParams(kind="nilpotent"), torus)
 
     def evaluate(points):
-        b, psi = good.evaluate(points)
-        return b, 2.0 * psi
+        b, q = good.evaluate(points)
+        return b, 2.0 * q
 
     def derivative(points):
-        db, dpsi = good.derivative(points)
-        return db, 2.0 * dpsi
+        db, dq = good.derivative(points)
+        return db, 2.0 * dq
 
     return replace(good, evaluate=evaluate, derivative=derivative)
 
 
 def wbar_semisimple(torus, eps=0.01):
-    """A semisimple pair plus eps wbar sigma3 in psi: D_wbar psi = eps
-    sigma3, so rho2 > 0, and psi stays normal, so rho1 = 0."""
+    """A semisimple pair plus eps wbar sigma3 in psi, -i eps wbar e3 in q:
+    D_wbar psi = eps sigma3, so rho2 > 0, and psi stays normal, so
+    rho1 = 0."""
     good = hitchin_model(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
                                      alpha=0.2), torus)
 
     def evaluate(points):
-        b, psi = good.evaluate(points)
+        b, q = good.evaluate(points)
         wbar = points[..., 0] * np.exp(-1j * points[..., 1])
-        return b, psi + eps * wbar[..., None, None] * _su2.SIGMA3
+        q[..., 2] += -1j * eps * wbar
+        return b, q
 
     def derivative(points):
         # d_r wbar = e^{-i theta}, d_theta wbar = -i wbar
-        db, dpsi = good.derivative(points)
+        db, dq = good.derivative(points)
         wbar = points[..., 0] * np.exp(-1j * points[..., 1])
         coef = np.stack([wbar / points[..., 0], -1j * wbar], axis=-1)
-        return db, dpsi + eps * coef[..., None, None] * _su2.SIGMA3
+        dq[..., 2] += -1j * eps * coef
+        return db, dq
 
     return replace(good, evaluate=evaluate, derivative=derivative)
 

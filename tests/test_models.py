@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipl import _su2
 from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
     flat_connection, self_dual
 from ipl.geometry import TorusSpec, reduce_dual
@@ -23,7 +24,7 @@ from ipl.models import (
     perturb,
 )
 
-from conftest import same_bits, stacked_curvature
+from conftest import SIGMA3, same_bits, stacked_vector_curvature
 
 TORUS = TorusSpec()
 NILPOTENT = ModelParams(kind="nilpotent")
@@ -81,9 +82,10 @@ def test_semisimple_chirality_split():
     pts = rand_points(np.random.default_rng(2), 20, 5.0, 200.0)
     fh = curvature(conn, pts)
     assert np.max(np.abs(self_dual(fh))) < 1e-13
-    d1 = 0.5 * (fh[:, 0, 0, 0] - fh[:, 5, 0, 0])
-    d2 = 0.5 * (fh[:, 1, 0, 0] + fh[:, 4, 0, 0])
-    d3 = 0.5 * (fh[:, 2, 0, 0] - fh[:, 3, 0, 0])
+    # the (0, 0) gauge entry of i v.sigma is i v3
+    d1 = 0.5 * (fh[:, 0, 2] - fh[:, 5, 2])
+    d2 = 0.5 * (fh[:, 1, 2] + fh[:, 4, 2])
+    d3 = 0.5 * (fh[:, 2, 2] - fh[:, 3, 2])
     agg = np.sqrt(np.abs(d1) ** 2 + np.abs(d2) ** 2 + np.abs(d3) ** 2)
     assert np.max(np.abs(agg - 2.0 * abs(mu) / pts[:, 0] ** 2)) < 1e-13
 
@@ -129,7 +131,8 @@ def test_perturbation_pointwise_bound(seed):
                    r_lo=5.0, r_hi=600.0)
     rng = np.random.default_rng(seed + 1)
     pts = rand_points(rng, 50, 5.0, 800.0)
-    dev = np.abs(conn.evaluate(pts) - base.evaluate(pts))
+    # the largest deviation of a component's matrix entries
+    dev = np.abs(_su2.from_vector(conn.evaluate(pts) - base.evaluate(pts)))
     bound = amplitude * pts[:, 0] ** (-(1.0 + delta))
     assert np.all(np.max(dev, axis=(-3, -2, -1)) <= bound + 1e-15)
 
@@ -154,10 +157,10 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
                      g * (-p * np.sin(args[0]) * f1 * f2),
                      g * (-kx * np.sin(args[1]) * f0 * f2),
                      g * (-ky * np.sin(args[2]) * f0 * f1))
-            for out, coef in zip([a] + [d[..., i, :, :, :] for i in range(4)],
+            for out, coef in zip([a] + [d[..., i, :, :] for i in range(4)],
                                  coefs):
-                out[..., term.component, :, :] += (
-                    amplitude / 2.0 * coef[..., None, None] * term.matrix)
+                out[..., term.component, :] += (
+                    amplitude / 2.0 * coef[..., None] * term.vector)
     return a, d
 
 
@@ -196,9 +199,9 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
                                    r_hi)
     assert same_bits(conn.evaluate(pts), a_ref)
     d = conn.derivative(pts)
-    assert d.shape == pts.shape[:-1] + (4, 4, 2, 2)
+    assert d.shape == pts.shape[:-1] + (4, 4, 3)
     for i in range(4):
-        assert same_bits(d[..., i, :, :, :], d_ref[..., i, :, :, :]), i
+        assert same_bits(d[..., i, :, :], d_ref[..., i, :, :]), i
 
 
 @pytest.mark.parametrize("kind", ["flat", "semisimple", "nilpotent",
@@ -219,13 +222,13 @@ def test_curvature_matches_the_stacked_reference_bit_for_bit(kind, batch_2d):
     if batch_2d:
         pts = pts.reshape(4, 24, 4)
     got = curvature(conn, pts)
-    assert got.shape == pts.shape[:-1] + (6, 2, 2)
+    assert got.shape == pts.shape[:-1] + (6, 3)
     # the unit frame: the coordinate frame's theta-paired slots (r, th),
-    # (th, x), (th, y) divided by r
-    want = stacked_curvature(conn, pts)
+    # (th, x), (th, y) times 1 / r
+    want = stacked_vector_curvature(conn, pts)
     for k, pair in enumerate(PAIRS):
         if 1 in pair:
-            want[..., k, :, :] = want[..., k, :, :] / pts[..., 0, None, None]
+            want[..., k, :] = want[..., k, :] * (1.0 / pts[..., 0, None])
     assert same_bits(got, want)
 
 
@@ -257,7 +260,38 @@ def test_hitchin_model_matches_connection_reduction():
     pair = hitchin_model(params, TORUS)
     conn = model_connection(params, TORUS)
     pts4 = rand_points(np.random.default_rng(6), 10, 5.0, 100.0)
-    a = conn.evaluate(pts4)
-    _, psi = pair.evaluate(pts4[:, :2])
-    # reduction convention: psi_w = (a_y - i a_x) / 2
+    a = _su2.from_vector(conn.evaluate(pts4))
+    _, q = pair.evaluate(pts4[:, :2])
+    # reduction convention: psi_w = (a_y - i a_x) / 2, with psi_w = i q.sigma
+    psi = _su2.from_vector(q)
     assert np.max(np.abs((a[:, 3] - 1j * a[:, 2]) / 2.0 - psi)) < 1e-12
+
+
+def test_model_pairs_are_the_matrix_formulas():
+    # the vector constants of the two pairs, read back as matrices:
+    # semisimple psi = (lam + mu / w) sigma3 with b_theta = i alpha sigma3;
+    # nilpotent psi = N / (w L) with N = [[0, 1], [0, 0]] and
+    # b_theta = i diag(-1, 1) / L, L = ln r^2; and their partials
+    pts = rand_points(np.random.default_rng(8), 10, 5.0, 100.0)[:, :2]
+    r, w = pts[:, 0], pts[:, 0] * np.exp(1j * pts[:, 1])
+    lam, mu, alpha = 0.1 - 0.2j, 0.4 + 0.3j, 0.15
+    L = 2.0 * np.log(r)
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for params, b_th, psi, db_th, dpsi in (
+            (ModelParams(lam=lam, mu=mu, alpha=alpha),
+             1j * alpha * SIGMA3,
+             (lam + mu / w)[:, None, None] * SIGMA3,
+             np.zeros((2, 2)),
+             (-mu / (w * r))[:, None, None] * SIGMA3),
+            (NILPOTENT,
+             (1j / L)[:, None, None] * np.diag([-1.0, 1.0]),
+             (1.0 / (w * L))[:, None, None] * N,
+             (-2j / (r * L ** 2))[:, None, None] * np.diag([-1.0, 1.0]),
+             (-(L + 2.0) / (w * r * L ** 2))[:, None, None] * N)):
+        pair = hitchin_model(params, TORUS)
+        (b, q), (db, dq) = pair.evaluate(pts), pair.derivative(pts)
+        for got, want in ((b[:, 0], np.zeros((2, 2))), (b[:, 1], b_th),
+                          (q, psi), (db[:, 0, 1], db_th), (dq[:, 0], dpsi)):
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(_su2.from_vector(got) - want)) \
+                <= 1e-15 * scale

@@ -221,7 +221,8 @@ def test_translation_tangents_keep_half_the_asd_curvature(torus, params):
 
     def worst_miss(conn):
         calc = AnnulusCalculus(conn, grid)
-        f_sq = np.sum(_su2.frob(curvature(conn, calc.points)) ** 2, axis=-1)
+        f_sq = np.sum(_su2.frob_vector(curvature(conn, calc.points)) ** 2,
+                      axis=-1)
         return max(float(np.max(np.abs(
             2.0 * np.sum(t.comps ** 2, axis=(0, -1)) - f_sq / 2) / f_sq))
             for t in translation_tangents(calc, np.eye(4)))

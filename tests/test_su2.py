@@ -1,17 +1,21 @@
-"""Tests for the closed-form 2x2 kernels in `_su2`, the fourth-order Magnus
-step and the pairwise tree product of path-ordered holonomy, against plain
-numpy references."""
+"""Tests for the closed-form kernels in `_su2` (su(2) vectors and SU(2)
+matrices), the fourth-order Magnus step and the pairwise tree product of
+path-ordered holonomy, against plain numpy references."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipl import _su2
 from ipl.gauge import (_path_ordered_product, circle_holonomies, circle_paths,
                        flat_connection)
 from ipl.geometry import TorusSpec, reduce_dual
+from ipl.hitchin import HiggsPairOnPlane, lift, reduce
 from ipl.models import ModelParams, model_connection, perturb
+
+from conftest import EYE2, PAULI, same_bits
 
 TORUS = TorusSpec()
 
@@ -23,7 +27,7 @@ def rand_complex(rng, shape):
 def su2_defect(U):
     """max of unitarity and determinant defects; 0 for exact SU(2)."""
     U = np.asarray(U, dtype=complex)
-    uni = _su2.frob(_su2.mul(U, _su2.dag(U)) - _su2.EYE2)
+    uni = _su2.frob(_su2.mul(U, np.conj(np.swapaxes(U, -1, -2))) - EYE2)
     det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
     return np.maximum(uni, np.abs(det - 1.0))
 
@@ -48,16 +52,17 @@ def test_mul_comm_dag_match_matmul(xs, ys):
     assert _su2.mul(X, Y).shape == (X @ Y).shape
     assert np.max(np.abs(_su2.mul(X, Y) - X @ Y)) < 1e-14
     assert np.max(np.abs(_su2.comm(X, Y) - (X @ Y - Y @ X))) < 1e-14
-    assert np.array_equal(_su2.dag(X), np.conj(np.swapaxes(X, -1, -2)))
 
 
-def test_comm_diag_matches_generic_commutator():
+def test_from_vector_is_the_pauli_sum_bit_for_bit():
+    # i v.sigma entry by entry, against the einsum over the Pauli matrices
+    # (the same bits up to the sign of a zero), for real and complex v
     rng = np.random.default_rng(1)
-    X = rand_complex(rng, (4, 3, 2, 2))
-    for g in (0.7 * np.array([1j, -1j]), np.array([0.3 + 0.2j, -1.1j]),
-              np.zeros(2)):
-        expected = _su2.comm(np.diag(g), X)
-        assert np.max(np.abs(_su2.comm_diag(g, X) - expected)) < 1e-14
+    for v in (rng.normal(size=(7, 5, 3)), rand_complex(rng, (7, 5, 3)),
+              np.array([0.0, -0.0, 2.5])):
+        want = 1j * np.einsum("...k,kab->...ab", v.astype(complex), PAULI)
+        assert same_bits(_su2.from_vector(v), want)
+    assert np.array_equal(_su2.to_vector(_su2.from_vector(v)), v)
 
 
 @pytest.mark.parametrize("vs, ws", [((9, 3), (9, 3)), ((3,), (4, 5, 3)),
@@ -70,33 +75,78 @@ def test_comm_vector_is_the_matrix_commutator(vs, ws):
     X, Y = _su2.from_vector(v), _su2.from_vector(w)
     got = _su2.comm_vector(v, w)
     assert got.shape == np.broadcast_shapes(vs, ws)
+    assert got.dtype == float
     assert np.max(np.abs(got - _su2.to_vector(_su2.comm(X, Y)))) < 1e-14
     assert np.allclose(np.real(np.einsum("...ij,...ij->...", X, np.conj(Y))),
                        2.0 * np.sum(v * w, axis=-1), rtol=1e-14, atol=0.0)
 
 
+def pauli_matrix(q):
+    """i q.sigma for a complex 3-vector q, summed over the Pauli matrices."""
+    return 1j * np.einsum("k,kab->ab", np.asarray(q, dtype=complex), PAULI)
+
+
+complex_vectors = st.lists(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False), min_size=3, max_size=3)
+
+
+@given(q=complex_vectors, w=complex_vectors)
+@settings(max_examples=100, deadline=None)
+def test_sl2c_vectors_are_the_matrix_formulas(q, w):
+    # the bracket and the norm hold for complex vectors: sl(2, C) elements
+    # psi = i q.sigma; the lift and the reduction of a Higgs field q are
+    # the matrix formulas a_x = i (psi + psi^dag), a_y = psi - psi^dag and
+    # psi = (a_y - i a_x) / 2
+    q, w = np.array(q), np.array(w)
+    psi, phi = pauli_matrix(q), pauli_matrix(w)
+    scale = 1.0 + np.max(np.abs(q)) * (1.0 + np.max(np.abs(w)))
+    got = _su2.comm_vector(q, w)
+    assert got.dtype == complex
+    assert np.max(np.abs(pauli_matrix(got) - (psi @ phi - phi @ psi))) \
+        <= 1e-14 * scale
+    assert _su2.frob_vector(q) ** 2 == pytest.approx(
+        np.sum(np.abs(psi) ** 2), rel=1e-13, abs=1e-300)
+    pair = HiggsPairOnPlane(
+        evaluate=lambda pts: (np.zeros(pts.shape[:-1] + (2, 3)),
+                              np.broadcast_to(q, pts.shape[:-1] + (3,))),
+        derivative=None, torus=TORUS)
+    a = lift(pair).evaluate(np.array([[1.0, 0.0, 0.0, 0.0]]))[0]
+    psi_dag = np.conj(psi.T)
+    assert np.max(np.abs(_su2.from_vector(a[2]) - 1j * (psi + psi_dag))) \
+        <= 1e-14 * (1.0 + np.max(np.abs(q)))
+    assert np.max(np.abs(_su2.from_vector(a[3]) - (psi - psi_dag))) \
+        <= 1e-14 * (1.0 + np.max(np.abs(q)))
+    psi_back = (_su2.from_vector(a[3]) - 1j * _su2.from_vector(a[2])) / 2.0
+    q_back = reduce(lift(pair)).evaluate(np.array([[1.0, 0.0]]))[1][0]
+    assert np.max(np.abs(pauli_matrix(q_back) - psi_back)) \
+        <= 1e-14 * (1.0 + np.max(np.abs(q)))
+    assert np.max(np.abs(q_back - q)) <= 1e-15 * (1.0 + np.max(np.abs(q)))
+
+
 def test_project_su2_matches_polar_projection():
     rng = np.random.default_rng(2)
-    U = _su2.expm_su2(_su2.from_vector(rng.normal(size=(200, 3))))
+    U = _su2.expm_su2(rng.normal(size=(200, 3)))
     M = U + 1e-8 * rand_complex(rng, (200, 2, 2))
     P = _su2.project_su2(M)
     assert np.max(np.abs(P - polar_su2(M))) < 1e-13
     assert np.max(su2_defect(P)) <= 1e-14
     # exact SU(2) input, including -I, is a fixed point
-    V = np.concatenate([U, -_su2.EYE2[None]])
+    V = np.concatenate([U, -EYE2[None]])
     assert np.max(np.abs(_su2.project_su2(V) - V)) < 1e-15
 
 
 def sequential_product(conn, pts, tans):
     """Reference: the same fourth-order Magnus steps, each written out with
-    numpy's @, multiplied one at a time."""
+    numpy's @ on the generators' matrices, exponentiated by eigh and
+    multiplied one at a time."""
     n = pts.shape[0]
-    a = conn.evaluate(pts)
+    a = _su2.from_vector(conn.evaluate(pts))
     b = -np.einsum("k...i,k...iab->k...ab", tans, a) / n
     b1, b2 = b[:, 0], b[:, 1]
     omega = (b1 + b2) / 2 + math.sqrt(3.0) / 12 * (b2 @ b1 - b1 @ b2)
-    steps = _su2.expm_su2(omega)
-    out = np.broadcast_to(_su2.EYE2, steps.shape[1:]).copy()
+    steps = expm_by_eigh(omega)
+    out = np.broadcast_to(EYE2, steps.shape[1:]).copy()
     for k in range(n):
         out = steps[k] @ out
     return out
@@ -151,20 +201,21 @@ def test_tree_product_matches_flat_closed_form(steps):
         assert np.max(np.abs(mats - expected)) < 1e-13
 
 
+def expm_by_eigh(X):
+    """exp(X) for anti-hermitian X = -i H, H hermitian:
+    V diag(exp(-i lam)) V^dagger from the eigendecomposition of H."""
+    lam, V = np.linalg.eigh(1j * X)
+    return (V * np.exp(-1j * lam)[..., None, :]) \
+        @ np.conj(np.swapaxes(V, -1, -2))
+
+
 def test_expm_su2_matches_eigendecomposition():
     rng = np.random.default_rng(4)
     v = rng.normal(size=(300, 3)) * rng.uniform(0.0, 10.0, size=(300, 1))
     v[0] = 0.0
-    X = _su2.from_vector(v)
-    # X = -i H with H hermitian: exp(X) = V diag(exp(-i lam)) V^dagger
-    lam, V = np.linalg.eigh(1j * X)
-    ref = (V * np.exp(-1j * lam)[..., None, :]) \
-        @ np.conj(np.swapaxes(V, -1, -2))
-    U = _su2.expm_su2(X)
-    assert np.max(np.abs(U - ref)) < 1e-13
+    U = _su2.expm_su2(v)
+    assert np.max(np.abs(U - expm_by_eigh(_su2.from_vector(v)))) < 1e-13
     assert np.max(su2_defect(U)) < 1e-14
-    # only the su(2) part of the argument counts: trace and hermitian
-    # parts are dropped
-    noise = (0.3 + 0.2j) * _su2.EYE2 + np.array([[0.4, 0.1 + 0.2j],
-                                                 [0.1 - 0.2j, -0.4]])
-    assert np.max(np.abs(_su2.expm_su2(X + noise) - U)) < 1e-14
+    # log_su2 inverts it on rotations of angle below pi
+    small = v[np.linalg.norm(v, axis=-1) < 3.0]
+    assert np.max(np.abs(_su2.log_su2(_su2.expm_su2(small)) - small)) < 1e-13
