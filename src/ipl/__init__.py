@@ -13,7 +13,7 @@ from .gauge import (ConnectionSource, DomainError, asd_residual, curvature,
                     weitzenbock_defect)
 from .geometry import (AnnulusGrid, DualTorusPoint, TorusSpec,
                        conventions_hash, conventions_sheet, reduce_dual)
-from .hitchin import HiggsPairOnPlane, hitchin_residual, lift, reduce
+from .hitchin import HiggsPairOnPlane, hitchin_residual, lift
 from .models import ModelParams, model_connection, perturb
 from .moduli import (AnnulusCalculus, K1Chart, TangentVectorInstanton,
                      complex_structures, instanton_tangent_residual,

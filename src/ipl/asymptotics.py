@@ -120,12 +120,12 @@ class HolonomyTable:
     nodes otherwise (a perturbed one), scaled into the Magnus generators
     -(L / LOOP_STEPS) a.
 
-    x, y: (n_rings, N_THETA, 2, 2), circles at torus offset 0 through the
-    base angles `thetas`. x_half, y_half: (n_rings, N_THETA / COARSE, 2, 2),
-    the same circles at half the transverse period through
-    thetas[::COARSE]. theta: (n_rings, 2, 2), theta-circles based at
-    theta = 0. axis_theta: (N_THETA / COARSE, 2, 2), theta-circles on the
-    outer ring through thetas[::COARSE]."""
+    Every entry is an SU(2) pair (see `_su2`). x, y: (n_rings, N_THETA, 2),
+    circles at torus offset 0 through the base angles `thetas`. x_half,
+    y_half: (n_rings, N_THETA / COARSE, 2), the same circles at half the
+    transverse period through thetas[::COARSE]. theta: (n_rings, 2),
+    theta-circles based at theta = 0. axis_theta: (N_THETA / COARSE, 2),
+    theta-circles on the outer ring through thetas[::COARSE]."""
     rings: tuple
     torus: TorusSpec
     thetas: np.ndarray
@@ -173,32 +173,32 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
     for kind, fields in loops.items():
         b = kind_bases[kind]
         if kind == "theta" or conn.along_circle is None:
-            mats = _path_ordered_product(
+            pairs = _path_ordered_product(
                 conn, *circle_paths(conn.torus, kind, b, LOOP_STEPS))
         else:
             L = Lx if kind == "x" else Ly
             a = conn.along_circle(kind, b, L * _step_times(LOOP_STEPS))
             if a.ndim == 2:  # constant along each circle
-                mats = _su2.expm_su2(-L * a)
+                pairs = _su2.expm_su2(-L * a)
             else:
                 # -(L / n) a, rounded as _path_ordered_product rounds
                 # sum_i tans_i a_i / -n
                 a *= L
                 a /= -LOOP_STEPS
-                mats = _magnus_product(a)
+                pairs = _magnus_product(a)
         start = 0
         for name, (bases, shape) in fields.items():
-            table[name] = mats[start:start + len(bases)].reshape(shape + (2, 2))
+            table[name] = pairs[start:start + len(bases)].reshape(shape + (2,))
             start += len(bases)
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
                          **table)
 
 
-def reference_axis(mats: np.ndarray) -> np.ndarray:
+def reference_axis(pairs: np.ndarray) -> np.ndarray:
     """Common axis for signed phase extraction from a batch of SU(2)
-    elements: the largest rotation's axis, sign-aligned with the standard
+    pairs: the largest rotation's axis, sign-aligned with the standard
     first eigenline when possible."""
-    v = _su2.log_su2(mats.reshape(-1, 2, 2))
+    v = _su2.log_su2(pairs.reshape(-1, 2))
     norms = np.linalg.norm(v, axis=-1)
     k = int(np.argmax(norms))
     if norms[k] < 1e-13:
@@ -212,7 +212,7 @@ def reference_axis(mats: np.ndarray) -> np.ndarray:
     return E3.copy()
 
 
-def signed_phases(mats: np.ndarray, axis: np.ndarray,
+def signed_phases(pairs: np.ndarray, axis: np.ndarray,
                   strict: bool = False) -> np.ndarray:
     """Rotation angles of SU(2) elements projected on the reference axis.
 
@@ -222,7 +222,7 @@ def signed_phases(mats: np.ndarray, axis: np.ndarray,
     identity without a shared eigenbasis. With strict=True a sizeable
     rotation that is nearly orthogonal to the reference raises instead
     (eigenvalue branch collision: no coherent sign can be chosen)."""
-    v = _su2.log_su2(mats)
+    v = _su2.log_su2(pairs)
     dots = v @ axis
     if strict:
         norms = np.linalg.norm(v, axis=-1)
@@ -265,8 +265,8 @@ def flat_limit(table: HolonomyTable) -> FlatLimit:
     for col, (full, half, period) in enumerate((
             (table.x, table.x_half, torus.period_x),
             (table.y, table.y_half, torus.period_y))):
-        mats = np.concatenate([full[:, ::COARSE], half], axis=1)
-        phases = signed_phases(mats, axis)
+        pairs = np.concatenate([full[:, ::COARSE], half], axis=1)
+        phases = signed_phases(pairs, axis)
         # unwrap each ring's phases about their circular mean, so samples
         # on both sides of +-pi average to the mean, not to a jump of 2 pi
         centre = np.angle(np.mean(np.exp(1j * phases), axis=1))[:, None]
@@ -327,9 +327,9 @@ def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
     residual exceeds RESIDUAL_THRESHOLD.
     """
     cs = []
-    for mats, period, ref in ((table.x, table.torus.period_x, fl.lambda1),
-                              (table.y, table.torus.period_y, fl.lambda2)):
-        c = -signed_phases(mats, fl.axis) / period
+    for pairs, period, ref in ((table.x, table.torus.period_x, fl.lambda1),
+                               (table.y, table.torus.period_y, fl.lambda2)):
+        c = -signed_phases(pairs, fl.axis) / period
         c = c + np.round((ref - c) * period / TWO_PI) * TWO_PI / period
         cs.append(c)
     w = (np.array(table.rings)[:, None] * np.exp(1j * table.thetas)).ravel()
@@ -470,7 +470,9 @@ def extract_invariants(conn: ConnectionSource, rings,
     """Full invariant extraction with branch bookkeeping: fits flat_limit,
     limiting_holonomy and residue from one holonomy table with a shared
     axis convention, detects the asymptotic kind when not supplied, and
-    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)."""
+    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)
+    and to the residue fit's lambda_hat, so that all four are reported in
+    one branch."""
     if kind is not None:
         check_kind(kind)
     table = holonomy_table(conn, rings)
@@ -488,15 +490,17 @@ def extract_invariants(conn: ConnectionSource, rings,
     else:
         alpha = limiting_holonomy(table, fl.axis, kind)
     diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring.tolist()}
+    states = asymptotic_states(xi)
     if kind == "semisimple":
         mu, res_diag = residue(table, fl)
+        lam_hat = -res_diag["lambda_hat"] if states.flipped \
+            else res_diag["lambda_hat"]
         diagnostics["residue_fit"] = {
-            "lambda_hat": [res_diag["lambda_hat"].real, res_diag["lambda_hat"].imag],
+            "lambda_hat": [lam_hat.real, lam_hat.imag],
             "max_residual": res_diag["max_residual"],
         }
     else:
         mu = 0.0 + 0.0j
-    states = asymptotic_states(xi)
     if states.flipped:
         alpha, mu = principal_alpha(-alpha), -mu
     diagnostics["order_two"] = states.order_two
@@ -516,15 +520,15 @@ def _circle_gap(a: float, b: float) -> float:
 def roundtrip_errors(p, inv: AsymptoticInvariants, torus: TorusSpec) -> dict:
     """Errors of extracted invariants `inv` against the inputs `p` (a
     models.ModelParams) of the model they were extracted from, in the
-    canonical branch frame used by the extractor. At an order-two target
+    canonical branch frame used by the extractor: when the target's branch
+    is flipped, lambda_hat is scored against -lambda. At an order-two target
     xi0 the Weyl reflection (xi0, alpha, mu) -> (-xi0, -alpha, -mu) fixes
     xi0, so both branches name the same state: alpha and mu are scored on
     the branch whose larger error is smaller."""
     states = asymptotic_states(xi_from_zeta(1j * p.lam, torus))
-    alpha_t, mu_t = p.alpha, p.mu
+    lam_t, alpha_t, mu_t = p.lam, p.alpha, p.mu
     if states.flipped:
-        alpha_t = principal_alpha(-alpha_t)
-        mu_t = -mu_t
+        lam_t, alpha_t, mu_t = -lam_t, principal_alpha(-alpha_t), -mu_t
     e_xi = max(_circle_gap(inv.xi0.xi1, states.xi0.xi1),
                _circle_gap(inv.xi0.xi2, states.xi0.xi2))
     fit = inv.diagnostics.get("residue_fit")
@@ -532,7 +536,7 @@ def roundtrip_errors(p, inv: AsymptoticInvariants, torus: TorusSpec) -> dict:
         lam_hat = complex(fit["lambda_hat"][0], fit["lambda_hat"][1])
         # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and
         # zeta = i lambda is defined modulo the dual lattice
-        e_lam = lattice_distance(1j * (lam_hat - p.lam), torus)
+        e_lam = lattice_distance(1j * (lam_hat - lam_t), torus)
     else:
         e_lam = 0.0  # nilpotent: the dual point alone carries the limit
     e_alpha = _circle_gap(inv.alpha, alpha_t)

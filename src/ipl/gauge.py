@@ -177,7 +177,7 @@ def _path_ordered_product(conn: ConnectionSource, pts: np.ndarray,
 
     pts, tans: (n, 2, ..., 4), gamma and gamma' at the two Gauss nodes
     t_k,i = (k + GAUSS_NODES[i]) / n of each step k (see `_step_times`).
-    Returns the SU(2) matrices (..., 2, 2), the `_magnus_product` of the
+    Returns the SU(2) pairs (..., 2), the `_magnus_product` of the
     generators b_i = -A(gamma(t_k,i)) . gamma'(t_k,i) / n.
     """
     conn.check_domain(pts)
@@ -199,7 +199,8 @@ def _magnus_generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
 def _magnus_product(b: np.ndarray) -> np.ndarray:
     """Product of n transport steps from their su(2) Magnus generators b
     (n, 2, ..., 3), b_i = -A . gamma' / n at the step's two Gauss nodes
-    (see `_magnus_generators`). Returns the SU(2) matrices (..., 2, 2).
+    (see `_magnus_generators`). Returns the SU(2) pairs (..., 2) (see
+    `_su2`).
 
     Each step is exp(Omega) of the fourth-order Magnus expansion (Iserles &
     Norsett 1999; Blanes, Casas, Oteo & Ros 2009):
@@ -241,7 +242,8 @@ def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
                       steps: int = LOOP_STEPS) -> np.ndarray:
     """Batched holonomies of coordinate circles through each base point.
 
-    kind: 'x', 'y' or 'theta'. bases: (B, 4). Returns (B, 2, 2).
+    kind: 'x', 'y' or 'theta'. bases: (B, 4). Returns the SU(2) pairs
+    (B, 2).
     """
     return _path_ordered_product(
         conn, *circle_paths(conn.torus, kind, bases, steps))
@@ -290,18 +292,21 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     pts, tans = line_paths(base, dphi_ds, steps)
     conn.check_domain(pts)
     a = conn.evaluate(pts)
-    m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2, 2)
+    m_t = _magnus_product(_magnus_generators(a, tans))  # (n_t, 2)
 
-    # A(dphi/dt) at the base points, as matrices to meet the holonomies
+    # A(dphi/dt) at the base points
     a_base = conn.evaluate(base)
     a_t = dphi_dt[0] * a_base[:, 0]
     for i in range(1, 4):
         a_t += dphi_dt[i] * a_base[:, i]
 
-    # centered derivative of m in t, made covariant
-    dt = ts[1] - ts[0]
-    lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * dt)
-                    + _su2.comm(_su2.from_vector(a_t[1:-1]), m_t[1:-1]))
+    # centered derivative of m in t, made covariant: m' = Re p' I + i u'.sigma
+    # and [A, m] = i comm_vector(a_t, u).sigma, so the Frobenius norm is
+    # sqrt(2 ((Re p')^2 + |u' + comm_vector(a_t, u)|^2))
+    dm = (m_t[2:] - m_t[:-2]) / (2 * (ts[1] - ts[0]))
+    cov = _su2.vector_part(dm) \
+        + _su2.comm_vector(a_t[1:-1], _su2.vector_part(m_t[1:-1]))
+    lhs = np.sqrt(2.0 * (dm[:, 0].real ** 2 + np.sum(cov ** 2, axis=-1)))
 
     # curvature contracted with the family surface element
     coeff = {(i, j): dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i]

@@ -1,5 +1,6 @@
-"""Dimensional reduction between torus-invariant connections on the
-annulus times torus and Higgs pairs (B, psi) on the punctured plane.
+"""Higgs pairs (B, psi) on the punctured plane, their lift to
+torus-invariant connections on the annulus times torus, and the residual
+of the Hitchin equations.
 
 Fixed normalization (see geometry.conventions_sheet): a torus-invariant
 connection a_r dr + a_th dtheta + a_x dx + a_y dy reduces to
@@ -21,7 +22,6 @@ q = (v_y - i v_x) / 2, and conversely v_x = -2 Im q, v_y = 2 Re q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,10 +30,6 @@ import numpy as np
 from . import _su2
 from .gauge import ConnectionSource, RadialDomain, read_along_circle_at_base
 from .geometry import TorusSpec
-
-
-class NotTorusInvariantError(ValueError):
-    pass
 
 
 @dataclass
@@ -57,61 +53,9 @@ class HiggsPairOnPlane(RadialDomain):
     name: str = "higgs-pair"
 
 
-# `reduce` checks torus invariance at this many random points, to this
-# component deviation, with this seed
-N_CHECK, CHECK_TOL, CHECK_SEED = 16, 1e-9, 0
-
-
-def reduce(conn: ConnectionSource) -> HiggsPairOnPlane:
-    """Reduce a torus-invariant connection to its Higgs pair.
-
-    Torus invariance is verified on N_CHECK random (r, theta) points by
-    comparing component values at random torus positions against the base
-    torus position; raises NotTorusInvariantError beyond CHECK_TOL.
-    """
-    n = N_CHECK
-    rng = np.random.default_rng(CHECK_SEED)
-    r_lo = max(conn.r_min, 1e-3)
-    r_hi = r_lo * 100.0 + 10.0
-    rs = rng.uniform(r_lo + 1e-6, r_hi, size=n)
-    ths = rng.uniform(0.0, 2 * math.pi, size=n)
-    base = np.stack([rs, ths, np.zeros(n), np.zeros(n)], axis=-1)
-    xs = rng.uniform(0.0, conn.torus.period_x, size=n)
-    ys = rng.uniform(0.0, conn.torus.period_y, size=n)
-    moved = np.stack([rs, ths, xs, ys], axis=-1)
-    dev = float(np.max(_su2.frob_vector(conn.evaluate(moved)
-                                        - conn.evaluate(base))))
-    if dev > CHECK_TOL:
-        raise NotTorusInvariantError(
-            f"component deviation {dev:.3e} over the torus exceeds "
-            f"{CHECK_TOL:.1e}")
-
-    def _lift_points(points):
-        """(..., 2) plane points (r, theta) -> (r, theta, 0, 0)."""
-        points = np.asarray(points, dtype=float)
-        return np.concatenate([points, np.zeros_like(points)], axis=-1)
-
-    def q_slice(a):
-        """q = (v_y - i v_x)/2 from connection components, or the same for
-        their partials."""
-        return (a[..., 3, :] - 1j * a[..., 2, :]) / 2.0
-
-    def evaluate(points):
-        a = conn.evaluate(_lift_points(points))
-        return a[..., :2, :], q_slice(a)
-
-    def derivative(points):
-        da = conn.derivative(_lift_points(points))
-        return da[..., :2, :2, :], q_slice(da)[..., :2, :]
-
-    return HiggsPairOnPlane(
-        evaluate=evaluate, derivative=derivative,
-        torus=conn.torus, r_min=conn.r_min, name=f"reduce({conn.name})",
-    )
-
-
 def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
-    """Torus-invariant connection of a Higgs pair (exact inverse of reduce)."""
+    """Torus-invariant connection of a Higgs pair: the inverse of the
+    reduction psi_w = (a_y - i a_x) / 2."""
 
     def components(b, q, out):
         """Writes (a_r, a_theta, a_x, a_y) from (b_r, b_theta) and q into

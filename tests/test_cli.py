@@ -10,13 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from ipl import _su2, cli, models
+from ipl import cli, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, _rayleigh_quotients, main, run
 from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
 from ipl.moduli import fourier_diff
 
-from conftest import SIGMA3
+from conftest import SIGMA3, comm
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -422,8 +422,8 @@ def _grid_quotient(gamma, torus):
         return np.exp(1j * (TWO_PI * n * X / Lx + TWO_PI * m * Y / Ly))
 
     def quotient(u):
-        du_x = fourier_diff(u, 0, Lx) + _su2.comm(gx, u)
-        du_y = fourier_diff(u, 1, Ly) + _su2.comm(gy, u)
+        du_x = fourier_diff(u, 0, Lx) + comm(gx, u)
+        du_y = fourier_diff(u, 1, Ly) + comm(gy, u)
         num = float(np.sum(np.abs(du_x) ** 2 + np.abs(du_y) ** 2))
         den = float(np.sum(np.abs(u) ** 2))
         return math.inf if num < 1e-13 * den else num / den

@@ -35,17 +35,17 @@ from ipl.gauge import (
 from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
-from conftest import EYE2, SIGMA3, stacked_curvature, stacked_vector_curvature
+from conftest import (EYE2, SIGMA3, as_matrix, comm, frob, from_vector,
+                      stacked_curvature, stacked_vector_curvature)
 
 TORUS = TorusSpec()
 
 
 def su2_defect(U):
-    """max of unitarity and determinant defects; 0 for exact SU(2)."""
-    U = np.asarray(U, dtype=complex)
-    uni = _su2.frob(_su2.mul(U, dag(U)) - EYE2)
-    det = U[..., 0, 0] * U[..., 1, 1] - U[..., 0, 1] * U[..., 1, 0]
-    return np.maximum(uni, np.abs(det - 1.0))
+    """max of the unitarity and determinant defects of the matrices of
+    pairs U; 0 for exact SU(2)."""
+    M = as_matrix(U)
+    return np.maximum(frob(M @ dag(M) - EYE2), np.abs(np.linalg.det(M) - 1.0))
 
 
 def dag(X):
@@ -126,7 +126,7 @@ def test_curvature_of_explicit_radial_field():
     assert F.shape == (10, 6, 3) and F.dtype == float
     expected = (-1j / pts[:, 0] ** 2)[:, None, None] * SIGMA3
     # pair order (r,th), (r,x), (r,y), (th,x), (th,y), (x,y)
-    assert np.max(np.abs(_su2.from_vector(F[..., 1, :]) - expected)) < 1e-13
+    assert np.max(np.abs(from_vector(F[..., 1, :]) - expected)) < 1e-13
     for k in (0, 2, 3, 4, 5):
         assert np.max(np.abs(F[..., k, :])) < 1e-13
 
@@ -156,12 +156,12 @@ def test_curvature_of_a_real_valued_connection():
     # the connection's matrices are real: F_rx = -J / r^2, with no
     # commutator ([J, J] = 0), and the drift's curvature side is positive
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(_su2.from_vector([0.0, 1.0, 0.0]), J)
+    assert np.array_equal(from_vector([0.0, 1.0, 0.0]), J)
     pts = rand_points(np.random.default_rng(2), 10)
     F = curvature(real_so2_connection(), pts)
     want = np.zeros((10, 6, 2, 2))
     want[:, 1] = (-1.0 / pts[:, 0] ** 2)[:, None, None] * J
-    assert np.max(np.abs(_su2.from_vector(F) - want)) < 1e-15
+    assert np.max(np.abs(from_vector(F) - want)) < 1e-15
     d = monodromy_drift_defect(real_so2_connection(),
                                (20.0, 0.3, 0.0, 1.1), (10.0, 0.0, 0.0, 0.0),
                                (0.0, 0.0, TORUS.period_x, 0.0), n_t=9)
@@ -218,12 +218,12 @@ def test_flat_holonomy_closed_form():
     xi = reduce_dual((0.3, 0.2), TORUS)
     conn = flat_connection(xi, TORUS)
     base = np.array([[10.0, 0.0, 0.0, 0.0]])
-    h = circle_holonomies(conn, "x", base, steps=256)[0]
+    h = as_matrix(circle_holonomies(conn, "x", base, steps=256))[0]
     expected = np.diag([np.exp(-2j * math.pi * 0.3),
                         np.exp(+2j * math.pi * 0.3)])
     assert np.max(np.abs(h - expected)) < 1e-12
 
-    hy = circle_holonomies(conn, "y", base, steps=256)[0]
+    hy = as_matrix(circle_holonomies(conn, "y", base, steps=256))[0]
     expected_y = np.diag([np.exp(-2j * math.pi * 0.2),
                           np.exp(+2j * math.pi * 0.2)])
     assert np.max(np.abs(hy - expected_y)) < 1e-12
@@ -235,7 +235,7 @@ def test_abelian_theta_holonomy_closed_form():
     alpha = 0.2
     conn = model_connection(ModelParams(alpha=alpha), TORUS)
     bases = np.array([[12.0, 0.0, 1.0, 2.0], [70.0, 0.0, 0.5, 0.1]])
-    mats = circle_holonomies(conn, "theta", bases, steps=512)
+    mats = as_matrix(circle_holonomies(conn, "theta", bases, steps=512))
     expected = np.diag([np.exp(-2j * math.pi * alpha),
                         np.exp(+2j * math.pi * alpha)])
     assert np.max(np.abs(mats - expected)) < 1e-10
@@ -264,10 +264,13 @@ def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps,
     """lhs and rhs of monodromy_drift_defect, `steps` Magnus steps per
     circle, with the circle transports by `_path_ordered_product`, A(dphi/dt)
     from its own evaluation at the base points and the coordinate-frame
-    curvature contracted over all six PAIRS: with matrix=False, the
-    su(2) vectors of `stacked_vector_curvature`, which the drift must
-    match bit for bit; with matrix=True, the 2x2 matrices of
-    `stacked_curvature` and their Frobenius norms."""
+    curvature contracted over all six PAIRS: with matrix=False, the lhs
+    from the holonomy pairs and the su(2) vectors of
+    `stacked_vector_curvature`, which the drift must match bit for bit;
+    with matrix=True, |m' + [A(dphi/dt), m]|_F on the pairs' matrices, A
+    turned into a matrix by `from_vector` and the bracket the matrix
+    commutator, and the 2x2 matrices of `stacked_curvature` with their
+    Frobenius norms."""
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
@@ -275,17 +278,22 @@ def reference_drift(conn, origin, dphi_dt, dphi_ds, n_t, steps,
     pts, tans = line_paths(base, dphi_ds, steps)
     m_t = _path_ordered_product(conn, pts, tans)
     a_base = conn.evaluate(base)
-    a_t = _su2.from_vector(sum(dphi_dt[i] * a_base[:, i] for i in range(4)))
-    lhs = _su2.frob((m_t[2:] - m_t[:-2]) / (2 * (ts[1] - ts[0]))
-                    + _su2.comm(a_t, m_t)[1:-1])
+    a_t = sum(dphi_dt[i] * a_base[:, i] for i in range(4))
     if matrix:
+        m = as_matrix(m_t)
+        lhs = frob((m[2:] - m[:-2]) / (2 * (ts[1] - ts[0]))
+                   + comm(from_vector(a_t), m)[1:-1])
         slots = np.moveaxis(stacked_curvature(conn, pts), -3, 0)
     else:
+        dm = (m_t[2:] - m_t[:-2]) / (2 * (ts[1] - ts[0]))
+        cov = _su2.vector_part(dm) \
+            + _su2.comm_vector(a_t[1:-1], _su2.vector_part(m_t[1:-1]))
+        lhs = np.sqrt(2.0 * (dm[:, 0].real ** 2 + np.sum(cov ** 2, axis=-1)))
         slots = np.moveaxis(stacked_vector_curvature(conn, pts), -2, 0)
     contract = np.zeros_like(slots[0])
     for f, (i, j) in zip(slots, PAIRS):
         contract += f * (dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i])
-    norms = _su2.frob(contract) if matrix else _su2.frob_vector(contract)
+    norms = frob(contract) if matrix else _su2.frob_vector(contract)
     return lhs, np.mean(norms, axis=(0, 1))
 
 
@@ -293,8 +301,8 @@ def segment_transports(conn, waypoints, steps_per_seg):
     """Transport matrices (m-1, 2, 2) along the consecutive straight
     segments of the path through waypoints (m, 4), h_k transporting from
     waypoint k to waypoint k+1, `steps_per_seg` Magnus steps a segment."""
-    return _path_ordered_product(conn, *line_paths(
-        waypoints[:-1], waypoints[1:] - waypoints[:-1], steps_per_seg))
+    return as_matrix(_path_ordered_product(conn, *line_paths(
+        waypoints[:-1], waypoints[1:] - waypoints[:-1], steps_per_seg)))
 
 
 def conjugated_drift_lhs(conn, origin, dphi_dt, dphi_ds, n_t):
@@ -305,13 +313,14 @@ def conjugated_drift_lhs(conn, origin, dphi_dt, dphi_ds, n_t):
                                 for v in (origin, dphi_dt, dphi_ds))
     ts = np.linspace(0.0, 1.0, n_t)
     base = origin + ts[:, None] * dphi_dt
-    m_t = _path_ordered_product(conn, *line_paths(base, dphi_ds, DRIFT_STEPS))
+    m_t = as_matrix(_path_ordered_product(
+        conn, *line_paths(base, dphi_ds, DRIFT_STEPS)))
     h = [EYE2]
     for hop in segment_transports(conn, base, steps_per_seg=8):
-        h.append(_su2.mul(hop, h[-1]))
+        h.append(hop @ h[-1])
     h = np.array(h)
-    M = _su2.mul(_su2.mul(dag(h), m_t), h)
-    return _su2.frob((M[2:] - M[:-2]) / (2 * (ts[1] - ts[0])))
+    M = dag(h) @ m_t @ h
+    return frob((M[2:] - M[:-2]) / (2 * (ts[1] - ts[0])))
 
 
 def theta_family():
@@ -380,7 +389,7 @@ def test_vector_gauge_layer_matches_the_matrix_form(params, torus,
     assert F.shape == (64, 6, 3) and F.dtype == float
     n2 = np.sum(np.abs(want) ** 2, axis=(-2, -1))  # (64, 6)
     scale = float(np.sqrt(np.max(np.sum(n2, axis=-1))))
-    close(_su2.from_vector(F), want, scale)
+    close(from_vector(F), want, scale)
     close(curvature_norm(conn, pts), np.sqrt(np.sum(n2, axis=-1)), scale)
     close(curvature_norm(conn, pts, components="kahler"),
           np.sqrt(n2[:, 0] + n2[:, 5]), scale)
@@ -398,6 +407,20 @@ def test_vector_gauge_layer_matches_the_matrix_form(params, torus,
         scale = float(np.max(rhs))
         close(d["lhs"], lhs, scale)
         close(d["rhs"], rhs, scale)
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["2pix2pi", "4x7"])
+def test_drift_lhs_from_pairs_is_the_matrix_norm(torus):
+    # sqrt(2 ((Re p')^2 + |u' + comm_vector(a_t, u)|^2)) on the holonomy
+    # pairs is |m' + [A(dphi/dt), m]|_F on their matrices, with A turned
+    # into a matrix by from_vector and the matrix commutator, to 1e-14
+    # relative at every t (the flat family's exact zeros included)
+    for tag, conn, *args in _drift_families(np.random.default_rng(0), torus):
+        d = monodromy_drift_defect(conn, *args, n_t=33)
+        want, _ = reference_drift(conn, *args, n_t=33, steps=DRIFT_STEPS,
+                                  matrix=True)
+        assert np.all(np.abs(d["lhs"] - want) <= 1e-14 * want), tag
 
 
 @pytest.mark.parametrize("n_t, bound", [(129, 3e-5), (257, 1e-5)])
@@ -463,7 +486,7 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
     def field(scalar, M):
         return scalar[..., None, None] * M
 
-    mats = [_su2.from_vector(t.vector) for t in form.terms]
+    mats = [from_vector(t.vector) for t in form.terms]
 
     def nabla(r):
         nab = np.zeros((4, 4) + TH.shape + (2, 2), dtype=complex)
@@ -570,7 +593,7 @@ def test_weitzenbock_closed_form_single_dx_mode():
     # grad_sq = dstar_sq = |T|^2 c^2 kx^2 pi (R'^2 - R^2) Lx Ly / 2
     torus = TorusSpec(period_x=1.3, period_y=0.7)
     c, n, r_in, r_out = 1.7, 2, 3.0, 9.0
-    T = _su2.from_vector([0.3, -1.1, 0.4])
+    T = from_vector([0.3, -1.1, 0.4])
     term = TrigRadialTerm(component=2, vector=(0.3, -1.1, 0.4),
                           radial_coeffs=(c,), modes=(0, n, 0))
     d = weitzenbock_defect(SeparableOneForm(terms=(term,)), None,

@@ -8,14 +8,11 @@ import numpy as np
 import pytest
 
 from ipl.gauge import asd_residual
-from ipl.hitchin import (
-    NotTorusInvariantError,
-    hitchin_residual,
-    lift,
-    reduce,
-)
+from ipl.hitchin import hitchin_residual, lift
 from ipl.geometry import TorusSpec
 from ipl.models import ModelParams, hitchin_model, model_connection, perturb
+
+from conftest import NotTorusInvariantError, reduce
 
 TORUS = TorusSpec()
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl import _su2
 from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
     flat_connection, self_dual
 from ipl.geometry import TorusSpec, reduce_dual
@@ -24,7 +23,7 @@ from ipl.models import (
     perturb,
 )
 
-from conftest import SIGMA3, same_bits, stacked_vector_curvature
+from conftest import SIGMA3, from_vector, same_bits, stacked_vector_curvature
 
 TORUS = TorusSpec()
 NILPOTENT = ModelParams(kind="nilpotent")
@@ -132,7 +131,7 @@ def test_perturbation_pointwise_bound(seed):
     rng = np.random.default_rng(seed + 1)
     pts = rand_points(rng, 50, 5.0, 800.0)
     # the largest deviation of a component's matrix entries
-    dev = np.abs(_su2.from_vector(conn.evaluate(pts) - base.evaluate(pts)))
+    dev = np.abs(from_vector(conn.evaluate(pts) - base.evaluate(pts)))
     bound = amplitude * pts[:, 0] ** (-(1.0 + delta))
     assert np.all(np.max(dev, axis=(-3, -2, -1)) <= bound + 1e-15)
 
@@ -260,10 +259,10 @@ def test_hitchin_model_matches_connection_reduction():
     pair = hitchin_model(params, TORUS)
     conn = model_connection(params, TORUS)
     pts4 = rand_points(np.random.default_rng(6), 10, 5.0, 100.0)
-    a = _su2.from_vector(conn.evaluate(pts4))
+    a = from_vector(conn.evaluate(pts4))
     _, q = pair.evaluate(pts4[:, :2])
     # reduction convention: psi_w = (a_y - i a_x) / 2, with psi_w = i q.sigma
-    psi = _su2.from_vector(q)
+    psi = from_vector(q)
     assert np.max(np.abs((a[:, 3] - 1j * a[:, 2]) / 2.0 - psi)) < 1e-12
 
 
@@ -293,5 +292,5 @@ def test_model_pairs_are_the_matrix_formulas():
         for got, want in ((b[:, 0], np.zeros((2, 2))), (b[:, 1], b_th),
                           (q, psi), (db[:, 0, 1], db_th), (dq[:, 0], dpsi)):
             scale = 1.0 + np.max(np.abs(want))
-            assert np.max(np.abs(_su2.from_vector(got) - want)) \
+            assert np.max(np.abs(from_vector(got) - want)) \
                 <= 1e-15 * scale

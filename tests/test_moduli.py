@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import MatrixCalculus
+from conftest import MatrixCalculus, from_vector, to_vector
 
 from ipl import _su2, cli
 from ipl.gauge import DomainError, curvature
@@ -283,7 +283,7 @@ def test_l2_pairing_matches_the_complex_einsum(lead):
     # b leans on a, so the sum does not cancel to its rounding noise
     b = a + 0.5 * rng.normal(size=shape)
     for x, y in ((a, b), (b, a), (a, a)):
-        want = complex_pairing(_su2.from_vector(x), _su2.from_vector(y),
+        want = complex_pairing(from_vector(x), from_vector(y),
                                grid, torus)
         assert abs(_l2_pairing(x, y, grid, torus) - want) \
             <= 1e-13 * abs(want)
@@ -406,17 +406,17 @@ def test_vector_calculus_matches_the_matrix_form(params, torus, perturbed):
     rng = np.random.default_rng(7)
     u = rng.normal(size=calc.points.shape[:-1] + (3,))
     a, b = rng.normal(size=(2, 4) + u.shape)
-    U, A, B = (_su2.from_vector(x) for x in (u, a, b))
+    U, A, B = (from_vector(x) for x in (u, a, b))
 
     def close(got, want):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    close(calc.A, _su2.to_vector(ref.A))
-    close(calc.d0(u), _su2.to_vector(ref.d0(U)))
-    close(calc.dstar(a), _su2.to_vector(ref.dstar(A)))
-    close(calc.d1(a), _su2.to_vector(ref.d1(A)))
-    close(calc.dplus(a), _su2.to_vector(ref.dplus(A)))
+    close(calc.A, to_vector(ref.A))
+    close(calc.d0(u), to_vector(ref.d0(U)))
+    close(calc.dstar(a), to_vector(ref.dstar(A)))
+    close(calc.d1(a), to_vector(ref.d1(A)))
+    close(calc.dplus(a), to_vector(ref.dplus(A)))
     for x, y, X, Y in ((a, b, A, B), (a, a, A, A), (u, u, U, U)):
         close(np.array(calc.inner(x, y)), np.array(ref.inner(X, Y)))
 
