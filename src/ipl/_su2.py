@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+E3 = np.array([0.0, 0.0, 1.0])
+
 
 def mul(X, Y):
     """The product of SU(2) pairs X Y (..., 2), broadcasting over leading

@@ -32,8 +32,7 @@ from .gauge import (LOOP_STEPS, ConnectionSource, _magnus_product,
                     curvature_norm)
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, lattice_distance, \
     reduce_dual, xi_from_zeta
-
-E3 = np.array([0.0, 0.0, 1.0])
+from .models import check_kind
 
 # base angles of the x/y circles on each ring, and the stride that picks
 # the coarser grid of the flat limit and of the reference axis from them
@@ -50,15 +49,6 @@ COLLISION_TOL = 0.2
 # theta samples and torus samples per period of `instanton_number`
 DECAY_N_THETA, DECAY_N_TRANS = 16, 2
 ENERGY_N_R, ENERGY_N_THETA, ENERGY_N_TRANS = 64, 16, 4
-# the two asymptotic kinds: the curvature of a semisimple end decays like
-# 1/r^2, that of a nilpotent end like 1/(r ln r)^2
-KINDS = ("semisimple", "nilpotent")
-
-
-def check_kind(kind) -> None:
-    """Raises ValueError unless kind is one of KINDS."""
-    if kind not in KINDS:
-        raise ValueError("kind must be 'semisimple' or 'nilpotent'")
 
 
 class ExtractionError(RuntimeError):
@@ -202,14 +192,14 @@ def reference_axis(pairs: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(v, axis=-1)
     k = int(np.argmax(norms))
     if norms[k] < 1e-13:
-        return E3.copy()
+        return _su2.E3.copy()
     a = v[k] / norms[k]
     if abs(a[2]) > 0.1:
         return a * np.sign(a[2])
     for comp in a:
         if abs(comp) > 1e-12:
             return a * np.sign(comp)
-    return E3.copy()
+    return _su2.E3.copy()
 
 
 def signed_phases(pairs: np.ndarray, axis: np.ndarray,

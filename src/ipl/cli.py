@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from . import models
-from .asymptotics import KINDS, ExtractionError, decay_exponent, \
+from .asymptotics import ExtractionError, decay_exponent, \
     extract_invariants, poincare_constant, roundtrip_errors
 from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
@@ -35,7 +35,7 @@ from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, lattice_distance, \
     reduce_dual, xi_from_zeta, zeta_from_xi
 from .hitchin import hitchin_residual
-from .models import ModelParams, model_connection, perturb
+from .models import KINDS, ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
     complex_structures, fourier_diff, instanton_tangent_residual, k1_chart, \
     l2_metric, moduli_dimension, random_tangent, translation_tangents

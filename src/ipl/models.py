@@ -7,7 +7,10 @@ psi = N / (w ln r^2) with B = d + i diag(-1, 1) dtheta / ln r^2. Both are
 defined as lifts of their Higgs pairs, so the reduction round trip is
 exact by construction. As vectors (see `_su2`): the semisimple pair is
 q = -i zeta(w) e3 with b_theta = alpha e3, and the nilpotent pair is
-q = NILP / (w ln r^2) with b_theta = -e3 / ln r^2.
+q = NILP / (w ln r^2) with b_theta = -e3 / ln r^2. A kind is one of
+KINDS. `perturb` adds seeded decaying terms to a model, radial shells
+of trig waves along unit su(2) directions, each shell's four terms held
+as (4, 3) arrays, one row per connection component.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import E3, check_kind
+from ._su2 import E3
 from .gauge import ConnectionSource
 from .geometry import TWO_PI, TorusSpec
 from .hitchin import HiggsPairOnPlane, lift
@@ -27,6 +30,15 @@ NILP = np.array([-0.5j, 0.5, 0.0])
 
 DEFAULT_SEMISIMPLE_R_MIN = 1e-3
 DEFAULT_NILPOTENT_R_MIN = math.sqrt(math.e)  # ln r^2 = 1
+# the two asymptotic kinds: the curvature of a semisimple end decays like
+# 1/r^2, that of a nilpotent end like 1/(r ln r)^2
+KINDS = ("semisimple", "nilpotent")
+
+
+def check_kind(kind) -> None:
+    """Raises ValueError unless kind is one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError("kind must be 'semisimple' or 'nilpotent'")
 
 
 @dataclass(frozen=True)
@@ -133,20 +145,13 @@ def _bump_deriv(u):
 
 
 @dataclass(frozen=True)
-class _PerturbTerm:
-    component: int
-    vector: np.ndarray  # su(2) vector v / (sqrt(2) |v|): Frobenius norm 1
-    modes: tuple
-    phases: tuple
-
-
-@dataclass(frozen=True)
 class _PerturbShell:
-    """The terms sharing one radial bump, one per connection component,
-    in component order."""
+    """The terms sharing one radial bump, row j for component j."""
     center: float
     width: float
-    terms: tuple
+    vectors: np.ndarray  # (4, 3) v / (sqrt(2) |v|): Frobenius norm 1
+    modes: np.ndarray  # (4, 3) integer modes of the theta, x and y waves
+    phases: np.ndarray  # (4, 3) phases of the theta, x and y waves
 
 
 # radial bumps of a perturbation, and the largest |mode| of its trig waves
@@ -159,28 +164,15 @@ def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
     rng = np.random.default_rng(seed)
     shells = []
     for rho in np.geomspace(r_lo, r_hi, N_BUMPS):
-        terms = []
-        for comp in range(4):
-            v = rng.normal(size=3)
-            unit = v / (math.sqrt(2.0) * np.linalg.norm(v))
-            modes = tuple(int(k) for k in rng.integers(-MAX_MODE, MAX_MODE + 1,
-                                                       size=3))
-            phases = tuple(float(p) for p in rng.uniform(0.0, TWO_PI, size=3))
-            terms.append(_PerturbTerm(component=comp, vector=unit,
-                                      modes=modes, phases=phases))
-        shells.append(_PerturbShell(center=float(rho), width=0.35 * float(rho),
-                                    terms=tuple(terms)))
+        # a (vector, modes, phases) draw per component, in component order
+        rows = [(rng.normal(size=3),
+                 rng.integers(-MAX_MODE, MAX_MODE + 1, size=3),
+                 rng.uniform(0.0, TWO_PI, size=3)) for _ in range(4)]
+        v, modes, phases = map(np.array, zip(*rows))
+        units = np.array([x / (math.sqrt(2.0) * np.linalg.norm(x)) for x in v])
+        shells.append(_PerturbShell(float(rho), 0.35 * float(rho), units,
+                                    modes, phases))
     return tuple(shells)
-
-
-def _waves(coords, term: _PerturbTerm, torus: TorusSpec):
-    """Wave numbers (p, k_x, k_y) of a term's trig waves in theta, x and y,
-    and the waves' arguments (p theta + phase_0, ...) at coords, the
-    (theta, x, y) coordinates as three arrays that broadcast together; the
-    term's trig factor is the product of the three cosines."""
-    p, n, m = term.modes
-    ks = (p, TWO_PI * n / torus.period_x, TWO_PI * m / torus.period_y)
-    return ks, [k * c + phase for k, c, phase in zip(ks, coords, term.phases)]
 
 
 def _radial(r, u, delta: float):
@@ -192,101 +184,91 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             seed: int, r_lo: float, r_hi: float) -> ConnectionSource:
     """Adds a deterministic random perturbation with pointwise bound
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
-    decay: N_BUMPS compactly supported radial bumps, centred geometrically
-    from r_lo to r_hi, times torus/theta trig waves of modes up to
-    MAX_MODE, times unit su(2) directions drawn from `seed`, with exact
-    derivatives added to the base's.
+    decay, with exact derivatives added to the base's. Its N_BUMPS shells
+    are radial bumps g(r) centred geometrically from r_lo to r_hi; a
+    shell's term in component j is amplitude/2 g(r) f0 f1 f2 times a unit
+    su(2) direction drawn from `seed`, f_i = cos(k_i s_i + phase_i) over
+    s = (theta, x, y), k = (p, 2 pi n / L_x, 2 pi m / L_y), modes up to
+    MAX_MODE. Row j of a shell's directions, modes and phases is component
+    j, so a reader forms all four components in one pass, points on the
+    last axis (numpy's inner loop): evaluate(points) adds them into
+    base.evaluate(points), derivative(points) their (n, 4 axes,
+    4 components) partials into the base's table. When the base has an
+    along_circle (see gauge.ConnectionSource), so does the result, and a
+    perturbation of a perturbation of a lift thus has one too: it adds row
+    a_x or a_y, the one component a transport along the circle reads, to
+    the base's reader, taking the support test, g and the two transverse
+    cosines once per circle and the along-circle cosine once per node.
 
-    A term's value, amplitude/2 g(r) (f0 f1 f2) times its su(2) direction,
-    is written once (`term_value`) and read two ways. evaluate(points) adds
-    every term at the points into base.evaluate(points). When the base has
-    an along_circle (see gauge.ConnectionSource), so does the result: it
-    broadcasts the base's along_circle over the coordinates and adds only
-    the term's a_x or a_y, the one component a transport along the circle
-    reads. On such a circle r, theta and the transverse coordinate are
-    fixed, so the support test, g and two of the three cosines are taken
-    once per circle and only the along-circle cosine once per node
-    coordinate. A perturbation of a perturbation of a lift thus has one
-    too.
-
-    A term vanishes exactly outside its bump's support, so each shell's
-    terms are evaluated only on the points (circles) inside that support
-    and added there in one scatter (one per row of the table of partials);
-    every sum equals, bit for bit, that of adding every term at every point
-    (up to the sign of a zero, which adding an exact zero term can flip).
-    The sums are taken in place in the base's fresh arrays."""
+    A term vanishes exactly outside its bump's support, so each shell is
+    added only on the points (circles) inside that support, in one scatter
+    into the base's fresh arrays; every sum equals, bit for bit, that of
+    adding every term at every point (up to the sign of a zero, which
+    adding an exact zero term can flip)."""
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
-    torus = conn.torus
-    shells = _perturb_shells(seed, r_lo, r_hi)
     half_amp = amplitude / 2.0
+    # each shell with its wave numbers k (4, 3), row j for component j
+    periods = (conn.torus.period_x, conn.torus.period_y)
+    shells = [(sh, np.column_stack([sh.modes[:, 0],
+                                    TWO_PI * sh.modes[:, 1:] / periods]))
+              for sh in _perturb_shells(seed, r_lo, r_hi)]
+
+    def waves(k, phases, s):  # the waves' arguments, points on a new last axis
+        return k[..., None] * s + phases[..., None]
 
     def _live_shells(points):
-        """(shell, flat indices, points, u) for every shell whose support
+        """(shell, k, flat indices, points, u) for every shell whose support
         holds some of the (n, 4) points; u is computed as _bump sees it."""
         r = points[:, 0]
-        for shell in shells:
+        for shell, k in shells:
             u = (r - shell.center) / shell.width
             idx = np.flatnonzero(np.abs(u) < 1.0)
             if idx.size:
-                yield shell, idx, points[idx], u[idx]
-
-    def term_value(term, g, coords):
-        """The term at the (theta, x, y) coords, g its radial factor there:
-        (..., 3) over the coords' broadcast shape."""
-        f0, f1, f2 = (np.cos(arg) for arg in _waves(coords, term, torus)[1])
-        return half_amp * (g * (f0 * f1 * f2))[..., None] * term.vector
+                yield shell, k, idx, points[idx], u[idx]
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out = conn.evaluate(points)
-        lead = points.shape[:-1]
-        for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+        out, lead = conn.evaluate(points), points.shape[:-1]
+        for shell, k, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+            f = np.cos(waves(k, shell.phases, pts.T[1:]))
             g = _radial(pts[:, 0], u, delta)
-            block = np.empty((idx.size, 4, 3))
-            for term in shell.terms:
-                block[:, term.component] = term_value(term, g, pts[:, 1:].T)
-            out[np.unravel_index(idx, lead)] += block
+            term = half_amp * (g * (f[:, 0] * f[:, 1] * f[:, 2]))
+            out[np.unravel_index(idx, lead)] += (
+                term * shell.vectors.T[..., None]).T
         return out
 
     def along_circle(kind, bases, coords):
-        axis = {"x": 2, "y": 3}[kind]
+        axis, j = {"x": (2, 1), "y": (3, 2)}[kind]  # j: the along-circle wave
         along = np.asarray(coords, dtype=float)
         a = conn.along_circle(kind, bases, along)
         out = np.broadcast_to(a, along.shape + a.shape[-2:]).copy()
-        along = along[..., None]
-        for shell, idx, pts, u in _live_shells(np.asarray(bases, dtype=float)):
-            wave_coords = [pts[:, 1], pts[:, 2], pts[:, 3]]
-            wave_coords[axis - 1] = along
-            out[..., idx, :] += term_value(
-                shell.terms[axis], _radial(pts[:, 0], u, delta), wave_coords)
+        for shell, k, idx, pts, u in _live_shells(np.asarray(bases, float)):
+            kr, phr = k[axis], shell.phases[axis]
+            f = list(np.cos(waves(kr, phr, pts.T[1:])))
+            f[j] = np.cos(waves(kr[j], phr[j], along[..., None]))
+            g = _radial(pts[:, 0], u, delta)
+            term = half_amp * (g * (f[0] * f[1] * f[2]))[..., None]
+            out[..., idx, :] += term * shell.vectors[axis]
         return out
 
     def derivative(points):
         points = np.asarray(points, dtype=float)
         out = np.ascontiguousarray(conn.derivative(points))
         flat = out.reshape(-1, 4, 4, 3)
-        for shell, idx, pts, u in _live_shells(points.reshape(-1, 4)):
+        for shell, k, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             r = pts[:, 0]
             g = _radial(r, u, delta)
             dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
                 + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
-            # partials[t][i]: partial_i of term t's scalar factor
-            partials = []
-            for term in shell.terms:
-                (p, kx, ky), args = _waves(pts[:, 1:].T, term, torus)
-                f0, f1, f2 = np.cos(args)
-                s0, s1, s2 = np.sin(args)
-                partials.append((dg * (f0 * f1 * f2),
-                                 g * (-p * s0 * f1 * f2),
-                                 g * (-kx * s1 * f0 * f2),
-                                 g * (-ky * s2 * f0 * f1)))
-            block = np.empty((idx.size, 4, 3))
-            for axis in range(4):
-                for term, d in zip(shell.terms, partials):
-                    block[:, term.component] = (
-                        half_amp * d[axis][:, None] * term.vector)
-                flat[idx, axis] += block
+            args = waves(k, shell.phases, pts.T[1:])
+            f, s = np.cos(args), np.sin(args)
+            # d[j, i]: partial_i of term j's scalar factor, by the product rule
+            d = np.empty((4, 4, idx.size))
+            d[:, 0] = dg * (f[:, 0] * f[:, 1] * f[:, 2])
+            d[:, 1:] = g * (
+                -k[..., None] * s * f[:, [1, 0, 0]] * f[:, [2, 2, 1]])
+            flat[idx] += (half_amp * d * shell.vectors.T[..., None, None]).T
         return out
 
     return ConnectionSource(

@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
     flat_connection, self_dual
-from ipl.geometry import TorusSpec, reduce_dual
+from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import (
     ModelParams,
     _bump,
     _bump_deriv,
     _perturb_shells,
     _radial,
-    _waves,
     hitchin_model,
     model_connection,
     perturb,
@@ -29,12 +28,12 @@ TORUS = TorusSpec()
 NILPOTENT = ModelParams(kind="nilpotent")
 
 
-def rand_points(rng, n, r_lo, r_hi):
+def rand_points(rng, n, r_lo, r_hi, torus=TORUS):
     pts = np.empty((n, 4))
     pts[:, 0] = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=n))
     pts[:, 1] = rng.uniform(0, 2 * math.pi, size=n)
-    pts[:, 2] = rng.uniform(0, TORUS.period_x, size=n)
-    pts[:, 3] = rng.uniform(0, TORUS.period_y, size=n)
+    pts[:, 2] = rng.uniform(0, torus.period_x, size=n)
+    pts[:, 3] = rng.uniform(0, torus.period_y, size=n)
     return pts
 
 
@@ -137,8 +136,10 @@ def test_perturbation_pointwise_bound(seed):
 
 
 def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
-    """Reference for `perturb`: all 24 terms added at every point, with no
-    support test. Returns the connection and its table of partials."""
+    """Reference for `perturb`: all 24 terms added at every point, one
+    component at a time and with no support test, each term's waves
+    formed from its integer modes and the base's torus. Returns the
+    connection and its table of partials."""
     a = np.array(base.evaluate(points), copy=True)
     d = np.array(base.derivative(points), copy=True)
     r = points[..., 0]
@@ -147,9 +148,12 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
         g = _radial(r, u, delta)
         dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
             + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
-        for term in shell.terms:
-            (p, kx, ky), args = _waves(np.moveaxis(points[..., 1:], -1, 0),
-                                        term, TORUS)
+        for comp in range(4):
+            p, n, m = (int(mode) for mode in shell.modes[comp])
+            kx = TWO_PI * n / base.torus.period_x
+            ky = TWO_PI * m / base.torus.period_y
+            args = [k * points[..., 1 + i] + float(shell.phases[comp, i])
+                    for i, k in enumerate((p, kx, ky))]
             f0, f1, f2 = np.cos(args)
             c = f0 * f1 * f2
             coefs = (g * c, dg * c,
@@ -158,8 +162,8 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
                      g * (-ky * np.sin(args[2]) * f0 * f1))
             for out, coef in zip([a] + [d[..., i, :, :] for i in range(4)],
                                  coefs):
-                out[..., term.component, :] += (
-                    amplitude / 2.0 * coef[..., None] * term.vector)
+                out[..., comp, :] += (
+                    amplitude / 2.0 * coef[..., None] * shell.vectors[comp])
     return a, d
 
 
@@ -172,7 +176,8 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
 def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
     # each term is exactly zero off its support, so evaluating a shell only
     # on the points inside it must reproduce the all-terms sum bit for bit,
-    # including at r = centre +- width where the support test decides
+    # including at r = centre +- width where the support test decides; on
+    # the 4 x 7 torus a wave with the x and y periods swapped differs too
     delta, amplitude, r_lo, r_hi = 0.5, 0.05, 5.0, 600.0
     sh = _perturb_shells(seed, r_lo, r_hi)[shell]
     rs = []
@@ -184,23 +189,44 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
         elif v == "centre":
             v = sh.center
         rs.extend([np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)])
-    rng = np.random.default_rng(seed)
-    pts = np.stack([np.array(rs), rng.uniform(0.0, 2 * math.pi, len(rs)),
-                    rng.uniform(0.0, TORUS.period_x, len(rs)),
-                    rng.uniform(0.0, TORUS.period_y, len(rs))], axis=-1)
-    if batch_2d:
-        pts = pts.reshape(3, -1, 4)
-    base = model_connection(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
-                                        alpha=0.25), TORUS)
-    conn = perturb(base, delta=delta, amplitude=amplitude, seed=seed,
-                   r_lo=r_lo, r_hi=r_hi)
-    a_ref, d_ref = dense_perturbed(base, pts, delta, amplitude, seed, r_lo,
-                                   r_hi)
-    assert same_bits(conn.evaluate(pts), a_ref)
-    d = conn.derivative(pts)
-    assert d.shape == pts.shape[:-1] + (4, 4, 3)
-    for i in range(4):
-        assert same_bits(d[..., i, :, :], d_ref[..., i, :, :]), i
+    for torus in (TORUS, TorusSpec(4.0, 7.0)):
+        rng = np.random.default_rng(seed)
+        pts = np.stack([np.array(rs), rng.uniform(0.0, 2 * math.pi, len(rs)),
+                        rng.uniform(0.0, torus.period_x, len(rs)),
+                        rng.uniform(0.0, torus.period_y, len(rs))], axis=-1)
+        if batch_2d:
+            pts = pts.reshape(3, -1, 4)
+        base = model_connection(ModelParams(lam=0.1 - 0.05j, mu=0.3 + 0.2j,
+                                            alpha=0.25), torus)
+        conn = perturb(base, delta=delta, amplitude=amplitude, seed=seed,
+                       r_lo=r_lo, r_hi=r_hi)
+        a_ref, d_ref = dense_perturbed(base, pts, delta, amplitude, seed,
+                                       r_lo, r_hi)
+        assert same_bits(conn.evaluate(pts), a_ref), torus
+        d = conn.derivative(pts)
+        assert d.shape == pts.shape[:-1] + (4, 4, 3)
+        for i in range(4):
+            assert same_bits(d[..., i, :, :], d_ref[..., i, :, :]), (torus, i)
+
+
+@pytest.mark.parametrize("torus", [TorusSpec(4.0, 7.0), TorusSpec(30.0, 1.0)],
+                         ids=["4x7", "30x1"])
+def test_perturbed_model_is_periodic(torus):
+    # a perturbation's waves must have the periods 2 pi in theta and
+    # L_x, L_y on the torus: a shift by one period moves evaluate and
+    # derivative by rounding only
+    conn = perturb(model_connection(ModelParams(lam=0.1 - 0.05j,
+                                                mu=0.3 + 0.2j, alpha=0.25),
+                                    torus),
+                   delta=0.5, amplitude=0.3, seed=4, r_lo=5.0, r_hi=600.0)
+    pts = rand_points(np.random.default_rng(7), 400, 4.0, 700.0, torus)
+    a, d = conn.evaluate(pts), conn.derivative(pts)
+    for axis, period in ((1, TWO_PI), (2, torus.period_x),
+                         (3, torus.period_y)):
+        shifted = pts.copy()
+        shifted[:, axis] += period
+        assert np.max(np.abs(conn.evaluate(shifted) - a)) <= 1e-12, axis
+        assert np.max(np.abs(conn.derivative(shifted) - d)) <= 1e-12, axis
 
 
 @pytest.mark.parametrize("kind", ["flat", "semisimple", "nilpotent",
