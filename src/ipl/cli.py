@@ -39,8 +39,8 @@ from .models import KINDS, ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
     complex_structures, fourier_diff, instanton_tangent_residual, k1_chart, \
     l2_metric, moduli_dimension, random_tangent, translation_tangents
-from .spectral import BundleModel, fourier_gap, in_hypothesis_region, \
-    jumping_points, nahm_weights, phi_residue
+from .spectral import BundleModel, fourier_gap, gap_region_scale, \
+    in_hypothesis_region, jumping_points, nahm_weights, phi_residue
 from .stability import alpha_stable_extension, existence_obstruction, \
     h0_consistency
 
@@ -532,19 +532,21 @@ GAP_SCAN_BLOCK = 4096
 
 def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
     """Least Fourier-mode gap over n_samples random points of the
-    hypothesis region. Candidates are drawn in blocks of GAP_SCAN_BLOCK and
+    hypothesis region, lam and mu/|w| drawn on the torus's
+    `gap_region_scale`. Candidates are drawn in blocks of GAP_SCAN_BLOCK and
     the accepted ones kept in draw order, up to n_samples; each has 1-3
     random modes and, half the time, a constant mode, padded to 4 rows with
     zero coefficients."""
-    cov = covering_radius(torus)
+    scale = gap_region_scale(torus)
     B = GAP_SCAN_BLOCK
     gap_min = math.inf
     n_kept = 0
     while n_kept < n_samples:
         mu = 0.5 * (rng.normal(size=B) + 1j * rng.normal(size=B))
-        lam = 0.1 * cov * np.sqrt(rng.random(B)) \
+        lam = 0.1 * scale * np.sqrt(rng.random(B)) \
             * np.exp(1j * rng.uniform(0.0, TWO_PI, B))
-        wmag = (10.0 * np.abs(mu) / cov) * (1.0 + 3.0 * rng.random(B)) + 1e-9
+        wmag = (10.0 * np.abs(mu) / scale) * (1.0 + 3.0 * rng.random(B)) \
+            + 1e-9
         w = wmag * np.exp(1j * rng.uniform(0.0, TWO_PI, B))
         n_modes = rng.integers(1, 4, B)
         sigma = np.zeros((B, 4, 3), dtype=complex)
@@ -626,30 +628,32 @@ def _rayleigh_quotients(gamma: DualTorusPoint | None,
 
     With the twist g = i c sigma3, entry (a, b) of d(W E) + [g, W E] is
     (dW + t W) E_ab with t = g_a - g_b: 0 on the diagonal and +-2ic off it.
-    So a quotient is the sum over axes of |dW + t W|^2 / |W|^2 on the grid,
-    dW by fourier_diff's spectral matrix (both entries of sigma3 have t = 0
-    and the same ratio). Mixtures of waves cannot score lower: the waves
+    So a quotient is the sum over axes of |dW + t W|^2 / |W|^2 on the grid
+    (both entries of sigma3 have t = 0 and the same ratio). W is the
+    product e_n(x) e_m(y) of 1-D waves, so each grid sum splits into 1-D
+    sums: sum_x |D e_n + c1 t e_n|^2 sum_y |e_m|^2 for the x-axis, with D
+    fourier_diff's spectral matrix on the ORACLE_N_GRID samples of e_n,
+    and likewise for y. Mixtures of waves cannot score lower: the waves
     are orthogonal on the grid and the operator acts on each entry apart,
     so a mixture's quotient is a weighted mean of its modes' quotients."""
-    Lx, Ly = torus.period_x, torus.period_y
-    c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
+    c = (0.0, 0.0) if gamma is None else gamma.c
     trivial = gamma is None or gamma.is_trivial(1e-9)
-    xs = np.linspace(0.0, Lx, ORACLE_N_GRID, endpoint=False)
-    ys = np.linspace(0.0, Ly, ORACLE_N_GRID, endpoint=False)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    # wave j has modes (n, m) = (j // 7 - 3, j % 7 - 3)
-    ns, ms = np.mgrid[-3:4, -3:4].reshape(2, -1)
-    waves = np.exp(1j * (TWO_PI * ns * X[..., None] / Lx
-                         + TWO_PI * ms * Y[..., None] / Ly))  # (N, N, 49)
     # the entry twist t / c of each slot: sigma3, E_12, E_21
     slots = np.array([0.0] if trivial else [0.0, 2j, -2j])
-    num = 0.0
-    for axis, period, c in ((0, Lx, c1), (1, Ly, c2)):
-        d = fourier_diff(waves, axis, period)
-        num = num + np.sum(np.abs(d[..., None]
-                                  + c * slots * waves[..., None]) ** 2,
-                           axis=(0, 1))  # (49, slots)
-    den = np.sum(np.abs(waves) ** 2, axis=(0, 1))[:, None]
+    modes = np.arange(-3, 4)
+    # per axis: sum_s |D e_n + c t e_n|^2 (7, slots) and sum_s |e_n|^2 (7,)
+    sums = []
+    for period, c_axis in zip((torus.period_x, torus.period_y), c):
+        s = np.linspace(0.0, period, ORACLE_N_GRID, endpoint=False)
+        e = np.exp(1j * (TWO_PI * modes * s[:, None] / period))  # (N, 7)
+        d = fourier_diff(e, 0, period)
+        sums.append((np.sum(np.abs(d[..., None] + c_axis * slots
+                                   * e[..., None]) ** 2, axis=0),
+                     np.sum(np.abs(e) ** 2, axis=0)))
+    (num_x, den_x), (num_y, den_y) = sums
+    # (n, m, slot), the wave (n, m) at [n + 3, m + 3]
+    num = num_x[:, None] * den_y[:, None] + den_x[:, None, None] * num_y
+    den = (den_x[:, None] * den_y)[..., None]
     return np.where(num < 1e-13 * den, math.inf, num / den).ravel()
 
 

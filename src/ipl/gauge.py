@@ -22,6 +22,7 @@ from . import _su2
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+AXES = (0, 1, 2, 3)  # every coordinate axis: the whole table of partials
 _THETA_PAIRED = (0, 3, 4)  # entries of PAIRS containing the theta index
 
 
@@ -45,11 +46,14 @@ class ConnectionSource(RadialDomain):
     evaluate(points): (..., 4) float -> (..., 4, 3) float, components
     (a_r, a_theta, a_x, a_y) in the coordinate coframe, each the su(2)
     vector v of i v.sigma.
-    derivative(points): (..., 4) float -> (..., 4, 4, 3) float, the table
-    of exact partials, entry [..., i, j] = partial_i a_j. Every
-    connection here is a closed form (a lift of an explicit Higgs pair, a
-    flat connection, or a perturbation of one), so its partials are too;
-    there is no finite-difference fallback.
+    derivative(points, axes=AXES): (..., 4) float -> (..., len(axes), 4, 3)
+    float, the rows `axes` (distinct coordinate indices) of the table of
+    exact partials, entry [..., i, j] = partial_i a_j: bit for bit
+    table[..., axes, :, :], formed without the other rows where the
+    constructor can skip them (`perturb` does). Every connection here is a
+    closed form (a lift of an explicit Higgs pair, a flat connection, or a
+    perturbation of one), so its partials are too; there is no
+    finite-difference fallback.
     Each call of either returns a new array that the caller may write to
     (`perturb` adds into its base's table in place).
     along_circle(kind, bases, coords), when set: the along-circle component
@@ -98,14 +102,16 @@ def curvature(conn: ConnectionSource, points) -> np.ndarray:
     return f
 
 
-def _field_strength(a, d, pairs) -> np.ndarray:
+def _field_strength(a, d, pairs, axes=AXES) -> np.ndarray:
     """F_ij = d_i A_j - d_j A_i + [A_i, A_j] for each (i, j) of pairs, from
-    the components a (..., 4, 3) and the table of their partials
-    d (..., 4, 4, 3): (..., len(pairs), 3)."""
+    the components a (..., 4, 3) and the rows `axes` of the table of their
+    partials d (..., len(axes), 4, 3), which hold both indices of every
+    pair: (..., len(pairs), 3)."""
     out = np.empty(a.shape[:-2] + (len(pairs), 3))
     for k, (i, j) in enumerate(pairs):
         f = out[..., k, :]
-        np.subtract(d[..., i, j, :], d[..., j, i, :], out=f)
+        np.subtract(d[..., axes.index(i), j, :], d[..., axes.index(j), i, :],
+                    out=f)
         f += _su2.comm_vector(a[..., i, :], a[..., j, :])
     return out
 
@@ -280,8 +286,9 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     s is the two-point Gauss rule on the same nodes: one evaluation of the
     connection there feeds both the circle transports and the curvature.
     Only the curvature components F_ij whose coefficient in
-    F(dphi/dt, dphi/ds) is nonzero are formed, in PAIRS order; a skipped
-    one would add an exact zero.
+    F(dphi/dt, dphi/ds) is nonzero are formed, in PAIRS order (a skipped
+    one would add an exact zero), from only the rows of the table of
+    partials that they read.
     """
     origin, dphi_dt, dphi_ds = (np.asarray(v, dtype=float)
                                 for v in (origin, dphi_dt, dphi_ds))
@@ -312,7 +319,8 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     coeff = {(i, j): dphi_dt[i] * dphi_ds[j] - dphi_dt[j] * dphi_ds[i]
              for i, j in PAIRS}
     live = [pair for pair in PAIRS if coeff[pair]]
-    F = _field_strength(a, conn.derivative(pts), live)
+    axes = tuple(sorted({i for pair in live for i in pair}))
+    F = _field_strength(a, conn.derivative(pts, axes), live, axes)
     contract = np.zeros(pts.shape[:-1] + (3,))
     for k, pair in enumerate(live):
         contract += F[..., k, :] * coeff[pair]
@@ -346,9 +354,9 @@ def flat_connection(xi: DualTorusPoint, torus: TorusSpec) -> ConnectionSource:
         out[..., 3, 2] = c2
         return out
 
-    def derivative(points):
+    def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
-        return np.zeros(points.shape[:-1] + (4, 4, 3))
+        return np.zeros(points.shape[:-1] + (len(axes), 4, 3))
 
     return read_along_circle_at_base(ConnectionSource(
         evaluate=evaluate, torus=torus, derivative=derivative, name="flat"))
@@ -388,20 +396,31 @@ class SeparableOneForm:
         return tuple(np.max(np.abs(ms), axis=0)) if len(self.terms) else (0, 0, 0)
 
 
-def _term_factors(term: TrigRadialTerm, rs, th, xs, ys, torus: TorusSpec):
-    """The term's scalar factor f(r) cos(p th + ph0) cos(kx x + ph1)
+def _term_factors(terms, rs, th, xs, ys, torus: TorusSpec):
+    """Each term's scalar factor f(r) cos(p th + ph0) cos(kx x + ph1)
     cos(ky y + ph2) is a product of four 1-D factors; returns each one with
-    its exact derivative, sampled on the r, theta, x and y nodes."""
+    its exact derivative, sampled on the r, theta, x and y nodes, as pairs
+    of (len(terms), nodes) arrays, row t for terms[t]."""
     def trig(k, s, ph):
-        return np.cos(k * s + ph), -k * np.sin(k * s + ph)
+        arg = k[:, None] * s + ph[:, None]
+        return np.cos(arg), -k[:, None] * np.sin(arg)
     def horner(c):  # in numpy's polyval order
-        return reduce(lambda acc, ck: acc * rs + ck, c[-2::-1],
-                      np.full_like(rs, c[-1]))
-    c, (p, n, m), ph = term.radial_coeffs, term.modes, term.phases
-    dc = [k * c[k] for k in range(1, len(c))] or [0.0]
-    return ((horner(c), horner(dc)), trig(p, th, ph[0]),
-            trig(TWO_PI * n / torus.period_x, xs, ph[1]),
-            trig(TWO_PI * m / torus.period_y, ys, ph[2]))
+        return reduce(lambda acc, ck: acc * rs + ck[:, None], c.T[-2::-1],
+                      np.full((len(c), len(rs)), c[:, -1:]))
+    # the profiles' coefficients, low order first, zero-padded to one
+    # length: a leading zero keeps Horner's sums those of the term's own
+    # coefficients, bit for bit
+    n = max((len(t.radial_coeffs) for t in terms), default=1)
+    c = np.zeros((len(terms), n))
+    for row, t in zip(c, terms):
+        row[:len(t.radial_coeffs)] = t.radial_coeffs
+    dc = np.zeros((len(terms), max(n - 1, 1)))
+    dc[:, :n - 1] = np.arange(1, n) * c[:, 1:]
+    modes = np.array([t.modes for t in terms], dtype=float).reshape(-1, 3)
+    ph = np.array([t.phases for t in terms], dtype=float).reshape(-1, 3)
+    return ((horner(c), horner(dc)), trig(modes[:, 0], th, ph[:, 0]),
+            trig(TWO_PI * modes[:, 1] / torus.period_x, xs, ph[:, 1]),
+            trig(TWO_PI * modes[:, 2] / torus.period_y, ys, ph[:, 2]))
 
 
 @cache
@@ -430,7 +449,10 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     separable fields g_k = R_k(r) Th_k(theta) X_k(x) Y_k(y); on the tensor
     grid (48 Gauss-Legendre nodes in r, uniform in theta, x, y) each sum
     of g_k g_l is a product of four 1-D sums, so no 4-D field is ever
-    formed.
+    formed. Each entry k is labelled by the covariant derivative
+    nabla_{alpha beta} it adds to, and the Gram of all entries, summed over
+    each pair of labels, is the form Q[ab, cd] = <nabla_ab, nabla_cd>:
+    ||grad a||^2, ||d a||^2 and ||d* a||^2 are sums of its entries.
     """
     if gamma is not None and gamma.torus != torus:
         raise ValueError("gamma is a point of another torus's dual")
@@ -460,73 +482,70 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     c1, c2 = (0.0, 0.0) if gamma is None else gamma.c
     gx, gy = (0.0, 0.0, c1), (0.0, 0.0, c2)
 
-    def gram(entries, w_r):
-        """<e_k, e_l> integrated over the tensor grid, for entries
-        e = (R, Th, X, Y, M): the 1-D Gram matrices of the four factors
-        multiplied elementwise, times the su(2) Gram <M_k, M_l> = 2 M_k.M_l."""
-        if not entries:
-            return np.zeros((0, 0))
-        g = w_ang
-        for axis, w in enumerate((w_r, 1.0, 1.0, 1.0)):
-            f = np.stack([e[axis] for e in entries])
-            g = g * ((f * w) @ f.T)
-        m = np.array([e[4] for e in entries], dtype=float)
-        return g * (2.0 * (m @ m.T))
+    def angular_gram(Th, X, Y, M):
+        """<e_k, e_l> integrated over the (theta, x, y) grid, for entries
+        e_k = Th_k X_k Y_k M_k: the 1-D Gram matrices of the three factors
+        multiplied elementwise, times the su(2) Gram <M_k, M_l> =
+        2 M_k.M_l; contracted by einsum, no BLAS call."""
+        g = (2.0 * w_ang) * np.einsum("ki,li->kl", M, M)
+        for F in (Th, X, Y):
+            g *= np.einsum("kn,ln->kl", F, F)
+        return g
 
-    # covariant frame derivatives nabla_{alpha beta}, alpha,beta in 1..4,
-    # of the unit-frame components ahat_beta (beta 2 <-> a_theta / r,
-    # 3 <-> a_x, 4 <-> a_y, ahat_1 = 0); rows alpha: e1 = d_r,
-    # e2 = (1/r) d_th (+ curvature corrections), e3 = d_x + [gx, .],
-    # e4 = d_y + [gy, .]. Each is a sum of entries (R, Th, X, Y, M), one
-    # separable real field times a constant su(2) vector, labelled
-    # (alpha, beta); nabla_{alpha 1} = 0 except for alpha = 2.
-    labels, entries = [], []
+    # every term's factors in one pass, on the radial nodes and the two
+    # boundary radii R, R'
+    rho = np.array([r_inner, r_outer])
+    (f, df), (c, dc), (cx, dcx), (cy, dcy) = _term_factors(
+        form.terms, np.concatenate([rs, rho]), th, xs, ys, torus)
+    comp = np.array([t.component for t in form.terms], dtype=int)
+    theta = comp == 1
+    f_edge, f, df = f[theta, -2:] / rho, f[:, :-2], df[:, :-2]
+    # unit frame: ahat_theta = a_theta / r, its r-partial by the product rule
+    f_r = f / rs
+    df = np.where(theta[:, None], (df - f_r) / rs, df)
+    f = np.where(theta[:, None], f_r, f)
+    f_r = f / rs
     vectors = np.array([t.vector for t in form.terms], float).reshape(-1, 3)
-    twists = zip(_su2.comm_vector(gx, vectors), _su2.comm_vector(gy, vectors))
-    for t, T, (Tx, Ty) in zip(form.terms, vectors, twists):
-        (f, df), (c, dc), (cx, dcx), (cy, dcy) = _term_factors(
-            t, rs, th, xs, ys, torus)
-        beta = t.component + 1
-        if t.component == 1:
-            # ahat = f(r)/r * trig; product rule for the r-partial
-            f, df = f / rs, (df - f / rs) / rs
-            # -ahat_theta / r from nabla_{e2} e1
-            labels.append((2, 1))
-            entries.append((-f / rs, c, cx, cy, T))
-        labels += [(alpha, beta) for alpha in (1, 2, 3, 3, 4, 4)]
-        entries += [(df, c, cx, cy, T), (f / rs, dc, cx, cy, T),
-                    (f, c, dcx, cy, T), (f, c, cx, cy, Tx),
-                    (f, c, cx, dcy, T), (f, c, cx, cy, Ty)]
+    twist_x = _su2.comm_vector(gx, vectors)
+    twist_y = _su2.comm_vector(gy, vectors)
 
-    G = gram(entries, wr * rs)
-    rows, cols = np.array(labels, dtype=int).reshape(-1, 2).T
-
-    def sq(signs):
-        """|sum_k signs_k e_k|^2 integrated: one quadratic form in G."""
-        return float(signs @ G @ signs)
-
-    def block(a, b):
-        return ((rows == a) & (cols == b)).astype(float)
-
-    grad_sq = sum(sq(block(a, b)) for a in range(1, 5) for b in range(1, 5))
-    d_sq = sum(sq(block(a, b) - block(b, a))
-               for a in range(1, 5) for b in range(a + 1, 5))
-    # d* a = -(nabla_22 + nabla_33 + nabla_44); the sign drops out of |.|^2
-    dstar_sq = sq((rows == cols).astype(float))
+    # covariant frame derivatives nabla_{alpha beta}, alpha,beta in 0..3,
+    # of the unit-frame components ahat_beta (beta 1 <-> a_theta / r,
+    # 2 <-> a_x, 3 <-> a_y, ahat_0 = 0); rows alpha: e0 = d_r,
+    # e1 = (1/r) d_th (+ curvature corrections), e2 = d_x + [gx, .],
+    # e3 = d_y + [gy, .]. Each is a sum of entries (R, Th, X, Y, M), one
+    # separable real field times a constant su(2) vector, labelled
+    # (alpha, beta); below, one line of entries per alpha and kind, a row
+    # per term, beta its component. nabla_{alpha 0} = 0 except for
+    # alpha = 1: -ahat_theta / r from nabla_{e1} e0.
+    entries = ((0, comp, df, c, cx, cy, vectors),
+               (1, comp, f_r, dc, cx, cy, vectors),
+               (2, comp, f, c, dcx, cy, vectors),
+               (2, comp, f, c, cx, cy, twist_x),
+               (3, comp, f, c, cx, dcy, vectors),
+               (3, comp, f, c, cx, cy, twist_y),
+               (1, 0 * comp[theta], -f_r[theta], c[theta], cx[theta],
+                cy[theta], vectors[theta]))
+    label = np.concatenate([4 * alpha + beta for alpha, beta, *_ in entries])
+    R, Th, X, Y, M = (np.concatenate(part)
+                      for part in list(zip(*entries))[2:])
+    G = angular_gram(Th, X, Y, M) * np.einsum("kn,ln->kl", R * (wr * rs), R)
+    # Q[a, b, c, d] = <nabla_ab, nabla_cd>: the Gram summed over each pair
+    # of labels
+    Q = np.bincount((16 * label[:, None] + label).ravel(), weights=G.ravel(),
+                    minlength=256).reshape(4, 4, 4, 4)
+    grad_sq = float(np.einsum("abab->", Q))
+    a, b = np.triu_indices(4, 1)
+    d_sq = float(np.sum(Q[a, b, a, b] + Q[b, a, b, a]
+                        - Q[a, b, b, a] - Q[b, a, a, b]))
+    # d* a = -(nabla_11 + nabla_22 + nabla_33); the sign drops out of |.|^2
+    dstar_sq = float(np.einsum("aacc->", Q))
 
     # boundary integrals of |a_theta / r|^2 with measure dtheta dx dy: the
-    # same Gram on a single radial node; only theta-component terms count
-    def boundary(rho):
-        entries = []
-        for t in form.terms:
-            if t.component == 1:
-                (f, _), (c, _), (cx, _), (cy, _) = _term_factors(
-                    t, np.array([rho]), th, xs, ys, torus)
-                entries.append((f / rho, c, cx, cy, t.vector))
-        return float(np.sum(gram(entries, 1.0)))
-
-    inner_term = boundary(r_inner)
-    outer_term = boundary(r_outer)
+    # angular Gram of the theta-component terms at r = R and at r = R'
+    inner_term, outer_term = map(float, np.einsum(
+        "kj,kl,lj->j", f_edge,
+        angular_gram(c[theta], cx[theta], cy[theta], vectors[theta]), f_edge))
     defect = d_sq + dstar_sq - grad_sq + inner_term
     return {
         "defect": defect,

@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from . import _su2
-from .gauge import ConnectionSource, RadialDomain, read_along_circle_at_base
+from .gauge import (AXES, ConnectionSource, RadialDomain,
+                    read_along_circle_at_base)
 from .geometry import TorusSpec
 
 
@@ -71,13 +72,13 @@ def lift(pair: HiggsPairOnPlane) -> ConnectionSource:
         return components(*pair.evaluate(p2),
                           np.empty(p2.shape[:-1] + (4, 3)))
 
-    def derivative(points):
+    def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
         p2 = points[..., :2]
-        out = np.zeros(p2.shape[:-1] + (4, 4, 3))
+        table = np.zeros(p2.shape[:-1] + (4, 4, 3))
         components(*pair.derivative(p2),
-                   out[..., :2, :, :])  # torus partials: invariant, zero
-        return out
+                   table[..., :2, :, :])  # torus partials: invariant, zero
+        return table if axes == AXES else table[..., list(axes), :, :]
 
     return read_along_circle_at_base(ConnectionSource(
         evaluate=evaluate, torus=pair.torus, derivative=derivative,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._su2 import E3
-from .gauge import ConnectionSource
+from .gauge import AXES, ConnectionSource
 from .geometry import TWO_PI, TorusSpec
 from .hitchin import HiggsPairOnPlane, lift
 
@@ -192,13 +192,14 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     MAX_MODE. Row j of a shell's directions, modes and phases is component
     j, so a reader forms all four components in one pass, points on the
     last axis (numpy's inner loop): evaluate(points) adds them into
-    base.evaluate(points), derivative(points) their (n, 4 axes,
-    4 components) partials into the base's table. When the base has an
-    along_circle (see gauge.ConnectionSource), so does the result, and a
-    perturbation of a perturbation of a lift thus has one too: it adds row
-    a_x or a_y, the one component a transport along the circle reads, to
-    the base's reader, taking the support test, g and the two transverse
-    cosines once per circle and the along-circle cosine once per node.
+    base.evaluate(points), derivative(points, axes) their (n, len(axes),
+    4 components) partials into the base's rows `axes`, forming no other
+    row. When the base has an along_circle (see gauge.ConnectionSource), so
+    does the result, and a perturbation of a perturbation of a lift thus
+    has one too: it adds row a_x or a_y, the one component a transport
+    along the circle reads, to the base's reader, taking the support test,
+    g and the two transverse cosines once per circle and the along-circle
+    cosine once per node.
 
     A term vanishes exactly outside its bump's support, so each shell is
     added only on the points (circles) inside that support, in one scatter
@@ -252,22 +253,30 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             out[..., idx, :] += term * shell.vectors[axis]
         return out
 
-    def derivative(points):
+    def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
-        out = np.ascontiguousarray(conn.derivative(points))
-        flat = out.reshape(-1, 4, 4, 3)
+        out = np.ascontiguousarray(conn.derivative(points, axes))
+        flat = out.reshape(-1, len(axes), 4, 3)
+        # the rows of axes that are torus-wave partials, their waves, and
+        # the two other waves of each
+        rows = [n for n, i in enumerate(axes) if i]
+        wave = np.array([axes[n] - 1 for n in rows], dtype=int)
+        other = np.array([1, 0, 0])[wave], np.array([2, 2, 1])[wave]
         for shell, k, idx, pts, u in _live_shells(points.reshape(-1, 4)):
             r = pts[:, 0]
             g = _radial(r, u, delta)
-            dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
-                + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
             args = waves(k, shell.phases, pts.T[1:])
-            f, s = np.cos(args), np.sin(args)
-            # d[j, i]: partial_i of term j's scalar factor, by the product rule
-            d = np.empty((4, 4, idx.size))
-            d[:, 0] = dg * (f[:, 0] * f[:, 1] * f[:, 2])
-            d[:, 1:] = g * (
-                -k[..., None] * s * f[:, [1, 0, 0]] * f[:, [2, 2, 1]])
+            f = np.cos(args)
+            # d[j, n]: partial_axes[n] of term j's scalar factor, by the
+            # product rule
+            d = np.empty((4, len(axes), idx.size))
+            if 0 in axes:
+                dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
+                    + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
+                d[:, axes.index(0)] = dg * (f[:, 0] * f[:, 1] * f[:, 2])
+            if rows:
+                d[:, rows] = g * (-k[:, wave, None] * np.sin(args[:, wave])
+                                  * f[:, other[0]] * f[:, other[1]])
             flat[idx] += (half_amp * d * shell.vectors.T[..., None, None]).T
         return out
 

@@ -6,12 +6,13 @@ inequality underlying the vanishing argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (TorusSpec, DualTorusPoint, covering_radius,
+from .geometry import (TWO_PI, TorusSpec, DualTorusPoint, covering_radius,
                        lattice_translates, lattice_distance, lattice_reduce,
                        xi_from_zeta)
 
@@ -167,29 +168,43 @@ def nahm_weights(alpha: float):
     return (1.0 + alpha, 1.0 - alpha), float(check)
 
 
+def gap_region_scale(torus: TorusSpec) -> float:
+    """The length min(2 pi / L_x, 2 pi / L_y) / (2 sqrt 2) that scales the
+    Fourier gap's hypothesis region: the least nonzero symbol |g_nm| of
+    `fourier_gap`, set by the longer period, over 2 sqrt 2. On a square
+    torus it is the dual-lattice covering radius; on an oblong one the
+    covering radius grows with the shorter period's wide dual spacing and
+    would let lam and mu/|w| outgrow that least symbol."""
+    return min(TWO_PI / torus.period_x, TWO_PI / torus.period_y) \
+        / (2.0 * math.sqrt(2.0))
+
+
 def in_hypothesis_region(lam, mu, w, torus: TorusSpec):
     """Empirically safe region for the Fourier gap inequality: lam small
-    against the lattice, |w| large against |mu|, and the constant-mode
-    alignment Re(conj(lam) mu) >= Re(conj(lam) mu e^{-i arg w}) that the
-    equality case forces.
+    against the torus's least nonzero symbol (`gap_region_scale`), |w|
+    large against |mu|, and the constant-mode alignment
+    Re(conj(lam) mu) >= Re(conj(lam) mu e^{-i arg w}) that the equality
+    case forces.
 
     lam, mu and w broadcast against each other as complex arrays; the
     result is a bool for scalar inputs and a bool array of the broadcast
     shape otherwise. w = 0 lies outside the region."""
-    cov = covering_radius(torus)
+    scale = gap_region_scale(torus)
     lam, mu, w = (np.asarray(v, dtype=complex) for v in (lam, mu, w))
     aw = np.abs(w)
     phase = w / np.where(aw > 0, aw, 1.0)
     lm = np.conj(lam) * mu
-    inside = ((np.abs(lam) <= 0.1 * cov) & (aw >= 10.0 * np.abs(mu) / cov)
+    inside = ((np.abs(lam) <= 0.1 * scale)
+              & (aw >= 10.0 * np.abs(mu) / scale)
               & (aw > 0) & (lm.real >= (lm * np.conj(phase)).real - 1e-15))
     return bool(inside) if inside.ndim == 0 else inside
 
 
 def fourier_gap(lam, mu, w, sigma, torus: TorusSpec):
     """Mode-sum gap sum |g_nm + lam + mu/|w||^2 |sigma_nm|^2
-    - |lam + mu/w|^2 sum |sigma_nm|^2, with g_nm the dual-lattice symbol of
-    mode (n, m). Nonnegative on the hypothesis region
+    - |lam + mu/w|^2 sum |sigma_nm|^2, with g_nm = 2 pi n / L_x
+    + i 2 pi m / L_y the physical symbol of mode (n, m) on torus.
+    Nonnegative on the hypothesis region
     (`in_hypothesis_region`); outside it the value is still returned.
 
     sigma: array-like (..., K, 3) of rows (n, m, coefficient); a list of K
@@ -205,7 +220,8 @@ def fourier_gap(lam, mu, w, sigma, torus: TorusSpec):
     if np.any(w == 0):
         raise ValueError("fourier_gap at w = 0: the symbol mu/|w| is "
                          "undefined there")
-    g = sigma[..., 0].real + 1j * sigma[..., 1].real
+    g = TWO_PI * sigma[..., 0].real / torus.period_x \
+        + 1j * (TWO_PI * sigma[..., 1].real / torus.period_y)
     c2 = np.abs(sigma[..., 2]) ** 2
     shift = (lam + mu / np.abs(w))[..., None]
     lhs = np.sum(np.abs(g + shift) ** 2 * c2, axis=-1)

@@ -28,7 +28,7 @@ from ipl.asymptotics import (
     residue,
     roundtrip_errors,
 )
-from ipl.gauge import (LOOP_STEPS, ConnectionSource, DomainError,
+from ipl.gauge import (AXES, LOOP_STEPS, ConnectionSource, DomainError,
                        circle_holonomies, circle_paths, flat_connection)
 from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
@@ -409,7 +409,7 @@ def _conjugated(conn, R):
     along = conn.along_circle
     return ConnectionSource(
         evaluate=lambda pts: conn.evaluate(pts) @ R.T,
-        derivative=lambda pts: conn.derivative(pts) @ R.T,
+        derivative=lambda pts, axes=AXES: conn.derivative(pts, axes) @ R.T,
         torus=conn.torus, r_min=conn.r_min, name=conn.name,
         along_circle=lambda kind, bases, coords:
             along(kind, bases, coords) @ R.T)
@@ -498,11 +498,11 @@ def test_instanton_number_monotone_guard():
         out[..., 2, 2] = points[..., 0]  # a_x = i r sigma3
         return out
 
-    def dv(points):
+    def dv(points, axes=AXES):
         points = np.asarray(points, float)
         out = np.zeros(points.shape[:-1] + (4, 4, 3))
         out[..., 0, 2, 2] = 1.0
-        return out
+        return out[..., list(axes), :, :]
 
     grow = ConnectionSource(evaluate=ev, torus=TORUS, derivative=dv,
                             r_min=1e-3)

@@ -4,6 +4,7 @@ the drift inequality and the annulus quadratic-form identity."""
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from ipl import _su2
 from ipl.cli import _drift_families
 from ipl.gauge import (
+    AXES,
     DRIFT_STEPS,
     PAIRS,
     BoundaryConditionError,
@@ -75,9 +77,9 @@ def counted(conn, calls, prefix):
     def wrap(name):
         fn = getattr(conn, name)
 
-        def wrapper(points):
+        def wrapper(points, *axes):
             calls[prefix + name] += 1
-            return fn(points)
+            return fn(points, *axes)
         return wrapper
 
     return replace(conn, evaluate=wrap("evaluate"),
@@ -103,6 +105,54 @@ def test_curvature_reads_each_callable_once_per_batch(kind):
     assert calls == expected
 
 
+def narrow_read_connections(torus):
+    """(tag, connection) for every constructor of a table of partials: a
+    flat connection, lifts of both kinds, and perturb of a lift, of a flat
+    connection and of a perturbation."""
+    flat = flat_connection(reduce_dual((0.3, 0.2), torus), torus)
+    semi = model_connection(ModelParams(lam=0.1 + 0.05j, mu=0.4 - 0.3j,
+                                        alpha=0.2), torus)
+    nilp = model_connection(ModelParams(kind="nilpotent"), torus)
+    conns = {"flat": flat, "semisimple": semi, "nilpotent": nilp}
+    for tag in ("flat", "semisimple"):
+        conns[tag + "+perturbation"] = perturb(
+            conns[tag], delta=0.5, amplitude=0.3, seed=5, r_lo=5.0,
+            r_hi=80.0)
+    conns["semisimple+perturbation+perturbation"] = perturb(
+        conns["semisimple+perturbation"], delta=0.5, amplitude=0.05, seed=2,
+        r_lo=5.0, r_hi=80.0)
+    if torus == TORUS:
+        conns["real-so2"] = real_so2_connection()
+    return conns
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["2pix2pi", "4x7"])
+def test_narrow_derivative_read_is_a_slice_of_the_table_bit_for_bit(torus):
+    # derivative(points, axes) is rows axes of derivative(points), the same
+    # bits, for every nonempty subset of the axes and every constructor;
+    # the points (a (4, 40) batch, shells 5-80 live on part of it) straddle
+    # the perturbations' supports
+    rng = np.random.default_rng(17)
+    pts = np.column_stack([np.exp(rng.uniform(math.log(3.0), math.log(120.0),
+                                              160)),
+                           rng.uniform(0.0, 2 * math.pi, 160),
+                           rng.uniform(0.0, torus.period_x, 160),
+                           rng.uniform(0.0, torus.period_y, 160)])
+    pts = pts.reshape(4, 40, 4)
+    for tag, conn in narrow_read_connections(torus).items():
+        table = conn.derivative(pts)
+        assert table.shape == (4, 40, 4, 4, 3), tag
+        assert np.array_equal(conn.derivative(pts, AXES), table), tag
+        for n in range(1, 5):
+            for axes in combinations(AXES, n):
+                got = conn.derivative(pts, axes)
+                want = table[..., list(axes), :, :]
+                assert got.shape == want.shape, (tag, axes)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (tag, axes)
+
+
 def test_curvature_of_explicit_radial_field():
     # a_x = i g(r) sigma3 with g = 1/r, the vector (0, 0, 1/r): the only
     # nonzero component is F_rx = g'(r) = -1/r^2 (abelian, no commutator
@@ -113,11 +163,11 @@ def test_curvature_of_explicit_radial_field():
         out[..., 2, 2] = 1.0 / points[..., 0]
         return out
 
-    def derivative(points):
+    def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 4, 3))
         out[..., 0, 2, 2] = -1.0 / points[..., 0] ** 2
-        return out
+        return out[..., list(axes), :, :]
 
     conn = ConnectionSource(evaluate=evaluate, torus=TORUS,
                             derivative=derivative, r_min=1e-6)
@@ -142,11 +192,11 @@ def real_so2_connection():
         out[..., 2, 1] = 1.0 / points[..., 0]
         return out
 
-    def derivative(points):
+    def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
         out = np.zeros(points.shape[:-1] + (4, 4, 3))
         out[..., 0, 2, 1] = -1.0 / points[..., 0] ** 2
-        return out
+        return out[..., list(axes), :, :]
 
     return ConnectionSource(evaluate=evaluate, torus=TORUS,
                             derivative=derivative, r_min=1e-6)
@@ -353,6 +403,24 @@ def test_drift_defect_matches_the_two_pass_reference_bit_for_bit(family,
         assert all(np.array_equal(default[k], d[k]) for k in d)
 
 
+@pytest.mark.parametrize("family, axes", [
+    (_drift_families(np.random.default_rng(3), TORUS)[2], (0, 2)),
+    (theta_family(), (0, 1, 2))], ids=["x-circles", "theta-circles"])
+def test_drift_reads_only_the_rows_of_its_live_pairs(family, axes):
+    # x-circles moving in r have one live pair, (r, x); theta-circles
+    # moving in r and x have (r, theta) and (theta, x)
+    _, conn, *args = family
+    asked = []
+
+    def derivative(points, axes=AXES):
+        asked.append(axes)
+        return conn.derivative(points, axes)
+
+    monodromy_drift_defect(replace(conn, derivative=derivative), *args,
+                           n_t=9)
+    assert asked == [axes]
+
+
 @pytest.mark.parametrize("perturbed", [False, True],
                          ids=["clean", "perturbed"])
 @pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
@@ -534,12 +602,13 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
 def test_weitzenbock_matches_dense_tensor_grid_sum():
     rng = np.random.default_rng(23)
     n_theta_terms = 0
-    for j in range(10):
+    # the 2 pi x 2 pi torus, then unequal periods
+    for j, torus in enumerate([TORUS] * 10 + [TorusSpec(4.0, 7.0)] * 10):
         form = random_quadratic_form_fixture(rng, 9.0)
         gamma = None if j % 2 == 0 else reduce_dual(
-            (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), TORUS)
-        got = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=TORUS)
-        ref = _dense_weitzenbock(form, gamma, 3.0, 9.0, TORUS)
+            (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), torus)
+        got = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=torus)
+        ref = _dense_weitzenbock(form, gamma, 3.0, 9.0, torus)
         # defect and outer_term are zero up to rounding: compare on the
         # scale of grad_sq
         for key, value in ref.items():
@@ -553,19 +622,28 @@ def test_weitzenbock_matches_dense_tensor_grid_sum():
     (1.7,), (0.4, -1.3), (-0.2, 0.9, 0.05), (1.1, -0.3, 0.02, -7e-4)])
 def test_radial_factor_is_the_numpy_polynomial_bit_for_bit(coeffs):
     # the profile and its derivative by Horner, in numpy's polyval order;
-    # the constant profile of the single-dx-mode closed form has f' = 0
+    # the constant profile of the single-dx-mode closed form has f' = 0.
+    # Batched after a longer profile, a term's coefficients are padded
+    # with leading zeros, and its rows stay the same bits
     rs = 6.0 + 3.0 * np.polynomial.legendre.leggauss(48)[0]
+    longer = TrigRadialTerm(component=1, vector=(1.0, 0.0, 0.0),
+                            radial_coeffs=(0.3, -0.2, 0.1, 0.05, -0.01),
+                            modes=(0, 0, 0))
     rng = np.random.default_rng(len(coeffs))
     draws = [coeffs] + [tuple(rng.normal(size=len(coeffs)))
                         for _ in range(50)]
     for c in draws:
         term = TrigRadialTerm(component=2, vector=(0.0, 0.0, 1.0),
                               radial_coeffs=c, modes=(1, 1, 0))
-        (f, df), *_ = _term_factors(term, rs, np.zeros(1), np.zeros(1),
+        (f, df), *_ = _term_factors((term,), rs, np.zeros(1), np.zeros(1),
                                     np.zeros(1), TORUS)
         poly = np.polynomial.Polynomial(c)
-        assert np.array_equal(f, poly(rs))
-        assert np.array_equal(df, poly.deriv()(rs))
+        assert np.array_equal(f[0], poly(rs))
+        assert np.array_equal(df[0], poly.deriv()(rs))
+        (f, df), *_ = _term_factors((longer, term), rs, np.zeros(1),
+                                    np.zeros(1), np.zeros(1), TORUS)
+        assert np.array_equal(f[1], poly(rs))
+        assert np.array_equal(df[1], poly.deriv()(rs))
 
 
 def test_fixture_profiles_are_the_numpy_polynomial_products():

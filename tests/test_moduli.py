@@ -342,9 +342,9 @@ def test_translation_tangents_sample_the_curvature_once():
     def recorded(name):
         fn = getattr(conn, name)
 
-        def wrapper(points):
+        def wrapper(points, *axes):
             seen[name].append(np.array(points).reshape(-1, 4))
-            return fn(points)
+            return fn(points, *axes)
         return wrapper
 
     calc = AnnulusCalculus(replace(conn, evaluate=recorded("evaluate"),
