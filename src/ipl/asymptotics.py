@@ -2,13 +2,9 @@
 asymptotic states, limiting holonomy, residue, decay exponents, the
 curvature energy, and the flat-kernel decomposition toolkit on the torus.
 `holonomy_table` is the one holonomy sampler: it computes every circle
-holonomy an extraction reads once, and the fits (`flat_limit`,
-`limiting_holonomy`, `residue`) are functions of that table alone. The
-x- and y-circles of a connection with an `along_circle` are read from it:
-in closed form, exp(-L a) at the base point, where it is constant along
-the circle, and by Magnus steps from its values at the nodes otherwise.
-Theta-circles, and every circle of any other connection, are sampled by
-path-ordered products.
+holonomy an extraction reads once, by `gauge.circle_holonomies`, and keeps
+its rotation vector; the fits (`flat_limit`, `limiting_holonomy`,
+`residue`) are functions of that table alone.
 
 Sign conventions: monodromy logs are projected on a common reference axis
 (aligned with the standard first eigenline whenever the holonomies are
@@ -27,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _su2
-from .gauge import (LOOP_STEPS, ConnectionSource, _magnus_product,
-                    _path_ordered_product, _step_times, circle_paths,
-                    curvature_norm)
+from .gauge import ConnectionSource, circle_holonomies, curvature_norm
 from .geometry import TWO_PI, DualTorusPoint, TorusSpec, lattice_distance, \
     reduce_dual, xi_from_zeta
 from .models import check_kind
@@ -39,8 +33,8 @@ from .models import check_kind
 N_THETA = 24
 COARSE = 3
 # largest ring-to-ring drift of the flat-limit exponents, largest zeta(w)
-# fit residual, and the smallest |projection| / |rotation| of a strict
-# signed phase before the extraction gives up
+# fit residual, and the smallest |projection| / |rotation| of a
+# theta-circle's phase before the extraction gives up
 DRIFT_THRESHOLD = 0.2
 RESIDUAL_THRESHOLD = 0.1
 COLLISION_TOL = 0.2
@@ -98,24 +92,16 @@ def principal_alpha(alpha: float) -> float:
 @dataclass
 class HolonomyTable:
     """Every circle holonomy an extraction reads, on `rings` of a
-    connection over `torus`. Each loop takes gauge.LOOP_STEPS fourth-order
-    Magnus steps (see gauge._magnus_product), except where the connection
-    is constant along it. Theta-circles, and every circle of a connection
-    without an along_circle, are sampled by one batched path-ordered
-    product per loop kind, from two evaluations per step. An x-circle
-    (y-circle) of a connection with an along_circle reads only a_x (a_y),
-    the one component its transport sees, through along_circle: once per
-    loop, at its base point, for a torus-invariant connection, whose loop
-    is then exp(-L_x a_x) (exp(-L_y a_y)) in closed form; at the loop's
-    nodes otherwise (a perturbed one), scaled into the Magnus generators
-    -(L / LOOP_STEPS) a.
+    connection over `torus`, each loop by `gauge.circle_holonomies` with its
+    default steps, one call per loop kind.
 
-    Every entry is an SU(2) pair (see `_su2`). x, y: (n_rings, N_THETA, 2),
-    circles at torus offset 0 through the base angles `thetas`. x_half,
-    y_half: (n_rings, N_THETA / COARSE, 2), the same circles at half the
-    transverse period through thetas[::COARSE]. theta: (n_rings, 2),
-    theta-circles based at theta = 0. axis_theta: (N_THETA / COARSE, 2),
-    theta-circles on the outer ring through thetas[::COARSE]."""
+    Every entry is the loop's rotation vector (`_su2.log_su2`), shape
+    (..., 3). x, y: (n_rings, N_THETA, 3), circles at torus offset 0
+    through the base angles `thetas`. x_half, y_half:
+    (n_rings, N_THETA / COARSE, 3), the same circles at half the transverse
+    period through thetas[::COARSE]. theta: (n_rings, 3), theta-circles
+    based at theta = 0. axis_theta: (N_THETA / COARSE, 3), theta-circles on
+    the outer ring through thetas[::COARSE]."""
     rings: tuple
     torus: TorusSpec
     thetas: np.ndarray
@@ -156,39 +142,27 @@ def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
                   "axis_theta": (_ring_bases(rings[-1:], coarse),
                                  (coarse.size,))},
     }
-    kind_bases = {kind: np.concatenate([pts for pts, _ in fields.values()])
-                  for kind, fields in loops.items()}
-    conn.check_domain(np.concatenate(list(kind_bases.values())))
     table = {}
     for kind, fields in loops.items():
-        b = kind_bases[kind]
-        if kind == "theta" or conn.along_circle is None:
-            pairs = _path_ordered_product(
-                conn, *circle_paths(conn.torus, kind, b, LOOP_STEPS))
-        else:
-            L = Lx if kind == "x" else Ly
-            a = conn.along_circle(kind, b, L * _step_times(LOOP_STEPS))
-            if a.ndim == 2:  # constant along each circle
-                pairs = _su2.expm_su2(-L * a)
-            else:
-                # -(L / n) a, rounded as _path_ordered_product rounds
-                # sum_i tans_i a_i / -n
-                a *= L
-                a /= -LOOP_STEPS
-                pairs = _magnus_product(a)
+        v = _su2.log_su2(circle_holonomies(
+            conn, kind, np.concatenate([pts for pts, _ in fields.values()])))
         start = 0
         for name, (bases, shape) in fields.items():
-            table[name] = pairs[start:start + len(bases)].reshape(shape + (2,))
+            table[name] = v[start:start + len(bases)].reshape(shape + (3,))
             start += len(bases)
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
                          **table)
 
 
-def reference_axis(pairs: np.ndarray) -> np.ndarray:
-    """Common axis for signed phase extraction from a batch of SU(2)
-    pairs: the largest rotation's axis, sign-aligned with the standard
-    first eigenline when possible."""
-    v = _su2.log_su2(pairs.reshape(-1, 2))
+def reference_axis(v: np.ndarray) -> np.ndarray:
+    """Common axis for signed phase extraction from a batch of rotation
+    vectors v (..., 3): the largest rotation's axis, sign-aligned with the
+    standard first eigenline when possible. A rotation's signed phase is
+    then its projection v @ axis: for families whose rotation axes align
+    with the reference this is the signed eigenvalue phase, and rotations
+    orthogonal to it project to zero, which is the correct reading of a
+    family collapsing to the identity without a shared eigenbasis."""
+    v = v.reshape(-1, 3)
     norms = np.linalg.norm(v, axis=-1)
     k = int(np.argmax(norms))
     if norms[k] < 1e-13:
@@ -200,27 +174,6 @@ def reference_axis(pairs: np.ndarray) -> np.ndarray:
         if abs(comp) > 1e-12:
             return a * np.sign(comp)
     return _su2.E3.copy()
-
-
-def signed_phases(pairs: np.ndarray, axis: np.ndarray,
-                  strict: bool = False) -> np.ndarray:
-    """Rotation angles of SU(2) elements projected on the reference axis.
-
-    For families whose rotation axes align with the reference this is the
-    signed eigenvalue phase; rotations orthogonal to the reference project
-    to zero, which is the correct reading of a family collapsing to the
-    identity without a shared eigenbasis. With strict=True a sizeable
-    rotation that is nearly orthogonal to the reference raises instead
-    (eigenvalue branch collision: no coherent sign can be chosen)."""
-    v = _su2.log_su2(pairs)
-    dots = v @ axis
-    if strict:
-        norms = np.linalg.norm(v, axis=-1)
-        bad = (norms > 0.05) & (np.abs(dots) < COLLISION_TOL * norms)
-        if np.any(bad):
-            raise ExtractionError("monodromy axis nearly orthogonal to the "
-                                  "reference; eigenvalue branch collision")
-    return dots
 
 
 def _dominant_axis(table: HolonomyTable) -> np.ndarray:
@@ -255,8 +208,7 @@ def flat_limit(table: HolonomyTable) -> FlatLimit:
     for col, (full, half, period) in enumerate((
             (table.x, table.x_half, torus.period_x),
             (table.y, table.y_half, torus.period_y))):
-        pairs = np.concatenate([full[:, ::COARSE], half], axis=1)
-        phases = signed_phases(pairs, axis)
+        phases = np.concatenate([full[:, ::COARSE], half], axis=1) @ axis
         # unwrap each ring's phases about their circular mean, so samples
         # on both sides of +-pi average to the mean, not to a jump of 2 pi
         centre = np.angle(np.mean(np.exp(1j * phases), axis=1))[:, None]
@@ -298,7 +250,13 @@ def limiting_holonomy(table: HolonomyTable, axis: np.ndarray,
     table's rings in the decay of `kind`: {1, 1/r, 1/r^2} for
     'semisimple', {1, 1/ln r} for 'nilpotent'."""
     check_kind(kind)
-    alphas = -signed_phases(table.theta, axis, strict=True) / TWO_PI
+    dots = table.theta @ axis
+    # a sizeable rotation nearly orthogonal to the axis has no coherent sign
+    norms = np.linalg.norm(table.theta, axis=-1)
+    if np.any((norms > 0.05) & (np.abs(dots) < COLLISION_TOL * norms)):
+        raise ExtractionError("monodromy axis nearly orthogonal to the "
+                              "reference; eigenvalue branch collision")
+    alphas = -dots / TWO_PI
     rs = np.array(table.rings)
     if kind == "semisimple":
         return principal_alpha(_richardson_fit(rs, alphas))
@@ -317,9 +275,9 @@ def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
     residual exceeds RESIDUAL_THRESHOLD.
     """
     cs = []
-    for pairs, period, ref in ((table.x, table.torus.period_x, fl.lambda1),
-                               (table.y, table.torus.period_y, fl.lambda2)):
-        c = -signed_phases(pairs, fl.axis) / period
+    for v, period, ref in ((table.x, table.torus.period_x, fl.lambda1),
+                           (table.y, table.torus.period_y, fl.lambda2)):
+        c = -(v @ fl.axis) / period
         c = c + np.round((ref - c) * period / TWO_PI) * TWO_PI / period
         cs.append(c)
     w = (np.array(table.rings)[:, None] * np.exp(1j * table.thetas)).ravel()
@@ -473,7 +431,7 @@ def extract_invariants(conn: ConnectionSource, rings,
         alpha_r = limiting_holonomy(table, fl.axis, "semisimple")
         # nilpotent regime: theta-holonomy nonzero at finite r but
         # converging to identity at a 1/ln r rate, flat limit trivial
-        raw = -signed_phases(table.theta, fl.axis) / TWO_PI
+        raw = -(table.theta @ fl.axis) / TWO_PI
         decaying = abs(alpha_log) < 0.02 and np.max(np.abs(raw)) > 5.0 * abs(alpha_log) + 1e-4
         kind = "nilpotent" if (xi.is_trivial(1e-4) and decaying) else "semisimple"
         alpha = alpha_log if kind == "nilpotent" else alpha_r

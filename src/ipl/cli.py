@@ -32,8 +32,8 @@ from .asymptotics import ExtractionError, decay_exponent, \
 from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
-    conventions_hash, conventions_sheet, covering_radius, lattice_distance, \
-    reduce_dual, xi_from_zeta, zeta_from_xi
+    conventions_hash, conventions_sheet, covering_radius, in_dual_lattice, \
+    lattice_distance, reduce_dual, xi_from_zeta, zeta_from_xi
 from .hitchin import hitchin_residual
 from .models import KINDS, ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
@@ -235,10 +235,12 @@ def _bundle(b: dict, torus: TorusSpec, name: str) -> BundleModel:
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     _expect(isinstance(cfg, dict), "config root must be a JSON object")
@@ -796,12 +798,13 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
     # until a draw lands in one; these two rules keep them nonempty
     cov = covering_radius(params["torus"])
     if params["residues"] is not None:
-        _expect(lattice_distance(2.0 * b.lam, params["torus"]) > 1e-6,
+        _expect(not in_dual_lattice(2.0 * b.lam, params["torus"], tol=1e-6),
                 "residues need distinct +-xi0 (non-order-two lambda)")
-        _expect(0.9 * cov * b.r_min > 1e-3,
-                f"bundle.r_min must exceed {1e-3 / (0.9 * cov):.6g} for "
-                "residues: their |mu| draws lie in (1e-3, 0.9 r_min "
-                "covering_radius)")
+        # the window's upper end is linear in r_min
+        lo, hi = _residue_mu_window(params["torus"], 1.0)
+        _expect(hi * b.r_min > lo,
+                f"bundle.r_min must exceed {lo / hi:.6g} for residues: "
+                "their |mu| draws lie in (1e-3, 0.9 r_min covering_radius)")
     if params["dichotomy"] is not None:
         d = params["dichotomy"]
         _expect(abs(b.mu) > 0, "dichotomy blow-up needs a nonzero residue")
@@ -813,6 +816,14 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
                 f"dichotomy.min_lattice_distance must be below "
                 f"covering_radius / 2 = {cov / 2.0:.6g}, the distance from "
                 "+-xi0 that some dual-torus point always keeps")
+
+
+def _residue_mu_window(torus: TorusSpec,
+                       r_min: float) -> tuple[float, float]:
+    """The residue sampler's |mu| window (1e-3, 0.9 covering_radius r_min)
+    for a bundle with that r_min: its upper end keeps |mu| / r_min under
+    the covering radius that `BundleModel` accepts."""
+    return 1e-3, 0.9 * covering_radius(torus) * r_min
 
 
 def _run_spectral(params: dict):
@@ -852,11 +863,11 @@ def _run_spectral(params: dict):
         r = params["residues"]
         err_max = 0.0
         rows = []
-        # 0.4 (N + iN) conditioned on 1e-3 < |mu| < hi, drawn directly: a
+        # 0.4 (N + iN) conditioned on lo < |mu| < hi, drawn directly: a
         # uniform phase and a Rayleigh(0.4) modulus by its truncated inverse
         # CDF in t = |mu|^2 / 0.32, exact for a window a few 1e-6 wide
-        hi = 0.9 * covering_radius(torus) * bundle.r_min
-        t_lo, t_hi = 1e-3 ** 2 / 0.32, hi ** 2 / 0.32
+        lo, hi = _residue_mu_window(torus, bundle.r_min)
+        t_lo, t_hi = lo ** 2 / 0.32, hi ** 2 / 0.32
         for _ in range(r["n_mu"]):
             phase = rng.uniform(0.0, TWO_PI)
             t = t_lo - math.log1p(rng.uniform() * math.expm1(t_lo - t_hi))

@@ -65,8 +65,8 @@ class ConnectionSource(RadialDomain):
     array the caller may write to. Only the constructors that know the
     component's form along the circles set it: `hitchin.lift` and
     `flat_connection` (through `read_along_circle_at_base`), and `perturb`
-    on a base that has one. The holonomy table then takes its x- and
-    y-circles from it (see asymptotics.holonomy_table).
+    on a base that has one. `circle_holonomies` then takes the x- and
+    y-circles from it.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -246,13 +246,39 @@ def circle_paths(torus: TorusSpec, kind: str, bases: np.ndarray,
 
 def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
                       steps: int = LOOP_STEPS) -> np.ndarray:
-    """Batched holonomies of coordinate circles through each base point.
+    """Holonomies of the coordinate circles of one kind ('x', 'y' or
+    'theta') through each base point bases (B, 4): the SU(2) pairs (B, 2).
+    This is where a loop's route is chosen.
 
-    kind: 'x', 'y' or 'theta'. bases: (B, 4). Returns the SU(2) pairs
-    (B, 2).
+    Theta-circles, and every circle of a connection without an
+    along_circle, take the path-ordered product of `steps` Magnus steps,
+    from two evaluations of the connection per step. An x-circle
+    (y-circle) of a connection with an along_circle reads only a_x (a_y),
+    the one component its transport sees, through along_circle: when it is
+    constant along every circle (a lift, a flat connection), once per
+    loop at its base point, and the loop is exp(-L a) in closed form, L the
+    circle's period; otherwise (a perturbed one) at the loop's nodes,
+    scaled into the Magnus generators -(L / steps) a. The nodes are shared
+    by the batch, so a batch whose bases start their circles at different
+    along-circle coordinates is sampled by the path-ordered product.
     """
-    return _path_ordered_product(
-        conn, *circle_paths(conn.torus, kind, bases, steps))
+    bases = np.asarray(bases, dtype=float)
+    axis = {"x": 2, "y": 3}.get(kind)
+    if axis is None or conn.along_circle is None \
+            or np.any(bases[:, axis] != bases[0, axis]):
+        return _path_ordered_product(
+            conn, *circle_paths(conn.torus, kind, bases, steps))
+    conn.check_domain(bases)
+    L = conn.torus.period_x if kind == "x" else conn.torus.period_y
+    a = conn.along_circle(kind, bases,
+                          bases[0, axis] + L * _step_times(steps))
+    if a.ndim == 2:  # constant along each circle
+        return _su2.expm_su2(-L * a)
+    # -(L / steps) a, rounded as _path_ordered_product rounds
+    # sum_i tans_i a_i / -n
+    a *= L
+    a /= -steps
+    return _magnus_product(a)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ matrix forms the vector and pair kernels of `_su2` are checked against
 embedding `as_matrix`), the curvature references (a vector-form one to
 compare bit for bit, a matrix-form one), the matrix-form covariant
 calculus the su(2) vector form of `moduli.AnnulusCalculus` is checked
-against, the reduction of a torus-invariant connection to its Higgs pair,
-and a bitwise comparison of arrays."""
+against, the reduction of a torus-invariant connection to its Higgs pair, a
+bitwise comparison of arrays, and the tori of the Fourier-gap tests."""
 
 import math
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from ipl import _su2
 from ipl.gauge import PAIRS, self_dual
-from ipl.geometry import TWO_PI
+from ipl.geometry import TWO_PI, TorusSpec
 from ipl.hitchin import HiggsPairOnPlane
 from ipl.moduli import _along, differentiation_matrix, fourier_diff, \
     quadrature_weights
@@ -230,3 +230,11 @@ def reduce(conn):
         evaluate=evaluate, derivative=derivative,
         torus=conn.torus, r_min=conn.r_min, name=f"reduce({conn.name})",
     )
+
+
+# square, oblong, small and long tori, periods from 1e-3 to 1e3: the
+# Fourier-gap tests run on each
+GAP_TORI = {"2pix2pi": TorusSpec(), "4x7": TorusSpec(4.0, 7.0),
+            "0.5x0.5": TorusSpec(0.5, 0.5), "30x1": TorusSpec(30.0, 1.0),
+            "1x100": TorusSpec(1.0, 100.0), "100x1": TorusSpec(100.0, 1.0),
+            "1e-3x1e3": TorusSpec(1e-3, 1e3)}

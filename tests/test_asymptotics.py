@@ -29,7 +29,7 @@ from ipl.asymptotics import (
     roundtrip_errors,
 )
 from ipl.gauge import (AXES, LOOP_STEPS, ConnectionSource, DomainError,
-                       circle_holonomies, circle_paths, flat_connection)
+                       _path_ordered_product, circle_paths, flat_connection)
 from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
@@ -194,24 +194,30 @@ def test_perturbed_table_entries_are_circle_holonomies(params, torus, r_lo,
     _assert_entries_are_circle_holonomies(conn)
 
 
+def _loop_vectors(conn, kind, bases):
+    """Rotation vectors of the circles of one kind through bases by the
+    LOOP_STEPS path-ordered product, whichever route the table takes."""
+    return _su2.log_su2(_path_ordered_product(
+        conn, *circle_paths(conn.torus, kind, np.array(bases), LOOP_STEPS)))
+
+
 def _assert_entries_are_circle_holonomies(conn):
-    """Every entry of conn's table on RINGS equals, bit for bit, its own
-    loop's LOOP_STEPS circle holonomy."""
+    """Every entry of conn's table on RINGS equals, bit for bit, the
+    rotation vector of its own loop's LOOP_STEPS path-ordered product."""
     torus = conn.torus
     table = holonomy_table(conn, RINGS)
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
 
     def hol(kind, r, th, x=0.0, y=0.0):
-        return circle_holonomies(conn, kind, np.array([[r, th, x, y]]),
-                                 LOOP_STEPS)[0]
+        return _loop_vectors(conn, kind, [[r, th, x, y]])[0]
 
     assert table.rings == RINGS and table.torus == torus
     assert np.array_equal(table.thetas, ths)
-    assert table.x.shape == table.y.shape == (4, 24, 2)
-    assert table.x_half.shape == table.y_half.shape == (4, 8, 2)
-    assert table.theta.shape == (4, 2)
-    assert table.axis_theta.shape == (8, 2)
+    assert table.x.shape == table.y.shape == (4, 24, 3)
+    assert table.x_half.shape == table.y_half.shape == (4, 8, 3)
+    assert table.theta.shape == (4, 3)
+    assert table.axis_theta.shape == (8, 3)
     for j, r in enumerate(RINGS):
         assert np.array_equal(table.theta[j], hol("theta", r, 0.0))
         for i, th in enumerate(ths):
@@ -306,8 +312,8 @@ def _invariant_connections(torus):
                          ids=["2pi-x-2pi", "4-x-7"])
 def test_closed_form_loops_equal_the_sampler(torus):
     # a torus-invariant connection's x/y loops are exp(-L a) at the base,
-    # not sampled: each must equal the LOOP_STEPS product to rounding, and
-    # the theta loops must still be that product itself
+    # not sampled: each rotation vector must equal the LOOP_STEPS product's
+    # to rounding, and the theta loops' must still be that product's itself
     ths = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
     half_x, half_y = torus.period_x / 2.0, torus.period_y / 2.0
     for conn in _invariant_connections(torus):
@@ -316,7 +322,7 @@ def test_closed_form_loops_equal_the_sampler(torus):
         table = holonomy_table(conn, RINGS)
 
         def hol(kind, bases):
-            return circle_holonomies(conn, kind, np.array(bases), LOOP_STEPS)
+            return _loop_vectors(conn, kind, bases)
 
         full = [[r, th, 0.0, 0.0] for r in RINGS for th in ths]
         for field, kind, bases in (

@@ -16,7 +16,7 @@ from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
 from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
 from ipl.moduli import fourier_diff
 
-from conftest import SIGMA3, comm
+from conftest import GAP_TORI, SIGMA3, comm
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
@@ -55,6 +55,21 @@ def test_bad_schema_version_exits_2_and_writes_nothing(tmp_path):
                "--out", str(out), "--quiet"])
     assert rc == 2
     assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path,
+                                                           capsys):
+    # a UTF-16 byte-order mark once ended in a UnicodeDecodeError traceback
+    # and exit 1, the code of a failed pipeline
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'\xff\xfe{"schema_version": 1}')
+    out = tmp_path / "out"
+    rc = main(["conventions", "--config", str(cfg_path),
+               "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 def test_missing_seed_rejected(tmp_path):
@@ -408,13 +423,6 @@ def test_fourier_gap_scan_is_nonnegative_on_every_seed():
     assert all(g >= -1e-15 for g in worst.values()), worst
 
 
-# square, oblong, small and long tori, periods from 1e-3 to 1e3
-GAP_TORI = {"2pix2pi": TorusSpec(), "4x7": TorusSpec(4.0, 7.0),
-            "0.5x0.5": TorusSpec(0.5, 0.5), "30x1": TorusSpec(30.0, 1.0),
-            "1x100": TorusSpec(1.0, 100.0), "100x1": TorusSpec(100.0, 1.0),
-            "1e-3x1e3": TorusSpec(1e-3, 1e3)}
-
-
 @pytest.mark.parametrize("torus", GAP_TORI.values(), ids=GAP_TORI.keys())
 def test_fourier_gap_scan_is_nonnegative_on_every_torus(torus):
     # modes scored by the physical symbol 2 pi n / L_x + i 2 pi m / L_y,
@@ -622,6 +630,10 @@ SEEDED = {"schema_version": 1, "seed": 1}
                      "inequalities": {"poincare": {}}}, "tolerances"),
     ("model-check", {**SEEDED, "decay": {"exponent_window": 1e-9},
                      "inequalities": {"poincare": {}}}, "decay"),
+    # residues need +-xi0 apart: 2 lambda = 1 lies on the dual lattice
+    ("spectral", {**SPECTRAL_CFG, "bundle": {
+        "lambda": [0.5, 0.0], "mu": [1.0, 0.0], "r_min": 5.0, "k": 1},
+        "residues": {"n_mu": 2}}, "residues"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):

@@ -14,6 +14,7 @@ from ipl.cli import _drift_families
 from ipl.gauge import (
     AXES,
     DRIFT_STEPS,
+    LOOP_STEPS,
     PAIRS,
     BoundaryConditionError,
     ConnectionSource,
@@ -24,6 +25,7 @@ from ipl.gauge import (
     _term_factors,
     asd_residual,
     circle_holonomies,
+    circle_paths,
     curvature,
     curvature_norm,
     flat_connection,
@@ -38,7 +40,7 @@ from ipl.geometry import TorusSpec, reduce_dual
 from ipl.models import ModelParams, model_connection, perturb
 
 from conftest import (EYE2, SIGMA3, as_matrix, comm, frob, from_vector,
-                      stacked_curvature, stacked_vector_curvature)
+                      same_bits, stacked_curvature, stacked_vector_curvature)
 
 TORUS = TorusSpec()
 
@@ -268,15 +270,64 @@ def test_flat_holonomy_closed_form():
     xi = reduce_dual((0.3, 0.2), TORUS)
     conn = flat_connection(xi, TORUS)
     base = np.array([[10.0, 0.0, 0.0, 0.0]])
-    h = as_matrix(circle_holonomies(conn, "x", base, steps=256))[0]
+
+    def loop(kind):  # the path-ordered product, not the closed form
+        return as_matrix(_path_ordered_product(
+            conn, *circle_paths(TORUS, kind, base, 256)))[0]
+
+    h = loop("x")
     expected = np.diag([np.exp(-2j * math.pi * 0.3),
                         np.exp(+2j * math.pi * 0.3)])
     assert np.max(np.abs(h - expected)) < 1e-12
 
-    hy = as_matrix(circle_holonomies(conn, "y", base, steps=256))[0]
+    hy = loop("y")
     expected_y = np.diag([np.exp(-2j * math.pi * 0.2),
                           np.exp(+2j * math.pi * 0.2)])
     assert np.max(np.abs(hy - expected_y)) < 1e-12
+
+
+def test_circle_holonomies_takes_each_loops_route():
+    # a reader constant along its circles (a lift, a flat connection) gives
+    # exp(-L a) at the base; one that is not (a perturbed lift) gives the
+    # Magnus steps on its node values, bit for bit the path-ordered
+    # product; theta-circles, a connection without a reader and a batch
+    # whose circles start at different along-circle coordinates take that
+    # product itself, the only route that calls the connection's evaluate
+    lifted = model_connection(ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j,
+                                          alpha=0.2), TORUS)
+    flat = flat_connection(reduce_dual((0.3, 0.2), TORUS), TORUS)
+    perturbed = perturb(lifted, delta=0.5, amplitude=0.3, seed=4, r_lo=5.0,
+                        r_hi=600.0)
+    bare = ConnectionSource(evaluate=perturbed.evaluate,
+                            derivative=perturbed.derivative, torus=TORUS,
+                            r_min=perturbed.r_min)
+    shared = np.array([[50.0, 0.3, 1.3, 2.1], [200.0, 2.0, 1.3, 2.1],
+                       [400.0, 4.5, 1.3, 2.1]])
+    mixed = shared + [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.5, 0.7],
+                      [0.0, 0.0, 0.4, 3.0]]
+    for kind, L in (("x", TORUS.period_x), ("y", TORUS.period_y)):
+        comp = {"x": 2, "y": 3}[kind]
+        cases = [(lifted, shared, "closed"), (flat, shared, "closed"),
+                 (perturbed, shared, "magnus"), (bare, shared, "product"),
+                 (lifted, mixed, "product"), (perturbed, mixed, "product")]
+        for conn, bases, route in cases:
+            calls = Counter()
+            got = circle_holonomies(counted(conn, calls, ""), kind, bases)
+            ref = _path_ordered_product(
+                conn, *circle_paths(TORUS, kind, bases, LOOP_STEPS))
+            assert calls["evaluate"] == (route == "product"), (kind, route)
+            if route == "closed":
+                closed = _su2.expm_su2(-L * conn.evaluate(bases)[:, comp])
+                assert same_bits(got, closed)
+                assert np.max(np.abs(got - ref)) < 1e-14
+            else:
+                assert same_bits(got, ref), (kind, route)
+    for conn in (lifted, flat, perturbed, bare):
+        calls = Counter()
+        got = circle_holonomies(counted(conn, calls, ""), "theta", mixed)
+        assert calls["evaluate"] == 1
+        assert same_bits(got, _path_ordered_product(
+            conn, *circle_paths(TORUS, "theta", mixed, LOOP_STEPS)))
 
 
 def test_abelian_theta_holonomy_closed_form():

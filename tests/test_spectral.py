@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl.geometry import TorusSpec, covering_radius, reduce_dual, xi_from_zeta
+from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual, \
+    xi_from_zeta
 from ipl.spectral import (
     BundleModel,
     SingularPointError,
     fourier_gap,
+    gap_region_scale,
     in_hypothesis_region,
     jumping_points,
     nahm_weights,
     phi_residue,
 )
+
+from conftest import GAP_TORI
 
 TORUS = TorusSpec()
 BUNDLE = BundleModel(lam=0.11 + 0.07j, mu=1.0, r_min=5.0, k=1, torus=TORUS)
@@ -210,3 +214,40 @@ def test_fourier_gap_nonnegative_on_region(mu_re, mu_im, scale, ang, c1, c2):
     sigma = [(0, 0, 1.0), (1, 0, c1), (-1, 1, c2)]
     assert in_hypothesis_region(0.0, mu, w, torus=TORUS)
     assert fourier_gap(0.0, mu, w, sigma, torus=TORUS) >= -1e-15
+
+
+# every mode (n, m) with |n|, |m| <= 3 but the constant one
+NONZERO_MODES = np.array([(n, m) for n in range(-3, 4) for m in range(-3, 4)
+                          if n or m])
+
+
+@pytest.mark.parametrize("torus", GAP_TORI.values(), ids=GAP_TORI.keys())
+def test_fourier_gap_holds_on_the_nonzero_modes_alone(torus):
+    # with no constant mode every symbol has |g| >= g_min = 2 pi /
+    # max(L_x, L_y), and the region keeps |lam| and |mu|/|w| under
+    # 0.1 g_min / (2 sqrt 2): each gap is then at least about
+    # 0.86 g_min^2 |sigma|^2, and must be at least half that. The scan's
+    # minimum comes from the constant mode, so this is the test that sees
+    # the symbol. One mode a point, so that no larger symbol hides a small
+    # one: the unit symbol n + i m reads -0.002 on 0.5 x 0.5, and a region
+    # scaled by the covering radius -1.1 to -15 on 30 x 1, 1 x 100, 100 x 1
+    g_min = TWO_PI / max(torus.period_x, torus.period_y)
+    scale = gap_region_scale(torus)
+    n = 4096
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        mu = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        lam = 0.1 * scale * np.sqrt(rng.random(n)) \
+            * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        w = (10.0 * np.abs(mu) / scale) * (1.0 + 3.0 * rng.random(n)) \
+            * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        sigma = np.empty((n, 1, 3), dtype=complex)
+        sigma[:, 0, :2] = NONZERO_MODES[rng.integers(len(NONZERO_MODES),
+                                                     size=n)]
+        sigma[:, 0, 2] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        inside = in_hypothesis_region(lam, mu, w, torus)
+        assert inside.sum() > n // 4
+        gap = fourier_gap(lam[inside], mu[inside], w[inside], sigma[inside],
+                          torus)
+        ratio = gap / (g_min ** 2 * np.abs(sigma[inside, 0, 2]) ** 2)
+        assert np.min(ratio) >= 0.5, (seed, np.min(ratio))
