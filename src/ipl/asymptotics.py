@@ -373,7 +373,7 @@ def instanton_number(conn: ConnectionSource, R: float,
             and shells_arr[-1] > 1e-12:
         raise ExtractionError("shell energies grow outward; "
                               "non-integrable curvature tail")
-    return {"energy": total, "shells": shells, "edges": edges.tolist()}
+    return {"energy": total, "shells": shells, "edges": edges}
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +437,14 @@ def extract_invariants(conn: ConnectionSource, rings,
         alpha = alpha_log if kind == "nilpotent" else alpha_r
     else:
         alpha = limiting_holonomy(table, fl.axis, kind)
-    diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring.tolist()}
+    diagnostics: dict = {"flat_drift": fl.drift, "per_ring": fl.per_ring}
     states = asymptotic_states(xi)
     if kind == "semisimple":
         mu, res_diag = residue(table, fl)
         lam_hat = -res_diag["lambda_hat"] if states.flipped \
             else res_diag["lambda_hat"]
-        diagnostics["residue_fit"] = {
-            "lambda_hat": [lam_hat.real, lam_hat.imag],
-            "max_residual": res_diag["max_residual"],
-        }
+        diagnostics["residue_fit"] = {"lambda_hat": lam_hat,
+                                      "max_residual": res_diag["max_residual"]}
     else:
         mu = 0.0 + 0.0j
     if states.flipped:
@@ -481,7 +479,7 @@ def roundtrip_errors(p, inv: AsymptoticInvariants, torus: TorusSpec) -> dict:
                _circle_gap(inv.xi0.xi2, states.xi0.xi2))
     fit = inv.diagnostics.get("residue_fit")
     if fit is not None:
-        lam_hat = complex(fit["lambda_hat"][0], fit["lambda_hat"][1])
+        lam_hat = fit["lambda_hat"]
         # lambda + (pi/Lx) m + i (pi/Ly) n names the same state, and
         # zeta = i lambda is defined modulo the dual lattice
         e_lam = lattice_distance(1j * (lam_hat - lam_t), torus)

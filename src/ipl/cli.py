@@ -12,7 +12,6 @@ sequential NumPy, so the cap is recorded and trivially honored).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
@@ -30,7 +29,8 @@ from . import models
 from .asymptotics import ExtractionError, decay_exponent, \
     extract_invariants, poincare_constant, roundtrip_errors
 from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
-    monodromy_drift_defect, random_quadratic_form_fixture, weitzenbock_defect
+    monodromy_drift_defect, random_quadratic_form_fixture, self_dual, \
+    weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, in_dual_lattice, \
     lattice_distance, reduce_dual, xi_from_zeta, zeta_from_xi
@@ -39,7 +39,7 @@ from .models import KINDS, ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
     complex_structures, fourier_diff, instanton_tangent_residual, k1_chart, \
     l2_metric, moduli_dimension, random_tangent, translation_tangents
-from .spectral import BundleModel, fourier_gap, gap_region_scale, \
+from .spectral import R_FAR, BundleModel, fourier_gap, gap_region_scale, \
     in_hypothesis_region, jumping_points, nahm_weights, phi_residue
 from .stability import alpha_stable_extension, existence_obstruction, \
     h0_consistency
@@ -243,6 +243,8 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config nests too deeply to parse")
     _expect(isinstance(cfg, dict), "config root must be a JSON object")
     return cfg
 
@@ -269,7 +271,9 @@ def _expand_models(params: dict) -> list:
     """(ModelParams, domain) for the explicit "models" list, then for the
     (lambda, mu, alpha) product of the optional "model_grid" block, in
     deterministic order; a domain is None where the config gives none, and
-    always for invariants, whose schema has no domain."""
+    always for invariants, whose schema has no domain. Validation calls it
+    once, after the nilpotent rule, and stores the list as
+    params["models"] for the runner."""
     out = [(_model(m, m["kind"]), m.get("domain")) for m in params["models"]]
     grid = params["model_grid"]
     if grid is not None:
@@ -284,6 +288,9 @@ def _expand_models(params: dict) -> list:
 # report plumbing
 
 def _jsonable(obj):
+    """The JSON form of a report or artifact: a complex is [re, im], an
+    array a nested list, and a non-finite float null, so the files stay
+    strict JSON."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -293,9 +300,9 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.complexfloating, complex)):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
@@ -305,11 +312,13 @@ def _check(name, value, tolerance, passed, margin=None, **extra) -> dict:
     """One report check. `margin` is the signed distance from value to the
     check's bound in the check's own units, >= 0 on the passing side; None
     for a check with no numeric bound. A strict check (value > bound)
-    fails at margin 0."""
-    d = {"name": name, "value": _jsonable(value),
-         "tolerance": _jsonable(tolerance), "margin": _jsonable(margin),
-         "pass": bool(passed)}
-    d.update(_jsonable(extra))
+    fails at margin 0. A value that is NaN or infinite fails with a
+    reason, whatever `passed` says, and the report writes it and its
+    margin as null."""
+    d = {"name": name, "value": value, "tolerance": tolerance,
+         "margin": margin, "pass": bool(passed), **extra}
+    if isinstance(value, float) and not math.isfinite(value):
+        d.update({"pass": False, "reason": f"value is {value}"})
     return d
 
 
@@ -326,11 +335,12 @@ def _run_conventions(params: dict):
     sheet = conventions_sheet(torus)
     digest = conventions_hash(torus)
 
-    # Hodge star on 2-forms from the self-dual projection convention
-    star = np.zeros((6, 6))
-    star[5, 0] = star[0, 5] = 1.0
-    star[4, 1] = star[1, 4] = -1.0
-    star[3, 2] = star[2, 3] = 1.0
+    # the Hodge star on 2-forms from gauge.self_dual's own basis: row i of
+    # C holds the self-dual coefficients of the i-th unit 2-form, sqrt(2) C
+    # has orthonormal columns spanning the self-dual forms, so the
+    # projector on them is 2 C C^T and the star 2 (2 C C^T) - I
+    C = self_dual(np.eye(6)[:, :, None])[..., 0]
+    star = 4.0 * C @ C.T - np.eye(6)
     invol = float(np.max(np.abs(star @ star - np.eye(6))))
     trace = abs(float(np.trace(star)))
 
@@ -338,9 +348,9 @@ def _run_conventions(params: dict):
     (_, g1_im), (g2_re, _) = sheet["dual_lattice_basis"]
     axis_dev = abs(g1_im) + abs(g2_re)
 
-    lattice_dev = max(
+    lattice_dev = float(np.max([
         lattice_distance(zeta_from_xi(float(n), float(m), torus), torus)
-        for n, m in ((1, 0), (0, 1), (2, -3)))
+        for n, m in ((1, 0), (0, 1), (2, -3))]))
 
     checks = [
         _leq_check("hodge_star_involution", invol, 0.0),
@@ -413,6 +423,7 @@ def _model_check_rules(cfg: dict, params: dict) -> None:
     ineq = params["inequalities"]
     _expect(ineq is None or any(ineq.values()),
             "inequalities block is empty")
+    params["models"] = _expand_models(params)
 
 
 def _model_tag(j: int, p: ModelParams) -> str:
@@ -423,11 +434,10 @@ def _run_model_check(params: dict):
     rng = np.random.default_rng(params["seed"])
     torus = params["torus"]
     checks = []
-    sup_semi = 0.0
-    sup_nilp_asd = 0.0
-    sup_nilp_hit = 0.0
-    n_semi = n_nilp = 0
-    mods = _expand_models(params)
+    # each model's worst sample, by kind, and the nilpotent Higgs pairs'
+    sups = {"semisimple": [], "nilpotent": []}
+    hitchin_sups = []
+    mods = params["models"]
     for p, dom in mods:
         lo, hi = dom or _DEFAULT_DOMAIN[p.kind]
         conn = model_connection(p, torus)
@@ -437,26 +447,27 @@ def _run_model_check(params: dict):
             rng.uniform(0.0, TWO_PI, size=n),
             rng.uniform(0.0, torus.period_x, size=n),
             rng.uniform(0.0, torus.period_y, size=n)], axis=-1)
-        sup = float(np.max(asd_residual(conn, pts)))
-        if p.kind == "semisimple":
-            n_semi += 1
-            sup_semi = max(sup_semi, sup)
-        else:
-            n_nilp += 1
-            sup_nilp_asd = max(sup_nilp_asd, sup)
+        sups[p.kind].append(np.max(asd_residual(conn, pts)))
+        if p.kind == "nilpotent":
             pair = models.hitchin_model(p, torus)
-            rho1, rho2 = hitchin_residual(pair, pts[:, :2])
-            sup_nilp_hit = max(sup_nilp_hit,
-                               float(np.max(rho1)), float(np.max(rho2)))
+            hitchin_sups += [np.max(rho) for rho in
+                             hitchin_residual(pair, pts[:, :2])]
     tol = params["tolerances"]
-    if n_semi:
-        checks.append(_leq_check("asd_residual_sup_semisimple", sup_semi,
-                                 tol["asd_residual"], n_models=n_semi))
-    if n_nilp:
-        checks.append(_leq_check("asd_residual_sup_nilpotent", sup_nilp_asd,
-                                 tol["nilpotent_residual"], n_models=n_nilp))
+    # numpy's max keeps a NaN wherever it comes; Python's keeps one only in
+    # first place, so a NaN sample would read as the pass it is not
+    if sups["semisimple"]:
+        checks.append(_leq_check("asd_residual_sup_semisimple",
+                                 float(np.max(sups["semisimple"])),
+                                 tol["asd_residual"],
+                                 n_models=len(sups["semisimple"])))
+    if sups["nilpotent"]:
+        checks.append(_leq_check("asd_residual_sup_nilpotent",
+                                 float(np.max(sups["nilpotent"])),
+                                 tol["nilpotent_residual"],
+                                 n_models=len(sups["nilpotent"])))
         checks.append(_leq_check("hitchin_residual_sup_nilpotent",
-                                 sup_nilp_hit, tol["nilpotent_residual"]))
+                                 float(np.max(hitchin_sups)),
+                                 tol["nilpotent_residual"]))
 
     decay_rows = []
     d = params["decay"]
@@ -492,11 +503,12 @@ def _run_model_check(params: dict):
             drift_tol = q["monodromy_drift"]["tolerance"]
             per, halved = _monodromy_families(rng, torus)
             checks.append(_leq_check("monodromy_drift_defect_max",
-                                     max(per.values()), drift_tol,
-                                     per_family=per))
+                                     float(np.max(list(per.values()))),
+                                     drift_tol, per_family=per))
             step_error = {tag: abs(per[tag] - halved[tag]) for tag in per}
             checks.append(_leq_check(
-                "monodromy_drift_step_error", max(step_error.values()),
+                "monodromy_drift_step_error",
+                float(np.max(list(step_error.values()))),
                 DRIFT_STEP_ERROR_SHARE * drift_tol, steps=DRIFT_STEPS,
                 per_family=step_error))
             ineq_summary["monodromy_drift"] = per
@@ -510,15 +522,15 @@ def _run_model_check(params: dict):
         if q["poincare"] is not None:
             xi = q["poincare"]["xi"]
             twist = reduce_dual((xi.real, xi.imag), torus)
-            rel_max = 0.0
+            rels = []
             for tag, gamma in (("twisted", twist), ("untwisted", None)):
                 c = poincare_constant(gamma, torus)
                 oracle = float(np.min(_rayleigh_quotients(gamma, torus)))
-                rel = abs(c - oracle) / oracle
-                rel_max = max(rel_max, rel)
+                rels.append(abs(c - oracle) / oracle)
                 ineq_summary[f"poincare_{tag}"] = {"constant": c,
                                                    "oracle": oracle}
-            checks.append(_leq_check("poincare_vs_rayleigh_rel", rel_max,
+            checks.append(_leq_check("poincare_vs_rayleigh_rel",
+                                     float(np.max(rels)),
                                      q["poincare"]["rtol"]))
 
     artifacts = {}
@@ -541,7 +553,7 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
     zero coefficients."""
     scale = gap_region_scale(torus)
     B = GAP_SCAN_BLOCK
-    gap_min = math.inf
+    block_mins = []
     n_kept = 0
     while n_kept < n_samples:
         mu = 0.5 * (rng.normal(size=B) + 1j * rng.normal(size=B))
@@ -561,9 +573,9 @@ def _fourier_gap_scan(rng, torus: TorusSpec, n_samples: int):
         keep = np.flatnonzero(in_hypothesis_region(lam, mu, w, torus))[
             :n_samples - n_kept]
         gap = fourier_gap(lam[keep], mu[keep], w[keep], sigma[keep], torus)
-        gap_min = min(gap_min, float(np.min(gap, initial=math.inf)))
+        block_mins.append(np.min(gap, initial=math.inf))
         n_kept += keep.size
-    return gap_min
+    return float(np.min(block_mins))
 
 
 def _drift_families(rng, torus: TorusSpec):
@@ -604,15 +616,15 @@ def _monodromy_families(rng, torus: TorusSpec):
 
 
 def _weitzenbock_scan(rng, torus: TorusSpec, n_fixtures: int):
-    worst = 0.0
+    worst = []
     for j in range(n_fixtures):
         form = random_quadratic_form_fixture(rng, 9.0)
         gamma = None if j % 2 == 0 else reduce_dual(
             (rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)), torus)
         d = weitzenbock_defect(form, gamma, 3.0, 9.0, torus=torus)
         scale = max(1.0, d["grad_sq"])
-        worst = max(worst, abs(d["defect"]) / scale, abs(d["outer_term"]))
-    return worst
+        worst += [abs(d["defect"]) / scale, abs(d["outer_term"])]
+    return float(np.max(worst))
 
 
 # torus grid points per period of the Rayleigh-quotient oracle
@@ -683,9 +695,10 @@ def _invariants_rules(cfg: dict, params: dict) -> None:
     _expect(params["models"] or params["model_grid"],
             "invariants needs models or model_grid")
     _nilpotent_rule(params)
+    params["models"] = _expand_models(params)
     # the inverse-log fit divides by ln r, and no ring may enter a core
     _expect(params["rings"][0] > 1.0, "rings must start beyond r = 1")
-    for kind in sorted({p.kind for p, _ in _expand_models(params)}):
+    for kind in sorted({p.kind for p, _ in params["models"]}):
         _expect(params["rings"][0] >= _R_MIN[kind],
                 f"rings[0] must be >= {_R_MIN[kind]}, the inner edge of the "
                 f"{kind} model's domain")
@@ -699,10 +712,10 @@ def _run_invariants(params: dict):
     records = []
 
     def one_pass(tag, pert, tols):
-        errs = {"lambda": 0.0, "alpha": 0.0, "mu": 0.0}
+        errs = {"lambda": [], "alpha": [], "mu": []}
         kinds_ok = True
         failed = []
-        models = _expand_models(params)
+        models = params["models"]
         for j, (p, _) in enumerate(models):
             conn = model_connection(p, torus)
             kind = None
@@ -715,7 +728,8 @@ def _run_invariants(params: dict):
                 # at finite radii, so the noisy pass states the kind
                 kind = p.kind
             record = {"pass": tag, "model": _model_tag(j, p),
-                      "inputs": p.to_json()}
+                      "inputs": {"lambda": p.lam, "mu": p.mu,
+                                 "alpha": p.alpha, "kind": p.kind}}
             records.append(record)
             try:
                 inv = extract_invariants(conn, params["rings"], kind=kind)
@@ -726,29 +740,30 @@ def _run_invariants(params: dict):
             e = roundtrip_errors(p, inv, torus)
             kinds_ok = kinds_ok and e["kind_ok"]
             for k in errs:
-                errs[k] = max(errs[k], e[k])
+                errs[k].append(e[k])
             record.update({
                 "extracted": {
                     "xi0": [inv.xi0.xi1, inv.xi0.xi2],
                     "alpha": inv.alpha,
-                    "mu": [inv.mu.real, inv.mu.imag],
+                    "mu": inv.mu,
                     "kind": inv.kind,
                 },
                 "errors": {k: e[k] for k in ("lambda", "alpha", "mu")},
-                "diagnostics": _jsonable(inv.diagnostics),
+                "diagnostics": inv.diagnostics,
             })
         if failed:
             checks.append(_leq_check(f"extraction_failed_{tag}",
                                      len(failed), 0, models=failed))
-        # maxima over zero extracted models would read 0.0 and pass, so
-        # with none extracted these checks fail unevaluated
+        # a maximum over zero extracted models has no value, so with none
+        # extracted these checks fail unevaluated
         none_left = len(failed) == len(models)
         reason = f"no model extracted in the {tag} pass"
         for k in ("lambda", "alpha", "mu"):
             name = f"{k}_error_max_{tag}"
             checks.append(_check(name, None, tols[k], False, reason=reason)
                           if none_left
-                          else _leq_check(name, errs[k], tols[k]))
+                          else _leq_check(name, float(np.max(errs[k])),
+                                          tols[k]))
         if pert is None:
             name = f"kind_detected_{tag}"
             checks.append(_check(name, None, None, False, reason=reason)
@@ -765,13 +780,16 @@ def _run_invariants(params: dict):
 # ---------------------------------------------------------------------------
 # spectral
 
+# outer radius of the default counting.domain, [bundle.r_min, 1e4]
+_COUNTING_R_HI = 1e4
+
 _SPECTRAL = {
     "bundle": _object({"lambda": _pair([0.0, 0.0]), "mu": _pair([1.0, 0.0]),
                        "r_min": _positive(5.0), "k": _integer(1, minimum=1)},
                       _REQUIRED),
     "counting": _object({"n_samples": _integer(100, minimum=1),
                          "radius": _domain([0.005, 0.02]),
-                         "domain": _domain()}),  # default [bundle.r_min, 1e4]
+                         "domain": _domain()}),  # see _COUNTING_R_HI
     "residues": _object({"n_mu": _integer(10, minimum=1),
                          "tolerance": _positive(1e-8)}),
     "dichotomy": _object({"n_approach": _integer(6, minimum=3),
@@ -790,10 +808,19 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
                                    "bundle")
     c = params["counting"]
     if c is not None:
-        c["domain"] = c["domain"] or (b.r_min, 1e4)
+        _expect(c["domain"] is not None or b.r_min < _COUNTING_R_HI,
+                f"bundle.r_min must be below {_COUNTING_R_HI:g}, the outer "
+                "radius of the default counting.domain; give counting.domain")
+        c["domain"] = c["domain"] or (b.r_min, _COUNTING_R_HI)
         _expect(c["domain"][0] >= b.r_min,
                 "counting.domain must start at or beyond bundle.r_min")
         _expect(abs(b.mu) > 0, "counting needs a nonzero bundle residue")
+    # the residue estimate and the blow-up scan read every jumping point
+    # out to spectral.R_FAR
+    _expect((params["residues"] is None and params["dichotomy"] is None)
+            or b.r_min < R_FAR,
+            f"bundle.r_min must be below {R_FAR:g}, the outer radius of "
+            "the residue and blow-up scans")
     # the residue sampler draws inside a window, and the mu = 0 sampler
     # until a draw lands in one; these two rules keep them nonempty
     cov = covering_radius(params["torus"])
@@ -856,12 +883,11 @@ def _run_spectral(params: dict):
                              n_samples=c["n_samples"]))
         summary["counting"] = {"fraction_matching": frac,
                                "totals_histogram": {
-                                   str(t): totals.count(t)
-                                   for t in sorted(set(totals))}}
+                                   t: totals.count(t) for t in set(totals)}}
 
     if params["residues"] is not None:
         r = params["residues"]
-        err_max = 0.0
+        errs = []
         rows = []
         # 0.4 (N + iN) conditioned on lo < |mu| < hi, drawn directly: a
         # uniform phase and a Rayleigh(0.4) modulus by its truncated inverse
@@ -876,7 +902,7 @@ def _run_spectral(params: dict):
             bi = BundleModel(lam=bundle.lam, mu=mu, r_min=bundle.r_min,
                              k=bundle.k, torus=torus)
             xi0 = xi_from_zeta(bi.lam, torus)
-            row = {"mu": [mu.real, mu.imag]}
+            row = {"mu": mu}
             for tag, pt, want in (("plus", xi0, mu),
                                   ("minus", xi0.minus, -mu)):
                 zc = pt.zeta
@@ -886,19 +912,19 @@ def _run_spectral(params: dict):
                 approach = [zc + start * (0.5 ** j) * complex(1.0, 0.7)
                             for j in range(6)]
                 est, diag = phi_residue(bi, pt, approach)
-                err = abs(est - want)
-                err_max = max(err_max, err)
-                row[f"{tag}_estimate"] = [est.real, est.imag]
-                row[f"{tag}_error"] = err
+                errs.append(abs(est - want))
+                row[f"{tag}_estimate"] = est
+                row[f"{tag}_error"] = errs[-1]
             rows.append(row)
-        checks.append(_leq_check("phi_residue_error_max", err_max,
-                                 r["tolerance"], n_mu=r["n_mu"]))
+        checks.append(_leq_check("phi_residue_error_max",
+                                 float(np.max(errs)), r["tolerance"],
+                                 n_mu=r["n_mu"]))
         summary["residues"] = rows
 
     if params["dichotomy"] is not None:
         d = params["dichotomy"]
         z0 = xi_from_zeta(bundle.lam, torus).zeta
-        ratio_min = math.inf
+        ratios = []
         blow_rows = []
         # the jumping point sits near |w| = |mu| / |dz|; a start of at most
         # |mu| / (4 r_min) keeps it outside r_min, as for the residues
@@ -906,15 +932,15 @@ def _run_spectral(params: dict):
         for j in range(d["n_approach"]):
             dz = start * (0.5 ** j) * complex(0.8, -0.6)
             xi = xi_from_zeta(z0 + dz, torus)
-            sd = jumping_points(bundle, xi, domain=(bundle.r_min, 1e30),
+            sd = jumping_points(bundle, xi, domain=(bundle.r_min, R_FAR),
                                 branch="both")
             w_max = max((abs(w) for w, _ in sd.points), default=0.0)
             bound = abs(bundle.mu) / (2.0 * abs(dz))
-            ratio_min = min(ratio_min, w_max / bound)
-            blow_rows.append({"dz": [dz.real, dz.imag], "w_max": w_max,
-                              "bound": bound})
+            ratios.append(w_max / bound)
+            blow_rows.append({"dz": dz, "w_max": w_max, "bound": bound})
             for w, m in sd.points:
                 csv_rows.append((xi.xi1, xi.xi2, w.real, w.imag, m))
+        ratio_min = float(np.min(ratios))
         checks.append(_check("blowup_ratio_min", ratio_min, 1.0,
                              ratio_min >= 1.0, margin=ratio_min - 1.0))
         bundle0 = BundleModel(lam=bundle.lam, mu=0.0, r_min=bundle.r_min,
@@ -1006,8 +1032,7 @@ def _run_stability(params: dict):
             ok = got == case["expect"]
             n_match += ok
             verdicts["obstructions"].append({
-                "k": case["k"], "xi0": [xi0.real, xi0.imag],
-                "mu": [case["mu"].real, case["mu"].imag],
+                "k": case["k"], "xi0": xi0, "mu": case["mu"],
                 "expected": case["expect"], "computed": got, "match": ok})
         checks.append(_check("obstruction_table_matches",
                              f"{n_match}/{len(params['obstructions'])}",
@@ -1046,6 +1071,10 @@ _MODULI = {
 }
 
 
+# the chart parameters c at which `moduli` checks the chart's constraints
+CHART_SAMPLES = (0.0 + 0.0j, 0.1 + 0.05j, -0.2j)
+
+
 def _moduli_rules(cfg: dict, params: dict) -> None:
     _require_seed(cfg)
     _expect(params["model"]["mu"] != 0,
@@ -1057,6 +1086,14 @@ def _moduli_rules(cfg: dict, params: dict) -> None:
     _expect(params["grid"]["r_min"] < params["grid"]["r_max"],
             "grid radii must increase (grid.r_min < grid.r_max)")
     _expect(abs(params["chart"]["fp0"]) > 1e-12, "chart.fp0 must be nonzero")
+    chart = params["chart"] = k1_chart(params["chart"]["f0"],
+                                       params["chart"]["fp0"])
+    for c in CHART_SAMPLES:
+        try:
+            chart.coefficients(c)
+        except ValueError as e:
+            raise ConfigError(f"chart f0 and fp0 leave no chart member at "
+                              f"the sampled c = {c}: {e}")
 
 
 def _run_moduli(params: dict):
@@ -1065,37 +1102,34 @@ def _run_moduli(params: dict):
     checks = []
 
     I1, I2, I3 = complex_structures()
-    qdev = 0.0
-    for M in (I1, I2, I3):
-        qdev = max(qdev, float(np.max(np.abs(M @ M + np.eye(4)))))
-    qdev = max(qdev, float(np.max(np.abs(I1 @ I2 - I3))),
-               float(np.max(np.abs(I2 @ I1 + I3))),
-               float(np.max(np.abs(I2 @ I3 - I1))),
-               float(np.max(np.abs(I3 @ I1 - I2))))
+    qdev = float(np.max(np.abs(np.stack(
+        [M @ M + np.eye(4) for M in (I1, I2, I3)]
+        + [I1 @ I2 - I3, I2 @ I1 + I3, I2 @ I3 - I1, I3 @ I1 - I2]))))
     checks.append(_leq_check("quaternion_relations", qdev, 0.0))
 
-    wdev = 0.0
+    balances = []
     for _ in range(params["n_alpha"]):
         alpha = float(rng.uniform(-0.5, 0.5))
         (_, _), balance = nahm_weights(alpha)
-        wdev = max(wdev, abs(balance))
-    checks.append(_leq_check("parabolic_weight_zero_sum", wdev, 0.0,
+        balances.append(abs(balance))
+    checks.append(_leq_check("parabolic_weight_zero_sum",
+                             float(np.max(balances)), 0.0,
                              n_alpha=params["n_alpha"]))
 
     dim1 = moduli_dimension(1)
-    f0, fp0 = params["chart"]["f0"], params["chart"]["fp0"]
-    chart = k1_chart(f0, fp0)
+    chart = params["chart"]
+    f0, fp0 = chart.f0, chart.fp0
     rec = chart.record
     dim_ok = dim1 == 4 and rec["total_real_dim"] == dim1 \
         and rec["matches_dimension_formula"]
     checks.append(_check("dimension_matches_chart", dim1, None, dim_ok,
                          chart_record=rec))
-    cdev = 0.0
-    for c in (0.0 + 0.0j, 0.1 + 0.05j, -0.2j):
+    cdev = []
+    for c in CHART_SAMPLES:
         bc, cc, dc = chart.coefficients(c)
-        cdev = max(cdev, abs(bc / dc - f0),
-                   abs((dc - bc * cc) / dc ** 2 - fp0))
-    checks.append(_leq_check("chart_constraints", cdev, 1e-12))
+        cdev += [abs(bc / dc - f0), abs((dc - bc * cc) / dc ** 2 - fp0)]
+    checks.append(_leq_check("chart_constraints", float(np.max(cdev)),
+                             1e-12))
 
     grid = AnnulusGrid(**params["grid"])
     conn = model_connection(_model(params["model"]), torus)
@@ -1106,13 +1140,13 @@ def _run_moduli(params: dict):
         tangents.append((f"random{j}", random_tangent(
             grid, torus, seed=int(rng.integers(0, 2 ** 31)))))
 
-    res_rel_max = 0.0
+    res_rel = []
     for tag, t in tangents[:2]:
         r1, r2 = instanton_tangent_residual(t, calc)
         scale = max(calc.norm(t.comps), 1e-30)
-        res_rel_max = max(res_rel_max, r1 / scale, r2 / scale)
+        res_rel += [r1 / scale, r2 / scale]
     checks.append(_leq_check("translation_tangent_residual_rel",
-                             res_rel_max,
+                             float(np.max(res_rel)),
                              params["tolerances"]["residual_rel"]))
 
     n = len(tangents)
@@ -1123,20 +1157,20 @@ def _run_moduli(params: dict):
     sym_dev = float(np.max(np.abs(gram - gram.T)))
     eigs = np.linalg.eigvalsh(gram)
     checks.append(_leq_check("l2_metric_symmetry", sym_dev, 0.0))
-    checks.append(_check("l2_metric_positive", float(eigs[0]), 0.0,
-                         bool(eigs[0] > 0), margin=float(eigs[0])))
+    checks.append(_check("l2_metric_positive", eigs[0], 0.0, eigs[0] > 0,
+                         margin=eigs[0]))
 
     a = tangents[-1][1] if params["n_random_tangents"] else tangents[0][1]
     scale = l2_metric(a, a)
-    iso_dev = max(abs(l2_metric(aI, aI) - scale) for aI in (
-        apply_complex_structure(a, I) for I in (I1, I2, I3)))
+    iso_dev = float(np.max([abs(l2_metric(aI, aI) - scale) for aI in (
+        apply_complex_structure(a, I) for I in (I1, I2, I3))]))
     checks.append(_leq_check("complex_structure_isometry_rel",
                              iso_dev / scale, 1e-12))
 
     summary = {
-        "gram_matrix": gram.tolist(),
+        "gram_matrix": gram,
         "gram_labels": [tag for tag, _ in tangents],
-        "gram_eigenvalues": eigs.tolist(),
+        "gram_eigenvalues": eigs,
         "chart_record": rec,
         "dimension": {"k1": dim1, "k2": moduli_dimension(2)},
     }
@@ -1169,10 +1203,10 @@ def run(subcommand: str, config, out_dir: str = "./out",
     if subcommand not in _PIPELINES:
         raise ConfigError(f"unknown subcommand {subcommand!r}; expected one "
                           f"of {SUBCOMMANDS}")
-    if isinstance(config, (str, os.PathLike)):
-        cfg = _load_config(config)
-    else:  # the walk rejects anything but an object
-        cfg = copy.deepcopy(config)
+    # validation only reads the config, and the report's inputs are
+    # _jsonable's copy of it; the walk rejects anything but an object
+    cfg = _load_config(config) if isinstance(config, (str, os.PathLike)) \
+        else config
     validate, execute = _PIPELINES[subcommand]
     params = validate(cfg)
     t0 = time.perf_counter()
@@ -1180,10 +1214,10 @@ def run(subcommand: str, config, out_dir: str = "./out",
     wall = time.perf_counter() - t0
     passed = all(c["pass"] for c in checks)
     torus = params["torus"]
-    report = {
+    report = _jsonable({
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
-        "inputs": _jsonable(cfg),
+        "inputs": cfg,
         "checks": checks,
         "passed": passed,
         "provenance": {
@@ -1197,7 +1231,7 @@ def run(subcommand: str, config, out_dir: str = "./out",
         "artifacts": sorted(artifacts),
         "csv_columns": list(_CSV_COLUMNS),
         "wall_time_s": wall,
-    }
+    })
     os.makedirs(out_dir, exist_ok=True)
     stem = subcommand.replace("-", "_")
     _write_json(os.path.join(out_dir, f"{stem}_report.json"), report)
@@ -1208,7 +1242,7 @@ def run(subcommand: str, config, out_dir: str = "./out",
         else:
             _write_json(path, _jsonable(payload))
     if not quiet:
-        for c in checks:
+        for c in report["checks"]:
             state = "PASS" if c["pass"] else "FAIL"
             tol = "" if c["tolerance"] is None else f" tol={c['tolerance']}"
             print(f"[{state}] {c['name']}: value={c['value']}{tol}")

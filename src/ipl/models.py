@@ -56,14 +56,6 @@ class ModelParams:
             raise ValueError("the nilpotent model has no parameters: lambda, "
                              "mu and alpha must be 0")
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "mu": [self.mu.real, self.mu.imag],
-            "alpha": self.alpha,
-            "kind": self.kind,
-        }
-
 
 def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
     """Higgs pair of a model on the annulus beyond its core; closed-form

@@ -17,6 +17,11 @@ from .geometry import (TWO_PI, TorusSpec, DualTorusPoint, covering_radius,
                        xi_from_zeta)
 
 
+# the outer radius that stands in for |w| = infinity in the scans that read
+# every jumping point beyond r_min (the residue estimate, the blow-up scan)
+R_FAR = 1e30
+
+
 class SingularPointError(ValueError):
     """xi sits at a pole of the Higgs field (an asymptotic state)."""
 
@@ -119,7 +124,7 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
     """Residue of the transformed Higgs field at the singular point xi0,
     estimated from an approach sequence of complex twists zeta_j:
     w(xi_j) * (zeta_j - zeta(xi0)) for the largest jumping point on
-    r_min <= |w| <= 1e30, Richardson-extrapolated. Equals +mu at the
+    r_min <= |w| <= R_FAR, Richardson-extrapolated. Equals +mu at the
     singularity over the plus eigenline and -mu at the opposite one."""
     d_plus, d_minus = bundle.state_distances(xi0)
     if min(d_plus, d_minus) >= 1e-9:
@@ -130,7 +135,7 @@ def phi_residue(bundle: BundleModel, xi0: DualTorusPoint,
     ests, seps = [], []
     for zj in approach:
         sd = jumping_points(bundle, xi_from_zeta(zj, bundle.torus),
-                            domain=(bundle.r_min, 1e30), branch=branch)
+                            domain=(bundle.r_min, R_FAR), branch=branch)
         if not sd.points:
             raise RuntimeError("approach point produced no jumping points; "
                                "cannot continue the residue estimate")

@@ -104,7 +104,8 @@ def test_extract_invariants_round_trip_semisimple():
     assert inv.xi0.xi2 == pytest.approx(0.86, abs=1e-9)
     assert inv.alpha == pytest.approx(0.2, abs=1e-9)
     assert abs(inv.mu - p.mu) < 1e-9
-    lam_hat = complex(*inv.diagnostics["residue_fit"]["lambda_hat"])
+    lam_hat = inv.diagnostics["residue_fit"]["lambda_hat"]
+    assert isinstance(lam_hat, complex)
     assert abs(lam_hat - p.lam) < 1e-9
 
 
@@ -396,8 +397,7 @@ def test_extraction_matches_public_fits(lam, mu, alpha):
     assert (inv.xi0.xi1, inv.xi0.xi2) == (states.xi0.xi1, states.xi0.xi2)
     assert inv.alpha == a
     assert inv.mu == m
-    assert inv.diagnostics["residue_fit"]["lambda_hat"] == [lam_hat.real,
-                                                           lam_hat.imag]
+    assert inv.diagnostics["residue_fit"]["lambda_hat"] == lam_hat
 
 
 def _gauge_rotation(w):

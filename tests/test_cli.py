@@ -1,16 +1,18 @@
 """Tests for the verification CLI: config validation before any writes,
 report structure, CSV artifacts, seeded determinism, and exit codes."""
 
+import copy
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ipl import cli, models
+from ipl import cli, gauge, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, _rayleigh_quotients, main, run
 from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
@@ -20,6 +22,11 @@ from conftest import GAP_TORI, SIGMA3, comm
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
+ROOT = os.path.dirname(CONFIGS)
+RUN_ALL_SUITES = os.path.join(ROOT, "scripts", "run_all_suites.py")
+# the environment of a subprocess that imports ipl from this checkout
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")
+           + os.pathsep + os.environ.get("PYTHONPATH", "")}
 SPECTRAL_CFG = {
     "schema_version": 1,
     "seed": 5,
@@ -27,6 +34,13 @@ SPECTRAL_CFG = {
     "counting": {"n_samples": 5, "radius": [0.005, 0.02],
                  "domain": [5.0, 10000.0]},
 }
+
+
+def strict_json(text):
+    """Parses text as JSON with no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def canonical(report):
@@ -225,6 +239,26 @@ def test_order_two_target_scores_the_nearer_weyl_branch(tmp_path):
     assert perturbed["errors"]["mu"] < 1e-4
 
 
+def test_invariants_records_write_complex_values_as_pairs(tmp_path):
+    # the library returns complex numbers and arrays; the written record
+    # holds each complex as [re, im] and each array as nested lists
+    cfg = {"schema_version": 1,
+           "models": [{"lambda": [0.1, -0.2], "mu": [0.3, 0.4],
+                       "alpha": -0.25}]}
+    _, code = run("invariants", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 0
+    [record] = strict_json((tmp_path / "invariants.json").read_text())[
+        "models"]
+    assert record["inputs"] == {"lambda": [0.1, -0.2], "mu": [0.3, 0.4],
+                                "alpha": -0.25, "kind": "semisimple"}
+    re_mu, im_mu = record["extracted"]["mu"]
+    assert abs(complex(re_mu, im_mu) - (0.3 + 0.4j)) < 1e-9
+    re_lam, im_lam = record["diagnostics"]["residue_fit"]["lambda_hat"]
+    assert abs(complex(re_lam, im_lam) - (0.1 - 0.2j)) < 1e-9
+    per_ring = record["diagnostics"]["per_ring"]
+    assert len(per_ring) == 4 and all(len(row) == 2 for row in per_ring)
+
+
 @pytest.mark.parametrize("torus", [None, {"period_x": 4.0, "period_y": 7.0}],
                          ids=["2pi-x-2pi", "4-x-7"])
 @pytest.mark.parametrize("lam", [[0.4, 0.0], [0.4, 0.1], [-0.45, 0.3],
@@ -323,13 +357,10 @@ def test_residue_sampler_ends_on_a_narrow_mu_window(tmp_path):
            "residues": {"n_mu": 2}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    src = os.path.join(os.path.dirname(CONFIGS), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep
-           + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-m", "ipl.cli", "spectral", "--config",
          str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=SRC_ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads((tmp_path / "out" / "spectral_summary.json")
                       .read_text())["residues"]
@@ -353,14 +384,11 @@ def test_seed_override_via_main(tmp_path):
 def test_module_entry_point_runs_clean_under_warning_errors(tmp_path):
     # `python -m ipl.cli` is how the CLI runs uninstalled; importing the
     # package must not load ipl.cli first, or runpy warns on every run
-    src = os.path.join(os.path.dirname(CONFIGS), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep
-           + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ipl.cli",
          "conventions", "--config", os.path.join(CONFIGS, "conventions.json"),
          "--out", str(tmp_path), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "conventions_report.json").is_file()
 
@@ -368,14 +396,10 @@ def test_module_entry_point_runs_clean_under_warning_errors(tmp_path):
 def test_run_all_suites_exits_2_on_a_config_error(tmp_path):
     # a missing config directory once ended in a traceback and exit 1,
     # the code of a failed pipeline
-    root = os.path.dirname(CONFIGS)
-    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src") + os.pathsep
-           + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "run_all_suites.py"),
-         "--configs", str(tmp_path / "none"), "--out", str(tmp_path / "out"),
-         "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, RUN_ALL_SUITES, "--configs", str(tmp_path / "none"),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     errors = proc.stderr.splitlines()
@@ -634,6 +658,25 @@ SEEDED = {"schema_version": 1, "seed": 1}
     ("spectral", {**SPECTRAL_CFG, "bundle": {
         "lambda": [0.5, 0.0], "mu": [1.0, 0.0], "r_min": 5.0, "k": 1},
         "residues": {"n_mu": 2}}, "residues"),
+    # charts with a degenerate member at a sampled c (d = (1 - c f0) / fp0
+    # vanishes at c = 0.1 + 0.05i, at c = -0.2i, and falls under 1e-14 at
+    # c = 0), a reversed grid and a vanishing chart derivative
+    ("moduli", {**SEEDED, "chart": {"f0": [8, -4]}}, "chart"),
+    ("moduli", {**SEEDED, "chart": {"f0": [0, 5]}}, "chart"),
+    ("moduli", {**SEEDED, "chart": {"fp0": [1e15, 0]}}, "chart"),
+    ("moduli", {**SEEDED, "grid": {"r_min": 50, "r_max": 40}}, "grid"),
+    ("moduli", {**SEEDED, "chart": {"fp0": [0, 0]}}, "chart.fp0"),
+    # a bundle reaching past the default counting radius 1e4, or past the
+    # residue and blow-up scans' outer radius spectral.R_FAR
+    ("spectral", {**SEEDED, "bundle": {**SPECTRAL_CFG["bundle"],
+                                       "r_min": 2e4}, "counting": {}},
+     "bundle.r_min"),
+    ("spectral", {**SEEDED, "bundle": {**SPECTRAL_CFG["bundle"],
+                                       "r_min": 1e31},
+                  "dichotomy": {"annulus": [1e31, 1e32]}}, "bundle.r_min"),
+    ("spectral", {**SEEDED, "bundle": {**SPECTRAL_CFG["bundle"],
+                                       "r_min": 1e31}, "residues": {}},
+     "bundle.r_min"),
 ])
 def test_malformed_nested_input_exits_2(tmp_path, capsys, subcommand, cfg,
                                         path):
@@ -736,3 +779,142 @@ def test_invariant_rings_just_beyond_one_write_a_report(tmp_path):
     rc, out = main_in(tmp_path, "invariants", cfg)
     assert rc == 1
     assert (out / "invariants_report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"schema_version": 1, "deep": ' + "[" * 500 + "]" * 500 + "}",
+], ids=["unparsable", "under-an-unknown-key"])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, text):
+    # the first once ended in json's RecursionError, the second in one from
+    # a deep copy of the parsed config: each a traceback and exit 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["conventions", "--config", str(cfg_path), "--out", str(out),
+               "--quiet"])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_run_leaves_the_callers_config_unchanged(tmp_path):
+    for subcommand, name in SUITE:
+        with open(os.path.join(CONFIGS, name)) as fh:
+            cfg = json.load(fh)
+        before = copy.deepcopy(cfg)
+        run(subcommand, cfg, out_dir=str(tmp_path / name), quiet=True)
+        assert cfg == before, name
+
+
+def test_run_all_suites_names_a_deeply_nested_config(tmp_path):
+    configs = tmp_path / "configs"
+    shutil.copytree(CONFIGS, configs)
+    (configs / "conventions.json").write_text("[" * 100000 + "]" * 100000)
+    proc = subprocess.run(
+        [sys.executable, RUN_ALL_SUITES, "--configs", str(configs),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "config error: conventions: config nests too deeply to parse"]
+
+
+def _assert_failed_unevaluated(check, out_dir, report_name):
+    assert check["pass"] is False
+    assert check["value"] is None and check["margin"] is None
+    assert check["reason"] == "value is nan"
+    strict_json((out_dir / report_name).read_text())
+
+
+def test_a_nan_sample_fails_the_model_sweep(tmp_path, monkeypatch):
+    # a NaN in the second model's residuals once read as the first model's
+    # finite sup: Python's max keeps a NaN only in first place
+    calls, residual = [], cli.asd_residual
+
+    def planted(conn, points):
+        out = residual(conn, points)
+        calls.append(1)
+        if len(calls) == 2:
+            out[3] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, "asd_residual", planted)
+    cfg = {**SEEDED, "n_points": 20,
+           "models": [{"mu": [1.0, 0.0]}, {"mu": [0.5, 0.0]}]}
+    report, code = run("model-check", cfg, out_dir=str(tmp_path), quiet=True)
+    assert code == 1 and len(calls) == 2
+    [check] = report["checks"]
+    assert check["name"] == "asd_residual_sup_semisimple"
+    _assert_failed_unevaluated(check, tmp_path, "model_check_report.json")
+
+
+def test_a_nan_gap_fails_the_fourier_gap_check(tmp_path, monkeypatch):
+    # a least gap starting from inf kept inf past a NaN, and inf passed
+    gap = cli.fourier_gap
+
+    def planted(*args):
+        out = gap(*args)
+        out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(cli, "fourier_gap", planted)
+    report, code = run("model-check", {**SEEDED, "inequalities": {
+        "fourier_gap": {"n_samples": 100}}}, out_dir=str(tmp_path),
+        quiet=True)
+    assert code == 1
+    [check] = report["checks"]
+    assert check["name"] == "fourier_gap_min"
+    _assert_failed_unevaluated(check, tmp_path, "model_check_report.json")
+
+
+def test_overflowing_model_check_fails_in_strict_json(tmp_path):
+    # the model's partials overflow at these radii, so every residual is
+    # NaN; the sweep's sup once read 0.0 and passed
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **SEEDED, "n_points": 50,
+        "models": [{"mu": [1, 0], "domain": [1e200, 1e300]}]}))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipl.cli", "model-check", "--config",
+         str(cfg_path), "--out", str(out), "--quiet"],
+        env=SRC_ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    report = strict_json((out / "model_check_report.json").read_text())
+    [check] = report["checks"]
+    assert check["pass"] is False and check["value"] is None
+    assert check["reason"] == "value is nan"
+
+
+def _self_dual_doubled(f, axis=-2):
+    return gauge.self_dual(f, axis) * 2.0
+
+
+def _self_dual_slot_twice(f, axis=-2):
+    f = np.moveaxis(f, axis, 0)
+    return np.stack([f[0] + f[5], f[1] - f[4], f[2] + f[4]], axis=axis) * 0.5
+
+
+def _self_dual_sign_flipped(f, axis=-2):
+    f = np.moveaxis(f, axis, 0)
+    return np.stack([f[0] + f[5], f[1] + f[4], f[2] + f[3]], axis=axis) * 0.5
+
+
+@pytest.mark.parametrize("fault, involution", [
+    (_self_dual_doubled, 24.0),
+    (_self_dual_slot_twice, 2.0),
+    # every sign choice gives an involution; model_check_exact's
+    # anti-self-dual residuals pin the orientation
+    (_self_dual_sign_flipped, 0.0),
+], ids=["factor-one", "slot-twice", "sign-flipped"])
+def test_hodge_star_checks_read_gauge_self_dual(tmp_path, monkeypatch, fault,
+                                                involution):
+    monkeypatch.setattr(cli, "self_dual", fault)
+    report, code = run("conventions", {"schema_version": 1},
+                       out_dir=str(tmp_path), quiet=True)
+    check = {c["name"]: c for c in report["checks"]}["hodge_star_involution"]
+    assert check["value"] == involution
+    assert code == (0 if involution == 0.0 else 1)
