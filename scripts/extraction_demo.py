@@ -21,7 +21,8 @@ import argparse
 import sys
 
 from ipl.asymptotics import (ExtractionError, extract_invariants,
-                             instanton_number, roundtrip_errors)
+                             holonomy_table, instanton_number,
+                             roundtrip_errors)
 from ipl.geometry import TorusSpec
 from ipl.models import ModelParams, model_connection, perturb
 
@@ -66,7 +67,8 @@ def main():
     for rings in RING_FAMILIES:
         label = f"rings {rings[0]:6.1f}..{rings[-1]:6.1f}"
         try:
-            inv = extract_invariants(conn, rings, kind="semisimple")
+            inv = extract_invariants(holonomy_table(conn, rings),
+                                     kind="semisimple")
         except ExtractionError as e:
             print(f"{label}: extraction failed: {e}")
             failed = True

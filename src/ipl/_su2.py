@@ -23,12 +23,16 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 def mul(X, Y):
     """The product of SU(2) pairs X Y (..., 2), broadcasting over leading
-    axes: (p1 p2 - q1 conj q2, p1 q2 + q1 conj p2)."""
+    axes: (p1 p2 - q1 conj q2, p1 q2 + q1 conj p2). Each product is its own
+    ufunc call: as `q1 * np.conj(q2)`, numpy would write a conjugate of
+    256 KiB or more in place, through a complex multiply that rounds
+    otherwise, so a pair's product would depend on the size of its
+    batch."""
     p1, q1 = X[..., 0], X[..., 1]
     p2, q2 = Y[..., 0], Y[..., 1]
     out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=complex)
-    np.subtract(p1 * p2, q1 * np.conj(q2), out=out[..., 0])
-    np.add(p1 * q2, q1 * np.conj(p2), out=out[..., 1])
+    np.subtract(p1 * p2, np.multiply(q1, np.conj(q2)), out=out[..., 0])
+    np.add(p1 * q2, np.multiply(q1, np.conj(p2)), out=out[..., 1])
     return out
 
 

@@ -18,7 +18,7 @@ flipped the branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,7 +101,12 @@ class HolonomyTable:
     (n_rings, N_THETA / COARSE, 3), the same circles at half the transverse
     period through thetas[::COARSE]. theta: (n_rings, 3), theta-circles
     based at theta = 0. axis_theta: (N_THETA / COARSE, 3), theta-circles on
-    the outer ring through thetas[::COARSE]."""
+    the outer ring through thetas[::COARSE].
+
+    The table of a batch of M models (n_models = M, see
+    gauge.ConnectionSource) has a leading model axis on every entry, and
+    `model(m)` is model m's table: bit for bit the table of model m
+    alone."""
     rings: tuple
     torus: TorusSpec
     thetas: np.ndarray
@@ -111,47 +116,60 @@ class HolonomyTable:
     y_half: np.ndarray
     theta: np.ndarray
     axis_theta: np.ndarray
+    n_models: int | None = None
+
+    def model(self, m: int) -> HolonomyTable:
+        """Model m's table, of a batch's."""
+        if self.n_models is None:
+            raise ValueError("not the table of a batch of models")
+        return replace(self, n_models=None, **{
+            f: getattr(self, f)[m]
+            for f in ("x", "y", "x_half", "y_half", "theta", "axis_theta")})
 
 
 def _ring_bases(rs, ths, x: float = 0.0, y: float = 0.0) -> np.ndarray:
-    """Base points (r, theta, x, y) on the grid rs x ths, ring-major."""
+    """Base points (r, theta, x, y) on the grid rs x ths, (len(rs),
+    len(ths), 4)."""
     R, T = np.meshgrid(rs, ths, indexing="ij")
-    return np.stack([R.ravel(), T.ravel(), np.full(R.size, x),
-                     np.full(R.size, y)], axis=-1)
+    return np.stack([R, T, np.full(R.shape, x), np.full(R.shape, y)],
+                    axis=-1)
 
 
 def holonomy_table(conn: ConnectionSource, rings) -> HolonomyTable:
     """The `HolonomyTable` of conn on rings, which must be at least 4 and
-    strictly increasing."""
+    strictly increasing; on a batch of models, one call per loop kind for
+    the whole batch. Each call's bases go ring by ring, so that the
+    circles a perturbation shell reaches are adjacent."""
     rings = tuple(float(r) for r in rings)
     if len(rings) < 4 or any(b <= a for a, b in zip(rings, rings[1:])):
         raise ValueError("need at least 4 strictly increasing rings")
     Lx, Ly = conn.torus.period_x, conn.torus.period_y
     thetas = np.linspace(0.0, TWO_PI, N_THETA, endpoint=False)
     coarse = thetas[::COARSE]
+    lead = () if conn.n_models is None else (conn.n_models,)
 
-    n = len(rings)
-    loops = {  # kind: {field: (base points, field shape)}
-        "x": {"x": (_ring_bases(rings, thetas), (n, N_THETA)),
-              "x_half": (_ring_bases(rings, coarse, y=Ly / 2.0),
-                         (n, coarse.size))},
-        "y": {"y": (_ring_bases(rings, thetas), (n, N_THETA)),
-              "y_half": (_ring_bases(rings, coarse, x=Lx / 2.0),
-                         (n, coarse.size))},
-        "theta": {"theta": (_ring_bases(rings, [0.0]), (n,)),
-                  "axis_theta": (_ring_bases(rings[-1:], coarse),
-                                 (coarse.size,))},
-    }
+    def rotations(kind, bases):
+        """Rotation vectors (..., B, 3) of the circles through bases
+        (B, 4), for every model."""
+        return _su2.log_su2(circle_holonomies(
+            conn, kind, np.broadcast_to(bases, lead + bases.shape)))
+
     table = {}
-    for kind, fields in loops.items():
-        v = _su2.log_su2(circle_holonomies(
-            conn, kind, np.concatenate([pts for pts, _ in fields.values()])))
-        start = 0
-        for name, (bases, shape) in fields.items():
-            table[name] = v[start:start + len(bases)].reshape(shape + (3,))
-            start += len(bases)
+    # x- and y-circles: on each ring the full and the half-offset ones
+    for kind, half in (("x", {"y": Ly / 2.0}), ("y", {"x": Lx / 2.0})):
+        bases = np.concatenate([_ring_bases(rings, thetas),
+                                _ring_bases(rings, coarse, **half)], axis=1)
+        v = rotations(kind, bases.reshape(-1, 4)).reshape(
+            lead + bases.shape[:2] + (3,))
+        table[kind] = np.ascontiguousarray(v[..., :N_THETA, :])
+        table[f"{kind}_half"] = np.ascontiguousarray(v[..., N_THETA:, :])
+    v = rotations("theta", np.concatenate([
+        _ring_bases(rings, [0.0]).reshape(-1, 4),
+        _ring_bases(rings[-1:], coarse).reshape(-1, 4)]))
+    table["theta"], table["axis_theta"] = v[..., :len(rings), :], \
+        v[..., len(rings):, :]
     return HolonomyTable(rings=rings, torus=conn.torus, thetas=thetas,
-                         **table)
+                         n_models=conn.n_models, **table)
 
 
 def reference_axis(v: np.ndarray) -> np.ndarray:
@@ -413,17 +431,19 @@ def poincare_constant(gamma: DualTorusPoint | None,
 # ---------------------------------------------------------------------------
 # orchestrator
 
-def extract_invariants(conn: ConnectionSource, rings,
+def extract_invariants(table: HolonomyTable,
                        kind: str | None = None) -> AsymptoticInvariants:
     """Full invariant extraction with branch bookkeeping: fits flat_limit,
-    limiting_holonomy and residue from one holonomy table with a shared
-    axis convention, detects the asymptotic kind when not supplied, and
-    applies the fundamental-domain sign flip jointly to (xi0, alpha, mu)
-    and to the residue fit's lambda_hat, so that all four are reported in
-    one branch."""
+    limiting_holonomy and residue from one model's holonomy table (of a
+    batch's, its `model(m)`) with a shared axis convention, detects the
+    asymptotic kind when not supplied, and applies the fundamental-domain
+    sign flip jointly to (xi0, alpha, mu) and to the residue fit's
+    lambda_hat, so that all four are reported in one branch."""
     if kind is not None:
         check_kind(kind)
-    table = holonomy_table(conn, rings)
+    if table.n_models is not None:
+        raise ValueError("a batch's table: extract from one model's, "
+                         "table.model(m)")
     fl = flat_limit(table)
     xi = fl.xi
     if kind is None:

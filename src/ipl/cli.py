@@ -27,8 +27,8 @@ import numpy as np
 from ._version import __version__
 from . import models
 from .asymptotics import ExtractionError, decay_exponent, \
-    extract_invariants, poincare_constant, roundtrip_errors
-from .gauge import DRIFT_STEPS, asd_residual, flat_connection, \
+    extract_invariants, holonomy_table, poincare_constant, roundtrip_errors
+from .gauge import DRIFT_STEPS, PAIRS, asd_residual, flat_connection, \
     monodromy_drift_defect, random_quadratic_form_fixture, self_dual, \
     weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
@@ -330,6 +330,15 @@ def _leq_check(name, value, tolerance, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # conventions
 
+def _permutation_sign(idx) -> int:
+    """The Levi-Civita symbol: the sign of the permutation idx of 0..n-1,
+    and 0 when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return 0
+    inversions = sum(a > b for n, a in enumerate(idx) for b in idx[n + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def _run_conventions(params: dict):
     torus = params["torus"]
     sheet = conventions_sheet(torus)
@@ -343,6 +352,13 @@ def _run_conventions(params: dict):
     star = 4.0 * C @ C.T - np.eye(6)
     invol = float(np.max(np.abs(star @ star - np.eye(6))))
     trace = abs(float(np.trace(star)))
+    # an involution with zero trace may still pair the slots wrongly or
+    # flip a sign: compare it with the star of the PAIRS 2-forms e_i ^ e_j
+    # on the sheet's positive coframe (dr, r dtheta, dx, dy),
+    # *(e_i ^ e_j) = sum_{k < l} eps_ijkl e_k ^ e_l
+    eps = np.array([[_permutation_sign((i, j, k, l)) for k, l in PAIRS]
+                    for i, j in PAIRS])
+    orientation = float(np.max(np.abs(star - eps)))
 
     # the first generator is real and the second imaginary
     (_, g1_im), (g2_re, _) = sheet["dual_lattice_basis"]
@@ -355,6 +371,7 @@ def _run_conventions(params: dict):
     checks = [
         _leq_check("hodge_star_involution", invol, 0.0),
         _leq_check("hodge_star_traceless", trace, 0.0),
+        _leq_check("hodge_star_orientation", orientation, 0.0),
         _leq_check("dual_lattice_axes", axis_dev, 0.0),
         _leq_check("integer_xi_in_lattice", lattice_dev, 1e-12),
         _check("hash_stable", digest == conventions_hash(torus), None,
@@ -711,31 +728,47 @@ def _run_invariants(params: dict):
     checks = []
     records = []
 
+    def extractions(models, pert):
+        """Each model's AsymptoticInvariants or ExtractionError, in model
+        order, from one batched holonomy table per kind; perturbed model j
+        draws seed + j."""
+        out = [None] * len(models)
+        for kind in KINDS:
+            js = [j for j, (p, _) in enumerate(models) if p.kind == kind]
+            if not js:
+                continue
+            conn = model_connection([models[j][0] for j in js], torus)
+            if pert is not None:
+                conn = perturb(conn, delta=pert["delta"],
+                               amplitude=pert["amplitude"],
+                               seed=[params["seed"] + j for j in js],
+                               r_lo=pert["r_lo"], r_hi=pert["r_hi"])
+            table = holonomy_table(conn, params["rings"])
+            for m, j in enumerate(js):
+                try:
+                    # slow power-law tails make blind kind detection
+                    # ill-posed at finite radii, so the noisy pass states
+                    # the kind
+                    out[j] = extract_invariants(
+                        table.model(m), kind=None if pert is None else kind)
+                except ExtractionError as e:
+                    out[j] = e
+        return out
+
     def one_pass(tag, pert, tols):
         errs = {"lambda": [], "alpha": [], "mu": []}
         kinds_ok = True
         failed = []
         models = params["models"]
-        for j, (p, _) in enumerate(models):
-            conn = model_connection(p, torus)
-            kind = None
-            if pert is not None:
-                conn = perturb(conn, delta=pert["delta"],
-                               amplitude=pert["amplitude"],
-                               seed=params["seed"] + j,
-                               r_lo=pert["r_lo"], r_hi=pert["r_hi"])
-                # slow power-law tails make blind kind detection ill-posed
-                # at finite radii, so the noisy pass states the kind
-                kind = p.kind
+        for j, ((p, _), inv) in enumerate(zip(models,
+                                              extractions(models, pert))):
             record = {"pass": tag, "model": _model_tag(j, p),
                       "inputs": {"lambda": p.lam, "mu": p.mu,
                                  "alpha": p.alpha, "kind": p.kind}}
             records.append(record)
-            try:
-                inv = extract_invariants(conn, params["rings"], kind=kind)
-            except ExtractionError as e:
-                record["error"] = str(e)
-                failed.append({"model": record["model"], "error": str(e)})
+            if isinstance(inv, ExtractionError):
+                record["error"] = str(inv)
+                failed.append({"model": record["model"], "error": str(inv)})
                 continue
             e = roundtrip_errors(p, inv, torus)
             kinds_ok = kinds_ok and e["kind_ok"]

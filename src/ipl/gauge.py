@@ -67,6 +67,13 @@ class ConnectionSource(RadialDomain):
     `flat_connection` (through `read_along_circle_at_base`), and `perturb`
     on a base that has one. `circle_holonomies` then takes the x- and
     y-circles from it.
+    n_models, when set: the connection is a batch of that many models
+    (`models.model_connection` of a sequence), one per entry of a model
+    axis M that points carry third from last: evaluate and derivative take
+    points (..., M, P, 4), along_circle bases (M, B, 4), and every result
+    has the model axis where the points have it, model m's entries equal
+    to those of model m alone (`perturb` says where the sign of a zero
+    may differ). Points without it raise ValueError.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -75,6 +82,7 @@ class ConnectionSource(RadialDomain):
     r_min: float = 0.0
     name: str = "connection"
     along_circle: Callable | None = None
+    n_models: int | None = None
 
 
 def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
@@ -84,7 +92,7 @@ def read_along_circle_at_base(conn: ConnectionSource) -> ConnectionSource:
     so a wrapper installed on evaluate later sees every read. Returns
     conn."""
     def along_circle(kind, bases, coords):
-        return conn.evaluate(bases)[:, {"x": 2, "y": 3}[kind]]
+        return conn.evaluate(bases)[..., {"x": 2, "y": 3}[kind], :]
 
     conn.along_circle = along_circle
     return conn
@@ -205,8 +213,8 @@ def _magnus_generators(a: np.ndarray, tans: np.ndarray) -> np.ndarray:
 def _magnus_product(b: np.ndarray) -> np.ndarray:
     """Product of n transport steps from their su(2) Magnus generators b
     (n, 2, ..., 3), b_i = -A . gamma' / n at the step's two Gauss nodes
-    (see `_magnus_generators`). Returns the SU(2) pairs (..., 2) (see
-    `_su2`).
+    (see `_magnus_generators`), which it overwrites. Returns the SU(2)
+    pairs (..., 2) (see `_su2`).
 
     Each step is exp(Omega) of the fourth-order Magnus expansion (Iserles &
     Norsett 1999; Blanes, Casas, Oteo & Ros 2009):
@@ -219,9 +227,15 @@ def _magnus_product(b: np.ndarray) -> np.ndarray:
     with log2(n) levels rather than n sequential products, so one SU(2)
     projection at the end suffices.
     """
-    omega = 0.5 * (b[:, 0] + b[:, 1]) \
-        + (math.sqrt(3.0) / 12.0) * _su2.comm_vector(b[:, 1], b[:, 0])
-    steps = _su2.expm_su2(omega)
+    # Omega in place of b_1: a large batch holds no copy of the generators
+    b1, b2 = b[:, 0], b[:, 1]
+    bracket = _su2.comm_vector(b2, b1)
+    bracket *= math.sqrt(3.0) / 12.0
+    b1 += b2
+    b1 *= 0.5
+    b1 += bracket
+    del bracket
+    steps = _su2.expm_su2(b1)
     while len(steps) > 1:
         paired = _su2.mul(steps[1::2], steps[:-1:2])
         steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
@@ -229,10 +243,13 @@ def _magnus_product(b: np.ndarray) -> np.ndarray:
 
 
 def line_paths(starts, delta, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-node samples and tangents, each (steps, 2, B, 4), of the paths
-    start + t delta, t in [0, 1], from each start (B, 4) along delta (4 or
-    (B, 4)), for `steps` Magnus steps of `_path_ordered_product`."""
-    pts = starts + _step_times(steps)[..., None, None] * delta
+    """Gauss-node samples and tangents, each (steps, 2, ..., B, 4), of the
+    paths start + t delta, t in [0, 1], from each start (..., B, 4) along
+    delta (4 or (..., B, 4)), for `steps` Magnus steps of
+    `_path_ordered_product`."""
+    starts = np.asarray(starts, dtype=float)
+    times = _step_times(steps)[(...,) + (None,) * starts.ndim]
+    pts = starts + times * delta
     return pts, np.broadcast_to(delta, pts.shape)
 
 
@@ -247,8 +264,9 @@ def circle_paths(torus: TorusSpec, kind: str, bases: np.ndarray,
 def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
                       steps: int = LOOP_STEPS) -> np.ndarray:
     """Holonomies of the coordinate circles of one kind ('x', 'y' or
-    'theta') through each base point bases (B, 4): the SU(2) pairs (B, 2).
-    This is where a loop's route is chosen.
+    'theta') through each base point bases (B, 4), or (M, B, 4) on a batch
+    of M models: the SU(2) pairs (B, 2) or (M, B, 2). This is where a
+    loop's route is chosen.
 
     Theta-circles, and every circle of a connection without an
     along_circle, take the path-ordered product of `steps` Magnus steps,
@@ -265,14 +283,14 @@ def circle_holonomies(conn: ConnectionSource, kind: str, bases: np.ndarray,
     bases = np.asarray(bases, dtype=float)
     axis = {"x": 2, "y": 3}.get(kind)
     if axis is None or conn.along_circle is None \
-            or np.any(bases[:, axis] != bases[0, axis]):
+            or np.any(bases[..., axis] != bases.flat[axis]):
         return _path_ordered_product(
             conn, *circle_paths(conn.torus, kind, bases, steps))
     conn.check_domain(bases)
     L = conn.torus.period_x if kind == "x" else conn.torus.period_y
     a = conn.along_circle(kind, bases,
-                          bases[0, axis] + L * _step_times(steps))
-    if a.ndim == 2:  # constant along each circle
+                          bases.flat[axis] + L * _step_times(steps))
+    if a.ndim == bases.ndim:  # constant along each circle
         return _su2.expm_su2(-L * a)
     # -(L / steps) a, rounded as _path_ordered_product rounds
     # sum_i tans_i a_i / -n

@@ -57,25 +57,58 @@ class ModelParams:
                              "mu and alpha must be 0")
 
 
-def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
+def _model_batch(params) -> tuple:
+    """(kind, parameter arrays, n_models) of one ModelParams, or of a
+    sequence of them of one kind; an array is the Python number itself for
+    one model, and a (M, 1) array for a batch of M, to broadcast against
+    points (..., M, P) on the model axis. Each model's -i mu is formed in
+    Python, as one model's closed forms form it."""
+    single = isinstance(params, ModelParams)
+    batch = (params,) if single else tuple(params)
+    kinds = {p.kind for p in batch}
+    if len(kinds) != 1:
+        raise ValueError("a batch of models needs at least one model and "
+                         "one kind")
+    values = [(p.lam, p.mu, -1j * p.mu, p.alpha) for p in batch]
+    if single:
+        return kinds.pop(), values[0], None
+    return (kinds.pop(), tuple(np.array(c)[:, None] for c in zip(*values)),
+            len(batch))
+
+
+def _check_model_axis(points, n_models) -> np.ndarray:
+    """points as floats; on a batch of n_models models, ValueError unless
+    they are (..., n_models, P, d)."""
+    points = np.asarray(points, dtype=float)
+    if n_models is not None and (points.ndim < 3
+                                 or points.shape[-3] != n_models):
+        raise ValueError(f"points of a batch of {n_models} models need the "
+                         f"model axis, shape (..., {n_models}, P, d); got "
+                         f"{points.shape}")
+    return points
+
+
+def hitchin_model(params, torus: TorusSpec) -> HiggsPairOnPlane:
     """Higgs pair of a model on the annulus beyond its core; closed-form
-    fields and exact derivatives."""
-    if params.kind == "semisimple":
+    fields and exact derivatives. params is one ModelParams, or a sequence
+    of them of one kind: a batch, whose fields take points (..., M, P, 2)
+    with the model axis M (see gauge.ConnectionSource.n_models)."""
+    kind, (lam, mu, neg_i_mu, alpha), n_models = _model_batch(params)
+    if kind == "semisimple":
         r0 = DEFAULT_SEMISIMPLE_R_MIN
-        lam, mu, alpha = params.lam, params.mu, params.alpha
 
         def evaluate(points):
-            points = np.asarray(points, dtype=float)
+            points = _check_model_axis(points, n_models)
             b = np.zeros(points.shape[:-1] + (2, 3))
             b[..., 1, 2] = alpha
             w = points[..., 0] * np.exp(1j * points[..., 1])
             return b, (-1j * (lam + mu / w))[..., None] * E3
 
         def derivative(points):
-            points = np.asarray(points, dtype=float)
+            points = _check_model_axis(points, n_models)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
-            coef = np.stack([-mu / (w * r), -1j * mu / w], axis=-1)
+            coef = np.stack([-mu / (w * r), neg_i_mu / w], axis=-1)
             return (np.zeros(points.shape[:-1] + (2, 2, 3)),
                     (-1j * coef)[..., None] * E3)
 
@@ -84,7 +117,7 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
         r0 = DEFAULT_NILPOTENT_R_MIN
 
         def evaluate(points):
-            points = np.asarray(points, dtype=float)
+            points = _check_model_axis(points, n_models)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
@@ -93,7 +126,7 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
             return b, (1.0 / (w * L))[..., None] * NILP
 
         def derivative(points):
-            points = np.asarray(points, dtype=float)
+            points = _check_model_axis(points, n_models)
             r = points[..., 0]
             w = r * np.exp(1j * points[..., 1])
             L = 2.0 * np.log(r)
@@ -109,10 +142,15 @@ def hitchin_model(params: ModelParams, torus: TorusSpec) -> HiggsPairOnPlane:
                             torus=torus, r_min=r0, name=name)
 
 
-def model_connection(params: ModelParams, torus: TorusSpec) -> ConnectionSource:
-    """The model instanton: the lift of the model's Higgs pair."""
+def model_connection(params, torus: TorusSpec) -> ConnectionSource:
+    """The model instanton: the lift of the model's Higgs pair. params is
+    one ModelParams, or a sequence of them of one kind, whose connection
+    is the batch of their models (see gauge.ConnectionSource.n_models)."""
+    if not isinstance(params, ModelParams):
+        params = tuple(params)
     conn = lift(hitchin_model(params, torus))
-    conn.name = f"{params.kind}-model"
+    kind, _, conn.n_models = _model_batch(params)
+    conn.name = f"{kind}-model"
     return conn
 
 
@@ -173,7 +211,7 @@ def _radial(r, u, delta: float):
 
 
 def perturb(conn: ConnectionSource, delta: float, amplitude: float,
-            seed: int, r_lo: float, r_hi: float) -> ConnectionSource:
+            seed, r_lo: float, r_hi: float) -> ConnectionSource:
     """Adds a deterministic random perturbation with pointwise bound
     |a - a_base| <= amplitude * r^-(1+delta) and one derivative of matching
     decay, with exact derivatives added to the base's. Its N_BUMPS shells
@@ -193,87 +231,131 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     g and the two transverse cosines once per circle and the along-circle
     cosine once per node.
 
+    On a batch of M models (conn.n_models = M) seed is a sequence of M
+    seeds, model m's terms drawn from seed[m], and the result is the batch
+    of the M perturbations: model m's entries are those of perturbing
+    model m alone with seed[m], bit for bit where the models' points share
+    their radii (a holonomy table's do). A seed count that does not match
+    the batch raises ValueError. The shells' radii do not depend on the
+    seed, so one support test serves every model: the models' terms sit
+    on a model axis just before the points'.
+
     A term vanishes exactly outside its bump's support, so each shell is
-    added only on the points (circles) inside that support, in one scatter
-    into the base's fresh arrays; every sum equals, bit for bit, that of
-    adding every term at every point (up to the sign of a zero, which
-    adding an exact zero term can flip)."""
+    added only on the points (circles) where some model's point is inside
+    that support, in one scatter into the base's fresh arrays (a slice of
+    the circles when they are adjacent, as on the rings of a holonomy
+    table); every sum equals, bit for bit, that of adding every term at
+    every point (up to the sign of a zero, which adding an exact zero term
+    can flip: so can the terms a shell adds to a model whose point at that
+    position lies outside it)."""
     if delta <= 0 or amplitude < 0:
         raise ValueError("need delta > 0 and amplitude >= 0")
+    n_models = conn.n_models
+    if np.ndim(seed) != (n_models is not None) \
+            or n_models is not None and len(seed) != n_models:
+        raise ValueError("seed must be one integer, or one per model of a "
+                         f"batch of {n_models}")
+    seeds = [seed] if n_models is None else list(seed)
     half_amp = amplitude / 2.0
-    # each shell with its wave numbers k (4, 3), row j for component j
     periods = (conn.torus.period_x, conn.torus.period_y)
-    shells = [(sh, np.column_stack([sh.modes[:, 0],
-                                    TWO_PI * sh.modes[:, 1:] / periods]))
-              for sh in _perturb_shells(seed, r_lo, r_hi)]
+    # shell i of every model: its wave numbers k and phases (4, 3, M, 1)
+    # and directions (3, 4, M, 1), row j for component j, model m in
+    # column m
+    shells = []
+    for same in zip(*(_perturb_shells(s, r_lo, r_hi) for s in seeds)):
+        modes, phases, vectors = (np.stack([getattr(sh, f) for sh in same])
+                                  for f in ("modes", "phases", "vectors"))
+        k = np.concatenate([modes[..., :1],
+                            TWO_PI * modes[..., 1:] / periods], axis=-1)
+        shells.append((same[0], k.transpose(1, 2, 0)[..., None],
+                       phases.transpose(1, 2, 0)[..., None],
+                       vectors.transpose(2, 1, 0)[..., None]))
 
-    def waves(k, phases, s):  # the waves' arguments, points on a new last axis
-        return k[..., None] * s + phases[..., None]
+    def batched(points):
+        """points (..., 4) as (Q, M, P, 4): the batch's (..., M, P, 4), or
+        one connection's as Q = M = 1."""
+        if n_models is None:
+            return points.reshape(1, 1, -1, 4)
+        return points.reshape((-1,) + points.shape[-3:])
 
     def _live_shells(points):
-        """(shell, k, flat indices, points, u) for every shell whose support
-        holds some of the (n, 4) points; u is computed as _bump sees it."""
-        r = points[:, 0]
-        for shell, k in shells:
+        """(shell, k, phases, vectors, q, p, points, u) for every shell
+        whose support holds some of the points (Q, M, P, 4): q, p index
+        the (Q, P) positions where some model's point is inside, points
+        (4, M, n) are theirs, and u (M, n) is as _bump sees it."""
+        r = points[..., 0]
+        for shell, k, phases, vectors in shells:
             u = (r - shell.center) / shell.width
-            idx = np.flatnonzero(np.abs(u) < 1.0)
-            if idx.size:
-                yield shell, k, idx, points[idx], u[idx]
+            q, p = np.nonzero(np.any(np.abs(u) < 1.0, axis=1))
+            if q.size:
+                yield (shell, k, phases, vectors, q, p,
+                       np.ascontiguousarray(points[q, :, p].T),
+                       np.ascontiguousarray(u[q, :, p].T))
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
-        out, lead = conn.evaluate(points), points.shape[:-1]
-        for shell, k, idx, pts, u in _live_shells(points.reshape(-1, 4)):
-            f = np.cos(waves(k, shell.phases, pts.T[1:]))
-            g = _radial(pts[:, 0], u, delta)
+        out = conn.evaluate(points)
+        pts4 = batched(points)
+        out4 = out.reshape(pts4.shape[:-1] + (4, 3))
+        for _, k, phases, vectors, q, p, pts, u in _live_shells(pts4):
+            f = np.cos(k * pts[1:] + phases)
+            g = _radial(pts[0], u, delta)
             term = half_amp * (g * (f[:, 0] * f[:, 1] * f[:, 2]))
-            out[np.unravel_index(idx, lead)] += (
-                term * shell.vectors.T[..., None]).T
-        return out
+            out4[q, :, p] += (term * vectors).T
+        return out4.reshape(out.shape)
 
     def along_circle(kind, bases, coords):
         axis, j = {"x": (2, 1), "y": (3, 2)}[kind]  # j: the along-circle wave
         along = np.asarray(coords, dtype=float)
         a = conn.along_circle(kind, bases, along)
-        out = np.broadcast_to(a, along.shape + a.shape[-2:]).copy()
-        for shell, k, idx, pts, u in _live_shells(np.asarray(bases, float)):
-            kr, phr = k[axis], shell.phases[axis]
-            f = list(np.cos(waves(kr, phr, pts.T[1:])))
-            f[j] = np.cos(waves(kr[j], phr[j], along[..., None]))
-            g = _radial(pts[:, 0], u, delta)
-            term = half_amp * (g * (f[0] * f[1] * f[2]))[..., None]
-            out[..., idx, :] += term * shell.vectors[axis]
-        return out
+        bases = np.asarray(bases, dtype=float)
+        out = np.broadcast_to(
+            a, along.shape + a.shape[-bases.ndim:]).copy()
+        pts4 = batched(bases)
+        out4 = out.reshape(along.shape + pts4.shape[1:-1] + (3,))
+        for _, k, phases, vectors, _, p, pts, u in _live_shells(pts4):
+            kr, phr = k[axis], phases[axis]
+            f = list(np.cos(kr * pts[1:] + phr))
+            f[j] = np.cos(kr[j] * along[..., None, None] + phr[j])
+            g = _radial(pts[0], u, delta)
+            term = half_amp * (g * (f[0] * f[1] * f[2]))
+            # the live circles, a slice when they are adjacent
+            at = slice(p[0], p[-1] + 1) if p[-1] - p[0] == p.size - 1 else p
+            for c, v in enumerate(vectors[:, axis]):
+                out4[..., at, c] += term * v
+        return out4.reshape(out.shape)
 
     def derivative(points, axes=AXES):
         points = np.asarray(points, dtype=float)
         out = np.ascontiguousarray(conn.derivative(points, axes))
-        flat = out.reshape(-1, len(axes), 4, 3)
+        pts4 = batched(points)
+        out4 = out.reshape(pts4.shape[:-1] + (len(axes), 4, 3))
         # the rows of axes that are torus-wave partials, their waves, and
         # the two other waves of each
         rows = [n for n, i in enumerate(axes) if i]
         wave = np.array([axes[n] - 1 for n in rows], dtype=int)
         other = np.array([1, 0, 0])[wave], np.array([2, 2, 1])[wave]
-        for shell, k, idx, pts, u in _live_shells(points.reshape(-1, 4)):
-            r = pts[:, 0]
+        for shell, k, phases, vectors, q, p, pts, u in _live_shells(pts4):
+            r = pts[0]
             g = _radial(r, u, delta)
-            args = waves(k, shell.phases, pts.T[1:])
+            args = k * pts[1:] + phases
             f = np.cos(args)
             # d[j, n]: partial_axes[n] of term j's scalar factor, by the
             # product rule
-            d = np.empty((4, len(axes), idx.size))
+            d = np.empty((4, len(axes)) + u.shape)
             if 0 in axes:
                 dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
                     + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
                 d[:, axes.index(0)] = dg * (f[:, 0] * f[:, 1] * f[:, 2])
             if rows:
-                d[:, rows] = g * (-k[:, wave, None] * np.sin(args[:, wave])
+                d[:, rows] = g * (-k[:, wave] * np.sin(args[:, wave])
                                   * f[:, other[0]] * f[:, other[1]])
-            flat[idx] += (half_amp * d * shell.vectors.T[..., None, None]).T
-        return out
+            out4[q, :, p] += (half_amp * d * vectors[:, :, None]).T
+        return out4.reshape(out.shape)
 
     return ConnectionSource(
         evaluate=evaluate, torus=conn.torus, derivative=derivative,
         r_min=conn.r_min, name=f"{conn.name}+perturbation",
         along_circle=None if conn.along_circle is None else along_circle,
+        n_models=n_models,
     )

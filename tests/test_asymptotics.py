@@ -95,7 +95,8 @@ def test_residue_fit_recovers_lambda_and_mu():
 
 def test_extract_invariants_round_trip_semisimple():
     p = ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=0.2)
-    inv = extract_invariants(model_connection(p, TORUS), RINGS)
+    inv = extract_invariants(holonomy_table(model_connection(p, TORUS),
+                                            RINGS))
     assert inv.kind == "semisimple"
     # (lambda1, lambda2) = (0.2, -0.14): reduced exponents (0.2, 0.86),
     # no flip
@@ -113,7 +114,8 @@ def test_extract_invariants_flipped_branch_negates_alpha_and_mu():
     # (lambda1, lambda2) = (0, 0.7) reduces above 1/2: extraction must
     # report the canonical branch with alpha and mu jointly negated
     p = ModelParams(lam=0.35j, mu=0.3, alpha=0.2)
-    inv = extract_invariants(model_connection(p, TORUS), RINGS)
+    inv = extract_invariants(holonomy_table(model_connection(p, TORUS),
+                                            RINGS))
     assert inv.diagnostics["branch_flipped"]
     assert inv.xi0.xi2 == pytest.approx(0.3, abs=1e-9)
     assert inv.alpha == pytest.approx(-0.2, abs=1e-9)
@@ -122,7 +124,7 @@ def test_extract_invariants_flipped_branch_negates_alpha_and_mu():
 
 def test_extract_invariants_nilpotent():
     conn = model_connection(ModelParams(kind="nilpotent"), TORUS)
-    inv = extract_invariants(conn, RINGS)
+    inv = extract_invariants(holonomy_table(conn, RINGS))
     assert inv.kind == "nilpotent"
     assert inv.diagnostics["order_two"]
     assert abs(inv.alpha) < 1e-9
@@ -132,7 +134,8 @@ def test_extract_invariants_nilpotent():
 
 
 def test_kind_detection_not_fooled_by_flat_model():
-    inv = extract_invariants(model_connection(ModelParams(), TORUS), RINGS)
+    inv = extract_invariants(holonomy_table(
+        model_connection(ModelParams(), TORUS), RINGS))
     assert inv.kind == "semisimple"
 
 
@@ -155,7 +158,8 @@ def test_alpha_at_cut_survives_branch_flip():
     # +0.4999999999999999
     for mu in (0.0, 0.3 - 0.2j):
         p = ModelParams(lam=-0.05 + 0.07j, mu=mu, alpha=-0.5)
-        inv = extract_invariants(model_connection(p, TORUS), RINGS)
+        inv = extract_invariants(holonomy_table(model_connection(p, TORUS),
+                                                RINGS))
         assert inv.diagnostics["branch_flipped"]
         assert inv.alpha == -0.5
         assert abs(inv.mu + p.mu) < 1e-9
@@ -193,6 +197,115 @@ def test_perturbed_table_entries_are_circle_holonomies(params, torus, r_lo,
     conn = perturb(model_connection(params, torus), delta=0.5, amplitude=0.3,
                    seed=4, r_lo=r_lo, r_hi=r_hi)
     _assert_entries_are_circle_holonomies(conn)
+
+
+# three models of each kind: a semisimple batch with one model at the cut
+# alpha = -1/2 and one with lambda on (1/2) Z^2, and three nilpotent models
+# (alike until perturbed with their own seeds)
+BATCHES = {
+    "semisimple": (ModelParams(lam=0.1 - 0.07j, mu=0.3 + 0.2j, alpha=-0.5),
+                   ModelParams(lam=0.5 - 1.0j, mu=1.0, alpha=0.25),
+                   ModelParams(lam=-0.05 + 0.07j, alpha=0.1)),
+    "nilpotent": (ModelParams(kind="nilpotent"),) * 3,
+}
+TABLE_FIELDS = ("x", "y", "x_half", "y_half", "theta", "axis_theta")
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0)],
+                         ids=["2pi-x-2pi", "4-x-7"])
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["clean", "perturbed"])
+@pytest.mark.parametrize("kind", sorted(BATCHES))
+def test_batched_table_is_each_models_table_bit_for_bit(kind, perturbed,
+                                                        torus):
+    # one table for a batch of models: model m's slice is the table of
+    # model m alone, perturbed with the m-th seed, bit for bit; a batch of
+    # one is the unbatched table
+    def table(params, seed):
+        conn = model_connection(params, torus)
+        if perturbed:
+            conn = perturb(conn, delta=0.5, amplitude=0.3, seed=seed,
+                           r_lo=5.0, r_hi=600.0)
+        return holonomy_table(conn, RINGS)
+
+    batch = BATCHES[kind]
+    batched = table(batch, [11, 12, 13])
+    assert batched.n_models == 3 and batched.x.shape == (3, 4, 24, 3)
+    for m, p in enumerate(batch):
+        single = table(p, 11 + m)
+        for one in (batched.model(m), table([p], [11 + m]).model(0)):
+            assert one.n_models is None
+            for field in TABLE_FIELDS:
+                assert np.array_equal(getattr(one, field),
+                                      getattr(single, field)), field
+
+
+def test_a_large_batch_is_each_models_table_bit_for_bit():
+    # twelve perturbed models: the transport products of their x/y loops
+    # pass the 256 KiB at which numpy writes an operator's temporary in
+    # place, and its complex multiply then rounds as it would not at the
+    # size of one model's
+    batch = BATCHES["semisimple"] * 4
+    seeds = list(range(20, 32))
+    bumps = {"delta": 0.5, "amplitude": 0.3, "r_lo": 5.0, "r_hi": 600.0}
+    batched = holonomy_table(perturb(model_connection(batch, TORUS),
+                                     seed=seeds, **bumps), RINGS)
+    for m, (p, seed) in enumerate(zip(batch, seeds)):
+        single = holonomy_table(perturb(model_connection(p, TORUS),
+                                        seed=seed, **bumps), RINGS)
+        for field in TABLE_FIELDS:
+            assert np.array_equal(getattr(batched.model(m), field),
+                                  getattr(single, field)), (m, field)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCHES))
+def test_batched_fields_are_each_models_fields(kind):
+    # each model's own points (..., M, P, 4), so a shell reaches some
+    # models' points and not others' at the same position: model m's
+    # components and partials equal those of model m alone (a zero's sign
+    # may differ, which np.array_equal does not see)
+    rng = np.random.default_rng(3)
+    points = np.concatenate([
+        np.exp(rng.uniform(math.log(4.0), math.log(700.0), (2, 3, 40, 1))),
+        rng.uniform(0.0, 2 * math.pi, (2, 3, 40, 3))], axis=-1)
+    batch = BATCHES[kind]
+    bumps = {"delta": 0.5, "amplitude": 0.3, "r_lo": 5.0, "r_hi": 600.0}
+    batched = perturb(model_connection(batch, TORUS), seed=[7, 8, 9],
+                      **bumps)
+    for m, p in enumerate(batch):
+        single = perturb(model_connection(p, TORUS), seed=7 + m, **bumps)
+        own = points[:, m]
+        assert np.array_equal(batched.evaluate(points)[:, m],
+                              single.evaluate(own))
+        for axes in (AXES, (0, 2)):
+            assert np.array_equal(batched.derivative(points, axes)[:, m],
+                                  single.derivative(own, axes))
+
+
+def test_a_batch_needs_its_model_axis_and_one_seed_per_model():
+    batch = model_connection(BATCHES["semisimple"], TORUS)
+    single = model_connection(BATCHES["semisimple"][0], TORUS)
+    bumps = {"delta": 0.5, "amplitude": 0.05, "r_lo": 5.0, "r_hi": 600.0}
+    for conn, seed in ((batch, [1, 2]), (batch, [1, 2, 3, 4]), (batch, 1),
+                       (single, [1])):
+        with pytest.raises(ValueError, match="seed"):
+            perturb(conn, seed=seed, **bumps)
+    with pytest.raises(ValueError, match="one kind"):
+        model_connection([BATCHES["semisimple"][0],
+                          BATCHES["nilpotent"][0]], TORUS)
+    perturbed = perturb(batch, seed=[1, 2, 3], **bumps)
+    flat = np.array([[100.0, 0.5, 0.0, 0.0], [200.0, 1.0, 0.0, 0.0]])
+    for conn in (batch, perturbed):
+        # (P, 4), and (M', P, 4) with another model count
+        for points in (flat, np.stack([flat] * 2)):
+            for read in (conn.evaluate, conn.derivative):
+                with pytest.raises(ValueError, match="model axis"):
+                    read(points)
+        assert conn.evaluate(np.stack([flat] * 3)).shape == (3, 2, 4, 3)
+    with pytest.raises(ValueError, match="model"):
+        extract_invariants(holonomy_table(batch, RINGS))
+    with pytest.raises(ValueError, match="batch"):
+        holonomy_table(single, RINGS).model(0)
 
 
 def _loop_vectors(conn, kind, bases):
@@ -300,6 +413,28 @@ def test_only_a_torus_invariant_base_is_split_out():
     assert _reader_shape(clean) == (2, 3)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["one-model", "batch"])
+def test_reader_adds_circles_that_lie_apart_by_index(batched):
+    # theta-major bases put each ring's circles apart, so the circles a
+    # shell reaches are no slice; the reader must still be the
+    # connection's along-loop component at every node
+    ths = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
+    bases = np.array([[r, th, 0.0, 0.0] for th in ths for r in RINGS])
+    bumps = {"delta": 0.5, "amplitude": 0.3, "r_lo": 40.0, "r_hi": 500.0}
+    if batched:
+        conn = perturb(model_connection(BATCHES["semisimple"], TORUS),
+                       seed=[4, 5, 6], **bumps)
+        bases = np.broadcast_to(bases, (3,) + bases.shape)
+    else:
+        conn = perturb(model_connection(BATCHES["semisimple"][0], TORUS),
+                       seed=4, **bumps)
+    for kind, comp in (("x", 2), ("y", 3)):
+        nodes = circle_paths(TORUS, kind, bases, LOOP_STEPS)[0]
+        coords = nodes.reshape(LOOP_STEPS, 2, -1, 4)[:, :, 0, comp]
+        assert np.array_equal(conn.along_circle(kind, bases, coords),
+                              conn.evaluate(nodes)[..., comp, :])
+
+
 def _invariant_connections(torus):
     """A clean semisimple model, the clean nilpotent model and a flat
     connection on torus: each is constant along its x- and y-circles."""
@@ -384,8 +519,8 @@ CLEAN_GRID = [
 def test_extraction_matches_public_fits(lam, mu, alpha):
     # the extraction must give what the public fits give on one table
     conn = model_connection(ModelParams(lam=lam, mu=mu, alpha=alpha), TORUS)
-    inv = extract_invariants(conn, RINGS)
     table = holonomy_table(conn, RINGS)
+    inv = extract_invariants(table)
     fl = flat_limit(table)
     states = asymptotic_states(fl.xi)
     a = limiting_holonomy(table, fl.axis, kind="semisimple")
@@ -451,7 +586,8 @@ def test_extraction_does_not_depend_on_a_constant_gauge(p, w):
     R = _gauge_rotation(w)
     assert np.max(np.abs(R @ R.T - np.eye(3))) < 1e-14
     for frame, tol in ((conn, 1e-9), (_conjugated(conn, R), 1e-6)):
-        errs = roundtrip_errors(p, extract_invariants(frame, RINGS), TORUS)
+        errs = roundtrip_errors(
+            p, extract_invariants(holonomy_table(frame, RINGS)), TORUS)
         assert errs.pop("kind_ok")
         assert max(errs.values()) <= tol, errs
 
@@ -489,7 +625,7 @@ def test_every_kind_keyed_fit_rejects_an_unknown_kind():
     msg = "kind must be 'semisimple' or 'nilpotent'"
     for kind in ("Semisimple", "nil", ""):
         with pytest.raises(ValueError, match=msg):
-            extract_invariants(conn, RINGS, kind=kind)
+            extract_invariants(table, kind=kind)
     for kind in ("Semisimple", None):
         with pytest.raises(ValueError, match=msg):
             limiting_holonomy(table, axis, kind)

@@ -199,6 +199,45 @@ def test_extraction_failure_exits_1_with_full_report(tmp_path):
     assert records[1]["errors"]["mu"] < 1e-4
 
 
+# semisimple, nilpotent, a model whose |mu| = 10 puts the first ring too
+# near the pole (its exponents drift, so it fails both passes), semisimple;
+# should the extraction learn to read the third, swap in another input that
+# fails by design
+MIXED_MODELS = [{"lambda": [0.1, 0.0], "mu": [1.0, 0.0], "alpha": 0.25},
+                {"kind": "nilpotent"},
+                {"lambda": [0.0, 0.25], "mu": [10.0, 0.0]},
+                {"lambda": [-0.05, 0.07], "mu": [0.3, -0.2], "alpha": -0.25}]
+
+
+def test_mixed_batch_records_each_model_as_if_alone(tmp_path):
+    # each pass samples one table per kind for the whole batch; the records
+    # keep the model order, the failing model fails alone, and every record
+    # is the one that model writes in a config of its own, perturbed with
+    # seed + j
+    cfg = {"schema_version": 1, "seed": 20260815, "models": MIXED_MODELS,
+           "perturbation": {}}
+    report, code = run("invariants", cfg, out_dir=str(tmp_path / "all"),
+                       quiet=True)
+    assert code == 1
+    assert sorted(c["name"] for c in report["checks"] if not c["pass"]) == [
+        "extraction_failed_clean", "extraction_failed_perturbed"]
+    records = strict_json((tmp_path / "all" / "invariants.json").read_text())[
+        "models"]
+    kinds = ["semisimple", "nilpotent", "semisimple", "semisimple"]
+    assert [(r["pass"], r["model"]) for r in records] == [
+        (tag, f"model{j}_{kind}") for tag in ("clean", "perturbed")
+        for j, kind in enumerate(kinds)]
+    assert ["error" in r for r in records] == [False, False, True, False] * 2
+    assert all("drift" in r["error"] for r in records if "error" in r)
+    for j, m in enumerate(MIXED_MODELS):
+        alone = {**cfg, "seed": cfg["seed"] + j, "models": [m]}
+        run("invariants", alone, out_dir=str(tmp_path / str(j)), quiet=True)
+        own = strict_json((tmp_path / str(j) / "invariants.json").read_text())[
+            "models"]
+        for record, mine in zip(records[j::4], own):
+            assert {**record, "model": None} == {**mine, "model": None}
+
+
 def test_pass_with_no_extracted_model_fails_its_error_checks(tmp_path):
     # maxima over zero models must not read 0.0 and pass: with every
     # extraction failed, the error and kind checks are reported unevaluated
@@ -535,6 +574,7 @@ def test_check_margins(tmp_path):
     lattice = conv["integer_xi_in_lattice"]
     assert lattice["margin"] == lattice["tolerance"] - lattice["value"] > 0
     assert conv["hodge_star_involution"]["margin"] == 0.0
+    assert conv["hodge_star_orientation"]["margin"] == 0.0
     # boolean value, no numeric bound
     assert conv["hash_stable"]["margin"] is None
     gap = checks("model-check", {**SEEDED, "inequalities": {
@@ -903,18 +943,27 @@ def _self_dual_sign_flipped(f, axis=-2):
     return np.stack([f[0] + f[5], f[1] + f[4], f[2] + f[3]], axis=axis) * 0.5
 
 
-@pytest.mark.parametrize("fault, involution", [
-    (_self_dual_doubled, 24.0),
-    (_self_dual_slot_twice, 2.0),
-    # every sign choice gives an involution; model_check_exact's
-    # anti-self-dual residuals pin the orientation
-    (_self_dual_sign_flipped, 0.0),
-], ids=["factor-one", "slot-twice", "sign-flipped"])
+def _self_dual_other_pairing(f, axis=-2):
+    f = np.moveaxis(f, axis, 0)
+    return np.stack([f[0] + f[5], f[1] + f[3], f[2] + f[4]], axis=axis) * 0.5
+
+
+@pytest.mark.parametrize("fault, involution, orientation", [
+    (_self_dual_doubled, 24.0, 3.0),
+    (_self_dual_slot_twice, 2.0, 1.0),
+    # every sign choice, and every pairing of the six slots, gives an
+    # involution with zero trace; only the star from eps_ijkl on the
+    # positive coframe pins the orientation and the pairing
+    (_self_dual_sign_flipped, 0.0, 2.0),
+    (_self_dual_other_pairing, 0.0, 1.0),
+], ids=["factor-one", "slot-twice", "sign-flipped", "pairing-05-13-24"])
 def test_hodge_star_checks_read_gauge_self_dual(tmp_path, monkeypatch, fault,
-                                                involution):
+                                                involution, orientation):
     monkeypatch.setattr(cli, "self_dual", fault)
     report, code = run("conventions", {"schema_version": 1},
                        out_dir=str(tmp_path), quiet=True)
-    check = {c["name"]: c for c in report["checks"]}["hodge_star_involution"]
-    assert check["value"] == involution
-    assert code == (0 if involution == 0.0 else 1)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["hodge_star_involution"]["value"] == involution
+    assert checks["hodge_star_orientation"]["value"] == orientation
+    assert not checks["hodge_star_orientation"]["pass"]
+    assert code == 1
