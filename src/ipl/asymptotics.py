@@ -308,8 +308,7 @@ def residue(table: HolonomyTable, fl: FlatLimit) -> tuple[complex, dict]:
         raise ExtractionError(
             f"zeta(w) fit residual {resid:.3e} above threshold; connection "
             "is not semisimple-asymptotic on these rings")
-    return mu_hat, {"lambda_hat": lam_hat, "max_residual": resid,
-                    "n_samples": int(w.size)}
+    return mu_hat, {"lambda_hat": lam_hat, "max_residual": resid}
 
 
 def decay_exponent(conn: ConnectionSource, rings, kind: str) -> dict:
@@ -325,20 +324,14 @@ def decay_exponent(conn: ConnectionSource, rings, kind: str) -> dict:
     rings = tuple(float(r) for r in rings)
     if len(rings) < 6 or rings[-1] < 10.0 * rings[0]:
         raise ValueError("need >= 6 rings spanning at least a decade")
-    sups = []
     ths = np.linspace(0.0, TWO_PI, DECAY_N_THETA, endpoint=False)
     xs = np.linspace(0.0, conn.torus.period_x, DECAY_N_TRANS, endpoint=False)
     ys = np.linspace(0.0, conn.torus.period_y, DECAY_N_TRANS, endpoint=False)
-    T, X, Y = np.meshgrid(ths, xs, ys, indexing="ij")
-    for r in rings:
-        pts = np.stack([np.full(T.size, r), T.ravel(), X.ravel(), Y.ravel()],
-                       axis=-1)
-        sups.append(float(np.max(curvature_norm(
-            conn, pts, "kahler" if nilpotent else "all"))))
-    sups = np.array(sups)
+    pts = np.stack(np.meshgrid(rings, ths, xs, ys, indexing="ij"), axis=-1)
+    sups = np.max(curvature_norm(conn, pts.reshape(len(rings), -1, 4),
+                                 "kahler" if nilpotent else "all"), axis=-1)
     if np.max(sups) < 1e-14:
-        return {"gamma": -math.inf, "log_power": 0.0, "sups": sups,
-                "rings": rings, "monotone": True}
+        return {"gamma": -math.inf, "log_power": 0.0, "monotone": True}
     rs = np.array(rings)
     cols = [np.ones_like(rs), np.log(rs)]
     if nilpotent:
@@ -348,8 +341,7 @@ def decay_exponent(conn: ConnectionSource, rings, kind: str) -> dict:
     gamma = float(coef[1])
     log_power = float(coef[2]) if nilpotent else 0.0
     monotone = bool(np.all(np.diff(sups) <= 1e-12 * sups[:-1]))
-    return {"gamma": gamma, "log_power": log_power, "sups": sups,
-            "rings": rings, "monotone": monotone}
+    return {"gamma": gamma, "log_power": log_power, "monotone": monotone}
 
 
 def instanton_number(conn: ConnectionSource, R: float,
@@ -357,9 +349,9 @@ def instanton_number(conn: ConnectionSource, R: float,
     """Curvature energy (1/8 pi^2) int_{r_inner <= r <= R} |F|^2 over
     annulus x torus, Gauss-Legendre in ln r, trapezoid in the angles. It
     is not a charge: for the semisimple model on the 2 pi x 2 pi
-    torus it is 8 pi |mu|^2 (1/r_inner^2 - 1/R^2). Reports dyadic-shell
-    energies as the convergence diagnostic; raises ExtractionError when
-    the outer shells grow (non-integrable tail)."""
+    torus it is 8 pi |mu|^2 (1/r_inner^2 - 1/R^2). Returns {"energy": E}.
+    Dyadic-shell energies are the convergence diagnostic: raises
+    ExtractionError when the outer shells grow (non-integrable tail)."""
     if not (0 < r_inner and conn.r_min <= r_inner < R):
         raise ValueError(f"need 0 < r_inner and r_min <= r_inner < R; got "
                          f"r_inner = {r_inner}, r_min = {conn.r_min}, R = {R}")
@@ -382,16 +374,14 @@ def instanton_number(conn: ConnectionSource, R: float,
     # dyadic diagnostics
     n_shell = max(2, int(math.log2(R / r_inner)))
     edges = np.geomspace(r_inner, R, n_shell + 1)
-    shells = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = (rs >= a) & (rs <= b)
-        shells.append(float(np.sum((shell_dens * ws)[m]) / (8.0 * math.pi ** 2)))
-    shells_arr = np.array(shells)
-    if shells_arr.size >= 3 and shells_arr[-1] > shells_arr[0] + 1e-12 \
-            and shells_arr[-1] > 1e-12:
+    shells = np.array([np.sum((shell_dens * ws)[(rs >= a) & (rs <= b)])
+                       for a, b in zip(edges[:-1], edges[1:])]) \
+        / (8.0 * math.pi ** 2)
+    if shells.size >= 3 and shells[-1] > shells[0] + 1e-12 \
+            and shells[-1] > 1e-12:
         raise ExtractionError("shell energies grow outward; "
                               "non-integrable curvature tail")
-    return {"energy": total, "shells": shells, "edges": edges}
+    return {"energy": total}
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .gauge import DRIFT_STEPS, PAIRS, asd_residual, flat_connection, \
     weitzenbock_defect
 from .geometry import TWO_PI, AnnulusGrid, DualTorusPoint, TorusSpec, \
     conventions_hash, conventions_sheet, covering_radius, in_dual_lattice, \
-    lattice_distance, reduce_dual, xi_from_zeta, zeta_from_xi
+    inradius, lattice_distance, reduce_dual, xi_from_zeta, zeta_from_xi
 from .hitchin import hitchin_residual
 from .models import KINDS, ModelParams, model_connection, perturb
 from .moduli import AnnulusCalculus, apply_complex_structure, \
@@ -452,7 +452,7 @@ def _run_model_check(params: dict):
     torus = params["torus"]
     checks = []
     # each model's worst sample, by kind, and the nilpotent Higgs pairs'
-    sups = {"semisimple": [], "nilpotent": []}
+    sups = {kind: [] for kind in KINDS}
     hitchin_sups = []
     mods = params["models"]
     for p, dom in mods:
@@ -472,16 +472,12 @@ def _run_model_check(params: dict):
     tol = params["tolerances"]
     # numpy's max keeps a NaN wherever it comes; Python's keeps one only in
     # first place, so a NaN sample would read as the pass it is not
-    if sups["semisimple"]:
-        checks.append(_leq_check("asd_residual_sup_semisimple",
-                                 float(np.max(sups["semisimple"])),
-                                 tol["asd_residual"],
-                                 n_models=len(sups["semisimple"])))
-    if sups["nilpotent"]:
-        checks.append(_leq_check("asd_residual_sup_nilpotent",
-                                 float(np.max(sups["nilpotent"])),
-                                 tol["nilpotent_residual"],
-                                 n_models=len(sups["nilpotent"])))
+    for kind, key in zip(KINDS, ("asd_residual", "nilpotent_residual")):
+        if sups[kind]:
+            checks.append(_leq_check(f"asd_residual_sup_{kind}",
+                                     float(np.max(sups[kind])), tol[key],
+                                     n_models=len(sups[kind])))
+    if hitchin_sups:
         checks.append(_leq_check("hitchin_residual_sup_nilpotent",
                                  float(np.max(hitchin_sups)),
                                  tol["nilpotent_residual"]))
@@ -856,7 +852,6 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
             "the residue and blow-up scans")
     # the residue sampler draws inside a window, and the mu = 0 sampler
     # until a draw lands in one; these two rules keep them nonempty
-    cov = covering_radius(params["torus"])
     if params["residues"] is not None:
         _expect(not in_dual_lattice(2.0 * b.lam, params["torus"], tol=1e-6),
                 "residues need distinct +-xi0 (non-order-two lambda)")
@@ -864,14 +859,15 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
         lo, hi = _residue_mu_window(params["torus"], 1.0)
         _expect(hi * b.r_min > lo,
                 f"bundle.r_min must exceed {lo / hi:.6g} for residues: "
-                "their |mu| draws lie in (1e-3, 0.9 r_min covering_radius)")
+                "their |mu| draws lie in (1e-3, 0.9 r_min inradius)")
     if params["dichotomy"] is not None:
         d = params["dichotomy"]
         _expect(abs(b.mu) > 0, "dichotomy blow-up needs a nonzero residue")
         _expect(d["annulus"][0] >= b.r_min,
                 "dichotomy.annulus must start at or beyond bundle.r_min")
-        # the covering radius is the right scale here: the rule is about
-        # the farthest a dual-torus point can lie from the lattice
+        # the covering radius, not the inradius: the rule is about the
+        # farthest a dual-torus point can lie from the lattice
+        cov = covering_radius(params["torus"])
         _expect(d["min_lattice_distance"] < cov / 2.0,
                 f"dichotomy.min_lattice_distance must be below "
                 f"covering_radius / 2 = {cov / 2.0:.6g}, the distance from "
@@ -880,10 +876,10 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
 
 def _residue_mu_window(torus: TorusSpec,
                        r_min: float) -> tuple[float, float]:
-    """The residue sampler's |mu| window (1e-3, 0.9 covering_radius r_min)
-    for a bundle with that r_min: its upper end keeps |mu| / r_min under
-    the covering radius that `BundleModel` accepts."""
-    return 1e-3, 0.9 * covering_radius(torus) * r_min
+    """The residue sampler's |mu| window (1e-3, 0.9 inradius r_min) for a
+    bundle with that r_min: its upper end keeps |mu| / r_min under the
+    inradius that `BundleModel` accepts."""
+    return 1e-3, 0.9 * inradius(torus) * r_min
 
 
 def _run_spectral(params: dict):

@@ -317,8 +317,9 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
     """Checks |d/dt (h^-1 m h)| <= int |F(dphi/dt, dphi/ds)| ds along the
     family of closed circles phi(t, s) = origin + t dphi_dt + s dphi_ds
     (4-vectors; s in [0, 1) the loop parameter, t in [0, 1] the family
-    parameter); returns the max signed defect (LHS - RHS), nonpositive up
-    to discretization for true connections.
+    parameter); returns "defect", the max signed defect (LHS - RHS),
+    nonpositive up to discretization for true connections, with "lhs" on
+    the n_t - 2 interior circles and "rhs" on all n_t.
 
     m(t) is the circle holonomy at parameter t, h(t) the transport along
     the base path phi(., 0) from 0 to t. As h' = -A(dphi/dt) h,
@@ -376,7 +377,6 @@ def monodromy_drift_defect(conn: ConnectionSource, origin, dphi_dt, dphi_ds,
         "defect": float(np.max(defect)),
         "lhs": lhs,
         "rhs": rhs,
-        "ts": ts,
     }
 
 
@@ -414,54 +414,40 @@ class BoundaryConditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrigRadialTerm:
-    """One separable term  i(vector . sigma) * f(r) * cos(p theta + ph0) *
-    cos(n x + ph1) * cos(m y + ph2)  occupying a single angular component.
-
-    component: 1 = dtheta, 2 = dx, 3 = dy (0 = dr is rejected by the
-    quadratic-form check; see weitzenbock_defect).
-    """
-
-    component: int
-    vector: tuple  # the su(2) vector, three reals
-    radial_coeffs: tuple  # polynomial coefficients, low order first
-    modes: tuple  # (p, n, m) integers
-    phases: tuple = (0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class SeparableOneForm:
-    """Sum of TrigRadialTerm's; the radial component vanishes identically."""
+    """K separable terms, the radial component vanishing identically: term
+    k is  i(vectors[k] . sigma) f_k(r) cos(p theta + ph0) cos(kx x + ph1)
+    cos(ky y + ph2)  in the single angular component component[k]
+    (1 = dtheta, 2 = dx, 3 = dy; 0 = dr is rejected by the quadratic-form
+    check, see weitzenbock_defect), with (p, n, m) = modes[k],
+    (kx, ky) = (2 pi n / L_x, 2 pi m / L_y), phases[k] = (ph0, ph1, ph2)
+    and f_k the polynomial radial_coeffs[k], low order first. Shorter
+    profiles are zero-padded: a leading zero keeps Horner's sums those of
+    the term's own coefficients, bit for bit."""
 
-    terms: tuple
+    component: np.ndarray  # (K,) integers
+    vectors: np.ndarray  # (K, 3) su(2) vectors
+    radial_coeffs: np.ndarray  # (K, n)
+    modes: np.ndarray  # (K, 3) integers
+    phases: np.ndarray  # (K, 3)
 
-    def max_modes(self) -> tuple[int, int, int]:
-        ms = np.array([t.modes for t in self.terms], dtype=int)
-        return tuple(np.max(np.abs(ms), axis=0)) if len(self.terms) else (0, 0, 0)
 
-
-def _term_factors(terms, rs, th, xs, ys, torus: TorusSpec):
+def _term_factors(form: SeparableOneForm, rs, th, xs, ys, torus: TorusSpec):
     """Each term's scalar factor f(r) cos(p th + ph0) cos(kx x + ph1)
     cos(ky y + ph2) is a product of four 1-D factors; returns each one with
     its exact derivative, sampled on the r, theta, x and y nodes, as pairs
-    of (len(terms), nodes) arrays, row t for terms[t]."""
+    of (K, nodes) arrays, row k for term k."""
     def trig(k, s, ph):
         arg = k[:, None] * s + ph[:, None]
         return np.cos(arg), -k[:, None] * np.sin(arg)
     def horner(c):  # in numpy's polyval order
         return reduce(lambda acc, ck: acc * rs + ck[:, None], c.T[-2::-1],
                       np.full((len(c), len(rs)), c[:, -1:]))
-    # the profiles' coefficients, low order first, zero-padded to one
-    # length: a leading zero keeps Horner's sums those of the term's own
-    # coefficients, bit for bit
-    n = max((len(t.radial_coeffs) for t in terms), default=1)
-    c = np.zeros((len(terms), n))
-    for row, t in zip(c, terms):
-        row[:len(t.radial_coeffs)] = t.radial_coeffs
-    dc = np.zeros((len(terms), max(n - 1, 1)))
+    c = form.radial_coeffs
+    n = c.shape[1]
+    dc = np.zeros((len(c), max(n - 1, 1)))
     dc[:, :n - 1] = np.arange(1, n) * c[:, 1:]
-    modes = np.array([t.modes for t in terms], dtype=float).reshape(-1, 3)
-    ph = np.array([t.phases for t in terms], dtype=float).reshape(-1, 3)
+    modes, ph = form.modes, form.phases
     return ((horner(c), horner(dc)), trig(modes[:, 0], th, ph[:, 0]),
             trig(TWO_PI * modes[:, 1] / torus.period_x, xs, ph[:, 1]),
             trig(TWO_PI * modes[:, 2] / torus.period_y, ys, ph[:, 2]))
@@ -500,19 +486,17 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     """
     if gamma is not None and gamma.torus != torus:
         raise ValueError("gamma is a point of another torus's dual")
-    if any(t.component == 0 for t in form.terms):
+    comp = form.component
+    if np.any(comp == 0):
         raise BoundaryConditionError(
             "radial component present: the two-boundary identity requires "
             "the dr contraction to vanish on the whole annulus"
         )
-    for t in form.terms:
-        if t.component not in (1, 2, 3):
-            raise ValueError("term component must be one of 1, 2, 3")
+    if not np.all(np.isin(comp, (1, 2, 3))):
+        raise ValueError("term component must be one of 1, 2, 3")
 
-    pmax, nmax, mmax = form.max_modes()
-    n_th = max(8, 4 * pmax + 4)
-    n_x = max(8, 4 * nmax + 4)
-    n_y = max(8, 4 * mmax + 4)
+    n_th, n_x, n_y = (max(8, 4 * k + 4) for k in
+                      np.max(np.abs(form.modes), axis=0, initial=0))
 
     nodes, wts = _radial_gauss_legendre()
     rs = 0.5 * (r_outer - r_inner) * nodes + 0.5 * (r_outer + r_inner)
@@ -540,8 +524,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     # boundary radii R, R'
     rho = np.array([r_inner, r_outer])
     (f, df), (c, dc), (cx, dcx), (cy, dcy) = _term_factors(
-        form.terms, np.concatenate([rs, rho]), th, xs, ys, torus)
-    comp = np.array([t.component for t in form.terms], dtype=int)
+        form, np.concatenate([rs, rho]), th, xs, ys, torus)
     theta = comp == 1
     f_edge, f, df = f[theta, -2:] / rho, f[:, :-2], df[:, :-2]
     # unit frame: ahat_theta = a_theta / r, its r-partial by the product rule
@@ -549,7 +532,7 @@ def weitzenbock_defect(form: SeparableOneForm, gamma: DualTorusPoint | None,
     df = np.where(theta[:, None], (df - f_r) / rs, df)
     f = np.where(theta[:, None], f_r, f)
     f_r = f / rs
-    vectors = np.array([t.vector for t in form.terms], float).reshape(-1, 3)
+    vectors = form.vectors
     twist_x = _su2.comm_vector(gx, vectors)
     twist_y = _su2.comm_vector(gy, vectors)
 
@@ -605,17 +588,18 @@ def random_quadratic_form_fixture(rng, r_outer: float) -> SeparableOneForm:
     """Random admissible fixture of four terms, each a random quadratic
     radial profile times trig modes |p|, |n|, |m| <= 2: a_r = 0, and every
     dtheta profile also carries the factor r - r_outer, so it vanishes at
-    the outer radius (and the identity target is exactly zero)."""
-    terms = []
-    for _ in range(4):
-        comp = int(rng.integers(1, 4))
-        coeffs = rng.normal(size=3)
-        if comp == 1:
-            coeffs = np.convolve(coeffs, [-r_outer, 1.0])
-        vector = tuple(float(v) for v in rng.normal(size=3))
-        modes = tuple(int(v) for v in rng.integers(-2, 3, size=3))
-        phases = tuple(float(v) for v in rng.uniform(0, TWO_PI, size=3))
-        terms.append(TrigRadialTerm(component=comp, vector=vector,
-                                    radial_coeffs=tuple(coeffs), modes=modes,
-                                    phases=phases))
-    return SeparableOneForm(terms=tuple(terms))
+    the outer radius (and the identity target is exactly zero). Drawn term
+    by term: component, profile, vector, modes, phases."""
+    component, modes = np.empty(4, dtype=int), np.empty((4, 3), dtype=int)
+    vectors, phases = np.empty((2, 4, 3))
+    coeffs = np.zeros((4, 4))
+    for k in range(4):
+        component[k] = rng.integers(1, 4)
+        c = rng.normal(size=3)
+        if component[k] == 1:
+            c = np.convolve(c, [-r_outer, 1.0])
+        coeffs[k, :len(c)] = c
+        vectors[k] = rng.normal(size=3)
+        modes[k] = rng.integers(-2, 3, size=3)
+        phases[k] = rng.uniform(0, TWO_PI, size=3)
+    return SeparableOneForm(component, vectors, coeffs, modes, phases)

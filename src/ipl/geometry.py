@@ -143,6 +143,12 @@ def covering_radius(torus: TorusSpec) -> float:
     return 0.5 * math.hypot(g_re, g_im)
 
 
+def inradius(torus: TorusSpec) -> float:
+    """Half the shortest dual-lattice vector: within it of a twist, no
+    second lattice translate of that twist is reached."""
+    return 0.5 * min(map(abs, dual_lattice(torus)))
+
+
 def lattice_translates(center: complex, radius: float, torus: TorusSpec):
     """All dual-lattice points within `radius` of `center`."""
     g_re, g_im = map(abs, dual_lattice(torus))

@@ -9,8 +9,8 @@ exact by construction. As vectors (see `_su2`): the semisimple pair is
 q = -i zeta(w) e3 with b_theta = alpha e3, and the nilpotent pair is
 q = NILP / (w ln r^2) with b_theta = -e3 / ln r^2. A kind is one of
 KINDS. `perturb` adds seeded decaying terms to a model, radial shells
-of trig waves along unit su(2) directions, each shell's four terms held
-as (4, 3) arrays, one row per connection component.
+of trig waves along unit su(2) directions, a seed's terms drawn straight
+into (N_BUMPS, 4, 3) arrays, one row per shell and connection component.
 """
 
 from __future__ import annotations
@@ -174,35 +174,27 @@ def _bump_deriv(u):
     return out
 
 
-@dataclass(frozen=True)
-class _PerturbShell:
-    """The terms sharing one radial bump, row j for component j."""
-    center: float
-    width: float
-    vectors: np.ndarray  # (4, 3) v / (sqrt(2) |v|): Frobenius norm 1
-    modes: np.ndarray  # (4, 3) integer modes of the theta, x and y waves
-    phases: np.ndarray  # (4, 3) phases of the theta, x and y waves
-
-
 # radial bumps of a perturbation, and the largest |mode| of its trig waves
 N_BUMPS = 6
 MAX_MODE = 2
 
 
-def _perturb_shells(seed: int, r_lo: float, r_hi: float) -> tuple:
-    """The seeded random terms of `perturb`, grouped by radial bump."""
+def _perturb_draws(seed) -> tuple:
+    """The seeded random terms of `perturb`: directions v / (sqrt(2) |v|)
+    (Frobenius norm 1), integer modes of the theta, x and y waves, and
+    their phases, each (N_BUMPS, 4, 3), [i, j] for component j of shell i.
+    Drawn shell by shell, component by component, a (v, modes, phases)
+    draw each."""
     rng = np.random.default_rng(seed)
-    shells = []
-    for rho in np.geomspace(r_lo, r_hi, N_BUMPS):
-        # a (vector, modes, phases) draw per component, in component order
-        rows = [(rng.normal(size=3),
-                 rng.integers(-MAX_MODE, MAX_MODE + 1, size=3),
-                 rng.uniform(0.0, TWO_PI, size=3)) for _ in range(4)]
-        v, modes, phases = map(np.array, zip(*rows))
-        units = np.array([x / (math.sqrt(2.0) * np.linalg.norm(x)) for x in v])
-        shells.append(_PerturbShell(float(rho), 0.35 * float(rho), units,
-                                    modes, phases))
-    return tuple(shells)
+    vectors, phases = np.empty((2, N_BUMPS, 4, 3))
+    modes = np.empty((N_BUMPS, 4, 3), dtype=int)
+    for i in range(N_BUMPS):
+        for j in range(4):
+            v = rng.normal(size=3)
+            vectors[i, j] = v / (math.sqrt(2.0) * np.linalg.norm(v))
+            modes[i, j] = rng.integers(-MAX_MODE, MAX_MODE + 1, size=3)
+            phases[i, j] = rng.uniform(0.0, TWO_PI, size=3)
+    return vectors, modes, phases
 
 
 def _radial(r, u, delta: float):
@@ -258,18 +250,17 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
     seeds = [seed] if n_models is None else list(seed)
     half_amp = amplitude / 2.0
     periods = (conn.torus.period_x, conn.torus.period_y)
-    # shell i of every model: its wave numbers k and phases (4, 3, M, 1)
-    # and directions (3, 4, M, 1), row j for component j, model m in
-    # column m
-    shells = []
-    for same in zip(*(_perturb_shells(s, r_lo, r_hi) for s in seeds)):
-        modes, phases, vectors = (np.stack([getattr(sh, f) for sh in same])
-                                  for f in ("modes", "phases", "vectors"))
-        k = np.concatenate([modes[..., :1],
-                            TWO_PI * modes[..., 1:] / periods], axis=-1)
-        shells.append((same[0], k.transpose(1, 2, 0)[..., None],
-                       phases.transpose(1, 2, 0)[..., None],
-                       vectors.transpose(2, 1, 0)[..., None]))
+    # shell i of every model: its centre and width, its wave numbers k and
+    # phases (4, 3, M, 1) and directions (3, 4, M, 1), row j for component
+    # j, model m in column m
+    vectors, modes, phases = map(np.stack, zip(*map(_perturb_draws, seeds)))
+    k = np.concatenate([modes[..., :1], TWO_PI * modes[..., 1:] / periods],
+                       axis=-1)
+    centers = np.geomspace(r_lo, r_hi, N_BUMPS)
+    shells = tuple(zip(centers, 0.35 * centers,
+                       k.transpose(1, 2, 3, 0)[..., None],
+                       phases.transpose(1, 2, 3, 0)[..., None],
+                       vectors.transpose(1, 3, 2, 0)[..., None]))
 
     def batched(points):
         """points (..., 4) as (Q, M, P, 4): the batch's (..., M, P, 4), or
@@ -279,16 +270,16 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
         return points.reshape((-1,) + points.shape[-3:])
 
     def _live_shells(points):
-        """(shell, k, phases, vectors, q, p, points, u) for every shell
+        """(width, k, phases, vectors, q, p, points, u) for every shell
         whose support holds some of the points (Q, M, P, 4): q, p index
         the (Q, P) positions where some model's point is inside, points
         (4, M, n) are theirs, and u (M, n) is as _bump sees it."""
         r = points[..., 0]
-        for shell, k, phases, vectors in shells:
-            u = (r - shell.center) / shell.width
+        for center, width, k, phases, vectors in shells:
+            u = (r - center) / width
             q, p = np.nonzero(np.any(np.abs(u) < 1.0, axis=1))
             if q.size:
-                yield (shell, k, phases, vectors, q, p,
+                yield (width, k, phases, vectors, q, p,
                        np.ascontiguousarray(points[q, :, p].T),
                        np.ascontiguousarray(u[q, :, p].T))
 
@@ -335,7 +326,7 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
         rows = [n for n, i in enumerate(axes) if i]
         wave = np.array([axes[n] - 1 for n in rows], dtype=int)
         other = np.array([1, 0, 0])[wave], np.array([2, 2, 1])[wave]
-        for shell, k, phases, vectors, q, p, pts, u in _live_shells(pts4):
+        for width, k, phases, vectors, q, p, pts, u in _live_shells(pts4):
             r = pts[0]
             g = _radial(r, u, delta)
             args = k * pts[1:] + phases
@@ -344,7 +335,7 @@ def perturb(conn: ConnectionSource, delta: float, amplitude: float,
             # product rule
             d = np.empty((4, len(axes)) + u.shape)
             if 0 in axes:
-                dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
+                dg = (_bump_deriv(u) / width) * r ** (-(1.0 + delta)) \
                     + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
                 d[:, axes.index(0)] = dg * (f[:, 0] * f[:, 1] * f[:, 2])
             if rows:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (TWO_PI, TorusSpec, DualTorusPoint, covering_radius,
+from .geometry import (TWO_PI, TorusSpec, DualTorusPoint, inradius,
                        lattice_translates, lattice_distance, lattice_reduce,
                        xi_from_zeta)
 
@@ -33,8 +33,9 @@ class BundleModel:
     asymptotic states, and each jumping point is a simple root.
 
     Valid for |w| >= r_min; r_min must keep |zeta(w) - lam| = |mu|/|w|
-    under the dual-lattice covering radius so fibers stay close to the
-    asymptotic splitting."""
+    under the dual-lattice inradius, so that zeta(w) reaches no second
+    lattice translate of lam and fibers stay close to the asymptotic
+    splitting."""
     lam: complex
     mu: complex
     r_min: float
@@ -46,9 +47,9 @@ class BundleModel:
             raise ValueError("r_min must be positive")
         if self.k < 1:
             raise ValueError("declared charge k must be >= 1")
-        if abs(self.mu) / self.r_min >= covering_radius(self.torus):
+        if abs(self.mu) / self.r_min >= inradius(self.torus):
             raise ValueError("zeta deviates from lam by more than the "
-                             "dual-lattice covering radius on |w| >= r_min")
+                             "dual-lattice inradius on |w| >= r_min")
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "mu", complex(self.mu))
 

@@ -15,7 +15,7 @@ import pytest
 from ipl import cli, gauge, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, _rayleigh_quotients, main, run
-from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual
+from ipl.geometry import TWO_PI, TorusSpec, inradius, reduce_dual
 from ipl.moduli import fourier_diff
 
 from conftest import GAP_TORI, SIGMA3, comm
@@ -387,9 +387,9 @@ def test_dichotomy_blowup_holds_at_small_mu(tmp_path, mu):
 
 def test_residue_sampler_ends_on_a_narrow_mu_window(tmp_path):
     # just above the bundle.r_min rule the |mu| window (1e-3, 0.9
-    # covering_radius r_min) is 2.3e-6 wide, which a draw of 0.4 (N + iN)
-    # hits about once in 7e7 tries; the sampler must draw inside it
-    r_min = 0.00315
+    # inradius r_min) is 2.4e-6 wide, which a draw of 0.4 (N + iN) hits
+    # about once in 7e7 tries; the sampler must draw inside it
+    r_min = 0.004455
     cfg = {"schema_version": 1, "seed": 5,
            "bundle": {"lambda": [0.11, 0.07], "mu": [0.0001, 0.0],
                       "r_min": r_min, "k": 1},
@@ -403,7 +403,7 @@ def test_residue_sampler_ends_on_a_narrow_mu_window(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads((tmp_path / "out" / "spectral_summary.json")
                       .read_text())["residues"]
-    hi = 0.9 * covering_radius(TorusSpec()) * r_min
+    hi = 0.9 * inradius(TorusSpec()) * r_min
     assert hi - 1e-3 < 2.5e-6
     assert len(rows) == 2
     assert all(1e-3 < abs(complex(*row["mu"])) < hi for row in rows)
@@ -740,6 +740,35 @@ def test_counting_is_held_to_the_bundle_charge(tmp_path):
         "counting_total_multiplicity"]
     assert not count["pass"]
     assert count["expected_total"] == 2 and count["value"] == 0.0
+
+
+@pytest.mark.parametrize("torus", [TorusSpec(), TorusSpec(4.0, 7.0)],
+                         ids=["2pi", "4x7"])
+@pytest.mark.parametrize("side, code", [(0.999, 0), (1.001, 2)],
+                         ids=["under", "over"])
+def test_counting_runs_up_to_the_dual_inradius(tmp_path, capsys, torus,
+                                               side, code):
+    # on |w| >= r_min, |zeta(w) - lam| = |mu| / |w| stays under the dual
+    # lattice's inradius, so zeta(w) reaches no second translate of lam.
+    # 2 lam is as far from the lattice as a twist can be, so the other
+    # state -xi0 stays out of reach as well: just under the bound the
+    # count holds, and just over it the bundle is a config error
+    with open(os.path.join(CONFIGS, "spectral_counting.json")) as fh:
+        cfg = json.load(fh)
+    cfg.pop("residues")
+    cfg["torus"] = {"period_x": torus.period_x, "period_y": torus.period_y}
+    b = cfg["bundle"]
+    b["lambda"] = [math.pi / torus.period_y / 4, math.pi / torus.period_x / 4]
+    b["mu"] = [side * inradius(torus) * b["r_min"], 0.0]
+    rc, out = main_in(tmp_path, "spectral", cfg)
+    assert rc == code
+    if code == 2:
+        assert not out.exists()
+        assert "config error: bundle: " in capsys.readouterr().err
+    else:
+        report = json.loads((out / "spectral_report.json").read_text())
+        assert [(c["name"], c["value"]) for c in report["checks"]] \
+            == [("counting_total_multiplicity", 1.0)]
 
 
 @pytest.mark.parametrize("subcommand, cfg, path", [

@@ -20,7 +20,6 @@ from ipl.gauge import (
     ConnectionSource,
     DomainError,
     SeparableOneForm,
-    TrigRadialTerm,
     _path_ordered_product,
     _term_factors,
     asd_residual,
@@ -571,6 +570,17 @@ def test_drift_defect_at_drift_steps_is_within_5e_6_of_128_steps(torus,
         assert abs(d["defect"] - fine["defect"]) <= 5e-6, tag
 
 
+def separable_form(*terms):
+    """The SeparableOneForm of terms (component, vector, radial_coeffs,
+    modes), phases 0, each profile zero-padded to the longest."""
+    coeffs = np.zeros((len(terms), max(len(t[2]) for t in terms)))
+    for row, t in zip(coeffs, terms):
+        row[:len(t[2])] = t[2]
+    comp, vectors, _, modes = zip(*terms)
+    return SeparableOneForm(np.array(comp), np.array(vectors, dtype=float),
+                            coeffs, np.array(modes), np.zeros((len(terms), 3)))
+
+
 def test_weitzenbock_identity_on_random_fixtures():
     rng = np.random.default_rng(7)
     for j in range(6):
@@ -587,8 +597,8 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
     nabla_{alpha beta} (zero-based frame indices) as a matrix-valued field
     on the (theta, x, y) grid, and w |.|_F^2 summed point by point, one
     Gauss-Legendre radial node at a time."""
-    pmax, nmax, mmax = form.max_modes()
-    n_th, n_x, n_y = (max(8, 4 * k + 4) for k in (pmax, nmax, mmax))
+    n_th, n_x, n_y = (max(8, 4 * k + 4)
+                      for k in np.max(np.abs(form.modes), axis=0))
     nodes, wts = np.polynomial.legendre.leggauss(n_r)
     rs = 0.5 * (r_out - r_in) * nodes + 0.5 * (r_out + r_in)
     wr = 0.5 * (r_out - r_in) * wts
@@ -605,23 +615,21 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
     def field(scalar, M):
         return scalar[..., None, None] * M
 
-    mats = [from_vector(t.vector) for t in form.terms]
+    terms = list(zip(form.component, map(from_vector, form.vectors),
+                     form.radial_coeffs, form.modes, form.phases))
 
     def nabla(r):
         nab = np.zeros((4, 4) + TH.shape + (2, 2), dtype=complex)
-        for t, T in zip(form.terms, mats):
-            p, n, m = t.modes
+        for b, T, coeffs, (p, n, m), ph in terms:
             kx, ky = 2 * math.pi * n / Lx, 2 * math.pi * m / Ly
-            ph = t.phases
             ct, st = np.cos(p * TH + ph[0]), np.sin(p * TH + ph[0])
             cx, sx = np.cos(kx * X + ph[1]), np.sin(kx * X + ph[1])
             cy, sy = np.cos(ky * Y + ph[2]), np.sin(ky * Y + ph[2])
-            poly = np.polynomial.Polynomial(t.radial_coeffs)
+            poly = np.polynomial.Polynomial(coeffs)
             f, df = poly(r), poly.deriv()(r)
-            if t.component == 1:  # unit frame: ahat = a_theta / r
+            if b == 1:  # unit frame: ahat = a_theta / r
                 f, df = f / r, df / r - f / r ** 2
             a = f * ct * cx * cy
-            b = t.component
             nab[0, b] += field(df * ct * cx * cy, T)
             nab[1, b] += field(-p * f * st * cx * cy / r, T)
             for row, (k, trig) in ((2, (kx, ct * sx * cy)),
@@ -629,7 +637,7 @@ def _dense_weitzenbock(form, gamma, r_in, r_out, torus, n_r=48):
                 g = twist[row - 2]
                 nab[row, b] += field(-k * f * trig, T) \
                     + field(a, g @ T - T @ g)
-            if t.component == 1:
+            if b == 1:
                 nab[1, 0] += field(-a / r, T)
         return nab
 
@@ -665,7 +673,7 @@ def test_weitzenbock_matches_dense_tensor_grid_sum():
         for key, value in ref.items():
             assert got[key] == pytest.approx(
                 value, rel=1e-13, abs=1e-13 * ref["grad_sq"]), key
-        n_theta_terms += sum(t.component == 1 for t in form.terms)
+        n_theta_terms += np.count_nonzero(form.component == 1)
     assert n_theta_terms > 0
 
 
@@ -677,43 +685,49 @@ def test_radial_factor_is_the_numpy_polynomial_bit_for_bit(coeffs):
     # Batched after a longer profile, a term's coefficients are padded
     # with leading zeros, and its rows stay the same bits
     rs = 6.0 + 3.0 * np.polynomial.legendre.leggauss(48)[0]
-    longer = TrigRadialTerm(component=1, vector=(1.0, 0.0, 0.0),
-                            radial_coeffs=(0.3, -0.2, 0.1, 0.05, -0.01),
-                            modes=(0, 0, 0))
+    longer = (1, (1.0, 0.0, 0.0), (0.3, -0.2, 0.1, 0.05, -0.01), (0, 0, 0))
     rng = np.random.default_rng(len(coeffs))
     draws = [coeffs] + [tuple(rng.normal(size=len(coeffs)))
                         for _ in range(50)]
     for c in draws:
-        term = TrigRadialTerm(component=2, vector=(0.0, 0.0, 1.0),
-                              radial_coeffs=c, modes=(1, 1, 0))
-        (f, df), *_ = _term_factors((term,), rs, np.zeros(1), np.zeros(1),
-                                    np.zeros(1), TORUS)
+        term = (2, (0.0, 0.0, 1.0), c, (1, 1, 0))
+        (f, df), *_ = _term_factors(separable_form(term), rs, np.zeros(1),
+                                    np.zeros(1), np.zeros(1), TORUS)
         poly = np.polynomial.Polynomial(c)
         assert np.array_equal(f[0], poly(rs))
         assert np.array_equal(df[0], poly.deriv()(rs))
-        (f, df), *_ = _term_factors((longer, term), rs, np.zeros(1),
-                                    np.zeros(1), np.zeros(1), TORUS)
+        padded = separable_form(longer, term)
+        assert padded.radial_coeffs.shape == (2, 5)
+        (f, df), *_ = _term_factors(padded, rs, np.zeros(1), np.zeros(1),
+                                    np.zeros(1), TORUS)
         assert np.array_equal(f[1], poly(rs))
         assert np.array_equal(df[1], poly.deriv()(rs))
 
 
 def test_fixture_profiles_are_the_numpy_polynomial_products():
-    # replays the fixture's draws: each dtheta profile is the drawn
-    # quadratic times r - r_outer, bit for bit the Polynomial product
+    # replays the fixture's draws term by term: each dtheta profile is the
+    # drawn quadratic times r - r_outer, bit for bit the Polynomial
+    # product, and zero-padded like the others to four coefficients
     rng, replay = np.random.default_rng(31), np.random.default_rng(31)
     n_theta_terms = 0
     for _ in range(20):
-        for t in random_quadratic_form_fixture(rng, 9.0).terms:
+        form = random_quadratic_form_fixture(rng, 9.0)
+        assert form.radial_coeffs.shape == (4, 4)
+        for k in range(4):
             comp = int(replay.integers(1, 4))
             poly = np.polynomial.Polynomial(replay.normal(size=3))
             if comp == 1:
                 poly = poly * np.polynomial.Polynomial([-9.0, 1.0])
                 n_theta_terms += 1
-            replay.normal(size=3)
-            replay.integers(-2, 3, size=3)
-            replay.uniform(0, 2 * math.pi, size=3)
-            assert t.component == comp
-            assert t.radial_coeffs == tuple(poly.coef)
+            assert np.array_equal(form.vectors[k], replay.normal(size=3))
+            assert np.array_equal(form.modes[k],
+                                  replay.integers(-2, 3, size=3))
+            assert np.array_equal(form.phases[k],
+                                  replay.uniform(0, 2 * math.pi, size=3))
+            assert form.component[k] == comp
+            n = len(poly.coef)
+            assert np.array_equal(form.radial_coeffs[k, :n], poly.coef)
+            assert not np.any(form.radial_coeffs[k, n:])
     assert n_theta_terms > 0
 
 
@@ -723,10 +737,8 @@ def test_weitzenbock_closed_form_single_dx_mode():
     torus = TorusSpec(period_x=1.3, period_y=0.7)
     c, n, r_in, r_out = 1.7, 2, 3.0, 9.0
     T = from_vector([0.3, -1.1, 0.4])
-    term = TrigRadialTerm(component=2, vector=(0.3, -1.1, 0.4),
-                          radial_coeffs=(c,), modes=(0, n, 0))
-    d = weitzenbock_defect(SeparableOneForm(terms=(term,)), None,
-                           r_in, r_out, torus=torus)
+    form = separable_form((2, (0.3, -1.1, 0.4), (c,), (0, n, 0)))
+    d = weitzenbock_defect(form, None, r_in, r_out, torus=torus)
     kx = 2 * math.pi * n / torus.period_x
     exact = (np.sum(np.abs(T) ** 2) * c ** 2 * kx ** 2 * math.pi
              * (r_out ** 2 - r_in ** 2) * torus.period_x * torus.period_y / 2)
@@ -740,11 +752,9 @@ def test_weitzenbock_closed_form_single_dx_mode():
 @pytest.mark.parametrize("component, error", [
     (0, BoundaryConditionError), (4, ValueError)])
 def test_weitzenbock_rejects_bad_components(component, error):
-    term = TrigRadialTerm(component=component, vector=(0.0, 0.0, 1.0),
-                          radial_coeffs=(1.0,), modes=(1, 1, 0))
+    form = separable_form((component, (0.0, 0.0, 1.0), (1.0,), (1, 1, 0)))
     with pytest.raises(error) as info:
-        weitzenbock_defect(SeparableOneForm(terms=(term,)), None, 3.0, 9.0,
-                           torus=TORUS)
+        weitzenbock_defect(form, None, 3.0, 9.0, torus=TORUS)
     # a component-4 term is a plain ValueError, not a boundary violation
     assert (info.type is BoundaryConditionError) == (component == 0)
 
@@ -756,8 +766,6 @@ def test_flat_twist_from_another_torus_is_rejected():
     xi = reduce_dual((0.3, 0.2), TorusSpec(4.0, 7.0))
     with pytest.raises(ValueError, match="another torus"):
         flat_connection(xi, TORUS)
-    term = TrigRadialTerm(component=2, vector=(0.0, 0.0, 1.0),
-                          radial_coeffs=(1.0,), modes=(1, 1, 0))
+    form = separable_form((2, (0.0, 0.0, 1.0), (1.0,), (1, 1, 0)))
     with pytest.raises(ValueError, match="another torus"):
-        weitzenbock_defect(SeparableOneForm(terms=(term,)), xi, 3.0, 9.0,
-                           torus=TORUS)
+        weitzenbock_defect(form, xi, 3.0, 9.0, torus=TORUS)

@@ -18,6 +18,7 @@ from ipl.geometry import (
     covering_radius,
     dual_lattice,
     in_dual_lattice,
+    inradius,
     lattice_distance,
     lattice_reduce,
     lattice_translates,
@@ -51,6 +52,20 @@ def test_dual_lattice_generators_square_torus():
 def test_covering_radius_square_torus():
     # half the diagonal of the (0.5, 0.5i) cell: sqrt(2)/4
     assert covering_radius(TORUS) == pytest.approx(math.sqrt(2.0) / 4.0)
+
+
+@pytest.mark.parametrize("torus", [TORUS, TorusSpec(4.0, 7.0),
+                                   TorusSpec(30.0, 1.0)],
+                         ids=["2pi", "4x7", "30x1"])
+def test_inradius_is_half_the_shortest_dual_vector(torus):
+    # pi / (2 max(L_x, L_y)): twice it is the least distance between two
+    # lattice points, and no twist lies farther than the covering radius
+    r = inradius(torus)
+    assert r == pytest.approx(
+        0.5 * math.pi / max(torus.period_x, torus.period_y), rel=1e-15)
+    nonzero = [abs(w) for w in lattice_translates(0j, 4.0 * r, torus) if w]
+    assert min(nonzero) == pytest.approx(2.0 * r, rel=1e-15)
+    assert r < covering_radius(torus)
 
 
 def test_zeta_of_integer_xi_lands_in_lattice():

@@ -12,10 +12,11 @@ from ipl.gauge import PAIRS, asd_residual, curvature, curvature_norm, \
     flat_connection, self_dual
 from ipl.geometry import TWO_PI, TorusSpec, reduce_dual
 from ipl.models import (
+    N_BUMPS,
     ModelParams,
     _bump,
     _bump_deriv,
-    _perturb_shells,
+    _perturb_draws,
     _radial,
     hitchin_model,
     model_connection,
@@ -131,6 +132,12 @@ def test_perturbation_pointwise_bound(seed):
     assert np.all(np.max(dev, axis=(-3, -2, -1)) <= bound + 1e-15)
 
 
+def shell_radii(r_lo, r_hi):
+    """Each perturbation shell's (centre, width), centres geometric."""
+    return [(float(rho), 0.35 * float(rho))
+            for rho in np.geomspace(r_lo, r_hi, N_BUMPS)]
+
+
 def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
     """Reference for `perturb`: all 24 terms added at every point, one
     component at a time and with no support test, each term's waves
@@ -139,16 +146,17 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
     a = np.array(base.evaluate(points), copy=True)
     d = np.array(base.derivative(points), copy=True)
     r = points[..., 0]
-    for shell in _perturb_shells(seed, r_lo, r_hi):
-        u = (r - shell.center) / shell.width
+    for (center, width), vectors, modes, phases in zip(
+            shell_radii(r_lo, r_hi), *_perturb_draws(seed)):
+        u = (r - center) / width
         g = _radial(r, u, delta)
-        dg = (_bump_deriv(u) / shell.width) * r ** (-(1.0 + delta)) \
+        dg = (_bump_deriv(u) / width) * r ** (-(1.0 + delta)) \
             + _bump(u) * (-(1.0 + delta)) * r ** (-(2.0 + delta))
         for comp in range(4):
-            p, n, m = (int(mode) for mode in shell.modes[comp])
+            p, n, m = (int(mode) for mode in modes[comp])
             kx = TWO_PI * n / base.torus.period_x
             ky = TWO_PI * m / base.torus.period_y
-            args = [k * points[..., 1 + i] + float(shell.phases[comp, i])
+            args = [k * points[..., 1 + i] + float(phases[comp, i])
                     for i, k in enumerate((p, kx, ky))]
             f0, f1, f2 = np.cos(args)
             c = f0 * f1 * f2
@@ -159,8 +167,24 @@ def dense_perturbed(base, points, delta, amplitude, seed, r_lo, r_hi):
             for out, coef in zip([a] + [d[..., i, :, :] for i in range(4)],
                                  coefs):
                 out[..., comp, :] += (
-                    amplitude / 2.0 * coef[..., None] * shell.vectors[comp])
+                    amplitude / 2.0 * coef[..., None] * vectors[comp])
     return a, d
+
+
+@pytest.mark.parametrize("seed", [0, 4, 20260815])
+def test_perturb_draws_replay_the_seed_term_by_term(seed):
+    # shell by shell, component by component: a normal direction scaled to
+    # Frobenius norm 1 by its own norm, integer modes, then uniform phases
+    vectors, modes, phases = _perturb_draws(seed)
+    assert vectors.shape == modes.shape == phases.shape == (N_BUMPS, 4, 3)
+    replay = np.random.default_rng(seed)
+    for i in range(N_BUMPS):
+        for j in range(4):
+            v = replay.normal(size=3)
+            assert same_bits(vectors[i, j],
+                             v / (math.sqrt(2.0) * np.linalg.norm(v)))
+            assert np.array_equal(modes[i, j], replay.integers(-2, 3, 3))
+            assert same_bits(phases[i, j], replay.uniform(0.0, TWO_PI, 3))
 
 
 @given(seed=st.integers(0, 10 ** 6),
@@ -175,15 +199,15 @@ def test_masked_perturbation_matches_dense_sum(seed, radii, shell, batch_2d):
     # including at r = centre +- width where the support test decides; on
     # the 4 x 7 torus a wave with the x and y periods swapped differs too
     delta, amplitude, r_lo, r_hi = 0.5, 0.05, 5.0, 600.0
-    sh = _perturb_shells(seed, r_lo, r_hi)[shell]
+    center, width = shell_radii(r_lo, r_hi)[shell]
     rs = []
     for v in radii:
         if v == "edge-":
-            v = sh.center - sh.width
+            v = center - width
         elif v == "edge+":
-            v = sh.center + sh.width
+            v = center + width
         elif v == "centre":
-            v = sh.center
+            v = center
         rs.extend([np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)])
     for torus in (TORUS, TorusSpec(4.0, 7.0)):
         rng = np.random.default_rng(seed)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipl.geometry import TWO_PI, TorusSpec, covering_radius, reduce_dual, \
-    xi_from_zeta
+from ipl.geometry import TWO_PI, TorusSpec, covering_radius, inradius, \
+    reduce_dual, xi_from_zeta
 from ipl.spectral import (
     BundleModel,
     SingularPointError,
@@ -30,10 +30,13 @@ def total_multiplicity(data):
 
 
 def test_bundle_model_validation():
-    # |mu|/r_min must stay below the dual covering radius
-    assert abs(BUNDLE.mu) / BUNDLE.r_min < covering_radius(TORUS)
+    # |mu|/r_min must stay below the dual lattice's inradius
+    assert abs(BUNDLE.mu) / BUNDLE.r_min < inradius(TORUS)
     with pytest.raises(ValueError):
         BundleModel(lam=0.0, mu=1.0, r_min=2.0, k=1, torus=TORUS)
+    # 1 / 3.5 lies between the inradius 1/4 and the covering radius
+    with pytest.raises(ValueError, match="inradius"):
+        BundleModel(lam=0.0, mu=1.0, r_min=3.5, k=1, torus=TORUS)
     with pytest.raises(ValueError):
         BundleModel(lam=0.0, mu=1.0, r_min=5.0, k=0, torus=TORUS)
 
