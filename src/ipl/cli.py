@@ -322,9 +322,26 @@ def _check(name, value, tolerance, passed, margin=None, **extra) -> dict:
     return d
 
 
-def _leq_check(name, value, tolerance, **extra) -> dict:
-    return _check(name, value, tolerance, value <= tolerance,
-                  margin=tolerance - value, **extra)
+def _worst_check(worst, name, samples, bound, empty="no samples",
+                 **extra) -> dict:
+    """The check on the worst of a check's samples: a Python number as it
+    stands, so a count stays an integer, and anything else reduced by
+    numpy's max or min, which keep a NaN wherever it lies (Python's keep
+    one only in first place, so a NaN sample would read as a pass). The
+    margin is bound - value for a max and value - bound for a min. An empty
+    sample set fails unevaluated, with the reason `empty`."""
+    if isinstance(samples, (int, float)):
+        value = samples
+    elif np.size(samples) == 0:
+        return _check(name, None, bound, False, reason=empty, **extra)
+    else:
+        value = float(worst(samples))
+    margin = bound - value if worst is np.max else value - bound
+    return _check(name, value, bound, margin >= 0, margin=margin, **extra)
+
+
+_leq_check = partial(_worst_check, np.max)  # the largest sample <= bound
+_geq_check = partial(_worst_check, np.min)  # the least sample >= bound
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +367,7 @@ def _run_conventions(params: dict):
     # projector on them is 2 C C^T and the star 2 (2 C C^T) - I
     C = self_dual(np.eye(6)[:, :, None])[..., 0]
     star = 4.0 * C @ C.T - np.eye(6)
-    invol = float(np.max(np.abs(star @ star - np.eye(6))))
+    invol = np.abs(star @ star - np.eye(6))
     trace = abs(float(np.trace(star)))
     # an involution with zero trace may still pair the slots wrongly or
     # flip a sign: compare it with the star of the PAIRS 2-forms e_i ^ e_j
@@ -358,15 +375,15 @@ def _run_conventions(params: dict):
     # *(e_i ^ e_j) = sum_{k < l} eps_ijkl e_k ^ e_l
     eps = np.array([[_permutation_sign((i, j, k, l)) for k, l in PAIRS]
                     for i, j in PAIRS])
-    orientation = float(np.max(np.abs(star - eps)))
+    orientation = np.abs(star - eps)
 
     # the first generator is real and the second imaginary
     (_, g1_im), (g2_re, _) = sheet["dual_lattice_basis"]
     axis_dev = abs(g1_im) + abs(g2_re)
 
-    lattice_dev = float(np.max([
+    lattice_dev = [
         lattice_distance(zeta_from_xi(float(n), float(m), torus), torus)
-        for n, m in ((1, 0), (0, 1), (2, -3))]))
+        for n, m in ((1, 0), (0, 1), (2, -3))]
 
     checks = [
         _leq_check("hodge_star_involution", invol, 0.0),
@@ -470,17 +487,13 @@ def _run_model_check(params: dict):
             hitchin_sups += [np.max(rho) for rho in
                              hitchin_residual(pair, pts[:, :2])]
     tol = params["tolerances"]
-    # numpy's max keeps a NaN wherever it comes; Python's keeps one only in
-    # first place, so a NaN sample would read as the pass it is not
     for kind, key in zip(KINDS, ("asd_residual", "nilpotent_residual")):
         if sups[kind]:
-            checks.append(_leq_check(f"asd_residual_sup_{kind}",
-                                     float(np.max(sups[kind])), tol[key],
-                                     n_models=len(sups[kind])))
+            checks.append(_leq_check(f"asd_residual_sup_{kind}", sups[kind],
+                                     tol[key], n_models=len(sups[kind])))
     if hitchin_sups:
         checks.append(_leq_check("hitchin_residual_sup_nilpotent",
-                                 float(np.max(hitchin_sups)),
-                                 tol["nilpotent_residual"]))
+                                 hitchin_sups, tol["nilpotent_residual"]))
 
     decay_rows = []
     d = params["decay"]
@@ -508,20 +521,18 @@ def _run_model_check(params: dict):
         if q["fourier_gap"] is not None:
             n_samples = q["fourier_gap"]["n_samples"]
             gap_min = _fourier_gap_scan(rng, torus, n_samples)
-            checks.append(_check("fourier_gap_min", gap_min, -1e-15,
-                                 gap_min >= -1e-15, margin=gap_min + 1e-15,
-                                 n_samples=n_samples))
+            checks.append(_geq_check("fourier_gap_min", gap_min, -1e-15,
+                                     n_samples=n_samples))
             ineq_summary["fourier_gap_min"] = gap_min
         if q["monodromy_drift"] is not None:
             drift_tol = q["monodromy_drift"]["tolerance"]
             per, halved = _monodromy_families(rng, torus)
             checks.append(_leq_check("monodromy_drift_defect_max",
-                                     float(np.max(list(per.values()))),
-                                     drift_tol, per_family=per))
+                                     list(per.values()), drift_tol,
+                                     per_family=per))
             step_error = {tag: abs(per[tag] - halved[tag]) for tag in per}
             checks.append(_leq_check(
-                "monodromy_drift_step_error",
-                float(np.max(list(step_error.values()))),
+                "monodromy_drift_step_error", list(step_error.values()),
                 DRIFT_STEP_ERROR_SHARE * drift_tol, steps=DRIFT_STEPS,
                 per_family=step_error))
             ineq_summary["monodromy_drift"] = per
@@ -542,8 +553,7 @@ def _run_model_check(params: dict):
                 rels.append(abs(c - oracle) / oracle)
                 ineq_summary[f"poincare_{tag}"] = {"constant": c,
                                                    "oracle": oracle}
-            checks.append(_leq_check("poincare_vs_rayleigh_rel",
-                                     float(np.max(rels)),
+            checks.append(_leq_check("poincare_vs_rayleigh_rel", rels,
                                      q["poincare"]["rtol"]))
 
     artifacts = {}
@@ -752,9 +762,6 @@ def _run_invariants(params: dict):
         return out
 
     def one_pass(tag, pert, tols):
-        errs = {"lambda": [], "alpha": [], "mu": []}
-        kinds_ok = True
-        failed = []
         models = params["models"]
         for j, ((p, _), inv) in enumerate(zip(models,
                                               extractions(models, pert))):
@@ -764,12 +771,8 @@ def _run_invariants(params: dict):
             records.append(record)
             if isinstance(inv, ExtractionError):
                 record["error"] = str(inv)
-                failed.append({"model": record["model"], "error": str(inv)})
                 continue
             e = roundtrip_errors(p, inv, torus)
-            kinds_ok = kinds_ok and e["kind_ok"]
-            for k in errs:
-                errs[k].append(e[k])
             record.update({
                 "extracted": {
                     "xi0": [inv.xi0.xi1, inv.xi0.xi2],
@@ -780,24 +783,25 @@ def _run_invariants(params: dict):
                 "errors": {k: e[k] for k in ("lambda", "alpha", "mu")},
                 "diagnostics": inv.diagnostics,
             })
+        rows = records[-len(models):]
+        failed = [{"model": r["model"], "error": r["error"]}
+                  for r in rows if "error" in r]
+        done = [r for r in rows if "errors" in r]
         if failed:
             checks.append(_leq_check(f"extraction_failed_{tag}",
                                      len(failed), 0, models=failed))
-        # a maximum over zero extracted models has no value, so with none
-        # extracted these checks fail unevaluated
-        none_left = len(failed) == len(models)
+        # with no model extracted, these checks fail unevaluated
         reason = f"no model extracted in the {tag} pass"
         for k in ("lambda", "alpha", "mu"):
-            name = f"{k}_error_max_{tag}"
-            checks.append(_check(name, None, tols[k], False, reason=reason)
-                          if none_left
-                          else _leq_check(name, float(np.max(errs[k])),
-                                          tols[k]))
+            checks.append(_leq_check(f"{k}_error_max_{tag}",
+                                     [r["errors"][k] for r in done], tols[k],
+                                     empty=reason))
         if pert is None:
             name = f"kind_detected_{tag}"
-            checks.append(_check(name, None, None, False, reason=reason)
-                          if none_left
-                          else _check(name, kinds_ok, None, kinds_ok))
+            ok = all(r["extracted"]["kind"] == r["inputs"]["kind"]
+                     for r in done)
+            checks.append(_check(name, ok, None, ok) if done
+                          else _check(name, None, None, False, reason=reason))
 
     one_pass("clean", None, params["tolerances_clean"])
     if params["perturbation"] is not None:
@@ -872,6 +876,24 @@ def _spectral_rules(cfg: dict, params: dict) -> None:
                 f"dichotomy.min_lattice_distance must be below "
                 f"covering_radius / 2 = {cov / 2.0:.6g}, the distance from "
                 "+-xi0 that some dual-torus point always keeps")
+    if c is not None:
+        # the count finds bundle.k at each twist zeta(lam) + dz, |dz| in
+        # counting.radius, only if the plus branch's jumping point |w| =
+        # |mu| / |dz| lies in counting.domain and the minus branch's, which
+        # solve mu / w = -(2 lam + dz) modulo the dual lattice, stay inside
+        # its inner radius; the plus branch's other translates stay out,
+        # as the bundle holds |mu| / r_min under the inradius
+        (rho_lo, rho_hi), (r_lo, r_hi) = c["radius"], c["domain"]
+        m, gap = abs(b.mu), lattice_distance(2.0 * b.lam, params["torus"])
+        _expect(m / r_hi <= rho_lo and rho_hi <= m / r_lo,
+                "counting cannot count bundle.k: counting.radius must lie in "
+                f"[|mu| / r_hi, |mu| / r_lo] = [{m / r_hi:.6g}, "
+                f"{m / r_lo:.6g}], [r_lo, r_hi] being counting.domain")
+        _expect(m / r_lo + rho_hi < gap,
+                "counting cannot count bundle.k: |mu| / r_lo + "
+                f"counting.radius[1] = {m / r_lo + rho_hi:.6g} must be below "
+                f"{gap:.6g}, the distance from 2 lambda to the dual lattice, "
+                "or the other state's jumping points enter counting.domain")
 
 
 def _residue_mu_window(torus: TorusSpec,
@@ -945,9 +967,8 @@ def _run_spectral(params: dict):
                 row[f"{tag}_estimate"] = est
                 row[f"{tag}_error"] = errs[-1]
             rows.append(row)
-        checks.append(_leq_check("phi_residue_error_max",
-                                 float(np.max(errs)), r["tolerance"],
-                                 n_mu=r["n_mu"]))
+        checks.append(_leq_check("phi_residue_error_max", errs,
+                                 r["tolerance"], n_mu=r["n_mu"]))
         summary["residues"] = rows
 
     if params["dichotomy"] is not None:
@@ -969,9 +990,7 @@ def _run_spectral(params: dict):
             blow_rows.append({"dz": dz, "w_max": w_max, "bound": bound})
             for w, m in sd.points:
                 csv_rows.append((xi.xi1, xi.xi2, w.real, w.imag, m))
-        ratio_min = float(np.min(ratios))
-        checks.append(_check("blowup_ratio_min", ratio_min, 1.0,
-                             ratio_min >= 1.0, margin=ratio_min - 1.0))
+        checks.append(_geq_check("blowup_ratio_min", ratios, 1.0))
         bundle0 = BundleModel(lam=bundle.lam, mu=0.0, r_min=bundle.r_min,
                               k=bundle.k, torus=torus)
         found = 0
@@ -1131,9 +1150,9 @@ def _run_moduli(params: dict):
     checks = []
 
     I1, I2, I3 = complex_structures()
-    qdev = float(np.max(np.abs(np.stack(
+    qdev = np.abs(np.stack(
         [M @ M + np.eye(4) for M in (I1, I2, I3)]
-        + [I1 @ I2 - I3, I2 @ I1 + I3, I2 @ I3 - I1, I3 @ I1 - I2]))))
+        + [I1 @ I2 - I3, I2 @ I1 + I3, I2 @ I3 - I1, I3 @ I1 - I2]))
     checks.append(_leq_check("quaternion_relations", qdev, 0.0))
 
     balances = []
@@ -1141,8 +1160,7 @@ def _run_moduli(params: dict):
         alpha = float(rng.uniform(-0.5, 0.5))
         (_, _), balance = nahm_weights(alpha)
         balances.append(abs(balance))
-    checks.append(_leq_check("parabolic_weight_zero_sum",
-                             float(np.max(balances)), 0.0,
+    checks.append(_leq_check("parabolic_weight_zero_sum", balances, 0.0,
                              n_alpha=params["n_alpha"]))
 
     dim1 = moduli_dimension(1)
@@ -1157,8 +1175,7 @@ def _run_moduli(params: dict):
     for c in CHART_SAMPLES:
         bc, cc, dc = chart.coefficients(c)
         cdev += [abs(bc / dc - f0), abs((dc - bc * cc) / dc ** 2 - fp0)]
-    checks.append(_leq_check("chart_constraints", float(np.max(cdev)),
-                             1e-12))
+    checks.append(_leq_check("chart_constraints", cdev, 1e-12))
 
     grid = AnnulusGrid(**params["grid"])
     conn = model_connection(_model(params["model"]), torus)
@@ -1174,8 +1191,7 @@ def _run_moduli(params: dict):
         r1, r2 = instanton_tangent_residual(t, calc)
         scale = max(calc.norm(t.comps), 1e-30)
         res_rel += [r1 / scale, r2 / scale]
-    checks.append(_leq_check("translation_tangent_residual_rel",
-                             float(np.max(res_rel)),
+    checks.append(_leq_check("translation_tangent_residual_rel", res_rel,
                              params["tolerances"]["residual_rel"]))
 
     n = len(tangents)
@@ -1183,18 +1199,18 @@ def _run_moduli(params: dict):
     for i in range(n):
         for j in range(n):
             gram[i, j] = l2_metric(tangents[i][1], tangents[j][1])
-    sym_dev = float(np.max(np.abs(gram - gram.T)))
     eigs = np.linalg.eigvalsh(gram)
-    checks.append(_leq_check("l2_metric_symmetry", sym_dev, 0.0))
+    checks.append(_leq_check("l2_metric_symmetry", np.abs(gram - gram.T),
+                             0.0))
     checks.append(_check("l2_metric_positive", eigs[0], 0.0, eigs[0] > 0,
                          margin=eigs[0]))
 
     a = tangents[-1][1] if params["n_random_tangents"] else tangents[0][1]
     scale = l2_metric(a, a)
-    iso_dev = float(np.max([abs(l2_metric(aI, aI) - scale) for aI in (
-        apply_complex_structure(a, I) for I in (I1, I2, I3))]))
-    checks.append(_leq_check("complex_structure_isometry_rel",
-                             iso_dev / scale, 1e-12))
+    iso_rel = [abs(l2_metric(aI, aI) - scale) / scale for aI in (
+        apply_complex_structure(a, I) for I in (I1, I2, I3))]
+    checks.append(_leq_check("complex_structure_isometry_rel", iso_rel,
+                             1e-12))
 
     summary = {
         "gram_matrix": gram,

@@ -1,10 +1,12 @@
 """Tests for the verification CLI: config validation before any writes,
 report structure, CSV artifacts, seeded determinism, and exit codes."""
 
+import cmath
 import copy
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,8 @@ import pytest
 from ipl import cli, gauge, models
 from ipl.cli import GAP_SCAN_BLOCK, ConfigError, SUBCOMMANDS, SUITE, \
     _fourier_gap_scan, _rayleigh_quotients, main, run
-from ipl.geometry import TWO_PI, TorusSpec, inradius, reduce_dual
+from ipl.geometry import TWO_PI, TorusSpec, inradius, lattice_distance, \
+    reduce_dual
 from ipl.moduli import fourier_diff
 
 from conftest import GAP_TORI, SIGMA3, comm
@@ -332,12 +335,12 @@ def test_roundtrip_config_passes_on_long_and_large_tori(tmp_path, torus):
                        if not c["pass"]]
 
 
-# Seven of the nine shipped configs pass on any torus. The other two expect
-# values that hold on the 2 pi x 2 pi torus only, with no defect elsewhere:
-# stability_table's h0 case needs lambda = 0.25i to be order two, and
-# spectral_counting expects a total of 1, but on 2 pi x 3 pi, 2 lambda
-# reduces to 0.18, below |mu| / r_min = 0.2, so the minus branch has a
-# genuine root in the annulus.
+# Seven of the nine shipped configs pass on any torus. The other two hold
+# on the 2 pi x 2 pi torus only, with no defect elsewhere: stability_table's
+# h0 case needs lambda = 0.25i to be order two, and spectral_counting's
+# bundle is a config error on 2 pi x 3 pi, where |mu| / r_min = 0.2 passes
+# the inradius 1/6 and 2 lambda lies 0.18 from the dual lattice, under the
+# 0.22 that its counting window needs (|mu| / r_lo + counting.radius[1]).
 @pytest.mark.parametrize("subcommand, name", [
     (s, n) for s, n in SUITE
     if n not in ("stability_table.json", "spectral_counting.json")])
@@ -771,6 +774,104 @@ def test_counting_runs_up_to_the_dual_inradius(tmp_path, capsys, torus,
             == [("counting_total_multiplicity", 1.0)]
 
 
+def counting_cfg(torus, mu=1.0, radius=None, domain=None):
+    """The shipped spectral_counting config on `torus` with no residues
+    block, the bundle residue mu and, where given, the counting window."""
+    with open(os.path.join(CONFIGS, "spectral_counting.json")) as fh:
+        cfg = json.load(fh)
+    cfg.pop("residues")
+    cfg["torus"] = {"period_x": torus.period_x, "period_y": torus.period_y}
+    cfg["bundle"]["mu"] = [mu, 0.0]
+    c = cfg["counting"]
+    c["radius"], c["domain"] = radius or c["radius"], domain or c["domain"]
+    return cfg
+
+
+@pytest.mark.parametrize("torus", [TorusSpec(), TorusSpec(4.0, 7.0)],
+                         ids=["2pi", "4x7"])
+@pytest.mark.parametrize("edge", ["outer", "inner", "other-state"])
+@pytest.mark.parametrize("side, code", [(1e-3, 0), (-1e-3, 2)],
+                         ids=["inside", "outside"])
+def test_counting_window_edges(tmp_path, capsys, torus, edge, side, code):
+    # |mu| = 1, and 2 lam = 0.22 + 0.14i lies 0.2608 from the dual lattice
+    # on both tori. Each window sits a relative 1e-3 inside or outside one
+    # of the three inequalities and well inside the other two
+    gap = lattice_distance(2 * (0.11 + 0.07j), torus)
+    radius, domain = {
+        # |mu| / r_hi <= radius[0]: the plus point |w| = |mu| / |dz| stays
+        # inside r_hi = 100
+        "outer": ([(1 + side) / 100, 0.02], [5.0, 100.0]),
+        # radius[1] <= |mu| / r_lo: it stays outside r_lo = 10
+        "inner": ([0.005, (1 - side) / 10], [10.0, 1e4]),
+        # |mu| / r_lo + radius[1] < gap: the other state's points stay
+        # inside r_lo
+        "other-state": ([0.005, 0.1], [1 / ((1 - side) * (gap - 0.1)), 1e4]),
+    }[edge]
+    rc, out = main_in(tmp_path, "spectral",
+                      counting_cfg(torus, radius=radius, domain=domain))
+    assert rc == code
+    if code == 2:
+        assert not out.exists()
+        assert "config error: counting " in capsys.readouterr().err
+    else:
+        report = json.loads((out / "spectral_report.json").read_text())
+        assert [(c["name"], c["value"]) for c in report["checks"]] \
+            == [("counting_total_multiplicity", 1.0)]
+
+
+@pytest.mark.parametrize("cfg", [
+    counting_cfg(TorusSpec(), mu=1.24),
+    counting_cfg(TorusSpec(), mu=0.05),
+    counting_cfg(TorusSpec(), domain=[5.0, 60.0]),
+], ids=["mu-1.24", "mu-0.05", "domain-5-60"])
+def test_counting_windows_that_miss_the_charge_exit_2(tmp_path, capsys, cfg):
+    # each was accepted, then exited 1 with counting_total_multiplicity
+    # 0.88, 0.38 and 0.19: the other state's points entered the domain, or
+    # the plus point left it
+    rc, out = main_in(tmp_path, "spectral", cfg)
+    assert rc == 2
+    assert not out.exists()
+    assert "config error: counting " in capsys.readouterr().err
+
+
+def test_counting_rule_decides_seeded_bundles(tmp_path):
+    # 500 bundles drawn inside BundleModel's bound, each with 40 samples;
+    # neither count is capped. A bundle that meets the three inequalities
+    # counts bundle.k at every sample (exit 0), and any other is a config
+    # error naming counting (exit 2); without the rule, 296 of the others
+    # ran and failed the count, and 10 passed on lucky draws
+    rnd = random.Random(3)
+    u = rnd.uniform
+    codes = {}
+    for seed in range(500):
+        torus = TorusSpec(10 ** u(-0.5, 1.8), 10 ** u(-0.5, 1.8))
+        r_min = 10 ** u(0.0, 2.0)
+        mu = u(0.01, 0.99) * inradius(torus) * r_min \
+            * cmath.exp(1j * u(0.0, TWO_PI))
+        lam = complex(u(-1.0, 1.0), u(-1.0, 1.0))
+        r_lo = r_min * 10 ** u(0.0, 0.5)
+        r_hi = r_lo * 10 ** u(0.3, 4.0)
+        rho = sorted(10 ** u(-3.5, -1.0) for _ in range(2))
+        cfg = {"schema_version": 1, "seed": seed,
+               "torus": {"period_x": torus.period_x,
+                         "period_y": torus.period_y},
+               "bundle": {"lambda": [lam.real, lam.imag],
+                          "mu": [mu.real, mu.imag], "r_min": r_min, "k": 1},
+               "counting": {"n_samples": 40, "radius": rho,
+                            "domain": [r_lo, r_hi]}}
+        meets = (abs(mu) / r_hi <= rho[0] and rho[1] <= abs(mu) / r_lo
+                 and abs(mu) / r_lo + rho[1]
+                 < lattice_distance(2 * lam, torus))
+        try:
+            _, code = run("spectral", cfg, out_dir=str(tmp_path), quiet=True)
+        except ConfigError as e:
+            assert str(e).startswith("counting "), e
+            code = 2
+        assert code == (0 if meets else 2), cfg
+        codes[code] = codes.get(code, 0) + 1
+    assert codes == {0: 194, 2: 306}
+
+
 @pytest.mark.parametrize("subcommand, cfg, path", [
     ("moduli", {**SEEDED, "n_alpah": 3}, "n_alpah"),
     ("moduli", {**SEEDED, "grid": {"n_rr": 8}}, "grid.n_rr"),
@@ -956,6 +1057,57 @@ def test_overflowing_model_check_fails_in_strict_json(tmp_path):
     [check] = report["checks"]
     assert check["pass"] is False and check["value"] is None
     assert check["reason"] == "value is nan"
+
+
+@pytest.mark.parametrize("container", [list, np.array],
+                         ids=["list", "array"])
+@pytest.mark.parametrize("where", [0, 2, 4],
+                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("constructor, bound, bad", [
+    (cli._leq_check, 1.0, math.nan), (cli._leq_check, 1.0, math.inf),
+    (cli._geq_check, -1.0, math.nan), (cli._geq_check, -1.0, -math.inf)],
+    ids=["leq-nan", "leq-inf", "geq-nan", "geq-minus-inf"])
+def test_a_bad_sample_fails_its_check_wherever_it_lies(
+        constructor, bound, bad, where, container):
+    samples = [0.1, 0.2, 0.3, 0.4, 0.5]
+    samples[where] = bad
+    check = constructor("row", container(samples), bound)
+    assert check["pass"] is False
+    assert check["reason"] == f"value is {bad}"
+    assert math.isnan(check["value"]) if math.isnan(bad) \
+        else check["value"] == bad
+
+
+@pytest.mark.parametrize("constructor", [cli._leq_check, cli._geq_check],
+                         ids=["leq", "geq"])
+@pytest.mark.parametrize("samples", [[], np.zeros(0), np.zeros((0, 3))],
+                         ids=["list", "array", "empty-rows"])
+def test_no_samples_fail_unevaluated_with_the_callers_reason(constructor,
+                                                             samples):
+    check = constructor("row", samples, 0.5, empty="nothing to read",
+                        n=0)
+    assert check == {"name": "row", "value": None, "tolerance": 0.5,
+                     "margin": None, "pass": False,
+                     "reason": "nothing to read", "n": 0}
+
+
+def test_an_integer_count_stays_an_integer():
+    for count, passed in ((0, True), (3, False)):
+        check = cli._leq_check("failed", count, 0)
+        assert type(check["value"]) is int and check["value"] == count
+        assert type(check["margin"]) is int and check["margin"] == -count
+        assert check["pass"] is passed
+
+
+@pytest.mark.parametrize("bound, tolerance, margin", [
+    (1.0, 2.0, 0.5), (1.5, 1.5, 0.0), (2.0, 1.0, -0.5)])
+def test_margins_are_signed_on_the_passing_side(bound, tolerance, margin):
+    # value - bound for the least sample, tolerance - value for the largest
+    low = cli._geq_check("least", np.array([3.0, 1.5, 2.0]), bound)
+    high = cli._leq_check("largest", [0.5, 1.5, -3.0], tolerance)
+    for check in (low, high):
+        assert (check["value"], check["margin"], check["pass"]) \
+            == (1.5, margin, margin >= 0)
 
 
 def _self_dual_doubled(f, axis=-2):
